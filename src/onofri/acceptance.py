@@ -186,16 +186,20 @@ def criterion_7(seed, grids):
 def criterion_8(seed, grids):
     rows = []
     bracket = (-6.0, 10.0)
+    roots_at = {}
     for l, targets in ((0.5, (4.5, 5.0, 5.5, 6.0, 6.5)),
                        (1.0, (4.5, 5.0, 5.5, 6.0, 6.5)),
                        (2.0, (5.0, 6.0, 7.0))):
-        for target in targets:
-            roots = shooting.solutions_at_beta(l, target, bracket)
+        search = shooting.solutions_at_beta(l, targets, bracket)
+        for target, roots in zip(targets, search.roots):
+            roots_at[(l, target)] = roots
             rows.append(_row(8, f"l_{l}_beta_{target}", "at most one radial profile per admissible mass",
                              len(roots), 1.0, len(roots) <= 1,
-                             roots=[float(r) for r in roots], l=float(l)))
+                             roots=[float(r) for r in roots], l=float(l),
+                             beta_range=list(search.beta_range),
+                             divergent_samples=search.divergent_samples))
     for l, target, s_star in ((0.5, 5.0, math.log(10.0)), (1.0, 6.0, math.log(12.0))):
-        roots = shooting.solutions_at_beta(l, target, bracket)
+        roots = roots_at[(l, target)]
         err = abs(roots[0] - s_star) if roots else math.inf
         rows.append(_row(8, f"anchor_l_{l}", "axial profile recovered as the unique root",
                          err, 1e-6, len(roots) == 1 and err <= 1e-6, l=float(l)))

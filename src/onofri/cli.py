@@ -21,6 +21,7 @@ import time
 import numpy as np
 
 from . import acceptance, axisym, conformal, eigen, functional, planar, report, shooting, sphere
+from .errors import GridConfigError
 
 log = logging.getLogger("onofri")
 
@@ -109,8 +110,11 @@ def _need(cfg: dict, key: str, default=None):
 
 def _grid_for(cfg):
     n_mu = cfg.get("n_mu")
-    return sphere.build_grid(int(_need(cfg, "L", 16)),
-                             n_mu=int(n_mu) if n_mu is not None else None)
+    try:
+        return sphere.build_grid(int(_need(cfg, "L", 16)),
+                                 n_mu=int(n_mu) if n_mu is not None else None)
+    except GridConfigError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def cmd_minimize(cfg):
@@ -227,10 +231,10 @@ def cmd_uniqueness(cfg):
     else:
         targets = _parse_list(_need(cfg, "targets", "4.5,5.0,5.5,6.0,6.5"))
     bracket = (float(_need(cfg, "s_min", -6.0)), float(_need(cfg, "s_max", 10.0)))
+    search = shooting.solutions_at_beta(l, targets, bracket)
     rows = []
     ok = True
-    for target in targets:
-        roots = shooting.solutions_at_beta(l, target, bracket)
+    for target, roots in zip(targets, search.roots):
         in_window = l <= 1.0 or (2.0 * l < target < 2.0 * (2.0 + l))
         flagged = []
         for r in roots:
@@ -246,6 +250,8 @@ def cmd_uniqueness(cfg):
             "l": l, "beta_target": target,
             "n_roots": len(roots), "roots": roots,
             "near_tangent": flagged, "passed": passed,
+            "beta_range": list(search.beta_range),
+            "divergent_samples": search.divergent_samples,
         })
     return rows, ("pass" if ok else "fail"), rows
 

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonConvergenceError
+
 # Cash-Karp 5(4) tableau
 _CK_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 3.0 / 5.0, 1.0, 7.0 / 8.0)
 _CK_A = (
@@ -68,7 +70,7 @@ def _rk_adaptive(f, x0, y0, x1, tol, h0, store_x, store_y, hmax=np.inf, max_step
         h *= min(5.0, max(0.2, fac))
         steps += 1
         if steps > max_steps:
-            raise RuntimeError("adaptive integrator exceeded the step budget")
+            raise NonConvergenceError("adaptive integrator exceeded the step budget", best=x)
     return y
 
 
@@ -199,46 +201,97 @@ def beta_curve(l: float, s_min: float, s_max: float, n: int,
     return rows
 
 
-def solutions_at_beta(l: float, beta_target: float, s_bracket: tuple[float, float],
-                      tol: float = 1e-8, n_samples: int = 129,
-                      r_max: float = 1e6, ode_tol: float = 1e-10) -> list[float]:
-    """All s with beta(s) = beta_target inside the bracket.
+@dataclass
+class RootSearch:
+    """Roots of beta(s) = target on one shared sampling of the curve."""
 
-    Samples the curve densely, then bisects every sign change; sampling at 129
-    points guards against missing near-tangent double roots.
+    roots: list[list[float]]            # one list per target, in target order
+    beta_range: tuple[float, float]     # min and max beta of the converged samples
+    divergent_samples: int              # samples whose verdict is not "converged"
+
+
+def _brent(f, a: float, b: float, fa: float, fb: float, tol: float, max_iter: int = 100) -> float:
+    """Root of f in [a, b] given f(a) f(b) < 0 (Brent 1973, ch. 4, as in brentq.c).
+
+    Inverse quadratic interpolation or secant steps, falling back to bisection
+    whenever a step would not shrink the bracket fast enough; stops once the
+    bracket is narrower than tol.
     """
-    s_lo, s_hi = s_bracket
+    xpre, xcur, fpre, fcur = a, b, fa, fb
+    xblk, fblk, spre, scur = a, fa, 0.0, 0.0
+    for _ in range(max_iter):
+        if fpre * fcur < 0.0:
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 0.5 * (tol + 4.0 * np.finfo(float).eps * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den != 0.0 else None
+        if stry is not None and 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
+        fcur = f(xcur)
+    raise NonConvergenceError("Brent refinement exceeded its iteration budget", best=xcur,
+                              residual=fcur)
 
-    def beta_of(s):
+
+def solutions_at_beta(l: float, beta_targets, s_bracket: tuple[float, float],
+                      tol: float = 1e-8, n_samples: int = 129,
+                      r_max: float = 1e6, ode_tol: float = 1e-10) -> RootSearch:
+    """All s with beta(s) = target inside the bracket, for every target.
+
+    The curve is sampled once through beta_curve (129 points guard against
+    missing near-tangent double roots) and the samples are shared by all
+    targets; every sign change is refined with Brent to tol.  Intervals with a
+    divergent-mass endpoint are not searched; their count is reported.
+    """
+    rows = beta_curve(l, s_bracket[0], s_bracket[1], n_samples, r_max=r_max, tol=ode_tol)
+    ss = [row["s"] for row in rows]
+    betas = np.array([row["beta"] if row["verdict"] == "converged" else np.nan for row in rows])
+
+    def beta_at(s):
         sol = shoot(l, s, r_max=r_max, tol=ode_tol)
-        return sol.beta_mass if sol.verdict == "converged" else float("nan")
+        if sol.verdict != "converged":
+            raise NonConvergenceError(f"shot at s={s} diverged inside a converged bracket",
+                                      best=s)
+        return sol.beta_mass
 
-    ss = np.linspace(s_lo, s_hi, n_samples)
-    vals = np.array([beta_of(float(s)) - beta_target for s in ss])
     roots = []
-    for i in range(n_samples - 1):
-        f0, f1 = vals[i], vals[i + 1]
-        if np.isnan(f0) or np.isnan(f1):
-            continue
-        if f0 == 0.0:
-            roots.append(float(ss[i]))
-            continue
-        if f0 * f1 < 0.0:
-            a, b, fa = float(ss[i]), float(ss[i + 1]), float(f0)
-            while b - a > tol:
-                m = 0.5 * (a + b)
-                fm = beta_of(m) - beta_target
-                if fm == 0.0:
-                    a = b = m
-                    break
-                if fa * fm < 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            roots.append(0.5 * (a + b))
-    if vals[-1] == 0.0:
-        roots.append(float(ss[-1]))
-    return roots
+    for target in beta_targets:
+        vals = betas - target
+        found = []
+        for i in range(n_samples - 1):
+            f0, f1 = vals[i], vals[i + 1]
+            if np.isnan(f0) or np.isnan(f1):
+                continue
+            if f0 == 0.0:
+                found.append(ss[i])
+            elif f0 * f1 < 0.0:
+                found.append(_brent(lambda s: beta_at(s) - target, ss[i], ss[i + 1],
+                                    float(f0), float(f1), tol))
+        if vals[-1] == 0.0:
+            found.append(ss[-1])
+        roots.append(found)
+    converged = betas[~np.isnan(betas)]
+    beta_range = ((float(converged.min()), float(converged.max())) if converged.size
+                  else (math.nan, math.nan))
+    return RootSearch(roots=roots, beta_range=beta_range,
+                      divergent_samples=int(np.isnan(betas).sum()))
 
 
 def beta_slope_at(l: float, s: float, h: float = 1e-4, **kw) -> float:

@@ -110,15 +110,14 @@ class SphereGrid:
 def build_grid(lmax: int = DEFAULT_LMAX, n_mu: int | None = None, n_phi: int | None = None) -> SphereGrid:
     """Construct a grid able to hold degree-2*lmax products without aliasing.
 
-    Defaults n_mu = 2*lmax and n_phi = 4*lmax; the hard floor is
-    n_mu >= lmax + 1 and n_phi >= 2*lmax + 1.
+    Defaults n_mu = 2*lmax and n_phi = 4*lmax, raised to the hard floor
+    n_mu >= lmax + 1 and n_phi >= 2*lmax + 1; an explicit size below the floor
+    raises GridConfigError.
     """
     if lmax < 0:
         raise GridConfigError("band limit must be nonnegative")
-    n_mu = 2 * lmax if n_mu is None else n_mu
-    n_phi = 4 * lmax if n_phi is None else n_phi
-    n_mu = max(n_mu, lmax + 1)
-    n_phi = max(n_phi, 2 * lmax + 1)
+    n_mu = max(2 * lmax, lmax + 1) if n_mu is None else n_mu
+    n_phi = max(4 * lmax, 2 * lmax + 1) if n_phi is None else n_phi
     if n_mu < lmax + 1 or n_phi < 2 * lmax + 1:
         raise GridConfigError(f"grid {n_mu}x{n_phi} cannot hold degree {lmax}")
     mu, w = np.polynomial.legendre.leggauss(n_mu)

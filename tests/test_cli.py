@@ -62,6 +62,10 @@ def test_missing_parameter_usage_error():
     assert cli.main(["shoot", "--l", "1"]) == cli.EXIT_USAGE
 
 
+def test_under_resolved_grid_usage_error():
+    assert cli.main(["minimize", "--alpha", "0.7", "--n-mu", "4"]) == cli.EXIT_USAGE
+
+
 def test_math_violation_exit_code(monkeypatch, tmp_path):
     def failing(cfg):
         return [{"claim": "forced failure", "passed": False}], "fail", None
@@ -106,6 +110,8 @@ def test_uniqueness_rows(tmp_path):
     row = rep["rows"][0]
     assert row["n_roots"] == 1
     assert row["roots"][0] == pytest.approx(math.log(12.0), abs=1e-5)
+    assert row["beta_range"][0] < 6.0 < row["beta_range"][1]
+    assert row["divergent_samples"] == 0
 
 
 def test_bol_audit_no_violation(tmp_path):

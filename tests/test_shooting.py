@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from onofri import shooting as sh
+from onofri.errors import NonConvergenceError
 
 
 def test_liouville_closed_form():
@@ -85,26 +86,97 @@ def test_beta_curve_needs_two_points():
 
 
 def test_roots_l1_mass_six():
-    roots = sh.solutions_at_beta(1.0, 6.0, (-2.0, 6.0))
+    roots = sh.solutions_at_beta(1.0, [6.0], (-2.0, 6.0)).roots[0]
     assert len(roots) == 1
     assert roots[0] == pytest.approx(math.log(12.0), abs=1e-6)
 
 
 def test_roots_l05_mass_five():
-    roots = sh.solutions_at_beta(0.5, 5.0, (-2.0, 6.0))
+    roots = sh.solutions_at_beta(0.5, [5.0], (-2.0, 6.0)).roots[0]
     assert len(roots) == 1
     assert roots[0] == pytest.approx(math.log(10.0), abs=1e-6)
 
 
 @pytest.mark.parametrize("target", [5.0, 6.0, 7.0])
 def test_l2_window_at_most_one_root(target):
-    roots = sh.solutions_at_beta(2.0, target, (-6.0, 10.0))
+    roots = sh.solutions_at_beta(2.0, [target], (-6.0, 10.0)).roots[0]
     assert len(roots) <= 1
 
 
 def test_empty_bracket_returns_no_roots():
-    roots = sh.solutions_at_beta(1.0, 6.0, (4.0, 6.0))   # beta < 5.3 there
+    roots = sh.solutions_at_beta(1.0, [6.0], (4.0, 6.0)).roots[0]   # beta < 5.3 there
     assert roots == []
+
+
+SHARED_TARGETS = (4.5, 5.0, 5.5, 6.0, 6.5)
+
+
+def test_shared_curve_matches_one_target_calls():
+    search = sh.solutions_at_beta(1.0, SHARED_TARGETS, (-6.0, 10.0))
+    assert len(search.roots) == len(SHARED_TARGETS)
+    for target, roots in zip(SHARED_TARGETS, search.roots):
+        assert roots == sh.solutions_at_beta(1.0, [target], (-6.0, 10.0)).roots[0]
+
+
+def test_shared_curve_shot_budget_and_no_state(monkeypatch):
+    calls = []
+    real_shoot = sh.shoot
+
+    def counting_shoot(*args, **kw):
+        calls.append(args)
+        return real_shoot(*args, **kw)
+
+    monkeypatch.setattr(sh, "shoot", counting_shoot)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        search = sh.solutions_at_beta(1.0, SHARED_TARGETS, (-6.0, 10.0))
+        n_roots = sum(len(r) for r in search.roots)
+        assert n_roots >= 1
+        assert len(calls) <= 129 + 12 * n_roots
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_shared_curve_reports_beta_range():
+    search = sh.solutions_at_beta(2.0, [5.0, 6.0, 7.0], (-6.0, 10.0))
+    lo, hi = search.beta_range
+    assert 7.0 < lo <= hi < 12.0          # why l = 2 finds no root at 5, 6 or 7
+    assert search.roots == [[], [], []]
+    assert search.divergent_samples == 0
+
+
+def test_shared_curve_counts_divergent_samples(monkeypatch):
+    real_shoot = sh.shoot
+
+    def shoot_diverging_above_8(l, s, **kw):
+        sol = real_shoot(l, s, **kw)
+        if s > 8.0:
+            sol.verdict = "divergent-mass"
+        return sol
+
+    full = sh.solutions_at_beta(1.0, [4.1, 6.0], (-6.0, 10.0), n_samples=33)
+    monkeypatch.setattr(sh, "shoot", shoot_diverging_above_8)
+    cut = sh.solutions_at_beta(1.0, [4.1, 6.0], (-6.0, 10.0), n_samples=33)
+    assert full.divergent_samples == 0 and len(full.roots[0]) == 1 and full.roots[0][0] > 8.0
+    assert cut.divergent_samples == 4                  # s = 8.5, 9, 9.5, 10
+    assert cut.roots[0] == [] and cut.roots[1] == full.roots[1]
+    assert cut.beta_range[0] > full.beta_range[0]
+
+
+def test_brent_matches_closed_form_root():
+    f = lambda x: math.cos(x) - x
+    root = sh._brent(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
+    assert root == pytest.approx(0.7390851332151607, abs=1e-12)
+
+
+def test_integrator_step_budget_raises_typed_error():
+    xs, ys = [0.0], [(1.0, 0.0)]
+    with pytest.raises(NonConvergenceError) as info:
+        sh._rk_adaptive(lambda x, y: (y[1], -y[0]), 0.0, ys[0], 10.0, 1e-10, 1e-3, xs, ys,
+                        max_steps=3)
+    assert 0.0 < info.value.best < 10.0
+    assert info.value.best == xs[-1]
 
 
 def test_slope_estimate_nonzero_on_monotone_branch():

@@ -40,6 +40,10 @@ def test_quadrature_exactness(grid8):
 def test_grid_rejects_aliasing():
     with pytest.raises(GridConfigError):
         sphere.build_grid(-1)
+    with pytest.raises(GridConfigError):
+        sphere.build_grid(8, n_mu=8)
+    with pytest.raises(GridConfigError):
+        sphere.build_grid(8, n_phi=16)
     g = sphere.build_grid(8, n_mu=9, n_phi=17)          # the hard floor is fine
     assert g.n_mu == 9 and g.n_phi == 17
 
