@@ -3,14 +3,14 @@
 
 Below 1/2 the value runs to minus infinity linearly in the concentration log;
 at 1/2 it saturates; above it grows.  Writes results/two_bubble_trace.csv
-with both the sphere functional and its doubled 1-D counterpart.
+with the sphere functional (the 1-D functional of the family is twice it).
 """
 import pathlib
 import sys
 
 import numpy as np
 
-from onofri import axisym, conformal, report
+from onofri import conformal, report
 
 ALPHAS = [0.45, 0.48, 0.50, 0.52]
 LOGS = list(np.linspace(1.0, 80.0, 40))
@@ -27,7 +27,6 @@ def main() -> int:
                 "alpha": alpha,
                 "concentration_log": s,
                 "j_sphere": conformal.two_bubble_j_value(alpha, s),
-                "i_axisym": axisym.two_bubble_i_value(alpha, s),
             })
         tail = rows[-1]
         print(f"alpha={alpha:.2f}: J({LOGS[-1]:.0f}) = {tail['j_sphere']:+.3f}")

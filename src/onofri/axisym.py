@@ -2,7 +2,8 @@
 
     I_alpha(g) = alpha int (1-x^2) g'^2 dx + 2 int g dx - 2 log((1/2) int e^{2g} dx)
 
-restricted by the moment constraint int e^{2g} x dx = 0.  For u(x) = 2 g(x3)
+restricted by the moment constraint int e^{2g} x dx = 0, which the descent
+restores after every step with the degree-1 tilt g + c x.  For u(x) = 2 g(x3)
 lifted to the sphere, I_alpha(g) = 2 J_alpha(u) exactly, and alpha = 1/2 is
 the classical axially symmetric inequality; exposing general alpha lets the
 module scan the whole constrained range.
@@ -15,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import sphere
-from .errors import NonConvergenceError
+from . import conformal, functional, sphere
 
 DEFAULT_DEGREE = 16
 DEFAULT_QUAD = 64
@@ -50,14 +50,6 @@ class LegendreFunction:
         return LegendreFunction(self.coeffs.copy(), self.nodes, self.weights)
 
 
-def legendre_from_values(values, nodes, weights, degree: int) -> LegendreFunction:
-    """L2 projection of node values onto degree <= K (exact for polynomials)."""
-    k = np.arange(degree + 1)
-    pk = np.polynomial.legendre.legvander(nodes, degree)       # (n, K+1)
-    coeffs = (k + 0.5) * (pk.T @ (weights * values))
-    return LegendreFunction(coeffs, nodes, weights)
-
-
 def weighted_energy(g: LegendreFunction) -> float:
     """int (1-x^2) g'^2 dx, closed form sum 2 k(k+1)/(2k+1) c_k^2."""
     k = np.arange(g.coeffs.size, dtype=float)
@@ -83,33 +75,21 @@ def constraint_moment(g: LegendreFunction) -> float:
     return float(np.dot(g.weights * g.nodes, np.exp(2.0 * g.node_values())))
 
 
-def recenter_1d(g: LegendreFunction, tol: float = 1e-10, enrich: int = 12,
-                max_iter: int = 60) -> LegendreFunction:
-    """Compose with x -> (x+t)/(1+tx) plus half the log Jacobian to kill the moment.
+def recenter_1d(g: LegendreFunction, tol: float = 1e-10) -> LegendreFunction:
+    """The degree-1 tilt g + c x whose weight e^{2(g + c x)} has zero moment.
 
-    The reparametrised moment has the closed form
-    sum w e^{2g} (x - t)/(1 - t x), monotone decreasing in t, so Newton is
-    safe.  The output carries `enrich` extra Legendre degrees because the half
-    log-Jacobian is not polynomial; this keeps int e^{2g} dx invariant to
-    projection accuracy.
+    The sphere tilt of the lift 2 g(x3): c minimises the convex
+    log int e^{2(g + c x)} dx (functional.tilt), the half exp-mass does not
+    grow, and only coeffs[1] changes, so the degree is kept.  g itself is
+    returned when its normalised moment is already within tol.
     """
-    w = g.weights * np.exp(2.0 * (g.node_values() - np.max(g.node_values())))
-    x = g.nodes
-    t = 0.0
-    for _ in range(max_iter):
-        m = float(np.dot(w, (x - t) / (1.0 - t * x)))
-        if abs(m) <= tol * float(np.sum(w)):
-            break
-        dm = float(np.dot(w, (x * x - 1.0) / (1.0 - t * x) ** 2))
-        t_new = t - m / dm
-        t = max(-0.999999, min(0.999999, t_new))
-    else:
-        raise NonConvergenceError("recenter_1d: Newton stalled", best=t, residual=m)
-    if t == 0.0:
-        return g.copy()
-    mapped = (x + t) / (1.0 + t * x)
-    vals = g(mapped) + 0.5 * (math.log(1.0 - t * t) - 2.0 * np.log1p(t * x))
-    return legendre_from_values(vals, g.nodes, g.weights, g.degree + enrich)
+    log_w = np.log(g.weights) + 2.0 * g.node_values()
+    c = functional.tilt(log_w, g.nodes[:, None], tol)[0]
+    if c == 0.0:
+        return g
+    out = g.copy()
+    out.coeffs[1] += 0.5 * c
+    return out
 
 
 def lift(g: LegendreFunction, grid: sphere.SphereGrid) -> sphere.SphereField:
@@ -157,28 +137,15 @@ def _gauge(g: LegendreFunction) -> LegendreFunction:
     return out
 
 
-def _recenter_truncated(g: LegendreFunction, K: int, moment_tol: float,
-                        rounds: int = 3) -> LegendreFunction:
-    """Recenter, truncate back to the working degree, repeat until the
-    truncated moment is small (the dropped enrichment tail carries moment)."""
-    for _ in range(rounds):
-        if abs(constraint_moment(g)) <= moment_tol:
-            return g
-        g = recenter_1d(g, moment_tol)
-        g = LegendreFunction(g.coeffs[: K + 1], g.nodes, g.weights)
-    return g
-
-
 def minimize_axisym(alpha: float, g0: LegendreFunction, stat_tol: float = 1e-8,
                     moment_tol: float = 1e-10, max_iter: int = 600,
                     blowup_floor: float = -25.0) -> AxisymResult:
     """Projected descent in coefficient space, mirroring the sphere minimiser."""
     if alpha < 0.2:
         raise ValueError("alpha far below the probe range")
-    K = g0.degree
-    g = _gauge(_recenter_truncated(_gauge(g0), K, moment_tol))
+    g = _gauge(recenter_1d(g0, moment_tol))
     val = i_functional(g, alpha)
-    k = np.arange(K + 1, dtype=float)
+    k = np.arange(g.degree + 1, dtype=float)
     # diagonal Hessian of the functional at zero, clipped positive
     precond = np.maximum((4.0 * alpha * k * (k + 1.0) - 8.0) / (2.0 * k + 1.0), 0.5)
     status = "max-iter"
@@ -199,7 +166,6 @@ def minimize_axisym(alpha: float, g0: LegendreFunction, stat_tol: float = 1e-8,
         accepted = False
         for _ in range(40):
             cand = LegendreFunction(g.coeffs + step * direction, g.nodes, g.weights)
-            cand = _gauge(cand)
             vc = i_functional(cand, alpha)
             if vc <= val + 1e-4 * step * slope + noise:
                 accepted = True
@@ -208,26 +174,16 @@ def minimize_axisym(alpha: float, g0: LegendreFunction, stat_tol: float = 1e-8,
         if not accepted:
             status = "stalled"
             break
-        g, val = cand, vc
-        if abs(constraint_moment(g)) > 0.2 * moment_tol:
-            g = _gauge(_recenter_truncated(g, K, moment_tol))
-            val = i_functional(g, alpha)
+        g = _gauge(recenter_1d(cand, moment_tol))
+        val = i_functional(g, alpha)
         grad = _axisym_gradient(g, alpha)
         gnorm = _grad_l2(grad)
     return AxisymResult(g=g, value=float(val), grad_norm=gnorm,
                         moment=constraint_moment(g), iterations=it, status=status)
 
 
-def profile_rows(g: LegendreFunction, n: int = 201) -> list[dict]:
-    """Sample rows (x, g) on a uniform grid for CSV export."""
-    xs = np.linspace(-1.0, 1.0, n)
-    return [{"x": float(x), "g": float(val)} for x, val in zip(xs, g(xs))]
-
-
 def random_start_1d(stream_key, degree: int = DEFAULT_DEGREE, amplitude: float = 0.4) -> LegendreFunction:
-    from .functional import _philox_key
-
-    rng = np.random.Generator(np.random.Philox(key=_philox_key(stream_key)))
+    rng = functional.stream_rng(stream_key)
     coeffs = np.zeros(degree + 1)
     ks = np.arange(1, degree + 1)
     coeffs[1:] = amplitude * rng.normal(size=degree) / (1.0 + ks) ** 1.5
@@ -235,47 +191,20 @@ def random_start_1d(stream_key, degree: int = DEFAULT_DEGREE, amplitude: float =
 
 
 # ---------------------------------------------------------------------------
-# the concentrating two-bubble probe in the stretched variable x = tanh(tau)
+# the concentrating two-bubble probe
 # ---------------------------------------------------------------------------
 
 
-def _logcosh(z: np.ndarray) -> np.ndarray:
-    az = np.abs(z)
-    return az + np.log1p(np.exp(-2.0 * az)) - math.log(2.0)
-
-
-def two_bubble_i_value(alpha: float, s: float, pad: float = 45.0, step: float = 0.01) -> float:
-    """I_alpha along the balanced 1-D two-bubble family, by tau quadrature.
-
-    With x = tanh(tau):  I = alpha int (dg/dtau)^2 dtau
-    + 2 int g sech^2(tau) dtau, and the half exp-mass is one identically.
-    """
-    from scipy.special import expit
-
-    half = abs(s) + pad
-    n = int(np.ceil(2.0 * half / step)) | 1
-    tau = np.linspace(-half, half, n + 1)
-    a = -2.0 * _logcosh(s + tau)
-    b = -2.0 * _logcosh(s - tau)
-    two_g = 2.0 * _logcosh(tau) - math.log(2.0) + np.logaddexp(a, b)
-    wa = expit(a - b)
-    dtwo_g = 2.0 * np.tanh(tau) - 2.0 * (wa * np.tanh(s + tau) - (1.0 - wa) * np.tanh(s - tau))
-    sech2 = 1.0 / np.cosh(np.clip(tau, -300.0, 300.0)) ** 2
-    from .conformal import _simpson
-
-    energy = _simpson((0.5 * dtwo_g) ** 2, tau)
-    mean = _simpson(two_g * 0.5 * sech2, tau)
-    return float(alpha * energy + 2.0 * mean)
+def two_bubble_i_value(alpha: float, s: float) -> float:
+    """I_alpha along the balanced 1-D two-bubble family: twice the sphere value
+    of its lift, the family of conformal.two_bubble_j_value."""
+    return 2.0 * conformal.two_bubble_j_value(alpha, s)
 
 
 def probe_two_bubble_1d(alpha: float, floor: float = -10.0, s_max: float = 400.0):
-    """March the 1-D concentration until I_alpha drops below floor."""
-    trace = []
-    s = 1.0
-    while s <= s_max:
-        val = two_bubble_i_value(alpha, s)
-        trace.append((s, val))
-        if val < floor:
-            return s, trace
-        s *= 1.6
-    return None, trace
+    """March the 1-D concentration until I_alpha drops below floor.
+
+    The sphere march at half the floor, with every value doubled (I = 2 J).
+    """
+    s_hit, trace = conformal.probe_two_bubble(alpha, floor=0.5 * floor, s_max=s_max)
+    return s_hit, [(s, 2.0 * j) for s, j in trace]

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-MAX_BALL_RADIUS = 1.0 - 1e-12
-
 
 def _split(points: np.ndarray, a: np.ndarray):
     """Components of unit vectors along and orthogonal to the direction of a."""
@@ -55,13 +53,6 @@ def log_conformal_factor(points: np.ndarray, a: np.ndarray) -> np.ndarray:
     lam2 = (1.0 + t) / (1.0 - t)
     denom = lam2 * (1.0 + par) + (1.0 - par)
     return np.log(4.0 * lam2) - 2.0 * np.log(denom)
-
-
-def clip_to_ball(a: np.ndarray, radius: float = 0.999) -> np.ndarray:
-    n = float(np.linalg.norm(a))
-    if n >= radius:
-        return a * (radius / n)
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +94,7 @@ def two_bubble_j_value(alpha: float, s: float, pad: float = 45.0, step: float = 
     + int u(t) sech^2(t)/2 dt, and the exp-mass is one identically.
     """
     half = abs(s) + pad
-    n = int(np.ceil(2.0 * half / step)) | 1  # odd count for Simpson
+    n = 2 * int(np.ceil(half / step))   # even interval count for composite Simpson
     t = np.linspace(-half, half, n + 1)
     u, du = two_bubble_profile(t, s)
     sech2 = 1.0 / np.cosh(np.clip(t, -300.0, 300.0)) ** 2
@@ -113,12 +104,9 @@ def two_bubble_j_value(alpha: float, s: float, pad: float = 45.0, step: float = 
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson on a uniform grid with an even interval count."""
     n = y.size - 1
     h = x[1] - x[0]
-    if n % 2 == 1:
-        # composite Simpson needs an even interval count; drop to trapezoid on the last cell
-        core = _simpson(y[:-1], x[:-1])
-        return core + 0.5 * h * (y[-2] + y[-1])
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0

@@ -3,8 +3,10 @@
     J_alpha(u) = (alpha/4) int |grad u|^2 dw + int u dw - log int e^u dw
 
 with dw the probability measure.  Minimisation runs on the submanifold where
-the center of mass of e^u dw vanishes, enforced by exact conformal
-recentering after every step, with the gauge int e^u dw = 1.
+the center of mass of e^u dw vanishes, with the gauge int e^u dw = 1.  The
+constraint is the first-order condition of min_c log int e^{u + c.x} dw, so
+after every step a degree-1 tilt u + c.x puts the iterate back on it and
+keeps it band-limited.
 """
 
 from __future__ import annotations
@@ -46,61 +48,66 @@ def shift_to_unit_mass(u: SphereField) -> SphereField:
     return u - sphere.log_exp_mass(u)
 
 
-def _solve_recenter_parameter(u: SphereField, tol: float, max_iter: int = 60) -> np.ndarray:
-    """Ball parameter a with com(u o phi_a + log det) = 0, by damped Newton.
+def tilt(log_weights: np.ndarray, points: np.ndarray, tol: float) -> np.ndarray:
+    """Vector c with zero mean of `points` under the weights exp(log_weights + points @ c).
 
-    Change of variables collapses the pulled-back center of mass to
-    F(a) = sum_i rho_i phi_{-a}(x_i) with rho the e^u dw node weights, so each
-    Newton step costs one closed-form map sweep; no field is materialised.
+    c minimises F(c) = log sum exp(log_weights + points @ c), which is strictly
+    convex and coercive when the points span their space: the gradient of F is
+    the weighted mean of the points and its Hessian is their weighted
+    covariance, so damped Newton reaches the unique minimiser.  Returns zeros
+    when the mean is already within tol.
     """
-    w = sphere.exp_weights(u)
-    x1, x2, x3 = u.grid.points()
-    pts = np.stack([x1, x2, x3], axis=-1)
+    def moments(c):
+        v = log_weights + points @ c
+        m = float(np.max(v))
+        p = np.exp(v - m)
+        total = float(np.sum(p))
+        p /= total
+        mean = p @ points
+        cov = (points.T * p) @ points - np.outer(mean, mean)
+        return m + np.log(total), mean, cov
 
-    def com_of(a):
-        mapped = conformal.apply_mobius(pts, -a)
-        return np.einsum("ij,ijk->k", w, mapped)
-
-    a = np.zeros(3)
-    f = com_of(a)
-    for _ in range(max_iter):
-        if np.linalg.norm(f) <= tol:
-            return a
-        h = 1e-7
-        jac = np.empty((3, 3))
-        for k in range(3):
-            da = np.zeros(3)
-            da[k] = h
-            jac[:, k] = (com_of(conformal.clip_to_ball(a + da)) - f) / h
-        try:
-            step = np.linalg.solve(jac, -f)
-        except np.linalg.LinAlgError:
-            raise NonConvergenceError("recenter: singular Newton system", best=a)
-        scale = 1.0
-        for _ in range(30):
-            cand = conformal.clip_to_ball(a + scale * step)
-            fc = com_of(cand)
-            if np.linalg.norm(fc) < np.linalg.norm(f):
-                a, f = cand, fc
+    c = np.zeros(points.shape[1])
+    f, mean, cov = moments(c)
+    for _ in range(50):
+        if np.linalg.norm(mean) <= tol:
+            return c
+        step = -np.linalg.solve(cov, mean)
+        slope = float(mean @ step)
+        t = 1.0
+        for _ in range(50):
+            ft, mean_t, cov_t = moments(c + t * step)
+            # the allowance admits full steps whose decrease is below rounding
+            if ft <= f + 1e-4 * t * slope + 1e-14 * (1.0 + abs(f)):
                 break
-            scale *= 0.5
-        else:
-            raise NonConvergenceError("recenter: line search stalled",
-                                      best=a, residual=float(np.linalg.norm(f)))
-    raise NonConvergenceError("recenter: Newton did not reach tolerance",
-                              best=a, residual=float(np.linalg.norm(f)))
+            t *= 0.5
+        c, f, mean, cov = c + t * step, ft, mean_t, cov_t
+    raise NonConvergenceError("tilt: Newton did not reach tolerance",
+                              best=c, residual=float(np.linalg.norm(mean)))
 
 
 def recenter(u: SphereField, tol: float = 1e-10) -> SphereField:
-    """Compose u with the Mobius map (plus log-Jacobian) killing its center of mass."""
-    a = _solve_recenter_parameter(u, tol)
-    return pullback(u, a)
+    """The degree-1 tilt u + c.x whose measure e^{u + c.x} dw has zero center of mass.
+
+    The constraint is the first-order condition of the convex problem
+    min_c log int e^{u + c.x} dw, so the tilt never raises the exp-mass.  It
+    changes only the degree-1 harmonics and keeps a band-limited u
+    band-limited.  u itself is returned when its center of mass is already
+    within tol.
+    """
+    pts = np.stack(u.grid.points(), axis=-1)
+    c = tilt((np.log(u.grid.weights) + u.values).ravel(), pts.reshape(-1, 3), tol)
+    if not c.any():
+        return u
+    return SphereField(u.grid, u.values + pts @ c)
 
 
 def pullback(u: SphereField, a: np.ndarray) -> SphereField:
     """u o phi_a + log det(d phi_a), sampled on u's grid.
 
-    The composition is evaluated through u's harmonic expansion, so it is
+    J_1 and the exp-mass are invariant under this Mobius pullback, which makes
+    it the reference the alpha = 1 invariance tests check against.  The
+    composition is evaluated through u's harmonic expansion, so it is
     exact for band-limited u; resampling reprojects onto the grid's band.
     """
     if np.linalg.norm(a) < 1e-15:
@@ -145,7 +152,6 @@ class MinimizeOptions:
     blowup_floor: float = -25.0
     armijo: float = 1e-4
     step0: float = 1.0
-    recenter_skip_factor: float = 0.2   # skip the pullback when |com| is this far under com_tol
 
 
 @dataclass
@@ -174,37 +180,20 @@ def _precondition(gspec: HarmonicSpectrum, alpha: float) -> np.ndarray:
     return -gspec.coeffs / scale[:, None]
 
 
-def _recenter_band_limited(u: SphereField, tol: float, rounds: int = 3) -> SphereField:
-    """Recenter while keeping the iterate exactly band-limited.
-
-    The pullback of a rough field carries content above the grid band; left in
-    the iterate it poisons the next line search (the implicit reprojection can
-    cost more than the Armijo decrease), so project after each recentering and
-    re-solve until the projected center of mass is under tolerance.
-    """
-    for _ in range(rounds):
-        if np.linalg.norm(center_of_mass(u)) <= tol:
-            return u
-        a = _solve_recenter_parameter(u, tol)
-        u = sphere.synthesize(sphere.analyze(pullback(u, a)), u.grid)
-    return u
-
-
 def minimize(alpha: float, u0: SphereField, opts: MinimizeOptions | None = None) -> MinimizeResult:
     """Projected descent for J_alpha on the center-of-mass constraint.
 
     Each iteration: preconditioned gradient step with Armijo backtracking,
-    conformal recentering, then the unit exp-mass shift.  Descent past
-    opts.blowup_floor returns an unbounded-descent verdict instead of a
-    minimiser (the expected outcome of probes below alpha = 1/2).
+    the degree-1 tilt back onto the constraint, then the unit exp-mass shift.
+    Descent past opts.blowup_floor returns an unbounded-descent verdict
+    instead of a minimiser (the expected outcome of probes below alpha = 1/2).
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     opts = opts or MinimizeOptions()
     grid = u0.grid
     u = sphere.synthesize(sphere.analyze(u0), grid)   # the discrete state is band-limited
-    u = shift_to_unit_mass(_recenter_band_limited(shift_to_unit_mass(u), opts.com_tol))
-    exp_mass_raw = 1.0
+    u = shift_to_unit_mass(recenter(u, opts.com_tol))
     trace = []
     status = "max-iter"
     it = 0
@@ -227,9 +216,7 @@ def minimize(alpha: float, u0: SphereField, opts: MinimizeOptions | None = None)
         accepted = False
         for _ in range(40):
             cand_spec = HarmonicSpectrum(uspec.lmax, uspec.coeffs + step * direction)
-            cand = sphere.synthesize(cand_spec, grid)
-            exp_mass_raw = float(np.exp(sphere.log_exp_mass(cand)))
-            cand = shift_to_unit_mass(cand)
+            cand = sphere.synthesize(cand_spec, grid)   # j_alpha is shift-invariant
             jc = j_alpha(cand, alpha)
             if jc <= j + opts.armijo * step * slope + noise:
                 accepted = True
@@ -238,10 +225,8 @@ def minimize(alpha: float, u0: SphereField, opts: MinimizeOptions | None = None)
         if not accepted:
             status = "stalled"
             break
-        u, j = cand, jc
-        if np.linalg.norm(center_of_mass(u)) > opts.recenter_skip_factor * opts.com_tol:
-            u = shift_to_unit_mass(_recenter_band_limited(u, opts.com_tol))
-            j = j_alpha(u, alpha)
+        u = shift_to_unit_mass(recenter(cand, opts.com_tol))
+        j = j_alpha(u, alpha)
         gspec = _coeff_gradient(u, alpha)
         gnorm = float(np.linalg.norm(gspec.coeffs))
     trace.append((it, j))
@@ -250,7 +235,7 @@ def minimize(alpha: float, u0: SphereField, opts: MinimizeOptions | None = None)
         j_value=float(j),
         grad_norm=gnorm,
         com_norm=float(np.linalg.norm(center_of_mass(u))),
-        exp_mass=exp_mass_raw,
+        exp_mass=float(np.exp(sphere.log_exp_mass(u))),
         iterations=it,
         trace=trace,
         status=status,
@@ -264,7 +249,7 @@ def minimize(alpha: float, u0: SphereField, opts: MinimizeOptions | None = None)
 
 def random_start(grid: SphereGrid, stream_key, degree: int = 8, amplitude: float = 0.4) -> SphereField:
     """Deterministic random band-limited start derived from a counter-based stream."""
-    rng = np.random.Generator(np.random.Philox(key=_philox_key(stream_key)))
+    rng = stream_rng(stream_key)
     degree = min(degree, grid.lmax)
     spec = sphere.zero_spectrum(grid.lmax)
     for l in range(1, degree + 1):
@@ -274,12 +259,13 @@ def random_start(grid: SphereGrid, stream_key, degree: int = 8, amplitude: float
     return sphere.synthesize(spec, grid)
 
 
-def _philox_key(stream_key) -> int:
+def stream_rng(stream_key) -> np.random.Generator:
+    """Counter-based generator for an integer stream key such as (seed, cell index)."""
     parts = np.atleast_1d(np.asarray(stream_key, dtype=np.int64))
     key = 0x9E3779B97F4A7C15
     for p in parts:
         key = ((key ^ int(p)) * 0xBF58476D1CE4E5B9) % (1 << 64)
-    return key
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def two_bubble_field(grid: SphereGrid, s: float) -> SphereField:

@@ -210,22 +210,10 @@ def beta_l(v: PlanarField, r_cut: float = 100.0, n_theta: int = 64) -> float:
     """Normalised mass (1/2pi) int (1+|y|^2)^l e^v dy.
 
     Quadrature to r_cut plus the analytic tail of the fitted asymptote
-    v ~ -beta log r + c; evaluated at r_cut and 2 r_cut, keeping the latter.
+    v ~ -beta log r + c, with the quadrature cut at 2 r_cut.
     """
     b2, _, _ = _beta_one_cut(v, 2.0 * r_cut, n_theta)
     return float(b2)
-
-
-def beta_l_report(v: PlanarField, r_cut: float = 100.0, n_theta: int = 64) -> dict:
-    b1, fit_beta, fit_c = _beta_one_cut(v, r_cut, n_theta)
-    b2, fit_beta2, fit_c2 = _beta_one_cut(v, 2.0 * r_cut, n_theta)
-    return {
-        "beta": float(b2),
-        "fit_beta": float(fit_beta2),
-        "fit_c": float(fit_c2),
-        "richardson_delta": float(b2 - b1),
-        "r_cut": float(2.0 * r_cut),
-    }
 
 
 @dataclass

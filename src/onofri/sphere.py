@@ -312,13 +312,3 @@ def exp_weights(f: SphereField) -> np.ndarray:
     w = np.exp(f.values - m) * f.grid.weights
     return w / np.sum(w)
 
-
-def truncation_diagnostic(f: SphereField, band: float = 0.9) -> float:
-    """Fraction of spectral power above degree band*lmax (aliasing indicator)."""
-    spec = analyze(f)
-    power = np.sum(spec.coeffs**2, axis=1)
-    total = float(np.sum(power[1:]))
-    if total == 0.0:
-        return 0.0
-    cut = int(np.floor(band * spec.lmax))
-    return float(np.sum(power[cut:]) / total)

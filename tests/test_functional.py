@@ -126,22 +126,43 @@ def test_recenter_identity_on_centered(grid16):
 
 
 def test_recenter_coordinate_field(grid16):
+    """The tilt of eps x3 is -eps x3: it returns the zero field."""
     u = 0.3 * coordinate(grid16)
     out = fn.recenter(u)
     assert np.linalg.norm(fn.center_of_mass(out)) <= 1e-10
-    assert fn.j_alpha(out, 1.0) == pytest.approx(fn.j_alpha(u, 1.0), abs=1e-8)
-    m0 = np.exp(sphere.log_exp_mass(u))
-    m1 = np.exp(sphere.log_exp_mass(out))
-    assert m1 == pytest.approx(m0, abs=1e-12)
+    assert np.max(np.abs(out.values)) <= 1e-9
+    assert sphere.log_exp_mass(out) <= sphere.log_exp_mass(u)
 
 
-def test_recenter_inverts_conformal_factor(grid32):
-    """Recentring a pure log-Jacobian recovers zero up to a constant."""
+@given(st.integers(0, 10**6))
+@settings(max_examples=10)
+def test_recenter_tilts_degree_one_only(seed):
+    g = sphere.build_grid(8)
+    u = fn.random_start(g, (seed,), amplitude=1.5)
+    out = fn.recenter(u)
+    assert np.linalg.norm(fn.center_of_mass(out)) <= 1e-10
+    change = sphere.analyze(out).coeffs - sphere.analyze(u).coeffs
+    assert np.max(np.abs(np.delete(change, 1, axis=0))) <= 1e-13
+    assert np.max(np.abs(change[1])) > 0.0
+    assert sphere.log_exp_mass(out) <= sphere.log_exp_mass(u) + 1e-15
+
+
+def test_pullback_alpha_one_invariance(grid32):
+    """J_1 and the exp-mass are invariant under a Mobius pullback."""
+    u = fn.random_start(grid32, (5,), degree=4, amplitude=0.2)
+    for a in (np.array([0.1, 0.2, -0.15]), np.array([0.0, 0.0, 0.3])):
+        out = fn.pullback(u, a)
+        assert fn.j_alpha(out, 1.0) == pytest.approx(fn.j_alpha(u, 1.0), abs=1e-12)
+        assert sphere.log_exp_mass(out) == pytest.approx(sphere.log_exp_mass(u), abs=1e-12)
+
+
+def test_pullback_inverts_conformal_factor(grid32):
+    """Pulling a log-Jacobian back by the inverse map leaves a constant."""
+    a = np.array([0.0, 0.0, 0.5])
     pts = np.stack(grid32.points(), axis=-1)
-    w = sphere.SphereField(grid32, conformal.log_conformal_factor(pts, np.array([0.0, 0.0, 0.5])))
-    out = fn.recenter(w)
-    dev = out.values - np.mean(out.values)
-    assert np.max(np.abs(dev)) <= 1e-6
+    w = sphere.SphereField(grid32, conformal.log_conformal_factor(pts, a))
+    out = fn.pullback(w, -a)
+    assert np.max(np.abs(out.values - np.mean(out.values))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +227,23 @@ def test_minimize_rejects_nonpositive_alpha(grid8):
         fn.minimize(-0.1, sphere.constant_field(grid8, 0.0))
 
 
-def test_recenter_nonconvergence_carries_best():
-    g = sphere.build_grid(8)
-    u = sphere.constant_field(g, 0.0)
-    try:
-        fn._solve_recenter_parameter(u, tol=-1.0, max_iter=2)
-    except NonConvergenceError as exc:
-        assert exc.best is not None
-    else:
-        pytest.fail("expected NonConvergenceError for impossible tolerance")
+def test_recenter_nonconvergence_carries_best(grid8):
+    u = 0.3 * coordinate(grid8)
+    with pytest.raises(NonConvergenceError) as info:
+        fn.recenter(u, tol=-1.0)
+    assert info.value.best == pytest.approx([0.0, 0.0, -0.3], abs=1e-12)
+
+
+def test_minimize_keeps_iterate_band_limited(grid16):
+    res = fn.minimize(0.8, fn.random_start(grid16, (42, 0, 3)), fn.MinimizeOptions(max_iter=4))
+    resynth = sphere.synthesize(sphere.analyze(res.u), grid16)
+    assert np.max(np.abs(resynth.values - res.u.values)) <= 1e-13
+
+
+def test_minimize_exp_mass_is_that_of_returned_field(grid16):
+    res = fn.minimize(0.8, fn.random_start(grid16, (42, 0, 3)), fn.MinimizeOptions(max_iter=2))
+    assert res.status == "max-iter"
+    assert res.exp_mass == pytest.approx(np.exp(sphere.log_exp_mass(res.u)), abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
