@@ -210,6 +210,7 @@ def cmd_shoot(cfg):
         "l": l, "s": s,
         "beta": sol.beta_mass, "beta_slope": sol.beta_slope,
         "c_asym": sol.c_asym, "verdict": sol.verdict,
+        "accepted_steps": len(sol.r_grid) - 1, "rejected_steps": sol.rejected_steps,
     }]
     csv_rows = [{"r": float(r), "v": float(v)} for r, v in zip(sol.r_grid, sol.values)]
     return rows, "info", csv_rows

@@ -43,46 +43,43 @@ class Rect:
         return f"rect([{self.x0},{self.x1}]x[{self.y0},{self.y1}])"
 
 
+def _stiffness(faces, diag):
+    """Symmetric CSC matrix: -w at (a, b) and (b, a) for every face (a, b, w), diag on
+    the diagonal.  No (a, b) pair repeats, so the entry order does not matter."""
+    n = diag.size
+    rows, cols, vals = [np.arange(n)], [np.arange(n)], [diag]
+    for a, b, w in faces:
+        rows += [a, b]
+        cols += [b, a]
+        vals += [-w, -w]
+    return sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n))
+
+
 def _assemble_disk(R: float, n_r: int, n_theta: int):
     """Weighted stiffness K, lumped mass m, and node coordinates on the disk."""
     dr = R / n_r
     dth = 2.0 * math.pi / n_theta
     r = (np.arange(n_r) + 0.5) * dr
     m = np.repeat(r * dr * dth, n_theta)
-
-    def idx(i, j):
-        return i * n_theta + (j % n_theta)
-
-    rows, cols, vals = [], [], []
-    diag = np.zeros(n_r * n_theta)
+    node = np.arange(n_r * n_theta).reshape(n_r, n_theta)
     # radial fluxes between rings i and i+1 across the face at (i+1) dr
-    for i in range(n_r - 1):
-        w = (i + 1) * dr * dth / dr
-        for j in range(n_theta):
-            a, b = idx(i, j), idx(i + 1, j)
-            rows += [a, b]
-            cols += [b, a]
-            vals += [-w, -w]
-            diag[a] += w
-            diag[b] += w
-    # Dirichlet face at r = R (ghost mirror, face value zero)
-    w_out = n_r * dr * dth / dr
-    for j in range(n_theta):
-        diag[idx(n_r - 1, j)] += 2.0 * w_out
-    # angular fluxes within each ring
-    for i in range(n_r):
-        w = dr / (r[i] * dth)
-        for j in range(n_theta):
-            a, b = idx(i, j), idx(i, j + 1)
-            rows += [a, b]
-            cols += [b, a]
-            vals += [-w, -w]
-            diag[a] += w
-            diag[b] += w
-    rows += list(range(n_r * n_theta))
-    cols += list(range(n_r * n_theta))
-    vals += list(diag)
-    K = sp.csc_matrix((vals, (rows, cols)), shape=(n_r * n_theta,) * 2)
+    w_rad = np.arange(1, n_r) * dr * dth / dr
+    # angular fluxes between neighbours j and j+1 (periodic) within each ring
+    w_ang = dr / (r * dth)
+    # each node's diagonal sums its inner radial face, its outer radial face,
+    # the Dirichlet face at r = R (ghost mirror, face value zero) and its two
+    # angular faces, in that order
+    diag = np.zeros((n_r, n_theta))
+    diag[1:] += w_rad[:, None]
+    diag[:-1] += w_rad[:, None]
+    diag[-1] += 2.0 * (n_r * dr * dth / dr)
+    diag += w_ang[:, None]
+    diag += w_ang[:, None]
+    K = _stiffness(
+        [(node[:-1].ravel(), node[1:].ravel(), np.repeat(w_rad, n_theta)),
+         (node.ravel(), np.roll(node, -1, axis=1).ravel(), np.repeat(w_ang, n_theta))],
+        diag.ravel())
     theta = (np.arange(n_theta) + 0.5) * dth
     pts = np.stack(np.broadcast_arrays(r[:, None] * np.cos(theta),
                                        r[:, None] * np.sin(theta)), axis=-1).reshape(-1, 2)
@@ -98,25 +95,12 @@ def _assemble_rect(rect: Rect, h: float):
     ys = rect.y0 + hy * np.arange(1, ny)
     n = (nx - 1) * (ny - 1)
     area = hx * hy
-
-    def idx(i, j):
-        return i * (ny - 1) + j
-
-    rows, cols, vals = [], [], []
-    diag = np.full(n, 2.0 * (area / hx**2 + area / hy**2))
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            a = idx(i, j)
-            if i + 1 < nx - 1:
-                b = idx(i + 1, j)
-                rows += [a, b]; cols += [b, a]; vals += [-area / hx**2] * 2
-            if j + 1 < ny - 1:
-                b = idx(i, j + 1)
-                rows += [a, b]; cols += [b, a]; vals += [-area / hy**2] * 2
-    rows += list(range(n))
-    cols += list(range(n))
-    vals += list(diag)
-    K = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+    node = np.arange(n).reshape(nx - 1, ny - 1)
+    wx, wy = area / hx**2, area / hy**2
+    K = _stiffness(
+        [(node[:-1].ravel(), node[1:].ravel(), np.full((nx - 2) * (ny - 1), wx)),
+         (node[:, :-1].ravel(), node[:, 1:].ravel(), np.full((nx - 1) * (ny - 2), wy))],
+        np.full(n, 2.0 * (wx + wy)))
     m = np.full(n, area)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     return K, m, np.stack([X, Y], axis=-1).reshape(-1, 2)

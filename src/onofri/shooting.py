@@ -20,58 +20,67 @@ import numpy as np
 
 from .errors import NonConvergenceError
 
-# Cash-Karp 5(4) tableau
-_CK_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 3.0 / 5.0, 1.0, 7.0 / 8.0)
-_CK_A = (
-    (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (3.0 / 10.0, -9.0 / 10.0, 6.0 / 5.0),
-    (-11.0 / 54.0, 5.0 / 2.0, -70.0 / 27.0, 35.0 / 27.0),
-    (1631.0 / 55296.0, 175.0 / 512.0, 575.0 / 13824.0, 44275.0 / 110592.0, 253.0 / 4096.0),
-)
-_CK_B5 = (37.0 / 378.0, 0.0, 250.0 / 621.0, 125.0 / 594.0, 0.0, 512.0 / 1771.0)
-_CK_ERR = (-277.0 / 64512.0, 0.0, 6925.0 / 370944.0, -6925.0 / 202752.0,
-           -277.0 / 14336.0, 277.0 / 7084.0)
 
+def _rk_adaptive(f, x0, v, p, x1, tol, h0, store_x, store_v, store_p,
+                 hmax=np.inf, max_steps=200000):
+    """Cash-Karp 5(4) embedded pair for the 2-state system (v, p)' = f(x, v, p).
 
-def _rk_adaptive(f, x0, y0, x1, tol, h0, store_x, store_y, hmax=np.inf, max_steps=200000):
-    """Embedded Cash-Karp pair for a 2-state system, scalar arithmetic.
-
-    hmax also bounds the Hermite-quadrature error of the stored profile, which
-    is fourth order in the node spacing.
+    One flat scalar step with the six stages unrolled; every stage sum keeps
+    the left-to-right order of the generic tableau loop, so the accepted steps
+    are bit-identical to it.  Accepted nodes are appended to store_x/v/p.
+    Returns (v, p, rejected_steps).  hmax also bounds the Hermite-quadrature
+    error of the stored profile, which is fourth order in the node spacing.
     """
-    x = x0
-    y = list(y0)
-    h = min(h0, hmax)
-    steps = 0
+    # tableau (Cash & Karp 1990); the zero weights b2, b5 and e2 are omitted
+    c2, c3, c4, c5, c6 = 1.0 / 5.0, 3.0 / 10.0, 3.0 / 5.0, 1.0, 7.0 / 8.0
+    a21 = 1.0 / 5.0
+    a31, a32 = 3.0 / 40.0, 9.0 / 40.0
+    a41, a42, a43 = 3.0 / 10.0, -9.0 / 10.0, 6.0 / 5.0
+    a51, a52, a53, a54 = -11.0 / 54.0, 5.0 / 2.0, -70.0 / 27.0, 35.0 / 27.0
+    a61, a62, a63, a64, a65 = (1631.0 / 55296.0, 175.0 / 512.0, 575.0 / 13824.0,
+                               44275.0 / 110592.0, 253.0 / 4096.0)
+    b1, b3, b4, b6 = 37.0 / 378.0, 250.0 / 621.0, 125.0 / 594.0, 512.0 / 1771.0
+    e1, e3, e4, e5, e6 = (-277.0 / 64512.0, 6925.0 / 370944.0, -6925.0 / 202752.0,
+                          -277.0 / 14336.0, 277.0 / 7084.0)
+    x, h = x0, h0
+    steps = rejected = 0
     while x < x1:
-        h = min(h, hmax)
+        if hmax < h:
+            h = hmax
         if x + h > x1:
             h = x1 - x
-        k = [f(x, y)]
-        for i in range(1, 6):
-            a = _CK_A[i]
-            yi = [y[0] + h * sum(a[j] * k[j][0] for j in range(i)),
-                  y[1] + h * sum(a[j] * k[j][1] for j in range(i))]
-            k.append(f(x + _CK_C[i] * h, yi))
-        e0 = h * sum(_CK_ERR[i] * k[i][0] for i in range(6))
-        e1 = h * sum(_CK_ERR[i] * k[i][1] for i in range(6))
-        sc0 = tol * (1.0 + abs(y[0]))
-        sc1 = tol * (1.0 + abs(y[1]))
-        err = max(abs(e0) / sc0, abs(e1) / sc1)
+        kv1, kp1 = f(x, v, p)
+        kv2, kp2 = f(x + c2 * h, v + h * (a21 * kv1), p + h * (a21 * kp1))
+        kv3, kp3 = f(x + c3 * h, v + h * (a31 * kv1 + a32 * kv2),
+                     p + h * (a31 * kp1 + a32 * kp2))
+        kv4, kp4 = f(x + c4 * h, v + h * (a41 * kv1 + a42 * kv2 + a43 * kv3),
+                     p + h * (a41 * kp1 + a42 * kp2 + a43 * kp3))
+        kv5, kp5 = f(x + c5 * h, v + h * (a51 * kv1 + a52 * kv2 + a53 * kv3 + a54 * kv4),
+                     p + h * (a51 * kp1 + a52 * kp2 + a53 * kp3 + a54 * kp4))
+        kv6, kp6 = f(x + c6 * h,
+                     v + h * (a61 * kv1 + a62 * kv2 + a63 * kv3 + a64 * kv4 + a65 * kv5),
+                     p + h * (a61 * kp1 + a62 * kp2 + a63 * kp3 + a64 * kp4 + a65 * kp5))
+        err_v = (abs(h * (e1 * kv1 + e3 * kv3 + e4 * kv4 + e5 * kv5 + e6 * kv6))
+                 / (tol * (1.0 + abs(v))))
+        err_p = (abs(h * (e1 * kp1 + e3 * kp3 + e4 * kp4 + e5 * kp5 + e6 * kp6))
+                 / (tol * (1.0 + abs(p))))
+        err = err_p if err_p > err_v else err_v
         if err <= 1.0:
-            y = [y[0] + h * sum(_CK_B5[i] * k[i][0] for i in range(6)),
-                 y[1] + h * sum(_CK_B5[i] * k[i][1] for i in range(6))]
+            v = v + h * (b1 * kv1 + b3 * kv3 + b4 * kv4 + b6 * kv6)
+            p = p + h * (b1 * kp1 + b3 * kp3 + b4 * kp4 + b6 * kp6)
             x += h
             store_x.append(x)
-            store_y.append((y[0], y[1]))
+            store_v.append(v)
+            store_p.append(p)
+        else:
+            rejected += 1
         fac = 0.9 * (err ** -0.2) if err > 0 else 5.0
-        h *= min(5.0, max(0.2, fac))
+        fac = fac if fac > 0.2 else 0.2
+        h *= fac if fac < 5.0 else 5.0
         steps += 1
         if steps > max_steps:
             raise NonConvergenceError("adaptive integrator exceeded the step budget", best=x)
-    return y
+    return v, p, rejected
 
 
 @dataclass
@@ -84,10 +93,16 @@ class RadialSolution:
     beta_slope: float
     c_asym: float
     verdict: str            # "converged" or "divergent-mass"
+    rejected_steps: int     # accepted steps are len(r_grid) - 1
 
     @property
     def beta(self) -> float:
         return self.beta_mass
+
+
+# three-point Gauss-Legendre rule on [0, 1]
+_GAUSS3_NODES = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
+_GAUSS3_WEIGHTS = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 
 
 def _gauss3_hermite_mass(x: np.ndarray, v: np.ndarray, dv: np.ndarray, integrand) -> float:
@@ -96,14 +111,12 @@ def _gauss3_hermite_mass(x: np.ndarray, v: np.ndarray, dv: np.ndarray, integrand
     Three-point Gauss per stored interval; x, v, dv are node arrays with dv
     the derivative of v in the x variable.
     """
-    xi = np.array([0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0])
-    wg = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
     h = np.diff(x)
     xa, xb = x[:-1], x[1:]
     va, vb = v[:-1], v[1:]
     pa, pb = dv[:-1], dv[1:]
     total = 0.0
-    for q, w in zip(xi, wg):
+    for q, w in zip(_GAUSS3_NODES, _GAUSS3_WEIGHTS):
         h00 = 2 * q**3 - 3 * q**2 + 1
         h10 = q**3 - 2 * q**2 + q
         h01 = -2 * q**3 + 3 * q**2
@@ -126,34 +139,39 @@ def shoot(l: float, s: float, r_max: float = 1e6, tol: float = 1e-10) -> RadialS
     # keep the series truncation error under control for concentrated starts
     r0 = min(1e-4, 0.01 * math.exp(-max(s, 0.0) / 2.0))
 
-    def f_inner(r, y):
-        v, p = y
-        return (p, -p / r - (1.0 + r * r) ** l * math.exp(v))
+    exp = math.exp
+
+    def f_inner(r, v, p):
+        return p, -p / r - (1.0 + r * r) ** l * exp(v)
 
     rs = [r0]
-    ys = [(s + a2 * r0**2 + a4 * r0**4, 2.0 * a2 * r0 + 4.0 * a4 * r0**3)]
-    y = _rk_adaptive(f_inner, r0, ys[0], 1.0, tol, min(1e-3, r0), rs, ys, hmax=0.02)
+    vs = [s + a2 * r0**2 + a4 * r0**4]
+    ps = [2.0 * a2 * r0 + 4.0 * a4 * r0**3]
+    v, p, rejected = _rk_adaptive(f_inner, r0, vs[0], ps[0], 1.0, tol, min(1e-3, r0),
+                                  rs, vs, ps, hmax=0.02)
 
     t_max = math.log(r_max)
+    log1p = math.log1p
+    two_l2 = 2.0 + 2.0 * l
 
-    def f_outer(t, y):
-        v, w = y
-        q = math.exp((2.0 + 2.0 * l) * t + l * math.log1p(math.exp(-2.0 * t)) + v)
-        return (w, -q)
+    def f_outer(t, v, w):
+        return w, -exp(two_l2 * t + l * log1p(exp(-2.0 * t)) + v)
 
-    ts = [0.0]
-    zs = [(y[0], y[1] * 1.0)]       # W = r v' = v' at r = 1
-    z = _rk_adaptive(f_outer, 0.0, zs[0], t_max, tol, 1e-2, ts, zs, hmax=0.05)
+    ts, Vs, Ws = [0.0], [v], [p]       # W = r v' = v' at r = 1
+    V_end, W_end, rej = _rk_adaptive(f_outer, 0.0, v, p, t_max, tol, 1e-2, ts, Vs, Ws,
+                                     hmax=0.05)
+    rejected += rej
 
     # extend when the decay rate has not cleanly emerged at r_max (slow
     # saturation toward beta = 2l+2 happens for strongly negative or large s)
     t_cap = max(t_max, 60.0)
-    while -(2.0 + 2.0 * l + z[1]) <= 0.1 and ts[-1] < t_cap:
+    while -(2.0 + 2.0 * l + W_end) <= 0.1 and ts[-1] < t_cap:
         t_next = min(ts[-1] + 10.0, t_cap)
-        z = _rk_adaptive(f_outer, ts[-1], z, t_next, tol, 1e-2, ts, zs, hmax=0.05)
+        V_end, W_end, rej = _rk_adaptive(f_outer, ts[-1], V_end, W_end, t_next, tol, 1e-2,
+                                         ts, Vs, Ws, hmax=0.05)
+        rejected += rej
     t_max = ts[-1]
 
-    V_end, W_end = z
     rate = -(2.0 + 2.0 * l + W_end)
     q_end = math.exp((2.0 + 2.0 * l) * t_max + l * math.log1p(math.exp(-2.0 * t_max)) + V_end)
     if rate <= 0.05:
@@ -166,27 +184,21 @@ def shoot(l: float, s: float, r_max: float = 1e6, tol: float = 1e-10) -> RadialS
         beta_slope = -W_end + q_end / rate
 
         mass = es * (r0**2 / 2.0 + (l + a2) * r0**4 / 4.0)
-        r_arr = np.asarray(rs)
-        v_arr = np.array([p[0] for p in ys])
-        p_arr = np.array([p[1] for p in ys])
         mass += _gauss3_hermite_mass(
-            r_arr, v_arr, p_arr,
+            np.asarray(rs), np.asarray(vs), np.asarray(ps),
             lambda r, v: (1.0 + r * r) ** l * np.exp(v) * r)
-        t_arr = np.asarray(ts)
-        V_arr = np.array([p[0] for p in zs])
-        W_arr = np.array([p[1] for p in zs])
         mass += _gauss3_hermite_mass(
-            t_arr, V_arr, W_arr,
+            np.asarray(ts), np.asarray(Vs), np.asarray(Ws),
             lambda t, v: np.exp((2.0 + 2.0 * l) * t + l * np.log1p(np.exp(-2.0 * t)) + v))
         mass += q_end / rate
         beta_mass = mass
         c_asym = V_end + beta_slope * t_max + q_end / rate**2
 
     r_grid = np.concatenate([np.asarray(rs), np.exp(np.asarray(ts[1:]))])
-    values = np.concatenate([[p[0] for p in ys], [p[0] for p in zs[1:]]])
+    values = np.concatenate([vs, Vs[1:]])
     return RadialSolution(l=l, s=s, r_grid=r_grid, values=values,
                           beta_mass=float(beta_mass), beta_slope=float(beta_slope),
-                          c_asym=float(c_asym), verdict=verdict)
+                          c_asym=float(c_asym), verdict=verdict, rejected_steps=rejected)
 
 
 def beta_curve(l: float, s_min: float, s_max: float, n: int,

@@ -41,6 +41,9 @@ def test_shoot_csv_profile(tmp_path):
     assert len(lines) > 100
     r0, v0 = (float(tok) for tok in lines[1].split(","))
     assert v0 == pytest.approx(math.log(8.0), abs=1e-4)
+    row = json.loads(out.read_text())["rows"][0]
+    assert row["accepted_steps"] == len(lines) - 2          # header and the series start
+    assert isinstance(row["rejected_steps"], int) and row["rejected_steps"] >= 0
 
 
 def test_unknown_command_usage_error():

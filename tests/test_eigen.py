@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.special import jn_zeros
 
 from onofri import eigen
@@ -16,6 +17,106 @@ def liouville(y):
 
 def liouville_lap(y):
     return -8.0 / (1.0 + np.sum(np.asarray(y, dtype=float) ** 2, axis=-1)) ** 2
+
+
+# ---------------------------------------------------------------------------
+# assembly against the per-node loop assembly it replaced
+# ---------------------------------------------------------------------------
+
+
+def _assemble_disk_reference(R, n_r, n_theta):
+    """Loop assembly of the polar scheme, one COO entry pair per face."""
+    dr = R / n_r
+    dth = 2.0 * math.pi / n_theta
+    r = (np.arange(n_r) + 0.5) * dr
+    m = np.repeat(r * dr * dth, n_theta)
+
+    def idx(i, j):
+        return i * n_theta + (j % n_theta)
+
+    rows, cols, vals = [], [], []
+    diag = np.zeros(n_r * n_theta)
+    for i in range(n_r - 1):
+        w = (i + 1) * dr * dth / dr
+        for j in range(n_theta):
+            a, b = idx(i, j), idx(i + 1, j)
+            rows += [a, b]
+            cols += [b, a]
+            vals += [-w, -w]
+            diag[a] += w
+            diag[b] += w
+    w_out = n_r * dr * dth / dr
+    for j in range(n_theta):
+        diag[idx(n_r - 1, j)] += 2.0 * w_out
+    for i in range(n_r):
+        w = dr / (r[i] * dth)
+        for j in range(n_theta):
+            a, b = idx(i, j), idx(i, j + 1)
+            rows += [a, b]
+            cols += [b, a]
+            vals += [-w, -w]
+            diag[a] += w
+            diag[b] += w
+    rows += list(range(n_r * n_theta))
+    cols += list(range(n_r * n_theta))
+    vals += list(diag)
+    K = sp.csc_matrix((vals, (rows, cols)), shape=(n_r * n_theta,) * 2)
+    return K, m
+
+
+def _assemble_rect_reference(rect, h):
+    """Loop assembly of the five-point scheme."""
+    nx = max(3, int(round((rect.x1 - rect.x0) / h)))
+    ny = max(3, int(round((rect.y1 - rect.y0) / h)))
+    hx = (rect.x1 - rect.x0) / nx
+    hy = (rect.y1 - rect.y0) / ny
+    n = (nx - 1) * (ny - 1)
+    area = hx * hy
+
+    def idx(i, j):
+        return i * (ny - 1) + j
+
+    rows, cols, vals = [], [], []
+    diag = np.full(n, 2.0 * (area / hx**2 + area / hy**2))
+    for i in range(nx - 1):
+        for j in range(ny - 1):
+            a = idx(i, j)
+            if i + 1 < nx - 1:
+                b = idx(i + 1, j)
+                rows += [a, b]; cols += [b, a]; vals += [-area / hx**2] * 2
+            if j + 1 < ny - 1:
+                b = idx(i, j + 1)
+                rows += [a, b]; cols += [b, a]; vals += [-area / hy**2] * 2
+    rows += list(range(n))
+    cols += list(range(n))
+    vals += list(diag)
+    K = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+    return K, np.full(n, area)
+
+
+def _assert_same_assembly(got, ref):
+    (K, m), (K_ref, m_ref) = got, ref
+    assert K.shape == K_ref.shape
+    assert np.array_equal(K.indptr, K_ref.indptr)
+    assert np.array_equal(K.indices, K_ref.indices)
+    assert np.array_equal(K.data, K_ref.data)
+    assert np.array_equal(m, m_ref)
+
+
+@pytest.mark.parametrize("R, h", [(1.0, 0.04), (1.0, 0.02), (3.0, 0.02), (2.0, 0.01)])
+def test_disk_assembly_matches_loop_reference(R, h):
+    n_r = max(8, int(round(R / h)))
+    n_theta = max(48, n_r)
+    K, m, _ = eigen._assemble_disk(R, n_r, n_theta)
+    _assert_same_assembly((K, m), _assemble_disk_reference(R, n_r, n_theta))
+
+
+@pytest.mark.parametrize("rect, h", [(eigen.Rect(0.0, 1.0, 0.0, 1.0), 0.04),
+                                     (eigen.Rect(-0.4, 1.5, 0.2, 0.9), 0.02),
+                                     (eigen.Rect(0.0, 0.1, 0.0, 2.0), 0.05)])
+def test_rect_assembly_matches_loop_reference(rect, h):
+    K, m, _ = eigen._assemble_rect(rect, h)
+    _assert_same_assembly((K, m), _assemble_rect_reference(rect, h))
 
 
 def test_dirichlet_disk_bessel_oracle():

@@ -171,12 +171,99 @@ def test_brent_matches_closed_form_root():
 
 
 def test_integrator_step_budget_raises_typed_error():
-    xs, ys = [0.0], [(1.0, 0.0)]
+    xs, vs, ps = [0.0], [1.0], [0.0]
     with pytest.raises(NonConvergenceError) as info:
-        sh._rk_adaptive(lambda x, y: (y[1], -y[0]), 0.0, ys[0], 10.0, 1e-10, 1e-3, xs, ys,
-                        max_steps=3)
+        sh._rk_adaptive(lambda x, v, p: (p, -v), 0.0, vs[0], ps[0], 10.0, 1e-10, 1e-3,
+                        xs, vs, ps, max_steps=3)
     assert 0.0 < info.value.best < 10.0
     assert info.value.best == xs[-1]
+
+
+# The integrator as it was before the unrolled kernel: the generic Cash-Karp
+# tableau loop with generator stage sums, wrapped to the (x, v, p) signature.
+# The unrolled kernel must reproduce its shots bit for bit.
+_CK_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 3.0 / 5.0, 1.0, 7.0 / 8.0)
+_CK_A = (
+    (),
+    (1.0 / 5.0,),
+    (3.0 / 40.0, 9.0 / 40.0),
+    (3.0 / 10.0, -9.0 / 10.0, 6.0 / 5.0),
+    (-11.0 / 54.0, 5.0 / 2.0, -70.0 / 27.0, 35.0 / 27.0),
+    (1631.0 / 55296.0, 175.0 / 512.0, 575.0 / 13824.0, 44275.0 / 110592.0, 253.0 / 4096.0),
+)
+_CK_B5 = (37.0 / 378.0, 0.0, 250.0 / 621.0, 125.0 / 594.0, 0.0, 512.0 / 1771.0)
+_CK_ERR = (-277.0 / 64512.0, 0.0, 6925.0 / 370944.0, -6925.0 / 202752.0,
+           -277.0 / 14336.0, 277.0 / 7084.0)
+
+
+def _rk_reference(f, x0, v0, p0, x1, tol, h0, store_x, store_v, store_p,
+                  hmax=np.inf, max_steps=200000):
+    x = x0
+    y = [v0, p0]
+    h = min(h0, hmax)
+    steps = rejected = 0
+    while x < x1:
+        h = min(h, hmax)
+        if x + h > x1:
+            h = x1 - x
+        k = [f(x, *y)]
+        for i in range(1, 6):
+            a = _CK_A[i]
+            yi = [y[0] + h * sum(a[j] * k[j][0] for j in range(i)),
+                  y[1] + h * sum(a[j] * k[j][1] for j in range(i))]
+            k.append(f(x + _CK_C[i] * h, *yi))
+        e0 = h * sum(_CK_ERR[i] * k[i][0] for i in range(6))
+        e1 = h * sum(_CK_ERR[i] * k[i][1] for i in range(6))
+        sc0 = tol * (1.0 + abs(y[0]))
+        sc1 = tol * (1.0 + abs(y[1]))
+        err = max(abs(e0) / sc0, abs(e1) / sc1)
+        if err <= 1.0:
+            y = [y[0] + h * sum(_CK_B5[i] * k[i][0] for i in range(6)),
+                 y[1] + h * sum(_CK_B5[i] * k[i][1] for i in range(6))]
+            x += h
+            store_x.append(x)
+            store_v.append(y[0])
+            store_p.append(y[1])
+        else:
+            rejected += 1
+        fac = 0.9 * (err ** -0.2) if err > 0 else 5.0
+        h *= min(5.0, max(0.2, fac))
+        steps += 1
+        if steps > max_steps:
+            raise NonConvergenceError("adaptive integrator exceeded the step budget", best=x)
+    return y[0], y[1], rejected
+
+
+def _assert_same_shot(new, ref):
+    assert np.array_equal(new.r_grid, ref.r_grid)
+    assert np.array_equal(new.values, ref.values)
+    assert new.beta_mass == ref.beta_mass
+    assert new.beta_slope == ref.beta_slope
+    assert new.c_asym == ref.c_asym
+    assert new.verdict == ref.verdict
+    assert new.rejected_steps == ref.rejected_steps
+
+
+@pytest.mark.parametrize("l", [0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("s", [-5.0, 0.0, math.log(12.0), 8.0])
+def test_unrolled_kernel_matches_reference_bit_for_bit(monkeypatch, l, s):
+    new = sh.shoot(l, s)
+    monkeypatch.setattr(sh, "_rk_adaptive", _rk_reference)
+    _assert_same_shot(new, sh.shoot(l, s))
+
+
+def test_unrolled_kernel_matches_reference_through_far_field_extension(monkeypatch):
+    r_max = 50.0
+    new = sh.shoot(2.0, 12.0, r_max=r_max)
+    assert new.r_grid[-1] > 2.0 * r_max          # the extension loop ran
+    monkeypatch.setattr(sh, "_rk_adaptive", _rk_reference)
+    _assert_same_shot(new, sh.shoot(2.0, 12.0, r_max=r_max))
+
+
+def test_rejected_steps_count_repeats():
+    counts = [sh.shoot(2.0, 7.0).rejected_steps for _ in range(2)]
+    assert all(isinstance(c, int) and c >= 0 for c in counts)
+    assert counts[0] == counts[1] >= 1
 
 
 def test_slope_estimate_nonzero_on_monotone_branch():
