@@ -131,6 +131,7 @@ def cmd_minimize(cfg):
         "com_norm": res.com_norm,
         "exp_mass": res.exp_mass,
         "iterations": res.iterations,
+        "backtracks": res.backtracks,
         "status": res.status,
         "el_residual": functional.el_residual(res.u, 1.0 / alpha),
         "h1_norm": sphere.h1_norm(res.u),

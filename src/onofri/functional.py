@@ -16,15 +16,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import conformal, sphere
-from .errors import NonConvergenceError
+from .errors import InvalidFieldError, NonConvergenceError
 from .sphere import HarmonicSpectrum, SphereField, SphereGrid
+
+
+def _j_value(spec: HarmonicSpectrum, u: SphereField, alpha: float) -> float:
+    """J_alpha from the spectrum of u and its grid values.
+
+    The energy is sum l(l+1) c^2 and the mean is c_00; only log int e^u dw
+    needs the values.
+    """
+    l = np.arange(spec.lmax + 1, dtype=float)
+    energy = float(np.sum(l * (l + 1.0) * np.sum(spec.coeffs**2, axis=1)))
+    return float(alpha / 4.0 * energy + spec[0, 0] - sphere.log_exp_mass(u))
 
 
 def j_alpha(u: SphereField, alpha: float) -> float:
     """Value of the functional; stable under large field values via max shift."""
-    energy = sphere.dirichlet_energy(u)
-    mean = sphere.integrate(u)
-    return float(alpha / 4.0 * energy + mean - sphere.log_exp_mass(u))
+    if not np.all(np.isfinite(u.values)):
+        raise InvalidFieldError("j_alpha: field has non-finite values")
+    return _j_value(sphere.analyze(u), u, alpha)
 
 
 def gradient_j(u: SphereField, alpha: float) -> SphereField:
@@ -86,6 +97,11 @@ def tilt(log_weights: np.ndarray, points: np.ndarray, tol: float) -> np.ndarray:
                               best=c, residual=float(np.linalg.norm(mean)))
 
 
+def _node_geometry(grid: SphereGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Node points as an (n, 3) array and the log quadrature weights, flattened."""
+    return np.stack(grid.points(), axis=-1).reshape(-1, 3), np.log(grid.weights).ravel()
+
+
 def recenter(u: SphereField, tol: float = 1e-10) -> SphereField:
     """The degree-1 tilt u + c.x whose measure e^{u + c.x} dw has zero center of mass.
 
@@ -95,11 +111,11 @@ def recenter(u: SphereField, tol: float = 1e-10) -> SphereField:
     band-limited.  u itself is returned when its center of mass is already
     within tol.
     """
-    pts = np.stack(u.grid.points(), axis=-1)
-    c = tilt((np.log(u.grid.weights) + u.values).ravel(), pts.reshape(-1, 3), tol)
+    pts, log_w = _node_geometry(u.grid)
+    c = tilt(log_w + u.values.ravel(), pts, tol)
     if not c.any():
         return u
-    return SphereField(u.grid, u.values + pts @ c)
+    return SphereField(u.grid, u.values + (pts @ c).reshape(u.grid.shape))
 
 
 def pullback(u: SphereField, a: np.ndarray) -> SphereField:
@@ -162,16 +178,13 @@ class MinimizeResult:
     com_norm: float
     exp_mass: float
     iterations: int
+    backtracks: int         # line-search halvings over the whole run
     trace: list = field(repr=False, default_factory=list)
     status: str = "converged"
 
     @property
     def converged(self) -> bool:
         return self.status == "converged"
-
-
-def _coeff_gradient(u: SphereField, alpha: float) -> HarmonicSpectrum:
-    return sphere.analyze(gradient_j(u, alpha))
 
 
 def _precondition(gspec: HarmonicSpectrum, alpha: float) -> np.ndarray:
@@ -185,20 +198,52 @@ def minimize(alpha: float, u0: SphereField, opts: MinimizeOptions | None = None)
 
     Each iteration: preconditioned gradient step with Armijo backtracking,
     the degree-1 tilt back onto the constraint, then the unit exp-mass shift.
-    Descent past opts.blowup_floor returns an unbounded-descent verdict
-    instead of a minimiser (the expected outcome of probes below alpha = 1/2).
+    The iterate is carried as its spectrum and its grid values together, so a
+    line-search trial costs one synthesize and an accepted step one analyze
+    (of e^u, for the gradient).  Descent past opts.blowup_floor returns an
+    unbounded-descent verdict instead of a minimiser (the expected outcome of
+    probes below alpha = 1/2).
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
+    if not np.all(np.isfinite(u0.values)):
+        raise InvalidFieldError("minimize: start has non-finite values")
     opts = opts or MinimizeOptions()
     grid = u0.grid
-    u = sphere.synthesize(sphere.analyze(u0), grid)   # the discrete state is band-limited
-    u = shift_to_unit_mass(recenter(u, opts.com_tol))
+    L = grid.lmax
+    pts, log_w = _node_geometry(grid)
+    l = np.arange(L + 1, dtype=float)
+    stiffness = (alpha / 2.0 * l * (l + 1.0))[:, None]
+    # x1, x2, x3 are the degree-1 harmonics (1, 1), (1, -1), (1, 0) over sqrt(3)
+    tilt_slots = [L + 1, L - 1, L]
+
+    def retract(spec, u):
+        """Tilt onto the constraint and shift to unit exp-mass, in both representations."""
+        c = tilt(log_w + u.values.ravel(), pts, opts.com_tol)
+        if c.any():
+            u = SphereField(grid, u.values + (pts @ c).reshape(grid.shape))
+            spec.coeffs[1, tilt_slots] += c / np.sqrt(3.0)
+        shift = sphere.log_exp_mass(u)
+        spec.coeffs[0, L] -= shift
+        return spec, u - shift
+
+    def gradient(spec, u):
+        """Spectrum of -(alpha/2) lap u + 1 - e^u / int e^u dw."""
+        e = np.exp(u.values - float(np.max(u.values)))
+        e /= sphere.integrate_values(grid, e)
+        gspec = sphere.analyze(SphereField(grid, e))
+        gspec.coeffs = stiffness * spec.coeffs - gspec.coeffs
+        gspec.coeffs[0, L] += 1.0
+        return gspec
+
+    spec = sphere.analyze(u0)
+    spec, u = retract(spec, sphere.synthesize(spec, grid))   # the state is band-limited
     trace = []
     status = "max-iter"
     it = 0
-    j = j_alpha(u, alpha)
-    gspec = _coeff_gradient(u, alpha)
+    backtracks = 0
+    j = _j_value(spec, u, alpha)
+    gspec = gradient(spec, u)
     gnorm = float(np.linalg.norm(gspec.coeffs))
     for it in range(1, opts.max_iter + 1):
         trace.append((it - 1, j))
@@ -212,22 +257,22 @@ def minimize(alpha: float, u0: SphereField, opts: MinimizeOptions | None = None)
         slope = float(np.sum(gspec.coeffs * direction))
         noise = 1e-14 * (1.0 + abs(j))
         step = opts.step0
-        uspec = sphere.analyze(u)
         accepted = False
         for _ in range(40):
-            cand_spec = HarmonicSpectrum(uspec.lmax, uspec.coeffs + step * direction)
-            cand = sphere.synthesize(cand_spec, grid)   # j_alpha is shift-invariant
-            jc = j_alpha(cand, alpha)
+            cand_spec = HarmonicSpectrum(L, spec.coeffs + step * direction)
+            cand = sphere.synthesize(cand_spec, grid)
+            jc = _j_value(cand_spec, cand, alpha)   # J is shift-invariant
             if jc <= j + opts.armijo * step * slope + noise:
                 accepted = True
                 break
             step *= 0.5
+            backtracks += 1
         if not accepted:
             status = "stalled"
             break
-        u = shift_to_unit_mass(recenter(cand, opts.com_tol))
-        j = j_alpha(u, alpha)
-        gspec = _coeff_gradient(u, alpha)
+        spec, u = retract(cand_spec, cand)
+        j = _j_value(spec, u, alpha)
+        gspec = gradient(spec, u)
         gnorm = float(np.linalg.norm(gspec.coeffs))
     trace.append((it, j))
     return MinimizeResult(
@@ -237,6 +282,7 @@ def minimize(alpha: float, u0: SphereField, opts: MinimizeOptions | None = None)
         com_norm=float(np.linalg.norm(center_of_mass(u))),
         exp_mass=float(np.exp(sphere.log_exp_mass(u))),
         iterations=it,
+        backtracks=backtracks,
         trace=trace,
         status=status,
     )

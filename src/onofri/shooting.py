@@ -181,7 +181,15 @@ def shoot(l: float, s: float, r_max: float = 1e6, tol: float = 1e-10) -> RadialS
         c_asym = float("nan")
     else:
         verdict = "converged"
-        beta_slope = -W_end + q_end / rate
+        # Beyond t_max the far field solves W' = -q, q' = -rate q (dropping the
+        # l log1p(e^{-2t}) factor), so rate^2 + 2q is conserved: the rate
+        # settles at R = sqrt(rate^2 + 2 q_end) even when W has not settled by
+        # r_max, the mass still to come is R - rate (q_end / rate to first
+        # order; formed as 2 q_end / (R + rate) to avoid cancellation), and
+        # V + beta t gains 2 log(2R / (R + rate)).
+        settled = math.sqrt(rate * rate + 2.0 * q_end)
+        tail = 2.0 * q_end / (settled + rate)
+        beta_slope = -W_end + tail
 
         mass = es * (r0**2 / 2.0 + (l + a2) * r0**4 / 4.0)
         mass += _gauss3_hermite_mass(
@@ -190,9 +198,9 @@ def shoot(l: float, s: float, r_max: float = 1e6, tol: float = 1e-10) -> RadialS
         mass += _gauss3_hermite_mass(
             np.asarray(ts), np.asarray(Vs), np.asarray(Ws),
             lambda t, v: np.exp((2.0 + 2.0 * l) * t + l * np.log1p(np.exp(-2.0 * t)) + v))
-        mass += q_end / rate
+        mass += tail
         beta_mass = mass
-        c_asym = V_end + beta_slope * t_max + q_end / rate**2
+        c_asym = V_end + beta_slope * t_max + 2.0 * math.log1p(tail / (settled + rate))
 
     r_grid = np.concatenate([np.asarray(rs), np.exp(np.asarray(ts[1:]))])
     values = np.concatenate([vs, Vs[1:]])

@@ -60,21 +60,24 @@ def _basis_rows(lmax: int, mu: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _orthonormalized_rows(lmax: int, mu: np.ndarray, w_mu: np.ndarray) -> list[np.ndarray]:
+def _orthonormalized_table(lmax: int, mu: np.ndarray, w_mu: np.ndarray) -> np.ndarray:
     """Basis tables polished so discrete quadrature orthonormality is exact.
 
     The recurrence leaves O(l*eps) noise in the tables, which the Laplacian
     amplifies by l(l+1); a thin QR against the quadrature inner product
     restores orthonormality to machine precision without changing the span.
+    Returns one array of shape (lmax + 1, lmax + 1, len(mu)) indexed
+    (m, l, mu), zero where l < m.  It is stored with l varying fastest, the
+    memory order of the QR factor, so a batched product with it sums over mu
+    in the same order as a product with each factor on its own.
     """
-    rows = _basis_rows(lmax, mu)
-    out = []
-    for m, block in enumerate(rows):
+    table = np.zeros((lmax + 1, mu.size, lmax + 1))
+    for m, block in enumerate(_basis_rows(lmax, mu)):
         scale = np.sqrt(w_mu / 2.0) if m == 0 else np.sqrt(w_mu) / 2.0
         q, r = np.linalg.qr(block.T * scale[:, None])
         q *= np.sign(np.diag(r))
-        out.append((q / scale[:, None]).T)
-    return out
+        table[m, :, m:] = q / scale[:, None]
+    return table.transpose(0, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,7 @@ class SphereGrid:
     mu: np.ndarray = field(repr=False)
     w_mu: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
-    basis_mu: list = field(repr=False)
+    basis_mu: np.ndarray = field(repr=False)   # (m, l, mu) latitude tables, zero for l < m
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -122,7 +125,7 @@ def build_grid(lmax: int = DEFAULT_LMAX, n_mu: int | None = None, n_phi: int | N
         raise GridConfigError(f"grid {n_mu}x{n_phi} cannot hold degree {lmax}")
     mu, w = np.polynomial.legendre.leggauss(n_mu)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    return SphereGrid(lmax, n_mu, n_phi, mu, w, phi, _orthonormalized_rows(lmax, mu, w))
+    return SphereGrid(lmax, n_mu, n_phi, mu, w, phi, _orthonormalized_table(lmax, mu, w))
 
 
 @dataclass
@@ -215,40 +218,42 @@ def integrate_values(grid: SphereGrid, values: np.ndarray) -> float:
 
 
 def analyze(f: SphereField) -> HarmonicSpectrum:
-    """Forward transform onto the dw-orthonormal real basis."""
+    """Forward transform onto the dw-orthonormal real basis.
+
+    c_{l,m} = 1/2 sum_i w_i p_{l,m}(mu_i) A_m(i), with A_m the azimuthal
+    cosine (m >= 0) and sine (m < 0) averages: one rfft, then one matmul
+    of matrix-vector products batched over the branch and m.
+    """
     grid = f.grid
     L = grid.lmax
-    spec = zero_spectrum(L)
-    fhat = np.fft.rfft(f.values, axis=1)
-    # c_{l,m} = 1/2 sum_i w_i p_{l,m}(mu_i) A_m(i) with A_m the azimuthal averages
-    for m in range(L + 1):
-        if m >= fhat.shape[1]:
-            break
-        am = fhat[:, m].real / grid.n_phi
-        bm = -fhat[:, m].imag / grid.n_phi
-        block = grid.basis_mu[m]          # (L+1-m, n_mu)
-        wa = 0.5 * grid.w_mu * am
-        spec.coeffs[m:, L + m] = block @ wa
-        if m > 0:
-            wb = 0.5 * grid.w_mu * bm
-            spec.coeffs[m:, L - m] = block @ wb
-    return spec
+    fhat = np.fft.rfft(f.values, axis=1)[:, : L + 1].T          # (m, mu)
+    w = 0.5 * grid.w_mu
+    rhs = np.stack([w * (fhat.real / grid.n_phi), w * (-fhat.imag / grid.n_phi)])
+    out = np.matmul(grid.basis_mu, rhs[..., None])[..., 0]       # (branch, m, l)
+    coeffs = np.empty((L + 1, 2 * L + 1))
+    coeffs[:, L:] = out[0].T
+    coeffs[:, :L] = out[1, :0:-1].T
+    return HarmonicSpectrum(L, coeffs)
 
 
 def synthesize(spec: HarmonicSpectrum, grid: SphereGrid) -> SphereField:
-    """Inverse transform of a spectrum onto a grid."""
+    """Inverse transform of a spectrum onto a grid (of equal or higher degree).
+
+    One matmul batched over m gives the cosine and sine latitude sums, then
+    one irfft sums over the azimuth.
+    """
     L = spec.lmax
     if L > grid.lmax:
         raise GridConfigError(f"spectrum degree {L} exceeds grid band limit {grid.lmax}")
+    lhs = np.zeros((L + 1, 2, L + 1))                            # (m, branch, l)
+    lhs[:, 0] = spec.coeffs[:, L:].T
+    lhs[1:, 1] = spec.coeffs[:, :L][:, ::-1].T
+    out = np.matmul(lhs, grid.basis_mu[: L + 1, : L + 1])        # (m, branch, mu)
+    scale = np.full((L + 1, 1), 0.5 * grid.n_phi)
+    scale[0] = grid.n_phi
     fhat = np.zeros((grid.n_mu, grid.n_phi // 2 + 1), dtype=complex)
-    for m in range(L + 1):
-        block = grid.basis_mu[m][: L + 1 - m]
-        cm = block.T @ spec.coeffs[m:, L + m]
-        if m == 0:
-            fhat[:, 0] = grid.n_phi * cm
-        else:
-            sm = block.T @ spec.coeffs[m:, L - m]
-            fhat[:, m] = 0.5 * grid.n_phi * (cm - 1j * sm)
+    fhat.real[:, : L + 1] = (scale * out[:, 0]).T
+    fhat.imag[:, : L + 1] = (-(scale * out[:, 1])).T
     return SphereField(grid, np.fft.irfft(fhat, n=grid.n_phi, axis=1))
 
 

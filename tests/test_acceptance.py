@@ -2,7 +2,8 @@
 
 Each test prints a PASS/FAIL line; run with `pytest -s` to see them inline.
 The battery rows are computed once per session and criterion 13 recomputes
-the whole battery to check bit-for-bit reproducibility.
+the whole battery, criteria in reversed order, to check bit-for-bit
+reproducibility.
 """
 import json
 
@@ -78,7 +79,31 @@ def test_criterion_12_axisymmetric_inequality(battery):
 
 
 def test_criterion_13_determinism(battery):
-    fresh = acceptance.run_battery(SEED)
+    fresh = acceptance.run_battery(SEED, sorted(acceptance.CRITERIA, reverse=True))
     same = json.dumps(to_builtin(battery), sort_keys=True) == json.dumps(to_builtin(fresh), sort_keys=True)
     print(f"criterion 13 [determinism]: {'PASS' if same else 'FAIL'}")
     assert same, "rerun with the same seed changed result rows"
+
+
+def test_criterion_13_catches_order_dependence(monkeypatch):
+    """Criterion 2 reads state that criteria 1 and 3 write: two forward runs
+    agree, but the reversed pass lets criterion 3 write first."""
+    shared = {}
+
+    def writer(cid):
+        def run(seed, grids):
+            shared["last_writer"] = cid
+            return [acceptance._row(cid, "write", "writes shared state", 0.0, 0.0, True)]
+        return run
+
+    def reader(seed, grids):
+        return [acceptance._row(2, "read", "reads shared state", shared["last_writer"], 0.0, True)]
+
+    monkeypatch.setitem(acceptance.CRITERIA, 1, ("writer", writer(1)))
+    monkeypatch.setitem(acceptance.CRITERIA, 2, ("reader", reader))
+    monkeypatch.setitem(acceptance.CRITERIA, 3, ("writer", writer(3)))
+    ids = (1, 2, 3)
+    assert acceptance.run_battery(SEED, ids) == acceptance.run_battery(SEED, ids)
+    reversed_rows = acceptance.run_battery(SEED, ids[::-1])
+    assert [r["criterion"] for r in reversed_rows] == [1, 2, 3]
+    assert not acceptance.determinism_row(SEED, ids)["passed"]

@@ -22,6 +22,8 @@ def test_minimize_report_shape_and_determinism(tmp_path):
     code2, rep2 = run(tmp_path, "minimize", "--alpha", "0.7", "--seed", "42")
     assert code2 == 0
     assert json.dumps(rep1["rows"]) == json.dumps(rep2["rows"])
+    row = rep1["rows"][0]
+    assert isinstance(row["backtracks"], int) and row["backtracks"] >= 0
 
 
 def test_shoot_anchor_row(tmp_path):

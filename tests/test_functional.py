@@ -5,7 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from onofri import conformal, functional as fn, sphere
-from onofri.errors import NonConvergenceError
+from onofri.errors import InvalidFieldError, NonConvergenceError
 
 
 def coordinate(grid, which=2):
@@ -34,6 +34,13 @@ def test_overflow_stabilised(grid16):
     u = sphere.field_of(grid16, lambda a, b, c: 400.0 * c)
     val = fn.j_alpha(u, 1.0)
     assert np.isfinite(val)
+
+
+def test_j_alpha_rejects_nonfinite_field(grid8):
+    u = sphere.constant_field(grid8, 0.0)
+    u.values[1, 2] = np.nan
+    with pytest.raises(InvalidFieldError):
+        fn.j_alpha(u, 0.8)
 
 
 @given(st.integers(0, 10**6))
@@ -227,6 +234,13 @@ def test_minimize_rejects_nonpositive_alpha(grid8):
         fn.minimize(-0.1, sphere.constant_field(grid8, 0.0))
 
 
+def test_minimize_rejects_nonfinite_start(grid8):
+    bad = sphere.constant_field(grid8, 0.0)
+    bad.values[0, 0] = np.inf
+    with pytest.raises(InvalidFieldError):
+        fn.minimize(0.8, bad)
+
+
 def test_recenter_nonconvergence_carries_best(grid8):
     u = 0.3 * coordinate(grid8)
     with pytest.raises(NonConvergenceError) as info:
@@ -244,6 +258,80 @@ def test_minimize_exp_mass_is_that_of_returned_field(grid16):
     res = fn.minimize(0.8, fn.random_start(grid16, (42, 0, 3)), fn.MinimizeOptions(max_iter=2))
     assert res.status == "max-iter"
     assert res.exp_mass == pytest.approx(np.exp(sphere.log_exp_mass(res.u)), abs=1e-14)
+
+
+def _minimize_field_space(alpha, u0, opts=None):
+    """Reference: the field-space minimiser, re-analysing the iterate at every step."""
+    opts = opts or fn.MinimizeOptions()
+    grid = u0.grid
+    u = sphere.synthesize(sphere.analyze(u0), grid)
+    u = fn.shift_to_unit_mass(fn.recenter(u, opts.com_tol))
+    status, it = "max-iter", 0
+    j = fn.j_alpha(u, alpha)
+    gspec = sphere.analyze(fn.gradient_j(u, alpha))
+    gnorm = float(np.linalg.norm(gspec.coeffs))
+    for it in range(1, opts.max_iter + 1):
+        if gnorm <= opts.stat_tol:
+            status = "converged"
+            break
+        if j < opts.blowup_floor:
+            status = "unbounded-descent"
+            break
+        direction = fn._precondition(gspec, alpha)
+        slope = float(np.sum(gspec.coeffs * direction))
+        noise = 1e-14 * (1.0 + abs(j))
+        step = opts.step0
+        uspec = sphere.analyze(u)
+        for _ in range(40):
+            cand_spec = sphere.HarmonicSpectrum(uspec.lmax, uspec.coeffs + step * direction)
+            cand = sphere.synthesize(cand_spec, grid)
+            if fn.j_alpha(cand, alpha) <= j + opts.armijo * step * slope + noise:
+                break
+            step *= 0.5
+        else:
+            status = "stalled"
+            break
+        u = fn.shift_to_unit_mass(fn.recenter(cand, opts.com_tol))
+        j = fn.j_alpha(u, alpha)
+        gspec = sphere.analyze(fn.gradient_j(u, alpha))
+        gnorm = float(np.linalg.norm(gspec.coeffs))
+    return status, j, it
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.7])
+def test_minimize_matches_field_space_reference(grid16, alpha):
+    for k in range(4):
+        u0 = fn.random_start(grid16, (17, int(10 * alpha), k))
+        res = fn.minimize(alpha, u0)
+        status, j, iterations = _minimize_field_space(alpha, u0)
+        assert res.status == status
+        assert abs(res.j_value - j) <= 1e-12
+        assert abs(res.iterations - iterations) <= 1
+
+
+def test_minimize_transform_counts(grid16, monkeypatch):
+    """One synthesize per line-search trial and one analyze per accepted step."""
+    calls = {"analyze": 0, "synthesize": 0}
+    for name in calls:
+        inner = getattr(sphere, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(sphere, name, counted)
+    u0 = fn.random_start(grid16, (42, 0, 5))
+    # a converged run accepts a step on every iteration but the last; the
+    # oversized first step of the second run backtracks on every iteration
+    for opts, status, last_accepted in ((fn.MinimizeOptions(), "converged", 0),
+                                        (fn.MinimizeOptions(step0=4.0, max_iter=30), "max-iter", 1)):
+        calls.update(analyze=0, synthesize=0)
+        res = fn.minimize(0.7, u0, opts)
+        assert res.status == status
+        accepted = res.iterations - 1 + last_accepted
+        assert calls["analyze"] == accepted + 2                     # u0 and the first gradient
+        assert calls["synthesize"] == accepted + res.backtracks + 1  # the band-limited start
+    assert res.backtracks >= res.iterations
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,24 @@ def test_l0_scaling_family(s):
     assert sol.beta_mass == pytest.approx(4.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("s", [-20.0, -25.0])
+def test_l0_mass_for_strongly_negative_start(s):
+    """At s = -25 the profile's scale is near r_max, so W is far from settled there."""
+    sol = sh.shoot(0.0, s)
+    assert sol.verdict == "converged"
+    assert abs(sol.beta_mass - 4.0) <= 1e-6 and abs(sol.beta_slope - 4.0) <= 1e-6
+
+
+@pytest.mark.parametrize("l, s", [(1.0, 8.75), (1.0, 10.0), (0.0, -20.0)])
+def test_far_field_tail_matches_long_domain(l, s):
+    """The analytic tail past r_max = 1e6 agrees with integrating out to 1e80."""
+    short = sh.shoot(l, s)
+    long = sh.shoot(l, s, r_max=1e80)
+    assert short.verdict == long.verdict == "converged"
+    assert abs(short.beta_mass - long.beta_mass) <= 1e-10
+    assert abs(short.c_asym - long.c_asym) <= 1e-9
+
+
 def test_dual_estimators_agree():
     for l, s in ((0.0, -4.0), (0.0, 4.0), (1.0, 1.0), (2.0, 0.0)):
         sol = sh.shoot(l, s)

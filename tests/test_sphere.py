@@ -125,6 +125,61 @@ def test_round_trip_identity(seed):
     assert np.max(np.abs(again.values - f.values)) <= 1e-12
 
 
+def _analyze_loop(f):
+    """Reference forward transform: one matrix-vector product per order m."""
+    grid = f.grid
+    L = grid.lmax
+    spec = sphere.zero_spectrum(L)
+    fhat = np.fft.rfft(f.values, axis=1)
+    for m in range(L + 1):
+        block = grid.basis_mu[m, m:]
+        spec.coeffs[m:, L + m] = block @ (0.5 * grid.w_mu * fhat[:, m].real / grid.n_phi)
+        if m > 0:
+            spec.coeffs[m:, L - m] = block @ (0.5 * grid.w_mu * -fhat[:, m].imag / grid.n_phi)
+    return spec
+
+
+def _synthesize_loop(spec, grid):
+    """Reference inverse transform: one matrix-vector product per order m."""
+    L = spec.lmax
+    fhat = np.zeros((grid.n_mu, grid.n_phi // 2 + 1), dtype=complex)
+    for m in range(L + 1):
+        block = grid.basis_mu[m, m : L + 1]
+        cm = block.T @ spec.coeffs[m:, L + m]
+        if m == 0:
+            fhat[:, 0] = grid.n_phi * cm
+        else:
+            fhat[:, m] = 0.5 * grid.n_phi * (cm - 1j * (block.T @ spec.coeffs[m:, L - m]))
+    return np.fft.irfft(fhat, n=grid.n_phi, axis=1)
+
+
+@pytest.mark.parametrize("lmax", [8, 16, 32])
+@pytest.mark.parametrize("floor", [False, True])
+def test_batched_transforms_match_per_order_loop(lmax, floor):
+    g = sphere.build_grid(lmax, n_mu=lmax + 1, n_phi=2 * lmax + 1) if floor else sphere.build_grid(lmax)
+    for seed in range(3):
+        f, spec = random_band_limited(g, seed)
+        assert np.max(np.abs(sphere.synthesize(spec, g).values - _synthesize_loop(spec, g))) <= 1e-14
+        assert np.max(np.abs(sphere.analyze(f).coeffs - _analyze_loop(f).coeffs)) <= 1e-14
+
+
+def test_batched_synthesis_of_lower_degree_spectrum(grid32):
+    for degree in (0, 1, 5, 16):
+        spec = random_band_limited(sphere.build_grid(degree), degree)[1]
+        vals = sphere.synthesize(spec, grid32).values
+        assert np.max(np.abs(vals - _synthesize_loop(spec, grid32))) <= 1e-14
+        back = sphere.analyze(sphere.SphereField(grid32, vals)).coeffs
+        assert np.max(np.abs(back[: degree + 1, 32 - degree : 33 + degree] - spec.coeffs)) <= 1e-14
+
+
+def test_basis_table_is_zero_padded(grid16):
+    table = grid16.basis_mu
+    assert table.shape == (17, 17, grid16.n_mu)
+    for m in range(17):
+        assert not table[m, :m].any()
+        assert np.all(np.any(table[m, m:] != 0.0, axis=1))
+
+
 def test_synthesize_rejects_oversized_spectrum(grid8):
     spec = sphere.zero_spectrum(20)
     with pytest.raises(GridConfigError):
