@@ -212,40 +212,26 @@ def criterion_8(seed, grids):
 # -- 9: eigenvalue/mass oracles and audits ------------------------------------
 
 
-def _liouville_g(y):
-    return np.log(8.0) - 2.0 * np.log1p(np.sum(np.asarray(y, dtype=float) ** 2, axis=-1))
-
-
-def _liouville_lap(y):
-    return -8.0 / (1.0 + np.sum(np.asarray(y, dtype=float) ** 2, axis=-1)) ** 2
-
-
 def criterion_9(seed, grids):
     rows = []
+    fields = planar.audit_fields()
+    bubble, g_eps = fields["liouville"], fields["perturbed"]
     j01sq = 5.783185962946785
     lam = eigen.first_eigenvalue_extrapolated(None, eigen.Disk(1.0), 0.04)
     rows.append(_row(9, "dirichlet_disk", "unit-disk Dirichlet ground energy",
                      abs(lam - j01sq), 1e-3, abs(lam - j01sq) <= 1e-3))
-    lam0 = eigen.first_eigenvalue_extrapolated(_liouville_g, eigen.Disk(1.0), 0.04)
+    lam0 = eigen.first_eigenvalue_extrapolated(bubble, eigen.Disk(1.0), 0.04)
     rows.append(_row(9, "liouville_lambda1", "unit disk is neutral for the bubble profile",
                      abs(lam0), 1e-3, abs(lam0) <= 1e-3))
-    mass = eigen.domain_mass(_liouville_g, eigen.Disk(1.0))
+    mass = eigen.domain_mass(bubble, eigen.Disk(1.0))
     rows.append(_row(9, "liouville_mass", "unit-disk bubble mass is 4 pi",
                      abs(mass - FOUR_PI), 1e-6, abs(mass - FOUR_PI) <= 1e-6))
 
-    eps = 0.05
-
-    def g_eps(y):
-        return _liouville_g(y) + eps * np.sum(np.asarray(y, dtype=float) ** 2, axis=-1)
-
-    def g_eps_lap(y):
-        return _liouville_lap(y) + 4.0 * eps
-
     audits = eigen.bol_audit(g_eps, eigen.Disk(3.0),
                              [eigen.Disk(2.0), eigen.Disk(1.0), eigen.Disk(0.5)],
-                             glap_fn=g_eps_lap)
-    audits += eigen.bol_audit(_liouville_g, eigen.Disk(3.0), [eigen.Disk(1.0)],
-                              glap_fn=_liouville_lap)
+                             glap_fn=g_eps.lap_evaluator)
+    audits += eigen.bol_audit(bubble, eigen.Disk(3.0), [eigen.Disk(1.0)],
+                              glap_fn=bubble.lap_evaluator)
     for a in audits:
         rows.append(_row(9, f"audit_{a.domain}", "eigenvalue hypothesis forces mass over 4 pi",
                          a.mass, FOUR_PI, a.verdict != "violated",

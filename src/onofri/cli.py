@@ -290,26 +290,12 @@ def cmd_axisym(cfg):
 def cmd_bol_audit(cfg):
     case = str(_need(cfg, "case", "perturbed"))
     radii = _parse_list(_need(cfg, "radii", "2.0,1.0,0.5"))
-    eps = 0.05
-
-    def g_liouville(y):
-        return np.log(8.0) - 2.0 * np.log1p(np.sum(np.asarray(y, dtype=float) ** 2, axis=-1))
-
-    def lap_liouville(y):
-        return -8.0 / (1.0 + np.sum(np.asarray(y, dtype=float) ** 2, axis=-1)) ** 2
-
-    if case == "liouville":
-        g_fn, lap_fn = g_liouville, lap_liouville
-    elif case == "perturbed":
-        def g_fn(y):
-            return g_liouville(y) + eps * np.sum(np.asarray(y, dtype=float) ** 2, axis=-1)
-
-        def lap_fn(y):
-            return lap_liouville(y) + 4.0 * eps
-    else:
-        raise UsageError(f"unknown audit case {case!r} (liouville, perturbed)")
+    fields = planar.audit_fields()
+    if case not in fields:
+        raise UsageError(f"unknown audit case {case!r} ({', '.join(fields)})")
+    g_fn = fields[case]
     audits = eigen.bol_audit(g_fn, eigen.Disk(3.0), [eigen.Disk(r) for r in radii],
-                             glap_fn=lap_fn, h=float(_need(cfg, "h", 0.02)))
+                             glap_fn=g_fn.lap_evaluator, h=float(_need(cfg, "h", 0.02)))
     rows = [{
         "claim": "nonpositive first eigenvalue forces mass over 4 pi",
         "case": case, "domain": a.domain, "lambda1": a.lambda1, "mass": a.mass,

@@ -107,6 +107,25 @@ def liouville_bubble_field(a: float = 1.0, center=(0.0, 0.0)) -> PlanarField:
     return PlanarField(ev, l=0.0, tag=f"bubble(a={a})", lap_evaluator=lap)
 
 
+def audit_fields() -> dict[str, PlanarField]:
+    """The fields of the eigenvalue/mass audit, shared by the battery and the CLI:
+    the unit Liouville bubble (the equality case) and the bubble + 0.05 |y|^2,
+    whose Laplacian gains 0.2, making it a strict supersolution."""
+    eps = 0.05
+    bubble = liouville_bubble_field()
+
+    def ev(y):
+        y = np.asarray(y, dtype=float)
+        return bubble(y) + eps * np.sum(y ** 2, axis=-1)
+
+    def lap(y):
+        return bubble.lap_evaluator(y) + 4.0 * eps
+
+    return {"liouville": bubble,
+            "perturbed": PlanarField(ev, l=0.0, tag=f"{bubble.tag}+{eps}|y|^2",
+                                     lap_evaluator=lap)}
+
+
 def to_planar(u: sphere.SphereField, rho: float, gauge_tol: float = 1e-8) -> PlanarField:
     """Transfer a unit-exp-mass sphere field to the plane.
 

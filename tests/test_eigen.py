@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.integrate import solve_ivp
 from scipy.special import jn_zeros
 
-from onofri import eigen
+from onofri import eigen, planar
+from onofri.errors import NonConvergenceError
 
 J01_SQ = float(jn_zeros(0, 1)[0] ** 2)        # 5.7831859629...
 
@@ -17,6 +19,17 @@ def liouville(y):
 
 def liouville_lap(y):
     return -8.0 / (1.0 + np.sum(np.asarray(y, dtype=float) ** 2, axis=-1)) ** 2
+
+
+EPS = 0.05
+
+
+def perturbed(y):
+    return liouville(y) + EPS * np.sum(np.asarray(y, dtype=float) ** 2, axis=-1)
+
+
+def perturbed_lap(y):
+    return liouville_lap(y) + 4.0 * EPS
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +132,104 @@ def test_rect_assembly_matches_loop_reference(rect, h):
     _assert_same_assembly((K, m), _assemble_rect_reference(rect, h))
 
 
+# ---------------------------------------------------------------------------
+# the exact radial block against the full 2-D disk scheme
+# ---------------------------------------------------------------------------
+
+
+RADIAL_FIELDS = {"none": None, "bubble": liouville, "perturbed": perturbed}
+
+
+def _full_disk(g_fn, R, h):
+    """The 2-D disk scheme at the mesh first_eigenvalue uses: (K, m, pot)."""
+    n_r = max(8, int(round(R / h)))
+    n_theta = max(48, n_r)
+    K, m, pts = eigen._assemble_disk(R, n_r, n_theta)
+    pot = np.zeros(m.size) if g_fn is None else np.exp(g_fn(pts))
+    return K, m, pot
+
+
+@pytest.fixture
+def spy_2d(monkeypatch):
+    """Counts calls of the 2-D inverse iteration."""
+    calls = []
+    inner = eigen._smallest_eigenpair
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(eigen, "_smallest_eigenpair", spy)
+    return calls
+
+
+@pytest.mark.parametrize("field", sorted(RADIAL_FIELDS))
+@pytest.mark.parametrize("h", [0.04, 0.02])
+@pytest.mark.parametrize("R", [0.5, 1.0, 2.0, 3.0])
+def test_radial_block_matches_2d_scheme(R, h, field, spy_2d):
+    g_fn = RADIAL_FIELDS[field]
+    lam = eigen.first_eigenvalue(g_fn, eigen.Disk(R), h)
+    assert spy_2d == []
+    lam_2d, _ = eigen._smallest_eigenpair(*_full_disk(g_fn, R, h))
+    assert abs(lam - lam_2d) <= 1e-10
+
+
+@pytest.mark.parametrize("g_fn", [liouville, perturbed])
+def test_radial_eigenvector_is_ring_constant_and_normalised(g_fn):
+    R, h = 1.5, 0.02
+    lam, v, pts = eigen.first_eigenpair(g_fn, eigen.Disk(R), h)
+    _, m, _ = _full_disk(g_fn, R, h)
+    n_r = int(round(R / h))
+    rings = v.reshape(n_r, -1)
+    assert np.array_equal(rings, np.repeat(rings[:, :1], rings.shape[1], axis=1))
+    r = np.hypot(pts[:, 0], pts[:, 1]).reshape(n_r, -1)
+    assert np.ptp(r, axis=1).max() <= 1e-14
+    assert v @ (m * v) == pytest.approx(1.0, abs=1e-12)
+    assert np.all(v > 0.0)
+
+
+def _anisotropic(y):
+    y = np.asarray(y, dtype=float)
+    return liouville(y) + 1e-6 * (y[..., 0] ** 2 - y[..., 1] ** 2)
+
+
+@pytest.mark.parametrize("g_fn", [_anisotropic, planar.liouville_bubble_field(center=(0.3, 0.0))])
+def test_non_radial_field_takes_2d_path(g_fn, spy_2d):
+    lam = eigen.first_eigenvalue(g_fn, eigen.Disk(1.0), 0.04)
+    assert len(spy_2d) == 1
+    assert spy_2d[0][0].shape[0] == 25 * 48      # the full n_r x n_theta assembly
+    assert math.isfinite(lam)
+
+
+def test_near_radial_field_agrees_with_radial_block():
+    lam = eigen.first_eigenvalue(_anisotropic, eigen.Disk(1.0), 0.04)
+    assert abs(lam - eigen.first_eigenvalue(liouville, eigen.Disk(1.0), 0.04)) <= 1e-5
+
+
+def test_radial_residual_is_checked(monkeypatch):
+    """A wrong eigenpair from the tridiagonal solver must not pass silently."""
+    inner = eigen.eigh_tridiagonal
+
+    def off_by_one(*args, **kwargs):
+        lam, y = inner(*args, **kwargs)
+        return lam + 1.0, y
+
+    monkeypatch.setattr(eigen, "eigh_tridiagonal", off_by_one)
+    with pytest.raises(NonConvergenceError) as info:
+        eigen.first_eigenvalue(liouville, eigen.Disk(1.0), 0.04)
+    assert info.value.residual == pytest.approx(1.0, rel=1e-9)
+
+
+def test_2d_path_reports_residual_when_iterations_run_out():
+    K, m, pot = _full_disk(liouville, 1.0, 0.04)
+    with pytest.raises(NonConvergenceError) as info:
+        eigen._smallest_eigenpair(K, m, pot, max_iter=3)
+    lam, v = info.value.best
+    assert info.value.residual > eigen.RESIDUAL_TOL * (1.0 + abs(lam))
+    lam_full, _ = eigen._smallest_eigenpair(K, m, pot)
+    assert abs(lam - lam_full) <= info.value.residual ** 2
+
+
 def test_dirichlet_disk_bessel_oracle():
     lam = eigen.first_eigenvalue_extrapolated(None, eigen.Disk(1.0), 0.04)
     assert lam == pytest.approx(J01_SQ, abs=1e-3)
@@ -168,17 +279,6 @@ def test_rect_mass_oracle():
 # ---------------------------------------------------------------------------
 
 
-EPS = 0.05
-
-
-def perturbed(y):
-    return liouville(y) + EPS * np.sum(np.asarray(y, dtype=float) ** 2, axis=-1)
-
-
-def perturbed_lap(y):
-    return liouville_lap(y) + 4.0 * EPS
-
-
 def test_equality_case_is_vacuous():
     """Unperturbed profile: zero margin, unit-disk mass exactly 4 pi; the audit
     must refuse to classify it rather than report a violation."""
@@ -213,3 +313,42 @@ def test_continuation_radius_mass():
 def test_bad_bracket_rejected():
     with pytest.raises(ValueError):
         eigen.zero_eigenvalue_radius(perturbed, (0.2, 0.3))
+
+
+# ---------------------------------------------------------------------------
+# the neutral radius against a continuous oracle
+# ---------------------------------------------------------------------------
+
+
+def _neutral_radius_ode(g_fn, r_max=3.0):
+    """First zero of w'' + w'/r + e^g w = 0 with w(0) = 1, w'(0) = 0 (radial g),
+    started off the axis from the series w = 1 - e^g(0) r^2 / 4."""
+    e0 = math.exp(float(g_fn(np.zeros((1, 2)))[0]))
+    r0 = 1e-6
+
+    def rhs(r, x):
+        eg = math.exp(float(g_fn(np.array([[r, 0.0]]))[0]))
+        return [x[1], -x[1] / r - eg * x[0]]
+
+    def crossing(r, x):
+        return x[0]
+
+    crossing.terminal = True
+    crossing.direction = -1
+    sol = solve_ivp(rhs, (r0, r_max), [1.0 - 0.25 * e0 * r0**2, -0.5 * e0 * r0],
+                    method="DOP853", rtol=1e-12, atol=1e-14, events=crossing)
+    (zeros,) = sol.t_events
+    return float(zeros[0])
+
+
+def test_ode_oracle_bubble_zero_is_one():
+    """w = (1 - r^2)/(1 + r^2) for the bubble, so the first zero is exactly 1."""
+    assert _neutral_radius_ode(liouville) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("g_fn", [liouville, perturbed])
+@pytest.mark.parametrize("tol", [1e-3, 1e-5])
+def test_neutral_radius_matches_ode_oracle(g_fn, tol):
+    h = 0.02
+    r_star = eigen.zero_eigenvalue_radius(g_fn, (0.7, 1.1), h=h, tol=tol)
+    assert abs(r_star - _neutral_radius_ode(g_fn)) <= 0.5 * tol + h**2
