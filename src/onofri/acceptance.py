@@ -253,13 +253,8 @@ def criterion_10(seed, grids):
     ys = np.linspace(-3.0, 3.0, 241)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     quad = (X**2 - Y**2) * np.exp(-(X**2 + Y**2))
-
-    def density(y):
-        y = np.asarray(y, dtype=float)
-        r2 = np.sum(y * y, axis=-1)
-        return (1.0 + r2) * np.exp(planar.v_star(y, 1.5))
-
-    rep = planar.nodal_domains(quad, xs, ys, disk_radius=3.0, mass_density=density, rho=1.5)
+    rep = planar.nodal_domains(quad, xs, ys, disk_radius=3.0,
+                               mass_density=planar.nodal_mass_density(1.5), rho=1.5)
     rows.append(_row(10, "quadrant_count", "degree-2 sign pattern has four domains",
                      rep.m, 4.0, rep.m == 4))
     gap = abs(sum(rep.masses) - rep.total)

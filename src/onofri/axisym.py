@@ -11,7 +11,7 @@ module scan the whole constrained range.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,19 +22,36 @@ DEFAULT_DEGREE = 16
 DEFAULT_QUAD = 64
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on n points, read-only: every function
+    built on the default rule shares one copy instead of solving for it again."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
 @dataclass
 class LegendreFunction:
-    """Polynomial in the Legendre basis with an attached Gauss quadrature."""
+    """Polynomial in the Legendre basis with an attached Gauss quadrature.
+
+    The quadrature carries the Legendre Vandermonde of its nodes, so values
+    at the nodes are one matrix-vector product; copies and candidates built
+    on the same nodes share it.
+    """
 
     coeffs: np.ndarray
     nodes: np.ndarray = field(repr=False, default=None)
     weights: np.ndarray = field(repr=False, default=None)
+    vander: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         if self.nodes is None:
-            n = max(DEFAULT_QUAD, 2 * (self.coeffs.size - 1))
-            self.nodes, self.weights = np.polynomial.legendre.leggauss(n)
+            self.nodes, self.weights = _gauss_rule(max(DEFAULT_QUAD, 2 * (self.coeffs.size - 1)))
+        if self.vander is None:
+            self.vander = np.polynomial.legendre.legvander(self.nodes, self.degree)
 
     @property
     def degree(self) -> int:
@@ -44,10 +61,14 @@ class LegendreFunction:
         return np.polynomial.legendre.legval(np.asarray(x, dtype=float), self.coeffs)
 
     def node_values(self) -> np.ndarray:
-        return self(self.nodes)
+        return self.vander @ self.coeffs
+
+    def with_coeffs(self, coeffs: np.ndarray) -> "LegendreFunction":
+        """The function with these coefficients on the same quadrature."""
+        return LegendreFunction(coeffs, self.nodes, self.weights, self.vander)
 
     def copy(self) -> "LegendreFunction":
-        return LegendreFunction(self.coeffs.copy(), self.nodes, self.weights)
+        return self.with_coeffs(self.coeffs.copy())
 
 
 def weighted_energy(g: LegendreFunction) -> float:
@@ -56,18 +77,22 @@ def weighted_energy(g: LegendreFunction) -> float:
     return float(np.sum(2.0 * k * (k + 1.0) / (2.0 * k + 1.0) * g.coeffs**2))
 
 
-def _log_half_mass(g: LegendreFunction) -> float:
-    """log((1/2) int e^{2g} dx), max-shifted."""
-    tg = 2.0 * g.node_values()
-    m = float(np.max(tg))
-    return m + math.log(0.5 * float(np.dot(g.weights, np.exp(tg - m))))
+def _moments(g: LegendreFunction, two_g: np.ndarray) -> functional.ExpMoments:
+    """Moments of e^{2g} dx/2 from the node values of 2g: log((1/2) int e^{2g} dx),
+    the density e^{2g} / ((1/2) int e^{2g} dx) and the normalised moment in x."""
+    return functional.exp_moments(two_g, 0.5 * g.weights, g.nodes[:, None])
+
+
+def _i_value(g: LegendreFunction, two_g: np.ndarray, log_half_mass: float, alpha: float) -> float:
+    """I_alpha from the coefficients of g, the node values of 2g and its log half-mass."""
+    return float(alpha * weighted_energy(g) + np.dot(g.weights, two_g) - 2.0 * log_half_mass)
 
 
 def i_functional(g: LegendreFunction, alpha: float) -> float:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    mean2 = 2.0 * float(np.dot(g.weights, g.node_values()))
-    return float(alpha * weighted_energy(g) + mean2 - 2.0 * _log_half_mass(g))
+    two_g = 2.0 * g.node_values()
+    return _i_value(g, two_g, _moments(g, two_g).log_mass, alpha)
 
 
 def constraint_moment(g: LegendreFunction) -> float:
@@ -83,12 +108,11 @@ def recenter_1d(g: LegendreFunction, tol: float = 1e-10) -> LegendreFunction:
     grow, and only coeffs[1] changes, so the degree is kept.  g itself is
     returned when its normalised moment is already within tol.
     """
-    log_w = np.log(g.weights) + 2.0 * g.node_values()
-    c = functional.tilt(log_w, g.nodes[:, None], tol)[0]
-    if c == 0.0:
+    c, _ = functional.tilt(2.0 * g.node_values(), 0.5 * g.weights, g.nodes[:, None], tol)
+    if c[0] == 0.0:
         return g
     out = g.copy()
-    out.coeffs[1] += 0.5 * c
+    out.coeffs[1] += 0.5 * c[0]
     return out
 
 
@@ -110,20 +134,8 @@ class AxisymResult:
     grad_norm: float
     moment: float
     iterations: int
+    backtracks: int         # line-search halvings over the whole run
     status: str = "converged"
-
-
-def _axisym_gradient(g: LegendreFunction, alpha: float) -> np.ndarray:
-    k = np.arange(g.coeffs.size, dtype=float)
-    grad = 4.0 * alpha * k * (k + 1.0) / (2.0 * k + 1.0) * g.coeffs
-    grad[0] += 4.0
-    tg = 2.0 * g.node_values()
-    m = float(np.max(tg))
-    e = np.exp(tg - m)
-    e /= float(np.dot(g.weights, e))
-    pk = np.polynomial.legendre.legvander(g.nodes, g.degree)
-    grad -= 4.0 * (pk.T @ (g.weights * e))
-    return grad
 
 
 def _grad_l2(grad: np.ndarray) -> float:
@@ -131,27 +143,45 @@ def _grad_l2(grad: np.ndarray) -> float:
     return float(np.sqrt(np.sum(grad**2 * (2.0 * k + 1.0) / 2.0)))
 
 
-def _gauge(g: LegendreFunction) -> LegendreFunction:
-    out = g.copy()
-    out.coeffs[0] -= 0.5 * _log_half_mass(g)
-    return out
-
-
 def minimize_axisym(alpha: float, g0: LegendreFunction, stat_tol: float = 1e-8,
                     moment_tol: float = 1e-10, max_iter: int = 600,
                     blowup_floor: float = -25.0) -> AxisymResult:
-    """Projected descent in coefficient space, mirroring the sphere minimiser."""
+    """Projected descent in coefficient space, mirroring the sphere minimiser.
+
+    A line-search trial costs one product with the quadrature's Vandermonde
+    and one exponential (for I); the tilt, the gauge, I and the gradient of
+    the accepted step read the moments of that exponential, or of the tilt's
+    last Newton iterate.
+    """
     if alpha < 0.2:
         raise ValueError("alpha far below the probe range")
-    g = _gauge(recenter_1d(g0, moment_tol))
-    val = i_functional(g, alpha)
-    k = np.arange(g.degree + 1, dtype=float)
+    k = np.arange(g0.degree + 1, dtype=float)
+    stiffness = 4.0 * alpha * k * (k + 1.0) / (2.0 * k + 1.0)
     # diagonal Hessian of the functional at zero, clipped positive
     precond = np.maximum((4.0 * alpha * k * (k + 1.0) - 8.0) / (2.0 * k + 1.0), 0.5)
+    half_w, x = 0.5 * g0.weights, g0.nodes[:, None]
+
+    def retract(g, two_g, mom):
+        """Tilt g + (c/2) x onto the constraint and gauge it to unit half-mass;
+        returns the state with its I and gradient."""
+        c, mom = functional.tilt(two_g, half_w, x, moment_tol, mom)
+        g = g.copy()
+        if c[0] != 0.0:
+            two_g = two_g + x @ c
+            g.coeffs[1] += 0.5 * c[0]
+        value = _i_value(g, two_g, mom.log_mass, alpha)      # I is shift-invariant
+        g.coeffs[0] -= 0.5 * mom.log_mass
+        grad = stiffness * g.coeffs
+        grad[0] += 4.0
+        grad -= 4.0 * (g.vander.T @ (half_w * mom.density))
+        return g, value, grad
+
+    two_g = 2.0 * g0.node_values()
+    g, val, grad = retract(g0, two_g, _moments(g0, two_g))
+    gnorm = _grad_l2(grad)
     status = "max-iter"
     it = 0
-    grad = _axisym_gradient(g, alpha)
-    gnorm = _grad_l2(grad)
+    backtracks = 0
     for it in range(1, max_iter + 1):
         if gnorm <= stat_tol:
             status = "converged"
@@ -165,21 +195,22 @@ def minimize_axisym(alpha: float, g0: LegendreFunction, stat_tol: float = 1e-8,
         step = 1.0
         accepted = False
         for _ in range(40):
-            cand = LegendreFunction(g.coeffs + step * direction, g.nodes, g.weights)
-            vc = i_functional(cand, alpha)
+            cand = g.with_coeffs(g.coeffs + step * direction)
+            two_g = 2.0 * cand.node_values()
+            mom = _moments(cand, two_g)
+            vc = _i_value(cand, two_g, mom.log_mass, alpha)
             if vc <= val + 1e-4 * step * slope + noise:
                 accepted = True
                 break
             step *= 0.5
+            backtracks += 1
         if not accepted:
             status = "stalled"
             break
-        g = _gauge(recenter_1d(cand, moment_tol))
-        val = i_functional(g, alpha)
-        grad = _axisym_gradient(g, alpha)
+        g, val, grad = retract(cand, two_g, mom)
         gnorm = _grad_l2(grad)
-    return AxisymResult(g=g, value=float(val), grad_norm=gnorm,
-                        moment=constraint_moment(g), iterations=it, status=status)
+    return AxisymResult(g=g, value=float(val), grad_norm=gnorm, moment=constraint_moment(g),
+                        iterations=it, backtracks=backtracks, status=status)
 
 
 def random_start_1d(stream_key, degree: int = DEFAULT_DEGREE, amplitude: float = 0.4) -> LegendreFunction:

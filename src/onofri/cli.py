@@ -280,7 +280,7 @@ def cmd_axisym(cfg):
         rows.append({
             "claim": "axisymmetric constrained minimum is zero",
             "alpha": alpha, "trial": k, "value": res.value,
-            "iterations": res.iterations, "status": res.status,
+            "iterations": res.iterations, "backtracks": res.backtracks, "status": res.status,
             "passed": bool(res.value >= -1e-6 and res.status == "converged"),
         })
     ok = all(r["passed"] for r in rows)
@@ -320,13 +320,8 @@ def cmd_nodal(cfg):
         expected = 2
     else:
         raise UsageError(f"unknown field {which!r} (quadrant, linear)")
-
-    def density(y):
-        y = np.asarray(y, dtype=float)
-        r2 = np.sum(y * y, axis=-1)
-        return (1.0 + r2) ** (2.0 * (rho - 1.0)) * np.exp(planar.v_star(y, rho))
-
-    rep = planar.nodal_domains(f, xs, ys, disk_radius=3.0, mass_density=density, rho=rho)
+    rep = planar.nodal_domains(f, xs, ys, disk_radius=3.0,
+                               mass_density=planar.nodal_mass_density(rho), rho=rho)
     ledger = planar.nodal_ledger(rep.m, rho)
     rows = [{
         "claim": "nodal-domain count and mass ledger",

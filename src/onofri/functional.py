@@ -12,6 +12,7 @@ keeps it band-limited.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,22 +21,21 @@ from .errors import InvalidFieldError, NonConvergenceError
 from .sphere import HarmonicSpectrum, SphereField, SphereGrid
 
 
-def _j_value(spec: HarmonicSpectrum, u: SphereField, alpha: float) -> float:
-    """J_alpha from the spectrum of u and its grid values.
+def _j_value(spec: HarmonicSpectrum, log_mass: float, alpha: float) -> float:
+    """J_alpha from the spectrum of u and log int e^u dw.
 
-    The energy is sum l(l+1) c^2 and the mean is c_00; only log int e^u dw
-    needs the values.
+    The energy is sum l(l+1) c^2 and the mean is c_00.
     """
     l = np.arange(spec.lmax + 1, dtype=float)
     energy = float(np.sum(l * (l + 1.0) * np.sum(spec.coeffs**2, axis=1)))
-    return float(alpha / 4.0 * energy + spec[0, 0] - sphere.log_exp_mass(u))
+    return float(alpha / 4.0 * energy + spec[0, 0] - log_mass)
 
 
 def j_alpha(u: SphereField, alpha: float) -> float:
     """Value of the functional; stable under large field values via max shift."""
     if not np.all(np.isfinite(u.values)):
         raise InvalidFieldError("j_alpha: field has non-finite values")
-    return _j_value(sphere.analyze(u), u, alpha)
+    return _j_value(sphere.analyze(u), sphere.log_exp_mass(u), alpha)
 
 
 def gradient_j(u: SphereField, alpha: float) -> SphereField:
@@ -49,9 +49,8 @@ def gradient_j(u: SphereField, alpha: float) -> SphereField:
 
 def center_of_mass(u: SphereField) -> np.ndarray:
     """Center of mass of the measure e^u dw (a vector in the open unit ball)."""
-    w = sphere.exp_weights(u)
-    x1, x2, x3 = u.grid.points()
-    return np.array([np.sum(w * x1), np.sum(w * x2), np.sum(w * x3)])
+    pts, weights = _node_geometry(u.grid)
+    return exp_moments(u.values.ravel(), weights, pts).mean
 
 
 def shift_to_unit_mass(u: SphereField) -> SphereField:
@@ -59,47 +58,58 @@ def shift_to_unit_mass(u: SphereField) -> SphereField:
     return u - sphere.log_exp_mass(u)
 
 
-def tilt(log_weights: np.ndarray, points: np.ndarray, tol: float) -> np.ndarray:
-    """Vector c with zero mean of `points` under the weights exp(log_weights + points @ c).
+class ExpMoments(NamedTuple):
+    """The measure e^v w on a set of nodes, from one exponential."""
 
-    c minimises F(c) = log sum exp(log_weights + points @ c), which is strictly
-    convex and coercive when the points span their space: the gradient of F is
-    the weighted mean of the points and its Hessian is their weighted
-    covariance, so damped Newton reaches the unique minimiser.  Returns zeros
-    when the mean is already within tol.
+    log_mass: float         # log sum w e^v
+    density: np.ndarray     # e^v / sum w e^v, the normalised density against w
+    mean: np.ndarray        # sum w density points, the center of mass
+
+
+def exp_moments(values: np.ndarray, weights: np.ndarray, points: np.ndarray) -> ExpMoments:
+    """Log-mass, normalised density and center of mass of e^values weights (max-shifted)."""
+    m = float(np.max(values))
+    e = np.exp(values - m)
+    mass = float(weights @ e)
+    e /= mass
+    return ExpMoments(m + np.log(mass), e, (weights * e) @ points)
+
+
+def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray, tol: float,
+         start: ExpMoments | None = None) -> tuple[np.ndarray, ExpMoments]:
+    """Vector c with zero mean of `points` under e^{values + points @ c} weights.
+
+    c minimises F(c) = log sum weights e^{values + points @ c}, which is
+    strictly convex and coercive when the points span their space: the
+    gradient of F is the weighted mean of the points and its Hessian is their
+    weighted covariance, so damped Newton reaches the unique minimiser.
+    Returns c and the moments of the tilted measure: `start`, the moments at
+    c = 0 when the caller has them, and c = 0 when their mean is already
+    within tol.  Every other moment evaluation costs one exponential.
     """
-    def moments(c):
-        v = log_weights + points @ c
-        m = float(np.max(v))
-        p = np.exp(v - m)
-        total = float(np.sum(p))
-        p /= total
-        mean = p @ points
-        cov = (points.T * p) @ points - np.outer(mean, mean)
-        return m + np.log(total), mean, cov
-
     c = np.zeros(points.shape[1])
-    f, mean, cov = moments(c)
+    mom = start if start is not None else exp_moments(values, weights, points)
     for _ in range(50):
-        if np.linalg.norm(mean) <= tol:
-            return c
-        step = -np.linalg.solve(cov, mean)
-        slope = float(mean @ step)
+        if np.linalg.norm(mom.mean) <= tol:
+            return c, mom
+        cov = (points.T * (weights * mom.density)) @ points - np.outer(mom.mean, mom.mean)
+        step = -np.linalg.solve(cov, mom.mean)
+        slope = float(mom.mean @ step)
         t = 1.0
         for _ in range(50):
-            ft, mean_t, cov_t = moments(c + t * step)
+            trial = exp_moments(values + points @ (c + t * step), weights, points)
             # the allowance admits full steps whose decrease is below rounding
-            if ft <= f + 1e-4 * t * slope + 1e-14 * (1.0 + abs(f)):
+            if trial.log_mass <= mom.log_mass + 1e-4 * t * slope + 1e-14 * (1.0 + abs(mom.log_mass)):
                 break
             t *= 0.5
-        c, f, mean, cov = c + t * step, ft, mean_t, cov_t
+        c, mom = c + t * step, trial
     raise NonConvergenceError("tilt: Newton did not reach tolerance",
-                              best=c, residual=float(np.linalg.norm(mean)))
+                              best=c, residual=float(np.linalg.norm(mom.mean)))
 
 
 def _node_geometry(grid: SphereGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Node points as an (n, 3) array and the log quadrature weights, flattened."""
-    return np.stack(grid.points(), axis=-1).reshape(-1, 3), np.log(grid.weights).ravel()
+    """Node points as an (n, 3) array and the quadrature weights of dw, flattened."""
+    return np.stack(grid.points(), axis=-1).reshape(-1, 3), grid.weights.ravel()
 
 
 def recenter(u: SphereField, tol: float = 1e-10) -> SphereField:
@@ -111,8 +121,8 @@ def recenter(u: SphereField, tol: float = 1e-10) -> SphereField:
     band-limited.  u itself is returned when its center of mass is already
     within tol.
     """
-    pts, log_w = _node_geometry(u.grid)
-    c = tilt(log_w + u.values.ravel(), pts, tol)
+    pts, weights = _node_geometry(u.grid)
+    c, _ = tilt(u.values.ravel(), weights, pts, tol)
     if not c.any():
         return u
     return SphereField(u.grid, u.values + (pts @ c).reshape(u.grid.shape))
@@ -142,17 +152,6 @@ def el_residual(u: SphereField, rho: float) -> float:
     lap = sphere.laplacian(u)
     res = lap.values + 2.0 * rho * (np.exp(u.values) - 1.0)
     return float(np.sqrt(max(sphere.integrate_values(u.grid, res**2), 0.0)))
-
-
-def quadratic_form(v: HarmonicSpectrum, alpha: float) -> float:
-    """Second-order coefficient of J_alpha at zero along v.
-
-    Exactly (alpha/4) int |grad v|^2 - (1/2) int v^2 + (1/2) (int v)^2,
-    i.e. spectrally (alpha/4) sum l(l+1) c^2 - (1/2) sum_{l>=1} c^2.
-    """
-    l = np.arange(v.lmax + 1, dtype=float)
-    power = np.sum(v.coeffs**2, axis=1)
-    return float(alpha / 4.0 * np.sum(l * (l + 1.0) * power) - 0.5 * np.sum(power[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +198,12 @@ def minimize(alpha: float, u0: SphereField, opts: MinimizeOptions | None = None)
     Each iteration: preconditioned gradient step with Armijo backtracking,
     the degree-1 tilt back onto the constraint, then the unit exp-mass shift.
     The iterate is carried as its spectrum and its grid values together, so a
-    line-search trial costs one synthesize and an accepted step one analyze
-    (of e^u, for the gradient).  Descent past opts.blowup_floor returns an
-    unbounded-descent verdict instead of a minimiser (the expected outcome of
-    probes below alpha = 1/2).
+    line-search trial costs one synthesize and one exponential (for J), and
+    an accepted step one analyze (of e^u, for the gradient).  The tilt, the
+    shift, J and the gradient of the accepted step all read the moments of
+    that one exponential, or of the tilt's last Newton iterate.  Descent past
+    opts.blowup_floor returns an unbounded-descent verdict instead of a
+    minimiser (the expected outcome of probes below alpha = 1/2).
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
@@ -211,40 +212,43 @@ def minimize(alpha: float, u0: SphereField, opts: MinimizeOptions | None = None)
     opts = opts or MinimizeOptions()
     grid = u0.grid
     L = grid.lmax
-    pts, log_w = _node_geometry(grid)
+    pts, weights = _node_geometry(grid)
     l = np.arange(L + 1, dtype=float)
     stiffness = (alpha / 2.0 * l * (l + 1.0))[:, None]
     # x1, x2, x3 are the degree-1 harmonics (1, 1), (1, -1), (1, 0) over sqrt(3)
     tilt_slots = [L + 1, L - 1, L]
 
-    def retract(spec, u):
-        """Tilt onto the constraint and shift to unit exp-mass, in both representations."""
-        c = tilt(log_w + u.values.ravel(), pts, opts.com_tol)
-        if c.any():
-            u = SphereField(grid, u.values + (pts @ c).reshape(grid.shape))
-            spec.coeffs[1, tilt_slots] += c / np.sqrt(3.0)
-        shift = sphere.log_exp_mass(u)
-        spec.coeffs[0, L] -= shift
-        return spec, u - shift
+    def moments(u):
+        return exp_moments(u.values.ravel(), weights, pts)
 
-    def gradient(spec, u):
-        """Spectrum of -(alpha/2) lap u + 1 - e^u / int e^u dw."""
-        e = np.exp(u.values - float(np.max(u.values)))
-        e /= sphere.integrate_values(grid, e)
-        gspec = sphere.analyze(SphereField(grid, e))
+    def retract(spec, u, mom):
+        """Tilt onto the constraint and shift to unit exp-mass, in both
+        representations; returns the state with its J and gradient spectrum.
+
+        The tilt starts from u's moments and returns those of the tilted
+        field: the shift is their log-mass, the shifted state has log-mass
+        zero, and e^u / int e^u dw is their density (both shift-invariant).
+        """
+        c, mom = tilt(u.values.ravel(), weights, pts, opts.com_tol, mom)
+        values = u.values
+        if c.any():
+            values = values + (pts @ c).reshape(grid.shape)
+            spec.coeffs[1, tilt_slots] += c / np.sqrt(3.0)
+        spec.coeffs[0, L] -= mom.log_mass
+        # spectrum of -(alpha/2) lap u + 1 - e^u / int e^u dw
+        gspec = sphere.analyze(SphereField(grid, mom.density.reshape(grid.shape)))
         gspec.coeffs = stiffness * spec.coeffs - gspec.coeffs
         gspec.coeffs[0, L] += 1.0
-        return gspec
+        return spec, SphereField(grid, values - mom.log_mass), _j_value(spec, 0.0, alpha), gspec
 
     spec = sphere.analyze(u0)
-    spec, u = retract(spec, sphere.synthesize(spec, grid))   # the state is band-limited
+    u = sphere.synthesize(spec, grid)                       # the state is band-limited
+    spec, u, j, gspec = retract(spec, u, moments(u))
+    gnorm = float(np.linalg.norm(gspec.coeffs))
     trace = []
     status = "max-iter"
     it = 0
     backtracks = 0
-    j = _j_value(spec, u, alpha)
-    gspec = gradient(spec, u)
-    gnorm = float(np.linalg.norm(gspec.coeffs))
     for it in range(1, opts.max_iter + 1):
         trace.append((it - 1, j))
         if gnorm <= opts.stat_tol:
@@ -261,7 +265,8 @@ def minimize(alpha: float, u0: SphereField, opts: MinimizeOptions | None = None)
         for _ in range(40):
             cand_spec = HarmonicSpectrum(L, spec.coeffs + step * direction)
             cand = sphere.synthesize(cand_spec, grid)
-            jc = _j_value(cand_spec, cand, alpha)   # J is shift-invariant
+            mom = moments(cand)
+            jc = _j_value(cand_spec, mom.log_mass, alpha)   # J is shift-invariant
             if jc <= j + opts.armijo * step * slope + noise:
                 accepted = True
                 break
@@ -270,9 +275,7 @@ def minimize(alpha: float, u0: SphereField, opts: MinimizeOptions | None = None)
         if not accepted:
             status = "stalled"
             break
-        spec, u = retract(cand_spec, cand)
-        j = _j_value(spec, u, alpha)
-        gspec = gradient(spec, u)
+        spec, u, j, gspec = retract(cand_spec, cand, mom)
         gnorm = float(np.linalg.norm(gspec.coeffs))
     trace.append((it, j))
     return MinimizeResult(

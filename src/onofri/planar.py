@@ -83,6 +83,17 @@ def v_star(y: np.ndarray, rho: float) -> np.ndarray:
     return -2.0 * rho * np.log1p(r2) + math.log(8.0 * rho)
 
 
+def nodal_mass_density(rho: float):
+    """The mass density (1+|y|^2)^{2(rho-1)} e^{v*(y; rho)} of the axial profile,
+    the weight of the nodal-domain masses."""
+    def density(y):
+        y = np.asarray(y, dtype=float)
+        r2 = np.sum(y * y, axis=-1)
+        return (1.0 + r2) ** (2.0 * (rho - 1.0)) * np.exp(v_star(y, rho))
+
+    return density
+
+
 def v_star_field(rho: float) -> PlanarField:
     def lap(y):
         r2 = np.sum(np.asarray(y, dtype=float) ** 2, axis=-1)
@@ -277,14 +288,6 @@ def angular_derivative(v: PlanarField, h: float = 1e-4) -> PlanarField:
         return (v(y_minus) - v(y_plus)) / (2.0 * h)
 
     return PlanarField(ev, l=v.l, tag=f"angular derivative of {v.tag}")
-
-
-def planar_gradient(v: PlanarField, y: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    e1 = np.array([h, 0.0])
-    e2 = np.array([0.0, h])
-    return np.stack([(v(y + e1) - v(y - e1)) / (2.0 * h),
-                     (v(y + e2) - v(y - e2)) / (2.0 * h)], axis=-1)
 
 
 def field_to_rows(v: PlanarField, radius: float = 5.0, n: int = 41) -> list[dict]:

@@ -22,42 +22,40 @@ from .errors import GridConfigError, InvalidFieldError
 DEFAULT_LMAX = 32
 
 
-def _alf_rows(lmax: int, mu: np.ndarray) -> list[np.ndarray]:
-    """Associated Legendre functions, orthonormal on L2(d mu), by order m.
+def _latitude_blocks(lmax: int, mu: np.ndarray):
+    """Latitude factors of the dw-orthonormal real basis, one order m at a time.
 
-    Returns a list indexed by m; entry m has shape (lmax + 1 - m, len(mu))
-    with rows l = m .. lmax.  Uses the standard stable three-term recurrence
-    (no Condon-Shortley phase).
+    Basis: e_{l,0} = q_{l,0}(mu);  e_{l,m} = q_{l,m}(mu) cos(m phi) and
+    e_{l,-m} = q_{l,m}(mu) sin(m phi) for m >= 1, where q_{l,0} = sqrt(2) p_{l,0},
+    q_{l,m} = 2 p_{l,m} and p_{l,m} are the associated Legendre functions
+    orthonormal on L2(d mu), from the standard stable three-term recurrence (no
+    Condon-Shortley phase).  Yields (m, block), block of shape
+    (lmax + 1 - m, len(mu)) holding rows l = m .. lmax; every block is a view
+    of one (lmax + 1, len(mu)) buffer that the next order overwrites.
     """
     mu = np.asarray(mu, dtype=float)
     sin_t = np.sqrt(np.clip(1.0 - mu * mu, 0.0, None))
-    rows = []
+    buf = np.empty((lmax + 1, mu.size))
+    tmp = np.empty(mu.size)
     pmm = np.full_like(mu, 1.0 / np.sqrt(2.0))
     for m in range(lmax + 1):
-        block = np.empty((lmax + 1 - m, mu.size))
+        block = buf[: lmax + 1 - m]
         block[0] = pmm
         if m + 1 <= lmax:
-            block[1] = np.sqrt(2.0 * m + 3.0) * mu * pmm
+            np.multiply(np.sqrt(2.0 * m + 3.0) * mu, pmm, out=block[1])
         for l in range(m + 2, lmax + 1):
             a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
             b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            block[l - m] = a * (mu * block[l - m - 1] - b * block[l - m - 2])
-        rows.append(block)
+            # a * (mu * p_{l-1} - b * p_{l-2}) in place, rounding as written
+            row = block[l - m]
+            np.multiply(b, block[l - m - 2], out=tmp)
+            np.multiply(mu, block[l - m - 1], out=row)
+            row -= tmp
+            row *= a
+        block *= np.sqrt(2.0) if m == 0 else 2.0
+        yield m, block
         if m < lmax:
             pmm = sin_t * np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * pmm
-    return rows
-
-
-def _basis_rows(lmax: int, mu: np.ndarray) -> list[np.ndarray]:
-    """Latitude factors of the dw-orthonormal real basis, by order m.
-
-    Basis: e_{l,0} = p_{l,0}(mu);  e_{l,m} = p_{l,m}(mu) cos(m phi) and
-    e_{l,-m} = p_{l,m}(mu) sin(m phi) for m >= 1.
-    """
-    rows = _alf_rows(lmax, mu)
-    out = [np.sqrt(2.0) * rows[0]]
-    out.extend(2.0 * rows[m] for m in range(1, lmax + 1))
-    return out
 
 
 def _orthonormalized_table(lmax: int, mu: np.ndarray, w_mu: np.ndarray) -> np.ndarray:
@@ -72,7 +70,7 @@ def _orthonormalized_table(lmax: int, mu: np.ndarray, w_mu: np.ndarray) -> np.nd
     in the same order as a product with each factor on its own.
     """
     table = np.zeros((lmax + 1, mu.size, lmax + 1))
-    for m, block in enumerate(_basis_rows(lmax, mu)):
+    for m, block in _latitude_blocks(lmax, mu):
         scale = np.sqrt(w_mu / 2.0) if m == 0 else np.sqrt(w_mu) / 2.0
         q, r = np.linalg.qr(block.T * scale[:, None])
         q *= np.sign(np.diag(r))
@@ -184,13 +182,6 @@ class HarmonicSpectrum:
     def copy(self) -> "HarmonicSpectrum":
         return HarmonicSpectrum(self.lmax, self.coeffs.copy())
 
-    def drop_degrees(self, degrees) -> "HarmonicSpectrum":
-        """Return a copy with the listed degrees zeroed (used for gap checks)."""
-        out = self.copy()
-        for l in degrees:
-            out.coeffs[l, :] = 0.0
-        return out
-
 
 def zero_spectrum(lmax: int) -> HarmonicSpectrum:
     return HarmonicSpectrum(lmax, np.zeros((lmax + 1, 2 * lmax + 1)))
@@ -258,25 +249,36 @@ def synthesize(spec: HarmonicSpectrum, grid: SphereGrid) -> SphereField:
 
 
 def evaluate(spec: HarmonicSpectrum, mu: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Evaluate a spectrum at arbitrary points (mu, phi); shapes must match."""
+    """Evaluate a spectrum at arbitrary points (mu, phi) of one shape.
+
+    The latitude factors are streamed one order m at a time: one matrix
+    product per m gives the cosine and sine latitude sums at every point, and
+    the azimuthal factors cos(m phi) + i sin(m phi), advanced by one complex
+    rotation per order, are added before the next order overwrites the rows.
+    Memory stays at one (lmax + 1, points) buffer.
+    """
     mu = np.asarray(mu, dtype=float)
     phi = np.asarray(phi, dtype=float)
+    if mu.shape != phi.shape:
+        raise InvalidFieldError(f"evaluate: mu shape {mu.shape} != phi shape {phi.shape}")
     shape = mu.shape
-    mu = mu.ravel()
     phi = phi.ravel()
     L = spec.lmax
-    rows = _basis_rows(L, mu)
-    out = rows[0].T @ spec.coeffs[:, L]
-    for m in range(1, L + 1):
-        cm = rows[m].T @ spec.coeffs[m:, L + m]
-        sm = rows[m].T @ spec.coeffs[m:, L - m]
-        out += cm * np.cos(m * phi) + sm * np.sin(m * phi)
+    turn = np.cos(phi) + 1j * np.sin(phi)
+    azimuth = np.ones(phi.size, dtype=complex)
+    out = np.zeros(phi.size)
+    for m, block in _latitude_blocks(L, mu.ravel()):
+        cm, sm = spec.coeffs[m:, [L + m, L - m]].T @ block
+        out += cm * azimuth.real + sm * azimuth.imag
+        azimuth *= turn
     return out.reshape(shape)
 
 
 def evaluate_xyz(spec: HarmonicSpectrum, points: np.ndarray) -> np.ndarray:
     """Evaluate a spectrum at unit vectors given as an (..., 3) array."""
     points = np.asarray(points, dtype=float)
+    if points.shape[-1:] != (3,):
+        raise InvalidFieldError(f"evaluate_xyz: points shape {points.shape} is not (..., 3)")
     mu = np.clip(points[..., 2], -1.0, 1.0)
     phi = np.arctan2(points[..., 1], points[..., 0])
     return evaluate(spec, mu, phi)
@@ -309,11 +311,3 @@ def log_exp_mass(f: SphereField) -> float:
     """log of integral of exp(f) dw, with max-shift stabilisation."""
     m = float(np.max(f.values))
     return m + np.log(integrate_values(f.grid, np.exp(f.values - m)))
-
-
-def exp_weights(f: SphereField) -> np.ndarray:
-    """Probability weights of the measure e^f dw / (integral e^f dw) on the nodes."""
-    m = float(np.max(f.values))
-    w = np.exp(f.values - m) * f.grid.weights
-    return w / np.sum(w)
-

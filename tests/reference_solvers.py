@@ -1,0 +1,224 @@
+"""Reference minimisers: both descents as they were before their retractions
+read one exponential per step, and a counter of the exponentials a descent makes.
+
+Each accepted step here exponentiates the field separately for the tilt's
+first moments, the unit-mass shift, the value and the gradient, and the
+axisymmetric one evaluates node values by Clenshaw (legval).  The tests
+compare the package minimisers against these step for step.
+"""
+import math
+
+import numpy as np
+
+from onofri import axisym as ax, functional as fn, sphere
+from onofri.errors import NonConvergenceError
+
+
+def tilt_log_weights(log_weights, points, tol):
+    """c with zero mean of `points` under the weights exp(log_weights + points @ c),
+    by damped Newton on F(c) = log sum exp(log_weights + points @ c)."""
+    def moments(c):
+        v = log_weights + points @ c
+        m = float(np.max(v))
+        p = np.exp(v - m)
+        total = float(np.sum(p))
+        p /= total
+        mean = p @ points
+        cov = (points.T * p) @ points - np.outer(mean, mean)
+        return m + np.log(total), mean, cov
+
+    c = np.zeros(points.shape[1])
+    f, mean, cov = moments(c)
+    for _ in range(50):
+        if np.linalg.norm(mean) <= tol:
+            return c
+        step = -np.linalg.solve(cov, mean)
+        slope = float(mean @ step)
+        t = 1.0
+        for _ in range(50):
+            ft, mean_t, cov_t = moments(c + t * step)
+            if ft <= f + 1e-4 * t * slope + 1e-14 * (1.0 + abs(f)):
+                break
+            t *= 0.5
+        c, f, mean, cov = c + t * step, ft, mean_t, cov_t
+    raise NonConvergenceError("tilt: Newton did not reach tolerance",
+                              best=c, residual=float(np.linalg.norm(mean)))
+
+
+def _j_value(spec, u, alpha):
+    l = np.arange(spec.lmax + 1, dtype=float)
+    energy = float(np.sum(l * (l + 1.0) * np.sum(spec.coeffs**2, axis=1)))
+    return float(alpha / 4.0 * energy + spec[0, 0] - sphere.log_exp_mass(u))
+
+
+def minimize(alpha, u0, opts=None):
+    """The coefficient-space sphere descent; returns (status, J, iterations, backtracks, u)."""
+    opts = opts or fn.MinimizeOptions()
+    grid = u0.grid
+    L = grid.lmax
+    pts = np.stack(grid.points(), axis=-1).reshape(-1, 3)
+    log_w = np.log(grid.weights).ravel()
+    l = np.arange(L + 1, dtype=float)
+    stiffness = (alpha / 2.0 * l * (l + 1.0))[:, None]
+    tilt_slots = [L + 1, L - 1, L]
+
+    def retract(spec, u):
+        c = tilt_log_weights(log_w + u.values.ravel(), pts, opts.com_tol)
+        if c.any():
+            u = sphere.SphereField(grid, u.values + (pts @ c).reshape(grid.shape))
+            spec.coeffs[1, tilt_slots] += c / np.sqrt(3.0)
+        shift = sphere.log_exp_mass(u)
+        spec.coeffs[0, L] -= shift
+        return spec, u - shift
+
+    def gradient(spec, u):
+        e = np.exp(u.values - float(np.max(u.values)))
+        e /= sphere.integrate_values(grid, e)
+        gspec = sphere.analyze(sphere.SphereField(grid, e))
+        gspec.coeffs = stiffness * spec.coeffs - gspec.coeffs
+        gspec.coeffs[0, L] += 1.0
+        return gspec
+
+    spec = sphere.analyze(u0)
+    spec, u = retract(spec, sphere.synthesize(spec, grid))
+    status, it, backtracks = "max-iter", 0, 0
+    j = _j_value(spec, u, alpha)
+    gspec = gradient(spec, u)
+    gnorm = float(np.linalg.norm(gspec.coeffs))
+    for it in range(1, opts.max_iter + 1):
+        if gnorm <= opts.stat_tol:
+            status = "converged"
+            break
+        if j < opts.blowup_floor:
+            status = "unbounded-descent"
+            break
+        direction = fn._precondition(gspec, alpha)
+        slope = float(np.sum(gspec.coeffs * direction))
+        noise = 1e-14 * (1.0 + abs(j))
+        step = opts.step0
+        for _ in range(40):
+            cand_spec = sphere.HarmonicSpectrum(L, spec.coeffs + step * direction)
+            cand = sphere.synthesize(cand_spec, grid)
+            if _j_value(cand_spec, cand, alpha) <= j + opts.armijo * step * slope + noise:
+                break
+            step *= 0.5
+            backtracks += 1
+        else:
+            status = "stalled"
+            break
+        spec, u = retract(cand_spec, cand)
+        j = _j_value(spec, u, alpha)
+        gspec = gradient(spec, u)
+        gnorm = float(np.linalg.norm(gspec.coeffs))
+    return status, j, it, backtracks, u
+
+
+def _node_values(g):
+    return np.polynomial.legendre.legval(g.nodes, g.coeffs)
+
+
+def _log_half_mass(g):
+    tg = 2.0 * _node_values(g)
+    m = float(np.max(tg))
+    return m + math.log(0.5 * float(np.dot(g.weights, np.exp(tg - m))))
+
+
+def _i_functional(g, alpha):
+    mean2 = 2.0 * float(np.dot(g.weights, _node_values(g)))
+    return float(alpha * ax.weighted_energy(g) + mean2 - 2.0 * _log_half_mass(g))
+
+
+def _recenter_gauge(g, tol):
+    log_w = np.log(g.weights) + 2.0 * _node_values(g)
+    c = tilt_log_weights(log_w, g.nodes[:, None], tol)[0]
+    out = g.copy()
+    out.coeffs[1] += 0.5 * c
+    out.coeffs[0] -= 0.5 * _log_half_mass(out)
+    return out
+
+
+def _gradient(g, alpha):
+    k = np.arange(g.coeffs.size, dtype=float)
+    grad = 4.0 * alpha * k * (k + 1.0) / (2.0 * k + 1.0) * g.coeffs
+    grad[0] += 4.0
+    tg = 2.0 * _node_values(g)
+    e = np.exp(tg - float(np.max(tg)))
+    e /= float(np.dot(g.weights, e))
+    pk = np.polynomial.legendre.legvander(g.nodes, g.degree)
+    grad -= 4.0 * (pk.T @ (g.weights * e))
+    return grad
+
+
+def minimize_axisym(alpha, g0, stat_tol=1e-8, moment_tol=1e-10, max_iter=600, blowup_floor=-25.0):
+    """The axisymmetric descent; returns (status, I, iterations, backtracks, g)."""
+    g = _recenter_gauge(g0, moment_tol)
+    val = _i_functional(g, alpha)
+    k = np.arange(g.degree + 1, dtype=float)
+    precond = np.maximum((4.0 * alpha * k * (k + 1.0) - 8.0) / (2.0 * k + 1.0), 0.5)
+    status, it, backtracks = "max-iter", 0, 0
+    grad = _gradient(g, alpha)
+    gnorm = ax._grad_l2(grad)
+    for it in range(1, max_iter + 1):
+        if gnorm <= stat_tol:
+            status = "converged"
+            break
+        if val < blowup_floor:
+            status = "unbounded-descent"
+            break
+        direction = -grad / precond
+        slope = float(np.dot(grad, direction))
+        noise = 1e-14 * (1.0 + abs(val))
+        step = 1.0
+        for _ in range(40):
+            cand = ax.LegendreFunction(g.coeffs + step * direction, g.nodes, g.weights)
+            if _i_functional(cand, alpha) <= val + 1e-4 * step * slope + noise:
+                break
+            step *= 0.5
+            backtracks += 1
+        else:
+            status = "stalled"
+            break
+        g = _recenter_gauge(cand, moment_tol)
+        val = _i_functional(g, alpha)
+        grad = _gradient(g, alpha)
+        gnorm = ax._grad_l2(grad)
+    return status, val, it, backtracks, g
+
+
+def count_exponentials(monkeypatch, size):
+    """Wrap np.exp, functional.exp_moments and functional.tilt.
+
+    Counts exponentials of `size` entries outside and inside tilts, and the
+    moment evaluations inside tilts; every tilt that returns c = 0 must have
+    made no exponential.
+    """
+    counts = {"outside": 0, "in_tilt": 0, "tilt_moments": 0, "tilts": 0, "trivial": 0}
+    inside = []
+    exp, moments, tilt = np.exp, fn.exp_moments, fn.tilt
+
+    def counted_exp(x, *args, **kwargs):
+        if np.size(x) == size:
+            counts["in_tilt" if inside else "outside"] += 1
+        return exp(x, *args, **kwargs)
+
+    def counted_moments(*args):
+        counts["tilt_moments"] += bool(inside)
+        return moments(*args)
+
+    def counted_tilt(*args, **kwargs):
+        before = counts["in_tilt"]
+        inside.append(True)
+        try:
+            c, mom = tilt(*args, **kwargs)
+        finally:
+            inside.pop()
+        counts["tilts"] += 1
+        if not c.any():
+            counts["trivial"] += 1
+            assert counts["in_tilt"] == before
+        return c, mom
+
+    monkeypatch.setattr(np, "exp", counted_exp)
+    monkeypatch.setattr(fn, "exp_moments", counted_moments)
+    monkeypatch.setattr(fn, "tilt", counted_tilt)
+    return counts

@@ -8,6 +8,8 @@ import hypothesis.strategies as st
 
 from onofri import axisym as ax, conformal, functional as fn, sphere
 
+import reference_solvers as ref
+
 
 def legendre(coeff_map, degree=16):
     coeffs = np.zeros(degree + 1)
@@ -86,8 +88,15 @@ def test_recenter_fixed_point():
     assert np.max(np.abs(out.coeffs)) <= 1e-15
 
 
+def log_half_mass(g):
+    """log((1/2) int e^{2g} dx), max-shifted."""
+    tg = 2.0 * g(g.nodes)
+    m = float(np.max(tg))
+    return m + math.log(0.5 * float(np.dot(g.weights, np.exp(tg - m))))
+
+
 def normalised_moment(g):
-    return ax.constraint_moment(g) / (2.0 * math.exp(ax._log_half_mass(g)))
+    return ax.constraint_moment(g) / (2.0 * math.exp(log_half_mass(g)))
 
 
 def test_recenter_linear_start():
@@ -96,7 +105,7 @@ def test_recenter_linear_start():
     out = ax.recenter_1d(g)
     assert abs(ax.constraint_moment(out)) <= 1e-10
     assert np.max(np.abs(out.coeffs)) <= 1e-9
-    assert ax._log_half_mass(out) <= ax._log_half_mass(g)
+    assert log_half_mass(out) <= log_half_mass(g)
 
 
 @given(st.integers(0, 10**6))
@@ -107,7 +116,7 @@ def test_recenter_tilts_first_coefficient_only(seed):
     assert abs(normalised_moment(out)) <= 1e-10
     assert out.degree == g.degree
     assert np.array_equal(np.delete(out.coeffs, 1), np.delete(g.coeffs, 1))
-    assert ax._log_half_mass(out) <= ax._log_half_mass(g) + 1e-15
+    assert log_half_mass(out) <= log_half_mass(g) + 1e-15
 
 
 def test_recenter_commutes_with_lift(grid32):
@@ -138,6 +147,65 @@ def test_minimize_historical_range():
     res = ax.minimize_axisym(25.0 / 32.0, ax.random_start_1d((7, 1, 1)))
     assert res.status == "converged"
     assert res.value >= -1e-6
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.6])
+def test_minimize_matches_per_quantity_exponential_reference(alpha):
+    for k in range(4):
+        # the large amplitude makes some full steps fail the Armijo test
+        g0 = ax.random_start_1d((31, int(10 * alpha), k), amplitude=0.4 if k < 2 else 40.0)
+        res = ax.minimize_axisym(alpha, g0)
+        status, value, iterations, backtracks, g = ref.minimize_axisym(alpha, g0)
+        assert res.status == status
+        assert abs(res.value - value) <= 1e-12
+        assert abs(res.iterations - iterations) <= 1
+        assert res.backtracks == backtracks
+        assert np.max(np.abs(res.g.coeffs - g.coeffs)) <= 1e-10
+
+
+def test_node_values_share_the_quadrature_vandermonde():
+    g = ax.random_start_1d((5,), degree=12)
+    assert g.vander.shape == (g.nodes.size, 13)
+    assert np.max(np.abs(g.node_values() - g(g.nodes))) <= 1e-14
+    cand = g.with_coeffs(2.0 * g.coeffs)
+    assert cand.vander is g.vander and g.copy().vander is g.vander
+    # the default Gauss rule is solved once and shared read-only
+    other = ax.LegendreFunction(np.zeros(3))
+    assert other.nodes is g.nodes and other.weights is g.weights
+    assert not g.nodes.flags.writeable and not g.weights.flags.writeable
+
+
+def test_minimize_exponential_and_legval_counts(monkeypatch):
+    """One node exponential per line-search trial and per moment evaluation of a
+    tilt that is not trivial, none for the gauge, I or the gradient, and no
+    Clenshaw evaluation anywhere in the run.
+
+    Outside the tilts that leaves the start's moments and the moment check on
+    the returned function.
+    """
+    counts = ref.count_exponentials(monkeypatch, ax.DEFAULT_QUAD)
+    counts["legval"] = 0
+    legval = np.polynomial.legendre.legval
+
+    def counted_legval(*args, **kwargs):
+        counts["legval"] += 1
+        return legval(*args, **kwargs)
+
+    monkeypatch.setattr(np.polynomial.legendre, "legval", counted_legval)
+    # a converged run, and a run below 1/2 that backtracks on most steps
+    for alpha, amplitude, max_iter, status, last_accepted in ((0.5, 40.0, 600, "converged", 0),
+                                                              (0.3, 10.0, 60, "max-iter", 1)):
+        g0 = ax.random_start_1d((7, 0), amplitude=amplitude)    # leggauss calls legval
+        for key in counts:
+            counts[key] = 0
+        res = ax.minimize_axisym(alpha, g0, max_iter=max_iter)
+        assert res.status == status and res.backtracks > 0
+        accepted = res.iterations - 1 + last_accepted
+        assert counts["outside"] == accepted + res.backtracks + 2
+        assert counts["in_tilt"] == counts["tilt_moments"] > 0
+        assert counts["tilts"] == accepted + 1
+        assert 0 < counts["trivial"] < counts["tilts"]
+        assert counts["legval"] == 0
 
 
 def test_probe_below_half():

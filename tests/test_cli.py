@@ -96,6 +96,7 @@ def test_config_file_and_flag_precedence(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["config"]["alpha"] == 0.8
     assert len(rep["rows"]) == 2
+    assert all(isinstance(row["backtracks"], int) for row in rep["rows"])
     # explicit flag wins over the file
     code = cli.main(["axisym", "--config", str(cfg), "--trials", "1", "--out", str(out)])
     rep = json.loads(out.read_text())

@@ -7,6 +7,8 @@ import hypothesis.strategies as st
 from onofri import conformal, functional as fn, sphere
 from onofri.errors import InvalidFieldError, NonConvergenceError
 
+import reference_solvers as ref
+
 
 def coordinate(grid, which=2):
     return sphere.field_of(grid, lambda a, b, c: (a, b, c)[which])
@@ -309,6 +311,54 @@ def test_minimize_matches_field_space_reference(grid16, alpha):
         assert abs(res.iterations - iterations) <= 1
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.7])
+def test_minimize_matches_per_quantity_exponential_reference(grid16, alpha):
+    for k in range(4):
+        u0 = fn.random_start(grid16, (23, int(10 * alpha), k))
+        res = fn.minimize(alpha, u0)
+        status, j, iterations, backtracks, u = ref.minimize(alpha, u0)
+        assert res.status == status
+        assert abs(res.j_value - j) <= 1e-12
+        assert abs(res.iterations - iterations) <= 1
+        assert np.max(np.abs(res.u.values - u.values)) <= 1e-10
+
+
+def test_tilt_matches_log_weight_reference(grid16):
+    pts, weights = fn._node_geometry(grid16)
+    for seed in range(4):
+        u = fn.random_start(grid16, (seed,), amplitude=1.5).values.ravel()
+        c, mom = fn.tilt(u, weights, pts, 1e-10)
+        assert np.max(np.abs(c - ref.tilt_log_weights(np.log(weights) + u, pts, 1e-10))) <= 1e-12
+        fresh = fn.exp_moments(u + pts @ c, weights, pts)
+        assert abs(mom.log_mass - fresh.log_mass) <= 1e-15
+        assert np.array_equal(mom.density, fresh.density)
+        assert np.linalg.norm(mom.mean) <= 1e-10
+
+
+def test_minimize_exponential_counts(grid16, monkeypatch):
+    """One full-grid exponential per line-search trial, one per moment evaluation
+    of a tilt that is not trivial, none for the shift, J or the gradient.
+
+    Outside the tilts that leaves the start's moments and the two checks on
+    the returned field (center of mass and exp-mass).  The converged run has
+    trivial and non-trivial tilts; every step of the backtracking run tilts.
+    """
+    counts = ref.count_exponentials(monkeypatch, grid16.n_mu * grid16.n_phi)
+    u0 = fn.random_start(grid16, (42, 0, 5))
+    for opts, status, last_accepted, some_trivial in (
+            (fn.MinimizeOptions(), "converged", 0, True),
+            (fn.MinimizeOptions(step0=4.0, max_iter=30), "max-iter", 1, False)):
+        counts.update(outside=0, in_tilt=0, tilt_moments=0, tilts=0, trivial=0)
+        res = fn.minimize(0.7, u0, opts)
+        assert res.status == status
+        accepted = res.iterations - 1 + last_accepted
+        assert counts["outside"] == accepted + res.backtracks + 3
+        assert counts["in_tilt"] == counts["tilt_moments"] > 0
+        assert counts["tilts"] == accepted + 1
+        assert (counts["trivial"] > 0) == some_trivial
+    assert res.backtracks >= res.iterations
+
+
 def test_minimize_transform_counts(grid16, monkeypatch):
     """One synthesize per line-search trial and one analyze per accepted step."""
     calls = {"analyze": 0, "synthesize": 0}
@@ -339,23 +389,34 @@ def test_minimize_transform_counts(grid16, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def quadratic_form(v, alpha):
+    """Second-order coefficient of J_alpha at zero along v.
+
+    Exactly (alpha/4) int |grad v|^2 - (1/2) int v^2 + (1/2) (int v)^2,
+    i.e. spectrally (alpha/4) sum l(l+1) c^2 - (1/2) sum_{l>=1} c^2.
+    """
+    l = np.arange(v.lmax + 1, dtype=float)
+    power = np.sum(v.coeffs**2, axis=1)
+    return float(alpha / 4.0 * np.sum(l * (l + 1.0) * power) - 0.5 * np.sum(power[1:]))
+
+
 def test_quadratic_form_degree_two(grid16):
     v = sphere.field_of(grid16, lambda a, b, c: a * b)
     spec = sphere.analyze(v)
     m = sphere.integrate(sphere.SphereField(grid16, v.values**2))
     for alpha in (1.0 / 3.0, 0.5, 1.0):
-        assert fn.quadratic_form(spec, alpha) == pytest.approx(m * (1.5 * alpha - 0.5), abs=1e-12)
+        assert quadratic_form(spec, alpha) == pytest.approx(m * (1.5 * alpha - 0.5), abs=1e-12)
 
 
 def test_quadratic_form_degree_one(grid16):
     spec = sphere.analyze(coordinate(grid16))
-    assert fn.quadratic_form(spec, 0.5) == pytest.approx((0.5 - 1.0) / 6.0, abs=1e-12)
-    assert fn.quadratic_form(spec, 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert quadratic_form(spec, 0.5) == pytest.approx((0.5 - 1.0) / 6.0, abs=1e-12)
+    assert quadratic_form(spec, 1.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_quadratic_form_constant(grid16):
     spec = sphere.analyze(sphere.constant_field(grid16, 2.0))
-    assert fn.quadratic_form(spec, 0.7) == pytest.approx(0.0, abs=1e-12)
+    assert quadratic_form(spec, 0.7) == pytest.approx(0.0, abs=1e-12)
 
 
 @given(st.integers(0, 10**6))
@@ -364,10 +425,11 @@ def test_quadratic_form_gap_above_degree_one(seed):
     """Q(v, alpha) >= (6 alpha - 2)/4 * int v^2 once degrees 0 and 1 vanish."""
     g = sphere.build_grid(8)
     u = fn.random_start(g, (seed,))
-    spec = sphere.analyze(u).drop_degrees([0, 1])
+    spec = sphere.analyze(u)
+    spec.coeffs[:2] = 0.0
     power = float(np.sum(spec.coeffs**2))
     for alpha in (0.4, 0.7, 1.0):
-        assert fn.quadratic_form(spec, alpha) >= (6.0 * alpha - 2.0) / 4.0 * power - 1e-12
+        assert quadratic_form(spec, alpha) >= (6.0 * alpha - 2.0) / 4.0 * power - 1e-12
 
 
 def test_taylor_limit_of_quadratic_form(grid16):
@@ -375,7 +437,7 @@ def test_taylor_limit_of_quadratic_form(grid16):
     v = sphere.field_of(grid16, lambda a, b, c: a * b)
     spec = sphere.analyze(v)
     alpha = 0.6
-    q = fn.quadratic_form(spec, alpha)
+    q = quadratic_form(spec, alpha)
     r2 = abs(fn.j_alpha(1e-2 * v, alpha) - 1e-4 * q) / 1e-4
     r3 = abs(fn.j_alpha(1e-3 * v, alpha) - 1e-6 * q) / 1e-6
     assert r2 <= 1e-4

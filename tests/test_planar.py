@@ -193,11 +193,20 @@ def test_angular_derivative_norm_rotation_invariant():
     assert s0 == pytest.approx(s1, rel=1e-6)
 
 
+def planar_gradient(v, y, h=1e-5):
+    """Central-difference gradient of a planar field."""
+    y = np.asarray(y, dtype=float)
+    e1 = np.array([h, 0.0])
+    e2 = np.array([0.0, h])
+    return np.stack([(v(y + e1) - v(y - e1)) / (2.0 * h),
+                     (v(y + e2) - v(y - e2)) / (2.0 * h)], axis=-1)
+
+
 def test_linearised_equation_at_translated_bubble():
     """phi solves the linearised equation at an exact solution; the residual
     is pure finite-difference error and shrinks at second order."""
     v = pl.liouville_bubble_field(1.0, center=(0.7, -0.3))
-    assert np.max(np.abs(pl.planar_gradient(v, np.array([0.7, -0.3])))) <= 1e-9
+    assert np.max(np.abs(planar_gradient(v, np.array([0.7, -0.3])))) <= 1e-9
     y = np.random.default_rng(5).normal(size=(80, 2)) * 2
     y = y[np.linalg.norm(y, axis=1) <= 5.0]
     phi = pl.angular_derivative(v, h=1e-4)
@@ -215,7 +224,7 @@ def test_minimizer_pullback_is_near_radial(grid16):
     out = fn.minimize(alpha, fn.random_start(grid16, (9, 0, 0)))
     u = fn.shift_to_unit_mass(out.u)
     v = pl.to_planar(u, 1.0 / alpha)
-    assert np.max(np.abs(pl.planar_gradient(v, np.zeros(2), h=1e-4))) <= 1e-5
+    assert np.max(np.abs(planar_gradient(v, np.zeros(2), h=1e-4))) <= 1e-5
     y = np.random.default_rng(6).normal(size=(50, 2))
     y = y[np.linalg.norm(y, axis=1) <= 5.0]
     phi = pl.angular_derivative(v, h=1e-4)
@@ -265,6 +274,18 @@ def test_partition_masses():
     assert rep.m == 4
     assert all(m >= 0.0 for m in rep.masses)
     assert abs(sum(rep.masses) - rep.total) <= 1e-8
+
+
+def test_nodal_mass_density_closed_form():
+    """(1+|y|^2)^{2(rho-1)} e^{v*}: at rho = 3/2 bit for bit the form with the
+    power written out, and (1+r^2)^{-2} 8 rho (1+r^2)^{2(rho-1)-2 rho} in general."""
+    y = np.stack(np.meshgrid(np.linspace(-3, 3, 41), np.linspace(-3, 3, 41)), axis=-1).reshape(-1, 2)
+    r2 = np.sum(y * y, axis=-1)
+    written_out = (1.0 + r2) * np.exp(pl.v_star(y, 1.5))
+    assert np.array_equal(pl.nodal_mass_density(1.5)(y), written_out)
+    for rho in (1.0, 1.25, 2.0):
+        assert np.allclose(pl.nodal_mass_density(rho)(y), 8.0 * rho / (1.0 + r2) ** 2,
+                           rtol=1e-13, atol=0.0)
 
 
 def test_ledger_arithmetic():
