@@ -108,7 +108,7 @@ def recenter_1d(g: LegendreFunction, tol: float = 1e-10) -> LegendreFunction:
     grow, and only coeffs[1] changes, so the degree is kept.  g itself is
     returned when its normalised moment is already within tol.
     """
-    c, _ = functional.tilt(2.0 * g.node_values(), 0.5 * g.weights, g.nodes[:, None], tol)
+    c, _, _ = functional.tilt(2.0 * g.node_values(), 0.5 * g.weights, g.nodes[:, None], tol)
     if c[0] == 0.0:
         return g
     out = g.copy()
@@ -135,6 +135,7 @@ class AxisymResult:
     moment: float
     iterations: int
     backtracks: int         # line-search halvings over the whole run
+    newton_steps: int       # Newton steps of the tilts over the whole run
     status: str = "converged"
 
 
@@ -148,6 +149,8 @@ def minimize_axisym(alpha: float, g0: LegendreFunction, stat_tol: float = 1e-8,
                     blowup_floor: float = -25.0) -> AxisymResult:
     """Projected descent in coefficient space, mirroring the sphere minimiser.
 
+    It preconditions with functional.zero_hessian read on Legendre
+    coefficients, so for a lifted start both descents take the same steps.
     A line-search trial costs one product with the quadrature's Vandermonde
     and one exponential (for I); the tilt, the gauge, I and the gradient of
     the accepted step read the moments of that exponential, or of the tilt's
@@ -157,14 +160,15 @@ def minimize_axisym(alpha: float, g0: LegendreFunction, stat_tol: float = 1e-8,
         raise ValueError("alpha far below the probe range")
     k = np.arange(g0.degree + 1, dtype=float)
     stiffness = 4.0 * alpha * k * (k + 1.0) / (2.0 * k + 1.0)
-    # diagonal Hessian of the functional at zero, clipped positive
-    precond = np.maximum((4.0 * alpha * k * (k + 1.0) - 8.0) / (2.0 * k + 1.0), 0.5)
+    # the sphere's preconditioner on the lift: I = 2 J and a Legendre
+    # coefficient c_k is the sphere coefficient 2 c_k / sqrt(2k+1)
+    precond = 8.0 * functional.zero_hessian(alpha, g0.degree) / (2.0 * k + 1.0)
     half_w, x = 0.5 * g0.weights, g0.nodes[:, None]
 
     def retract(g, two_g, mom):
         """Tilt g + (c/2) x onto the constraint and gauge it to unit half-mass;
-        returns the state with its I and gradient."""
-        c, mom = functional.tilt(two_g, half_w, x, moment_tol, mom)
+        returns the state with its I and gradient, and the tilt's Newton steps."""
+        c, mom, steps = functional.tilt(two_g, half_w, x, moment_tol, mom)
         g = g.copy()
         if c[0] != 0.0:
             two_g = two_g + x @ c
@@ -174,10 +178,10 @@ def minimize_axisym(alpha: float, g0: LegendreFunction, stat_tol: float = 1e-8,
         grad = stiffness * g.coeffs
         grad[0] += 4.0
         grad -= 4.0 * (g.vander.T @ (half_w * mom.density))
-        return g, value, grad
+        return g, value, grad, steps
 
     two_g = 2.0 * g0.node_values()
-    g, val, grad = retract(g0, two_g, _moments(g0, two_g))
+    g, val, grad, newton_steps = retract(g0, two_g, _moments(g0, two_g))
     gnorm = _grad_l2(grad)
     status = "max-iter"
     it = 0
@@ -207,10 +211,12 @@ def minimize_axisym(alpha: float, g0: LegendreFunction, stat_tol: float = 1e-8,
         if not accepted:
             status = "stalled"
             break
-        g, val, grad = retract(cand, two_g, mom)
+        g, val, grad, steps = retract(cand, two_g, mom)
+        newton_steps += steps
         gnorm = _grad_l2(grad)
     return AxisymResult(g=g, value=float(val), grad_norm=gnorm, moment=constraint_moment(g),
-                        iterations=it, backtracks=backtracks, status=status)
+                        iterations=it, backtracks=backtracks, newton_steps=newton_steps,
+                        status=status)
 
 
 def random_start_1d(stream_key, degree: int = DEFAULT_DEGREE, amplitude: float = 0.4) -> LegendreFunction:

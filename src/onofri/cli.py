@@ -132,6 +132,7 @@ def cmd_minimize(cfg):
         "exp_mass": res.exp_mass,
         "iterations": res.iterations,
         "backtracks": res.backtracks,
+        "newton_steps": res.newton_steps,
         "status": res.status,
         "el_residual": functional.el_residual(res.u, 1.0 / alpha),
         "h1_norm": sphere.h1_norm(res.u),
@@ -151,7 +152,8 @@ def cmd_alpha_scan(cfg):
     ok = True
     for row in rows:
         asserted = row["alpha"] >= 2.0 / 3.0 - 1e-12
-        passed = (row["min_j"] >= -1e-6) if asserted else None
+        # a run that failed certifies nothing
+        passed = (row["min_j"] >= -1e-6 and row["n_failed"] == 0) if asserted else None
         if asserted:
             ok = ok and passed
         out.append({
@@ -280,7 +282,8 @@ def cmd_axisym(cfg):
         rows.append({
             "claim": "axisymmetric constrained minimum is zero",
             "alpha": alpha, "trial": k, "value": res.value,
-            "iterations": res.iterations, "backtracks": res.backtracks, "status": res.status,
+            "iterations": res.iterations, "backtracks": res.backtracks,
+            "newton_steps": res.newton_steps, "status": res.status,
             "passed": bool(res.value >= -1e-6 and res.status == "converged"),
         })
     ok = all(r["passed"] for r in rows)

@@ -76,22 +76,23 @@ def exp_moments(values: np.ndarray, weights: np.ndarray, points: np.ndarray) -> 
 
 
 def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray, tol: float,
-         start: ExpMoments | None = None) -> tuple[np.ndarray, ExpMoments]:
+         start: ExpMoments | None = None) -> tuple[np.ndarray, ExpMoments, int]:
     """Vector c with zero mean of `points` under e^{values + points @ c} weights.
 
     c minimises F(c) = log sum weights e^{values + points @ c}, which is
     strictly convex and coercive when the points span their space: the
     gradient of F is the weighted mean of the points and its Hessian is their
     weighted covariance, so damped Newton reaches the unique minimiser.
-    Returns c and the moments of the tilted measure: `start`, the moments at
-    c = 0 when the caller has them, and c = 0 when their mean is already
-    within tol.  Every other moment evaluation costs one exponential.
+    Returns c, the moments of the tilted measure and the number of Newton
+    steps taken: `start`, the moments at c = 0 when the caller has them, and
+    c = 0 after no step when their mean is already within tol.  Every other
+    moment evaluation costs one exponential.
     """
     c = np.zeros(points.shape[1])
     mom = start if start is not None else exp_moments(values, weights, points)
-    for _ in range(50):
+    for steps in range(50):
         if np.linalg.norm(mom.mean) <= tol:
-            return c, mom
+            return c, mom, steps
         cov = (points.T * (weights * mom.density)) @ points - np.outer(mom.mean, mom.mean)
         step = -np.linalg.solve(cov, mom.mean)
         slope = float(mom.mean @ step)
@@ -122,7 +123,7 @@ def recenter(u: SphereField, tol: float = 1e-10) -> SphereField:
     within tol.
     """
     pts, weights = _node_geometry(u.grid)
-    c, _ = tilt(u.values.ravel(), weights, pts, tol)
+    c, _, _ = tilt(u.values.ravel(), weights, pts, tol)
     if not c.any():
         return u
     return SphereField(u.grid, u.values + (pts @ c).reshape(u.grid.shape))
@@ -178,6 +179,7 @@ class MinimizeResult:
     exp_mass: float
     iterations: int
     backtracks: int         # line-search halvings over the whole run
+    newton_steps: int       # Newton steps of the tilts over the whole run
     trace: list = field(repr=False, default_factory=list)
     status: str = "converged"
 
@@ -186,17 +188,28 @@ class MinimizeResult:
         return self.status == "converged"
 
 
-def _precondition(gspec: HarmonicSpectrum, alpha: float) -> np.ndarray:
-    l = np.arange(gspec.lmax + 1, dtype=float)
-    scale = 1.0 + alpha / 2.0 * l * (l + 1.0)
-    return -gspec.coeffs / scale[:, None]
+def zero_hessian(alpha: float, lmax: int) -> np.ndarray:
+    """Second variation of J_alpha at u = 0 per degree l <= lmax, clipped positive.
+
+    At zero the Hessian is diagonal in spherical harmonics, alpha/2 l(l+1) - 1
+    on degree l.  The floor (2l+1)/16 is the 1-D rule's clip at 1/2 under the
+    lift u = 2 g(x3) (a Legendre coefficient c_k is the sphere coefficient
+    2 c_k / sqrt(2k+1), and I = 2 J).  For alpha >= 1/4 it acts only on
+    degrees 0 and 1, where the gauge and the constraint make the gradient
+    vanish, and on degree 2 when alpha < 7/16.  Both minimisers precondition
+    with it.
+    """
+    l = np.arange(lmax + 1, dtype=float)
+    return np.maximum(alpha / 2.0 * l * (l + 1.0) - 1.0, (2.0 * l + 1.0) / 16.0)
 
 
 def minimize(alpha: float, u0: SphereField, opts: MinimizeOptions | None = None) -> MinimizeResult:
     """Projected descent for J_alpha on the center-of-mass constraint.
 
-    Each iteration: preconditioned gradient step with Armijo backtracking,
-    the degree-1 tilt back onto the constraint, then the unit exp-mass shift.
+    Each iteration: gradient step preconditioned by zero_hessian (the second
+    variation at u = 0, the constrained minimiser for alpha >= 2/3, so a full
+    step is close to Newton's there) with Armijo backtracking, the degree-1
+    tilt back onto the constraint, then the unit exp-mass shift.
     The iterate is carried as its spectrum and its grid values together, so a
     line-search trial costs one synthesize and one exponential (for J), and
     an accepted step one analyze (of e^u, for the gradient).  The tilt, the
@@ -215,6 +228,7 @@ def minimize(alpha: float, u0: SphereField, opts: MinimizeOptions | None = None)
     pts, weights = _node_geometry(grid)
     l = np.arange(L + 1, dtype=float)
     stiffness = (alpha / 2.0 * l * (l + 1.0))[:, None]
+    hessian = zero_hessian(alpha, L)[:, None]
     # x1, x2, x3 are the degree-1 harmonics (1, 1), (1, -1), (1, 0) over sqrt(3)
     tilt_slots = [L + 1, L - 1, L]
 
@@ -223,13 +237,14 @@ def minimize(alpha: float, u0: SphereField, opts: MinimizeOptions | None = None)
 
     def retract(spec, u, mom):
         """Tilt onto the constraint and shift to unit exp-mass, in both
-        representations; returns the state with its J and gradient spectrum.
+        representations; returns the state with its J and gradient spectrum,
+        and the tilt's Newton steps.
 
         The tilt starts from u's moments and returns those of the tilted
         field: the shift is their log-mass, the shifted state has log-mass
         zero, and e^u / int e^u dw is their density (both shift-invariant).
         """
-        c, mom = tilt(u.values.ravel(), weights, pts, opts.com_tol, mom)
+        c, mom, steps = tilt(u.values.ravel(), weights, pts, opts.com_tol, mom)
         values = u.values
         if c.any():
             values = values + (pts @ c).reshape(grid.shape)
@@ -239,11 +254,11 @@ def minimize(alpha: float, u0: SphereField, opts: MinimizeOptions | None = None)
         gspec = sphere.analyze(SphereField(grid, mom.density.reshape(grid.shape)))
         gspec.coeffs = stiffness * spec.coeffs - gspec.coeffs
         gspec.coeffs[0, L] += 1.0
-        return spec, SphereField(grid, values - mom.log_mass), _j_value(spec, 0.0, alpha), gspec
+        return spec, SphereField(grid, values - mom.log_mass), _j_value(spec, 0.0, alpha), gspec, steps
 
     spec = sphere.analyze(u0)
     u = sphere.synthesize(spec, grid)                       # the state is band-limited
-    spec, u, j, gspec = retract(spec, u, moments(u))
+    spec, u, j, gspec, newton_steps = retract(spec, u, moments(u))
     gnorm = float(np.linalg.norm(gspec.coeffs))
     trace = []
     status = "max-iter"
@@ -257,7 +272,7 @@ def minimize(alpha: float, u0: SphereField, opts: MinimizeOptions | None = None)
         if j < opts.blowup_floor:
             status = "unbounded-descent"
             break
-        direction = _precondition(gspec, alpha)
+        direction = -gspec.coeffs / hessian
         slope = float(np.sum(gspec.coeffs * direction))
         noise = 1e-14 * (1.0 + abs(j))
         step = opts.step0
@@ -275,7 +290,8 @@ def minimize(alpha: float, u0: SphereField, opts: MinimizeOptions | None = None)
         if not accepted:
             status = "stalled"
             break
-        spec, u, j, gspec = retract(cand_spec, cand, mom)
+        spec, u, j, gspec, steps = retract(cand_spec, cand, mom)
+        newton_steps += steps
         gnorm = float(np.linalg.norm(gspec.coeffs))
     trace.append((it, j))
     return MinimizeResult(
@@ -286,6 +302,7 @@ def minimize(alpha: float, u0: SphereField, opts: MinimizeOptions | None = None)
         exp_mass=float(np.exp(sphere.log_exp_mass(u))),
         iterations=it,
         backtracks=backtracks,
+        newton_steps=newton_steps,
         trace=trace,
         status=status,
     )
@@ -332,7 +349,9 @@ def alpha_scan(alpha_list, trials: int, seed: int, grid: SphereGrid | None = Non
 
     Returns rows (alpha, min_j, mean_iterations, n_failed); random streams are
     keyed by (seed, alpha index, trial index) so any execution order gives the
-    same table.
+    same table.  n_failed counts runs that raise and runs that end without a
+    verdict (max-iter or stalled); an unbounded-descent verdict is not a
+    failure.  min_j and mean_iterations cover every run that returns.
     """
     grid = grid or sphere.build_grid(16)
     rows = []
@@ -347,6 +366,7 @@ def alpha_scan(alpha_list, trials: int, seed: int, grid: SphereGrid | None = Non
             except NonConvergenceError:
                 failed += 1
                 continue
+            failed += res.status in ("max-iter", "stalled")
             best = min(best, res.j_value)
             iters.append(res.iterations)
         rows.append({

@@ -92,7 +92,7 @@ def minimize(alpha, u0, opts=None):
         if j < opts.blowup_floor:
             status = "unbounded-descent"
             break
-        direction = fn._precondition(gspec, alpha)
+        direction = -gspec.coeffs / fn.zero_hessian(alpha, L)[:, None]
         slope = float(np.sum(gspec.coeffs * direction))
         noise = 1e-14 * (1.0 + abs(j))
         step = opts.step0
@@ -188,11 +188,12 @@ def minimize_axisym(alpha, g0, stat_tol=1e-8, moment_tol=1e-10, max_iter=600, bl
 def count_exponentials(monkeypatch, size):
     """Wrap np.exp, functional.exp_moments and functional.tilt.
 
-    Counts exponentials of `size` entries outside and inside tilts, and the
-    moment evaluations inside tilts; every tilt that returns c = 0 must have
-    made no exponential.
+    Counts exponentials of `size` entries outside and inside tilts, the
+    moment evaluations inside tilts and the Newton steps the tilts report;
+    every tilt that returns c = 0 must have made no exponential.
     """
-    counts = {"outside": 0, "in_tilt": 0, "tilt_moments": 0, "tilts": 0, "trivial": 0}
+    counts = {"outside": 0, "in_tilt": 0, "tilt_moments": 0, "tilts": 0, "trivial": 0,
+              "newton_steps": 0}
     inside = []
     exp, moments, tilt = np.exp, fn.exp_moments, fn.tilt
 
@@ -209,14 +210,15 @@ def count_exponentials(monkeypatch, size):
         before = counts["in_tilt"]
         inside.append(True)
         try:
-            c, mom = tilt(*args, **kwargs)
+            c, mom, steps = tilt(*args, **kwargs)
         finally:
             inside.pop()
         counts["tilts"] += 1
+        counts["newton_steps"] += steps
         if not c.any():
             counts["trivial"] += 1
             assert counts["in_tilt"] == before
-        return c, mom
+        return c, mom, steps
 
     monkeypatch.setattr(np, "exp", counted_exp)
     monkeypatch.setattr(fn, "exp_moments", counted_moments)

@@ -163,6 +163,42 @@ def test_minimize_matches_per_quantity_exponential_reference(alpha):
         assert np.max(np.abs(res.g.coeffs - g.coeffs)) <= 1e-10
 
 
+def test_preconditioner_is_the_sphere_rule_on_the_lift(monkeypatch):
+    """minimize_axisym reads functional.zero_hessian as 8 h / (2k+1), which is
+    the clipped 1-D Hessian at zero, max((4 alpha k(k+1) - 8)/(2k+1), 1/2),
+    bit for bit."""
+    calls = []
+    zero_hessian = fn.zero_hessian
+
+    def spy(alpha, lmax):
+        calls.append((alpha, lmax))
+        return zero_hessian(alpha, lmax)
+
+    monkeypatch.setattr(fn, "zero_hessian", spy)
+    ax.minimize_axisym(0.6, ax.random_start_1d((3,)), max_iter=1)
+    assert calls == [(0.6, ax.DEFAULT_DEGREE)]
+    k = np.arange(65, dtype=float)
+    for alpha in np.linspace(0.2, 1.5, 131):
+        old = np.maximum((4.0 * alpha * k * (k + 1.0) - 8.0) / (2.0 * k + 1.0), 0.5)
+        assert np.array_equal(8.0 * zero_hessian(alpha, 64) / (2.0 * k + 1.0), old)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.6, 0.8, 1.0])
+@pytest.mark.parametrize("n", [2, 3])
+def test_sphere_descent_mirrors_the_1d_descent(grid16, alpha, n):
+    """From a lifted start the sphere descent takes the 1-D descent's steps:
+    after n iterations u is the lift of g, J is half of I, and the line
+    searches halved alike."""
+    for k in range(3):
+        g0 = ax.random_start_1d((61, k))
+        res = fn.minimize(alpha, ax.lift(g0, grid16), fn.MinimizeOptions(max_iter=n))
+        res1 = ax.minimize_axisym(alpha, g0, max_iter=n)
+        assert res.iterations == res1.iterations == n
+        assert np.max(np.abs(res.u.values - ax.lift(res1.g, grid16).values)) <= 1e-12
+        assert abs(2.0 * res.j_value - res1.value) <= 1e-14
+        assert res.backtracks == res1.backtracks
+
+
 def test_node_values_share_the_quadrature_vandermonde():
     g = ax.random_start_1d((5,), degree=12)
     assert g.vander.shape == (g.nodes.size, 13)
@@ -205,6 +241,7 @@ def test_minimize_exponential_and_legval_counts(monkeypatch):
         assert counts["in_tilt"] == counts["tilt_moments"] > 0
         assert counts["tilts"] == accepted + 1
         assert 0 < counts["trivial"] < counts["tilts"]
+        assert 0 < res.newton_steps == counts["newton_steps"] <= counts["in_tilt"]
         assert counts["legval"] == 0
 
 

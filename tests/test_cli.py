@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from onofri import cli, report
+from onofri import cli, functional, report
 
 
 def run(tmp_path, *argv):
@@ -24,6 +24,7 @@ def test_minimize_report_shape_and_determinism(tmp_path):
     assert json.dumps(rep1["rows"]) == json.dumps(rep2["rows"])
     row = rep1["rows"][0]
     assert isinstance(row["backtracks"], int) and row["backtracks"] >= 0
+    assert isinstance(row["newton_steps"], int) and row["newton_steps"] > 0
 
 
 def test_shoot_anchor_row(tmp_path):
@@ -97,6 +98,7 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert rep["config"]["alpha"] == 0.8
     assert len(rep["rows"]) == 2
     assert all(isinstance(row["backtracks"], int) for row in rep["rows"])
+    assert all(isinstance(row["newton_steps"], int) for row in rep["rows"])
     # explicit flag wins over the file
     code = cli.main(["axisym", "--config", str(cfg), "--trials", "1", "--out", str(out)])
     rep = json.loads(out.read_text())
@@ -137,6 +139,20 @@ def test_alpha_scan_open_region_info(tmp_path):
     code, rep = run(tmp_path, "alpha-scan", "--alphas", "0.60", "--trials", "1", "--seed", "2")
     assert code == 0
     assert rep["rows"][0]["passed"] is None
+
+
+def test_alpha_scan_fails_a_certified_row_with_failed_runs(tmp_path, monkeypatch):
+    """A stalled run with J = 0 certifies nothing, so the row fails."""
+    def stalled(alpha, u0, opts=None):
+        return functional.MinimizeResult(u=u0, j_value=0.0, grad_norm=1.0, com_norm=0.0,
+                                         exp_mass=1.0, iterations=800, backtracks=0,
+                                         newton_steps=0, status="stalled")
+
+    monkeypatch.setattr(functional, "minimize", stalled)
+    code, rep = run(tmp_path, "alpha-scan", "--alphas", "0.8", "--trials", "2", "--L", "8")
+    assert code == cli.EXIT_MATH
+    row = rep["rows"][0]
+    assert row["min_j"] == 0.0 and row["n_failed"] == 2 and row["passed"] is False
 
 
 def test_validate_report_flags_problems():

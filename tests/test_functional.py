@@ -231,6 +231,57 @@ def test_unbounded_descent_verdict(grid16):
     assert res.j_value < -2.0
 
 
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 1.0 / 3.0, 0.4, 0.7, 1.0])
+def test_zero_hessian_is_the_clipped_second_variation(alpha):
+    l = np.arange(65, dtype=float)
+    h = fn.zero_hessian(alpha, 64)
+    assert np.all(h > 0.0)
+    exact = alpha / 2.0 * l * (l + 1.0) - 1.0
+    floor = (2.0 * l + 1.0) / 16.0
+    assert np.array_equal(h, np.where(exact >= floor, exact, floor))
+    if alpha >= 0.25:
+        # the floor acts on degrees 0 and 1, and on degree 2 only below 7/16
+        clipped = exact < floor
+        assert clipped[:2].all() and not clipped[3:].any()
+        assert clipped[2] == (alpha < 7.0 / 16.0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 2.0 / 3.0, 0.8, 1.0])
+def test_minimize_converges_in_a_few_newton_like_steps(grid16, alpha):
+    """The preconditioner is the Hessian at the minimiser, so full steps are
+    accepted and a handful reach the gradient tolerance."""
+    ia = int(round(10 * alpha))
+    for k in range(10):
+        res = fn.minimize(alpha, fn.random_start(grid16, (7, 3, ia, k)))
+        assert res.converged and res.iterations <= 8 and res.backtracks == 0
+
+
+def test_minimize_l32_converges_in_a_few_steps(grid32):
+    res = fn.minimize(0.75, fn.random_start(grid32, (7, 32, 0)))
+    assert res.converged and res.iterations <= 8 and res.backtracks == 0
+
+
+def test_tilt_counts_newton_steps(grid16, monkeypatch):
+    """One linear solve per Newton step, and none for a measure already centered."""
+    solves = []
+    solve = np.linalg.solve
+
+    def counted_solve(*args):
+        solves.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    pts, weights = fn._node_geometry(grid16)
+    c, _, steps = fn.tilt(np.zeros(pts.shape[0]), weights, pts, 1e-10)
+    assert steps == len(solves) == 0 and not c.any()
+    for seed in range(4):
+        solves.clear()
+        u = fn.random_start(grid16, (seed,), amplitude=1.5).values.ravel()
+        c, mom, steps = fn.tilt(u, weights, pts, 1e-10)
+        assert steps == len(solves) >= 2
+        assert np.linalg.norm(mom.mean) <= 1e-10
+
+
 def test_minimize_rejects_nonpositive_alpha(grid8):
     with pytest.raises(ValueError):
         fn.minimize(-0.1, sphere.constant_field(grid8, 0.0))
@@ -279,7 +330,7 @@ def _minimize_field_space(alpha, u0, opts=None):
         if j < opts.blowup_floor:
             status = "unbounded-descent"
             break
-        direction = fn._precondition(gspec, alpha)
+        direction = -gspec.coeffs / fn.zero_hessian(alpha, gspec.lmax)[:, None]
         slope = float(np.sum(gspec.coeffs * direction))
         noise = 1e-14 * (1.0 + abs(j))
         step = opts.step0
@@ -327,7 +378,7 @@ def test_tilt_matches_log_weight_reference(grid16):
     pts, weights = fn._node_geometry(grid16)
     for seed in range(4):
         u = fn.random_start(grid16, (seed,), amplitude=1.5).values.ravel()
-        c, mom = fn.tilt(u, weights, pts, 1e-10)
+        c, mom, _ = fn.tilt(u, weights, pts, 1e-10)
         assert np.max(np.abs(c - ref.tilt_log_weights(np.log(weights) + u, pts, 1e-10))) <= 1e-12
         fresh = fn.exp_moments(u + pts @ c, weights, pts)
         assert abs(mom.log_mass - fresh.log_mass) <= 1e-15
@@ -345,10 +396,12 @@ def test_minimize_exponential_counts(grid16, monkeypatch):
     """
     counts = ref.count_exponentials(monkeypatch, grid16.n_mu * grid16.n_phi)
     u0 = fn.random_start(grid16, (42, 0, 5))
+    # from its fifth tilt on, the step0 = 4 run is converged as far as its
+    # halved step lets it, and every other tilt is trivial: stop before that
     for opts, status, last_accepted, some_trivial in (
             (fn.MinimizeOptions(), "converged", 0, True),
-            (fn.MinimizeOptions(step0=4.0, max_iter=30), "max-iter", 1, False)):
-        counts.update(outside=0, in_tilt=0, tilt_moments=0, tilts=0, trivial=0)
+            (fn.MinimizeOptions(step0=4.0, max_iter=3), "max-iter", 1, False)):
+        counts.update(outside=0, in_tilt=0, tilt_moments=0, tilts=0, trivial=0, newton_steps=0)
         res = fn.minimize(0.7, u0, opts)
         assert res.status == status
         accepted = res.iterations - 1 + last_accepted
@@ -356,6 +409,7 @@ def test_minimize_exponential_counts(grid16, monkeypatch):
         assert counts["in_tilt"] == counts["tilt_moments"] > 0
         assert counts["tilts"] == accepted + 1
         assert (counts["trivial"] > 0) == some_trivial
+        assert 0 < res.newton_steps == counts["newton_steps"] <= counts["in_tilt"]
     assert res.backtracks >= res.iterations
 
 
@@ -463,6 +517,24 @@ def test_alpha_scan_deterministic_and_nonnegative(grid16):
     again = fn.alpha_scan([0.8, 0.9, 1.0], trials=3, seed=5, grid=grid16)
     assert rows == again
     assert all(r["min_j"] >= -1e-6 for r in rows)
+
+
+def _ending(status, u0):
+    """A minimize stand-in that returns J = 0 with the given status."""
+    def fake(alpha, start, opts=None):
+        return fn.MinimizeResult(u=u0, j_value=0.0, grad_norm=1.0, com_norm=0.0,
+                                 exp_mass=1.0, iterations=800, backtracks=0,
+                                 newton_steps=0, status=status)
+    return fake
+
+
+@pytest.mark.parametrize("status, failed", [("stalled", 2), ("max-iter", 2),
+                                            ("unbounded-descent", 0), ("converged", 0)])
+def test_alpha_scan_counts_runs_without_a_verdict(grid8, monkeypatch, status, failed):
+    monkeypatch.setattr(fn, "minimize", _ending(status, sphere.constant_field(grid8, 0.0)))
+    row, = fn.alpha_scan([0.8], trials=2, seed=5, grid=grid8)
+    assert row["n_failed"] == failed
+    assert row["min_j"] == 0.0 and row["mean_iterations"] == 800.0
 
 
 def test_alpha_scan_open_region_reports(grid16):
