@@ -249,14 +249,9 @@ def criterion_9(seed, grids):
 
 def criterion_10(seed, grids):
     rows = []
-    xs = np.linspace(-3.0, 3.0, 241)
-    ys = np.linspace(-3.0, 3.0, 241)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    quad = (X**2 - Y**2) * np.exp(-(X**2 + Y**2))
-    rep = planar.nodal_domains(quad, xs, ys, disk_radius=3.0,
-                               mass_density=planar.nodal_mass_density(1.5), rho=1.5)
+    rep, expected = planar.analytic_nodal_count("quadrant", 1.5)
     rows.append(_row(10, "quadrant_count", "degree-2 sign pattern has four domains",
-                     rep.m, 4.0, rep.m == 4))
+                     rep.m, expected, rep.m == expected))
     gap = abs(sum(rep.masses) - rep.total)
     rows.append(_row(10, "partition_mass", "per-domain masses sum to the total",
                      gap, 1e-8, gap <= 1e-8))
@@ -277,18 +272,12 @@ def criterion_10(seed, grids):
 
 
 def criterion_11(seed, grids):
-    g = grids["g16"]
     rows = []
-    v2 = sphere.field_of(g, lambda a, b, c: a * b)
-    rep2 = functional.second_variation_threshold(v2, "degree-2", (0.25, 0.45))
-    err2 = abs(rep2.threshold_estimate - 1.0 / 3.0)
-    rows.append(_row(11, "degree2_threshold", "quadratic coefficient changes sign at alpha = 1/3",
-                     rep2.threshold_estimate, 1e-3, err2 <= 1e-3))
-    v1 = sphere.field_of(g, lambda a, b, c: c)
-    rep1 = functional.second_variation_threshold(v1, "degree-1", (0.9, 1.1))
-    err1 = abs(rep1.threshold_estimate - 1.0)
-    rows.append(_row(11, "degree1_threshold", "coordinate modes change sign at alpha = 1",
-                     rep1.threshold_estimate, 1e-3, err1 <= 1e-3))
+    for mode, claim in (("degree2", "quadratic coefficient changes sign at alpha = 1/3"),
+                        ("degree1", "coordinate modes change sign at alpha = 1")):
+        rep, exact = functional.mode_threshold(grids["g16"], mode)
+        err = abs(rep.threshold_estimate - exact)
+        rows.append(_row(11, f"{mode}_threshold", claim, rep.threshold_estimate, 1e-3, err <= 1e-3))
     return rows
 
 

@@ -140,17 +140,18 @@ class AxisymResult:
 
 
 def _grad_l2(grad: np.ndarray) -> float:
+    """L2(dx) norm of the function with Legendre coefficients grad."""
     k = np.arange(grad.size, dtype=float)
     return float(np.sqrt(np.sum(grad**2 * (2.0 * k + 1.0) / 2.0)))
 
 
-def minimize_axisym(alpha: float, g0: LegendreFunction, stat_tol: float = 1e-8,
-                    moment_tol: float = 1e-10, max_iter: int = 600,
-                    blowup_floor: float = -25.0) -> AxisymResult:
-    """Projected descent in coefficient space, mirroring the sphere minimiser.
+def minimize_axisym(alpha: float, g0: LegendreFunction,
+                    opts: functional.MinimizeOptions | None = None) -> AxisymResult:
+    """Projected descent in coefficient space: functional.descend on I_alpha.
 
     It preconditions with functional.zero_hessian read on Legendre
-    coefficients, so for a lifted start both descents take the same steps.
+    coefficients, so for a lifted start it takes the sphere minimiser's
+    steps; opts.com_tol bounds the normalised moment the tilt leaves.
     A line-search trial costs one product with the quadrature's Vandermonde
     and one exponential (for I); the tilt, the gauge, I and the gradient of
     the accepted step read the moments of that exponential, or of the tilt's
@@ -158,6 +159,7 @@ def minimize_axisym(alpha: float, g0: LegendreFunction, stat_tol: float = 1e-8,
     """
     if alpha < 0.2:
         raise ValueError("alpha far below the probe range")
+    opts = opts or functional.MinimizeOptions()
     k = np.arange(g0.degree + 1, dtype=float)
     stiffness = 4.0 * alpha * k * (k + 1.0) / (2.0 * k + 1.0)
     # the sphere's preconditioner on the lift: I = 2 J and a Legendre
@@ -165,10 +167,17 @@ def minimize_axisym(alpha: float, g0: LegendreFunction, stat_tol: float = 1e-8,
     precond = 8.0 * functional.zero_hessian(alpha, g0.degree) / (2.0 * k + 1.0)
     half_w, x = 0.5 * g0.weights, g0.nodes[:, None]
 
-    def retract(g, two_g, mom):
+    def trial(g, delta):
+        cand = g.with_coeffs(g.coeffs + delta)
+        two_g = 2.0 * cand.node_values()
+        mom = _moments(cand, two_g)
+        return (cand, two_g, mom), _i_value(cand, two_g, mom.log_mass, alpha)
+
+    def retract(cand):
         """Tilt g + (c/2) x onto the constraint and gauge it to unit half-mass;
         returns the state with its I and gradient, and the tilt's Newton steps."""
-        c, mom, steps = functional.tilt(two_g, half_w, x, moment_tol, mom)
+        g, two_g, mom = cand
+        c, mom, steps = functional.tilt(two_g, half_w, x, opts.com_tol, mom)
         g = g.copy()
         if c[0] != 0.0:
             two_g = two_g + x @ c
@@ -181,42 +190,12 @@ def minimize_axisym(alpha: float, g0: LegendreFunction, stat_tol: float = 1e-8,
         return g, value, grad, steps
 
     two_g = 2.0 * g0.node_values()
-    g, val, grad, newton_steps = retract(g0, two_g, _moments(g0, two_g))
-    gnorm = _grad_l2(grad)
-    status = "max-iter"
-    it = 0
-    backtracks = 0
-    for it in range(1, max_iter + 1):
-        if gnorm <= stat_tol:
-            status = "converged"
-            break
-        if val < blowup_floor:
-            status = "unbounded-descent"
-            break
-        direction = -grad / precond
-        slope = float(np.dot(grad, direction))
-        noise = 1e-14 * (1.0 + abs(val))
-        step = 1.0
-        accepted = False
-        for _ in range(40):
-            cand = g.with_coeffs(g.coeffs + step * direction)
-            two_g = 2.0 * cand.node_values()
-            mom = _moments(cand, two_g)
-            vc = _i_value(cand, two_g, mom.log_mass, alpha)
-            if vc <= val + 1e-4 * step * slope + noise:
-                accepted = True
-                break
-            step *= 0.5
-            backtracks += 1
-        if not accepted:
-            status = "stalled"
-            break
-        g, val, grad, steps = retract(cand, two_g, mom)
-        newton_steps += steps
-        gnorm = _grad_l2(grad)
-    return AxisymResult(g=g, value=float(val), grad_norm=gnorm, moment=constraint_moment(g),
-                        iterations=it, backtracks=backtracks, newton_steps=newton_steps,
-                        status=status)
+    run = functional.descend((g0, two_g, _moments(g0, two_g)), precond, trial, retract,
+                             _grad_l2, opts)
+    return AxisymResult(g=run.state, value=run.value, grad_norm=run.grad_norm,
+                        moment=constraint_moment(run.state), iterations=run.iterations,
+                        backtracks=run.backtracks, newton_steps=run.newton_steps,
+                        status=run.status)
 
 
 def random_start_1d(stream_key, degree: int = DEFAULT_DEGREE, amplitude: float = 0.4) -> LegendreFunction:

@@ -18,9 +18,7 @@ import math
 import sys
 import time
 
-import numpy as np
-
-from . import acceptance, axisym, conformal, eigen, functional, planar, report, shooting, sphere
+from . import acceptance, axisym, eigen, functional, planar, report, shooting, sphere
 from .errors import GridConfigError
 
 log = logging.getLogger("onofri")
@@ -51,7 +49,11 @@ def _parse_list(text: str) -> list[float]:
 
 
 def read_config_file(path: str) -> dict:
-    """Flat `key = value` lines; '#' starts a comment."""
+    """Flat `key = value` lines; '#' starts a comment.  Each value is parsed by
+    the run flag of its key; an unknown key or a value the flag rejects is a
+    usage error."""
+    flags = _run_flags()
+    options = {action.dest: action.option_strings[0] for action in flags._actions}
     out = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -61,25 +63,18 @@ def read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise UsageError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
-            out[key.replace("-", "_")] = value
+            key = key.replace("-", "_")
+            if key not in options:
+                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                out[key] = getattr(flags.parse_args([f"{options[key]}={value}"]), key)
+            except UsageError as exc:
+                raise UsageError(f"{path}:{lineno}: {exc}") from exc
     return out
 
 
-_FLOAT_KEYS = {"alpha", "rho", "l", "beta", "s", "s_min", "s_max", "r_max", "tol", "floor", "h"}
-_INT_KEYS = {"seed", "n", "L", "n_mu", "trials"}
-
-
 def _merge_config(args: argparse.Namespace) -> dict:
-    cfg = {}
-    if getattr(args, "config", None):
-        raw = read_config_file(args.config)
-        for key, value in raw.items():
-            if key in _FLOAT_KEYS:
-                cfg[key] = float(value)
-            elif key in _INT_KEYS:
-                cfg[key] = int(value)
-            else:
-                cfg[key] = value
+    cfg = read_config_file(args.config) if getattr(args, "config", None) else {}
     for key, value in vars(args).items():
         if key in ("command", "config", "out", "csv", "verbose"):
             continue
@@ -312,19 +307,7 @@ def cmd_bol_audit(cfg):
 def cmd_nodal(cfg):
     which = str(_need(cfg, "field", "quadrant"))
     rho = float(_need(cfg, "rho", 1.5))
-    xs = np.linspace(-3.0, 3.0, 241)
-    ys = np.linspace(-3.0, 3.0, 241)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    if which == "quadrant":
-        f = (X**2 - Y**2) * np.exp(-(X**2 + Y**2))
-        expected = 4
-    elif which == "linear":
-        f = X.copy()
-        expected = 2
-    else:
-        raise UsageError(f"unknown field {which!r} (quadrant, linear)")
-    rep = planar.nodal_domains(f, xs, ys, disk_radius=3.0,
-                               mass_density=planar.nodal_mass_density(rho), rho=rho)
+    rep, expected = planar.analytic_nodal_count(which, rho)
     ledger = planar.nodal_ledger(rep.m, rho)
     rows = [{
         "claim": "nodal-domain count and mass ledger",
@@ -341,15 +324,7 @@ def cmd_nodal(cfg):
 def cmd_second_variation(cfg):
     mode = str(_need(cfg, "mode", "degree2"))
     grid = _grid_for(cfg)
-    if mode == "degree2":
-        v = sphere.field_of(grid, lambda a, b, c: a * b)
-        bracket, target = (0.25, 0.45), 1.0 / 3.0
-    elif mode == "degree1":
-        v = sphere.field_of(grid, lambda a, b, c: c)
-        bracket, target = (0.9, 1.1), 1.0
-    else:
-        raise UsageError(f"unknown mode {mode!r} (degree1, degree2)")
-    rep = functional.second_variation_threshold(v, mode, bracket)
+    rep, target = functional.mode_threshold(grid, mode)
     rows = [{
         "claim": "sign change of the quadratic coefficient",
         "mode": mode, "threshold_estimate": rep.threshold_estimate,
@@ -387,35 +362,41 @@ HANDLERS = {
 }
 
 
+def _run_flags() -> _Parser:
+    """The run parameters every subcommand takes; a config file may set exactly these."""
+    p = _Parser(add_help=False)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--rho", type=float)
+    p.add_argument("--l", type=float)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--s", type=float)
+    p.add_argument("--s-min", dest="s_min", type=float)
+    p.add_argument("--s-max", dest="s_max", type=float)
+    p.add_argument("--n", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--L", type=int)
+    p.add_argument("--n-mu", dest="n_mu", type=int)
+    p.add_argument("--h", type=float)
+    p.add_argument("--r-max", dest="r_max", type=float)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--alphas", type=str)
+    p.add_argument("--targets", type=str)
+    p.add_argument("--floor", type=float)
+    p.add_argument("--case", type=str)
+    p.add_argument("--field", choices=("quadrant", "linear"))
+    p.add_argument("--mode", choices=("degree1", "degree2"))
+    p.add_argument("--radii", type=str)
+    p.add_argument("--determinism", choices=("on", "off"))
+    return p
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="onofri", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
-    common = dict(formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+    common = dict(formatter_class=argparse.ArgumentDefaultsHelpFormatter, parents=[_run_flags()])
     for name in HANDLERS:
         p = sub.add_parser(name, **common)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--rho", type=float)
-        p.add_argument("--l", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--s", type=float)
-        p.add_argument("--s-min", dest="s_min", type=float)
-        p.add_argument("--s-max", dest="s_max", type=float)
-        p.add_argument("--n", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--L", type=int)
-        p.add_argument("--n-mu", dest="n_mu", type=int)
-        p.add_argument("--h", type=float)
-        p.add_argument("--r-max", dest="r_max", type=float)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--trials", type=int)
-        p.add_argument("--alphas", type=str)
-        p.add_argument("--targets", type=str)
-        p.add_argument("--floor", type=float)
-        p.add_argument("--case", type=str)
-        p.add_argument("--field", type=str)
-        p.add_argument("--mode", type=str)
-        p.add_argument("--radii", type=str)
-        p.add_argument("--determinism", choices=("on", "off"))
         p.add_argument("--config", type=str)
         p.add_argument("--out", type=str)
         p.add_argument("--csv", type=str)

@@ -162,12 +162,12 @@ def el_residual(u: SphereField, rho: float) -> float:
 
 @dataclass
 class MinimizeOptions:
-    stat_tol: float = 1e-8
-    com_tol: float = 1e-10
+    """Stopping rules of both descents (functional.minimize, axisym.minimize_axisym)."""
+
+    stat_tol: float = 1e-8          # gradient norm that counts as stationary
+    com_tol: float = 1e-10          # center of mass (1-D: normalised moment) left by the tilt
     max_iter: int = 800
-    blowup_floor: float = -25.0
-    armijo: float = 1e-4
-    step0: float = 1.0
+    blowup_floor: float = -25.0     # values below it end the run as unbounded descent
 
 
 @dataclass
@@ -203,20 +203,82 @@ def zero_hessian(alpha: float, lmax: int) -> np.ndarray:
     return np.maximum(alpha / 2.0 * l * (l + 1.0) - 1.0, (2.0 * l + 1.0) / 16.0)
 
 
+ARMIJO = 1e-4           # sufficient-decrease constant of the line search
+MAX_HALVINGS = 40       # halvings of the unit step before a descent stalls
+
+
+class Descent(NamedTuple):
+    """Where a projected descent stopped, with its work counters."""
+
+    state: object
+    value: float
+    grad_norm: float
+    status: str             # converged, unbounded-descent, stalled or max-iter
+    iterations: int
+    backtracks: int         # line-search halvings over the whole run
+    newton_steps: int       # Newton steps of the retractions over the whole run
+    trace: list             # (iteration, value) at the top of every iteration and at the end
+
+
+def descend(start, precond: np.ndarray, trial, retract, norm, opts: MinimizeOptions) -> Descent:
+    """Preconditioned projected descent with Armijo backtracking.
+
+    The minimiser supplies its representation through three callbacks:
+    retract(candidate) -> (state, value, gradient, newton_steps) puts a
+    candidate on the constraint and the gauge; trial(state, delta) ->
+    (candidate, value) moves the state's coefficients by delta; norm(gradient)
+    is the norm the stationarity test reads.  `start` is the first candidate.
+    Each iteration steps along -gradient / precond from a unit step, halving
+    until the Armijo test holds within a rounding allowance of
+    1e-14 (1 + |value|); a run whose MAX_HALVINGS halvings all fail is stalled.
+    """
+    state, value, grad, newton_steps = retract(start)
+    gnorm = norm(grad)
+    trace = []
+    status = "max-iter"
+    it = backtracks = 0
+    for it in range(1, opts.max_iter + 1):
+        trace.append((it - 1, value))
+        if gnorm <= opts.stat_tol:
+            status = "converged"
+            break
+        if value < opts.blowup_floor:
+            status = "unbounded-descent"
+            break
+        direction = -grad / precond
+        slope = float(np.sum(grad * direction))
+        noise = 1e-14 * (1.0 + abs(value))
+        step = 1.0
+        for _ in range(MAX_HALVINGS):
+            cand, cand_value = trial(state, step * direction)
+            if cand_value <= value + ARMIJO * step * slope + noise:
+                break
+            step *= 0.5
+            backtracks += 1
+        else:
+            status = "stalled"
+            break
+        state, value, grad, steps = retract(cand)
+        newton_steps += steps
+        gnorm = norm(grad)
+    trace.append((it, value))
+    return Descent(state, float(value), gnorm, status, it, backtracks, newton_steps, trace)
+
+
 def minimize(alpha: float, u0: SphereField, opts: MinimizeOptions | None = None) -> MinimizeResult:
     """Projected descent for J_alpha on the center-of-mass constraint.
 
-    Each iteration: gradient step preconditioned by zero_hessian (the second
-    variation at u = 0, the constrained minimiser for alpha >= 2/3, so a full
-    step is close to Newton's there) with Armijo backtracking, the degree-1
-    tilt back onto the constraint, then the unit exp-mass shift.
-    The iterate is carried as its spectrum and its grid values together, so a
-    line-search trial costs one synthesize and one exponential (for J), and
-    an accepted step one analyze (of e^u, for the gradient).  The tilt, the
-    shift, J and the gradient of the accepted step all read the moments of
-    that one exponential, or of the tilt's last Newton iterate.  Descent past
-    opts.blowup_floor returns an unbounded-descent verdict instead of a
-    minimiser (the expected outcome of probes below alpha = 1/2).
+    Each iteration of descend: a gradient step preconditioned by zero_hessian
+    (the second variation at u = 0, the constrained minimiser for
+    alpha >= 2/3, so a full step is close to Newton's there), the degree-1
+    tilt back onto the constraint, then the unit exp-mass shift.  The iterate is carried as its spectrum and its grid
+    values together, so a line-search trial costs one synthesize and one
+    exponential (for J), and an accepted step one analyze (of e^u, for the
+    gradient).  The tilt, the shift, J and the gradient of the accepted step
+    all read the moments of that one exponential, or of the tilt's last
+    Newton iterate.  Descent past opts.blowup_floor returns an
+    unbounded-descent verdict instead of a minimiser (the expected outcome of
+    probes below alpha = 1/2).
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
@@ -228,22 +290,27 @@ def minimize(alpha: float, u0: SphereField, opts: MinimizeOptions | None = None)
     pts, weights = _node_geometry(grid)
     l = np.arange(L + 1, dtype=float)
     stiffness = (alpha / 2.0 * l * (l + 1.0))[:, None]
-    hessian = zero_hessian(alpha, L)[:, None]
     # x1, x2, x3 are the degree-1 harmonics (1, 1), (1, -1), (1, 0) over sqrt(3)
     tilt_slots = [L + 1, L - 1, L]
 
     def moments(u):
         return exp_moments(u.values.ravel(), weights, pts)
 
-    def retract(spec, u, mom):
-        """Tilt onto the constraint and shift to unit exp-mass, in both
-        representations; returns the state with its J and gradient spectrum,
-        and the tilt's Newton steps.
+    def trial(state, delta):
+        spec = HarmonicSpectrum(L, state[0].coeffs + delta)
+        u = sphere.synthesize(spec, grid)
+        mom = moments(u)
+        return (spec, u, mom), _j_value(spec, mom.log_mass, alpha)   # J is shift-invariant
+
+    def retract(cand):
+        """Tilt onto the constraint and shift to unit exp-mass: the state
+        (spectrum, field), J, the gradient's coefficients, the Newton steps.
 
         The tilt starts from u's moments and returns those of the tilted
         field: the shift is their log-mass, the shifted state has log-mass
         zero, and e^u / int e^u dw is their density (both shift-invariant).
         """
+        spec, u, mom = cand
         c, mom, steps = tilt(u.values.ravel(), weights, pts, opts.com_tol, mom)
         values = u.values
         if c.any():
@@ -251,61 +318,22 @@ def minimize(alpha: float, u0: SphereField, opts: MinimizeOptions | None = None)
             spec.coeffs[1, tilt_slots] += c / np.sqrt(3.0)
         spec.coeffs[0, L] -= mom.log_mass
         # spectrum of -(alpha/2) lap u + 1 - e^u / int e^u dw
-        gspec = sphere.analyze(SphereField(grid, mom.density.reshape(grid.shape)))
-        gspec.coeffs = stiffness * spec.coeffs - gspec.coeffs
-        gspec.coeffs[0, L] += 1.0
-        return spec, SphereField(grid, values - mom.log_mass), _j_value(spec, 0.0, alpha), gspec, steps
+        grad = stiffness * spec.coeffs - sphere.analyze(
+            SphereField(grid, mom.density.reshape(grid.shape))).coeffs
+        grad[0, L] += 1.0
+        state = (spec, SphereField(grid, values - mom.log_mass))
+        return state, _j_value(spec, 0.0, alpha), grad, steps
 
     spec = sphere.analyze(u0)
     u = sphere.synthesize(spec, grid)                       # the state is band-limited
-    spec, u, j, gspec, newton_steps = retract(spec, u, moments(u))
-    gnorm = float(np.linalg.norm(gspec.coeffs))
-    trace = []
-    status = "max-iter"
-    it = 0
-    backtracks = 0
-    for it in range(1, opts.max_iter + 1):
-        trace.append((it - 1, j))
-        if gnorm <= opts.stat_tol:
-            status = "converged"
-            break
-        if j < opts.blowup_floor:
-            status = "unbounded-descent"
-            break
-        direction = -gspec.coeffs / hessian
-        slope = float(np.sum(gspec.coeffs * direction))
-        noise = 1e-14 * (1.0 + abs(j))
-        step = opts.step0
-        accepted = False
-        for _ in range(40):
-            cand_spec = HarmonicSpectrum(L, spec.coeffs + step * direction)
-            cand = sphere.synthesize(cand_spec, grid)
-            mom = moments(cand)
-            jc = _j_value(cand_spec, mom.log_mass, alpha)   # J is shift-invariant
-            if jc <= j + opts.armijo * step * slope + noise:
-                accepted = True
-                break
-            step *= 0.5
-            backtracks += 1
-        if not accepted:
-            status = "stalled"
-            break
-        spec, u, j, gspec, steps = retract(cand_spec, cand, mom)
-        newton_steps += steps
-        gnorm = float(np.linalg.norm(gspec.coeffs))
-    trace.append((it, j))
-    return MinimizeResult(
-        u=u,
-        j_value=float(j),
-        grad_norm=gnorm,
-        com_norm=float(np.linalg.norm(center_of_mass(u))),
-        exp_mass=float(np.exp(sphere.log_exp_mass(u))),
-        iterations=it,
-        backtracks=backtracks,
-        newton_steps=newton_steps,
-        trace=trace,
-        status=status,
-    )
+    run = descend((spec, u, moments(u)), zero_hessian(alpha, L)[:, None], trial, retract,
+                  np.linalg.norm, opts)
+    u = run.state[1]
+    return MinimizeResult(u=u, j_value=run.value, grad_norm=float(run.grad_norm),
+                          com_norm=float(np.linalg.norm(center_of_mass(u))),
+                          exp_mass=float(np.exp(sphere.log_exp_mass(u))),
+                          iterations=run.iterations, backtracks=run.backtracks,
+                          newton_steps=run.newton_steps, trace=run.trace, status=run.status)
 
 
 # ---------------------------------------------------------------------------
@@ -415,3 +443,15 @@ def second_variation_threshold(v: SphereField, mode: str,
         quadratic_coefficient=empirical_quadratic_coefficient(v, mid),
         threshold_estimate=float(root),
     )
+
+
+def mode_threshold(grid: SphereGrid, mode: str) -> tuple[SecondVariationReport, float]:
+    """Threshold along x1 x2 ('degree2', exact 1/3) or x3 ('degree1', exact 1),
+    with the exact value; the battery and the CLI share these brackets."""
+    if mode == "degree2":
+        v, bracket, exact = sphere.field_of(grid, lambda a, b, c: a * b), (0.25, 0.45), 1.0 / 3.0
+    elif mode == "degree1":
+        v, bracket, exact = sphere.field_of(grid, lambda a, b, c: c), (0.9, 1.1), 1.0
+    else:
+        raise ValueError(f"unknown mode {mode!r} (degree1, degree2)")
+    return second_variation_threshold(v, mode, bracket), exact

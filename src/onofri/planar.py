@@ -202,23 +202,24 @@ def _disk_quadrature(r_hi: float, n_gauss: int = 24, n_theta: int = 64):
     return r, wr, theta
 
 
-def _angular_mean_exp(v: PlanarField, radii: np.ndarray, n_theta: int = 64) -> np.ndarray:
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    pts = np.stack([radii[:, None] * np.cos(theta), radii[:, None] * np.sin(theta)], axis=-1)
-    return np.mean(np.exp(v(pts.reshape(-1, 2))).reshape(len(radii), n_theta), axis=1)
+def beta_l(v: PlanarField, r_cut: float = 100.0, n_theta: int = 64) -> float:
+    """Normalised mass (1/2pi) int (1+|y|^2)^l e^v dy.
 
+    Quadrature to 2 r_cut plus the analytic tail of the asymptote
+    v ~ c - beta log r + d / r^2, fitted on [r_cut, 2 r_cut].
+    """
+    cut = 2.0 * r_cut
+    r, wr, theta = _disk_quadrature(cut, n_theta=n_theta)
 
-def _beta_one_cut(v: PlanarField, r_cut: float, n_theta: int = 64):
-    """(1/2pi) mass integral split at r_cut plus a fitted analytic tail."""
-    r, wr, theta = _disk_quadrature(r_cut, n_theta=n_theta)
-    pts = np.stack([r[:, None] * np.cos(theta), r[:, None] * np.sin(theta)], axis=-1)
-    vals = np.exp(v(pts.reshape(-1, 2))).reshape(len(r), n_theta)
-    dens = (1.0 + r**2) ** v.l * np.mean(vals, axis=1) * r
-    inner = float(np.dot(wr, dens))
+    def angular_mean_exp(radii):
+        pts = np.stack([radii[:, None] * np.cos(theta), radii[:, None] * np.sin(theta)], axis=-1)
+        return np.mean(np.exp(v(pts.reshape(-1, 2))).reshape(len(radii), n_theta), axis=1)
 
-    # fit log(mean_theta e^v) = c - beta log r + d / r^2 on [r_cut/2, r_cut]
-    rf = np.geomspace(r_cut / 2.0, r_cut, 17)
-    m = _angular_mean_exp(v, rf, n_theta)
+    inner = float(np.dot(wr, (1.0 + r**2) ** v.l * angular_mean_exp(r) * r))
+
+    # fit log(mean_theta e^v) = c - beta log r + d / r^2 on [cut/2, cut]
+    rf = np.geomspace(cut / 2.0, cut, 17)
+    m = angular_mean_exp(rf)
     if np.any(m <= 0.0) or not np.all(np.isfinite(m)):
         raise DivergentMassError("tail fit: non-finite angular means")
     basis = np.stack([np.ones_like(rf), -np.log(rf), rf**-2.0], axis=1)
@@ -230,20 +231,10 @@ def _beta_one_cut(v: PlanarField, r_cut: float, n_theta: int = 64):
             f"fitted decay beta = {beta_fit:.6f} <= 2l+2 = {2*v.l+2:.6f}: mass diverges")
     a1 = d_fit + v.l
     a2 = 0.5 * d_fit**2 + d_fit * v.l + 0.5 * v.l * (v.l - 1.0)
-    tail = math.exp(c_fit) * (r_cut**gamma / (-gamma)
-                              + a1 * r_cut ** (gamma - 2.0) / (2.0 - gamma)
-                              + a2 * r_cut ** (gamma - 4.0) / (4.0 - gamma))
-    return inner + tail, beta_fit, c_fit
-
-
-def beta_l(v: PlanarField, r_cut: float = 100.0, n_theta: int = 64) -> float:
-    """Normalised mass (1/2pi) int (1+|y|^2)^l e^v dy.
-
-    Quadrature to r_cut plus the analytic tail of the fitted asymptote
-    v ~ -beta log r + c, with the quadrature cut at 2 r_cut.
-    """
-    b2, _, _ = _beta_one_cut(v, 2.0 * r_cut, n_theta)
-    return float(b2)
+    tail = math.exp(c_fit) * (cut**gamma / (-gamma)
+                            + a1 * cut ** (gamma - 2.0) / (2.0 - gamma)
+                            + a2 * cut ** (gamma - 4.0) / (4.0 - gamma))
+    return float(inner + tail)
 
 
 @dataclass
@@ -390,3 +381,20 @@ def nodal_domains(f_values: np.ndarray, xs: np.ndarray, ys: np.ndarray,
         verdict = "contradiction" if nodal_ledger(m, rho)["contradiction"] else "consistent"
     return NodalReport(m=m, masses=masses, total=total, ledger_verdict=verdict,
                        labels=labels, zero_tol=float(zero_tol))
+
+
+def analytic_nodal_count(which: str, rho: float) -> tuple[NodalReport, int]:
+    """Nodal report at rho and expected domain count of an analytic field on the
+    241 x 241 grid of [-3, 3]^2, cut to the disk of radius 3, shared by the
+    battery and the CLI: 'quadrant', (x^2 - y^2) e^{-(x^2 + y^2)}, has four
+    domains and 'linear', x, has two."""
+    xs = np.linspace(-3.0, 3.0, 241)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    if which == "quadrant":
+        f, expected = (X**2 - Y**2) * np.exp(-(X**2 + Y**2)), 4
+    elif which == "linear":
+        f, expected = X, 2
+    else:
+        raise ValueError(f"unknown field {which!r} (quadrant, linear)")
+    rep = nodal_domains(f, xs, xs, disk_radius=3.0, mass_density=nodal_mass_density(rho), rho=rho)
+    return rep, expected

@@ -95,11 +95,11 @@ def minimize(alpha, u0, opts=None):
         direction = -gspec.coeffs / fn.zero_hessian(alpha, L)[:, None]
         slope = float(np.sum(gspec.coeffs * direction))
         noise = 1e-14 * (1.0 + abs(j))
-        step = opts.step0
+        step = 1.0
         for _ in range(40):
             cand_spec = sphere.HarmonicSpectrum(L, spec.coeffs + step * direction)
             cand = sphere.synthesize(cand_spec, grid)
-            if _j_value(cand_spec, cand, alpha) <= j + opts.armijo * step * slope + noise:
+            if _j_value(cand_spec, cand, alpha) <= j + 1e-4 * step * slope + noise:
                 break
             step *= 0.5
             backtracks += 1
@@ -149,20 +149,21 @@ def _gradient(g, alpha):
     return grad
 
 
-def minimize_axisym(alpha, g0, stat_tol=1e-8, moment_tol=1e-10, max_iter=600, blowup_floor=-25.0):
+def minimize_axisym(alpha, g0, opts=None):
     """The axisymmetric descent; returns (status, I, iterations, backtracks, g)."""
-    g = _recenter_gauge(g0, moment_tol)
+    opts = opts or fn.MinimizeOptions()
+    g = _recenter_gauge(g0, opts.com_tol)
     val = _i_functional(g, alpha)
     k = np.arange(g.degree + 1, dtype=float)
     precond = np.maximum((4.0 * alpha * k * (k + 1.0) - 8.0) / (2.0 * k + 1.0), 0.5)
     status, it, backtracks = "max-iter", 0, 0
     grad = _gradient(g, alpha)
     gnorm = ax._grad_l2(grad)
-    for it in range(1, max_iter + 1):
-        if gnorm <= stat_tol:
+    for it in range(1, opts.max_iter + 1):
+        if gnorm <= opts.stat_tol:
             status = "converged"
             break
-        if val < blowup_floor:
+        if val < opts.blowup_floor:
             status = "unbounded-descent"
             break
         direction = -grad / precond
@@ -178,7 +179,7 @@ def minimize_axisym(alpha, g0, stat_tol=1e-8, moment_tol=1e-10, max_iter=600, bl
         else:
             status = "stalled"
             break
-        g = _recenter_gauge(cand, moment_tol)
+        g = _recenter_gauge(cand, opts.com_tol)
         val = _i_functional(g, alpha)
         grad = _gradient(g, alpha)
         gnorm = ax._grad_l2(grad)

@@ -175,7 +175,7 @@ def test_preconditioner_is_the_sphere_rule_on_the_lift(monkeypatch):
         return zero_hessian(alpha, lmax)
 
     monkeypatch.setattr(fn, "zero_hessian", spy)
-    ax.minimize_axisym(0.6, ax.random_start_1d((3,)), max_iter=1)
+    ax.minimize_axisym(0.6, ax.random_start_1d((3,)), fn.MinimizeOptions(max_iter=1))
     assert calls == [(0.6, ax.DEFAULT_DEGREE)]
     k = np.arange(65, dtype=float)
     for alpha in np.linspace(0.2, 1.5, 131):
@@ -192,7 +192,7 @@ def test_sphere_descent_mirrors_the_1d_descent(grid16, alpha, n):
     for k in range(3):
         g0 = ax.random_start_1d((61, k))
         res = fn.minimize(alpha, ax.lift(g0, grid16), fn.MinimizeOptions(max_iter=n))
-        res1 = ax.minimize_axisym(alpha, g0, max_iter=n)
+        res1 = ax.minimize_axisym(alpha, g0, fn.MinimizeOptions(max_iter=n))
         assert res.iterations == res1.iterations == n
         assert np.max(np.abs(res.u.values - ax.lift(res1.g, grid16).values)) <= 1e-12
         assert abs(2.0 * res.j_value - res1.value) <= 1e-14
@@ -234,7 +234,7 @@ def test_minimize_exponential_and_legval_counts(monkeypatch):
         g0 = ax.random_start_1d((7, 0), amplitude=amplitude)    # leggauss calls legval
         for key in counts:
             counts[key] = 0
-        res = ax.minimize_axisym(alpha, g0, max_iter=max_iter)
+        res = ax.minimize_axisym(alpha, g0, fn.MinimizeOptions(max_iter=max_iter))
         assert res.status == status and res.backtracks > 0
         accepted = res.iterations - 1 + last_accepted
         assert counts["outside"] == accepted + res.backtracks + 2
@@ -263,7 +263,7 @@ def test_two_bubble_value_matches_sphere_functional(grid32):
 
 def test_unbounded_verdict_path():
     g = ax.random_start_1d((1,), degree=8)
-    res = ax.minimize_axisym(0.45, g, blowup_floor=1e9)
+    res = ax.minimize_axisym(0.45, g, fn.MinimizeOptions(blowup_floor=1e9))
     # an absurd floor forces the verdict immediately, exercising the branch
     assert res.status == "unbounded-descent"
 

@@ -111,6 +111,26 @@ def test_bad_config_line(tmp_path):
     assert cli.main(["axisym", "--config", str(cfg)]) == cli.EXIT_USAGE
 
 
+def test_unknown_config_key(tmp_path):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("alpah = 0.5\n")
+    assert cli.main(["axisym", "--alpha", "0.5", "--config", str(cfg)]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("line", ["seed = 1.5", "alpha = x", "determinism = maybe", "mode = degree3"])
+def test_unparsable_config_value(tmp_path, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert cli.main(["axisym", "--alpha", "0.5", "--config", str(cfg)]) == cli.EXIT_USAGE
+
+
+def test_config_values_take_their_flag_types(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("s-min = -2\nn_mu = 24\nalphas = 0.7,0.8\ndeterminism = off\n")
+    assert cli.read_config_file(str(cfg)) == {"s_min": -2.0, "n_mu": 24, "alphas": "0.7,0.8",
+                                            "determinism": "off"}
+
+
 def test_uniqueness_rows(tmp_path):
     code, rep = run(tmp_path, "uniqueness", "--l", "1", "--targets", "6.0",
                     "--s-min", "-2", "--s-max", "6")
