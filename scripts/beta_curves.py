@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Mass curves beta(s) of the radial shooting family for several exponents.
 
-The l = 0 column is flat at 4 (the scaling family); l <= 1 curves are strictly
-monotone (one profile per mass); the l = 2 curve is non-monotone above its
-dip, which is why the uniqueness window stops at beta = 2(2+l).  Writes one
-CSV per exponent into results/.
+The l = 0 column is flat at 4 (the scaling family); the l = 0.5 and l = 1
+curves decrease monotonically (one profile per mass); the l = 2 curve falls
+from 12 to a minimum of about 7.35 near s = 4.7 and rises back toward 8, so
+every mass between that minimum and 8 has two profiles.  Writes one CSV per
+exponent into results/.
 """
 import pathlib
 import sys

@@ -37,7 +37,8 @@ def test_l0_mass_for_strongly_negative_start(s):
     assert abs(sol.beta_mass - 4.0) <= 1e-6 and abs(sol.beta_slope - 4.0) <= 1e-6
 
 
-@pytest.mark.parametrize("l, s", [(1.0, 8.75), (1.0, 10.0), (0.0, -20.0)])
+@pytest.mark.parametrize("l, s", [(1.0, 8.75), (1.0, 10.0), (0.0, -20.0),
+                                  (1.0, 11.0), (1.0, 14.0), (1.0, 22.0)])
 def test_far_field_tail_matches_long_domain(l, s):
     """The analytic tail past r_max = 1e6 agrees with integrating out to 1e80."""
     short = sh.shoot(l, s)
@@ -45,6 +46,17 @@ def test_far_field_tail_matches_long_domain(l, s):
     assert short.verdict == long.verdict == "converged"
     assert abs(short.beta_mass - long.beta_mass) <= 1e-10
     assert abs(short.c_asym - long.c_asym) <= 1e-9
+
+
+def test_large_starts_have_finite_mass_at_l1():
+    """For large s the decay rate beta - 4 is small but positive at t = 60, which
+    already proves the mass finite; beta creeps down toward 4."""
+    sols = [sh.shoot(1.0, s) for s in (11.0, 14.0, 22.0)]
+    assert all(sol.verdict == "converged" for sol in sols)
+    assert all(abs(sol.beta_mass - sol.beta_slope) <= 1e-6 for sol in sols)
+    betas = [sol.beta_mass for sol in sols]
+    assert 4.0 < betas[2] < betas[1] < betas[0]
+    assert betas[2] == pytest.approx(4.000189, abs=1e-6)
 
 
 def test_dual_estimators_agree():
@@ -117,8 +129,18 @@ def test_roots_l05_mass_five():
 
 @pytest.mark.parametrize("target", [5.0, 6.0, 7.0])
 def test_l2_window_at_most_one_root(target):
-    roots = sh.solutions_at_beta(2.0, [target], (-6.0, 10.0)).roots[0]
-    assert len(roots) <= 1
+    search = sh.solutions_at_beta(2.0, [target], (-6.0, 10.0))
+    assert target < search.beta_range[0]      # below the curve's minimum: nothing to find
+    assert search.roots[0] == []
+
+
+def test_l2_mass_below_4l_has_two_profiles():
+    """At l = 2 the curve dips to 7.35 near s = 4.7 and rises back toward 8, so
+    a mass in (7.35, 8) inside the Pohozaev window has two radial profiles."""
+    roots = sh.solutions_at_beta(2.0, [7.5], (-6.0, 10.0)).roots[0]
+    assert len(roots) == 2
+    assert roots[0] == pytest.approx(3.777292, abs=1e-5)
+    assert roots[1] == pytest.approx(5.861400, abs=1e-5)
 
 
 def test_empty_bracket_returns_no_roots():
@@ -180,6 +202,32 @@ def test_shared_curve_counts_divergent_samples(monkeypatch):
     assert cut.divergent_samples == 4                  # s = 8.5, 9, 9.5, 10
     assert cut.roots[0] == [] and cut.roots[1] == full.roots[1]
     assert cut.beta_range[0] > full.beta_range[0]
+
+
+def test_quintic_mass_rule_is_sixth_order():
+    """Bubble v = log 8 - 2 log(1 + r^2) with exact v, v', v'' on uniform nodes."""
+    def v(r):
+        return math.log(8.0) - 2.0 * np.log1p(r * r)
+
+    def error(n):
+        r = np.linspace(0.0, 3.0, n + 1)
+        mass = sh._gauss3_hermite_mass(r, v(r), -4.0 * r / (1.0 + r * r),
+                                       -4.0 * (1.0 - r * r) / (1.0 + r * r) ** 2,
+                                       lambda r, v: np.exp(v) * r)
+        return abs(mass - 4.0 * 9.0 / 10.0)
+
+    assert error(8) >= 40.0 * error(16) > 0.0
+    assert error(16) >= 40.0 * error(32) > 0.0
+
+
+def test_steps_per_shot_over_the_curves_grid():
+    """Accepted plus rejected steps per shot on the l and s range of the curves workload."""
+    steps = []
+    for l in (0.0, 0.5, 1.0, 2.0):
+        for s in np.linspace(-5.0, 8.0, 14):
+            sol = sh.shoot(l, float(s))
+            steps.append(len(sol.r_grid) - 1 + sol.rejected_steps)
+    assert np.median(steps) <= 250
 
 
 def test_brent_matches_closed_form_root():
