@@ -183,21 +183,45 @@ def criterion_7(seed, grids):
 # -- 8: uniqueness windows ----------------------------------------------------
 
 
+# Claimed root counts on the bracket (-6, 10).  For l <= 1 the mass curve
+# falls monotonically, one profile per mass it reaches.  For l > 1 it falls
+# from 4(1+l) to a minimum beta_min (7.352 at l = 2) and rises back toward
+# 4l: none below beta_min, two between beta_min and 4l, one above 4l.
+UNIQUENESS_TARGETS = (
+    (0.5, ((4.5, 1), (5.0, 1), (5.5, 1), (5.75, 1))),
+    (1.0, ((4.5, 1), (5.0, 1), (5.5, 1), (6.0, 1), (6.5, 1))),
+    (2.0, ((7.2, 0), (7.5, 2), (7.9, 2), (9.0, 1), (11.0, 1))),
+)
+
+
+def uniqueness_verdict(search, target, n_roots):
+    """(predicted count, passed) for one target of a root search: the count
+    the certified curve shape predicts, and whether the search found exactly
+    that many roots under a valid certificate."""
+    predicted = search.certificate.count(target)
+    return predicted, predicted is not None and n_roots == predicted
+
+
 def criterion_8(seed, grids):
     rows = []
     bracket = (-6.0, 10.0)
     roots_at = {}
-    for l, targets in ((0.5, (4.5, 5.0, 5.5, 6.0, 6.5)),
-                       (1.0, (4.5, 5.0, 5.5, 6.0, 6.5)),
-                       (2.0, (5.0, 6.0, 7.0))):
+    for l, claims in UNIQUENESS_TARGETS:
+        targets = [target for target, _ in claims]
         search = shooting.solutions_at_beta(l, targets, bracket)
-        for target, roots in zip(targets, search.roots):
+        certificate = search.certificate.summary()
+        for (target, claimed), roots, slopes in zip(claims, search.roots, search.root_slopes):
             roots_at[(l, target)] = roots
-            rows.append(_row(8, f"l_{l}_beta_{target}", "at most one radial profile per admissible mass",
-                             len(roots), 1.0, len(roots) <= 1,
-                             roots=[float(r) for r in roots], l=float(l),
-                             beta_range=list(search.beta_range),
-                             divergent_samples=search.divergent_samples))
+            predicted, passed = uniqueness_verdict(search, target, len(roots))
+            rows.append(_row(8, f"l_{l}_beta_{target}",
+                             "root count equals the certified curve shape's count and the claim",
+                             len(roots), claimed, passed and predicted == claimed,
+                             roots=[float(r) for r in roots],
+                             root_slopes=[float(d) for d in slopes], l=float(l),
+                             predicted_roots=predicted, beta_range=list(search.beta_range),
+                             divergent_samples=search.divergent_samples,
+                             unresolved_samples=search.unresolved_samples,
+                             certificate=certificate))
     for l, target, s_star in ((0.5, 5.0, math.log(10.0)), (1.0, 6.0, math.log(12.0))):
         roots = roots_at[(l, target)]
         err = abs(roots[0] - s_star) if roots else math.inf
@@ -334,12 +358,18 @@ def run_battery(seed: int = DEFAULT_SEED, criteria=None, grids=None) -> list[dic
     return [row for cid in sorted(by_criterion) for row in by_criterion[cid]]
 
 
-def determinism_row(seed: int = DEFAULT_SEED, criteria=None) -> dict:
-    """Criterion 13: a forward and a reversed battery with one seed serialise identically."""
+def determinism_row(seed: int = DEFAULT_SEED, criteria=None, forward_rows=None) -> dict:
+    """Criterion 13: a forward and a reversed battery with one seed serialise identically.
+
+    forward_rows, when given, are the rows of a forward pass already run with
+    this seed and criteria; only the reversed pass is run then.
+    """
     from .report import to_builtin
 
     forward = sorted(criteria or CRITERIA)
-    first = json.dumps(to_builtin(run_battery(seed, forward)), sort_keys=True)
+    if forward_rows is None:
+        forward_rows = run_battery(seed, forward)
+    first = json.dumps(to_builtin(forward_rows), sort_keys=True)
     second = json.dumps(to_builtin(run_battery(seed, forward[::-1])), sort_keys=True)
     same = first == second
     return _row(13, "rerun_bytes", "identical seed reproduces result rows byte for byte in any order",
@@ -349,7 +379,7 @@ def determinism_row(seed: int = DEFAULT_SEED, criteria=None) -> dict:
 def run_verify(seed: int = DEFAULT_SEED, determinism: bool = True) -> list[dict]:
     rows = run_battery(seed)
     if determinism:
-        rows.append(determinism_row(seed))
+        rows.append(determinism_row(seed, forward_rows=rows))
     return rows
 
 

@@ -231,26 +231,22 @@ def cmd_uniqueness(cfg):
         targets = _parse_list(_need(cfg, "targets", "4.5,5.0,5.5,6.0,6.5"))
     bracket = (float(_need(cfg, "s_min", -6.0)), float(_need(cfg, "s_max", 10.0)))
     search = shooting.solutions_at_beta(l, targets, bracket)
+    cert = search.certificate
     rows = []
     ok = True
-    for target, roots in zip(targets, search.roots):
-        in_window = l <= 1.0 or (2.0 * l < target < 2.0 * (2.0 + l))
-        flagged = []
-        for r in roots:
-            slope = shooting.beta_slope_at(l, r)
-            if abs(slope) < 1e-6:
-                flagged.append(r)
-        passed = (len(roots) <= 1) if in_window else None
-        if in_window:
-            ok = ok and passed
+    for target, roots, slopes in zip(targets, search.roots, search.root_slopes):
+        predicted, passed = acceptance.uniqueness_verdict(search, target, len(roots))
+        ok = ok and passed
         rows.append({
-            "claim": ("at most one radial profile per admissible mass"
-                      if in_window else "root count outside the uniqueness window (exploratory)"),
+            "claim": "root count equals the certified curve shape's count",
             "l": l, "beta_target": target,
-            "n_roots": len(roots), "roots": roots,
-            "near_tangent": flagged, "passed": passed,
+            "n_roots": len(roots), "roots": roots, "predicted_roots": predicted,
+            "near_tangent": [r for r, d in zip(roots, slopes) if abs(d) <= cert.slope_error],
+            "passed": passed,
             "beta_range": list(search.beta_range),
             "divergent_samples": search.divergent_samples,
+            "unresolved_samples": search.unresolved_samples,
+            "certificate": cert.summary(),
         })
     return rows, ("pass" if ok else "fail"), rows
 

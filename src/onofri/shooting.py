@@ -13,7 +13,10 @@ formed along independent paths:
   above the integrator's fifth, so the adaptive steps chosen for the ODE
   tolerance also resolve the mass and no step cap serves the quadrature.
 
-Their agreement is the accuracy certificate for a shot.
+Their agreement is the accuracy certificate for a shot.  beta_prime
+differentiates both estimators in s along the Jacobi field w = dv/ds, which
+it integrates after the shot on the shot's own nodes; solutions_at_beta
+hands shots with (beta, beta') to rootsearch.search_curve.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergenceError
+from .rootsearch import RootSearch, search_curve
 
 
 def _rk_adaptive(f, x0, v, p, x1, tol, h0, store_x, store_v, store_p,
@@ -99,8 +103,10 @@ class RadialSolution:
     beta_mass: float
     beta_slope: float
     c_asym: float
-    verdict: str            # "converged" or "divergent-mass"
+    verdict: str            # "converged", "divergent-mass" or "unresolved"
     rejected_steps: int     # accepted steps are len(r_grid) - 1
+    inner: tuple            # accepted nodes (r, v, v') of the leg in r, from r0 to 1
+    outer: tuple            # accepted nodes (t, V, W = dV/dt) of the leg in t = log r
 
     @property
     def beta(self) -> float:
@@ -128,6 +134,22 @@ def _quintic_hermite_basis(q: np.ndarray) -> np.ndarray:
 _GAUSS3_QUINTIC = _quintic_hermite_basis(_GAUSS3_NODES)[:, :, None]    # (basis, node, 1)
 
 
+def _hermite_at(basis: np.ndarray, x: np.ndarray, v: np.ndarray, dv: np.ndarray,
+                d2v: np.ndarray) -> np.ndarray:
+    """Quintic Hermite interpolant of v at fixed fractions of every interval.
+
+    basis is _quintic_hermite_basis(q)[:, :, None]; x, v, dv, d2v are node
+    arrays with dv and d2v the first and second derivatives of v in x.  The
+    result has shape (len(q), intervals).
+    """
+    h = np.diff(x)
+    h2 = h * h
+    # broadcast sums, not matrix products: a first BLAS call maps its buffers,
+    # about 0.25 MB of peak RSS in a process that only shoots
+    return sum(b * node for b, node in zip(basis, (
+        v[:-1], h * dv[:-1], h2 * d2v[:-1], v[1:], h * dv[1:], h2 * d2v[1:])))
+
+
 def _gauss3_hermite_mass(x: np.ndarray, v: np.ndarray, dv: np.ndarray, d2v: np.ndarray,
                          integrand) -> float:
     """Integral of integrand(x, v(x)) using quintic Hermite interpolation of v.
@@ -137,14 +159,23 @@ def _gauss3_hermite_mass(x: np.ndarray, v: np.ndarray, dv: np.ndarray, d2v: np.n
     Interpolation and rule are both sixth order in the node spacing.
     """
     h = np.diff(x)
-    h2 = h * h
-    # broadcast sums, not matrix products: a first BLAS call maps its buffers,
-    # about 0.25 MB of peak RSS in a process that only shoots
-    vq = sum(b * node for b, node in zip(_GAUSS3_QUINTIC, (
-        v[:-1], h * dv[:-1], h2 * d2v[:-1], v[1:], h * dv[1:], h2 * d2v[1:])))
+    vq = _hermite_at(_GAUSS3_QUINTIC, x, v, dv, d2v)
     xq = x[:-1] + _GAUSS3_NODES[:, None] * h            # (Gauss node, interval)
     return float(np.sum(_GAUSS3_WEIGHTS[:, None] * h * integrand(xq, vq)))
 
+
+def _weight(l, r, v):
+    """(1+r^2)^l e^v = -(v'' + v'/r) on the inner leg."""
+    return (1.0 + r * r) ** l * np.exp(v)
+
+
+def _q(l, t, v):
+    """r^2 (1+r^2)^l e^v = -V'' on the outer leg, t = log r."""
+    return np.exp((2.0 + 2.0 * l) * t + l * np.log1p(np.exp(-2.0 * t)) + v)
+
+
+# A decay rate at t_cap within this many ODE tolerances of zero is unresolved.
+_RATE_RESOLUTION = 100.0
 
 # Step cap on the log-radial leg.  The quintic mass rule needs no cap of its
 # own; this one bounds the global error of the long far-field integration,
@@ -158,6 +189,13 @@ def shoot(l: float, s: float, r_max: float = 1e6, tol: float = 1e-10) -> RadialS
         raise ValueError("l must be nonnegative (the l < 0 regime is out of scope)")
     if r_max < 50:
         raise ValueError("r_max below 50 cannot anchor the asymptote")
+    return _integrate(l, s, r_max, tol)
+
+
+def _integrate(l: float, s: float, r_max: float, tol: float) -> RadialSolution:
+    """shoot without its domain checks: the equation is defined for every real
+    l, and l < 0 is (1+r^2)^l with the sign of l flipped, which the tests use
+    as a mutation of the weight."""
     es = math.exp(s)
     a2 = -es / 4.0
     a4 = -es * (l + a2) / 16.0
@@ -197,17 +235,21 @@ def shoot(l: float, s: float, r_max: float = 1e6, tol: float = 1e-10) -> RadialS
         rejected += rej
     t_max = ts[-1]
 
+    r_in, v_in, p_in = np.asarray(rs), np.asarray(vs), np.asarray(ps)
+    t_out, v_out, w_out = np.asarray(ts), np.asarray(Vs), np.asarray(Ws)
     rate = -(2.0 + 2.0 * l + W_end)
     q_end = math.exp((2.0 + 2.0 * l) * t_max + l * math.log1p(math.exp(-2.0 * t_max)) + V_end)
     # d log q/dt = -rate - 2l/(1 + e^{2t}) <= -rate and the rate only grows
-    # (W' = -q < 0), so any positive rate proves the mass finite
-    if rate <= 0.0:
+    # (W' = -q < 0), so any positive rate proves the mass finite.  A rate
+    # within _RATE_RESOLUTION * tol of zero at t_cap is not resolved above the
+    # integration error (about 1.5 tol in W by t = 60): neither sign is proven.
+    resolution = _RATE_RESOLUTION * tol
+    if rate < -resolution:
         verdict = "divergent-mass"
         beta_slope = -W_end
         beta_mass = -W_end
         c_asym = float("nan")
     else:
-        verdict = "converged"
         # Beyond t_max the far field solves W' = -q, q' = -rate q (dropping the
         # l log1p(e^{-2t}) factor), so rate^2 + 2q is conserved: the rate
         # settles at R = sqrt(rate^2 + 2 q_end) even when W has not settled by
@@ -218,27 +260,115 @@ def shoot(l: float, s: float, r_max: float = 1e6, tol: float = 1e-10) -> RadialS
         tail = 2.0 * q_end / (settled + rate)
         beta_slope = -W_end + tail
 
-        def weight(r, v):       # (1+r^2)^l e^v = -(v'' + v'/r) on the inner leg
-            return (1.0 + r * r) ** l * np.exp(v)
-
-        def q_of(t, v):         # r^2 (1+r^2)^l e^v = -V'' on the outer leg
-            return np.exp(two_l2 * t + l * np.log1p(np.exp(-2.0 * t)) + v)
-
-        r_in, v_in, p_in = np.asarray(rs), np.asarray(vs), np.asarray(ps)
-        t_out, v_out = np.asarray(ts), np.asarray(Vs)
         mass = es * (r0**2 / 2.0 + (l + a2) * r0**4 / 4.0)
-        mass += _gauss3_hermite_mass(r_in, v_in, p_in, -p_in / r_in - weight(r_in, v_in),
-                                     lambda r, v: weight(r, v) * r)
-        mass += _gauss3_hermite_mass(t_out, v_out, np.asarray(Ws), -q_of(t_out, v_out), q_of)
+        mass += _gauss3_hermite_mass(r_in, v_in, p_in, -p_in / r_in - _weight(l, r_in, v_in),
+                                     lambda r, v: _weight(l, r, v) * r)
+        mass += _gauss3_hermite_mass(t_out, v_out, w_out, -_q(l, t_out, v_out),
+                                     lambda t, v: _q(l, t, v))
         mass += tail
         beta_mass = mass
         c_asym = V_end + beta_slope * t_max + 2.0 * math.log1p(tail / (settled + rate))
+        # for l > 0 every finite mass lies strictly inside (4, 4(1+l)); a mass
+        # on or past an edge differs from it by less than the integration error
+        inside = l == 0.0 or 4.0 < beta_mass < 4.0 * (1.0 + l)
+        verdict = "converged" if rate > resolution and inside else "unresolved"
 
-    r_grid = np.concatenate([np.asarray(rs), np.exp(np.asarray(ts[1:]))])
-    values = np.concatenate([vs, Vs[1:]])
+    r_grid = np.concatenate([r_in, np.exp(t_out[1:])])
+    values = np.concatenate([v_in, v_out[1:]])
     return RadialSolution(l=l, s=s, r_grid=r_grid, values=values,
                           beta_mass=float(beta_mass), beta_slope=float(beta_slope),
-                          c_asym=float(c_asym), verdict=verdict, rejected_steps=rejected)
+                          c_asym=float(c_asym), verdict=verdict, rejected_steps=rejected,
+                          inner=(r_in, v_in, p_in), outer=(t_out, v_out, w_out))
+
+
+# Butcher matrix of the three-stage Gauss collocation method (order 6) on the
+# nodes _GAUSS3_NODES with weights _GAUSS3_WEIGHTS; products by broadcast sums,
+# as in _hermite_at
+_SQRT15 = math.sqrt(15.0)
+_GAUSS3_A = np.array([[5.0 / 36.0, 2.0 / 9.0 - _SQRT15 / 15.0, 5.0 / 36.0 - _SQRT15 / 30.0],
+                      [5.0 / 36.0 + _SQRT15 / 24.0, 2.0 / 9.0, 5.0 / 36.0 - _SQRT15 / 24.0],
+                      [5.0 / 36.0 + _SQRT15 / 30.0, 2.0 / 9.0 + _SQRT15 / 15.0, 5.0 / 36.0]])
+_GAUSS3_A2 = (_GAUSS3_A[:, :, None] * _GAUSS3_A[None, :, :]).sum(axis=1)
+_GAUSS3_BA = (_GAUSS3_WEIGHTS[:, None] * _GAUSS3_A).sum(axis=0)
+
+
+def _jacobi_at_nodes(h, c, d, w0, z0):
+    """Solution (w, w') of w'' + d w' + c w = 0 at the nodes from (w0, z0).
+
+    h holds the interval widths, c and d the coefficients at the three Gauss
+    nodes of every interval, shape (3, intervals).  Gauss collocation gives
+    each interval's 2x2 propagator (one batched 3x3 solve for the stage
+    derivatives m_j = w''(x_j) of both columns), and the propagators are
+    chained from the first node.
+    """
+    hh = h[:, None, None]
+    c, d = c.T[:, :, None], d.T[:, :, None]                       # (interval, stage, 1)
+    # m = -c (w + h G z + h^2 A^2 m) - d (z + h A m)
+    lhs = np.eye(3) + c * hh * hh * _GAUSS3_A2 + d * hh * _GAUSS3_A
+    rhs = np.concatenate([-c, -(c * hh * _GAUSS3_NODES[:, None] + d)], axis=2)
+    m = np.linalg.solve(lhs, rhs)                                  # columns: w0 = 1, z0 = 1
+    bam = (_GAUSS3_BA[:, None] * m).sum(axis=1)
+    bm = (_GAUSS3_WEIGHTS[:, None] * m).sum(axis=1)
+    # w1 = w + h z + h^2 BA m,  z1 = z + h B m
+    p11, p12 = 1.0 + h * h * bam[:, 0], h + h * h * bam[:, 1]
+    p21, p22 = h * bm[:, 0], 1.0 + h * bm[:, 1]
+    ws, zs = [w0], [z0]
+    wi, zi = w0, z0
+    for a, b, e, f in zip(p11.tolist(), p12.tolist(), p21.tolist(), p22.tolist()):
+        wi, zi = a * wi + b * zi, e * wi + f * zi
+        ws.append(wi)
+        zs.append(zi)
+    return np.array(ws), np.array(zs)
+
+
+def beta_prime(sol: RadialSolution) -> tuple[float, float]:
+    """d(beta)/ds of a converged shot as (slope form, mass form).
+
+    The Jacobi field w = dv/ds solves w'' + w'/r + (1+r^2)^l e^v w = 0 with
+    w(0) = 1, w'(0) = 0 on the inner leg and Y'' = -q Y (Y = w in t = log r)
+    on the outer leg.  It is integrated after the shot, on the shot's own
+    accepted nodes, by Gauss collocation with v at the Gauss nodes from the
+    quintic Hermite interpolant of the mass rule (both sixth order).  The two
+    forms differentiate the two mass estimators: -Y'(t_max) plus the
+    derivative of the closed-form tail, and the series term plus the quintic
+    Hermite quadrature of (1+r^2)^l e^v w r and q Y plus the same tail
+    derivative.  Their agreement certifies the slope.
+    """
+    if sol.verdict != "converged":
+        raise ValueError(f"beta_prime needs a converged shot, not {sol.verdict!r}")
+    l = sol.l
+    r, v, p = sol.inner
+    t, V, W = sol.outer
+    es = math.exp(sol.s)
+    a2 = -es / 4.0
+    da4 = -es * (l + 2.0 * a2) / 16.0        # d/ds of the series' r^4 coefficient
+    r0 = float(r[0])
+
+    c, q = _weight(l, r, v), _q(l, t, V)
+    h_in, h_out = np.diff(r), np.diff(t)
+    rq = r[:-1] + _GAUSS3_NODES[:, None] * h_in
+    cq = _weight(l, rq, _hermite_at(_GAUSS3_QUINTIC, r, v, p, -p / r - c))
+    qq = _q(l, t[:-1] + _GAUSS3_NODES[:, None] * h_out, _hermite_at(_GAUSS3_QUINTIC, t, V, W, -q))
+    # one chain through both legs: at r = 1, Y = w and dY/dt = r w' = w'
+    w, z = _jacobi_at_nodes(np.concatenate([h_in, h_out]), np.concatenate([cq, qq], axis=1),
+                            np.concatenate([1.0 / rq, np.zeros_like(qq)], axis=1),
+                            1.0 + a2 * r0**2 + da4 * r0**4, 2.0 * a2 * r0 + 4.0 * da4 * r0**3)
+    n_in = len(r)
+    w, z, Y, Z = w[:n_in], z[:n_in], w[n_in - 1:], z[n_in - 1:]
+    wq = _hermite_at(_GAUSS3_QUINTIC, r, w, z, -z / r - c * w)
+    Yq = _hermite_at(_GAUSS3_QUINTIC, t, Y, Z, -q * Y)
+    mass = es * (r0**2 / 2.0 + (l + 2.0 * a2) * r0**4 / 4.0)
+    mass += float(np.sum(_GAUSS3_WEIGHTS[:, None] * h_in * cq * wq * rq))
+    mass += float(np.sum(_GAUSS3_WEIGHTS[:, None] * h_out * qq * Yq))
+
+    # tail = R - rate with R = sqrt(rate^2 + 2 q_end): d tail = (dq_end - tail d rate) / R,
+    # where d rate = -Y'(t_max) and dq_end = q_end Y(t_max)
+    rate = -(2.0 + 2.0 * l + float(W[-1]))
+    q_end = float(q[-1])
+    settled = math.sqrt(rate * rate + 2.0 * q_end)
+    tail = 2.0 * q_end / (settled + rate)
+    d_tail = (q_end * float(Y[-1]) + tail * float(Z[-1])) / settled
+    return -float(Z[-1]) + d_tail, mass + d_tail
 
 
 def beta_curve(l: float, s_min: float, s_max: float, n: int,
@@ -253,101 +383,17 @@ def beta_curve(l: float, s_min: float, s_max: float, n: int,
     return rows
 
 
-@dataclass
-class RootSearch:
-    """Roots of beta(s) = target on one shared sampling of the curve."""
-
-    roots: list[list[float]]            # one list per target, in target order
-    beta_range: tuple[float, float]     # min and max beta of the converged samples
-    divergent_samples: int              # samples whose verdict is not "converged"
-
-
-def _brent(f, a: float, b: float, fa: float, fb: float, tol: float, max_iter: int = 100) -> float:
-    """Root of f in [a, b] given f(a) f(b) < 0 (Brent 1973, ch. 4, as in brentq.c).
-
-    Inverse quadratic interpolation or secant steps, falling back to bisection
-    whenever a step would not shrink the bracket fast enough; stops once the
-    bracket is narrower than tol.
-    """
-    xpre, xcur, fpre, fcur = a, b, fa, fb
-    xblk, fblk, spre, scur = a, fa, 0.0, 0.0
-    for _ in range(max_iter):
-        if fpre * fcur < 0.0:
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = 0.5 * (tol + 4.0 * np.finfo(float).eps * abs(xcur))
-        sbis = 0.5 * (xblk - xcur)
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = None
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den != 0.0 else None
-        if stry is not None and 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
-        fcur = f(xcur)
-    raise NonConvergenceError("Brent refinement exceeded its iteration budget", best=xcur,
-                              residual=fcur)
-
-
 def solutions_at_beta(l: float, beta_targets, s_bracket: tuple[float, float],
-                      tol: float = 1e-8, n_samples: int = 129,
+                      tol: float = 1e-8, n_samples: int = 33,
                       r_max: float = 1e6, ode_tol: float = 1e-10) -> RootSearch:
-    """All s with beta(s) = target inside the bracket, for every target.
-
-    The curve is sampled once through beta_curve (129 points guard against
-    missing near-tangent double roots) and the samples are shared by all
-    targets; every sign change is refined with Brent to tol.  Intervals with a
-    divergent-mass endpoint are not searched; their count is reported.
-    """
-    rows = beta_curve(l, s_bracket[0], s_bracket[1], n_samples, r_max=r_max, tol=ode_tol)
-    ss = [row["s"] for row in rows]
-    betas = np.array([row["beta"] if row["verdict"] == "converged" else np.nan for row in rows])
-
-    def beta_at(s):
+    """Radial profiles of each target mass inside the bracket:
+    rootsearch.search_curve on shoot, with beta' from beta_prime (the mass
+    form, the slope form's gap to it as its error)."""
+    def curve(s: float):
         sol = shoot(l, s, r_max=r_max, tol=ode_tol)
         if sol.verdict != "converged":
-            raise NonConvergenceError(f"shot at s={s} diverged inside a converged bracket",
-                                      best=s)
-        return sol.beta_mass
+            return sol.verdict, math.nan, math.nan, math.nan
+        slope_form, mass_form = beta_prime(sol)
+        return sol.verdict, sol.beta_mass, mass_form, abs(slope_form - mass_form)
 
-    roots = []
-    for target in beta_targets:
-        vals = betas - target
-        found = []
-        for i in range(n_samples - 1):
-            f0, f1 = vals[i], vals[i + 1]
-            if np.isnan(f0) or np.isnan(f1):
-                continue
-            if f0 == 0.0:
-                found.append(ss[i])
-            elif f0 * f1 < 0.0:
-                found.append(_brent(lambda s: beta_at(s) - target, ss[i], ss[i + 1],
-                                    float(f0), float(f1), tol))
-        if vals[-1] == 0.0:
-            found.append(ss[-1])
-        roots.append(found)
-    converged = betas[~np.isnan(betas)]
-    beta_range = ((float(converged.min()), float(converged.max())) if converged.size
-                  else (math.nan, math.nan))
-    return RootSearch(roots=roots, beta_range=beta_range,
-                      divergent_samples=int(np.isnan(betas).sum()))
-
-
-def beta_slope_at(l: float, s: float, h: float = 1e-4, **kw) -> float:
-    """Numerical d(beta)/ds, used to flag near-tangent roots."""
-    b1 = shoot(l, s + h, **kw).beta_mass
-    b0 = shoot(l, s - h, **kw).beta_mass
-    return (b1 - b0) / (2.0 * h)
+    return search_curve(curve, beta_targets, s_bracket, tol, n_samples)

@@ -85,9 +85,8 @@ def test_criterion_13_determinism(battery):
     assert same, "rerun with the same seed changed result rows"
 
 
-def test_criterion_13_catches_order_dependence(monkeypatch):
-    """Criterion 2 reads state that criteria 1 and 3 write: two forward runs
-    agree, but the reversed pass lets criterion 3 write first."""
+def _order_dependent_criteria():
+    """Criterion 2 reads state that criteria 1 and 3 write."""
     shared = {}
 
     def writer(cid):
@@ -99,11 +98,34 @@ def test_criterion_13_catches_order_dependence(monkeypatch):
     def reader(seed, grids):
         return [acceptance._row(2, "read", "reads shared state", shared["last_writer"], 0.0, True)]
 
-    monkeypatch.setitem(acceptance.CRITERIA, 1, ("writer", writer(1)))
-    monkeypatch.setitem(acceptance.CRITERIA, 2, ("reader", reader))
-    monkeypatch.setitem(acceptance.CRITERIA, 3, ("writer", writer(3)))
+    return {1: ("writer", writer(1)), 2: ("reader", reader), 3: ("writer", writer(3))}
+
+
+def test_criterion_13_catches_order_dependence(monkeypatch):
+    """Two forward runs agree, but the reversed pass lets criterion 3 write first."""
+    for cid, entry in _order_dependent_criteria().items():
+        monkeypatch.setitem(acceptance.CRITERIA, cid, entry)
     ids = (1, 2, 3)
     assert acceptance.run_battery(SEED, ids) == acceptance.run_battery(SEED, ids)
     reversed_rows = acceptance.run_battery(SEED, ids[::-1])
     assert [r["criterion"] for r in reversed_rows] == [1, 2, 3]
     assert not acceptance.determinism_row(SEED, ids)["passed"]
+
+
+def test_run_verify_reuses_its_pass_as_the_forward_pass(monkeypatch):
+    """run_verify runs the battery twice: its own pass doubles as criterion
+    13's forward pass, and the reversed pass still exposes order dependence."""
+    monkeypatch.setattr(acceptance, "CRITERIA", _order_dependent_criteria())
+    monkeypatch.setattr(acceptance, "battery_grids", lambda: {})
+    passes = []
+    real_run_battery = acceptance.run_battery
+
+    def counting_run_battery(*args, **kwargs):
+        passes.append(args)
+        return real_run_battery(*args, **kwargs)
+
+    monkeypatch.setattr(acceptance, "run_battery", counting_run_battery)
+    rows = acceptance.run_verify(SEED)
+    assert len(passes) == 2
+    assert rows[-1]["criterion"] == 13 and not rows[-1]["passed"]
+    assert [r["criterion"] for r in rows[:-1]] == [1, 2, 3]

@@ -142,6 +142,15 @@ def test_uniqueness_rows(tmp_path):
     assert row["divergent_samples"] == 0
 
 
+def test_uniqueness_counts_two_profiles_at_l2(tmp_path):
+    """beta = 7.5 lies between the l = 2 curve's minimum 7.352 and 4l = 8."""
+    code, rep = run(tmp_path, "uniqueness", "--l", "2", "--targets", "7.2,7.5,9")
+    assert code == 0
+    assert [row["n_roots"] for row in rep["rows"]] == [0, 2, 1]
+    assert all(row["passed"] and row["n_roots"] == row["predicted_roots"] for row in rep["rows"])
+    assert all(row["near_tangent"] == [] and row["certificate"]["ok"] for row in rep["rows"])
+
+
 def test_bol_audit_no_violation(tmp_path):
     code, rep = run(tmp_path, "bol-audit", "--case", "perturbed", "--radii", "2.0,0.5")
     assert code == 0

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from onofri import acceptance
+from onofri import rootsearch as rs
 from onofri import shooting as sh
 from onofri.errors import NonConvergenceError
 
@@ -132,6 +134,7 @@ def test_l2_window_at_most_one_root(target):
     search = sh.solutions_at_beta(2.0, [target], (-6.0, 10.0))
     assert target < search.beta_range[0]      # below the curve's minimum: nothing to find
     assert search.roots[0] == []
+    assert search.certificate.count(target) == 0
 
 
 def test_l2_mass_below_4l_has_two_profiles():
@@ -173,7 +176,7 @@ def test_shared_curve_shot_budget_and_no_state(monkeypatch):
         search = sh.solutions_at_beta(1.0, SHARED_TARGETS, (-6.0, 10.0))
         n_roots = sum(len(r) for r in search.roots)
         assert n_roots >= 1
-        assert len(calls) <= 129 + 12 * n_roots
+        assert len(calls) <= 33 + rs._CHECK_SHOTS + 2 * n_roots
         counts.append(len(calls))
     assert counts[0] == counts[1]
 
@@ -232,7 +235,7 @@ def test_steps_per_shot_over_the_curves_grid():
 
 def test_brent_matches_closed_form_root():
     f = lambda x: math.cos(x) - x
-    root = sh._brent(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
+    root = rs._brent(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
     assert root == pytest.approx(0.7390851332151607, abs=1e-12)
 
 
@@ -303,6 +306,8 @@ def _rk_reference(f, x0, v0, p0, x1, tol, h0, store_x, store_v, store_p,
 def _assert_same_shot(new, ref):
     assert np.array_equal(new.r_grid, ref.r_grid)
     assert np.array_equal(new.values, ref.values)
+    for leg_new, leg_ref in zip(new.inner + new.outer, ref.inner + ref.outer):
+        assert np.array_equal(leg_new, leg_ref)
     assert new.beta_mass == ref.beta_mass
     assert new.beta_slope == ref.beta_slope
     assert new.c_asym == ref.c_asym
@@ -311,7 +316,7 @@ def _assert_same_shot(new, ref):
 
 
 @pytest.mark.parametrize("l", [0.0, 0.5, 1.0, 2.0])
-@pytest.mark.parametrize("s", [-5.0, 0.0, math.log(12.0), 8.0])
+@pytest.mark.parametrize("s", [-6.0, -5.0, 0.0, math.log(12.0), 8.0, 10.0])
 def test_unrolled_kernel_matches_reference_bit_for_bit(monkeypatch, l, s):
     new = sh.shoot(l, s)
     monkeypatch.setattr(sh, "_rk_adaptive", _rk_reference)
@@ -332,6 +337,159 @@ def test_rejected_steps_count_repeats():
     assert counts[0] == counts[1] >= 1
 
 
-def test_slope_estimate_nonzero_on_monotone_branch():
-    slope = sh.beta_slope_at(1.0, math.log(12.0))
-    assert abs(slope) > 1e-3
+
+def test_nodes_per_leg_rebuild_the_profile():
+    sol = sh.shoot(1.0, 2.0)
+    (r, v, _), (t, V, _) = sol.inner, sol.outer
+    assert r[-1] == 1.0 and t[0] == 0.0 and V[0] == v[-1]
+    assert np.array_equal(sol.r_grid, np.concatenate([r, np.exp(t[1:])]))
+    assert np.array_equal(sol.values, np.concatenate([v, V[1:]]))
+
+
+# -- unresolved verdicts ------------------------------------------------------
+
+
+@pytest.mark.parametrize("l, s", [(1.0, 32.0), (1.0, 34.0), (1.0, 36.0), (1.0, 38.0),
+                                  (0.5, 30.0)])
+def test_unresolved_rate_or_edge_mass(l, s):
+    """beta - 4 falls below the integration error for very concentrated starts:
+    the rate at t_cap (l = 1) or the mass's distance to the window edge
+    (l = 0.5) is not resolved, and the shot says so."""
+    sol = sh.shoot(l, s)
+    assert sol.verdict == "unresolved"
+    assert abs(sol.beta_mass - 4.0) <= 1e-5
+
+
+@pytest.mark.parametrize("l", [0.5, 1.0, 2.0])
+def test_converged_masses_lie_inside_the_window(l):
+    for s in (-30.0, -6.0, 0.0, 10.0, 20.0, 26.0, 28.0, 30.0, 40.0):
+        sol = sh.shoot(l, s)
+        assert sol.verdict in ("converged", "unresolved")
+        if sol.verdict == "converged":
+            assert 4.0 < sol.beta_mass < 4.0 * (1.0 + l)
+
+
+@pytest.mark.parametrize("l", [0.0, 0.5, 1.0, 2.0])
+def test_verdicts_on_the_search_bracket_stay_converged(l):
+    assert all(sh.shoot(l, float(s)).verdict == "converged" for s in np.linspace(-6.0, 10.0, 17))
+
+
+def test_root_search_counts_unresolved_samples():
+    search = sh.solutions_at_beta(1.0, [4.0001], (30.0, 38.0), n_samples=4)
+    assert search.unresolved_samples == 4 and search.divergent_samples == 0
+    assert search.roots == [[]]
+    assert not search.certificate.ok and search.certificate.count(4.0001) is None
+
+
+# -- beta' from the Jacobi field ----------------------------------------------
+
+SLOPE_GRID = [(l, s) for l in (0.0, 0.5, 1.0, 2.0) for s in (-6.0, -2.0, 2.0, 4.7, 10.0)]
+
+
+@pytest.mark.parametrize("l, s", SLOPE_GRID)
+def test_beta_prime_matches_finite_difference(l, s):
+    h = 1e-3
+    b = [sh.shoot(l, s + k * h).beta_mass for k in (-2, -1, 1, 2)]
+    fd = (b[0] - 8.0 * b[1] + 8.0 * b[2] - b[3]) / (12.0 * h)
+    slope_form, mass_form = sh.beta_prime(sh.shoot(l, s))
+    assert abs(mass_form - fd) <= 1e-6 and abs(slope_form - fd) <= 1e-6
+
+
+@pytest.mark.parametrize("l, s", SLOPE_GRID)
+def test_beta_prime_forms_agree(l, s):
+    slope_form, mass_form = sh.beta_prime(sh.shoot(l, s))
+    assert abs(slope_form - mass_form) <= 1e-6
+    if l == 0.0:
+        assert abs(mass_form) <= 1e-6          # the flat curve
+
+
+def test_beta_prime_needs_a_converged_shot():
+    with pytest.raises(ValueError):
+        sh.beta_prime(sh.shoot(1.0, 34.0))
+
+
+# -- the slope certificate ----------------------------------------------------
+
+
+def _synthetic(beta, slope):
+    return lambda s: ("converged", beta(s), slope(s), 0.0)
+
+
+def test_certificate_rejects_a_hidden_double_root():
+    """beta - 5 = cosh(s - 1.25) - 1 touches zero between the samples 1.0 and
+    1.5: every sample lies above the target, so sign counting sees no root.
+    beta' changes sign there, the turning point lands on the double root, its
+    band holds the target, and the certificate predicts no count."""
+    curve = _synthetic(lambda s: 4.0 + math.cosh(s - 1.25), lambda s: math.sinh(s - 1.25))
+    search = rs.search_curve(curve, [5.0, 5.5], (-6.0, 10.0))
+    cert = search.certificate
+    assert cert.ok
+    assert [tp[0] for tp in cert.turning_points] == [pytest.approx(1.25, abs=1e-8)]
+    assert search.roots[0] == [pytest.approx(1.25, abs=1e-8)] and cert.count(5.0) is None
+    assert not acceptance.uniqueness_verdict(search, 5.0, 1)[1]
+    assert cert.count(5.5) == 2 == len(search.roots[1])
+
+
+def test_certificate_rejects_a_wiggle_the_checks_see():
+    """A bump of width 0.05 at s = 0.75, a midpoint of the samples, turns beta
+    up and back down: beta = 5.9 then has three roots, and sign counting
+    sees one.  The samples do not show the bump, but the check shot at the
+    tightest interval does, and the error bound it sets swallows the margins."""
+    def bump(s):
+        return 0.05 * math.exp(-((s - 0.75) / 0.05) ** 2)
+
+    smooth = (lambda s: 6.0 - 0.2 * math.atan(s), lambda s: -0.2 / (1.0 + s * s))
+    clean = rs.search_curve(_synthetic(*smooth), [5.9], (-6.0, 10.0))
+    assert clean.certificate.ok and clean.certificate.count(5.9) == 1
+    assert 0.75 in [check[0] for check in clean.certificate.checks]
+    bumped = rs.search_curve(_synthetic(lambda s: smooth[0](s) + bump(s),
+                                        lambda s: smooth[1](s) - 800.0 * (s - 0.75) * bump(s)),
+                             [5.9], (-6.0, 10.0))
+    assert [smooth[0](s) + bump(s) > 5.9 for s in (0.6, 0.72, 0.9)] == [False, True, False]
+    assert len(bumped.roots[0]) == 1
+    assert not bumped.certificate.ok and bumped.certificate.count(5.9) is None
+
+
+def test_stationary_mass_has_two_profiles_only_below_alpha_half():
+    """The stationary mass 4 + 2l lies below 4l exactly when l > 2, i.e.
+    alpha = 1/(1 + l/2) < 1/2: one radial profile at l = 1.5, two at l = 2.5."""
+    for l, beta, count in ((1.5, 7.0, 1), (2.5, 9.0, 2)):
+        search = sh.solutions_at_beta(l, [beta], (-6.0, 10.0))
+        assert search.certificate.ok
+        assert len(search.roots[0]) == search.certificate.count(beta) == count
+
+
+def test_l2_rows_find_two_profiles_below_4l_and_one_above():
+    targets = (7.2, 7.5, 7.9, 9.0, 11.0)
+    search = sh.solutions_at_beta(2.0, targets, (-6.0, 10.0))
+    cert = search.certificate
+    assert cert.ok and len(cert.turning_points) == 1
+    s_min, beta_min = cert.turning_points[0]
+    assert beta_min == pytest.approx(7.352, abs=1e-3) and s_min == pytest.approx(4.68, abs=1e-2)
+    assert [len(r) for r in search.roots] == [cert.count(t) for t in targets] == [0, 2, 2, 1, 1]
+
+
+def test_criterion_8_fails_when_the_weight_exponent_flips(monkeypatch):
+    """(1+r^2)^-l in place of (1+r^2)^l is the shot at -l."""
+    monkeypatch.setattr(sh, "shoot", lambda l, s, **kw: sh._integrate(-l, s, kw.get("r_max", 1e6),
+                                                                     kw.get("tol", 1e-10)))
+    rows = acceptance.criterion_8(acceptance.DEFAULT_SEED, None)
+    assert not all(row["passed"] for row in rows)
+
+
+def test_criterion_8_shot_count(monkeypatch):
+    calls = []
+    real_shoot = sh.shoot
+
+    def counting_shoot(*args, **kw):
+        calls.append(args)
+        return real_shoot(*args, **kw)
+
+    monkeypatch.setattr(sh, "shoot", counting_shoot)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        rows = acceptance.criterion_8(acceptance.DEFAULT_SEED, None)
+        assert all(row["passed"] for row in rows)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 150
