@@ -219,7 +219,6 @@ def criterion_8(seed, grids):
                              roots=[float(r) for r in roots],
                              root_slopes=[float(d) for d in slopes], l=float(l),
                              predicted_roots=predicted, beta_range=list(search.beta_range),
-                             divergent_samples=search.divergent_samples,
                              unresolved_samples=search.unresolved_samples,
                              certificate=certificate))
     for l, target, s_star in ((0.5, 5.0, math.log(10.0)), (1.0, 6.0, math.log(12.0))):

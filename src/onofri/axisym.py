@@ -11,25 +11,14 @@ module scan the whole constrained range.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import conformal, functional, sphere
+from . import conformal, functional, quadrature, sphere
 
 DEFAULT_DEGREE = 16
 DEFAULT_QUAD = 64
-
-
-@functools.lru_cache(maxsize=None)
-def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on n points, read-only: every function
-    built on the default rule shares one copy instead of solving for it again."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return nodes, weights
 
 
 @dataclass
@@ -49,7 +38,8 @@ class LegendreFunction:
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         if self.nodes is None:
-            self.nodes, self.weights = _gauss_rule(max(DEFAULT_QUAD, 2 * (self.coeffs.size - 1)))
+            n = max(DEFAULT_QUAD, 2 * (self.coeffs.size - 1))
+            self.nodes, self.weights = quadrature.gauss_rule(n)
         if self.vander is None:
             self.vander = np.polynomial.legendre.legvander(self.nodes, self.degree)
 

@@ -6,8 +6,9 @@ tables.  Exit codes: 0 all checks pass, 1 runtime error, 2 a mathematical
 check failed (Pohozaev breach, audit violation, multi-root window, failed
 acceptance row), 3 usage error.
 
-Configuration comes from defaults, then a flat `key = value` file given with
---config, then explicit flags, in that order.
+Each subcommand declares its run flags and their defaults in COMMANDS; a value
+comes from that default, then a flat `key = value` file given with --config,
+then an explicit flag.  A flag or key of another subcommand is a usage error.
 """
 
 from __future__ import annotations
@@ -48,12 +49,11 @@ def _parse_list(text: str) -> list[float]:
     return values
 
 
-def read_config_file(path: str) -> dict:
+def read_config_file(path: str, command: str) -> dict:
     """Flat `key = value` lines; '#' starts a comment.  Each value is parsed by
-    the run flag of its key; an unknown key or a value the flag rejects is a
-    usage error."""
-    flags = _run_flags()
-    options = {action.dest: action.option_strings[0] for action in flags._actions}
+    the command's flag of its key; a key the command does not take or a value
+    the flag rejects is a usage error."""
+    flags = _flag_parser(command)
     out = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -64,38 +64,33 @@ def read_config_file(path: str) -> dict:
                 raise UsageError(f"{path}:{lineno}: expected key = value")
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
-            if key not in options:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+            if key not in COMMAND_FLAGS[command]:
+                raise UsageError(f"{path}:{lineno}: {command} takes no key {key!r}")
             try:
-                out[key] = getattr(flags.parse_args([f"{options[key]}={value}"]), key)
+                out[key] = getattr(flags.parse_args([f"--{key.replace('_', '-')}={value}"]), key)
             except UsageError as exc:
                 raise UsageError(f"{path}:{lineno}: {exc}") from exc
     return out
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
-    cfg = read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, value in vars(args).items():
-        if key in ("command", "config", "out", "csv", "verbose"):
-            continue
-        if value is not None:
-            cfg[key] = value
-    if cfg.get("alpha") is not None and cfg.get("rho") is not None:
-        if abs(cfg["alpha"] * cfg["rho"] - 1.0) > 1e-12:
-            raise UsageError(f"alpha = {cfg['alpha']} and rho = {cfg['rho']} violate rho * alpha = 1")
-    elif cfg.get("alpha") is not None:
-        cfg["rho"] = 1.0 / cfg["alpha"]
-    elif cfg.get("rho") is not None:
-        cfg["alpha"] = 1.0 / cfg["rho"]
-    return cfg
-
-
-def _need(cfg: dict, key: str, default=None):
-    if cfg.get(key) is None:
-        if default is None:
+def _run_config(args: argparse.Namespace) -> dict:
+    """The run parameters of the command; --alpha and --rho complete each other
+    under rho * alpha = 1 where the command takes both."""
+    flags = COMMAND_FLAGS[args.command]
+    cfg = {key: getattr(args, key) for key in flags}
+    if "alpha" in flags and "rho" in flags:
+        alpha, rho = cfg["alpha"], cfg["rho"]
+        if alpha is not None and rho is not None:
+            if abs(alpha * rho - 1.0) > 1e-12:
+                raise UsageError(f"alpha = {alpha} and rho = {rho} violate rho * alpha = 1")
+        elif alpha is not None:
+            cfg["rho"] = 1.0 / alpha
+        elif rho is not None:
+            cfg["alpha"] = 1.0 / rho
+    for key, default in flags.items():
+        if isinstance(default, Required) and cfg[key] is None:
             raise UsageError(f"missing required parameter --{key.replace('_', '-')}")
-        return default
-    return cfg[key]
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -104,19 +99,19 @@ def _need(cfg: dict, key: str, default=None):
 
 
 def _grid_for(cfg):
-    n_mu = cfg.get("n_mu")
+    """The sphere grid of --L and --n-mu; records the latitude count it used."""
     try:
-        return sphere.build_grid(int(_need(cfg, "L", 16)),
-                                 n_mu=int(n_mu) if n_mu is not None else None)
+        grid = sphere.build_grid(cfg["L"], n_mu=cfg["n_mu"])
     except GridConfigError as exc:
         raise UsageError(str(exc)) from exc
+    cfg["n_mu"] = grid.n_mu
+    return grid
 
 
 def cmd_minimize(cfg):
-    alpha = float(_need(cfg, "alpha"))
-    seed = int(_need(cfg, "seed", 0))
+    alpha = cfg["alpha"]
     grid = _grid_for(cfg)
-    u0 = functional.random_start(grid, (seed, 0, 0))
+    u0 = functional.random_start(grid, (cfg["seed"], 0, 0))
     res = functional.minimize(alpha, u0)
     row = {
         "claim": "constrained minimisation of the sphere functional",
@@ -129,7 +124,7 @@ def cmd_minimize(cfg):
         "backtracks": res.backtracks,
         "newton_steps": res.newton_steps,
         "status": res.status,
-        "el_residual": functional.el_residual(res.u, 1.0 / alpha),
+        "el_residual": functional.el_residual(res.u, cfg["rho"]),
         "h1_norm": sphere.h1_norm(res.u),
         "l2_norm": sphere.l2_norm(res.u),
     }
@@ -138,11 +133,8 @@ def cmd_minimize(cfg):
 
 
 def cmd_alpha_scan(cfg):
-    alphas = _parse_list(_need(cfg, "alphas"))
-    trials = int(_need(cfg, "trials", 5))
-    seed = int(_need(cfg, "seed", 0))
     grid = _grid_for(cfg)
-    rows = functional.alpha_scan(alphas, trials, seed, grid=grid)
+    rows = functional.alpha_scan(_parse_list(cfg["alphas"]), cfg["trials"], cfg["seed"], grid=grid)
     out = []
     ok = True
     for row in rows:
@@ -161,15 +153,14 @@ def cmd_alpha_scan(cfg):
 
 
 def cmd_el_check(cfg):
-    alpha = float(_need(cfg, "alpha"))
-    seed = int(_need(cfg, "seed", 0))
+    alpha = cfg["alpha"]
     grid = _grid_for(cfg)
-    res = functional.minimize(alpha, functional.random_start(grid, (seed, 0, 0)))
-    resid = functional.el_residual(res.u, 1.0 / alpha)
+    res = functional.minimize(alpha, functional.random_start(grid, (cfg["seed"], 0, 0)))
+    resid = functional.el_residual(res.u, cfg["rho"])
     row = {
         "claim": "stationary points solve the field equation at rho = 1/alpha",
         "alpha": alpha,
-        "rho": 1.0 / alpha,
+        "rho": cfg["rho"],
         "el_residual": resid,
         "grad_norm": res.grad_norm,
         "passed": bool(resid <= 1e-5 and res.converged),
@@ -178,31 +169,26 @@ def cmd_el_check(cfg):
 
 
 def cmd_bridge(cfg):
-    alpha = float(_need(cfg, "alpha"))
-    seed = int(_need(cfg, "seed", 0))
-    rho = 1.0 / alpha
+    alpha, rho = cfg["alpha"], cfg["rho"]
     grid = _grid_for(cfg)
-    res = functional.minimize(alpha, functional.random_start(grid, (seed, 0, 0)))
+    res = functional.minimize(alpha, functional.random_start(grid, (cfg["seed"], 0, 0)))
     u = functional.shift_to_unit_mass(res.u)
     v = planar.to_planar(u, rho)
     rep = planar.pohozaev_check(v)
-    mass = 2.0 * math.pi * rep.beta
+    defect = 2.0 * math.pi * rep.beta - 8.0 * math.pi * rho
     rows = [{
         "claim": "planar transfer of the minimiser stays in the mass window",
         "alpha": alpha, "rho": rho, "l": v.l,
         "beta": rep.beta, "beta_lower": rep.lower, "beta_upper": rep.upper,
         "inside": rep.inside,
-        "mass_defect": mass - 8.0 * math.pi * rho,
-        "passed": bool(rep.inside and abs(mass - 8.0 * math.pi * rho) <= 1e-6),
+        "mass_defect": defect, "passed": bool(rep.inside and abs(defect) <= 1e-6),
     }]
     return rows, ("pass" if rows[0]["passed"] else "fail"), planar.field_to_rows(v)
 
 
 def cmd_shoot(cfg):
-    l = float(_need(cfg, "l"))
-    s = float(_need(cfg, "s"))
-    sol = shooting.shoot(l, s, r_max=float(_need(cfg, "r_max", 1e6)),
-                         tol=float(_need(cfg, "tol", 1e-10)))
+    l, s = cfg["l"], cfg["s"]
+    sol = shooting.shoot(l, s, r_max=cfg["r_max"], tol=cfg["tol"])
     rows = [{
         "claim": "radial profile mass and asymptote",
         "l": l, "s": s,
@@ -215,28 +201,20 @@ def cmd_shoot(cfg):
 
 
 def cmd_beta_curve(cfg):
-    l = float(_need(cfg, "l"))
-    rows = shooting.beta_curve(l, float(_need(cfg, "s_min", -4.0)),
-                               float(_need(cfg, "s_max", 4.0)), int(_need(cfg, "n", 17)),
-                               r_max=float(_need(cfg, "r_max", 1e6)))
+    l = cfg["l"]
+    rows = shooting.beta_curve(l, cfg["s_min"], cfg["s_max"], cfg["n"], r_max=cfg["r_max"])
     out = [{"claim": "mass along the shooting family", "l": l, **row} for row in rows]
     return out, "info", rows
 
 
 def cmd_uniqueness(cfg):
-    l = float(_need(cfg, "l"))
-    if cfg.get("targets") is None and cfg.get("beta") is not None:
-        targets = [float(cfg["beta"])]
-    else:
-        targets = _parse_list(_need(cfg, "targets", "4.5,5.0,5.5,6.0,6.5"))
-    bracket = (float(_need(cfg, "s_min", -6.0)), float(_need(cfg, "s_max", 10.0)))
-    search = shooting.solutions_at_beta(l, targets, bracket)
+    l = cfg["l"]
+    targets = _parse_list(cfg["targets"])
+    search = shooting.solutions_at_beta(l, targets, (cfg["s_min"], cfg["s_max"]))
     cert = search.certificate
     rows = []
-    ok = True
     for target, roots, slopes in zip(targets, search.roots, search.root_slopes):
         predicted, passed = acceptance.uniqueness_verdict(search, target, len(roots))
-        ok = ok and passed
         rows.append({
             "claim": "root count equals the certified curve shape's count",
             "l": l, "beta_target": target,
@@ -244,20 +222,16 @@ def cmd_uniqueness(cfg):
             "near_tangent": [r for r, d in zip(roots, slopes) if abs(d) <= cert.slope_error],
             "passed": passed,
             "beta_range": list(search.beta_range),
-            "divergent_samples": search.divergent_samples,
             "unresolved_samples": search.unresolved_samples,
             "certificate": cert.summary(),
         })
-    return rows, ("pass" if ok else "fail"), rows
+    return rows, ("pass" if all(r["passed"] for r in rows) else "fail"), rows
 
 
 def cmd_axisym(cfg):
-    alpha = float(_need(cfg, "alpha"))
-    seed = int(_need(cfg, "seed", 0))
-    trials = int(_need(cfg, "trials", 5))
+    alpha, seed, floor = cfg["alpha"], cfg["seed"], cfg["floor"]
     rows = []
     if alpha < 0.5 - 1e-12:
-        floor = float(_need(cfg, "floor", -10.0))
         s_hit, trace = axisym.probe_two_bubble_1d(alpha, floor=floor)
         rows.append({
             "claim": "concentrating family drives the 1-D functional below the floor",
@@ -266,10 +240,8 @@ def cmd_axisym(cfg):
             "passed": bool(s_hit is not None),
         })
         return rows, ("pass" if rows[0]["passed"] else "fail"), None
-    worst = -math.inf
-    for k in range(trials):
+    for k in range(cfg["trials"]):
         res = axisym.minimize_axisym(alpha, axisym.random_start_1d((seed, k)))
-        worst = max(worst, res.value)
         rows.append({
             "claim": "axisymmetric constrained minimum is zero",
             "alpha": alpha, "trial": k, "value": res.value,
@@ -277,32 +249,26 @@ def cmd_axisym(cfg):
             "newton_steps": res.newton_steps, "status": res.status,
             "passed": bool(res.value >= -1e-6 and res.status == "converged"),
         })
-    ok = all(r["passed"] for r in rows)
-    return rows, ("pass" if ok else "fail"), rows
+    return rows, ("pass" if all(r["passed"] for r in rows) else "fail"), rows
 
 
 def cmd_bol_audit(cfg):
-    case = str(_need(cfg, "case", "perturbed"))
-    radii = _parse_list(_need(cfg, "radii", "2.0,1.0,0.5"))
-    fields = planar.audit_fields()
-    if case not in fields:
-        raise UsageError(f"unknown audit case {case!r} ({', '.join(fields)})")
-    g_fn = fields[case]
-    audits = eigen.bol_audit(g_fn, eigen.Disk(3.0), [eigen.Disk(r) for r in radii],
-                             glap_fn=g_fn.lap_evaluator, h=float(_need(cfg, "h", 0.02)))
+    case = cfg["case"]
+    g_fn = planar.audit_fields()[case]
+    audits = eigen.bol_audit(g_fn, eigen.Disk(3.0),
+                             [eigen.Disk(r) for r in _parse_list(cfg["radii"])],
+                             glap_fn=g_fn.lap_evaluator, h=cfg["h"])
     rows = [{
         "claim": "nonpositive first eigenvalue forces mass over 4 pi",
         "case": case, "domain": a.domain, "lambda1": a.lambda1, "mass": a.mass,
         "supersolution_margin": a.supersolution_margin, "total_mass": a.total_mass,
         "verdict": a.verdict, "passed": a.verdict != "violated",
     } for a in audits]
-    ok = all(r["passed"] for r in rows)
-    return rows, ("pass" if ok else "fail"), rows
+    return rows, ("pass" if all(r["passed"] for r in rows) else "fail"), rows
 
 
 def cmd_nodal(cfg):
-    which = str(_need(cfg, "field", "quadrant"))
-    rho = float(_need(cfg, "rho", 1.5))
+    which, rho = cfg["field"], cfg["rho"]
     rep, expected = planar.analytic_nodal_count(which, rho)
     ledger = planar.nodal_ledger(rep.m, rho)
     rows = [{
@@ -318,7 +284,7 @@ def cmd_nodal(cfg):
 
 
 def cmd_second_variation(cfg):
-    mode = str(_need(cfg, "mode", "degree2"))
+    mode = cfg["mode"]
     grid = _grid_for(cfg)
     rep, target = functional.mode_threshold(grid, mode)
     rows = [{
@@ -331,72 +297,98 @@ def cmd_second_variation(cfg):
 
 
 def cmd_verify(cfg):
-    seed = int(_need(cfg, "seed", acceptance.DEFAULT_SEED))
-    determinism = str(_need(cfg, "determinism", "on")) != "off"
-    rows = acceptance.run_verify(seed, determinism=determinism)
+    rows = acceptance.run_verify(cfg["seed"], determinism=cfg["determinism"] == "on")
     summary = acceptance.summarize(rows)
     for cid in sorted(summary):
         name = acceptance.CRITERIA.get(cid, (f"criterion {cid}",))[0] if cid != 13 else "determinism"
         print(f"criterion {cid:2d} [{name}]: {'PASS' if summary[cid] else 'FAIL'}")
-    ok = all(summary.values())
-    return rows, ("pass" if ok else "fail"), rows
+    return rows, ("pass" if all(summary.values()) else "fail"), rows
 
 
-HANDLERS = {
-    "minimize": cmd_minimize,
-    "alpha-scan": cmd_alpha_scan,
-    "el-check": cmd_el_check,
-    "bridge": cmd_bridge,
-    "shoot": cmd_shoot,
-    "beta-curve": cmd_beta_curve,
-    "uniqueness": cmd_uniqueness,
-    "axisym": cmd_axisym,
-    "bol-audit": cmd_bol_audit,
-    "nodal": cmd_nodal,
-    "second-variation": cmd_second_variation,
-    "verify": cmd_verify,
+# Every run flag: its type (or its choices) and what it sets.
+FLAGS = {
+    "alpha": (float, "weight of the Dirichlet energy in J_alpha, 1 / rho"),
+    "rho": (float, "the planar equation's rho, 1 / alpha"),
+    "seed": (int, "seed of the random streams"),
+    "L": (int, "band limit of the sphere grid"),
+    "n_mu": (int, "latitude nodes of the sphere grid, 2 L when not given"),
+    "alphas": (str, "comma-separated alpha values"),
+    "trials": (int, "random starts per alpha"),
+    "l": (float, "exponent of the weight (1+r^2)^l"),
+    "s": (float, "start value v(0) of the radial profile"),
+    "s_min": (float, "lowest start value"),
+    "s_max": (float, "highest start value"),
+    "n": (int, "number of equally spaced start values"),
+    "r_max": (float, "radius where the closed-form tail takes over"),
+    "tol": (float, "tolerance of the adaptive integrator"),
+    "targets": (str, "comma-separated target masses beta"),
+    "floor": (float, "level the two-bubble probe must cross when alpha < 1/2"),
+    "case": (tuple(planar.audit_fields()), "audited field"),
+    "radii": (str, "comma-separated radii of the audited disks"),
+    "h": (float, "mesh width of the eigenvalue scheme"),
+    "field": (("quadrant", "linear"), "analytic nodal field"),
+    "mode": (("degree1", "degree2"), "test mode of the second variation"),
+    "determinism": (("on", "off"), "rerun the battery in reversed order and compare rows"),
 }
 
 
-def _run_flags() -> _Parser:
-    """The run parameters every subcommand takes; a config file may set exactly these."""
+class Required(str):
+    """The default of a flag that must be given; its text is the flag's help note."""
+
+
+REQUIRED = Required("required")
+_ALPHA_OR_RHO = {"alpha": Required("required unless --rho is given"),
+                 "rho": Required("required unless --alpha is given")}
+_SPHERE_RUN = {**_ALPHA_OR_RHO, "seed": 0, "L": 16, "n_mu": None}
+
+# One declaration per subcommand: its handler and the run flags it reads,
+# with their defaults.
+COMMANDS = {
+    "minimize": (cmd_minimize, _SPHERE_RUN),
+    "alpha-scan": (cmd_alpha_scan, {"alphas": REQUIRED, "trials": 5, "seed": 0, "L": 16,
+                                    "n_mu": None}),
+    "el-check": (cmd_el_check, _SPHERE_RUN),
+    "bridge": (cmd_bridge, _SPHERE_RUN),
+    "shoot": (cmd_shoot, {"l": REQUIRED, "s": REQUIRED, "r_max": 1e6, "tol": 1e-10}),
+    "beta-curve": (cmd_beta_curve, {"l": REQUIRED, "s_min": -4.0, "s_max": 4.0, "n": 17,
+                                    "r_max": 1e6}),
+    "uniqueness": (cmd_uniqueness, {"l": REQUIRED, "targets": "4.5,5.0,5.5,6.0,6.5",
+                                    "s_min": -6.0, "s_max": 10.0}),
+    "axisym": (cmd_axisym, {**_ALPHA_OR_RHO, "seed": 0, "trials": 5, "floor": -10.0}),
+    "bol-audit": (cmd_bol_audit, {"case": "perturbed", "radii": "2.0,1.0,0.5", "h": 0.02}),
+    "nodal": (cmd_nodal, {"field": "quadrant", "rho": 1.5}),
+    "second-variation": (cmd_second_variation, {"mode": "degree2", "L": 16, "n_mu": None}),
+    "verify": (cmd_verify, {"seed": acceptance.DEFAULT_SEED, "determinism": "on"}),
+}
+HANDLERS = {name: handler for name, (handler, _) in COMMANDS.items()}
+COMMAND_FLAGS = {name: flags for name, (_, flags) in COMMANDS.items()}
+
+
+def _flag_parser(command: str) -> _Parser:
+    """The run flags of one subcommand with their defaults; a config file may set
+    exactly these."""
     p = _Parser(add_help=False)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--l", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--s", type=float)
-    p.add_argument("--s-min", dest="s_min", type=float)
-    p.add_argument("--s-max", dest="s_max", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--L", type=int)
-    p.add_argument("--n-mu", dest="n_mu", type=int)
-    p.add_argument("--h", type=float)
-    p.add_argument("--r-max", dest="r_max", type=float)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--alphas", type=str)
-    p.add_argument("--targets", type=str)
-    p.add_argument("--floor", type=float)
-    p.add_argument("--case", type=str)
-    p.add_argument("--field", choices=("quadrant", "linear"))
-    p.add_argument("--mode", choices=("degree1", "degree2"))
-    p.add_argument("--radii", type=str)
-    p.add_argument("--determinism", choices=("on", "off"))
+    for key, default in COMMAND_FLAGS[command].items():
+        kind, text = FLAGS[key]
+        typed = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        required = isinstance(default, Required)
+        p.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                       default=None if required else default,
+                       help=f"{text} ({default if required else f'default: {default}'})",
+                       **typed)
     return p
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="onofri", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
-    common = dict(formatter_class=argparse.ArgumentDefaultsHelpFormatter, parents=[_run_flags()])
     for name in HANDLERS:
-        p = sub.add_parser(name, **common)
-        p.add_argument("--config", type=str)
-        p.add_argument("--out", type=str)
-        p.add_argument("--csv", type=str)
+        p = sub.add_parser(name, parents=[_flag_parser(name)])
+        p.add_argument("--config", type=str, help="flat key = value file of run flags")
+        p.add_argument("--out", type=str, help="path of the JSON report")
+        p.add_argument("--csv", type=str, help="path of the CSV table")
         p.add_argument("--verbose", "-v", action="store_true")
+    parser.commands = sub.choices
     return parser
 
 
@@ -405,16 +397,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if not getattr(args, "command", None):
+        if not args.command:
             raise UsageError("missing subcommand")
-        logging.basicConfig(level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
+        if args.config:
+            # file values become the defaults, so explicit flags still win
+            parser.commands[args.command].set_defaults(**read_config_file(args.config,
+                                                                          args.command))
+            args = parser.parse_args(argv)
+        logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
                             format="%(levelname)s %(message)s")
-        cfg = _merge_config(args)
-        handler = HANDLERS[args.command]
+        cfg = _run_config(args)
         t0 = time.time()
-        rows, verdict, csv_rows = handler(cfg)
-        rep = report.build_report(args.command, cfg, int(cfg.get("seed", 0) or 0),
-                                  rows, verdict, time.time() - t0)
+        rows, verdict, csv_rows = HANDLERS[args.command](cfg)
+        rep = report.build_report(args.command, cfg, cfg.get("seed", 0), rows, verdict,
+                                  time.time() - t0)
         problems = report.validate_report(rep)
         if problems:
             raise RuntimeError(f"internal: report failed validation: {problems}")
@@ -425,9 +421,7 @@ def main(argv=None) -> int:
             report.write_csv(args.csv, csv_rows)
             log.info("wrote %s", args.csv)
         print(f"{args.command}: verdict={verdict} rows={len(rows)} elapsed={rep['elapsed_s']:.2f}s")
-        if verdict == "fail":
-            return EXIT_MATH
-        return EXIT_OK
+        return EXIT_MATH if verdict == "fail" else EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import quadrature
+
 
 def _split(points: np.ndarray, a: np.ndarray):
     """Components of unit vectors along and orthogonal to the direction of a."""
@@ -87,30 +89,22 @@ def two_bubble_profile(t: np.ndarray, s: float):
     return u, du
 
 
-def two_bubble_j_value(alpha: float, s: float, pad: float = 45.0, step: float = 0.01) -> float:
+def two_bubble_j_value(alpha: float, s: float) -> float:
     """Exact J_alpha along the two-bubble family via log-radial quadrature.
 
     For axisymmetric fields  J = (alpha/8) int u'(t)^2 dt
     + int u(t) sech^2(t)/2 dt, and the exp-mass is one identically.
     """
-    half = abs(s) + pad
-    n = 2 * int(np.ceil(half / step))   # even interval count for composite Simpson
-    t = np.linspace(-half, half, n + 1)
+    # the integrands vary on a unit scale only near t = -s, 0 and s and decay
+    # like |t| e^{-2|t|} beyond s: 16-point Gauss panels start 0.25 wide at
+    # those points and double away from them, out to |t| = s + 45
+    a = abs(s)
+    inner = quadrature.graded(0.5 * a, 0.25)
+    right = np.concatenate([inner, a - inner[-2::-1], a + quadrature.graded(45.0, 0.25)[1:]])
+    t, w = quadrature.panels(np.concatenate([-right[:0:-1], right]), 16)
     u, du = two_bubble_profile(t, s)
     sech2 = 1.0 / np.cosh(np.clip(t, -300.0, 300.0)) ** 2
-    energy = _simpson(du * du, t)
-    mean = _simpson(0.5 * u * sech2, t)
-    return float(alpha / 8.0 * energy + mean)
-
-
-def _simpson(y: np.ndarray, x: np.ndarray) -> float:
-    """Composite Simpson on a uniform grid with an even interval count."""
-    n = y.size - 1
-    h = x[1] - x[0]
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return float(h / 3.0 * np.dot(w, y))
+    return float(alpha / 8.0 * np.dot(w, du * du) + np.dot(w, 0.5 * u * sech2))
 
 
 def probe_two_bubble(alpha: float, floor: float = -10.0, s_max: float = 400.0):

@@ -30,6 +30,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
 
+from . import quadrature
 from .errors import NonConvergenceError
 
 
@@ -229,11 +230,6 @@ def first_eigenvalue(g_fn, omega, h: float) -> float:
     return _solve_on(omega, g_fn, h)[0]
 
 
-def first_eigenpair(g_fn, omega, h: float):
-    """(lambda, eigenvector, node coordinates) at a single resolution."""
-    return _solve_on(omega, g_fn, h)
-
-
 def first_eigenvalue_extrapolated(g_fn, omega, h: float) -> float:
     """Two-level Richardson in h (the scheme is O(h^2) on both domain types)."""
     lam_h = first_eigenvalue(g_fn, omega, h)
@@ -246,25 +242,21 @@ def first_eigenvalue_extrapolated(g_fn, omega, h: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def domain_mass(g_fn, omega, n_gauss: int = 64, n_theta: int = 128) -> float:
-    """int_omega e^g dy by Gauss quadrature matched to the domain type."""
+def domain_mass(g_fn, omega) -> float:
+    """int_omega e^g dy by 64-point Gauss rules: in the radius times 128 uniform
+    angles on a disk, in each coordinate on a rectangle."""
     if isinstance(omega, Disk):
-        xg, wg = np.polynomial.legendre.leggauss(n_gauss)
-        r = 0.5 * omega.radius * (xg + 1.0)
-        wr = 0.5 * omega.radius * wg
-        theta = 2.0 * math.pi * np.arange(n_theta) / n_theta
+        r, wr = quadrature.panels([0.0, omega.radius], 64)
+        theta = 2.0 * math.pi * np.arange(128) / 128
         pts = np.stack([r[:, None] * np.cos(theta), r[:, None] * np.sin(theta)], axis=-1)
-        vals = np.exp(np.asarray(g_fn(pts.reshape(-1, 2)))).reshape(n_gauss, n_theta)
-        return float(2.0 * math.pi / n_theta * np.dot(wr * r, np.sum(vals, axis=1)))
+        vals = np.exp(np.asarray(g_fn(pts.reshape(-1, 2)))).reshape(r.size, theta.size)
+        return float(2.0 * math.pi / theta.size * np.dot(wr * r, np.sum(vals, axis=1)))
     if isinstance(omega, Rect):
-        xg, wg = np.polynomial.legendre.leggauss(n_gauss)
-        xs = 0.5 * (omega.x1 - omega.x0) * (xg + 1.0) + omega.x0
-        ys = 0.5 * (omega.y1 - omega.y0) * (xg + 1.0) + omega.y0
-        wx = 0.5 * (omega.x1 - omega.x0) * wg
-        wy = 0.5 * (omega.y1 - omega.y0) * wg
+        xs, wx = quadrature.panels([omega.x0, omega.x1], 64)
+        ys, wy = quadrature.panels([omega.y0, omega.y1], 64)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
-        vals = np.exp(np.asarray(g_fn(np.stack([X, Y], axis=-1).reshape(-1, 2)))).reshape(n_gauss, n_gauss)
-        return float(wx @ vals @ wy)
+        vals = np.exp(np.asarray(g_fn(np.stack([X, Y], axis=-1).reshape(-1, 2))))
+        return float(wx @ vals.reshape(xs.size, ys.size) @ wy)
     raise TypeError(f"unsupported domain {omega!r}")
 
 

@@ -113,22 +113,6 @@ def _node_geometry(grid: SphereGrid) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(grid.points(), axis=-1).reshape(-1, 3), grid.weights.ravel()
 
 
-def recenter(u: SphereField, tol: float = 1e-10) -> SphereField:
-    """The degree-1 tilt u + c.x whose measure e^{u + c.x} dw has zero center of mass.
-
-    The constraint is the first-order condition of the convex problem
-    min_c log int e^{u + c.x} dw, so the tilt never raises the exp-mass.  It
-    changes only the degree-1 harmonics and keeps a band-limited u
-    band-limited.  u itself is returned when its center of mass is already
-    within tol.
-    """
-    pts, weights = _node_geometry(u.grid)
-    c, _, _ = tilt(u.values.ravel(), weights, pts, tol)
-    if not c.any():
-        return u
-    return SphereField(u.grid, u.values + (pts @ c).reshape(u.grid.shape))
-
-
 def pullback(u: SphereField, a: np.ndarray) -> SphereField:
     """u o phi_a + log det(d phi_a), sampled on u's grid.
 
@@ -360,15 +344,6 @@ def stream_rng(stream_key) -> np.random.Generator:
     for p in parts:
         key = ((key ^ int(p)) * 0xBF58476D1CE4E5B9) % (1 << 64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def two_bubble_field(grid: SphereGrid, s: float) -> SphereField:
-    """Grid samples of the balanced two-bubble family (resolvable for small s)."""
-    x3 = grid.points()[2]
-    t = np.arctanh(np.clip(x3, -1 + 1e-15, 1 - 1e-15))
-    wa = conformal.bubble_log_factor(t, s)
-    wb = conformal.bubble_log_factor(t, -s)
-    return SphereField(grid, np.logaddexp(wa, wb) - np.log(2.0))
 
 
 def alpha_scan(alpha_list, trials: int, seed: int, grid: SphereGrid | None = None,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import sphere
+from . import quadrature, sphere
 from .errors import DivergentMassError, GaugeError, InvalidFieldError, PoleError
 
 
@@ -191,13 +191,7 @@ def _disk_quadrature(r_hi: float, n_gauss: int = 24, n_theta: int = 64):
     edges = [0.0, min(1.0, r_hi)]
     while edges[-1] < r_hi:
         edges.append(min(2.0 * edges[-1], r_hi))
-    xg, wg = np.polynomial.legendre.leggauss(n_gauss)
-    rs, wr = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        rs.append(0.5 * (b - a) * xg + 0.5 * (a + b))
-        wr.append(0.5 * (b - a) * wg)
-    r = np.concatenate(rs)
-    wr = np.concatenate(wr)
+    r, wr = quadrature.panels(edges, n_gauss)
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     return r, wr, theta
 
@@ -255,30 +249,8 @@ def pohozaev_check(v: PlanarField, r_cut: float = 100.0) -> PohozaevReport:
 
 
 # ---------------------------------------------------------------------------
-# angular derivative and nodal domains
+# planar samples and nodal domains
 # ---------------------------------------------------------------------------
-
-
-def angular_derivative(v: PlanarField, h: float = 1e-4) -> PlanarField:
-    """phi = y2 d1(v) - y1 d2(v), by a central difference of step h.
-
-    The difference is taken along the rotation orbit (phi is minus the
-    rotation generator applied to v), which makes phi vanish identically on
-    radial fields instead of leaving an O(h^2) residue.  At a solution of the
-    planar equation phi solves the linearised equation, which is what the
-    nodal-domain audits exploit.
-    """
-    c, s = math.cos(h), math.sin(h)
-
-    def ev(y):
-        y = np.asarray(y, dtype=float)
-        y_plus = np.stack([c * y[..., 0] - s * y[..., 1],
-                           s * y[..., 0] + c * y[..., 1]], axis=-1)
-        y_minus = np.stack([c * y[..., 0] + s * y[..., 1],
-                            -s * y[..., 0] + c * y[..., 1]], axis=-1)
-        return (v(y_minus) - v(y_plus)) / (2.0 * h)
-
-    return PlanarField(ev, l=v.l, tag=f"angular derivative of {v.tag}")
 
 
 def field_to_rows(v: PlanarField, radius: float = 5.0, n: int = 41) -> list[dict]:

@@ -32,6 +32,10 @@ class Certificate:
     stays within the zone's band (lo, hi).  The bounds come from the Hermite
     remainder, with the fourth derivative of beta estimated from the jumps of
     P''' and scaled up to the errors seen at the midpoint check shots.
+
+    estimator_gap compares two forms of beta' computed from one Jacobi field
+    w = dv/ds, so it checks their quadrature, not the propagation of w: an
+    error in w common to both forms does not show in it.
     """
 
     ok: bool
@@ -66,7 +70,6 @@ class RootSearch:
     roots: list[list[float]]            # one list per target, in target order
     root_slopes: list[list[float]]      # beta' at each root, same layout
     beta_range: tuple[float, float]     # min and max beta of the converged samples and turning points
-    divergent_samples: int              # samples with verdict "divergent-mass"
     unresolved_samples: int             # samples with verdict "unresolved"
     certificate: Certificate
 
@@ -358,5 +361,4 @@ def search_curve(curve, beta_targets, s_bracket: tuple[float, float], tol: float
     values = np.concatenate([beta[~np.isnan(beta)], [b for _, b in turning]])
     beta_range = (float(values.min()), float(values.max())) if values.size else (math.nan, math.nan)
     return RootSearch(roots=roots, root_slopes=root_slopes, beta_range=beta_range,
-                      divergent_samples=verdicts.count("divergent-mass"),
                       unresolved_samples=verdicts.count("unresolved"), certificate=cert)

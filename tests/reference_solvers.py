@@ -1,5 +1,8 @@
 """Reference minimisers: both descents as they were before their retractions
-read one exponential per step, and a counter of the exponentials a descent makes.
+read one exponential per step, and a counter of the exponentials a descent makes;
+and the test-only maps the package itself does not call: the sphere tilt of a
+whole field, the two-bubble family on a grid, the planar angular derivative
+and the eigenpair of one resolution.
 
 Each accepted step here exponentiates the field separately for the tilt's
 first moments, the unit-mass shift, the value and the gradient, and the
@@ -10,7 +13,7 @@ import math
 
 import numpy as np
 
-from onofri import axisym as ax, functional as fn, sphere
+from onofri import axisym as ax, conformal, eigen, functional as fn, planar, sphere
 from onofri.errors import NonConvergenceError
 
 
@@ -225,3 +228,55 @@ def count_exponentials(monkeypatch, size):
     monkeypatch.setattr(fn, "exp_moments", counted_moments)
     monkeypatch.setattr(fn, "tilt", counted_tilt)
     return counts
+
+
+def recenter(u, tol=1e-10):
+    """The degree-1 tilt u + c.x whose measure e^{u + c.x} dw has zero center of mass.
+
+    The constraint is the first-order condition of the convex problem
+    min_c log int e^{u + c.x} dw, so the tilt never raises the exp-mass.  It
+    changes only the degree-1 harmonics and keeps a band-limited u
+    band-limited.  u itself is returned when its center of mass is already
+    within tol.
+    """
+    pts, weights = fn._node_geometry(u.grid)
+    c, _, _ = fn.tilt(u.values.ravel(), weights, pts, tol)
+    if not c.any():
+        return u
+    return sphere.SphereField(u.grid, u.values + (pts @ c).reshape(u.grid.shape))
+
+
+def two_bubble_field(grid, s):
+    """Grid samples of the balanced two-bubble family (resolvable for small s)."""
+    x3 = grid.points()[2]
+    t = np.arctanh(np.clip(x3, -1 + 1e-15, 1 - 1e-15))
+    wa = conformal.bubble_log_factor(t, s)
+    wb = conformal.bubble_log_factor(t, -s)
+    return sphere.SphereField(grid, np.logaddexp(wa, wb) - np.log(2.0))
+
+
+def angular_derivative(v, h=1e-4):
+    """phi = y2 d1(v) - y1 d2(v), by a central difference of step h.
+
+    The difference is taken along the rotation orbit (phi is minus the
+    rotation generator applied to v), which makes phi vanish identically on
+    radial fields instead of leaving an O(h^2) residue.  At a solution of the
+    planar equation phi solves the linearised equation, which is what the
+    nodal-domain audits exploit.
+    """
+    c, s = math.cos(h), math.sin(h)
+
+    def ev(y):
+        y = np.asarray(y, dtype=float)
+        y_plus = np.stack([c * y[..., 0] - s * y[..., 1],
+                           s * y[..., 0] + c * y[..., 1]], axis=-1)
+        y_minus = np.stack([c * y[..., 0] + s * y[..., 1],
+                            -s * y[..., 0] + c * y[..., 1]], axis=-1)
+        return (v(y_minus) - v(y_plus)) / (2.0 * h)
+
+    return planar.PlanarField(ev, l=v.l, tag=f"angular derivative of {v.tag}")
+
+
+def first_eigenpair(g_fn, omega, h):
+    """(lambda, eigenvector, node coordinates) at a single resolution."""
+    return eigen._solve_on(omega, g_fn, h)

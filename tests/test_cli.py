@@ -1,10 +1,12 @@
 """Command-line interface: reports, determinism, exit codes, config files."""
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
-from onofri import cli, functional, report
+from onofri import acceptance, cli, functional, report
 
 
 def run(tmp_path, *argv):
@@ -117,18 +119,92 @@ def test_unknown_config_key(tmp_path):
     assert cli.main(["axisym", "--alpha", "0.5", "--config", str(cfg)]) == cli.EXIT_USAGE
 
 
+# a subcommand that takes each key, so the bad value is what fails
+KEY_COMMAND = {"seed": "axisym", "alpha": "axisym", "determinism": "verify",
+               "mode": "second-variation"}
+
+
 @pytest.mark.parametrize("line", ["seed = 1.5", "alpha = x", "determinism = maybe", "mode = degree3"])
-def test_unparsable_config_value(tmp_path, line):
+def test_unparsable_config_value(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
-    assert cli.main(["axisym", "--alpha", "0.5", "--config", str(cfg)]) == cli.EXIT_USAGE
+    assert cli.main([KEY_COMMAND[line.split()[0]], "--config", str(cfg)]) == cli.EXIT_USAGE
+    assert "bad.cfg:1: argument --" in capsys.readouterr().err
 
 
 def test_config_values_take_their_flag_types(tmp_path):
+    """Each key is read by the flag of a subcommand that takes it."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("s-min = -2\nn_mu = 24\nalphas = 0.7,0.8\ndeterminism = off\n")
-    assert cli.read_config_file(str(cfg)) == {"s_min": -2.0, "n_mu": 24, "alphas": "0.7,0.8",
-                                            "determinism": "off"}
+    for command, line, value in [("beta-curve", "s-min = -2", -2.0), ("minimize", "n_mu = 24", 24),
+                                 ("alpha-scan", "alphas = 0.7,0.8", "0.7,0.8"),
+                                 ("verify", "determinism = off", "off")]:
+        cfg.write_text(line + "\n")
+        key = line.split()[0].replace("-", "_")
+        read = cli.read_config_file(str(cfg), command)
+        assert read == {key: value} and type(read[key]) is type(value)
+
+
+def test_flags_of_another_subcommand_are_usage_errors(tmp_path):
+    assert cli.main(["shoot", "--l", "1", "--s", "2", "--alpha", "0.7"]) == cli.EXIT_USAGE
+    cfg = tmp_path / "shoot.cfg"
+    cfg.write_text("l = 1\ns = 2\nalphas = 0.8\n")
+    assert cli.main(["shoot", "--config", str(cfg)]) == cli.EXIT_USAGE
+
+
+def test_settable_values_are_the_declared_flags():
+    assert sum(len(flags) for flags in cli.COMMAND_FLAGS.values()) == 48
+    parser = cli.build_parser()
+    for name, sub in parser.commands.items():
+        dests = {a.dest for a in sub._actions} - {"help", "config", "out", "csv", "verbose"}
+        assert dests == set(cli.COMMAND_FLAGS[name])
+
+
+def test_verify_reports_the_seed_it_ran(tmp_path, monkeypatch):
+    ran = []
+
+    def fake_verify(seed, determinism):
+        ran.append((seed, determinism))
+        return [{"criterion": 1, "claim": "stub", "passed": True}]
+
+    monkeypatch.setattr(acceptance, "run_verify", fake_verify)
+    code, rep = run(tmp_path, "verify", "--determinism", "off")
+    assert code == 0
+    assert ran == [(acceptance.DEFAULT_SEED, False)] and acceptance.DEFAULT_SEED == 20260808
+    assert rep["seed"] == 20260808
+    assert rep["config"] == {"seed": 20260808, "determinism": "off"}
+
+
+def test_report_config_holds_every_parameter_used(tmp_path):
+    code, rep = run(tmp_path, "shoot", "--l", "1", "--s", "2.4849", "--r-max", "100")
+    assert code == 0
+    assert rep["config"] == {"l": 1.0, "s": 2.4849, "r_max": 100.0, "tol": 1e-10}
+    code, rep = run(tmp_path, "second-variation", "--L", "8")
+    assert rep["config"] == {"mode": "degree2", "L": 8, "n_mu": 16}
+    code, rep = run(tmp_path, "el-check", "--rho", "1.9", "--L", "8")
+    assert rep["config"]["rho"] == rep["rows"][0]["rho"] == 1.9     # 1 / (1 / 1.9) is not
+
+
+def test_subcommand_help_shows_its_defaults(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["shoot", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--r-max R_MAX" in text and "(default: 1000000.0)" in text
+    assert "--tol TOL" in text and "(default: 1e-10)" in text
+    assert "--l L" in text and "(required)" in text
+    assert "--alpha" not in text
+
+
+def test_readme_examples_parse():
+    """Every `onofri ...` line of the README parses under its subcommand's flags."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    examples = [shlex.split(line, comments=True)[1:] for line in readme.splitlines()
+                if line.strip().startswith("onofri ")]
+    assert len(examples) >= len(cli.HANDLERS)
+    parser = cli.build_parser()
+    for argv in examples:
+        args = parser.parse_args(argv)
+        assert args.command in cli.HANDLERS
 
 
 def test_uniqueness_rows(tmp_path):
@@ -139,7 +215,7 @@ def test_uniqueness_rows(tmp_path):
     assert row["n_roots"] == 1
     assert row["roots"][0] == pytest.approx(math.log(12.0), abs=1e-5)
     assert row["beta_range"][0] < 6.0 < row["beta_range"][1]
-    assert row["divergent_samples"] == 0
+    assert row["unresolved_samples"] == 0
 
 
 def test_uniqueness_counts_two_profiles_at_l2(tmp_path):

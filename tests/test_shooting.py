@@ -186,25 +186,20 @@ def test_shared_curve_reports_beta_range():
     lo, hi = search.beta_range
     assert 7.0 < lo <= hi < 12.0          # why l = 2 finds no root at 5, 6 or 7
     assert search.roots == [[], [], []]
-    assert search.divergent_samples == 0
 
 
-def test_shared_curve_counts_divergent_samples(monkeypatch):
-    real_shoot = sh.shoot
-
-    def shoot_diverging_above_8(l, s, **kw):
-        sol = real_shoot(l, s, **kw)
-        if s > 8.0:
-            sol.verdict = "divergent-mass"
-        return sol
-
-    full = sh.solutions_at_beta(1.0, [4.1, 6.0], (-6.0, 10.0), n_samples=33)
-    monkeypatch.setattr(sh, "shoot", shoot_diverging_above_8)
-    cut = sh.solutions_at_beta(1.0, [4.1, 6.0], (-6.0, 10.0), n_samples=33)
-    assert full.divergent_samples == 0 and len(full.roots[0]) == 1 and full.roots[0][0] > 8.0
-    assert cut.divergent_samples == 4                  # s = 8.5, 9, 9.5, 10
-    assert cut.roots[0] == [] and cut.roots[1] == full.roots[1]
-    assert cut.beta_range[0] > full.beta_range[0]
+def test_shared_curve_skips_unresolved_samples():
+    """At l = 1 the shots past s = 26 are unresolved: the search keeps the
+    converged stretch, finds there the root a bracket ending at 26 finds,
+    and none for a mass that only the unresolved samples reach."""
+    targets = [4.0002, 4.000005]
+    cut = sh.solutions_at_beta(1.0, targets, (18.0, 34.0), n_samples=17)
+    full = sh.solutions_at_beta(1.0, targets, (18.0, 26.0), n_samples=9)
+    assert cut.unresolved_samples == 8 and full.unresolved_samples == 0
+    assert len(full.roots[0]) == 1 and cut.roots[0] == full.roots[0]
+    assert cut.roots[1] == full.roots[1] == []
+    assert cut.beta_range == full.beta_range
+    assert not cut.certificate.ok
 
 
 def test_quintic_mass_rule_is_sixth_order():
@@ -374,9 +369,19 @@ def test_verdicts_on_the_search_bracket_stay_converged(l):
     assert all(sh.shoot(l, float(s)).verdict == "converged" for s in np.linspace(-6.0, 10.0, 17))
 
 
+@pytest.mark.parametrize("l, s", [(0.0, -130.0), (0.0, -200.0), (1.0, -300.0)])
+def test_unreached_far_field_is_unresolved(l, s):
+    """Starts whose scale e^{-s/2} lies past e^60 keep a negative decay rate up
+    to t_cap; every radial mass is finite, so the shot is unresolved, and the
+    conserved rate^2 + 2q still puts its mass at the s -> -inf limit 4(1+l)."""
+    sol = sh.shoot(l, s)
+    assert sol.verdict == "unresolved" and math.isnan(sol.c_asym)
+    assert sol.beta_mass == pytest.approx(4.0 * (1.0 + l), abs=1e-9)
+
+
 def test_root_search_counts_unresolved_samples():
     search = sh.solutions_at_beta(1.0, [4.0001], (30.0, 38.0), n_samples=4)
-    assert search.unresolved_samples == 4 and search.divergent_samples == 0
+    assert search.unresolved_samples == 4
     assert search.roots == [[]]
     assert not search.certificate.ok and search.certificate.count(4.0001) is None
 
