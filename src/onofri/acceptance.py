@@ -110,6 +110,22 @@ def criterion_4(seed, grids):
 # -- 5: bridge identities ----------------------------------------------------
 
 
+def bridge_fields(seed, g):
+    """(name, planar transfer, rho) of the three unit-mass sphere fields whose
+    plane mass criterion 5 checks."""
+    x3 = sphere.field_of(g, lambda a, b, c: c)
+    x1x2 = sphere.field_of(g, lambda a, b, c: a * b)
+    pts3 = np.stack(g.points(), axis=-1)
+    fields = [
+        ("mixed_modes", functional.shift_to_unit_mass(0.3 * x3 + (0.2 * x1x2).values), 1.25),
+        ("conformal_factor", sphere.SphereField(
+            g, conformal.log_conformal_factor(pts3, np.array([0.0, 0.1, 0.38]))), 1.4),
+        ("random_degree6", functional.shift_to_unit_mass(
+            functional.random_start(g, (seed, 5, 0), degree=6)), 1.5),
+    ]
+    return [(name, planar.to_planar(u, rho), rho) for name, u, rho in fields]
+
+
 def criterion_5(seed, grids):
     rows = []
     for l in (0.5, 1.0, 1.5):
@@ -125,19 +141,7 @@ def criterion_5(seed, grids):
     rows.append(_row(5, "vstar_residual", "axial profile solves the planar equation pointwise",
                      res, 1e-10, res <= 1e-10))
 
-    g = grids["g32"]
-    x3 = sphere.field_of(g, lambda a, b, c: c)
-    x1x2 = sphere.field_of(g, lambda a, b, c: a * b)
-    pts3 = np.stack(g.points(), axis=-1)
-    fields = [
-        ("mixed_modes", functional.shift_to_unit_mass(0.3 * x3 + (0.2 * x1x2).values), 1.25),
-        ("conformal_factor", sphere.SphereField(
-            g, conformal.log_conformal_factor(pts3, np.array([0.0, 0.1, 0.38]))), 1.4),
-        ("random_degree6", functional.shift_to_unit_mass(
-            functional.random_start(g, (seed, 5, 0), degree=6)), 1.5),
-    ]
-    for name, u, rho in fields:
-        v = planar.to_planar(u, rho)
+    for name, v, rho in bridge_fields(seed, grids["g32"]):
         mass = 2.0 * math.pi * planar.beta_l(v)
         err = abs(mass - 8.0 * math.pi * rho)
         rows.append(_row(5, f"mass_transfer_{name}", "plane mass equals 8 pi rho times unit sphere mass",

@@ -409,7 +409,7 @@ def main(argv=None) -> int:
         cfg = _run_config(args)
         t0 = time.time()
         rows, verdict, csv_rows = HANDLERS[args.command](cfg)
-        rep = report.build_report(args.command, cfg, cfg.get("seed", 0), rows, verdict,
+        rep = report.build_report(args.command, cfg, cfg.get("seed"), rows, verdict,
                                   time.time() - t0)
         problems = report.validate_report(rep)
         if problems:

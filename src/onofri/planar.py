@@ -14,13 +14,12 @@ normalised mass of v* equal 4 rho.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import quadrature, sphere
-from .errors import DivergentMassError, GaugeError, InvalidFieldError, PoleError
+from .errors import DivergentMassError, GaugeError, InvalidFieldError
 
 
 # ---------------------------------------------------------------------------
@@ -28,17 +27,9 @@ from .errors import DivergentMassError, GaugeError, InvalidFieldError, PoleError
 # ---------------------------------------------------------------------------
 
 
-def stereo_map(x: np.ndarray) -> np.ndarray:
-    """Project unit vectors (..., 3) to the plane, y = (x1, x2)/(1 - x3)."""
-    x = np.asarray(x, dtype=float)
-    denom = 1.0 - x[..., 2]
-    if np.any(denom <= 1e-15):
-        raise PoleError("stereographic map is singular at the north pole")
-    return np.stack([x[..., 0] / denom, x[..., 1] / denom], axis=-1)
-
-
 def stereo_lift(y: np.ndarray) -> np.ndarray:
-    """Inverse of stereo_map; (..., 2) -> unit vectors (..., 3)."""
+    """Lift (..., 2) points to unit vectors (..., 3), the inverse of
+    y = (x1, x2)/(1 - x3), the projection from the north pole."""
     y = np.asarray(y, dtype=float)
     r2 = np.sum(y * y, axis=-1)
     denom = 1.0 + r2
@@ -65,15 +56,27 @@ class PlanarField:
 
     lap_evaluator, when present, is an exact Laplacian (closed form or via the
     conformal identity); it spares finite differences in residual checks.
+    ring_evaluator, when present, gives the values on the polar grid
+    radii x theta directly (see `rings`).
     """
 
     evaluator: callable
     l: float
     tag: str = ""
     lap_evaluator: callable | None = None
+    ring_evaluator: callable | None = None
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         return self.evaluator(np.asarray(y, dtype=float))
+
+    def rings(self, radii: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """Values at (r cos t, r sin t), shape (len(radii), len(theta))."""
+        radii = np.asarray(radii, dtype=float)
+        theta = np.asarray(theta, dtype=float)
+        if self.ring_evaluator is not None:
+            return self.ring_evaluator(radii, theta)
+        return self(np.stack([radii[:, None] * np.cos(theta),
+                              radii[:, None] * np.sin(theta)], axis=-1))
 
 
 def v_star(y: np.ndarray, rho: float) -> np.ndarray:
@@ -142,7 +145,9 @@ def to_planar(u: sphere.SphereField, rho: float, gauge_tol: float = 1e-8) -> Pla
 
     The evaluator goes through u's harmonic expansion, so the planar Laplacian
     is available exactly via the conformal identity
-    lap(v)(y) = J(y) (lap_sphere(u) - 2 rho)(lift y).
+    lap(v)(y) = J(y) (lap_sphere(u) - 2 rho)(lift y).  A ring of radius r
+    lifts to the latitude mu = (r^2 - 1)/(r^2 + 1) at longitudes theta, so
+    the ring evaluator reads u on the tensor grid of those latitudes.
     """
     mass_defect = abs(math.exp(sphere.log_exp_mass(u)) - 1.0)
     if mass_defect > gauge_tol:
@@ -162,8 +167,13 @@ def to_planar(u: sphere.SphereField, rho: float, gauge_tol: float = 1e-8) -> Pla
         y = np.asarray(y, dtype=float)
         return stereo_jacobian(y) * (sphere.evaluate_xyz(lap_spec, stereo_lift(y)) - 2.0 * rho)
 
+    def ring(radii, theta):
+        r2 = radii * radii
+        values = sphere.evaluate_tensor(spec, (r2 - 1.0) / (1.0 + r2), theta)
+        return values + (const - 2.0 * rho * np.log1p(r2))[:, None]
+
     return PlanarField(ev, l=2.0 * (rho - 1.0), tag="pulled-back sphere field",
-                       lap_evaluator=lap)
+                       lap_evaluator=lap, ring_evaluator=ring)
 
 
 def planar_residual(v: PlanarField, y: np.ndarray, h: float = 1e-3) -> np.ndarray:
@@ -204,16 +214,13 @@ def beta_l(v: PlanarField, r_cut: float = 100.0, n_theta: int = 64) -> float:
     """
     cut = 2.0 * r_cut
     r, wr, theta = _disk_quadrature(cut, n_theta=n_theta)
-
-    def angular_mean_exp(radii):
-        pts = np.stack([radii[:, None] * np.cos(theta), radii[:, None] * np.sin(theta)], axis=-1)
-        return np.mean(np.exp(v(pts.reshape(-1, 2))).reshape(len(radii), n_theta), axis=1)
-
-    inner = float(np.dot(wr, (1.0 + r**2) ** v.l * angular_mean_exp(r) * r))
+    rf = np.geomspace(cut / 2.0, cut, 17)
+    # angular means of e^v on the quadrature rings and the fit rings, one call
+    means = np.mean(np.exp(v.rings(np.concatenate([r, rf]), theta)), axis=1)
+    inner = float(np.dot(wr, (1.0 + r**2) ** v.l * means[: r.size] * r))
 
     # fit log(mean_theta e^v) = c - beta log r + d / r^2 on [cut/2, cut]
-    rf = np.geomspace(cut / 2.0, cut, 17)
-    m = angular_mean_exp(rf)
+    m = means[r.size:]
     if np.any(m <= 0.0) or not np.all(np.isfinite(m)):
         raise DivergentMassError("tail fit: non-finite angular means")
     basis = np.stack([np.ones_like(rf), -np.log(rf), rf**-2.0], axis=1)
@@ -273,27 +280,40 @@ class NodalReport:
     zero_tol: float = 0.0
 
 
-def _flood_fill_labels(signs: np.ndarray) -> tuple[np.ndarray, int]:
-    """4-connected components of the nonzero sign classes, row-major seeds."""
-    ni, nj = signs.shape
-    labels = np.zeros((ni, nj), dtype=int)
-    current = 0
-    for i0 in range(ni):
-        for j0 in range(nj):
-            if signs[i0, j0] == 0 or labels[i0, j0] != 0:
-                continue
-            current += 1
-            want = signs[i0, j0]
-            queue = deque([(i0, j0)])
-            labels[i0, j0] = current
-            while queue:
-                i, j = queue.popleft()
-                for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    a, b = i + di, j + dj
-                    if 0 <= a < ni and 0 <= b < nj and labels[a, b] == 0 and signs[a, b] == want:
-                        labels[a, b] = current
-                        queue.append((a, b))
-    return labels, current
+def _component_labels(signs: np.ndarray) -> tuple[np.ndarray, int]:
+    """4-connected components of the nonzero sign classes, numbered 1 .. m in
+    row-major order of their first cell; 0 marks unclassified cells.
+
+    Min-index hooking with pointer jumping: every cell points at a cell of
+    its component with an index no larger than its own, at first the start
+    of its same-sign run along the row.  Each round hooks the larger root of
+    every equal-sign vertical pair under the smaller one, then jumps pointers
+    until each cell points at its root.  At the fixed point each component's
+    root is its smallest, i.e. first, cell.
+    """
+    nj = signs.shape[1]
+    flat = signs.ravel()
+    # int32 indices halve the working set; 2^31 cells would hold 17 GB of values
+    index = np.arange(flat.size, dtype=np.int32).reshape(signs.shape)
+    run_start = np.ones(signs.shape, dtype=bool)
+    run_start[:, 1:] = signs[:, 1:] != signs[:, :-1]
+    parent = np.maximum.accumulate(np.where(run_start, index, 0).ravel())
+    upper = index[:-1][(signs[:-1] == signs[1:]) & (signs[1:] != 0)]   # cell above an equal-sign cell
+    while True:
+        ra, rb = parent[upper], parent[upper + nj]
+        split = ra != rb
+        if not split.any():
+            break
+        upper, ra, rb = upper[split], ra[split], rb[split]
+        parent[np.maximum(ra, rb)] = np.minimum(ra, rb)
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+    first = (parent == index.ravel()) & (flat != 0)
+    rank = np.cumsum(first)
+    return np.where(flat != 0, rank[parent], 0).reshape(signs.shape), int(rank[-1])
 
 
 def nodal_ledger(m: int, rho: float):
@@ -310,42 +330,57 @@ def nodal_ledger(m: int, rho: float):
     }
 
 
+def _uniform_axis(nodes: np.ndarray, name: str) -> float:
+    """The step of an increasing uniform grid axis (0.0 for a single node)."""
+    steps = np.diff(nodes)
+    if steps.size and not (steps[0] > 0.0 and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)):
+        raise InvalidFieldError(f"nodal_domains: {name} is not an increasing uniform grid")
+    return float(steps[0]) if steps.size else 0.0
+
+
 def nodal_domains(f_values: np.ndarray, xs: np.ndarray, ys: np.ndarray,
                   zero_tol: float | None = None, disk_radius: float | None = None,
                   mass_density=None, rho: float | None = None) -> NodalReport:
-    """Count sign domains of a gridded field on a disk by 4-connected flood fill.
+    """Count the 4-connected sign domains of a gridded field on a disk.
 
-    f_values is indexed [i, j] ~ (xs[i], ys[j]).  When mass_density (a planar
-    callable such as (1+|y|^2)^l e^v) is given, per-domain masses are cell sums;
-    `total` is the mass over the classified cells, so the partition identity is
-    structural.  With rho given, the ledger states whether m domains of mass
-    above 4 pi contradict the budget 8 pi rho.
+    f_values is indexed [i, j] ~ (xs[i], ys[j]) on increasing uniform axes.
+    When mass_density (a planar callable such as (1+|y|^2)^l e^v) is given,
+    per-domain masses are cell sums over each label, and `total` is the cell
+    sum over the classified cells, read from the signs and not the labels, so
+    the partition identity sum(masses) = total checks the labelling.  With
+    rho given, the ledger states whether m domains of mass above 4 pi
+    contradict the budget 8 pi rho.
     """
     f_values = np.asarray(f_values, dtype=float)
     if f_values.size == 0:
         raise InvalidFieldError("nodal_domains: empty grid")
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    if f_values.shape != (xs.size, ys.size):
+        raise InvalidFieldError(
+            f"nodal_domains: values shape {f_values.shape} != axes ({xs.size}, {ys.size})")
+    dx, dy = _uniform_axis(xs, "xs"), _uniform_axis(ys, "ys")
+    if mass_density is not None and min(xs.size, ys.size) < 2:
+        raise InvalidFieldError("nodal_domains: masses need at least 2 nodes on each axis")
     if zero_tol is None:
         zero_tol = 1e-8 * float(np.max(np.abs(f_values)))
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
     inside = np.ones_like(f_values, dtype=bool)
     if disk_radius is not None:
-        inside = X**2 + Y**2 <= disk_radius**2
-    signs = np.zeros(f_values.shape, dtype=int)
+        inside = (xs**2)[:, None] + (ys**2)[None, :] <= disk_radius**2
+    signs = np.zeros(f_values.shape, dtype=np.int8)
     signs[(f_values > zero_tol) & inside] = 1
     signs[(f_values < -zero_tol) & inside] = -1
-    labels, m = _flood_fill_labels(signs)
+    labels, m = _component_labels(signs)
 
     masses = []
     total = 0.0
     if mass_density is not None:
-        cell = (xs[1] - xs[0]) * (ys[1] - ys[0]) if xs.size > 1 and ys.size > 1 else 1.0
-        dens = np.asarray(mass_density(np.stack([X, Y], axis=-1).reshape(-1, 2))).reshape(f_values.shape)
-        for k in range(1, m + 1):
-            mk = float(np.sum(dens[labels == k]) * cell)
-            masses.append(mk)
-        total = float(sum(masses))
+        cell = dx * dy
+        pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+        dens = np.asarray(mass_density(pts)).reshape(f_values.shape)
+        sums = np.bincount(labels.ravel(), weights=dens.ravel(), minlength=m + 1)
+        masses = [float(mk * cell) for mk in sums[1:]]
+        total = float(np.sum(dens[signs != 0]) * cell)
 
     if rho is None:
         verdict = "not-evaluated"

@@ -1,9 +1,10 @@
 """Machine-readable run reports: JSON with a fixed shape, plus CSV tables.
 
 Top-level keys are stable: command, config, seed, version, rows, verdict,
-elapsed_s.  Rows are flat dicts of plain scalars; each carries a "claim"
-string naming the mathematical statement the row checks.  Files are written
-atomically (temp file + rename).
+elapsed_s; seed is null for a run that draws no random numbers.  Rows are
+flat dicts of plain scalars; each carries a "claim" string naming the
+mathematical statement the row checks.  Files are written atomically (temp
+file + rename).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ REPORT_SCHEMA = {
     "properties": {
         "command": {"type": "string"},
         "config": {"type": "object"},
-        "seed": {"type": "integer"},
+        "seed": {"type": ["integer", "null"]},
         "version": {"type": "string"},
         "rows": {"type": "array", "items": {"type": "object"}},
         "verdict": {"type": "string", "enum": ["pass", "fail", "info"]},
@@ -51,12 +52,12 @@ def to_builtin(obj):
     return obj
 
 
-def build_report(command: str, config: dict, seed: int, rows: list, verdict: str,
+def build_report(command: str, config: dict, seed: int | None, rows: list, verdict: str,
                  elapsed_s: float) -> dict:
     return {
         "command": command,
         "config": to_builtin(config),
-        "seed": int(seed),
+        "seed": None if seed is None else int(seed),
         "version": __version__,
         "rows": to_builtin(rows),
         "verdict": verdict,
@@ -71,7 +72,7 @@ def validate_report(report: dict) -> list[str]:
         if key not in report:
             problems.append(f"missing key {key}")
     checks = {
-        "command": str, "config": dict, "seed": int, "version": str,
+        "command": str, "config": dict, "seed": (int, type(None)), "version": str,
         "rows": list, "verdict": str, "elapsed_s": (int, float),
     }
     for key, typ in checks.items():

@@ -193,10 +193,6 @@ def field_of(grid: SphereGrid, fn) -> SphereField:
     return SphereField(grid, np.broadcast_to(np.asarray(fn(x1, x2, x3), dtype=float), grid.shape).copy())
 
 
-def constant_field(grid: SphereGrid, c: float = 0.0) -> SphereField:
-    return SphereField(grid, np.full(grid.shape, float(c)))
-
-
 def integrate(f: SphereField) -> float:
     """Integral of f against the probability measure dw."""
     if not np.all(np.isfinite(f.values)):
@@ -248,14 +244,26 @@ def synthesize(spec: HarmonicSpectrum, grid: SphereGrid) -> SphereField:
     return SphereField(grid, np.fft.irfft(fhat, n=grid.n_phi, axis=1))
 
 
+def _order_sums(spec: HarmonicSpectrum, mu: np.ndarray):
+    """Latitude sums of a spectrum at the latitudes mu, one order m at a time.
+
+    Yields (cm, sm) for m = 0 .. lmax: the cosine and sine branches of order
+    m summed over the degrees l = m .. lmax, each of shape mu.shape, from one
+    matrix product with the recurrence's block; the azimuthal factors
+    cos(m phi) and sin(m phi) turn them into values.
+    """
+    L = spec.lmax
+    for m, block in _latitude_blocks(L, mu):
+        yield spec.coeffs[m:, [L + m, L - m]].T @ block
+
+
 def evaluate(spec: HarmonicSpectrum, mu: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Evaluate a spectrum at arbitrary points (mu, phi) of one shape.
 
-    The latitude factors are streamed one order m at a time: one matrix
-    product per m gives the cosine and sine latitude sums at every point, and
-    the azimuthal factors cos(m phi) + i sin(m phi), advanced by one complex
-    rotation per order, are added before the next order overwrites the rows.
-    Memory stays at one (lmax + 1, points) buffer.
+    The latitude sums are streamed one order m at a time, and the azimuthal
+    factors cos(m phi) + i sin(m phi), advanced by one complex rotation per
+    order, are added before the next order overwrites the rows.  Memory
+    stays at one (lmax + 1, points) buffer.
     """
     mu = np.asarray(mu, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -263,15 +271,26 @@ def evaluate(spec: HarmonicSpectrum, mu: np.ndarray, phi: np.ndarray) -> np.ndar
         raise InvalidFieldError(f"evaluate: mu shape {mu.shape} != phi shape {phi.shape}")
     shape = mu.shape
     phi = phi.ravel()
-    L = spec.lmax
     turn = np.cos(phi) + 1j * np.sin(phi)
     azimuth = np.ones(phi.size, dtype=complex)
     out = np.zeros(phi.size)
-    for m, block in _latitude_blocks(L, mu.ravel()):
-        cm, sm = spec.coeffs[m:, [L + m, L - m]].T @ block
+    for cm, sm in _order_sums(spec, mu.ravel()):
         out += cm * azimuth.real + sm * azimuth.imag
         azimuth *= turn
     return out.reshape(shape)
+
+
+def evaluate_tensor(spec: HarmonicSpectrum, mu: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Evaluate a spectrum on the tensor grid mu x phi, shape (len(mu), len(phi)).
+
+    The latitude sums are formed once per latitude, not once per point; two
+    matrix products with cos(m phi) and sin(m phi) sum over the orders.
+    """
+    mu = np.asarray(mu, dtype=float).ravel()
+    phi = np.asarray(phi, dtype=float).ravel()
+    sums = np.array(list(_order_sums(spec, mu)))       # (m, branch, mu)
+    angles = np.outer(np.arange(spec.lmax + 1), phi)
+    return sums[:, 0].T @ np.cos(angles) + sums[:, 1].T @ np.sin(angles)
 
 
 def evaluate_xyz(spec: HarmonicSpectrum, points: np.ndarray) -> np.ndarray:

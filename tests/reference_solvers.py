@@ -1,8 +1,9 @@
 """Reference minimisers: both descents as they were before their retractions
 read one exponential per step, and a counter of the exponentials a descent makes;
-and the test-only maps the package itself does not call: the sphere tilt of a
-whole field, the two-bubble family on a grid, the planar angular derivative
-and the eigenpair of one resolution.
+and the test-only maps the package itself does not call: the constant sphere
+field, the sphere tilt of a whole field, the two-bubble family on a grid, the
+stereographic projection, the planar angular derivative, the eigenpair of one
+resolution, and the breadth-first flood fill the nodal labelling replaced.
 
 Each accepted step here exponentiates the field separately for the tilt's
 first moments, the unit-mass shift, the value and the gradient, and the
@@ -10,11 +11,12 @@ axisymmetric one evaluates node values by Clenshaw (legval).  The tests
 compare the package minimisers against these step for step.
 """
 import math
+from collections import deque
 
 import numpy as np
 
 from onofri import axisym as ax, conformal, eigen, functional as fn, planar, sphere
-from onofri.errors import NonConvergenceError
+from onofri.errors import NonConvergenceError, PoleError
 
 
 def tilt_log_weights(log_weights, points, tol):
@@ -230,6 +232,10 @@ def count_exponentials(monkeypatch, size):
     return counts
 
 
+def constant_field(grid, c=0.0):
+    return sphere.SphereField(grid, np.full(grid.shape, float(c)))
+
+
 def recenter(u, tol=1e-10):
     """The degree-1 tilt u + c.x whose measure e^{u + c.x} dw has zero center of mass.
 
@@ -253,6 +259,15 @@ def two_bubble_field(grid, s):
     wa = conformal.bubble_log_factor(t, s)
     wb = conformal.bubble_log_factor(t, -s)
     return sphere.SphereField(grid, np.logaddexp(wa, wb) - np.log(2.0))
+
+
+def stereo_map(x):
+    """Project unit vectors (..., 3) to the plane, y = (x1, x2)/(1 - x3)."""
+    x = np.asarray(x, dtype=float)
+    denom = 1.0 - x[..., 2]
+    if np.any(denom <= 1e-15):
+        raise PoleError("stereographic map is singular at the north pole")
+    return np.stack([x[..., 0] / denom, x[..., 1] / denom], axis=-1)
 
 
 def angular_derivative(v, h=1e-4):
@@ -280,3 +295,27 @@ def angular_derivative(v, h=1e-4):
 def first_eigenpair(g_fn, omega, h):
     """(lambda, eigenvector, node coordinates) at a single resolution."""
     return eigen._solve_on(omega, g_fn, h)
+
+
+def _flood_fill_reference(signs):
+    """4-connected components of the nonzero sign classes by breadth-first
+    search from row-major seeds: (labels, m), labels 1 .. m, 0 unclassified."""
+    ni, nj = signs.shape
+    labels = np.zeros((ni, nj), dtype=int)
+    current = 0
+    for i0 in range(ni):
+        for j0 in range(nj):
+            if signs[i0, j0] == 0 or labels[i0, j0] != 0:
+                continue
+            current += 1
+            want = signs[i0, j0]
+            queue = deque([(i0, j0)])
+            labels[i0, j0] = current
+            while queue:
+                i, j = queue.popleft()
+                for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                    a, b = i + di, j + dj
+                    if 0 <= a < ni and 0 <= b < nj and labels[a, b] == 0 and signs[a, b] == want:
+                        labels[a, b] = current
+                        queue.append((a, b))
+    return labels, current

@@ -174,6 +174,23 @@ def test_verify_reports_the_seed_it_ran(tmp_path, monkeypatch):
     assert rep["config"] == {"seed": 20260808, "determinism": "off"}
 
 
+def test_seedless_runs_report_a_null_seed(tmp_path):
+    seedless = {name for name, flags in cli.COMMAND_FLAGS.items() if "seed" not in flags}
+    assert seedless == {"shoot", "beta-curve", "uniqueness", "bol-audit", "nodal",
+                        "second-variation"}
+    for argv in (("nodal",), ("shoot", "--l", "1", "--s", "2.4849", "--r-max", "100")):
+        code, rep = run(tmp_path, *argv)
+        assert code == 0
+        assert rep["seed"] is None
+        assert report.validate_report(rep) == []
+    code, rep = run(tmp_path, "axisym", "--alpha", "0.6", "--trials", "1", "--seed", "0")
+    assert rep["seed"] == 0
+    assert report.REPORT_SCHEMA["properties"]["seed"]["type"] == ["integer", "null"]
+    bad = report.build_report("x", {}, None, [], "pass", 0.0)
+    bad["seed"] = "0"
+    assert report.validate_report(bad) == ["key seed has type str"]
+
+
 def test_report_config_holds_every_parameter_used(tmp_path):
     code, rep = run(tmp_path, "shoot", "--l", "1", "--s", "2.4849", "--r-max", "100")
     assert code == 0

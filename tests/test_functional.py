@@ -20,7 +20,7 @@ def coordinate(grid, which=2):
 
 
 def test_value_at_zero(grid16):
-    assert fn.j_alpha(sphere.constant_field(grid16, 0.0), 0.8) == 0.0
+    assert fn.j_alpha(ref.constant_field(grid16, 0.0), 0.8) == 0.0
 
 
 def test_taylor_value_along_coordinate(grid16):
@@ -39,7 +39,7 @@ def test_overflow_stabilised(grid16):
 
 
 def test_j_alpha_rejects_nonfinite_field(grid8):
-    u = sphere.constant_field(grid8, 0.0)
+    u = ref.constant_field(grid8, 0.0)
     u.values[1, 2] = np.nan
     with pytest.raises(InvalidFieldError):
         fn.j_alpha(u, 0.8)
@@ -77,7 +77,7 @@ def test_general_rotation_invariance(grid16):
 
 
 def test_gradient_zero_at_zero(grid16):
-    g = fn.gradient_j(sphere.constant_field(grid16, 0.0), 0.9)
+    g = fn.gradient_j(ref.constant_field(grid16, 0.0), 0.9)
     assert np.max(np.abs(g.values)) <= 1e-14
 
 
@@ -105,7 +105,7 @@ def test_gradient_linearisation(grid16):
 
 
 def test_com_zero_field(grid16):
-    assert np.linalg.norm(fn.center_of_mass(sphere.constant_field(grid16, 0.0))) <= 1e-14
+    assert np.linalg.norm(fn.center_of_mass(ref.constant_field(grid16, 0.0))) <= 1e-14
 
 
 def test_com_first_order(grid16):
@@ -129,7 +129,7 @@ def test_com_rotation_equivariance(grid16):
 
 
 def test_recenter_identity_on_centered(grid16):
-    u = sphere.constant_field(grid16, 0.0)
+    u = ref.constant_field(grid16, 0.0)
     out = ref.recenter(u)
     assert np.max(np.abs(out.values)) <= 1e-12
 
@@ -180,7 +180,7 @@ def test_pullback_inverts_conformal_factor(grid32):
 
 
 def test_el_residual_zero(grid16):
-    assert fn.el_residual(sphere.constant_field(grid16, 0.0), 1.3) <= 1e-13
+    assert fn.el_residual(ref.constant_field(grid16, 0.0), 1.3) <= 1e-13
 
 
 def test_el_residual_linearised(grid16):
@@ -284,11 +284,11 @@ def test_tilt_counts_newton_steps(grid16, monkeypatch):
 
 def test_minimize_rejects_nonpositive_alpha(grid8):
     with pytest.raises(ValueError):
-        fn.minimize(-0.1, sphere.constant_field(grid8, 0.0))
+        fn.minimize(-0.1, ref.constant_field(grid8, 0.0))
 
 
 def test_minimize_rejects_nonfinite_start(grid8):
-    bad = sphere.constant_field(grid8, 0.0)
+    bad = ref.constant_field(grid8, 0.0)
     bad.values[0, 0] = np.inf
     with pytest.raises(InvalidFieldError):
         fn.minimize(0.8, bad)
@@ -527,7 +527,7 @@ def test_quadratic_form_degree_one(grid16):
 
 
 def test_quadratic_form_constant(grid16):
-    spec = sphere.analyze(sphere.constant_field(grid16, 2.0))
+    spec = sphere.analyze(ref.constant_field(grid16, 2.0))
     assert quadratic_form(spec, 0.7) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -589,7 +589,7 @@ def _ending(status, u0):
 @pytest.mark.parametrize("status, failed", [("stalled", 2), ("max-iter", 2),
                                             ("unbounded-descent", 0), ("converged", 0)])
 def test_alpha_scan_counts_runs_without_a_verdict(grid8, monkeypatch, status, failed):
-    monkeypatch.setattr(fn, "minimize", _ending(status, sphere.constant_field(grid8, 0.0)))
+    monkeypatch.setattr(fn, "minimize", _ending(status, ref.constant_field(grid8, 0.0)))
     row, = fn.alpha_scan([0.8], trials=2, seed=5, grid=grid8)
     assert row["n_failed"] == failed
     assert row["min_j"] == 0.0 and row["mean_iterations"] == 800.0

@@ -1,12 +1,14 @@
 """Stereographic bridge, planar masses, angular derivative, nodal domains."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis.extra import numpy as hnp
 import hypothesis.strategies as st
 
-from onofri import functional as fn, planar as pl, sphere
+from onofri import acceptance, functional as fn, planar as pl, sphere
 from onofri.errors import DivergentMassError, GaugeError, InvalidFieldError, PoleError
 
 import reference_solvers as ref
@@ -18,15 +20,15 @@ import reference_solvers as ref
 
 
 def test_south_pole_and_equator():
-    assert np.allclose(pl.stereo_map(np.array([0.0, 0.0, -1.0])), [0.0, 0.0])
+    assert np.allclose(ref.stereo_map(np.array([0.0, 0.0, -1.0])), [0.0, 0.0])
     assert pl.stereo_jacobian(np.zeros(2)) == pytest.approx(4.0)
-    assert np.allclose(pl.stereo_map(np.array([1.0, 0.0, 0.0])), [1.0, 0.0])
+    assert np.allclose(ref.stereo_map(np.array([1.0, 0.0, 0.0])), [1.0, 0.0])
     assert pl.stereo_jacobian(np.array([1.0, 0.0])) == pytest.approx(1.0)
 
 
 def test_pole_raises():
     with pytest.raises(PoleError):
-        pl.stereo_map(np.array([0.0, 0.0, 1.0]))
+        ref.stereo_map(np.array([0.0, 0.0, 1.0]))
 
 
 @given(st.integers(0, 10**6))
@@ -36,8 +38,8 @@ def test_lift_map_round_trip(seed):
     y = 5.0 * rng.normal(size=(20, 2))
     x = pl.stereo_lift(y)
     assert np.max(np.abs(np.linalg.norm(x, axis=-1) - 1.0)) <= 1e-14
-    assert np.max(np.abs(pl.stereo_map(x) - y)) <= 1e-12 * (1.0 + np.max(np.abs(y)))
-    assert np.max(np.abs(pl.stereo_lift(pl.stereo_map(x)) - x)) <= 1e-14
+    assert np.max(np.abs(ref.stereo_map(x) - y)) <= 1e-12 * (1.0 + np.max(np.abs(y)))
+    assert np.max(np.abs(pl.stereo_lift(ref.stereo_map(x)) - x)) <= 1e-14
 
 
 def test_jacobian_total_area():
@@ -89,7 +91,7 @@ def test_vstar_structure():
 
 def test_to_planar_of_zero_is_vstar(grid16):
     rho = 1.5
-    v = pl.to_planar(sphere.constant_field(grid16, 0.0), rho)
+    v = pl.to_planar(ref.constant_field(grid16, 0.0), rho)
     y = np.random.default_rng(1).normal(size=(50, 2)) * 2
     assert np.max(np.abs(v(y) - pl.v_star(y, rho))) <= 1e-12
     assert v.l == pytest.approx(2.0 * (rho - 1.0))
@@ -97,14 +99,14 @@ def test_to_planar_of_zero_is_vstar(grid16):
 
 def test_to_planar_mass_identity(grid16):
     rho = 1.5
-    v = pl.to_planar(sphere.constant_field(grid16, 0.0), rho)
+    v = pl.to_planar(ref.constant_field(grid16, 0.0), rho)
     mass = 2.0 * math.pi * pl.beta_l(v)
     assert mass == pytest.approx(8.0 * math.pi * rho, abs=1e-8)
 
 
 def test_to_planar_rejects_bad_gauge(grid16):
     with pytest.raises(GaugeError):
-        pl.to_planar(sphere.constant_field(grid16, 0.5), 1.5)
+        pl.to_planar(ref.constant_field(grid16, 0.5), 1.5)
 
 
 def test_planar_residual_bounded_by_spherical(grid16):
@@ -162,6 +164,46 @@ def test_beta_divergent_mass_error():
                           l=0.25, tag="non-integrable")
     with pytest.raises(DivergentMassError):
         pl.beta_l(slow)
+
+
+def _beta_rings():
+    """The rings beta_l reads: its quadrature radii to 200 and its 17 fit radii."""
+    r, _, theta = pl._disk_quadrature(200.0)
+    return np.concatenate([r, np.geomspace(100.0, 200.0, 17)]), theta
+
+
+def _point_path(v):
+    """The same field without its ring evaluator: rings evaluated as points."""
+    return dataclasses.replace(v, ring_evaluator=None)
+
+
+@pytest.mark.parametrize("lmax", [16, 32])
+def test_pulled_back_rings_match_point_evaluation(lmax):
+    """The ring evaluator of a transferred field reads u on the tensor grid of
+    lifted latitudes; it agrees with evaluate_xyz at every lifted point."""
+    g = sphere.build_grid(lmax)
+    u = fn.shift_to_unit_mass(fn.random_start(g, (lmax, 2, 0), degree=lmax))
+    v = pl.to_planar(u, 1.3)
+    radii, theta = _beta_rings()
+    radii = np.concatenate([[0.0, 1e-3, 1.0], radii])
+    fast = v.rings(radii, theta)
+    assert fast.shape == (radii.size, theta.size)
+    assert np.max(np.abs(fast - _point_path(v).rings(radii, theta))) <= 1e-13
+
+
+def test_default_rings_evaluate_points():
+    v = pl.liouville_bubble_field(1.5, center=(0.3, -0.2))
+    radii, theta = np.array([0.0, 0.5, 4.0]), np.linspace(0.0, 6.0, 7)
+    pts = np.stack([np.outer(radii, np.cos(theta)), np.outer(radii, np.sin(theta))], axis=-1)
+    assert np.array_equal(v.rings(radii, theta), v(pts))
+
+
+def test_beta_by_rings_matches_point_path(grid32):
+    """On criterion 5's three pulled-back fields beta_l by rings agrees with
+    beta_l by points."""
+    for _, v, _ in acceptance.bridge_fields(acceptance.DEFAULT_SEED, grid32):
+        assert v.ring_evaluator is not None
+        assert abs(pl.beta_l(v) - pl.beta_l(_point_path(v))) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -299,3 +341,124 @@ def test_ledger_arithmetic():
     assert led4["total_exceeds"] == pytest.approx(16.0 * math.pi)
     assert not pl.nodal_ledger(4, 2.2)["contradiction"]
     assert not pl.nodal_ledger(2, 1.5)["contradiction"]
+
+
+def test_nodal_rejects_mismatched_shape():
+    xs = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(InvalidFieldError, match="shape"):
+        pl.nodal_domains(np.ones((5, 4)), xs, xs)
+    with pytest.raises(InvalidFieldError, match="shape"):
+        pl.nodal_domains(np.ones(25), xs, xs)
+
+
+def test_nodal_rejects_non_uniform_axes():
+    """A cell sum on a non-uniform grid is not a mass: [0, 0.1, 1]^2 with unit
+    density would read 0.09 instead of 1."""
+    bent = np.array([0.0, 0.1, 1.0])
+    even = np.array([0.0, 0.5, 1.0])
+    unit = lambda y: np.ones(len(y))
+    for xs, ys in ((bent, bent), (bent, even), (even, bent), (even[::-1], even)):
+        with pytest.raises(InvalidFieldError, match="uniform"):
+            pl.nodal_domains(np.ones((3, 3)), xs, ys, mass_density=unit)
+    rep = pl.nodal_domains(np.ones((3, 3)), even, even, mass_density=unit)
+    assert rep.m == 1 and rep.total == pytest.approx(9 * 0.25)
+
+
+def test_nodal_masses_need_two_nodes_per_axis():
+    xs, one = np.linspace(0.0, 1.0, 4), np.zeros(1)
+    with pytest.raises(InvalidFieldError, match="2 nodes"):
+        pl.nodal_domains(np.ones((4, 1)), xs, one, mass_density=lambda y: np.ones(len(y)))
+    assert pl.nodal_domains(np.ones((4, 1)), xs, one).m == 1
+
+
+def test_partition_total_does_not_read_the_labels(monkeypatch):
+    """A labelling that leaves one classified cell unlabelled loses that cell's
+    mass from the domains but not from the total, so criterion 10 fails."""
+    labelling = pl._component_labels
+
+    def drops_a_cell(signs):
+        labels, m = labelling(signs)
+        classified = np.argwhere(signs != 0)
+        i, j = classified[len(classified) // 2]
+        labels[i, j] = 0
+        return labels, m
+
+    rows = {r["check"]: r for r in acceptance.criterion_10(acceptance.DEFAULT_SEED, {})}
+    assert rows["partition_mass"]["passed"] and rows["partition_mass"]["value"] <= 1e-12
+    monkeypatch.setattr(pl, "_component_labels", drops_a_cell)
+    rows = {r["check"]: r for r in acceptance.criterion_10(acceptance.DEFAULT_SEED, {})}
+    assert not rows["partition_mass"]["passed"]
+    assert rows["quadrant_count"]["passed"]
+
+
+def _spiral(n):
+    """A one-cell-wide +1 path spiralling inward, walled by a -1 spiral: two
+    components whose depth in the pointer forest is the whole path."""
+    g = np.zeros((n, n), dtype=int)
+    steps = [(0, 1), (1, 0), (0, -1), (-1, 0)]
+    i = j = d = 0
+    g[0, 0] = 1
+    inside = lambda a, b: 0 <= a < n and 0 <= b < n
+    while True:
+        for _ in range(2):
+            di, dj = steps[d]
+            if (inside(i + di, j + dj) and g[i + di, j + dj] == 0
+                    and not (inside(i + 2 * di, j + 2 * dj) and g[i + 2 * di, j + 2 * dj])):
+                i, j = i + di, j + dj
+                g[i, j] = 1
+                break
+            d = (d + 1) % 4
+        else:
+            return np.where(g == 1, 1, -1)
+
+
+def _snake(n):
+    """+1 rows joined at alternating ends: one boustrophedon path."""
+    g = np.full((n, n), -1)
+    g[::2] = 1
+    g[1::4, -1] = 1
+    g[3::4, 0] = 1
+    return g
+
+
+def _assert_same_labels(signs):
+    labels, m = pl._component_labels(signs)
+    expected, m_ref = ref._flood_fill_reference(signs)
+    assert m == m_ref
+    assert np.array_equal(labels, expected)
+    return m
+
+
+def test_labels_match_flood_fill_on_criterion_10_grid():
+    rep, _ = pl.analytic_nodal_count("quadrant", 1.5)
+    xs = np.linspace(-3.0, 3.0, 241)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    f = (X**2 - Y**2) * np.exp(-(X**2 + Y**2))
+    tol = 1e-8 * np.max(np.abs(f))
+    signs = np.where(X**2 + Y**2 <= 9.0, (f > tol).astype(int) - (f < -tol), 0)
+    expected, m = ref._flood_fill_reference(signs)
+    assert rep.m == m == 4
+    assert np.array_equal(rep.labels, expected)
+
+
+def test_labels_match_flood_fill_on_401_grid():
+    xs = np.linspace(-3.0, 3.0, 401)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    f = np.sin(3.0 * X) * np.cos(2.0 * Y + 0.4 * X) + 0.3 * np.sin(X * Y)
+    signs = np.where(X**2 + Y**2 <= 9.0, np.sign(f).astype(int), 0)
+    assert _assert_same_labels(signs) > 10
+
+
+@pytest.mark.parametrize("pattern", [_spiral, _snake])
+def test_labels_match_flood_fill_on_long_paths(pattern):
+    signs = pattern(61)
+    m = _assert_same_labels(signs)
+    assert m == (2 if pattern is _spiral else 1 + 30)
+    assert _assert_same_labels(pattern(401)) >= 2
+
+
+@given(hnp.arrays(np.int64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=60),
+                  elements=st.integers(-1, 1)))
+@settings(max_examples=60, deadline=None)
+def test_labels_match_flood_fill_on_drawn_grids(signs):
+    _assert_same_labels(signs)

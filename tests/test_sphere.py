@@ -9,6 +9,8 @@ import hypothesis.strategies as st
 from onofri import planar, sphere
 from onofri.errors import GridConfigError, InvalidFieldError
 
+import reference_solvers as ref
+
 
 def random_band_limited(grid, seed, lmax=None, amplitude=1.0):
     rng = np.random.default_rng(seed)
@@ -56,7 +58,7 @@ def test_grid_rejects_aliasing():
 
 
 def test_integrate_constant(grid16):
-    assert sphere.integrate(sphere.constant_field(grid16, 1.0)) == pytest.approx(1.0, abs=1e-15)
+    assert sphere.integrate(ref.constant_field(grid16, 1.0)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_integrate_odd_coordinate(grid16):
@@ -71,7 +73,7 @@ def test_integrate_second_moment(grid16):
 
 
 def test_integrate_rejects_nonfinite(grid8):
-    bad = sphere.constant_field(grid8, 1.0)
+    bad = ref.constant_field(grid8, 1.0)
     bad.values[0, 0] = np.inf
     with pytest.raises(InvalidFieldError):
         sphere.integrate(bad)
@@ -95,7 +97,7 @@ def test_integrate_linear_and_positive(seed):
 
 
 def test_constant_mode(grid16):
-    spec = sphere.analyze(sphere.constant_field(grid16, 1.0))
+    spec = sphere.analyze(ref.constant_field(grid16, 1.0))
     assert spec[0, 0] == pytest.approx(1.0, abs=1e-13)
     rest = spec.coeffs.copy()
     rest[0, grid16.lmax] = 0.0
@@ -274,6 +276,21 @@ def test_evaluate_matches_loop_reference(lmax):
         assert np.max(np.abs(sphere.evaluate_xyz(spec, xyz) - ref)) <= 1e-13
 
 
+@pytest.mark.parametrize("lmax", [16, 32])
+def test_evaluate_tensor_matches_evaluate_xyz(lmax):
+    """On the lifted rings of planar.beta_l the tensor-grid entry agrees with
+    evaluate_xyz at every lifted point."""
+    r, _, theta = planar._disk_quadrature(200.0)
+    r = np.concatenate([[0.0, 1.0], r])
+    mu = (r * r - 1.0) / (r * r + 1.0)
+    y = np.stack([np.outer(r, np.cos(theta)), np.outer(r, np.sin(theta))], axis=-1)
+    for seed in range(2):
+        spec = _random_spectrum(lmax, seed)
+        got = sphere.evaluate_tensor(spec, mu, theta)
+        assert got.shape == (r.size, theta.size)
+        assert np.max(np.abs(got - sphere.evaluate_xyz(spec, planar.stereo_lift(y)))) <= 1e-13
+
+
 def test_evaluate_memory_is_bounded():
     """Streaming one order at a time keeps evaluate at L = 32 on the stereographic
     set far below the 124 MB that every (m, l) row and its scaled copy take."""
@@ -310,7 +327,7 @@ def test_evaluate_xyz_rejects_non_vectors():
 
 
 def test_energy_constant_is_zero(grid16):
-    assert sphere.dirichlet_energy(sphere.constant_field(grid16, 3.7)) <= 1e-14
+    assert sphere.dirichlet_energy(ref.constant_field(grid16, 3.7)) <= 1e-14
 
 
 def test_energy_coordinate(grid16):
