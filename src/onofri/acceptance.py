@@ -350,13 +350,13 @@ def battery_grids():
     return {"g16": sphere.build_grid(16), "g32": sphere.build_grid(32)}
 
 
-def run_battery(seed: int = DEFAULT_SEED, criteria=None, grids=None) -> list[dict]:
+def run_battery(seed: int = DEFAULT_SEED, criteria=None) -> list[dict]:
     """Rows for criteria 1..12 (or a subset), deterministic given the seed.
 
     The criteria run in the order given (ascending by default); the rows come
     back in ascending criterion order either way.
     """
-    grids = grids or battery_grids()
+    grids = battery_grids()
     by_criterion = {cid: CRITERIA[cid][1](seed, grids) for cid in (criteria or sorted(CRITERIA))}
     return [row for cid in sorted(by_criterion) for row in by_criterion[cid]]
 

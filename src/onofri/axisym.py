@@ -90,15 +90,15 @@ def constraint_moment(g: LegendreFunction) -> float:
     return float(np.dot(g.weights * g.nodes, np.exp(2.0 * g.node_values())))
 
 
-def recenter_1d(g: LegendreFunction, tol: float = 1e-10) -> LegendreFunction:
+def recenter_1d(g: LegendreFunction) -> LegendreFunction:
     """The degree-1 tilt g + c x whose weight e^{2(g + c x)} has zero moment.
 
     The sphere tilt of the lift 2 g(x3): c minimises the convex
     log int e^{2(g + c x)} dx (functional.tilt), the half exp-mass does not
     grow, and only coeffs[1] changes, so the degree is kept.  g itself is
-    returned when its normalised moment is already within tol.
+    returned when its normalised moment is already within functional.COM_TOL.
     """
-    c, _, _ = functional.tilt(2.0 * g.node_values(), 0.5 * g.weights, g.nodes[:, None], tol)
+    c, _, _ = functional.tilt(2.0 * g.node_values(), 0.5 * g.weights, g.nodes[:, None])
     if c[0] == 0.0:
         return g
     out = g.copy()
@@ -135,13 +135,12 @@ def _grad_l2(grad: np.ndarray) -> float:
     return float(np.sqrt(np.sum(grad**2 * (2.0 * k + 1.0) / 2.0)))
 
 
-def minimize_axisym(alpha: float, g0: LegendreFunction,
-                    opts: functional.MinimizeOptions | None = None) -> AxisymResult:
+def minimize_axisym(alpha: float, g0: LegendreFunction) -> AxisymResult:
     """Projected descent in coefficient space: functional.descend on I_alpha.
 
     It preconditions with functional.zero_hessian read on Legendre
     coefficients, so for a lifted start it takes the sphere minimiser's
-    steps; opts.com_tol bounds the normalised moment the tilt leaves.
+    steps; functional.COM_TOL bounds the normalised moment the tilt leaves.
     A line-search trial costs one product with the quadrature's Vandermonde
     and one exponential (for I); the tilt, the gauge, I and the gradient of
     the accepted step read the moments of that exponential, or of the tilt's
@@ -149,7 +148,6 @@ def minimize_axisym(alpha: float, g0: LegendreFunction,
     """
     if alpha < 0.2:
         raise ValueError("alpha far below the probe range")
-    opts = opts or functional.MinimizeOptions()
     k = np.arange(g0.degree + 1, dtype=float)
     stiffness = 4.0 * alpha * k * (k + 1.0) / (2.0 * k + 1.0)
     # the sphere's preconditioner on the lift: I = 2 J and a Legendre
@@ -167,7 +165,7 @@ def minimize_axisym(alpha: float, g0: LegendreFunction,
         """Tilt g + (c/2) x onto the constraint and gauge it to unit half-mass;
         returns the state with its I and gradient, and the tilt's Newton steps."""
         g, two_g, mom = cand
-        c, mom, steps = functional.tilt(two_g, half_w, x, opts.com_tol, mom)
+        c, mom, steps = functional.tilt(two_g, half_w, x, mom)
         g = g.copy()
         if c[0] != 0.0:
             two_g = two_g + x @ c
@@ -181,7 +179,7 @@ def minimize_axisym(alpha: float, g0: LegendreFunction,
 
     two_g = 2.0 * g0.node_values()
     run = functional.descend((g0, two_g, _moments(g0, two_g)), precond, trial, retract,
-                             _grad_l2, opts)
+                             _grad_l2)
     return AxisymResult(g=run.state, value=run.value, grad_norm=run.grad_norm,
                         moment=constraint_moment(run.state), iterations=run.iterations,
                         backtracks=run.backtracks, newton_steps=run.newton_steps,
@@ -207,10 +205,10 @@ def two_bubble_i_value(alpha: float, s: float) -> float:
     return 2.0 * conformal.two_bubble_j_value(alpha, s)
 
 
-def probe_two_bubble_1d(alpha: float, floor: float = -10.0, s_max: float = 400.0):
+def probe_two_bubble_1d(alpha: float, floor: float = -10.0):
     """March the 1-D concentration until I_alpha drops below floor.
 
     The sphere march at half the floor, with every value doubled (I = 2 J).
     """
-    s_hit, trace = conformal.probe_two_bubble(alpha, floor=0.5 * floor, s_max=s_max)
+    s_hit, trace = conformal.probe_two_bubble(alpha, floor=0.5 * floor)
     return s_hit, [(s, 2.0 * j) for s, j in trace]

@@ -100,10 +100,7 @@ def _run_config(args: argparse.Namespace) -> dict:
 
 def _grid_for(cfg):
     """The sphere grid of --L and --n-mu; records the latitude count it used."""
-    try:
-        grid = sphere.build_grid(cfg["L"], n_mu=cfg["n_mu"])
-    except GridConfigError as exc:
-        raise UsageError(str(exc)) from exc
+    grid = sphere.build_grid(cfg["L"], n_mu=cfg["n_mu"])
     cfg["n_mu"] = grid.n_mu
     return grid
 
@@ -305,6 +302,15 @@ def cmd_verify(cfg):
     return rows, ("pass" if all(summary.values()) else "fail"), rows
 
 
+def _checked(kind, test, text: str):
+    """A flag type: kind(value), a usage error unless test holds for it."""
+    def number(value):                  # argparse names the type in its messages
+        if test(out := kind(value)):
+            return out
+        raise argparse.ArgumentTypeError(f"{value!r} is not {text}")
+    return number
+
+
 # Every run flag: its type (or its choices) and what it sets.
 FLAGS = {
     "alpha": (float, "weight of the Dirichlet energy in J_alpha, 1 / rho"),
@@ -313,19 +319,19 @@ FLAGS = {
     "L": (int, "band limit of the sphere grid"),
     "n_mu": (int, "latitude nodes of the sphere grid, 2 L when not given"),
     "alphas": (str, "comma-separated alpha values"),
-    "trials": (int, "random starts per alpha"),
+    "trials": (_checked(int, lambda k: k >= 1, "at least 1"), "random starts per alpha"),
     "l": (float, "exponent of the weight (1+r^2)^l"),
     "s": (float, "start value v(0) of the radial profile"),
     "s_min": (float, "lowest start value"),
     "s_max": (float, "highest start value"),
-    "n": (int, "number of equally spaced start values"),
+    "n": (_checked(int, lambda k: k >= 2, "at least 2"), "number of equally spaced start values"),
     "r_max": (float, "radius where the closed-form tail takes over"),
     "tol": (float, "tolerance of the adaptive integrator"),
     "targets": (str, "comma-separated target masses beta"),
     "floor": (float, "level the two-bubble probe must cross when alpha < 1/2"),
     "case": (tuple(planar.audit_fields()), "audited field"),
     "radii": (str, "comma-separated radii of the audited disks"),
-    "h": (float, "mesh width of the eigenvalue scheme"),
+    "h": (_checked(float, lambda x: x > 0.0, "positive"), "mesh width of the eigenvalue scheme"),
     "field": (("quadrant", "linear"), "analytic nodal field"),
     "mode": (("degree1", "degree2"), "test mode of the second variation"),
     "determinism": (("on", "off"), "rerun the battery in reversed order and compare rows"),
@@ -422,7 +428,7 @@ def main(argv=None) -> int:
             log.info("wrote %s", args.csv)
         print(f"{args.command}: verdict={verdict} rows={len(rows)} elapsed={rep['elapsed_s']:.2f}s")
         return EXIT_MATH if verdict == "fail" else EXIT_OK
-    except UsageError as exc:
+    except (UsageError, GridConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001

@@ -20,6 +20,8 @@ import numpy as np
 
 from . import quadrature
 
+PROBE_S_MAX = 400.0     # the two-bubble probe marches s = 1, 1.6, 1.6^2, ... up to here
+
 
 def _split(points: np.ndarray, a: np.ndarray):
     """Components of unit vectors along and orthogonal to the direction of a."""
@@ -107,15 +109,15 @@ def two_bubble_j_value(alpha: float, s: float) -> float:
     return float(alpha / 8.0 * np.dot(w, du * du) + np.dot(w, 0.5 * u * sech2))
 
 
-def probe_two_bubble(alpha: float, floor: float = -10.0, s_max: float = 400.0):
+def probe_two_bubble(alpha: float, floor: float = -10.0):
     """March the two-bubble concentration until J_alpha drops below floor.
 
     Returns (s_hit, trace) with trace a list of (s, J(s)); s_hit is None if
-    the floor was not reached by s_max (expected for alpha >= 1/2).
+    the floor was not reached by PROBE_S_MAX (expected for alpha >= 1/2).
     """
     trace = []
     s = 1.0
-    while s <= s_max:
+    while s <= PROBE_S_MAX:
         j = two_bubble_j_value(alpha, s)
         trace.append((s, j))
         if j < floor:

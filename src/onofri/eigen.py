@@ -16,7 +16,7 @@ the Liouville bubble and its +eps|y|^2 perturbation), the disk scheme's ground
 state is the bottom of its m = 0 block, an n_r x n_r tridiagonal problem solved
 directly (see _radial_ground_state).  Rectangles and non-radial fields go
 through shifted inverse iteration on the full 2-D assembly.  Either way the
-eigenpair must meet a residual bound ||(A - lambda M) v||_{M^-1} <= tol
+eigenpair must meet a residual bound ||(A - lambda M) v||_{M^-1} <= RESIDUAL_TOL
 (1 + |lambda|), or NonConvergenceError carries the residual.
 """
 
@@ -31,7 +31,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigh_tridiagonal
 
 from . import quadrature
-from .errors import NonConvergenceError
+from .errors import GridConfigError, NonConvergenceError
+from .planar import FD_STEP, fd_laplacian
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,10 @@ def _assemble_disk(R: float, n_r: int, n_theta: int):
 
 
 def _assemble_rect(rect: Rect, h: float):
-    nx = max(3, int(round((rect.x1 - rect.x0) / h)))
-    ny = max(3, int(round((rect.y1 - rect.y0) / h)))
+    nx = int(round((rect.x1 - rect.x0) / h))
+    ny = int(round((rect.y1 - rect.y0) / h))
+    if min(nx, ny) < 3:
+        raise GridConfigError(f"h = {h} leaves {rect.describe()} {nx} x {ny} cells, below 3")
     hx = (rect.x1 - rect.x0) / nx
     hy = (rect.y1 - rect.y0) / ny
     xs = rect.x0 + hx * np.arange(1, nx)
@@ -125,6 +128,7 @@ def _assemble_rect(rect: Rect, h: float):
 # its rounding floor measured below 1e-9 on disks up to R = 3 at h = 0.01 and on
 # rectangles at h = 0.005
 RESIDUAL_TOL = 1e-8
+MAX_SWEEPS = 500        # inverse-iteration sweeps before the 2-D path gives up
 
 
 def _residual_norm(r, m) -> float:
@@ -132,12 +136,12 @@ def _residual_norm(r, m) -> float:
     return math.sqrt(float(r @ (r / m)))
 
 
-def _smallest_eigenpair(K, m, pot, tol=RESIDUAL_TOL, max_iter=500):
+def _smallest_eigenpair(K, m, pot):
     """Smallest lambda of (K - M diag(pot)) v = lambda M v by shifted inverse iteration.
 
     The shift sits below the whole spectrum (K is PSD), so the iteration
     converges to the bottom eigenpair.  It stops once the residual
-    ||(A - lambda M) v||_{M^-1} is at most tol (1 + |lambda|); the Rayleigh
+    ||(A - lambda M) v||_{M^-1} is at most RESIDUAL_TOL (1 + |lambda|); the Rayleigh
     quotient is then within residual^2 / gap of the eigenvalue.
     """
     M = sp.diags(m)
@@ -147,18 +151,18 @@ def _smallest_eigenpair(K, m, pot, tol=RESIDUAL_TOL, max_iter=500):
     rng = np.random.default_rng(12345)
     v = rng.normal(size=m.size)
     v /= math.sqrt(float(v @ (m * v)))
-    for _ in range(max_iter):
+    for _ in range(MAX_SWEEPS):
         v = solver.solve(m * v)
         v /= math.sqrt(float(v @ (m * v)))
         Av = A @ v
         lam = float(v @ Av)
         res = _residual_norm(Av - lam * (m * v), m)
-        if res <= tol * (1.0 + abs(lam)):
+        if res <= RESIDUAL_TOL * (1.0 + abs(lam)):
             return lam, v
     raise NonConvergenceError("inverse iteration did not converge", best=(lam, v), residual=res)
 
 
-def _radial_ground_state(m_ring, w_rad, ring_diag, n_theta: int, pot_ring, tol=RESIDUAL_TOL):
+def _radial_ground_state(m_ring, w_rad, ring_diag, n_theta: int, pot_ring):
     """Bottom eigenpair of the disk scheme for a potential constant on each ring.
 
     The reduction is exact.  After the shift, K - M diag(e^g) is an
@@ -183,7 +187,7 @@ def _radial_ground_state(m_ring, w_rad, ring_diag, n_theta: int, pot_ring, tol=R
     r[:-1] += off * u[1:]
     r[1:] += off * u[:-1]
     res = _residual_norm(r, mass)
-    if res > tol * (1.0 + abs(lam)):
+    if res > RESIDUAL_TOL * (1.0 + abs(lam)):
         raise NonConvergenceError("radial eigensolve missed its residual", best=(lam, u),
                                   residual=res)
     return lam, u
@@ -197,7 +201,9 @@ RADIAL_RTOL = 64.0 * np.finfo(float).eps
 
 def _solve_on(omega, g_fn, h: float):
     if isinstance(omega, Disk):
-        n_r = max(8, int(round(omega.radius / h)))
+        n_r = int(round(omega.radius / h))
+        if n_r < 8:             # a clamp to 8 would break the 2:1 mesh ratio of Richardson
+            raise GridConfigError(f"h = {h} leaves {omega.describe()} {n_r} rings, below 8")
         n_theta = max(48, n_r)
         m_ring, w_rad, ring_diag, _, pts = _polar_grid(omega.radius, n_r, n_theta)
         pot = _potential(g_fn, pts)
@@ -262,6 +268,9 @@ def domain_mass(g_fn, omega) -> float:
 
 FOUR_PI = 4.0 * math.pi
 EIGHT_PI = 8.0 * math.pi
+MARGIN_SAMPLES = 96     # radii x angles (disk) or nodes per axis (rectangle) of the margin
+MARGIN_TOL, EIG_TOL = 1e-8, 2e-3    # audit hypotheses: margin > MARGIN_TOL, lambda1 <= -EIG_TOL
+RADIUS_TOL = 1e-3       # bracket width where the neutral-radius bisection stops
 
 
 @dataclass
@@ -274,28 +283,25 @@ class BolAudit:
     verdict: str
 
 
-def supersolution_margin(g_fn, glap_fn, Omega, n_sample: int = 96) -> float:
+def supersolution_margin(g_fn, glap_fn, Omega) -> float:
     """min over Omega of lap(g) + e^g; analytic Laplacian when supplied."""
     if isinstance(Omega, Disk):
-        r = np.linspace(0.0, Omega.radius, n_sample)
-        theta = 2.0 * math.pi * np.arange(n_sample) / n_sample
+        r = np.linspace(0.0, Omega.radius, MARGIN_SAMPLES)
+        theta = 2.0 * math.pi * np.arange(MARGIN_SAMPLES) / MARGIN_SAMPLES
         pts = np.stack([r[:, None] * np.cos(theta), r[:, None] * np.sin(theta)], axis=-1).reshape(-1, 2)
     else:
-        xs = np.linspace(Omega.x0, Omega.x1, n_sample)
-        ys = np.linspace(Omega.y0, Omega.y1, n_sample)
+        xs = np.linspace(Omega.x0, Omega.x1, MARGIN_SAMPLES)
+        ys = np.linspace(Omega.y0, Omega.y1, MARGIN_SAMPLES)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         pts = np.stack([X, Y], axis=-1).reshape(-1, 2)
     if glap_fn is not None:
         lap = np.asarray(glap_fn(pts), dtype=float)
     else:
-        from .planar import fd_laplacian
-
-        lap = fd_laplacian(g_fn, pts, 1e-3)
+        lap = fd_laplacian(g_fn, pts, FD_STEP)
     return float(np.min(lap + np.exp(np.asarray(g_fn(pts), dtype=float))))
 
 
-def bol_audit(g_fn, Omega, omega_family, glap_fn=None, h: float = 0.02,
-              margin_tol: float = 1e-8, eig_tol: float = 2e-3) -> list[BolAudit]:
+def bol_audit(g_fn, Omega, omega_family, glap_fn=None, h: float = 0.02) -> list[BolAudit]:
     """Audit the implication: strict supersolution + total mass <= 8 pi and
     lambda_1(omega) <= 0 force mass(omega) > 4 pi.
 
@@ -307,11 +313,11 @@ def bol_audit(g_fn, Omega, omega_family, glap_fn=None, h: float = 0.02,
     margin = supersolution_margin(g_fn, glap_fn, Omega)
     total = domain_mass(g_fn, Omega)
     audits = []
-    hypotheses_global = margin > margin_tol and total <= EIGHT_PI + 1e-9
+    hypotheses_global = margin > MARGIN_TOL and total <= EIGHT_PI + 1e-9
     for omega in omega_family:
         lam = first_eigenvalue_extrapolated(g_fn, omega, h)
         mass = domain_mass(g_fn, omega)
-        if not hypotheses_global or lam > -eig_tol:
+        if not hypotheses_global or lam > -EIG_TOL:
             verdict = "vacuous"
         elif mass > FOUR_PI:
             verdict = "confirmed"
@@ -323,15 +329,14 @@ def bol_audit(g_fn, Omega, omega_family, glap_fn=None, h: float = 0.02,
     return audits
 
 
-def zero_eigenvalue_radius(g_fn, bracket: tuple[float, float], h: float = 0.02,
-                           tol: float = 1e-3) -> float:
+def zero_eigenvalue_radius(g_fn, bracket: tuple[float, float], h: float = 0.02) -> float:
     """Disk radius R* with lambda_1(disk(R*)) = 0, by bisection (monotone in R)."""
     lo, hi = bracket
     f_lo = first_eigenvalue_extrapolated(g_fn, Disk(lo), h)
     f_hi = first_eigenvalue_extrapolated(g_fn, Disk(hi), h)
     if not (f_lo > 0.0 > f_hi):
         raise ValueError(f"bracket does not straddle the zero: {f_lo}, {f_hi}")
-    while hi - lo > tol:
+    while hi - lo > RADIUS_TOL:
         mid = 0.5 * (lo + hi)
         if first_eigenvalue_extrapolated(g_fn, Disk(mid), h) > 0.0:
             lo = mid

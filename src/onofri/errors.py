@@ -6,7 +6,7 @@ class ToolkitError(Exception):
 
 
 class GridConfigError(ToolkitError):
-    """Grid cannot represent the requested band limit without aliasing."""
+    """Grid too coarse: aliasing at the band limit, or too few cells on a domain."""
 
 
 class InvalidFieldError(ToolkitError, ValueError):
@@ -15,10 +15,6 @@ class InvalidFieldError(ToolkitError, ValueError):
 
 class GaugeError(ToolkitError):
     """An operation required the gauge normalisation of exp-mass one."""
-
-
-class PoleError(ToolkitError, ValueError):
-    """Stereographic forward map evaluated at the projection pole."""
 
 
 class DivergentMassError(ToolkitError):

@@ -75,7 +75,7 @@ def exp_moments(values: np.ndarray, weights: np.ndarray, points: np.ndarray) -> 
     return ExpMoments(m + np.log(mass), e, (weights * e) @ points)
 
 
-def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray, tol: float,
+def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray,
          start: ExpMoments | None = None) -> tuple[np.ndarray, ExpMoments, int]:
     """Vector c with zero mean of `points` under e^{values + points @ c} weights.
 
@@ -85,13 +85,13 @@ def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray, tol: float
     weighted covariance, so damped Newton reaches the unique minimiser.
     Returns c, the moments of the tilted measure and the number of Newton
     steps taken: `start`, the moments at c = 0 when the caller has them, and
-    c = 0 after no step when their mean is already within tol.  Every other
+    c = 0 after no step when their mean is already within COM_TOL.  Every other
     moment evaluation costs one exponential.
     """
     c = np.zeros(points.shape[1])
     mom = start if start is not None else exp_moments(values, weights, points)
     for steps in range(50):
-        if np.linalg.norm(mom.mean) <= tol:
+        if np.linalg.norm(mom.mean) <= COM_TOL:
             return c, mom, steps
         cov = (points.T * (weights * mom.density)) @ points - np.outer(mom.mean, mom.mean)
         step = -np.linalg.solve(cov, mom.mean)
@@ -145,16 +145,6 @@ def el_residual(u: SphereField, rho: float) -> float:
 
 
 @dataclass
-class MinimizeOptions:
-    """Stopping rules of both descents (functional.minimize, axisym.minimize_axisym)."""
-
-    stat_tol: float = 1e-8          # gradient norm that counts as stationary
-    com_tol: float = 1e-10          # center of mass (1-D: normalised moment) left by the tilt
-    max_iter: int = 800
-    blowup_floor: float = -25.0     # values below it end the run as unbounded descent
-
-
-@dataclass
 class MinimizeResult:
     u: SphereField
     j_value: float
@@ -187,8 +177,13 @@ def zero_hessian(alpha: float, lmax: int) -> np.ndarray:
     return np.maximum(alpha / 2.0 * l * (l + 1.0) - 1.0, (2.0 * l + 1.0) / 16.0)
 
 
+STAT_TOL = 1e-8         # gradient norm at which both descents are stationary
+COM_TOL = 1e-10         # center of mass (1-D: normalised moment) their tilts leave
+MAX_ITER = 800          # iterations of a descent
+BLOWUP_FLOOR = -25.0    # values below it end a descent as unbounded
 ARMIJO = 1e-4           # sufficient-decrease constant of the line search
 MAX_HALVINGS = 40       # halvings of the unit step before a descent stalls
+QUADRATIC_STEP = 1e-2   # amplitude t of the probes t v and t v / 2 of the second variation
 
 
 class Descent(NamedTuple):
@@ -204,7 +199,7 @@ class Descent(NamedTuple):
     trace: list             # (iteration, value) at the top of every iteration and at the end
 
 
-def descend(start, precond: np.ndarray, trial, retract, norm, opts: MinimizeOptions) -> Descent:
+def descend(start, precond: np.ndarray, trial, retract, norm) -> Descent:
     """Preconditioned projected descent with Armijo backtracking.
 
     The minimiser supplies its representation through three callbacks:
@@ -221,12 +216,12 @@ def descend(start, precond: np.ndarray, trial, retract, norm, opts: MinimizeOpti
     trace = []
     status = "max-iter"
     it = backtracks = 0
-    for it in range(1, opts.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         trace.append((it - 1, value))
-        if gnorm <= opts.stat_tol:
+        if gnorm <= STAT_TOL:
             status = "converged"
             break
-        if value < opts.blowup_floor:
+        if value < BLOWUP_FLOOR:
             status = "unbounded-descent"
             break
         direction = -grad / precond
@@ -249,7 +244,7 @@ def descend(start, precond: np.ndarray, trial, retract, norm, opts: MinimizeOpti
     return Descent(state, float(value), gnorm, status, it, backtracks, newton_steps, trace)
 
 
-def minimize(alpha: float, u0: SphereField, opts: MinimizeOptions | None = None) -> MinimizeResult:
+def minimize(alpha: float, u0: SphereField) -> MinimizeResult:
     """Projected descent for J_alpha on the center-of-mass constraint.
 
     Each iteration of descend: a gradient step preconditioned by zero_hessian
@@ -260,7 +255,7 @@ def minimize(alpha: float, u0: SphereField, opts: MinimizeOptions | None = None)
     exponential (for J), and an accepted step one analyze (of e^u, for the
     gradient).  The tilt, the shift, J and the gradient of the accepted step
     all read the moments of that one exponential, or of the tilt's last
-    Newton iterate.  Descent past opts.blowup_floor returns an
+    Newton iterate.  Descent past BLOWUP_FLOOR returns an
     unbounded-descent verdict instead of a minimiser (the expected outcome of
     probes below alpha = 1/2).
     """
@@ -268,7 +263,6 @@ def minimize(alpha: float, u0: SphereField, opts: MinimizeOptions | None = None)
         raise ValueError("alpha must be positive")
     if not np.all(np.isfinite(u0.values)):
         raise InvalidFieldError("minimize: start has non-finite values")
-    opts = opts or MinimizeOptions()
     grid = u0.grid
     L = grid.lmax
     pts, weights = _node_geometry(grid)
@@ -295,7 +289,7 @@ def minimize(alpha: float, u0: SphereField, opts: MinimizeOptions | None = None)
         zero, and e^u / int e^u dw is their density (both shift-invariant).
         """
         spec, u, mom = cand
-        c, mom, steps = tilt(u.values.ravel(), weights, pts, opts.com_tol, mom)
+        c, mom, steps = tilt(u.values.ravel(), weights, pts, mom)
         values = u.values
         if c.any():
             values = values + (pts @ c).reshape(grid.shape)
@@ -311,7 +305,7 @@ def minimize(alpha: float, u0: SphereField, opts: MinimizeOptions | None = None)
     spec = sphere.analyze(u0)
     u = sphere.synthesize(spec, grid)                       # the state is band-limited
     run = descend((spec, u, moments(u)), zero_hessian(alpha, L)[:, None], trial, retract,
-                  np.linalg.norm, opts)
+                  np.linalg.norm)
     u = run.state[1]
     return MinimizeResult(u=u, j_value=run.value, grad_norm=float(run.grad_norm),
                           com_norm=float(np.linalg.norm(center_of_mass(u))),
@@ -346,8 +340,7 @@ def stream_rng(stream_key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def alpha_scan(alpha_list, trials: int, seed: int, grid: SphereGrid | None = None,
-               opts: MinimizeOptions | None = None):
+def alpha_scan(alpha_list, trials: int, seed: int, grid: SphereGrid):
     """Multi-start minimisation summary per alpha.
 
     Returns rows (alpha, min_j, mean_iterations, n_failed); random streams are
@@ -356,7 +349,6 @@ def alpha_scan(alpha_list, trials: int, seed: int, grid: SphereGrid | None = Non
     verdict (max-iter or stalled); an unbounded-descent verdict is not a
     failure.  min_j and mean_iterations cover every run that returns.
     """
-    grid = grid or sphere.build_grid(16)
     rows = []
     for ia, alpha in enumerate(alpha_list):
         best = np.inf
@@ -365,7 +357,7 @@ def alpha_scan(alpha_list, trials: int, seed: int, grid: SphereGrid | None = Non
         for trial in range(trials):
             u0 = random_start(grid, (seed, ia, trial))
             try:
-                res = minimize(float(alpha), u0, opts)
+                res = minimize(float(alpha), u0)
             except NonConvergenceError:
                 failed += 1
                 continue
@@ -394,10 +386,9 @@ class SecondVariationReport:
     threshold_estimate: float
 
 
-def empirical_quadratic_coefficient(v: SphereField, alpha: float, t: float = 1e-2) -> float:
-    """j_alpha(t v)/t^2 with one Richardson sweep to strip the O(t^2) tail."""
-    q1 = j_alpha(t * v, alpha) / t**2
-    q2 = j_alpha((t / 2.0) * v, alpha) / (t / 2.0) ** 2
+def empirical_quadratic_coefficient(v: SphereField, alpha: float) -> float:
+    """j_alpha(t v)/t^2 at t = QUADRATIC_STEP and t/2, one Richardson sweep on the O(t^2) tail."""
+    q1, q2 = (j_alpha(t * v, alpha) / t**2 for t in (QUADRATIC_STEP, 0.5 * QUADRATIC_STEP))
     return float((4.0 * q2 - q1) / 3.0)
 
 

@@ -21,6 +21,13 @@ import numpy as np
 from . import quadrature, sphere
 from .errors import DivergentMassError, GaugeError, InvalidFieldError
 
+GAUGE_TOL = 1e-8        # largest |int e^u dw - 1| that to_planar accepts
+FD_STEP = 1e-3          # five-point Laplacian step where no exact one is given (eigen too)
+N_GAUSS, N_THETA = 24, 64   # disk rule: Gauss nodes per radial panel, uniform angles
+R_CUT = 100.0           # beta_l integrates to 2 R_CUT, fitting the tail on [R_CUT, 2 R_CUT]
+ROWS_RADIUS, ROWS_N = 5.0, 41   # field_to_rows: [-ROWS_RADIUS, ROWS_RADIUS]^2, ROWS_N per axis
+ZERO_RTOL = 1e-8        # values within ZERO_RTOL max|f| of zero are in no sign domain
+
 
 # ---------------------------------------------------------------------------
 # stereographic projection from the north pole
@@ -140,7 +147,7 @@ def audit_fields() -> dict[str, PlanarField]:
                                      lap_evaluator=lap)}
 
 
-def to_planar(u: sphere.SphereField, rho: float, gauge_tol: float = 1e-8) -> PlanarField:
+def to_planar(u: sphere.SphereField, rho: float) -> PlanarField:
     """Transfer a unit-exp-mass sphere field to the plane.
 
     The evaluator goes through u's harmonic expansion, so the planar Laplacian
@@ -150,7 +157,7 @@ def to_planar(u: sphere.SphereField, rho: float, gauge_tol: float = 1e-8) -> Pla
     the ring evaluator reads u on the tensor grid of those latitudes.
     """
     mass_defect = abs(math.exp(sphere.log_exp_mass(u)) - 1.0)
-    if mass_defect > gauge_tol:
+    if mass_defect > GAUGE_TOL:
         raise GaugeError(f"to_planar needs int e^u dw = 1; defect {mass_defect:.2e}")
     spec = sphere.analyze(u)
     lap_spec = spec.copy()
@@ -176,10 +183,10 @@ def to_planar(u: sphere.SphereField, rho: float, gauge_tol: float = 1e-8) -> Pla
                        lap_evaluator=lap, ring_evaluator=ring)
 
 
-def planar_residual(v: PlanarField, y: np.ndarray, h: float = 1e-3) -> np.ndarray:
+def planar_residual(v: PlanarField, y: np.ndarray) -> np.ndarray:
     """Residual lap(v) + (1+|y|^2)^l e^v, exact Laplacian when available."""
     y = np.asarray(y, dtype=float)
-    lap = v.lap_evaluator(y) if v.lap_evaluator is not None else fd_laplacian(v, y, h)
+    lap = v.lap_evaluator(y) if v.lap_evaluator is not None else fd_laplacian(v, y, FD_STEP)
     r2 = np.sum(y * y, axis=-1)
     return lap + (1.0 + r2) ** v.l * np.exp(v(y))
 
@@ -196,24 +203,24 @@ def fd_laplacian(f, y: np.ndarray, h: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _disk_quadrature(r_hi: float, n_gauss: int = 24, n_theta: int = 64):
+def _disk_quadrature(r_hi: float):
     """Polar nodes/weights on the disk of radius r_hi: GL panels x uniform angles."""
     edges = [0.0, min(1.0, r_hi)]
     while edges[-1] < r_hi:
         edges.append(min(2.0 * edges[-1], r_hi))
-    r, wr = quadrature.panels(edges, n_gauss)
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    r, wr = quadrature.panels(edges, N_GAUSS)
+    theta = 2.0 * np.pi * np.arange(N_THETA) / N_THETA
     return r, wr, theta
 
 
-def beta_l(v: PlanarField, r_cut: float = 100.0, n_theta: int = 64) -> float:
+def beta_l(v: PlanarField) -> float:
     """Normalised mass (1/2pi) int (1+|y|^2)^l e^v dy.
 
-    Quadrature to 2 r_cut plus the analytic tail of the asymptote
-    v ~ c - beta log r + d / r^2, fitted on [r_cut, 2 r_cut].
+    Quadrature to 2 R_CUT plus the analytic tail of the asymptote
+    v ~ c - beta log r + d / r^2, fitted on [R_CUT, 2 R_CUT].
     """
-    cut = 2.0 * r_cut
-    r, wr, theta = _disk_quadrature(cut, n_theta=n_theta)
+    cut = 2.0 * R_CUT
+    r, wr, theta = _disk_quadrature(cut)
     rf = np.geomspace(cut / 2.0, cut, 17)
     # angular means of e^v on the quadrature rings and the fit rings, one call
     means = np.mean(np.exp(v.rings(np.concatenate([r, rf]), theta)), axis=1)
@@ -247,9 +254,9 @@ class PohozaevReport:
     inside: bool
 
 
-def pohozaev_check(v: PlanarField, r_cut: float = 100.0) -> PohozaevReport:
+def pohozaev_check(v: PlanarField) -> PohozaevReport:
     """Necessary mass window 4 < beta < 4(1+l) for finite-mass solutions."""
-    b = beta_l(v, r_cut=r_cut)
+    b = beta_l(v)
     lower, upper = 4.0, 4.0 * (1.0 + v.l)
     return PohozaevReport(l=v.l, beta=b, lower=lower, upper=upper,
                           inside=bool(lower < b < upper))
@@ -260,9 +267,9 @@ def pohozaev_check(v: PlanarField, r_cut: float = 100.0) -> PohozaevReport:
 # ---------------------------------------------------------------------------
 
 
-def field_to_rows(v: PlanarField, radius: float = 5.0, n: int = 41) -> list[dict]:
+def field_to_rows(v: PlanarField) -> list[dict]:
     """Sample a planar field on a Cartesian grid as (y1, y2, value) rows."""
-    xs = np.linspace(-radius, radius, n)
+    xs = np.linspace(-ROWS_RADIUS, ROWS_RADIUS, ROWS_N)
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     pts = np.stack([X, Y], axis=-1).reshape(-1, 2)
     vals = v(pts)
@@ -277,7 +284,6 @@ class NodalReport:
     total: float
     ledger_verdict: str
     labels: np.ndarray = field(repr=False, default=None)
-    zero_tol: float = 0.0
 
 
 def _component_labels(signs: np.ndarray) -> tuple[np.ndarray, int]:
@@ -339,7 +345,7 @@ def _uniform_axis(nodes: np.ndarray, name: str) -> float:
 
 
 def nodal_domains(f_values: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                  zero_tol: float | None = None, disk_radius: float | None = None,
+                  disk_radius: float | None = None,
                   mass_density=None, rho: float | None = None) -> NodalReport:
     """Count the 4-connected sign domains of a gridded field on a disk.
 
@@ -362,8 +368,7 @@ def nodal_domains(f_values: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     dx, dy = _uniform_axis(xs, "xs"), _uniform_axis(ys, "ys")
     if mass_density is not None and min(xs.size, ys.size) < 2:
         raise InvalidFieldError("nodal_domains: masses need at least 2 nodes on each axis")
-    if zero_tol is None:
-        zero_tol = 1e-8 * float(np.max(np.abs(f_values)))
+    zero_tol = ZERO_RTOL * float(np.max(np.abs(f_values)))
     inside = np.ones_like(f_values, dtype=bool)
     if disk_radius is not None:
         inside = (xs**2)[:, None] + (ys**2)[None, :] <= disk_radius**2
@@ -387,7 +392,7 @@ def nodal_domains(f_values: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     else:
         verdict = "contradiction" if nodal_ledger(m, rho)["contradiction"] else "consistent"
     return NodalReport(m=m, masses=masses, total=total, ledger_verdict=verdict,
-                       labels=labels, zero_tol=float(zero_tol))
+                       labels=labels)
 
 
 def analytic_nodal_count(which: str, rho: float) -> tuple[NodalReport, int]:

@@ -3,8 +3,8 @@
 Top-level keys are stable: command, config, seed, version, rows, verdict,
 elapsed_s; seed is null for a run that draws no random numbers.  Rows are
 flat dicts of plain scalars; each carries a "claim" string naming the
-mathematical statement the row checks.  Files are written atomically (temp
-file + rename).
+mathematical statement the row checks; NaN and infinities are written as
+null.  Files are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def to_builtin(obj):
 
 def build_report(command: str, config: dict, seed: int | None, rows: list, verdict: str,
                  elapsed_s: float) -> dict:
-    return {
+    report = {
         "command": command,
         "config": to_builtin(config),
         "seed": None if seed is None else int(seed),
@@ -63,6 +63,7 @@ def build_report(command: str, config: dict, seed: int | None, rows: list, verdi
         "verdict": verdict,
         "elapsed_s": float(elapsed_s),
     }
+    return json.loads(json.dumps(report), parse_constant=lambda _: None)    # NaN -> null
 
 
 def validate_report(report: dict) -> list[str]:
@@ -99,7 +100,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def write_json(path: str, report: dict) -> None:
-    _atomic_write(path, json.dumps(report, indent=2) + "\n")
+    _atomic_write(path, json.dumps(report, indent=2, allow_nan=False) + "\n")
 
 
 def rows_to_csv_text(rows: list[dict]) -> str:

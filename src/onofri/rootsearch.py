@@ -74,7 +74,7 @@ class RootSearch:
     certificate: Certificate
 
 
-def _brent(f, a: float, b: float, fa: float, fb: float, tol: float, max_iter: int = 100) -> float:
+def _brent(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
     """Root of f in [a, b] given f(a) f(b) < 0 (Brent 1973, ch. 4, as in brentq.c).
 
     Inverse quadratic interpolation or secant steps, falling back to bisection
@@ -83,7 +83,7 @@ def _brent(f, a: float, b: float, fa: float, fb: float, tol: float, max_iter: in
     """
     xpre, xcur, fpre, fcur = a, b, fa, fb
     xblk, fblk, spre, scur = a, fa, 0.0, 0.0
-    for _ in range(max_iter):
+    for _ in range(BRENT_MAX_ITER):
         if fpre * fcur < 0.0:
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -114,6 +114,9 @@ def _brent(f, a: float, b: float, fa: float, fb: float, tol: float, max_iter: in
                               residual=fcur)
 
 
+N_SAMPLES = 33          # equally spaced samples of a curve
+ROOT_TOL = 1e-8         # accuracy in s of the roots and turning points
+BRENT_MAX_ITER = 100    # Brent steps before a refinement gives up
 # Check shots per curve, and the factor between the bounds the certificate
 # uses and the Hermite remainder scaled to the errors the checks see.
 _CHECK_SHOTS = 3
@@ -302,22 +305,19 @@ def _newton(shot, herm: _Hermite, target: float, a: float, b: float, fa: float, 
     return root, shot(root)[1]
 
 
-def search_curve(curve, beta_targets, s_bracket: tuple[float, float], tol: float = 1e-8,
-                 n_samples: int = 33) -> RootSearch:
+def search_curve(curve, beta_targets, s_bracket: tuple[float, float]) -> RootSearch:
     """All s with beta(s) = target inside the bracket, for every target.
 
     curve(s) returns (verdict, beta, beta', gap between two estimates of
     beta'); beta and beta' are read only when the verdict is "converged".
-    The curve is sampled once at n_samples equally spaced points shared by
+    The curve is sampled once at N_SAMPLES equally spaced points shared by
     all targets.  Sign changes of beta' between samples are refined by Brent
     to turning points, and the certificate checks that beta is monotone
     between them.  Every sign change of beta - target between consecutive
-    samples or turning points is refined by safeguarded Newton to tol.
+    samples or turning points is refined by safeguarded Newton to ROOT_TOL.
     Stretches with a sample that did not converge are not searched.
     """
-    if n_samples < 4:
-        raise ValueError("need at least four samples")
-    ss = np.linspace(s_bracket[0], s_bracket[1], n_samples)
+    ss = np.linspace(s_bracket[0], s_bracket[1], N_SAMPLES)
     rows = [curve(float(s)) for s in ss]
     verdicts = [row[0] for row in rows]
     beta = np.array([row[1] if row[0] == "converged" else math.nan for row in rows])
@@ -335,10 +335,10 @@ def search_curve(curve, beta_targets, s_bracket: tuple[float, float], tol: float
         return seen[s]
 
     turning = []
-    for i in range(n_samples - 1):
+    for i in range(N_SAMPLES - 1):
         if slope[i] * slope[i + 1] < 0.0:
             s_k = _brent(lambda s: shot(s)[1], float(ss[i]), float(ss[i + 1]),
-                         float(slope[i]), float(slope[i + 1]), tol)
+                         float(slope[i]), float(slope[i + 1]), ROOT_TOL)
             turning.append((s_k, shot(s_k)[0]))
     herm = _Hermite(ss, beta, slope)
     cert = _certify(herm, beta, slope, gap, shot, turning)
@@ -354,7 +354,7 @@ def search_curve(curve, beta_targets, s_bracket: tuple[float, float], tol: float
                     if f == 0.0:
                         found[x] = seen[x][1]
                 if f0 * f1 < 0.0:
-                    x, d = _newton(shot, herm, target, x0, x1, f0, f1, tol)
+                    x, d = _newton(shot, herm, target, x0, x1, f0, f1, ROOT_TOL)
                     found[x] = d
         roots.append(sorted(found))
         root_slopes.append([found[x] for x in sorted(found)])

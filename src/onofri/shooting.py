@@ -30,8 +30,7 @@ from .errors import NonConvergenceError
 from .rootsearch import RootSearch, search_curve
 
 
-def _rk_adaptive(f, x0, v, p, x1, tol, h0, store_x, store_v, store_p,
-                 hmax=np.inf, max_steps=200000):
+def _rk_adaptive(f, x0, v, p, x1, tol, h0, store_x, store_v, store_p, hmax=np.inf):
     """Cash-Karp 5(4) embedded pair for the 2-state system (v, p)' = f(x, v, p).
 
     One flat scalar step with the six stages unrolled; every stage sum keeps
@@ -89,7 +88,7 @@ def _rk_adaptive(f, x0, v, p, x1, tol, h0, store_x, store_v, store_p,
         fac = fac if fac > 0.2 else 0.2
         h *= fac if fac < 5.0 else 5.0
         steps += 1
-        if steps > max_steps:
+        if steps > MAX_STEPS:
             raise NonConvergenceError("adaptive integrator exceeded the step budget", best=x)
     return v, p, rejected
 
@@ -181,6 +180,7 @@ _RATE_RESOLUTION = 100.0
 # own; this one bounds the global error of the long far-field integration,
 # i.e. of c_asym and of the W that the analytic tail starts from.
 _HMAX_OUTER = 0.12
+MAX_STEPS = 200000      # steps, accepted or rejected, of one leg before _rk_adaptive gives up
 
 
 def shoot(l: float, s: float, r_max: float = 1e6, tol: float = 1e-10) -> RadialSolution:
@@ -364,29 +364,26 @@ def beta_prime(sol: RadialSolution) -> tuple[float, float]:
     return -float(Z[-1]) + d_tail, mass + d_tail
 
 
-def beta_curve(l: float, s_min: float, s_max: float, n: int,
-               r_max: float = 1e6, tol: float = 1e-10):
+def beta_curve(l: float, s_min: float, s_max: float, n: int, r_max: float = 1e6):
     """Equally spaced shots; rows (s, beta, verdict)."""
     if n < 2:
         raise ValueError("need at least two samples")
     rows = []
     for s in np.linspace(s_min, s_max, n):
-        sol = shoot(l, float(s), r_max=r_max, tol=tol)
+        sol = shoot(l, float(s), r_max=r_max)
         rows.append({"s": float(s), "beta": sol.beta_mass, "verdict": sol.verdict})
     return rows
 
 
-def solutions_at_beta(l: float, beta_targets, s_bracket: tuple[float, float],
-                      tol: float = 1e-8, n_samples: int = 33,
-                      r_max: float = 1e6, ode_tol: float = 1e-10) -> RootSearch:
+def solutions_at_beta(l: float, beta_targets, s_bracket: tuple[float, float]) -> RootSearch:
     """Radial profiles of each target mass inside the bracket:
-    rootsearch.search_curve on shoot, with beta' from beta_prime (the mass
-    form, the slope form's gap to it as its error)."""
+    rootsearch.search_curve on default shots, with beta' from beta_prime (the
+    mass form, the slope form's gap to it as its error)."""
     def curve(s: float):
-        sol = shoot(l, s, r_max=r_max, tol=ode_tol)
+        sol = shoot(l, s)
         if sol.verdict != "converged":
             return sol.verdict, math.nan, math.nan, math.nan
         slope_form, mass_form = beta_prime(sol)
         return sol.verdict, sol.beta_mass, mass_form, abs(slope_form - mass_form)
 
-    return search_curve(curve, beta_targets, s_bracket, tol, n_samples)
+    return search_curve(curve, beta_targets, s_bracket)

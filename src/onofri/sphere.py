@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import GridConfigError, InvalidFieldError
 
-DEFAULT_LMAX = 32
-
 
 def _latitude_blocks(lmax: int, mu: np.ndarray):
     """Latitude factors of the dw-orthonormal real basis, one order m at a time.
@@ -108,7 +106,7 @@ class SphereGrid:
         return x1, x2, x3
 
 
-def build_grid(lmax: int = DEFAULT_LMAX, n_mu: int | None = None, n_phi: int | None = None) -> SphereGrid:
+def build_grid(lmax: int, n_mu: int | None = None, n_phi: int | None = None) -> SphereGrid:
     """Construct a grid able to hold degree-2*lmax products without aliasing.
 
     Defaults n_mu = 2*lmax and n_phi = 4*lmax, raised to the hard floor

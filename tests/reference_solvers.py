@@ -2,8 +2,9 @@
 read one exponential per step, and a counter of the exponentials a descent makes;
 and the test-only maps the package itself does not call: the constant sphere
 field, the sphere tilt of a whole field, the two-bubble family on a grid, the
-stereographic projection, the planar angular derivative, the eigenpair of one
-resolution, and the breadth-first flood fill the nodal labelling replaced.
+stereographic projection (and the PoleError it raises at the pole), the planar
+angular derivative, the eigenpair of one resolution, and the breadth-first
+flood fill the nodal labelling replaced.
 
 Each accepted step here exponentiates the field separately for the tilt's
 first moments, the unit-mass shift, the value and the gradient, and the
@@ -16,7 +17,11 @@ from collections import deque
 import numpy as np
 
 from onofri import axisym as ax, conformal, eigen, functional as fn, planar, sphere
-from onofri.errors import NonConvergenceError, PoleError
+from onofri.errors import NonConvergenceError, ToolkitError
+
+
+class PoleError(ToolkitError, ValueError):
+    """Stereographic forward map evaluated at the projection pole."""
 
 
 def tilt_log_weights(log_weights, points, tol):
@@ -56,9 +61,8 @@ def _j_value(spec, u, alpha):
     return float(alpha / 4.0 * energy + spec[0, 0] - sphere.log_exp_mass(u))
 
 
-def minimize(alpha, u0, opts=None):
+def minimize(alpha, u0):
     """The coefficient-space sphere descent; returns (status, J, iterations, backtracks, u)."""
-    opts = opts or fn.MinimizeOptions()
     grid = u0.grid
     L = grid.lmax
     pts = np.stack(grid.points(), axis=-1).reshape(-1, 3)
@@ -68,7 +72,7 @@ def minimize(alpha, u0, opts=None):
     tilt_slots = [L + 1, L - 1, L]
 
     def retract(spec, u):
-        c = tilt_log_weights(log_w + u.values.ravel(), pts, opts.com_tol)
+        c = tilt_log_weights(log_w + u.values.ravel(), pts, fn.COM_TOL)
         if c.any():
             u = sphere.SphereField(grid, u.values + (pts @ c).reshape(grid.shape))
             spec.coeffs[1, tilt_slots] += c / np.sqrt(3.0)
@@ -90,11 +94,11 @@ def minimize(alpha, u0, opts=None):
     j = _j_value(spec, u, alpha)
     gspec = gradient(spec, u)
     gnorm = float(np.linalg.norm(gspec.coeffs))
-    for it in range(1, opts.max_iter + 1):
-        if gnorm <= opts.stat_tol:
+    for it in range(1, fn.MAX_ITER + 1):
+        if gnorm <= fn.STAT_TOL:
             status = "converged"
             break
-        if j < opts.blowup_floor:
+        if j < fn.BLOWUP_FLOOR:
             status = "unbounded-descent"
             break
         direction = -gspec.coeffs / fn.zero_hessian(alpha, L)[:, None]
@@ -154,21 +158,20 @@ def _gradient(g, alpha):
     return grad
 
 
-def minimize_axisym(alpha, g0, opts=None):
+def minimize_axisym(alpha, g0):
     """The axisymmetric descent; returns (status, I, iterations, backtracks, g)."""
-    opts = opts or fn.MinimizeOptions()
-    g = _recenter_gauge(g0, opts.com_tol)
+    g = _recenter_gauge(g0, fn.COM_TOL)
     val = _i_functional(g, alpha)
     k = np.arange(g.degree + 1, dtype=float)
     precond = np.maximum((4.0 * alpha * k * (k + 1.0) - 8.0) / (2.0 * k + 1.0), 0.5)
     status, it, backtracks = "max-iter", 0, 0
     grad = _gradient(g, alpha)
     gnorm = ax._grad_l2(grad)
-    for it in range(1, opts.max_iter + 1):
-        if gnorm <= opts.stat_tol:
+    for it in range(1, fn.MAX_ITER + 1):
+        if gnorm <= fn.STAT_TOL:
             status = "converged"
             break
-        if val < opts.blowup_floor:
+        if val < fn.BLOWUP_FLOOR:
             status = "unbounded-descent"
             break
         direction = -grad / precond
@@ -184,7 +187,7 @@ def minimize_axisym(alpha, g0, opts=None):
         else:
             status = "stalled"
             break
-        g = _recenter_gauge(cand, opts.com_tol)
+        g = _recenter_gauge(cand, fn.COM_TOL)
         val = _i_functional(g, alpha)
         grad = _gradient(g, alpha)
         gnorm = ax._grad_l2(grad)
@@ -236,17 +239,17 @@ def constant_field(grid, c=0.0):
     return sphere.SphereField(grid, np.full(grid.shape, float(c)))
 
 
-def recenter(u, tol=1e-10):
+def recenter(u):
     """The degree-1 tilt u + c.x whose measure e^{u + c.x} dw has zero center of mass.
 
     The constraint is the first-order condition of the convex problem
     min_c log int e^{u + c.x} dw, so the tilt never raises the exp-mass.  It
     changes only the degree-1 harmonics and keeps a band-limited u
     band-limited.  u itself is returned when its center of mass is already
-    within tol.
+    within fn.COM_TOL.
     """
     pts, weights = fn._node_geometry(u.grid)
-    c, _, _ = fn.tilt(u.values.ravel(), weights, pts, tol)
+    c, _, _ = fn.tilt(u.values.ravel(), weights, pts)
     if not c.any():
         return u
     return sphere.SphereField(u.grid, u.values + (pts @ c).reshape(u.grid.shape))

@@ -175,7 +175,8 @@ def test_preconditioner_is_the_sphere_rule_on_the_lift(monkeypatch):
         return zero_hessian(alpha, lmax)
 
     monkeypatch.setattr(fn, "zero_hessian", spy)
-    ax.minimize_axisym(0.6, ax.random_start_1d((3,)), fn.MinimizeOptions(max_iter=1))
+    monkeypatch.setattr(fn, "MAX_ITER", 1)
+    ax.minimize_axisym(0.6, ax.random_start_1d((3,)))
     assert calls == [(0.6, ax.DEFAULT_DEGREE)]
     k = np.arange(65, dtype=float)
     for alpha in np.linspace(0.2, 1.5, 131):
@@ -185,14 +186,15 @@ def test_preconditioner_is_the_sphere_rule_on_the_lift(monkeypatch):
 
 @pytest.mark.parametrize("alpha", [0.5, 0.6, 0.8, 1.0])
 @pytest.mark.parametrize("n", [2, 3])
-def test_sphere_descent_mirrors_the_1d_descent(grid16, alpha, n):
+def test_sphere_descent_mirrors_the_1d_descent(grid16, alpha, n, monkeypatch):
     """From a lifted start the sphere descent takes the 1-D descent's steps:
     after n iterations u is the lift of g, J is half of I, and the line
     searches halved alike."""
+    monkeypatch.setattr(fn, "MAX_ITER", n)
     for k in range(3):
         g0 = ax.random_start_1d((61, k))
-        res = fn.minimize(alpha, ax.lift(g0, grid16), fn.MinimizeOptions(max_iter=n))
-        res1 = ax.minimize_axisym(alpha, g0, fn.MinimizeOptions(max_iter=n))
+        res = fn.minimize(alpha, ax.lift(g0, grid16))
+        res1 = ax.minimize_axisym(alpha, g0)
         assert res.iterations == res1.iterations == n
         assert np.max(np.abs(res.u.values - ax.lift(res1.g, grid16).values)) <= 1e-12
         assert abs(2.0 * res.j_value - res1.value) <= 1e-14
@@ -234,7 +236,8 @@ def test_minimize_exponential_and_legval_counts(monkeypatch):
         g0 = ax.random_start_1d((7, 0), amplitude=amplitude)    # leggauss calls legval
         for key in counts:
             counts[key] = 0
-        res = ax.minimize_axisym(alpha, g0, fn.MinimizeOptions(max_iter=max_iter))
+        monkeypatch.setattr(fn, "MAX_ITER", max_iter)
+        res = ax.minimize_axisym(alpha, g0)
         assert res.status == status and res.backtracks > 0
         accepted = res.iterations - 1 + last_accepted
         assert counts["outside"] == accepted + res.backtracks + 2
@@ -261,9 +264,10 @@ def test_two_bubble_value_matches_sphere_functional(grid32):
             assert ax.two_bubble_i_value(alpha, s) == pytest.approx(2.0 * j_val, abs=1e-12)
 
 
-def test_unbounded_verdict_path():
+def test_unbounded_verdict_path(monkeypatch):
     g = ax.random_start_1d((1,), degree=8)
-    res = ax.minimize_axisym(0.45, g, fn.MinimizeOptions(blowup_floor=1e9))
+    monkeypatch.setattr(fn, "BLOWUP_FLOOR", 1e9)
+    res = ax.minimize_axisym(0.45, g)
     # an absurd floor forces the verdict immediately, exercising the branch
     assert res.status == "unbounded-descent"
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from onofri import acceptance, cli, functional, report
+from onofri.errors import NonConvergenceError
 
 
 def run(tmp_path, *argv):
@@ -72,6 +73,51 @@ def test_missing_parameter_usage_error():
 
 def test_under_resolved_grid_usage_error():
     assert cli.main(["minimize", "--alpha", "0.7", "--n-mu", "4"]) == cli.EXIT_USAGE
+
+
+# Each of these once ran and passed (or failed at run time) on no evidence.
+VACUOUS_RUNS = {
+    "alpha_scan_no_trials": ["alpha-scan", "--alphas", "0.8", "--trials", "0"],
+    "axisym_no_trials": ["axisym", "--alpha", "0.6", "--trials", "0"],
+    "beta_curve_one_sample": ["beta-curve", "--l", "1", "--n", "1"],
+    "bol_audit_zero_mesh": ["bol-audit", "--h", "0"],
+    "bol_audit_too_few_rings": ["bol-audit", "--radii", "0.1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(VACUOUS_RUNS))
+def test_vacuous_runs_are_usage_errors(tmp_path, capsys, case):
+    code, rep = run(tmp_path, *VACUOUS_RUNS[case])
+    assert code == cli.EXIT_USAGE and rep is None
+    assert "usage error" in capsys.readouterr().err
+
+
+def _strict_json(path):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+def test_reports_are_strict_json(tmp_path, monkeypatch):
+    """A far-field shot has no asymptote (c_asym NaN) and an alpha scan whose
+    runs all fail has no minimum (infinity) nor mean iteration count (NaN):
+    both reports hold null there."""
+    out = tmp_path / "shoot.json"
+    assert cli.main(["shoot", "--l", "1", "--s", "36", "--out", str(out)]) == cli.EXIT_OK
+    row = _strict_json(out)["rows"][0]
+    assert row["verdict"] == "unresolved" and row["c_asym"] is None
+
+    def diverging(alpha, u0):
+        raise NonConvergenceError("forced")
+
+    monkeypatch.setattr(functional, "minimize", diverging)
+    out = tmp_path / "scan.json"
+    code = cli.main(["alpha-scan", "--alphas", "0.8", "--trials", "1", "--L", "8",
+                     "--out", str(out)])
+    assert code == cli.EXIT_MATH
+    row = _strict_json(out)["rows"][0]
+    assert row["min_j"] is None and row["mean_iterations"] is None and row["n_failed"] == 1
 
 
 def test_math_violation_exit_code(monkeypatch, tmp_path):
@@ -265,7 +311,7 @@ def test_alpha_scan_open_region_info(tmp_path):
 
 def test_alpha_scan_fails_a_certified_row_with_failed_runs(tmp_path, monkeypatch):
     """A stalled run with J = 0 certifies nothing, so the row fails."""
-    def stalled(alpha, u0, opts=None):
+    def stalled(alpha, u0):
         return functional.MinimizeResult(u=u0, j_value=0.0, grad_norm=1.0, com_norm=0.0,
                                          exp_mass=1.0, iterations=800, backtracks=0,
                                          newton_steps=0, status="stalled")

@@ -63,7 +63,8 @@ def test_probe_reaches_floor_below_half():
     assert all(b < a for a, b in zip(tail, tail[1:]))
 
 
-def test_probe_saturates_at_half():
-    s_hit, trace = conformal.probe_two_bubble(0.5, floor=-1.0, s_max=100.0)
+def test_probe_saturates_at_half(monkeypatch):
+    monkeypatch.setattr(conformal, "PROBE_S_MAX", 100.0)
+    s_hit, trace = conformal.probe_two_bubble(0.5, floor=-1.0)
     assert s_hit is None
     assert min(j for _, j in trace) > -1.0

@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 from scipy.special import jn_zeros
 
 from onofri import eigen, planar
-from onofri.errors import NonConvergenceError
+from onofri.errors import GridConfigError, NonConvergenceError
 
 import reference_solvers as ref
 
@@ -81,8 +81,8 @@ def _assemble_disk_reference(R, n_r, n_theta):
 
 def _assemble_rect_reference(rect, h):
     """Loop assembly of the five-point scheme."""
-    nx = max(3, int(round((rect.x1 - rect.x0) / h)))
-    ny = max(3, int(round((rect.y1 - rect.y0) / h)))
+    nx = int(round((rect.x1 - rect.x0) / h))
+    ny = int(round((rect.y1 - rect.y0) / h))
     hx = (rect.x1 - rect.x0) / nx
     hy = (rect.y1 - rect.y0) / ny
     n = (nx - 1) * (ny - 1)
@@ -120,7 +120,7 @@ def _assert_same_assembly(got, ref):
 
 @pytest.mark.parametrize("R, h", [(1.0, 0.04), (1.0, 0.02), (3.0, 0.02), (2.0, 0.01)])
 def test_disk_assembly_matches_loop_reference(R, h):
-    n_r = max(8, int(round(R / h)))
+    n_r = int(round(R / h))
     n_theta = max(48, n_r)
     K, m, _ = eigen._assemble_disk(R, n_r, n_theta)
     _assert_same_assembly((K, m), _assemble_disk_reference(R, n_r, n_theta))
@@ -128,10 +128,22 @@ def test_disk_assembly_matches_loop_reference(R, h):
 
 @pytest.mark.parametrize("rect, h", [(eigen.Rect(0.0, 1.0, 0.0, 1.0), 0.04),
                                      (eigen.Rect(-0.4, 1.5, 0.2, 0.9), 0.02),
-                                     (eigen.Rect(0.0, 0.1, 0.0, 2.0), 0.05)])
+                                     (eigen.Rect(0.0, 0.15, 0.0, 2.0), 0.05)])
 def test_rect_assembly_matches_loop_reference(rect, h):
     K, m, _ = eigen._assemble_rect(rect, h)
     _assert_same_assembly((K, m), _assemble_rect_reference(rect, h))
+
+
+def test_too_coarse_mesh_raises_instead_of_clamping():
+    """At h = 0.02 the disk of radius 0.1 has 5 rings.  A clamp to 8 rings
+    solved it at the mesh of h = 0.0125, so Richardson's 2:1 ratio broke and
+    the extrapolated value fell away from the exact j01^2 / R^2."""
+    with pytest.raises(GridConfigError):
+        eigen.first_eigenvalue_extrapolated(None, eigen.Disk(0.1), 0.02)
+    lam = eigen.first_eigenvalue_extrapolated(None, eigen.Disk(0.1), 0.0125)   # 8 rings
+    assert lam == pytest.approx(J01_SQ / 0.01, rel=1e-3)
+    with pytest.raises(GridConfigError):
+        eigen.first_eigenvalue(None, eigen.Rect(0.0, 0.1, 0.0, 2.0), 0.05)      # 2 cells across
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +156,7 @@ RADIAL_FIELDS = {"none": None, "bubble": liouville, "perturbed": perturbed}
 
 def _full_disk(g_fn, R, h):
     """The 2-D disk scheme at the mesh first_eigenvalue uses: (K, m, pot)."""
-    n_r = max(8, int(round(R / h)))
+    n_r = int(round(R / h))
     n_theta = max(48, n_r)
     K, m, pts = eigen._assemble_disk(R, n_r, n_theta)
     pot = np.zeros(m.size) if g_fn is None else np.exp(g_fn(pts))
@@ -222,10 +234,11 @@ def test_radial_residual_is_checked(monkeypatch):
     assert info.value.residual == pytest.approx(1.0, rel=1e-9)
 
 
-def test_2d_path_reports_residual_when_iterations_run_out():
+def test_2d_path_reports_residual_when_iterations_run_out(monkeypatch):
     K, m, pot = _full_disk(liouville, 1.0, 0.04)
-    with pytest.raises(NonConvergenceError) as info:
-        eigen._smallest_eigenpair(K, m, pot, max_iter=3)
+    with monkeypatch.context() as patch, pytest.raises(NonConvergenceError) as info:
+        patch.setattr(eigen, "MAX_SWEEPS", 3)
+        eigen._smallest_eigenpair(K, m, pot)
     lam, v = info.value.best
     assert info.value.residual > eigen.RESIDUAL_TOL * (1.0 + abs(lam))
     lam_full, _ = eigen._smallest_eigenpair(K, m, pot)
@@ -350,7 +363,8 @@ def test_ode_oracle_bubble_zero_is_one():
 
 @pytest.mark.parametrize("g_fn", [liouville, perturbed])
 @pytest.mark.parametrize("tol", [1e-3, 1e-5])
-def test_neutral_radius_matches_ode_oracle(g_fn, tol):
+def test_neutral_radius_matches_ode_oracle(g_fn, tol, monkeypatch):
     h = 0.02
-    r_star = eigen.zero_eigenvalue_radius(g_fn, (0.7, 1.1), h=h, tol=tol)
+    monkeypatch.setattr(eigen, "RADIUS_TOL", tol)
+    r_star = eigen.zero_eigenvalue_radius(g_fn, (0.7, 1.1), h=h)
     assert abs(r_star - _neutral_radius_ode(g_fn)) <= 0.5 * tol + h**2

@@ -222,11 +222,13 @@ def test_minimize_multistart_alpha_07(grid16):
     assert best >= -1e-6
 
 
-def test_unbounded_descent_verdict(grid16):
+def test_unbounded_descent_verdict(grid16, monkeypatch):
     """Below the coercivity range a resolvable two-bubble start dives through
     the floor; the verdict replaces the minimiser."""
     u0 = ref.two_bubble_field(grid16, 2.0)
-    res = fn.minimize(0.3, u0, fn.MinimizeOptions(blowup_floor=-2.0, max_iter=400))
+    monkeypatch.setattr(fn, "BLOWUP_FLOOR", -2.0)
+    monkeypatch.setattr(fn, "MAX_ITER", 400)
+    res = fn.minimize(0.3, u0)
     assert res.status == "unbounded-descent"
     assert res.j_value < -2.0
 
@@ -272,12 +274,12 @@ def test_tilt_counts_newton_steps(grid16, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     pts, weights = fn._node_geometry(grid16)
-    c, _, steps = fn.tilt(np.zeros(pts.shape[0]), weights, pts, 1e-10)
+    c, _, steps = fn.tilt(np.zeros(pts.shape[0]), weights, pts)
     assert steps == len(solves) == 0 and not c.any()
     for seed in range(4):
         solves.clear()
         u = fn.random_start(grid16, (seed,), amplitude=1.5).values.ravel()
-        c, mom, steps = fn.tilt(u, weights, pts, 1e-10)
+        c, mom, steps = fn.tilt(u, weights, pts)
         assert steps == len(solves) >= 2
         assert np.linalg.norm(mom.mean) <= 1e-10
 
@@ -294,21 +296,24 @@ def test_minimize_rejects_nonfinite_start(grid8):
         fn.minimize(0.8, bad)
 
 
-def test_recenter_nonconvergence_carries_best(grid8):
+def test_recenter_nonconvergence_carries_best(grid8, monkeypatch):
     u = 0.3 * coordinate(grid8)
+    monkeypatch.setattr(fn, "COM_TOL", -1.0)
     with pytest.raises(NonConvergenceError) as info:
-        ref.recenter(u, tol=-1.0)
+        ref.recenter(u)
     assert info.value.best == pytest.approx([0.0, 0.0, -0.3], abs=1e-12)
 
 
-def test_minimize_keeps_iterate_band_limited(grid16):
-    res = fn.minimize(0.8, fn.random_start(grid16, (42, 0, 3)), fn.MinimizeOptions(max_iter=4))
+def test_minimize_keeps_iterate_band_limited(grid16, monkeypatch):
+    monkeypatch.setattr(fn, "MAX_ITER", 4)
+    res = fn.minimize(0.8, fn.random_start(grid16, (42, 0, 3)))
     resynth = sphere.synthesize(sphere.analyze(res.u), grid16)
     assert np.max(np.abs(resynth.values - res.u.values)) <= 1e-13
 
 
-def test_minimize_exp_mass_is_that_of_returned_field(grid16):
-    res = fn.minimize(0.8, fn.random_start(grid16, (42, 0, 3)), fn.MinimizeOptions(max_iter=2))
+def test_minimize_exp_mass_is_that_of_returned_field(grid16, monkeypatch):
+    monkeypatch.setattr(fn, "MAX_ITER", 2)
+    res = fn.minimize(0.8, fn.random_start(grid16, (42, 0, 3)))
     assert res.status == "max-iter"
     assert res.exp_mass == pytest.approx(np.exp(sphere.log_exp_mass(res.u)), abs=1e-14)
 
@@ -323,7 +328,7 @@ def _quadratic(x):
     return 0.5 * float(np.sum(_A * x * x))
 
 
-def _descend(opts, value=_quadratic, x0=(1.0, -2.0, 0.5)):
+def _descend(value=_quadratic, x0=(1.0, -2.0, 0.5)):
     """fn.descend on the quadratic, with one Newton step per retraction and
     trials valued by `value`."""
     def trial(x, delta):
@@ -332,11 +337,12 @@ def _descend(opts, value=_quadratic, x0=(1.0, -2.0, 0.5)):
     def retract(x):
         return x, _quadratic(x), _A * x, 1
 
-    return fn.descend(np.array(x0), 2.0 * _A, trial, retract, np.linalg.norm, opts)
+    return fn.descend(np.array(x0), 2.0 * _A, trial, retract, np.linalg.norm)
 
 
-def test_descend_converges_on_a_quadratic():
-    run = _descend(fn.MinimizeOptions(stat_tol=1e-6))
+def test_descend_converges_on_a_quadratic(monkeypatch):
+    monkeypatch.setattr(fn, "STAT_TOL", 1e-6)
+    run = _descend()
     assert run.status == "converged"
     assert run.grad_norm <= 1e-6 < np.linalg.norm(2.0 * _A * run.state)
     assert np.allclose(run.state, np.array([1.0, -2.0, 0.5]) * 0.5 ** (run.iterations - 1))
@@ -347,42 +353,43 @@ def test_descend_converges_on_a_quadratic():
 
 def test_descend_stalls_after_every_halving_fails():
     # every trial value is above the start value 7.75
-    run = _descend(fn.MinimizeOptions(), value=lambda x: _quadratic(x) + 10.0)
+    run = _descend(value=lambda x: _quadratic(x) + 10.0)
     assert run.status == "stalled"
     assert run.iterations == 1 and run.backtracks == fn.MAX_HALVINGS == 40
     assert np.array_equal(run.state, [1.0, -2.0, 0.5]) and run.newton_steps == 1
 
 
-def test_descend_reports_unbounded_descent_below_the_floor():
+def test_descend_reports_unbounded_descent_below_the_floor(monkeypatch):
     start = _quadratic(np.array([1.0, -2.0, 0.5]))
-    run = _descend(fn.MinimizeOptions(blowup_floor=start + 1.0))
+    monkeypatch.setattr(fn, "BLOWUP_FLOOR", start + 1.0)
+    run = _descend()
     assert run.status == "unbounded-descent"
     assert run.iterations == 1 and run.backtracks == 0 and run.value == start
 
 
-def test_descend_stops_at_max_iter():
-    run = _descend(fn.MinimizeOptions(max_iter=1))
+def test_descend_stops_at_max_iter(monkeypatch):
+    monkeypatch.setattr(fn, "MAX_ITER", 1)
+    run = _descend()
     assert run.status == "max-iter"
     assert run.iterations == 1 and run.newton_steps == 2
     assert np.array_equal(run.state, [0.5, -1.0, 0.25])
     assert run.trace == [(0, _quadratic(np.array([1.0, -2.0, 0.5]))), (1, run.value)]
 
 
-def _minimize_field_space(alpha, u0, opts=None):
+def _minimize_field_space(alpha, u0):
     """Reference: the field-space minimiser, re-analysing the iterate at every step."""
-    opts = opts or fn.MinimizeOptions()
     grid = u0.grid
     u = sphere.synthesize(sphere.analyze(u0), grid)
-    u = fn.shift_to_unit_mass(ref.recenter(u, opts.com_tol))
+    u = fn.shift_to_unit_mass(ref.recenter(u))
     status, it = "max-iter", 0
     j = fn.j_alpha(u, alpha)
     gspec = sphere.analyze(fn.gradient_j(u, alpha))
     gnorm = float(np.linalg.norm(gspec.coeffs))
-    for it in range(1, opts.max_iter + 1):
-        if gnorm <= opts.stat_tol:
+    for it in range(1, fn.MAX_ITER + 1):
+        if gnorm <= fn.STAT_TOL:
             status = "converged"
             break
-        if j < opts.blowup_floor:
+        if j < fn.BLOWUP_FLOOR:
             status = "unbounded-descent"
             break
         direction = -gspec.coeffs / fn.zero_hessian(alpha, gspec.lmax)[:, None]
@@ -399,7 +406,7 @@ def _minimize_field_space(alpha, u0, opts=None):
         else:
             status = "stalled"
             break
-        u = fn.shift_to_unit_mass(ref.recenter(cand, opts.com_tol))
+        u = fn.shift_to_unit_mass(ref.recenter(cand))
         j = fn.j_alpha(u, alpha)
         gspec = sphere.analyze(fn.gradient_j(u, alpha))
         gnorm = float(np.linalg.norm(gspec.coeffs))
@@ -433,7 +440,7 @@ def test_tilt_matches_log_weight_reference(grid16):
     pts, weights = fn._node_geometry(grid16)
     for seed in range(4):
         u = fn.random_start(grid16, (seed,), amplitude=1.5).values.ravel()
-        c, mom, _ = fn.tilt(u, weights, pts, 1e-10)
+        c, mom, _ = fn.tilt(u, weights, pts)
         assert np.max(np.abs(c - ref.tilt_log_weights(np.log(weights) + u, pts, 1e-10))) <= 1e-12
         fresh = fn.exp_moments(u + pts @ c, weights, pts)
         assert abs(mom.log_mass - fresh.log_mass) <= 1e-15
@@ -442,15 +449,14 @@ def test_tilt_matches_log_weight_reference(grid16):
 
 
 def _converged_and_backtracking_runs(grid16):
-    """(alpha, start, options, status, last_accepted) of two default-step runs.
+    """(alpha, start, MAX_ITER, status, last_accepted) of two default-step runs.
 
     The first converges, accepting a full step on every iteration but the
     last.  The second, below 1/2 from a large start, ends at max-iter with
     an accepted step on its last iteration; 13 of its 30 line searches halve.
     """
-    return ((0.7, fn.random_start(grid16, (42, 0, 5)), fn.MinimizeOptions(), "converged", 0),
-            (0.3, fn.random_start(grid16, (42, 0, 5), amplitude=2.0),
-             fn.MinimizeOptions(max_iter=30), "max-iter", 1))
+    return ((0.7, fn.random_start(grid16, (42, 0, 5)), fn.MAX_ITER, "converged", 0),
+            (0.3, fn.random_start(grid16, (42, 0, 5), amplitude=2.0), 30, "max-iter", 1))
 
 
 def test_minimize_exponential_counts(grid16, monkeypatch):
@@ -462,9 +468,10 @@ def test_minimize_exponential_counts(grid16, monkeypatch):
     and non-trivial tilts.
     """
     counts = ref.count_exponentials(monkeypatch, grid16.n_mu * grid16.n_phi)
-    for alpha, u0, opts, status, last_accepted in _converged_and_backtracking_runs(grid16):
+    for alpha, u0, max_iter, status, last_accepted in _converged_and_backtracking_runs(grid16):
         counts.update(outside=0, in_tilt=0, tilt_moments=0, tilts=0, trivial=0, newton_steps=0)
-        res = fn.minimize(alpha, u0, opts)
+        monkeypatch.setattr(fn, "MAX_ITER", max_iter)
+        res = fn.minimize(alpha, u0)
         assert res.status == status
         accepted = res.iterations - 1 + last_accepted
         assert counts["outside"] == accepted + res.backtracks + 3
@@ -486,9 +493,10 @@ def test_minimize_transform_counts(grid16, monkeypatch):
             return _inner(*args)
 
         monkeypatch.setattr(sphere, name, counted)
-    for alpha, u0, opts, status, last_accepted in _converged_and_backtracking_runs(grid16):
+    for alpha, u0, max_iter, status, last_accepted in _converged_and_backtracking_runs(grid16):
         calls.update(analyze=0, synthesize=0)
-        res = fn.minimize(alpha, u0, opts)
+        monkeypatch.setattr(fn, "MAX_ITER", max_iter)
+        res = fn.minimize(alpha, u0)
         assert res.status == status
         accepted = res.iterations - 1 + last_accepted
         assert calls["analyze"] == accepted + 2                     # u0 and the first gradient
@@ -579,7 +587,7 @@ def test_alpha_scan_deterministic_and_nonnegative(grid16):
 
 def _ending(status, u0):
     """A minimize stand-in that returns J = 0 with the given status."""
-    def fake(alpha, start, opts=None):
+    def fake(alpha, start):
         return fn.MinimizeResult(u=u0, j_value=0.0, grad_norm=1.0, com_norm=0.0,
                                  exp_mass=1.0, iterations=800, backtracks=0,
                                  newton_steps=0, status=status)

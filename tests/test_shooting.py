@@ -188,13 +188,15 @@ def test_shared_curve_reports_beta_range():
     assert search.roots == [[], [], []]
 
 
-def test_shared_curve_skips_unresolved_samples():
+def test_shared_curve_skips_unresolved_samples(monkeypatch):
     """At l = 1 the shots past s = 26 are unresolved: the search keeps the
     converged stretch, finds there the root a bracket ending at 26 finds,
     and none for a mass that only the unresolved samples reach."""
     targets = [4.0002, 4.000005]
-    cut = sh.solutions_at_beta(1.0, targets, (18.0, 34.0), n_samples=17)
-    full = sh.solutions_at_beta(1.0, targets, (18.0, 26.0), n_samples=9)
+    monkeypatch.setattr(rs, "N_SAMPLES", 17)
+    cut = sh.solutions_at_beta(1.0, targets, (18.0, 34.0))
+    monkeypatch.setattr(rs, "N_SAMPLES", 9)
+    full = sh.solutions_at_beta(1.0, targets, (18.0, 26.0))
     assert cut.unresolved_samples == 8 and full.unresolved_samples == 0
     assert len(full.roots[0]) == 1 and cut.roots[0] == full.roots[0]
     assert cut.roots[1] == full.roots[1] == []
@@ -234,11 +236,12 @@ def test_brent_matches_closed_form_root():
     assert root == pytest.approx(0.7390851332151607, abs=1e-12)
 
 
-def test_integrator_step_budget_raises_typed_error():
+def test_integrator_step_budget_raises_typed_error(monkeypatch):
     xs, vs, ps = [0.0], [1.0], [0.0]
+    monkeypatch.setattr(sh, "MAX_STEPS", 3)
     with pytest.raises(NonConvergenceError) as info:
         sh._rk_adaptive(lambda x, v, p: (p, -v), 0.0, vs[0], ps[0], 10.0, 1e-10, 1e-3,
-                        xs, vs, ps, max_steps=3)
+                        xs, vs, ps)
     assert 0.0 < info.value.best < 10.0
     assert info.value.best == xs[-1]
 
@@ -260,8 +263,7 @@ _CK_ERR = (-277.0 / 64512.0, 0.0, 6925.0 / 370944.0, -6925.0 / 202752.0,
            -277.0 / 14336.0, 277.0 / 7084.0)
 
 
-def _rk_reference(f, x0, v0, p0, x1, tol, h0, store_x, store_v, store_p,
-                  hmax=np.inf, max_steps=200000):
+def _rk_reference(f, x0, v0, p0, x1, tol, h0, store_x, store_v, store_p, hmax=np.inf):
     x = x0
     y = [v0, p0]
     h = min(h0, hmax)
@@ -293,7 +295,7 @@ def _rk_reference(f, x0, v0, p0, x1, tol, h0, store_x, store_v, store_p,
         fac = 0.9 * (err ** -0.2) if err > 0 else 5.0
         h *= min(5.0, max(0.2, fac))
         steps += 1
-        if steps > max_steps:
+        if steps > sh.MAX_STEPS:
             raise NonConvergenceError("adaptive integrator exceeded the step budget", best=x)
     return y[0], y[1], rejected
 
@@ -379,8 +381,9 @@ def test_unreached_far_field_is_unresolved(l, s):
     assert sol.beta_mass == pytest.approx(4.0 * (1.0 + l), abs=1e-9)
 
 
-def test_root_search_counts_unresolved_samples():
-    search = sh.solutions_at_beta(1.0, [4.0001], (30.0, 38.0), n_samples=4)
+def test_root_search_counts_unresolved_samples(monkeypatch):
+    monkeypatch.setattr(rs, "N_SAMPLES", 4)
+    search = sh.solutions_at_beta(1.0, [4.0001], (30.0, 38.0))
     assert search.unresolved_samples == 4
     assert search.roots == [[]]
     assert not search.certificate.ok and search.certificate.count(4.0001) is None
