@@ -100,7 +100,10 @@ def _run_config(args: argparse.Namespace) -> dict:
 
 def _grid_for(cfg):
     """The sphere grid of --L and --n-mu; records the latitude count it used."""
-    grid = sphere.build_grid(cfg["L"], n_mu=cfg["n_mu"])
+    try:
+        grid = sphere.build_grid(cfg["L"], n_mu=cfg["n_mu"])
+    except GridConfigError as exc:
+        raise UsageError(str(exc)) from exc
     cfg["n_mu"] = grid.n_mu
     return grid
 
@@ -252,9 +255,12 @@ def cmd_axisym(cfg):
 def cmd_bol_audit(cfg):
     case = cfg["case"]
     g_fn = planar.audit_fields()[case]
-    audits = eigen.bol_audit(g_fn, eigen.Disk(3.0),
-                             [eigen.Disk(r) for r in _parse_list(cfg["radii"])],
-                             glap_fn=g_fn.lap_evaluator, h=cfg["h"])
+    try:                                # --radii and --h set the eigen meshes
+        audits = eigen.bol_audit(g_fn, eigen.Disk(3.0),
+                                 [eigen.Disk(r) for r in _parse_list(cfg["radii"])],
+                                 glap_fn=g_fn.lap_evaluator, h=cfg["h"])
+    except GridConfigError as exc:
+        raise UsageError(str(exc)) from exc
     rows = [{
         "claim": "nonpositive first eigenvalue forces mass over 4 pi",
         "case": case, "domain": a.domain, "lambda1": a.lambda1, "mass": a.mass,
@@ -428,7 +434,7 @@ def main(argv=None) -> int:
             log.info("wrote %s", args.csv)
         print(f"{args.command}: verdict={verdict} rows={len(rows)} elapsed={rep['elapsed_s']:.2f}s")
         return EXIT_MATH if verdict == "fail" else EXIT_OK
-    except (UsageError, GridConfigError) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001

@@ -32,7 +32,6 @@ from scipy.linalg import eigh_tridiagonal
 
 from . import quadrature
 from .errors import GridConfigError, NonConvergenceError
-from .planar import FD_STEP, fd_laplacian
 
 
 @dataclass(frozen=True)
@@ -284,7 +283,7 @@ class BolAudit:
 
 
 def supersolution_margin(g_fn, glap_fn, Omega) -> float:
-    """min over Omega of lap(g) + e^g; analytic Laplacian when supplied."""
+    """min over Omega of lap(g) + e^g, with glap_fn the exact Laplacian of g."""
     if isinstance(Omega, Disk):
         r = np.linspace(0.0, Omega.radius, MARGIN_SAMPLES)
         theta = 2.0 * math.pi * np.arange(MARGIN_SAMPLES) / MARGIN_SAMPLES
@@ -294,14 +293,11 @@ def supersolution_margin(g_fn, glap_fn, Omega) -> float:
         ys = np.linspace(Omega.y0, Omega.y1, MARGIN_SAMPLES)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         pts = np.stack([X, Y], axis=-1).reshape(-1, 2)
-    if glap_fn is not None:
-        lap = np.asarray(glap_fn(pts), dtype=float)
-    else:
-        lap = fd_laplacian(g_fn, pts, FD_STEP)
+    lap = np.asarray(glap_fn(pts), dtype=float)
     return float(np.min(lap + np.exp(np.asarray(g_fn(pts), dtype=float))))
 
 
-def bol_audit(g_fn, Omega, omega_family, glap_fn=None, h: float = 0.02) -> list[BolAudit]:
+def bol_audit(g_fn, Omega, omega_family, glap_fn, h: float = 0.02) -> list[BolAudit]:
     """Audit the implication: strict supersolution + total mass <= 8 pi and
     lambda_1(omega) <= 0 force mass(omega) > 4 pi.
 

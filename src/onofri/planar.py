@@ -22,7 +22,6 @@ from . import quadrature, sphere
 from .errors import DivergentMassError, GaugeError, InvalidFieldError
 
 GAUGE_TOL = 1e-8        # largest |int e^u dw - 1| that to_planar accepts
-FD_STEP = 1e-3          # five-point Laplacian step where no exact one is given (eigen too)
 N_GAUSS, N_THETA = 24, 64   # disk rule: Gauss nodes per radial panel, uniform angles
 R_CUT = 100.0           # beta_l integrates to 2 R_CUT, fitting the tail on [R_CUT, 2 R_CUT]
 ROWS_RADIUS, ROWS_N = 5.0, 41   # field_to_rows: [-ROWS_RADIUS, ROWS_RADIUS]^2, ROWS_N per axis
@@ -62,7 +61,7 @@ class PlanarField:
     """Scalar field on the plane given by a vectorised evaluator y -> value.
 
     lap_evaluator, when present, is an exact Laplacian (closed form or via the
-    conformal identity); it spares finite differences in residual checks.
+    conformal identity); planar_residual needs it.
     ring_evaluator, when present, gives the values on the polar grid
     radii x theta directly (see `rings`).
     """
@@ -184,18 +183,11 @@ def to_planar(u: sphere.SphereField, rho: float) -> PlanarField:
 
 
 def planar_residual(v: PlanarField, y: np.ndarray) -> np.ndarray:
-    """Residual lap(v) + (1+|y|^2)^l e^v, exact Laplacian when available."""
+    """Residual lap(v) + (1+|y|^2)^l e^v, from v's exact lap_evaluator."""
     y = np.asarray(y, dtype=float)
-    lap = v.lap_evaluator(y) if v.lap_evaluator is not None else fd_laplacian(v, y, FD_STEP)
+    lap = v.lap_evaluator(y)
     r2 = np.sum(y * y, axis=-1)
     return lap + (1.0 + r2) ** v.l * np.exp(v(y))
-
-
-def fd_laplacian(f, y: np.ndarray, h: float) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    e1 = np.array([h, 0.0])
-    e2 = np.array([0.0, h])
-    return (f(y + e1) + f(y - e1) + f(y + e2) + f(y - e2) - 4.0 * f(y)) / h**2
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,14 @@ def angular_derivative(v, h=1e-4):
     return planar.PlanarField(ev, l=v.l, tag=f"angular derivative of {v.tag}")
 
 
+def fd_laplacian(f, y, h):
+    """Five-point Laplacian of f at the (..., 2) points y, step h."""
+    y = np.asarray(y, dtype=float)
+    e1 = np.array([h, 0.0])
+    e2 = np.array([0.0, h])
+    return (f(y + e1) + f(y - e1) + f(y + e2) + f(y - e2) - 4.0 * f(y)) / h**2
+
+
 def first_eigenpair(g_fn, omega, h):
     """(lambda, eigenvector, node coordinates) at a single resolution."""
     return eigen._solve_on(omega, g_fn, h)

@@ -28,7 +28,6 @@ KNOBS = {
     ("axisym.random_start_1d", "degree"),
     ("cli.main", "argv"),
     ("conformal.probe_two_bubble", "floor"),
-    ("eigen.bol_audit", "glap_fn"),
     ("eigen.bol_audit", "h"),
     ("eigen.zero_eigenvalue_radius", "h"),
     ("errors.NonConvergenceError.__init__", "best"),
