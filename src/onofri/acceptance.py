@@ -314,14 +314,14 @@ def criterion_11(seed, grids):
 def criterion_12(seed, grids):
     rows = []
     for ia, alpha in enumerate((0.5, 0.55, 0.6)):
-        worst = -math.inf
+        lowest = math.inf               # the best start: no start may go below zero
         all_conv = True
         for k in range(20):
             res = axisym.minimize_axisym(alpha, axisym.random_start_1d((seed, 12, ia, k)))
-            worst = max(worst, res.value)
+            lowest = min(lowest, res.value)
             all_conv = all_conv and res.status == "converged"
         rows.append(_row(12, f"alpha_{alpha}", "axisymmetric constrained minimum is zero",
-                         worst, 1e-6, worst >= -1e-6 and all_conv, alpha=float(alpha)))
+                         lowest, 1e-6, lowest >= -1e-6 and all_conv, alpha=float(alpha)))
     g1d = axisym.random_start_1d((seed, 12, 99), degree=6)
     u = axisym.lift(g1d, grids["g32"])
     gap = abs(2.0 * functional.j_alpha(u, 0.77) - axisym.i_functional(g1d, 0.77))

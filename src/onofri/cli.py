@@ -210,6 +210,8 @@ def cmd_beta_curve(cfg):
 def cmd_uniqueness(cfg):
     l = cfg["l"]
     targets = _parse_list(cfg["targets"])
+    if not cfg["s_min"] < cfg["s_max"]:
+        raise UsageError(f"--s-min {cfg['s_min']} must be below --s-max {cfg['s_max']}")
     search = shooting.solutions_at_beta(l, targets, (cfg["s_min"], cfg["s_max"]))
     cert = search.certificate
     rows = []
@@ -289,7 +291,10 @@ def cmd_nodal(cfg):
 def cmd_second_variation(cfg):
     mode = cfg["mode"]
     grid = _grid_for(cfg)
-    rep, target = functional.mode_threshold(grid, mode)
+    try:                                # --L must hold the test mode
+        rep, target = functional.mode_threshold(grid, mode)
+    except GridConfigError as exc:
+        raise UsageError(str(exc)) from exc
     rows = [{
         "claim": "sign change of the quadratic coefficient",
         "mode": mode, "threshold_estimate": rep.threshold_estimate,

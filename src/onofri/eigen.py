@@ -13,11 +13,16 @@ boundary is also exact.
 
 When e^g is constant on every ring of the disk nodes (a radial field, such as
 the Liouville bubble and its +eps|y|^2 perturbation), the disk scheme's ground
-state is the bottom of its m = 0 block, an n_r x n_r tridiagonal problem solved
-directly (see _radial_ground_state).  Rectangles and non-radial fields go
-through shifted inverse iteration on the full 2-D assembly.  Either way the
-eigenpair must meet a residual bound ||(A - lambda M) v||_{M^-1} <= RESIDUAL_TOL
-(1 + |lambda|), or NonConvergenceError carries the residual.
+state is the bottom of its m = 0 block, an n_r x n_r symmetric tridiagonal
+problem (see _radial_ground_state).  A small pure-Python solver handles it
+(_tridiagonal_ground_state): Sturm-count bisection brackets the bottom
+eigenvalue away from the rest of the spectrum, and inverse iteration with a
+Thomas solve, its shift raised by Temple's bound, converges on it from below.
+Rectangles and non-radial fields go through shifted inverse iteration on the
+full 2-D assembly, the only path that loads scipy (scipy.sparse, on first
+use).  Either way the eigenpair must meet a residual bound
+||(A - lambda M) v||_{M^-1} <= RESIDUAL_TOL (1 + |lambda|), or
+NonConvergenceError carries the residual.
 """
 
 from __future__ import annotations
@@ -26,9 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal
 
 from . import quadrature
 from .errors import GridConfigError, NonConvergenceError
@@ -56,6 +58,8 @@ class Rect:
 def _stiffness(faces, diag):
     """Symmetric CSC matrix: -w at (a, b) and (b, a) for every face (a, b, w), diag on
     the diagonal.  No (a, b) pair repeats, so the entry order does not matter."""
+    import scipy.sparse as sp
+
     n = diag.size
     rows, cols, vals = [np.arange(n)], [np.arange(n)], [diag]
     for a, b, w in faces:
@@ -127,7 +131,8 @@ def _assemble_rect(rect: Rect, h: float):
 # its rounding floor measured below 1e-9 on disks up to R = 3 at h = 0.01 and on
 # rectangles at h = 0.005
 RESIDUAL_TOL = 1e-8
-MAX_SWEEPS = 500        # inverse-iteration sweeps before the 2-D path gives up
+MAX_SWEEPS = 500        # inverse-iteration sweeps before a solver gives up
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 
 
 def _residual_norm(r, m) -> float:
@@ -143,6 +148,9 @@ def _smallest_eigenpair(K, m, pot):
     ||(A - lambda M) v||_{M^-1} is at most RESIDUAL_TOL (1 + |lambda|); the Rayleigh
     quotient is then within residual^2 / gap of the eigenvalue.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     M = sp.diags(m)
     A = (K - sp.diags(m * pot)).tocsc()
     sigma = -float(np.max(pot)) - 1.0
@@ -161,6 +169,95 @@ def _smallest_eigenpair(K, m, pot):
     raise NonConvergenceError("inverse iteration did not converge", best=(lam, v), residual=res)
 
 
+def _count_below(d, e2, x: float, pivmin: float) -> int:
+    """Eigenvalues at or below x of the symmetric tridiagonal with diagonal d and
+    squared off-diagonal e2 (led by a zero): the nonpositive pivots of the
+    LDL^T factorisation of T - x (Sturm).  A pivot smaller than pivmin counts
+    as -pivmin, so no division is by zero."""
+    count, q = 0, 1.0
+    for di, ei2 in zip(d, e2):
+        q = di - x - ei2 / q
+        if q < pivmin:
+            count += 1
+            if q > -pivmin:
+                q = -pivmin
+    return count
+
+
+def _shifted_solve(d, e_prev, e_next, sigma: float, x, pivmin: float) -> list:
+    """y with (T - sigma) y = x by Thomas elimination, for the symmetric
+    tridiagonal with diagonal d whose off-diagonal is listed led by a zero
+    (e_prev) and trailed by one (e_next); a pivot smaller than pivmin is
+    lifted to it, as in _count_below."""
+    piv, z = [], []
+    p, zi = 1.0, 0.0
+    for di, ei, xi in zip(d, e_prev, x):
+        l = ei / p
+        p = di - sigma - l * ei
+        if -pivmin < p < pivmin:
+            p = -pivmin
+        zi = xi - l * zi
+        piv.append(p)
+        z.append(zi)
+    y, yi = [], 0.0
+    for pi, zi, ei in zip(reversed(piv), reversed(z), reversed(e_next)):
+        yi = (zi - ei * yi) / pi
+        y.append(yi)
+    y.reverse()
+    return y
+
+
+def _tridiagonal_ground_state(d, e):
+    """Bottom eigenpair (lambda, unit y) of the symmetric tridiagonal with
+    diagonal d and nonzero off-diagonal e.
+
+    Sturm-count bisection from the Gershgorin interval stops at the first
+    bracket [lo, hi] with no eigenvalue at or below lo and exactly one at or
+    below hi.  Inverse iteration shifted to lo then converges on that one
+    from below; each sweep raises lo to Temple's lower bound
+    lambda - res^2 / (hi - lambda) (valid since the second eigenvalue exceeds
+    hi), so the shift closes in on it.  The pair is returned once its residual
+    ||T y - lambda y|| is at most RESIDUAL_TOL (1 + |lambda|) and below
+    hi - lambda: some eigenvalue then lies within the residual of lambda,
+    hence below hi, and the bracket leaves only the bottom one there.
+    """
+    d_list, e_list = d.tolist(), e.tolist()
+    e_prev, e_next = [0.0] + e_list, e_list + [0.0]
+    e2 = [v * v for v in e_prev]
+    radius = np.abs(e_prev) + np.abs(e_next)
+    lo, hi = float(np.min(d - radius)), float(np.max(d + radius))
+    pivmin = _TINY * max(1.0, max(e2))
+    pad = 4.0 * _EPS * max(abs(lo), abs(hi)) + pivmin
+    lo, hi = lo - pad, hi + pad
+    above = len(d_list)
+    while above > 1:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            raise NonConvergenceError("the bottom eigenvalue is not simple")
+        count = _count_below(d_list, e2, mid, pivmin)
+        if count == 0:
+            lo = mid
+        else:
+            hi, above = mid, count
+    x = [1.0] * len(d_list)
+    for _ in range(MAX_SWEEPS):
+        y = np.array(_shifted_solve(d_list, e_prev, e_next, lo, x, pivmin))
+        y /= math.sqrt(float(y @ y))
+        ty = d * y
+        ty[:-1] += e * y[1:]
+        ty[1:] += e * y[:-1]
+        lam = float(y @ ty)
+        r = ty - lam * y
+        res = math.sqrt(float(r @ r))
+        if res <= RESIDUAL_TOL * (1.0 + abs(lam)) and lam + res < hi:
+            return lam, y
+        if lam < hi:
+            lo = max(lo, lam - res * res / (hi - lam))
+        x = y.tolist()
+    raise NonConvergenceError("tridiagonal inverse iteration did not converge",
+                              best=(lam, y), residual=res)
+
+
 def _radial_ground_state(m_ring, w_rad, ring_diag, n_theta: int, pot_ring):
     """Bottom eigenpair of the disk scheme for a potential constant on each ring.
 
@@ -177,10 +274,8 @@ def _radial_ground_state(m_ring, w_rad, ring_diag, n_theta: int, pot_ring):
     off = -n_theta * w_rad
     # M^{-1/2} (K - M diag(pot)) M^{-1/2} is symmetric tridiagonal with the same spectrum
     root = np.sqrt(mass)
-    lam, y = eigh_tridiagonal(diag / mass - pot_ring, off / (root[:-1] * root[1:]),
-                              select="i", select_range=(0, 0))
-    lam = float(lam[0])
-    u = y[:, 0] / root
+    lam, y = _tridiagonal_ground_state(diag / mass - pot_ring, off / (root[:-1] * root[1:]))
+    u = y / root
     u *= math.copysign(1.0, float(np.sum(u)))
     r = (diag - mass * (pot_ring + lam)) * u
     r[:-1] += off * u[1:]

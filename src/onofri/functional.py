@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import conformal, sphere
-from .errors import InvalidFieldError, NonConvergenceError
+from .errors import GridConfigError, InvalidFieldError, NonConvergenceError
 from .sphere import HarmonicSpectrum, SphereField, SphereGrid
 
 
@@ -411,13 +411,20 @@ def second_variation_threshold(v: SphereField, mode: str,
     )
 
 
+# test modes of the second variation: degree, shape in (x1, x2, x3), alpha
+# bracket of the threshold, exact threshold
+_MODES = {"degree2": (2, lambda a, b, c: a * b, (0.25, 0.45), 1.0 / 3.0),
+          "degree1": (1, lambda a, b, c: c, (0.9, 1.1), 1.0)}
+
+
 def mode_threshold(grid: SphereGrid, mode: str) -> tuple[SecondVariationReport, float]:
     """Threshold along x1 x2 ('degree2', exact 1/3) or x3 ('degree1', exact 1),
-    with the exact value; the battery and the CLI share these brackets."""
-    if mode == "degree2":
-        v, bracket, exact = sphere.field_of(grid, lambda a, b, c: a * b), (0.25, 0.45), 1.0 / 3.0
-    elif mode == "degree1":
-        v, bracket, exact = sphere.field_of(grid, lambda a, b, c: c), (0.9, 1.1), 1.0
-    else:
+    with the exact value; the battery and the CLI share these brackets.  A grid
+    whose band limit is below the mode's degree cannot hold the mode and raises
+    GridConfigError."""
+    if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r} (degree1, degree2)")
-    return second_variation_threshold(v, mode, bracket), exact
+    degree, shape, bracket, exact = _MODES[mode]
+    if grid.lmax < degree:
+        raise GridConfigError(f"band limit {grid.lmax} cannot hold the degree-{degree} mode")
+    return second_variation_threshold(sphere.field_of(grid, shape), mode, bracket), exact

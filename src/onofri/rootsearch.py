@@ -316,7 +316,11 @@ def search_curve(curve, beta_targets, s_bracket: tuple[float, float]) -> RootSea
     between them.  Every sign change of beta - target between consecutive
     samples or turning points is refined by safeguarded Newton to ROOT_TOL.
     Stretches with a sample that did not converge are not searched.
+    The bracket must have s_min < s_max: the certificate's slope bounds divide
+    by the sample spacing, and a spacing at or below zero would pass them all.
     """
+    if not s_bracket[0] < s_bracket[1]:
+        raise ValueError(f"bracket {tuple(s_bracket)} is empty or reversed")
     ss = np.linspace(s_bracket[0], s_bracket[1], N_SAMPLES)
     rows = [curve(float(s)) for s in ss]
     verdicts = [row[0] for row in rows]

@@ -129,3 +129,18 @@ def test_run_verify_reuses_its_pass_as_the_forward_pass(monkeypatch):
     assert len(passes) == 2
     assert rows[-1]["criterion"] == 13 and not rows[-1]["passed"]
     assert [r["criterion"] for r in rows[:-1]] == [1, 2, 3]
+
+
+
+def test_criterion_12_reports_the_lowest_start(monkeypatch):
+    """One start below -1e-6 among the twenty of an alpha fails its row, and
+    the row reports that start's value."""
+    from types import SimpleNamespace
+
+    from onofri import axisym
+
+    values = iter([0.01] * 7 + [-1e-3] + [0.01] * 52)
+    monkeypatch.setattr(axisym, "minimize_axisym",
+                        lambda alpha, g0: SimpleNamespace(value=next(values), status="converged"))
+    rows = acceptance.criterion_12(SEED, acceptance.battery_grids())
+    assert [(r["value"], r["passed"]) for r in rows[:3]] == [(-1e-3, False), (0.01, True), (0.01, True)]

@@ -82,6 +82,13 @@ VACUOUS_RUNS = {
     "beta_curve_one_sample": ["beta-curve", "--l", "1", "--n", "1"],
     "bol_audit_zero_mesh": ["bol-audit", "--h", "0"],
     "bol_audit_too_few_rings": ["bol-audit", "--radii", "0.1"],
+    "uniqueness_reversed_bracket": ["uniqueness", "--l", "1", "--targets", "6.0,7.0",
+                                    "--s-min", "6", "--s-max", "2"],
+    "uniqueness_empty_bracket": ["uniqueness", "--l", "1", "--targets", "6.0",
+                                 "--s-min", "5", "--s-max", "5"],
+    "second_variation_L0": ["second-variation", "--L", "0"],
+    "second_variation_L1": ["second-variation", "--L", "1"],
+    "second_variation_degree1_L0": ["second-variation", "--mode", "degree1", "--L", "0"],
 }
 
 

@@ -68,3 +68,18 @@ def test_probe_saturates_at_half(monkeypatch):
     s_hit, trace = conformal.probe_two_bubble(0.5, floor=-1.0)
     assert s_hit is None
     assert min(j for _, j in trace) > -1.0
+
+
+def test_logistic_matches_expit_without_warnings():
+    """The numpy logistic agrees with scipy's expit to rounding on |z| <= 1e3,
+    saturating at 0 and 1 without an overflow warning."""
+    import warnings
+
+    from scipy.special import expit
+
+    z = np.concatenate([np.linspace(-1e3, 1e3, 200001), [-1e3, -40.0, 0.0, 40.0, 1e3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = conformal._logistic(z)
+    assert np.max(np.abs(got - expit(z))) <= 2.5e-16
+    assert got[-5] == 0.0 and got[-3] == 0.5 and got[-1] == 1.0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import jn_zeros
 
 from onofri import eigen, planar
@@ -222,16 +223,40 @@ def test_near_radial_field_agrees_with_radial_block():
 
 def test_radial_residual_is_checked(monkeypatch):
     """A wrong eigenpair from the tridiagonal solver must not pass silently."""
-    inner = eigen.eigh_tridiagonal
+    inner = eigen._tridiagonal_ground_state
 
-    def off_by_one(*args, **kwargs):
-        lam, y = inner(*args, **kwargs)
+    def off_by_one(d, e):
+        lam, y = inner(d, e)
         return lam + 1.0, y
 
-    monkeypatch.setattr(eigen, "eigh_tridiagonal", off_by_one)
+    monkeypatch.setattr(eigen, "_tridiagonal_ground_state", off_by_one)
     with pytest.raises(NonConvergenceError) as info:
         eigen.first_eigenvalue(liouville, eigen.Disk(1.0), 0.04)
     assert info.value.residual == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
+@pytest.mark.parametrize("n", [1, 2, 3, 25, 200])
+def test_tridiagonal_ground_state_matches_lapack(n, scale):
+    """Bottom eigenpair of random symmetric tridiagonals against LAPACK: the
+    eigenvalue within the residual bound, the eigenvector within bound / gap."""
+    rng = np.random.default_rng([n, int(math.log10(scale)) + 10])
+    for _ in range(5):
+        d, e = rng.normal(size=n) * scale, rng.normal(size=n - 1) * scale
+        lam, y = eigen._tridiagonal_ground_state(d, e)
+        w, v = eigh_tridiagonal(d, e)
+        bound = eigen.RESIDUAL_TOL * (1.0 + abs(w[0]))
+        assert abs(lam - w[0]) <= bound
+        assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+        if n > 1:
+            assert np.linalg.norm(y - np.sign(y @ v[:, 0]) * v[:, 0]) <= 2.0 * bound / (w[1] - w[0])
+
+
+def test_tridiagonal_ground_state_refuses_a_double_bottom():
+    """With a zero coupling the bottom eigenvalue can repeat; no bracket then
+    holds exactly one eigenvalue, so no eigenpair is certified."""
+    with pytest.raises(NonConvergenceError):
+        eigen._tridiagonal_ground_state(np.array([1.0, 3.0, 1.0]), np.array([0.0, 0.0]))
 
 
 def test_2d_path_reports_residual_when_iterations_run_out(monkeypatch):

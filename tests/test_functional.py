@@ -5,7 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from onofri import conformal, functional as fn, sphere
-from onofri.errors import InvalidFieldError, NonConvergenceError
+from onofri.errors import GridConfigError, InvalidFieldError, NonConvergenceError
 
 import reference_solvers as ref
 
@@ -606,3 +606,10 @@ def test_alpha_scan_counts_runs_without_a_verdict(grid8, monkeypatch, status, fa
 def test_alpha_scan_open_region_reports(grid16):
     rows = fn.alpha_scan([0.60], trials=2, seed=5, grid=grid16)
     assert len(rows) == 1 and np.isfinite(rows[0]["min_j"])
+
+
+@pytest.mark.parametrize("mode, L", [("degree2", 0), ("degree2", 1), ("degree1", 0)])
+def test_mode_threshold_refuses_a_band_limit_below_the_mode(mode, L):
+    """The mode vanishes on such a grid, and its two quadratic coefficients with it."""
+    with pytest.raises(GridConfigError, match="cannot hold"):
+        fn.mode_threshold(sphere.build_grid(L), mode)

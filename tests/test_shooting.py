@@ -423,6 +423,17 @@ def _synthetic(beta, slope):
     return lambda s: ("converged", beta(s), slope(s), 0.0)
 
 
+@pytest.mark.parametrize("bracket", [(6.0, 2.0), (5.0, 5.0)])
+def test_search_refuses_a_reversed_or_empty_bracket(bracket):
+    """A spacing at or below zero would pass every slope bound of the
+    certificate, so the search refuses the bracket before sampling it."""
+    def curve(s):
+        raise AssertionError("sampled a refused bracket")
+
+    with pytest.raises(ValueError, match="empty or reversed"):
+        rs.search_curve(curve, [6.0], bracket)
+
+
 def test_certificate_rejects_a_hidden_double_root():
     """beta - 5 = cosh(s - 1.25) - 1 touches zero between the samples 1.0 and
     1.5: every sample lies above the target, so sign counting sees no root.
