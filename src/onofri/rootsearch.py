@@ -1,12 +1,16 @@
-"""Root search on a sampled mass curve, with a slope certificate.
+"""Root search on an adaptively sampled mass curve, with a slope certificate.
 
 A curve is a callable s -> (verdict, beta, beta', gap between two estimates
-of beta').  search_curve samples it once on an equally spaced grid shared by
-every target mass, refines the zeros of beta' between samples to turning
-points, certifies from the cubic Hermite interpolant of (beta, beta') and a
-few midpoint check shots that beta is monotone between turning points, and
-refines each root by safeguarded Newton.  shooting.solutions_at_beta runs it
-on radial shots.
+of beta').  search_curve samples it at N_COARSE equally spaced points shared
+by every target mass and refines the zeros of beta' between samples to
+turning points.  It then splits an interval, by shooting its midpoint, while
+the certificate is loose there: the interval's slope margin, the tangent band
+of a turning point at its end, or its Hermite remainder estimate.  The
+midpoint shots are the certificate's check shots.  They join the nodes of the
+cubic Hermite interpolant of (beta, beta'), as do the turning points and the
+Newton iterates of the roots.  The certificate shows that beta is monotone
+between turning points, and each root is refined by safeguarded Newton.
+shooting.solutions_at_beta runs it on radial shots.
 """
 
 from __future__ import annotations
@@ -23,15 +27,16 @@ from .errors import NonConvergenceError
 class Certificate:
     """Shape of one sampled beta-curve and the evidence for it.
 
-    The curve is the piecewise cubic Hermite interpolant P of the samples
+    The curve is the piecewise cubic Hermite interpolant P of the nodes
     (beta, beta').  runs are the stretches between the ends of the converged
-    samples and the turning points (zeros of beta'), as (s_a, s_b, beta_a,
-    beta_b) with shot values at both ends.  When ok, beta is strictly
-    monotone on every run outside the tangent zones: |P'| exceeds the bound
-    on |beta' - P'| there, and inside the zone around a turning point beta
-    stays within the zone's band (lo, hi).  The bounds come from the Hermite
-    remainder, with the fourth derivative of beta estimated from the jumps of
-    P''' and scaled up to the errors seen at the midpoint check shots.
+    samples and the turning points (zeros of beta', each a node), as (s_a,
+    s_b, beta_a, beta_b) with shot values at both ends.  When ok, beta is
+    strictly monotone on every run outside the tangent zones: |P'| exceeds
+    the bound on |beta' - P'| there, and inside the zone around a turning
+    point beta stays within the zone's band (lo, hi).  The bounds come from
+    the Hermite remainder, with the fourth derivative of beta estimated from
+    the jumps of P''' and scaled up to the errors seen at the midpoint check
+    shots.
 
     estimator_gap compares two forms of beta' computed from one Jacobi field
     w = dv/ds, so it checks their quadrature, not the propagation of w: an
@@ -46,8 +51,9 @@ class Certificate:
     margin: float               # smallest |P'| over its bound outside the zones (> 1 when ok)
     slope_error: float          # largest bound on |beta' - P'|
     beta_error: float           # largest bound on |beta - P|
-    estimator_gap: float        # largest gap between the two beta' forms at the samples
+    estimator_gap: float        # largest gap between the two beta' forms at the nodes
     checks: list                # (s, |beta - P|, |beta' - P'|) at each midpoint check shot
+    nodes: list                 # the s of every node of P, ascending
 
     def count(self, target: float):
         """Roots of beta = target that the certified shape predicts; None when
@@ -69,8 +75,8 @@ class RootSearch:
 
     roots: list[list[float]]            # one list per target, in target order
     root_slopes: list[list[float]]      # beta' at each root, same layout
-    beta_range: tuple[float, float]     # min and max beta of the converged samples and turning points
-    unresolved_samples: int             # samples with verdict "unresolved"
+    beta_range: tuple[float, float]     # min and max beta of the converged nodes
+    unresolved_samples: int             # coarse samples with verdict "unresolved"
     certificate: Certificate
 
 
@@ -114,12 +120,26 @@ def _brent(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
                               residual=fcur)
 
 
-N_SAMPLES = 33          # equally spaced samples of a curve
+N_COARSE = 9            # equally spaced samples a curve starts from
 ROOT_TOL = 1e-8         # accuracy in s of the roots and turning points
 BRENT_MAX_ITER = 100    # Brent steps before a refinement gives up
-# Check shots per curve, and the factor between the bounds the certificate
-# uses and the Hermite remainder scaled to the errors the checks see.
+# An interval is split while its slope margin is below MARGIN_GOAL, while a
+# target lies in the band of a turning point at one of its ends, or while its
+# bound on |beta - P| exceeds BETA_GOAL (a twenty-fifth of the 0.25 between
+# the closest target masses of criterion 8); never below 2^-MAX_SPLITS of the
+# coarse spacing.  Until _CHECK_SHOTS splits are made, the interval with the
+# largest remainder estimate is split even when none is loose, so the bounds
+# are always scaled to errors that shots have seen.
+MARGIN_GOAL = 10.0
+BETA_GOAL = 1e-2
+MAX_SPLITS = 4
 _CHECK_SHOTS = 3
+# A Newton iterate joins the nodes unless it would leave a piece narrower
+# than this fraction of the interval it lands in: on a much narrower piece
+# the shot error would swamp P''' and the remainder estimate.
+_JOIN_FRACTION = 0.125
+# Factor between the bounds the certificate uses and the Hermite remainder
+# scaled to the errors the check shots see.
 _SAFETY = 2.0
 # Hermite remainder on an interval of width h: |beta - P| <= M4 h^4 / 384 and
 # |beta' - P'| <= M4 h^3 / (72 sqrt 3), with M4 the largest |beta''''|.
@@ -128,12 +148,12 @@ _SLOPE_REMAINDER = 1.0 / (72.0 * math.sqrt(3.0))
 
 
 class _Hermite:
-    """Piecewise cubic Hermite interpolant P of equally spaced (s, beta, beta')."""
+    """Piecewise cubic Hermite interpolant P of (s, beta, beta') on ascending nodes."""
 
     def __init__(self, ss, beta, slope):
-        self.ss, self.h = ss, float(ss[1] - ss[0])
+        self.ss, self.h = ss, np.diff(ss)
         h = self.h
-        # P = c0 + c1 u + c2 u^2 + c3 u^3 with u = (s - s_i) / h on interval i
+        # P = c0 + c1 u + c2 u^2 + c3 u^3 with u = (s - s_i) / h_i on interval i
         self.c0, self.c1 = beta[:-1], h * slope[:-1]
         self.c2 = 3.0 * (beta[1:] - beta[:-1]) - h * (2.0 * slope[:-1] + slope[1:])
         self.c3 = 2.0 * (beta[:-1] - beta[1:]) + h * (slope[:-1] + slope[1:])
@@ -142,43 +162,51 @@ class _Hermite:
         return min(max(int(np.searchsorted(self.ss, s, side="right")) - 1, 0), len(self.ss) - 2)
 
     def value(self, i: int, s: float) -> float:
-        u = (s - self.ss[i]) / self.h
+        u = (s - self.ss[i]) / self.h[i]
         return float(self.c0[i] + u * (self.c1[i] + u * (self.c2[i] + u * self.c3[i])))
 
     def slope(self, i: int, s: float) -> float:
-        u = (s - self.ss[i]) / self.h
-        return float((self.c1[i] + u * (2.0 * self.c2[i] + 3.0 * u * self.c3[i])) / self.h)
+        u = (s - self.ss[i]) / self.h[i]
+        return float((self.c1[i] + u * (2.0 * self.c2[i] + 3.0 * u * self.c3[i])) / self.h[i])
 
     def slope_levels(self, i: int, level: float) -> list:
         """The s in interval i where P' = level, ascending."""
-        a, b, c = 3.0 * self.c3[i], 2.0 * self.c2[i], self.c1[i] - level * self.h
+        a, b, c = 3.0 * self.c3[i], 2.0 * self.c2[i], self.c1[i] - level * self.h[i]
         if a == 0.0:
             us = [-c / b] if b != 0.0 else []
         else:
             disc = b * b - 4.0 * a * c
             q = -0.5 * (b + math.copysign(math.sqrt(disc), b)) if disc >= 0.0 else None
             us = [] if q is None else sorted([q / a, c / q] if q != 0.0 else [0.0])
-        return [float(self.ss[i] + u * self.h) for u in us if 0.0 <= u <= 1.0]
+        return [float(self.ss[i] + u * self.h[i]) for u in us if 0.0 <= u <= 1.0]
 
     def min_slope(self, i: int, sign: float) -> float:
         """Smallest sign * P' over interval i (P' is quadratic in u)."""
         us = [0.0, 1.0]
         if self.c3[i] != 0.0 and 0.0 < -self.c2[i] / (3.0 * self.c3[i]) < 1.0:
             us.append(-self.c2[i] / (3.0 * self.c3[i]))
-        return min(sign * self.slope(i, float(self.ss[i] + u * self.h)) for u in us)
+        return min(sign * self.slope(i, float(self.ss[i] + u * self.h[i])) for u in us)
 
     def curvature(self, i: int) -> float:
         """Largest |P''| over interval i (P'' is linear)."""
-        return max(abs(2.0 * self.c2[i] + 6.0 * self.c3[i] * u) for u in (0.0, 1.0)) / self.h**2
+        return max(abs(2.0 * self.c2[i] + 6.0 * self.c3[i] * u) for u in (0.0, 1.0)) / self.h[i]**2
 
-    def remainder_scale(self) -> np.ndarray:
-        """M4 h^4 per interval, from the jumps of the piecewise constant P''' at its ends."""
-        jumps = np.abs(np.diff(6.0 * self.c3))
-        return np.maximum(np.concatenate([jumps, [0.0]]), np.concatenate([[0.0], jumps]))
+    def remainder(self) -> tuple[np.ndarray, np.ndarray]:
+        """Estimates of M4 h^4 / 384 and M4 h^3 / (72 sqrt 3) per interval.
+
+        M4 on an interval is the larger of the estimates at its two ends, each
+        the jump of the piecewise constant P''' over the mean width of the two
+        intervals it joins; an end with no interval beyond it (the bracket's,
+        or a sample that did not converge) adds nothing.
+        """
+        h = self.h
+        jumps = np.nan_to_num(2.0 * np.abs(np.diff(6.0 * self.c3 / h**3)) / (h[:-1] + h[1:]))
+        m4 = np.maximum(np.concatenate([jumps, [0.0]]), np.concatenate([[0.0], jumps]))
+        return _BETA_REMAINDER * m4 * h**4, _SLOPE_REMAINDER * m4 * h**3
 
 
 def _converged_stretches(conv) -> list:
-    """Index lists of the maximal stretches of at least two converged samples."""
+    """Index lists of the maximal stretches of at least two converged nodes."""
     out, cur = [], []
     for j, ok in enumerate(conv):
         if ok:
@@ -192,61 +220,107 @@ def _converged_stretches(conv) -> list:
     return out
 
 
-def _certify(herm: _Hermite, beta, slope, gap, shot, turning) -> Certificate:
-    """Certificate for one sampled curve; shot(s) gives (beta, beta') of a real
-    shot, turning the (s, beta) of the zeros of beta' between samples."""
-    ss, h, n = herm.ss, herm.h, len(herm.ss)
-    conv = ~np.isnan(beta)
-    scale = herm.remainder_scale()
-    est_beta, est_slope = _BETA_REMAINDER * scale, _SLOPE_REMAINDER * scale / h
-    est_gap = float(np.max(gap[conv])) if conv.any() else math.nan
-    turn_at = {herm.interval(s): (s, b) for s, b in turning}
-    usable = [i for i in range(n - 1) if conv[i] and conv[i + 1]]
+class _Nodes:
+    """The nodes of one curve, its turning points (nodes too) and its check shots."""
 
-    # the check shots go where |P'| is smallest against its predicted error
-    def tightness(i):
-        low = 0.0 if i in turn_at else max(herm.min_slope(i, 1.0), herm.min_slope(i, -1.0))
-        return est_slope[i] / low if low > 0.0 else math.inf
+    def __init__(self, rows: dict):
+        self.rows = rows                # s -> (beta, beta', gap); nan when not converged
+        self.turning = []               # (s, beta) where beta' = 0
+        self.checks = []                # (s, |beta - P|, |beta' - P'|)
+        self.calib = 1.0                # largest error over its estimate at the checks
 
-    chosen = sorted(sorted(usable, key=lambda i: (-tightness(i), i))[:_CHECK_SHOTS])
-    checks, calib = [], 1.0
-    for i in chosen:
-        m = float(ss[i] + 0.5 * h)
-        b, d = shot(m)
+    def hermite(self):
+        """P on the current nodes, and the node columns beta, beta' and gap."""
+        ss = np.array(sorted(self.rows))
+        beta, slope, gap = np.array([self.rows[s] for s in ss]).T
+        return _Hermite(ss, beta, slope), beta, slope, gap
+
+    def add_turning(self, a: float, b: float, shot) -> None:
+        """Refine the sign change of beta' between the nodes a < b to a turning node."""
+        (_, d_a, _), (_, d_b, _) = self.rows[a], self.rows[b]
+        herm = self.hermite()[0]
+        # the first shot goes to the zero of P', and Brent starts from the
+        # part of the bracket it leaves
+        guess = [x for x in herm.slope_levels(herm.interval(0.5 * (a + b)), 0.0) if a < x < b]
+        if guess:
+            d = shot(guess[0])[1]
+            if d == 0.0:
+                a = b = guess[0]
+            elif (d < 0.0) == (d_a < 0.0):
+                a, d_a = guess[0], d
+            else:
+                b, d_b = guess[0], d
+        s_k = a if a == b else _brent(lambda s: shot(s)[1], a, b, d_a, d_b, ROOT_TOL)
+        self.rows[s_k] = shot(s_k)
+        self.turning = sorted(self.turning + [(s_k, self.rows[s_k][0])])
+
+    def split(self, herm: _Hermite, i: int, shot) -> None:
+        """Shoot the midpoint of interval i as a check shot and make it a node."""
+        m = float(herm.ss[i] + 0.5 * herm.h[i])
+        self.rows[m] = shot(m)
+        b, d, _ = self.rows[m]
         err_b, err_d = abs(b - herm.value(i, m)), abs(d - herm.slope(i, m))
-        checks.append((m, err_b, err_d))
-        for err, est in ((err_b, est_beta[i]), (err_d, est_slope[i])):
-            if err > calib * est:
-                calib = err / est if est > 0.0 else math.inf
-    bound_beta = _SAFETY * calib * est_beta
-    bound_slope = _SAFETY * calib * est_slope + est_gap
+        self.checks.append((m, err_b, err_d))
+        for err, est in zip((err_b, err_d), (est[i] for est in herm.remainder())):
+            if err > self.calib * est:
+                self.calib = err / est if est > 0.0 else math.inf
+
+    def join(self, s: float, row: tuple) -> None:
+        """Make the converged shot at s a node unless a piece would be too narrow."""
+        ss = sorted(self.rows)
+        k = int(np.searchsorted(ss, s))
+        if 0 < k < len(ss) and min(s - ss[k - 1], ss[k] - s) >= _JOIN_FRACTION * (ss[k] - ss[k - 1]):
+            self.rows[s] = row
+
+
+def _certify(nodes: _Nodes, targets) -> tuple[Certificate, dict]:
+    """Certificate on the current nodes, and how tight each usable interval
+    is: its largest ratio of a bound to its goal (above 1 when loose)."""
+    herm, beta, slope, gap = nodes.hermite()
+    ss, n = herm.ss, len(herm.ss)
+    conv = ~np.isnan(slope)
+    est_beta, est_slope = herm.remainder()
+    est_gap = float(np.max(gap[conv])) if conv.any() else math.nan
+    bound_beta = _SAFETY * nodes.calib * est_beta
+    bound_slope = _SAFETY * nodes.calib * est_slope + est_gap
+    turn_at = {int(np.searchsorted(ss, s)): s for s, _ in nodes.turning}
+    usable = [i for i in range(n - 1) if conv[i] and conv[i + 1]]
+    tight = {i: float(bound_beta[i]) / BETA_GOAL for i in usable}
 
     reasons, bands, margin, flat = [], [], math.inf, []
     if not conv.all():
         reasons.append(f"{int(n - conv.sum())} samples not converged")
-    if np.any(slope[conv] == 0.0):
-        reasons.append("beta' vanishes at a sample")
+    if any(slope[j] == 0.0 for j in range(n) if conv[j] and j not in turn_at):
+        reasons.append("beta' vanishes at a node")
     for i in usable:
+        if i in turn_at or i + 1 in turn_at:
+            continue
         delta = float(bound_slope[i])
-        if i not in turn_at:
-            low = herm.min_slope(i, 1.0 if slope[i] > 0.0 else -1.0)
-            margin = min(margin, low / delta if delta > 0.0 else math.inf)
-            if not low > delta:
-                flat.append(i)
+        low = herm.min_slope(i, 1.0 if slope[i] > 0.0 else -1.0)
+        ratio = low / delta if delta > 0.0 else math.inf
+        margin = min(margin, ratio)
+        if not low > delta:
+            flat.append(i)
+        tight[i] = max(tight[i], MARGIN_GOAL / ratio if ratio > 0.0 else math.inf)
+    for j, s_k in sorted(turn_at.items()):
+        # the zone |P'| <= delta around the turning node j enters in interval
+        # j - 1 and leaves in interval j, crossing each level once
+        rise = 1.0 if slope[j + 1] > 0.0 else -1.0
+        enter = herm.slope_levels(j - 1, -rise * float(bound_slope[j - 1]))
+        leave = herm.slope_levels(j, rise * float(bound_slope[j]))
+        if slope[j - 1] * rise >= 0.0 or len(enter) != 1 or len(leave) != 1:
+            reasons.append(f"no single tangent zone around s = {s_k:.9g}")
+            tight[j - 1] = tight[j] = math.inf
             continue
-        # turning interval: |P'| <= delta on one stretch only, the tangent zone
-        s_k, b_k = turn_at[i]
-        rise = 1.0 if slope[i + 1] > 0.0 else -1.0
-        enter, leave = herm.slope_levels(i, -rise * delta), herm.slope_levels(i, rise * delta)
-        if len(enter) != 1 or len(leave) != 1 or not enter[0] < s_k < leave[0]:
-            reasons.append(f"no single tangent zone on [{ss[i]:.4g}, {ss[i + 1]:.4g}]")
-            continue
-        zone = enter + leave + [x for x in herm.slope_levels(i, 0.0) if enter[0] < x < leave[0]]
-        values = [herm.value(i, x) for x in zone]
-        band = (min(values) - float(bound_beta[i]), max(values) + float(bound_beta[i]))
-        if not band[0] <= b_k <= band[1]:
-            reasons.append(f"turning value {b_k:.9g} outside its band")
+        zone = ([(j - 1, enter[0]), (j, s_k), (j, leave[0])]
+                + [(j - 1, x) for x in herm.slope_levels(j - 1, 0.0) if enter[0] < x]
+                + [(j, x) for x in herm.slope_levels(j, 0.0) if x < leave[0]])
+        values = [herm.value(i, x) for i, x in zone]
+        width = float(max(bound_beta[j - 1], bound_beta[j]))
+        band = (min(values) - width, max(values) + width)
         bands.append(band)
+        if any(band[0] <= t <= band[1] for t in targets):
+            tight[j - 1] = tight[j] = math.inf
 
     if flat:
         reasons.append(f"|P'| within its error bound on {len(flat)} intervals, "
@@ -254,15 +328,17 @@ def _certify(herm: _Hermite, beta, slope, gap, shot, turning) -> Certificate:
     runs = []
     for stretch in _converged_stretches(conv):
         s_lo, s_hi = ss[stretch[0]], ss[stretch[-1]]
-        cuts = ([(float(ss[stretch[0]]), float(beta[stretch[0]]))]
-                + [tp for tp in turning if s_lo < tp[0] < s_hi]
-                + [(float(ss[stretch[-1]]), float(beta[stretch[-1]]))])
+        cuts = ([(float(s_lo), float(beta[stretch[0]]))]
+                + [tp for tp in nodes.turning if s_lo < tp[0] < s_hi]
+                + [(float(s_hi), float(beta[stretch[-1]]))])
         runs += [(a[0], b[0], a[1], b[1]) for a, b in zip(cuts[:-1], cuts[1:])]
-    return Certificate(ok=not reasons, reason="; ".join(reasons), runs=runs,
-                       turning_points=list(turning), bands=bands, margin=float(margin),
+    cert = Certificate(ok=not reasons, reason="; ".join(reasons), runs=runs,
+                       turning_points=list(nodes.turning), bands=bands, margin=float(margin),
                        slope_error=float(np.max(bound_slope, initial=0.0)),
                        beta_error=float(np.max(bound_beta, initial=0.0)),
-                       estimator_gap=est_gap, checks=checks)
+                       estimator_gap=est_gap, checks=list(nodes.checks),
+                       nodes=[float(s) for s in ss])
+    return cert, tight
 
 
 def _newton(shot, herm: _Hermite, target: float, a: float, b: float, fa: float, fb: float,
@@ -287,7 +363,7 @@ def _newton(shot, herm: _Hermite, target: float, a: float, b: float, fa: float, 
             hi = mid
     x, curvature = 0.5 * (lo + hi), herm.curvature(i)
     for _ in range(8):
-        beta, d = shot(x)
+        beta, d, _ = shot(x)
         f = beta - target
         if f == 0.0:
             return x, d
@@ -310,59 +386,100 @@ def search_curve(curve, beta_targets, s_bracket: tuple[float, float]) -> RootSea
 
     curve(s) returns (verdict, beta, beta', gap between two estimates of
     beta'); beta and beta' are read only when the verdict is "converged".
-    The curve is sampled once at N_SAMPLES equally spaced points shared by
-    all targets.  Sign changes of beta' between samples are refined by Brent
-    to turning points, and the certificate checks that beta is monotone
-    between them.  Every sign change of beta - target between consecutive
-    samples or turning points is refined by safeguarded Newton to ROOT_TOL.
+    The curve is sampled at N_COARSE equally spaced points shared by all
+    targets.  Sign changes of beta' between nodes are refined by Brent to
+    turning points, and loose intervals are split by midpoint check shots
+    until the certificate is tight (see MARGIN_GOAL).  Every sign change of
+    beta - target between consecutive nodes is refined by safeguarded Newton
+    to ROOT_TOL from the interpolant before the Newton iterates join the
+    nodes, so the roots of one target do not depend on the others unless a
+    target lies in a tangent band, which refines the band's intervals.
     Stretches with a sample that did not converge are not searched.
     The bracket must have s_min < s_max: the certificate's slope bounds divide
-    by the sample spacing, and a spacing at or below zero would pass them all.
+    by the node spacing, and a spacing at or below zero would pass them all.
     """
     if not s_bracket[0] < s_bracket[1]:
         raise ValueError(f"bracket {tuple(s_bracket)} is empty or reversed")
-    ss = np.linspace(s_bracket[0], s_bracket[1], N_SAMPLES)
-    rows = [curve(float(s)) for s in ss]
-    verdicts = [row[0] for row in rows]
-    beta = np.array([row[1] if row[0] == "converged" else math.nan for row in rows])
-    slope = np.array([row[2] if row[0] == "converged" else math.nan for row in rows])
-    gap = np.array([row[3] if row[0] == "converged" else math.nan for row in rows])
-    seen = {float(s): (float(b), float(d)) for s, b, d in zip(ss, beta, slope) if not math.isnan(b)}
+    coarse = np.linspace(s_bracket[0], s_bracket[1], N_COARSE)
+    samples = [curve(float(s)) for s in coarse]
+    unresolved = sum(1 for row in samples if row[0] == "unresolved")
+    nodes = _Nodes({float(s): tuple(row[1:]) if row[0] == "converged" else (math.nan,) * 3
+                    for s, row in zip(coarse, samples)})
+    seen = {s: row for s, row in nodes.rows.items() if not math.isnan(row[0])}
 
     def shot(s: float):
         if s not in seen:
-            verdict, b, d, _ = curve(s)
+            verdict, b, d, g = curve(s)
             if verdict != "converged":
                 raise NonConvergenceError(f"shot at s={s} is {verdict} inside a converged bracket",
                                           best=s)
-            seen[s] = (b, d)
+            seen[s] = (b, d, g)
         return seen[s]
 
-    turning = []
-    for i in range(N_SAMPLES - 1):
-        if slope[i] * slope[i + 1] < 0.0:
-            s_k = _brent(lambda s: shot(s)[1], float(ss[i]), float(ss[i + 1]),
-                         float(slope[i]), float(slope[i + 1]), ROOT_TOL)
-            turning.append((s_k, shot(s_k)[0]))
-    herm = _Hermite(ss, beta, slope)
-    cert = _certify(herm, beta, slope, gap, shot, turning)
+    def find_turning():
+        """A turning node for every sign change of beta' between two nodes."""
+        ss = sorted(nodes.rows)
+        turning = {s for s, _ in nodes.turning}
+        for a, b in zip(ss[:-1], ss[1:]):
+            if nodes.rows[a][1] * nodes.rows[b][1] < 0.0 and not {a, b} & turning:
+                nodes.add_turning(a, b, shot)
 
-    roots, root_slopes = [], []
-    for target in beta_targets:
-        found = {}
-        for s_a, s_b, _, _ in cert.runs:
-            nodes = [s_a] + [float(s) for s in ss if s_a < s < s_b] + [s_b]
-            for x0, x1 in zip(nodes[:-1], nodes[1:]):
-                f0, f1 = seen[x0][0] - target, seen[x1][0] - target
-                for x, f in ((x0, f0), (x1, f1)):
-                    if f == 0.0:
-                        found[x] = seen[x][1]
-                if f0 * f1 < 0.0:
-                    x, d = _newton(shot, herm, target, x0, x1, f0, f1, ROOT_TOL)
-                    found[x] = d
-        roots.append(sorted(found))
-        root_slopes.append([found[x] for x in sorted(found)])
-    values = np.concatenate([beta[~np.isnan(beta)], [b for _, b in turning]])
-    beta_range = (float(values.min()), float(values.max())) if values.size else (math.nan, math.nan)
+    finest = (s_bracket[1] - s_bracket[0]) / (N_COARSE - 1) / 2**MAX_SPLITS
+
+    def refine():
+        """Split loose intervals until none is left; the certificate and P."""
+        while True:
+            cert, tight = _certify(nodes, beta_targets)
+            herm = nodes.hermite()[0]
+            est_beta = herm.remainder()[0]
+            splittable = [i for i in tight if herm.h[i] > 1.5 * finest]
+            loose = [i for i in splittable if tight[i] > 1.0]
+            if loose:
+                i = min(loose, key=lambda i: (-tight[i], i))
+            elif len(nodes.checks) < _CHECK_SHOTS and splittable:
+                i = min(splittable, key=lambda i: (-est_beta[i], i))
+            else:
+                return cert, herm
+            nodes.split(herm, i, shot)
+            find_turning()
+
+    def newton_roots(cert, herm):
+        """Roots per target and beta' at them, and the s of every Newton shot."""
+        roots, root_slopes, iterates = [], [], set()
+
+        def newton_shot(s: float):
+            iterates.add(s)
+            return shot(s)
+
+        for target in beta_targets:
+            found = {}
+            for s_a, s_b, _, _ in cert.runs:
+                run = [float(s) for s in herm.ss if s_a <= s <= s_b]
+                for x0, x1 in zip(run[:-1], run[1:]):
+                    f0, f1 = seen[x0][0] - target, seen[x1][0] - target
+                    for x, f in ((x0, f0), (x1, f1)):
+                        if f == 0.0:
+                            found[x] = seen[x][1]
+                    if f0 * f1 < 0.0:
+                        x, d = _newton(newton_shot, herm, target, x0, x1, f0, f1, ROOT_TOL)
+                        found[x] = d
+            roots.append(sorted(found))
+            root_slopes.append([found[x] for x in sorted(found)])
+        return roots, root_slopes, iterates
+
+    find_turning()
+    cert, herm = refine()
+    while True:
+        turning = list(nodes.turning)
+        roots, root_slopes, iterates = newton_roots(cert, herm)
+        # the Newton iterates join the nodes; the refinement they may call for
+        # changes the roots only if it finds another turning point
+        for s in sorted(iterates):
+            nodes.join(s, seen[s])
+        cert, herm = refine()
+        if nodes.turning == turning:
+            break
+    values = [row[0] for row in nodes.rows.values() if not math.isnan(row[0])]
+    beta_range = (min(values), max(values)) if values else (math.nan, math.nan)
     return RootSearch(roots=roots, root_slopes=root_slopes, beta_range=beta_range,
-                      unresolved_samples=verdicts.count("unresolved"), certificate=cert)
+                      unresolved_samples=unresolved, certificate=cert)

@@ -20,6 +20,20 @@ import numpy as np
 from .errors import GridConfigError, InvalidFieldError
 
 
+def _recurrence_coefficients(lmax: int) -> tuple[list, list]:
+    """a(l, m) and b(l, m) of the three-term recurrence, as lists indexed [m][l].
+
+    p_{l,m} = a(l, m) (mu p_{l-1,m} - b(l, m) p_{l-2,m}) for l >= m + 2; each
+    entry is rounded as the scalar formula rounds it.
+    """
+    l = np.arange(lmax + 1, dtype=float)
+    m = l[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+        b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+    return a.tolist(), b.tolist()
+
+
 def _latitude_blocks(lmax: int, mu: np.ndarray):
     """Latitude factors of the dw-orthonormal real basis, one order m at a time.
 
@@ -27,12 +41,14 @@ def _latitude_blocks(lmax: int, mu: np.ndarray):
     e_{l,-m} = q_{l,m}(mu) sin(m phi) for m >= 1, where q_{l,0} = sqrt(2) p_{l,0},
     q_{l,m} = 2 p_{l,m} and p_{l,m} are the associated Legendre functions
     orthonormal on L2(d mu), from the standard stable three-term recurrence (no
-    Condon-Shortley phase).  Yields (m, block), block of shape
-    (lmax + 1 - m, len(mu)) holding rows l = m .. lmax; every block is a view
-    of one (lmax + 1, len(mu)) buffer that the next order overwrites.
+    Condon-Shortley phase) with its coefficients tabulated once per call.
+    Yields (m, block), block of shape (lmax + 1 - m, len(mu)) holding rows
+    l = m .. lmax; every block is a view of one (lmax + 1, len(mu)) buffer
+    that the next order overwrites.
     """
     mu = np.asarray(mu, dtype=float)
     sin_t = np.sqrt(np.clip(1.0 - mu * mu, 0.0, None))
+    coef_a, coef_b = _recurrence_coefficients(lmax)
     buf = np.empty((lmax + 1, mu.size))
     tmp = np.empty(mu.size)
     pmm = np.full_like(mu, 1.0 / np.sqrt(2.0))
@@ -41,15 +57,14 @@ def _latitude_blocks(lmax: int, mu: np.ndarray):
         block[0] = pmm
         if m + 1 <= lmax:
             np.multiply(np.sqrt(2.0 * m + 3.0) * mu, pmm, out=block[1])
+        a_m, b_m = coef_a[m], coef_b[m]
         for l in range(m + 2, lmax + 1):
-            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
             # a * (mu * p_{l-1} - b * p_{l-2}) in place, rounding as written
             row = block[l - m]
-            np.multiply(b, block[l - m - 2], out=tmp)
+            np.multiply(b_m[l], block[l - m - 2], out=tmp)
             np.multiply(mu, block[l - m - 1], out=row)
             row -= tmp
-            row *= a
+            row *= a_m[l]
         block *= np.sqrt(2.0) if m == 0 else 2.0
         yield m, block
         if m < lmax:

@@ -3,8 +3,9 @@ read one exponential per step, and a counter of the exponentials a descent makes
 and the test-only maps the package itself does not call: the constant sphere
 field, the sphere tilt of a whole field, the two-bubble family on a grid, the
 stereographic projection (and the PoleError it raises at the pole), the planar
-angular derivative, the eigenpair of one resolution, and the breadth-first
-flood fill the nodal labelling replaced.
+angular derivative, the eigenpair of one resolution, the breadth-first
+flood fill the nodal labelling replaced, and the latitude recurrence with
+its coefficients computed row by row.
 
 Each accepted step here exponentiates the field separately for the tilt's
 first moments, the unit-mass shift, the value and the gradient, and the
@@ -330,3 +331,42 @@ def _flood_fill_reference(signs):
                         labels[a, b] = current
                         queue.append((a, b))
     return labels, current
+
+
+def latitude_blocks(lmax: int, mu: np.ndarray):
+    """Latitude factors of the dw-orthonormal real basis, one order m at a time.
+
+    Basis: e_{l,0} = q_{l,0}(mu);  e_{l,m} = q_{l,m}(mu) cos(m phi) and
+    e_{l,-m} = q_{l,m}(mu) sin(m phi) for m >= 1, where q_{l,0} = sqrt(2) p_{l,0},
+    q_{l,m} = 2 p_{l,m} and p_{l,m} are the associated Legendre functions
+    orthonormal on L2(d mu), from the standard stable three-term recurrence (no
+    Condon-Shortley phase).  Yields (m, block), block of shape
+    (lmax + 1 - m, len(mu)) holding rows l = m .. lmax; every block is a view
+    of one (lmax + 1, len(mu)) buffer that the next order overwrites.
+
+    sphere._latitude_blocks as it was before it tabulated a(l, m) and b(l, m):
+    two scalar square roots per degree row.
+    """
+    mu = np.asarray(mu, dtype=float)
+    sin_t = np.sqrt(np.clip(1.0 - mu * mu, 0.0, None))
+    buf = np.empty((lmax + 1, mu.size))
+    tmp = np.empty(mu.size)
+    pmm = np.full_like(mu, 1.0 / np.sqrt(2.0))
+    for m in range(lmax + 1):
+        block = buf[: lmax + 1 - m]
+        block[0] = pmm
+        if m + 1 <= lmax:
+            np.multiply(np.sqrt(2.0 * m + 3.0) * mu, pmm, out=block[1])
+        for l in range(m + 2, lmax + 1):
+            a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+            # a * (mu * p_{l-1} - b * p_{l-2}) in place, rounding as written
+            row = block[l - m]
+            np.multiply(b, block[l - m - 2], out=tmp)
+            np.multiply(mu, block[l - m - 1], out=row)
+            row -= tmp
+            row *= a
+        block *= np.sqrt(2.0) if m == 0 else 2.0
+        yield m, block
+        if m < lmax:
+            pmm = sin_t * np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * pmm

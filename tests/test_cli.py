@@ -295,6 +295,8 @@ def test_uniqueness_counts_two_profiles_at_l2(tmp_path):
     assert [row["n_roots"] for row in rep["rows"]] == [0, 2, 1]
     assert all(row["passed"] and row["n_roots"] == row["predicted_roots"] for row in rep["rows"])
     assert all(row["near_tangent"] == [] and row["certificate"]["ok"] for row in rep["rows"])
+    cert = rep["rows"][0]["certificate"]
+    assert cert["nodes"] == sorted(cert["nodes"]) and cert["turning_points"][0][0] in cert["nodes"]
 
 
 def test_bol_audit_no_violation(tmp_path):

@@ -176,7 +176,7 @@ def test_shared_curve_shot_budget_and_no_state(monkeypatch):
         search = sh.solutions_at_beta(1.0, SHARED_TARGETS, (-6.0, 10.0))
         n_roots = sum(len(r) for r in search.roots)
         assert n_roots >= 1
-        assert len(calls) <= 33 + rs._CHECK_SHOTS + 2 * n_roots
+        assert len(calls) <= rs.N_COARSE + rs._CHECK_SHOTS + 2 * n_roots
         counts.append(len(calls))
     assert counts[0] == counts[1]
 
@@ -193,9 +193,9 @@ def test_shared_curve_skips_unresolved_samples(monkeypatch):
     converged stretch, finds there the root a bracket ending at 26 finds,
     and none for a mass that only the unresolved samples reach."""
     targets = [4.0002, 4.000005]
-    monkeypatch.setattr(rs, "N_SAMPLES", 17)
+    monkeypatch.setattr(rs, "N_COARSE", 17)
     cut = sh.solutions_at_beta(1.0, targets, (18.0, 34.0))
-    monkeypatch.setattr(rs, "N_SAMPLES", 9)
+    monkeypatch.setattr(rs, "N_COARSE", 9)
     full = sh.solutions_at_beta(1.0, targets, (18.0, 26.0))
     assert cut.unresolved_samples == 8 and full.unresolved_samples == 0
     assert len(full.roots[0]) == 1 and cut.roots[0] == full.roots[0]
@@ -220,14 +220,30 @@ def test_quintic_mass_rule_is_sixth_order():
     assert error(16) >= 40.0 * error(32) > 0.0
 
 
+# the l and s range of the curves workload
+CURVES_GRID = [(l, float(s)) for l in (0.0, 0.5, 1.0, 2.0) for s in np.linspace(-5.0, 8.0, 14)]
+
+
 def test_steps_per_shot_over_the_curves_grid():
-    """Accepted plus rejected steps per shot on the l and s range of the curves workload."""
+    """Accepted plus rejected steps per shot."""
     steps = []
-    for l in (0.0, 0.5, 1.0, 2.0):
-        for s in np.linspace(-5.0, 8.0, 14):
-            sol = sh.shoot(l, float(s))
-            steps.append(len(sol.r_grid) - 1 + sol.rejected_steps)
-    assert np.median(steps) <= 250
+    for l, s in CURVES_GRID:
+        sol = sh.shoot(l, s)
+        steps.append(len(sol.r_grid) - 1 + sol.rejected_steps)
+    assert np.median(steps) <= 190
+
+
+def test_outer_step_cap_bounds_the_far_field_error(monkeypatch):
+    """The v error is measured against tol, not tol (1 + |v|), so the large
+    |V| of the log-radial leg does not loosen the step there, and a step cap
+    of 1.0 keeps the far field as accurate as the old cap of 0.12 did: against
+    tol = 1e-13 with a cap of 0.01, beta_mass is within 7e-10 (1.04e-9 under
+    the relative norm) and c_asym within 2e-9 over the grid."""
+    shots = [sh.shoot(l, s) for l, s in CURVES_GRID]
+    monkeypatch.setattr(sh, "_HMAX_OUTER", 0.01)
+    refs = [sh.shoot(l, s, tol=1e-13) for l, s in CURVES_GRID]
+    assert max(abs(a.beta_mass - b.beta_mass) for a, b in zip(shots, refs)) <= 7e-10
+    assert max(abs(a.c_asym - b.c_asym) for a, b in zip(shots, refs)) <= 2e-9
 
 
 def test_brent_matches_closed_form_root():
@@ -280,7 +296,7 @@ def _rk_reference(f, x0, v0, p0, x1, tol, h0, store_x, store_v, store_p, hmax=np
             k.append(f(x + _CK_C[i] * h, *yi))
         e0 = h * sum(_CK_ERR[i] * k[i][0] for i in range(6))
         e1 = h * sum(_CK_ERR[i] * k[i][1] for i in range(6))
-        sc0 = tol * (1.0 + abs(y[0]))
+        sc0 = tol
         sc1 = tol * (1.0 + abs(y[1]))
         err = max(abs(e0) / sc0, abs(e1) / sc1)
         if err <= 1.0:
@@ -382,7 +398,7 @@ def test_unreached_far_field_is_unresolved(l, s):
 
 
 def test_root_search_counts_unresolved_samples(monkeypatch):
-    monkeypatch.setattr(rs, "N_SAMPLES", 4)
+    monkeypatch.setattr(rs, "N_COARSE", 4)
     search = sh.solutions_at_beta(1.0, [4.0001], (30.0, 38.0))
     assert search.unresolved_samples == 4
     assert search.roots == [[]]
@@ -450,23 +466,41 @@ def test_certificate_rejects_a_hidden_double_root():
 
 
 def test_certificate_rejects_a_wiggle_the_checks_see():
-    """A bump of width 0.05 at s = 0.75, a midpoint of the samples, turns beta
-    up and back down: beta = 5.9 then has three roots, and sign counting
-    sees one.  The samples do not show the bump, but the check shot at the
-    tightest interval does, and the error bound it sets swallows the margins."""
+    """A bump of width 0.05 at s = 3, the midpoint of the coarse samples 2 and
+    4, turns beta up and back down: beta = 5.78 then has three roots, and
+    the coarse samples show one sign change.  The check shot the refinement
+    makes at s = 3 sees the bump, and the error bound it sets swallows the
+    margins: refinement down to the finest spacing brackets all three roots
+    but cannot certify the shape between them."""
     def bump(s):
-        return 0.05 * math.exp(-((s - 0.75) / 0.05) ** 2)
+        return 0.05 * math.exp(-((s - 3.0) / 0.05) ** 2)
 
     smooth = (lambda s: 6.0 - 0.2 * math.atan(s), lambda s: -0.2 / (1.0 + s * s))
-    clean = rs.search_curve(_synthetic(*smooth), [5.9], (-6.0, 10.0))
-    assert clean.certificate.ok and clean.certificate.count(5.9) == 1
-    assert 0.75 in [check[0] for check in clean.certificate.checks]
+    clean = rs.search_curve(_synthetic(*smooth), [5.78], (-6.0, 10.0))
+    assert clean.certificate.ok and clean.certificate.count(5.78) == 1
+    assert 3.0 in [check[0] for check in clean.certificate.checks]
     bumped = rs.search_curve(_synthetic(lambda s: smooth[0](s) + bump(s),
-                                        lambda s: smooth[1](s) - 800.0 * (s - 0.75) * bump(s)),
-                             [5.9], (-6.0, 10.0))
-    assert [smooth[0](s) + bump(s) > 5.9 for s in (0.6, 0.72, 0.9)] == [False, True, False]
-    assert len(bumped.roots[0]) == 1
-    assert not bumped.certificate.ok and bumped.certificate.count(5.9) is None
+                                        lambda s: smooth[1](s) - 800.0 * (s - 3.0) * bump(s)),
+                             [5.78], (-6.0, 10.0))
+    assert [smooth[0](s) + bump(s) > 5.78 for s in (2.85, 3.0, 3.15)] == [False, True, False]
+    assert [smooth[0](s) > 5.78 for s in np.linspace(-6.0, 10.0, rs.N_COARSE)].count(True) == 4
+    assert len(bumped.roots[0]) == 3
+    assert not bumped.certificate.ok and bumped.certificate.count(5.78) is None
+
+
+def test_refinement_meets_its_goals():
+    """beta = 5 + e^{s/2} passes the margin goal from the coarse samples on,
+    but not the goal on |beta - P| near s = 10: midpoint shots refine there
+    until the bound is met, and every shot joins the nodes."""
+    curve = _synthetic(lambda s: 5.0 + math.exp(0.5 * s), lambda s: 0.5 * math.exp(0.5 * s))
+    search = rs.search_curve(curve, [5.0 + math.exp(0.65)], (-6.0, 10.0))
+    cert = search.certificate
+    assert search.roots == [[pytest.approx(1.3, abs=1e-8)]]
+    assert cert.ok and cert.margin >= rs.MARGIN_GOAL and cert.beta_error <= rs.BETA_GOAL
+    assert len(cert.checks) > rs._CHECK_SHOTS
+    coarse = np.linspace(-6.0, 10.0, rs.N_COARSE).tolist()
+    assert cert.nodes == sorted(cert.nodes)
+    assert set(coarse + [check[0] for check in cert.checks]) <= set(cert.nodes)
 
 
 def test_stationary_mass_has_two_profiles_only_below_alpha_half():
@@ -486,6 +520,7 @@ def test_l2_rows_find_two_profiles_below_4l_and_one_above():
     s_min, beta_min = cert.turning_points[0]
     assert beta_min == pytest.approx(7.352, abs=1e-3) and s_min == pytest.approx(4.68, abs=1e-2)
     assert [len(r) for r in search.roots] == [cert.count(t) for t in targets] == [0, 2, 2, 1, 1]
+    assert s_min in cert.nodes and cert.margin >= rs.MARGIN_GOAL
 
 
 def test_criterion_8_fails_when_the_weight_exponent_flips(monkeypatch):
@@ -510,5 +545,6 @@ def test_criterion_8_shot_count(monkeypatch):
         calls.clear()
         rows = acceptance.criterion_8(acceptance.DEFAULT_SEED, None)
         assert all(row["passed"] for row in rows)
+        assert all(row["certificate"]["margin"] >= rs.MARGIN_GOAL for row in rows if "certificate" in row)
         counts.append(len(calls))
-    assert counts[0] == counts[1] <= 150
+    assert counts[0] == counts[1] <= 65

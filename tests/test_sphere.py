@@ -262,6 +262,18 @@ def test_latitude_blocks_match_reference_rows():
 
 
 @pytest.mark.parametrize("lmax", [8, 16, 32, 64])
+def test_tabulated_recurrence_keeps_the_tables(monkeypatch, lmax):
+    """Tabulating a(l, m) and b(l, m) leaves basis_mu and the streamed
+    blocks byte-identical to the recurrence that computes them per row."""
+    grid = sphere.build_grid(lmax)
+    mu = np.random.default_rng(lmax).uniform(-1.0, 1.0, 64)
+    blocks = [block.copy() for _, block in sphere._latitude_blocks(lmax, mu)]
+    monkeypatch.setattr(sphere, "_latitude_blocks", ref.latitude_blocks)
+    assert grid.basis_mu.tobytes() == sphere.build_grid(lmax).basis_mu.tobytes()
+    assert all(b.tobytes() == r.tobytes() for b, (_, r) in zip(blocks, ref.latitude_blocks(lmax, mu)))
+
+
+@pytest.mark.parametrize("lmax", [8, 16, 32, 64])
 def test_evaluate_matches_loop_reference(lmax):
     rng = np.random.default_rng(lmax)
     mu = np.concatenate([[-1.0, 1.0, -1.0, 1.0], rng.uniform(-1.0, 1.0, 400)])
