@@ -322,22 +322,25 @@ def _checked(kind, test, text: str):
     return number
 
 
+_POSITIVE = _checked(float, lambda x: 0.0 < x < math.inf, "positive and finite")
+_NONNEGATIVE = _checked(float, lambda x: 0.0 <= x < math.inf, "nonnegative and finite")
+
 # Every run flag: its type (or its choices) and what it sets.
 FLAGS = {
-    "alpha": (float, "weight of the Dirichlet energy in J_alpha, 1 / rho"),
-    "rho": (float, "the planar equation's rho, 1 / alpha"),
+    "alpha": (_POSITIVE, "weight of the Dirichlet energy in J_alpha, 1 / rho"),
+    "rho": (_POSITIVE, "the planar equation's rho, 1 / alpha"),
     "seed": (int, "seed of the random streams"),
     "L": (int, "band limit of the sphere grid"),
     "n_mu": (int, "latitude nodes of the sphere grid, 2 L when not given"),
     "alphas": (str, "comma-separated alpha values"),
     "trials": (_checked(int, lambda k: k >= 1, "at least 1"), "random starts per alpha"),
-    "l": (float, "exponent of the weight (1+r^2)^l"),
+    "l": (_NONNEGATIVE, "exponent of the weight (1+r^2)^l"),
     "s": (float, "start value v(0) of the radial profile"),
     "s_min": (float, "lowest start value"),
     "s_max": (float, "highest start value"),
     "n": (_checked(int, lambda k: k >= 2, "at least 2"), "number of equally spaced start values"),
     "r_max": (float, "radius where the closed-form tail takes over"),
-    "tol": (float, "tolerance of the adaptive integrator"),
+    "tol": (_POSITIVE, "tolerance of the adaptive integrator"),
     "targets": (str, "comma-separated target masses beta"),
     "floor": (float, "level the two-bubble probe must cross when alpha < 1/2"),
     "case": (tuple(planar.audit_fields()), "audited field"),

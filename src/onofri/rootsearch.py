@@ -6,11 +6,12 @@ by every target mass and refines the zeros of beta' between samples to
 turning points.  It then splits an interval, by shooting its midpoint, while
 the certificate is loose there: the interval's slope margin, the tangent band
 of a turning point at its end, or its Hermite remainder estimate.  The
-midpoint shots are the certificate's check shots.  They join the nodes of the
-cubic Hermite interpolant of (beta, beta'), as do the turning points and the
-Newton iterates of the roots.  The certificate shows that beta is monotone
-between turning points, and each root is refined by safeguarded Newton.
-shooting.solutions_at_beta runs it on radial shots.
+midpoint shots are the certificate's check shots.  The samples, the check
+shots and the turning points are the nodes of the cubic Hermite interpolant
+of (beta, beta').  The certificate shows that beta is monotone between
+turning points, and each root is then refined once by safeguarded Newton;
+its shots do not change the nodes.  shooting.solutions_at_beta runs it on
+radial shots.
 """
 
 from __future__ import annotations
@@ -134,10 +135,6 @@ MARGIN_GOAL = 10.0
 BETA_GOAL = 1e-2
 MAX_SPLITS = 4
 _CHECK_SHOTS = 3
-# A Newton iterate joins the nodes unless it would leave a piece narrower
-# than this fraction of the interval it lands in: on a much narrower piece
-# the shot error would swamp P''' and the remainder estimate.
-_JOIN_FRACTION = 0.125
 # Factor between the bounds the certificate uses and the Hermite remainder
 # scaled to the errors the check shots see.
 _SAFETY = 2.0
@@ -254,32 +251,27 @@ class _Nodes:
         self.rows[s_k] = shot(s_k)
         self.turning = sorted(self.turning + [(s_k, self.rows[s_k][0])])
 
-    def split(self, herm: _Hermite, i: int, shot) -> None:
-        """Shoot the midpoint of interval i as a check shot and make it a node."""
+    def split(self, herm: _Hermite, remainder, i: int, shot) -> None:
+        """Shoot the midpoint of interval i as a check shot and make it a node;
+        remainder is herm.remainder()."""
         m = float(herm.ss[i] + 0.5 * herm.h[i])
         self.rows[m] = shot(m)
         b, d, _ = self.rows[m]
         err_b, err_d = abs(b - herm.value(i, m)), abs(d - herm.slope(i, m))
         self.checks.append((m, err_b, err_d))
-        for err, est in zip((err_b, err_d), (est[i] for est in herm.remainder())):
+        for err, est in zip((err_b, err_d), (est[i] for est in remainder)):
             if err > self.calib * est:
                 self.calib = err / est if est > 0.0 else math.inf
 
-    def join(self, s: float, row: tuple) -> None:
-        """Make the converged shot at s a node unless a piece would be too narrow."""
-        ss = sorted(self.rows)
-        k = int(np.searchsorted(ss, s))
-        if 0 < k < len(ss) and min(s - ss[k - 1], ss[k] - s) >= _JOIN_FRACTION * (ss[k] - ss[k - 1]):
-            self.rows[s] = row
 
-
-def _certify(nodes: _Nodes, targets) -> tuple[Certificate, dict]:
-    """Certificate on the current nodes, and how tight each usable interval
-    is: its largest ratio of a bound to its goal (above 1 when loose)."""
+def _certify(nodes: _Nodes, targets) -> tuple[Certificate, dict, _Hermite, tuple]:
+    """Certificate on the current nodes; how tight each usable interval is,
+    its largest ratio of a bound to its goal (above 1 when loose); and the
+    interpolant P with its remainder estimates."""
     herm, beta, slope, gap = nodes.hermite()
     ss, n = herm.ss, len(herm.ss)
     conv = ~np.isnan(slope)
-    est_beta, est_slope = herm.remainder()
+    est_beta, est_slope = remainder = herm.remainder()
     est_gap = float(np.max(gap[conv])) if conv.any() else math.nan
     bound_beta = _SAFETY * nodes.calib * est_beta
     bound_slope = _SAFETY * nodes.calib * est_slope + est_gap
@@ -301,7 +293,10 @@ def _certify(nodes: _Nodes, targets) -> tuple[Certificate, dict]:
         margin = min(margin, ratio)
         if not low > delta:
             flat.append(i)
-        tight[i] = max(tight[i], MARGIN_GOAL / ratio if ratio > 0.0 else math.inf)
+        # |P'| within MARGIN_GOAL estimator gaps of zero cannot clear the goal
+        # at any width, since the gap is part of every slope bound
+        if low > MARGIN_GOAL * est_gap:
+            tight[i] = max(tight[i], MARGIN_GOAL / ratio if ratio > 0.0 else math.inf)
     for j, s_k in sorted(turn_at.items()):
         # the zone |P'| <= delta around the turning node j enters in interval
         # j - 1 and leaves in interval j, crossing each level once
@@ -338,7 +333,7 @@ def _certify(nodes: _Nodes, targets) -> tuple[Certificate, dict]:
                        beta_error=float(np.max(bound_beta, initial=0.0)),
                        estimator_gap=est_gap, checks=list(nodes.checks),
                        nodes=[float(s) for s in ss])
-    return cert, tight
+    return cert, tight, herm, remainder
 
 
 def _newton(shot, herm: _Hermite, target: float, a: float, b: float, fa: float, fb: float,
@@ -346,22 +341,14 @@ def _newton(shot, herm: _Hermite, target: float, a: float, b: float, fa: float, 
     """Root of beta = target in [a, b], with f = beta - target and f(a) f(b) < 0.
 
     Safeguarded Newton on real shots from the root of the Hermite
-    interpolant; it stops once the quadratic-convergence bound
-    max|P''| dx^2 / (2 |beta'|) on the next iterate's error is below tol, and
-    falls back to Brent when a step leaves the bracket.  Returns the root and
-    beta' at the last shot.
+    interpolant (Brent on P to 1e-3 tol); it stops once the
+    quadratic-convergence bound max|P''| dx^2 / (2 |beta'|) on the next
+    iterate's error is below tol, and falls back to Brent on shots when a step
+    leaves the bracket.  Returns the root and beta' at the last shot.
     """
     i = herm.interval(0.5 * (a + b))
-    lo, hi = a, b
-    flo = herm.value(i, lo) - target
-    while hi - lo > 1e-3 * tol:                 # bisection on the cubic for the start
-        mid = 0.5 * (lo + hi)
-        fmid = herm.value(i, mid) - target
-        if (fmid < 0.0) == (flo < 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    x, curvature = 0.5 * (lo + hi), herm.curvature(i)
+    x = _brent(lambda s: herm.value(i, s) - target, a, b, fa, fb, 1e-3 * tol)
+    curvature = herm.curvature(i)
     for _ in range(8):
         beta, d, _ = shot(x)
         f = beta - target
@@ -386,12 +373,12 @@ def search_curve(curve, beta_targets, s_bracket: tuple[float, float]) -> RootSea
 
     curve(s) returns (verdict, beta, beta', gap between two estimates of
     beta'); beta and beta' are read only when the verdict is "converged".
-    The curve is sampled at N_COARSE equally spaced points shared by all
-    targets.  Sign changes of beta' between nodes are refined by Brent to
-    turning points, and loose intervals are split by midpoint check shots
-    until the certificate is tight (see MARGIN_GOAL).  Every sign change of
-    beta - target between consecutive nodes is refined by safeguarded Newton
-    to ROOT_TOL from the interpolant before the Newton iterates join the
+    One pass: the curve is sampled at N_COARSE equally spaced points shared
+    by all targets, sign changes of beta' between nodes are refined by Brent
+    to turning points, and loose intervals are split by midpoint check shots
+    until the certificate is tight (see MARGIN_GOAL).  Then every sign change
+    of beta - target between consecutive nodes is refined by safeguarded
+    Newton to ROOT_TOL from the interpolant.  The Newton shots do not become
     nodes, so the roots of one target do not depend on the others unless a
     target lies in a tangent band, which refines the band's intervals.
     Stretches with a sample that did not converge are not searched.
@@ -424,61 +411,37 @@ def search_curve(curve, beta_targets, s_bracket: tuple[float, float]) -> RootSea
             if nodes.rows[a][1] * nodes.rows[b][1] < 0.0 and not {a, b} & turning:
                 nodes.add_turning(a, b, shot)
 
+    # split loose intervals, never below 2^-MAX_SPLITS of the coarse spacing
     finest = (s_bracket[1] - s_bracket[0]) / (N_COARSE - 1) / 2**MAX_SPLITS
-
-    def refine():
-        """Split loose intervals until none is left; the certificate and P."""
-        while True:
-            cert, tight = _certify(nodes, beta_targets)
-            herm = nodes.hermite()[0]
-            est_beta = herm.remainder()[0]
-            splittable = [i for i in tight if herm.h[i] > 1.5 * finest]
-            loose = [i for i in splittable if tight[i] > 1.0]
-            if loose:
-                i = min(loose, key=lambda i: (-tight[i], i))
-            elif len(nodes.checks) < _CHECK_SHOTS and splittable:
-                i = min(splittable, key=lambda i: (-est_beta[i], i))
-            else:
-                return cert, herm
-            nodes.split(herm, i, shot)
-            find_turning()
-
-    def newton_roots(cert, herm):
-        """Roots per target and beta' at them, and the s of every Newton shot."""
-        roots, root_slopes, iterates = [], [], set()
-
-        def newton_shot(s: float):
-            iterates.add(s)
-            return shot(s)
-
-        for target in beta_targets:
-            found = {}
-            for s_a, s_b, _, _ in cert.runs:
-                run = [float(s) for s in herm.ss if s_a <= s <= s_b]
-                for x0, x1 in zip(run[:-1], run[1:]):
-                    f0, f1 = seen[x0][0] - target, seen[x1][0] - target
-                    for x, f in ((x0, f0), (x1, f1)):
-                        if f == 0.0:
-                            found[x] = seen[x][1]
-                    if f0 * f1 < 0.0:
-                        x, d = _newton(newton_shot, herm, target, x0, x1, f0, f1, ROOT_TOL)
-                        found[x] = d
-            roots.append(sorted(found))
-            root_slopes.append([found[x] for x in sorted(found)])
-        return roots, root_slopes, iterates
-
     find_turning()
-    cert, herm = refine()
     while True:
-        turning = list(nodes.turning)
-        roots, root_slopes, iterates = newton_roots(cert, herm)
-        # the Newton iterates join the nodes; the refinement they may call for
-        # changes the roots only if it finds another turning point
-        for s in sorted(iterates):
-            nodes.join(s, seen[s])
-        cert, herm = refine()
-        if nodes.turning == turning:
+        cert, tight, herm, remainder = _certify(nodes, beta_targets)
+        splittable = [i for i in tight if herm.h[i] > 1.5 * finest]
+        loose = [i for i in splittable if tight[i] > 1.0]
+        if loose:
+            i = min(loose, key=lambda i: (-tight[i], i))
+        elif len(nodes.checks) < _CHECK_SHOTS and splittable:
+            i = min(splittable, key=lambda i: (-remainder[0][i], i))
+        else:
             break
+        nodes.split(herm, remainder, i, shot)
+        find_turning()
+
+    roots, root_slopes = [], []
+    for target in beta_targets:
+        found = {}
+        for s_a, s_b, _, _ in cert.runs:
+            run = [float(s) for s in herm.ss if s_a <= s <= s_b]
+            for x0, x1 in zip(run[:-1], run[1:]):
+                f0, f1 = seen[x0][0] - target, seen[x1][0] - target
+                for x, f in ((x0, f0), (x1, f1)):
+                    if f == 0.0:
+                        found[x] = seen[x][1]
+                if f0 * f1 < 0.0:
+                    x, d = _newton(shot, herm, target, x0, x1, f0, f1, ROOT_TOL)
+                    found[x] = d
+        roots.append(sorted(found))
+        root_slopes.append([found[x] for x in sorted(found)])
     values = [row[0] for row in nodes.rows.values() if not math.isnan(row[0])]
     beta_range = (min(values), max(values)) if values else (math.nan, math.nan)
     return RootSearch(roots=roots, root_slopes=root_slopes, beta_range=beta_range,

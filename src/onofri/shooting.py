@@ -14,11 +14,12 @@ like beta t there.  Two mass estimates are formed along independent paths:
   above the integrator's fifth, so the adaptive steps chosen for the ODE
   tolerance also resolve the mass and no step cap serves the quadrature.
 
-Their agreement is the accuracy certificate for a shot.  beta_prime
-differentiates both estimators in s along the Jacobi field w = dv/ds, which
-it integrates after the shot on the shot's own nodes; solutions_at_beta
-hands shots with (beta, beta') to rootsearch.search_curve, which samples the
-mass curve adaptively.
+Their agreement is the accuracy certificate for a shot.  The shot keeps the
+weights it sums for beta_mass; beta_prime differentiates both estimators in s
+along the Jacobi field w = dv/ds, which it integrates after the shot on the
+shot's own nodes and those weights.  solutions_at_beta hands shots with
+(beta, beta') to rootsearch.search_curve, which samples the mass curve
+adaptively.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import NonConvergenceError
 from .rootsearch import RootSearch, search_curve
 
 
-def _rk_adaptive(f, x0, v, p, x1, tol, h0, store_x, store_v, store_p, hmax=np.inf):
+def _rk_adaptive(f, x0, v, p, x1, tol, h0, store_x, store_v, store_p, hmax):
     """Cash-Karp 5(4) embedded pair for the 2-state system (v, p)' = f(x, v, p).
 
     One flat scalar step with the six stages unrolled; every stage sum keeps
@@ -42,8 +43,8 @@ def _rk_adaptive(f, x0, v, p, x1, tol, h0, store_x, store_v, store_p, hmax=np.in
     -beta t to about -100, and a v error relative to |V| would loosen the step
     where the far field builds c_asym and the W the analytic tail starts
     from.  Accepted nodes are appended to store_x/v/p.  Returns
-    (v, p, rejected_steps).  hmax caps the step size; shoot sets it on the
-    log-radial leg only.
+    (v, p, rejected_steps).  hmax caps the step size: infinite on the inner
+    leg, _HMAX_OUTER on the log-radial leg.
     """
     # tableau (Cash & Karp 1990); the zero weights b2, b5 and e2 are omitted
     c2, c3, c4, c5, c6 = 1.0 / 5.0, 3.0 / 10.0, 3.0 / 5.0, 1.0, 7.0 / 8.0
@@ -109,10 +110,10 @@ class RadialSolution:
     rejected_steps: int     # accepted steps are len(r_grid) - 1
     inner: tuple            # accepted nodes (r, v, v') of the leg in r, from r0 to 1
     outer: tuple            # accepted nodes (t, V, W = dV/dt) of the leg in t = log r
-
-    @property
-    def beta(self) -> float:
-        return self.beta_mass
+    # (c, cq, q, qq): c = (1+r^2)^l e^v on the inner leg and q = r^2 c on the
+    # outer leg, at the nodes and at the three Gauss nodes of every interval
+    # (shape (3, intervals)); beta_mass sums them and beta_prime reads them
+    weights: tuple
 
 
 # three-point Gauss-Legendre rule on [0, 1]
@@ -150,20 +151,6 @@ def _hermite_at(basis: np.ndarray, x: np.ndarray, v: np.ndarray, dv: np.ndarray,
     # about 0.25 MB of peak RSS in a process that only shoots
     return sum(b * node for b, node in zip(basis, (
         v[:-1], h * dv[:-1], h2 * d2v[:-1], v[1:], h * dv[1:], h2 * d2v[1:])))
-
-
-def _gauss3_hermite_mass(x: np.ndarray, v: np.ndarray, dv: np.ndarray, d2v: np.ndarray,
-                         integrand) -> float:
-    """Integral of integrand(x, v(x)) using quintic Hermite interpolation of v.
-
-    x, v, dv, d2v are node arrays with dv and d2v the first and second
-    derivatives of v in the x variable; three-point Gauss per stored interval.
-    Interpolation and rule are both sixth order in the node spacing.
-    """
-    h = np.diff(x)
-    vq = _hermite_at(_GAUSS3_QUINTIC, x, v, dv, d2v)
-    xq = x[:-1] + _GAUSS3_NODES[:, None] * h            # (Gauss node, interval)
-    return float(np.sum(_GAUSS3_WEIGHTS[:, None] * h * integrand(xq, vq)))
 
 
 def _weight(l, r, v):
@@ -215,28 +202,27 @@ def _integrate(l: float, s: float, r_max: float, tol: float) -> RadialSolution:
     vs = [s + a2 * r0**2 + a4 * r0**4]
     ps = [2.0 * a2 * r0 + 4.0 * a4 * r0**3]
     v, p, rejected = _rk_adaptive(f_inner, r0, vs[0], ps[0], 1.0, tol, min(1e-3, r0),
-                                  rs, vs, ps)
+                                  rs, vs, ps, math.inf)
 
-    t_max = math.log(r_max)
     log1p = math.log1p
     two_l2 = 2.0 + 2.0 * l
 
     def f_outer(t, v, w):
         return w, -exp(two_l2 * t + l * log1p(exp(-2.0 * t)) + v)
 
+    # the leg ends at r_max, or is extended in steps of 10 in t while the
+    # decay rate has not cleanly emerged (slow saturation toward beta = 2l+2
+    # happens for strongly negative or large s)
     ts, Vs, Ws = [0.0], [v], [p]       # W = r v' = v' at r = 1
-    V_end, W_end, rej = _rk_adaptive(f_outer, 0.0, v, p, t_max, tol, 1e-2, ts, Vs, Ws,
-                                     hmax=_HMAX_OUTER)
-    rejected += rej
-
-    # extend when the decay rate has not cleanly emerged at r_max (slow
-    # saturation toward beta = 2l+2 happens for strongly negative or large s)
-    t_cap = max(t_max, 60.0)
-    while -(2.0 + 2.0 * l + W_end) <= 0.1 and ts[-1] < t_cap:
-        t_next = min(ts[-1] + 10.0, t_cap)
+    V_end, W_end = v, p
+    t_next = math.log(r_max)
+    t_cap = max(t_next, 60.0)
+    while ts[-1] < t_next:
         V_end, W_end, rej = _rk_adaptive(f_outer, ts[-1], V_end, W_end, t_next, tol, 1e-2,
-                                         ts, Vs, Ws, hmax=_HMAX_OUTER)
+                                         ts, Vs, Ws, _HMAX_OUTER)
         rejected += rej
+        if -(2.0 + 2.0 * l + W_end) <= 0.1:
+            t_next = min(ts[-1] + 10.0, t_cap)
     t_max = ts[-1]
 
     r_in, v_in, p_in = np.asarray(rs), np.asarray(vs), np.asarray(ps)
@@ -256,11 +242,17 @@ def _integrate(l: float, s: float, r_max: float, tol: float) -> RadialSolution:
     tail = 2.0 * q_end / (settled + rate) if rate > 0.0 else settled - rate
     beta_slope = -W_end + tail
 
+    # the mass integrands at the Gauss nodes, with v from its quintic Hermite
+    # interpolant (v'' from the ODE at the nodes)
+    h_in, h_out = np.diff(r_in), np.diff(t_out)
+    rq = r_in[:-1] + _GAUSS3_NODES[:, None] * h_in
+    c, q = _weight(l, r_in, v_in), _q(l, t_out, v_out)
+    cq = _weight(l, rq, _hermite_at(_GAUSS3_QUINTIC, r_in, v_in, p_in, -p_in / r_in - c))
+    qq = _q(l, t_out[:-1] + _GAUSS3_NODES[:, None] * h_out,
+            _hermite_at(_GAUSS3_QUINTIC, t_out, v_out, w_out, -q))
     mass = es * (r0**2 / 2.0 + (l + a2) * r0**4 / 4.0)
-    mass += _gauss3_hermite_mass(r_in, v_in, p_in, -p_in / r_in - _weight(l, r_in, v_in),
-                                 lambda r, v: _weight(l, r, v) * r)
-    mass += _gauss3_hermite_mass(t_out, v_out, w_out, -_q(l, t_out, v_out),
-                                 lambda t, v: _q(l, t, v))
+    mass += float(np.sum(_GAUSS3_WEIGHTS[:, None] * h_in * (cq * rq)))
+    mass += float(np.sum(_GAUSS3_WEIGHTS[:, None] * h_out * qq))
     beta_mass = mass + tail
     c_asym = (V_end + beta_slope * t_max + 2.0 * math.log1p(tail / (settled + rate))
               if rate > 0.0 else math.nan)
@@ -275,7 +267,8 @@ def _integrate(l: float, s: float, r_max: float, tol: float) -> RadialSolution:
     return RadialSolution(l=l, s=s, r_grid=r_grid, values=values,
                           beta_mass=float(beta_mass), beta_slope=float(beta_slope),
                           c_asym=float(c_asym), verdict=verdict, rejected_steps=rejected,
-                          inner=(r_in, v_in, p_in), outer=(t_out, v_out, w_out))
+                          inner=(r_in, v_in, p_in), outer=(t_out, v_out, w_out),
+                          weights=(c, cq, q, qq))
 
 
 # Butcher matrix of the three-stage Gauss collocation method (order 6) on the
@@ -324,8 +317,8 @@ def beta_prime(sol: RadialSolution) -> tuple[float, float]:
     The Jacobi field w = dv/ds solves w'' + w'/r + (1+r^2)^l e^v w = 0 with
     w(0) = 1, w'(0) = 0 on the inner leg and Y'' = -q Y (Y = w in t = log r)
     on the outer leg.  It is integrated after the shot, on the shot's own
-    accepted nodes, by Gauss collocation with v at the Gauss nodes from the
-    quintic Hermite interpolant of the mass rule (both sixth order).  The two
+    accepted nodes, by Gauss collocation with the weights the shot's mass rule
+    formed at the Gauss nodes (sol.weights; both sixth order).  The two
     forms differentiate the two mass estimators: -Y'(t_max) plus the
     derivative of the closed-form tail, and the series term plus the quintic
     Hermite quadrature of (1+r^2)^l e^v w r and q Y plus the same tail
@@ -334,18 +327,16 @@ def beta_prime(sol: RadialSolution) -> tuple[float, float]:
     if sol.verdict != "converged":
         raise ValueError(f"beta_prime needs a converged shot, not {sol.verdict!r}")
     l = sol.l
-    r, v, p = sol.inner
-    t, V, W = sol.outer
+    r, _, _ = sol.inner
+    t, _, W = sol.outer
     es = math.exp(sol.s)
     a2 = -es / 4.0
     da4 = -es * (l + 2.0 * a2) / 16.0        # d/ds of the series' r^4 coefficient
     r0 = float(r[0])
 
-    c, q = _weight(l, r, v), _q(l, t, V)
+    c, cq, q, qq = sol.weights
     h_in, h_out = np.diff(r), np.diff(t)
     rq = r[:-1] + _GAUSS3_NODES[:, None] * h_in
-    cq = _weight(l, rq, _hermite_at(_GAUSS3_QUINTIC, r, v, p, -p / r - c))
-    qq = _q(l, t[:-1] + _GAUSS3_NODES[:, None] * h_out, _hermite_at(_GAUSS3_QUINTIC, t, V, W, -q))
     # one chain through both legs: at r = 1, Y = w and dY/dt = r w' = w'
     w, z = _jacobi_at_nodes(np.concatenate([h_in, h_out]), np.concatenate([cq, qq], axis=1),
                             np.concatenate([1.0 / rq, np.zeros_like(qq)], axis=1),

@@ -89,6 +89,13 @@ VACUOUS_RUNS = {
     "second_variation_L0": ["second-variation", "--L", "0"],
     "second_variation_L1": ["second-variation", "--L", "1"],
     "second_variation_degree1_L0": ["second-variation", "--mode", "degree1", "--L", "0"],
+    "axisym_negative_alpha": ["axisym", "--alpha", "-0.5"],
+    "shoot_negative_tol": ["shoot", "--l", "1", "--s", "2", "--tol", "-1"],
+    "minimize_zero_alpha": ["minimize", "--alpha", "0"],
+    "minimize_zero_rho": ["minimize", "--rho", "0"],
+    "minimize_nan_alpha": ["minimize", "--alpha", "nan"],
+    "el_check_zero_alpha": ["el-check", "--alpha", "0"],
+    "nodal_zero_rho": ["nodal", "--rho", "0"],
 }
 
 
@@ -177,7 +184,8 @@ KEY_COMMAND = {"seed": "axisym", "alpha": "axisym", "determinism": "verify",
                "mode": "second-variation"}
 
 
-@pytest.mark.parametrize("line", ["seed = 1.5", "alpha = x", "determinism = maybe", "mode = degree3"])
+@pytest.mark.parametrize("line", ["seed = 1.5", "alpha = x", "alpha = 0", "determinism = maybe",
+                                  "mode = degree3"])
 def test_unparsable_config_value(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")

@@ -46,7 +46,6 @@ KNOBS = {
     ("planar.nodal_domains", "disk_radius"),
     ("planar.nodal_domains", "mass_density"),
     ("planar.nodal_domains", "rho"),
-    ("shooting._rk_adaptive", "hmax"),
     ("shooting.beta_curve", "r_max"),
     ("shooting.shoot", "r_max"),
     ("shooting.shoot", "tol"),

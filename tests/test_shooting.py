@@ -181,6 +181,24 @@ def test_shared_curve_shot_budget_and_no_state(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_flat_curve_stops_splitting_at_the_estimator_gap(monkeypatch):
+    """At l = 0 the curve is beta = 4 and beta' is noise at the estimator gap
+    (about 2e-12): no split can lift |P'| to MARGIN_GOAL gaps, so the search
+    does not split down to the finest spacing for the margin, and the
+    certificate stays unproven."""
+    calls = []
+    real_shoot = sh.shoot
+
+    def counting_shoot(*args, **kw):
+        calls.append(args)
+        return real_shoot(*args, **kw)
+
+    monkeypatch.setattr(sh, "shoot", counting_shoot)
+    search = sh.solutions_at_beta(0.0, [4.5], (-6.0, 10.0))
+    assert len(calls) <= 60
+    assert not search.certificate.ok and search.roots == [[]]
+
+
 def test_shared_curve_reports_beta_range():
     search = sh.solutions_at_beta(2.0, [5.0, 6.0, 7.0], (-6.0, 10.0))
     lo, hi = search.beta_range
@@ -205,15 +223,19 @@ def test_shared_curve_skips_unresolved_samples(monkeypatch):
 
 
 def test_quintic_mass_rule_is_sixth_order():
-    """Bubble v = log 8 - 2 log(1 + r^2) with exact v, v', v'' on uniform nodes."""
+    """Bubble v = log 8 - 2 log(1 + r^2) with exact v, v', v'' on uniform
+    nodes: the quintic Hermite interpolant at the Gauss nodes and the
+    three-point rule that _integrate sums, on the inner leg's integrand e^v r."""
     def v(r):
         return math.log(8.0) - 2.0 * np.log1p(r * r)
 
     def error(n):
         r = np.linspace(0.0, 3.0, n + 1)
-        mass = sh._gauss3_hermite_mass(r, v(r), -4.0 * r / (1.0 + r * r),
-                                       -4.0 * (1.0 - r * r) / (1.0 + r * r) ** 2,
-                                       lambda r, v: np.exp(v) * r)
+        h = np.diff(r)
+        vq = sh._hermite_at(sh._GAUSS3_QUINTIC, r, v(r), -4.0 * r / (1.0 + r * r),
+                            -4.0 * (1.0 - r * r) / (1.0 + r * r) ** 2)
+        rq = r[:-1] + sh._GAUSS3_NODES[:, None] * h
+        mass = float(np.sum(sh._GAUSS3_WEIGHTS[:, None] * h * (np.exp(vq) * rq)))
         return abs(mass - 4.0 * 9.0 / 10.0)
 
     assert error(8) >= 40.0 * error(16) > 0.0
@@ -257,7 +279,7 @@ def test_integrator_step_budget_raises_typed_error(monkeypatch):
     monkeypatch.setattr(sh, "MAX_STEPS", 3)
     with pytest.raises(NonConvergenceError) as info:
         sh._rk_adaptive(lambda x, v, p: (p, -v), 0.0, vs[0], ps[0], 10.0, 1e-10, 1e-3,
-                        xs, vs, ps)
+                        xs, vs, ps, math.inf)
     assert 0.0 < info.value.best < 10.0
     assert info.value.best == xs[-1]
 
@@ -279,7 +301,7 @@ _CK_ERR = (-277.0 / 64512.0, 0.0, 6925.0 / 370944.0, -6925.0 / 202752.0,
            -277.0 / 14336.0, 277.0 / 7084.0)
 
 
-def _rk_reference(f, x0, v0, p0, x1, tol, h0, store_x, store_v, store_p, hmax=np.inf):
+def _rk_reference(f, x0, v0, p0, x1, tol, h0, store_x, store_v, store_p, hmax):
     x = x0
     y = [v0, p0]
     h = min(h0, hmax)
@@ -491,7 +513,8 @@ def test_certificate_rejects_a_wiggle_the_checks_see():
 def test_refinement_meets_its_goals():
     """beta = 5 + e^{s/2} passes the margin goal from the coarse samples on,
     but not the goal on |beta - P| near s = 10: midpoint shots refine there
-    until the bound is met, and every shot joins the nodes."""
+    until the bound is met.  The nodes are the coarse samples, the check
+    shots and the turning points; the Newton shots of the root are not."""
     curve = _synthetic(lambda s: 5.0 + math.exp(0.5 * s), lambda s: 0.5 * math.exp(0.5 * s))
     search = rs.search_curve(curve, [5.0 + math.exp(0.65)], (-6.0, 10.0))
     cert = search.certificate
@@ -500,7 +523,8 @@ def test_refinement_meets_its_goals():
     assert len(cert.checks) > rs._CHECK_SHOTS
     coarse = np.linspace(-6.0, 10.0, rs.N_COARSE).tolist()
     assert cert.nodes == sorted(cert.nodes)
-    assert set(coarse + [check[0] for check in cert.checks]) <= set(cert.nodes)
+    assert set(cert.nodes) == set(coarse + [check[0] for check in cert.checks]
+                                  + [tp[0] for tp in cert.turning_points])
 
 
 def test_stationary_mass_has_two_profiles_only_below_alpha_half():
