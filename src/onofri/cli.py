@@ -75,7 +75,8 @@ def read_config_file(path: str, command: str) -> dict:
 
 def _run_config(args: argparse.Namespace) -> dict:
     """The run parameters of the command; --alpha and --rho complete each other
-    under rho * alpha = 1 where the command takes both."""
+    under rho * alpha = 1 where the command takes both, and the completed value
+    takes its own flag's check."""
     flags = COMMAND_FLAGS[args.command]
     cfg = {key: getattr(args, key) for key in flags}
     if "alpha" in flags and "rho" in flags:
@@ -83,10 +84,12 @@ def _run_config(args: argparse.Namespace) -> dict:
         if alpha is not None and rho is not None:
             if abs(alpha * rho - 1.0) > 1e-12:
                 raise UsageError(f"alpha = {alpha} and rho = {rho} violate rho * alpha = 1")
-        elif alpha is not None:
-            cfg["rho"] = 1.0 / alpha
-        elif rho is not None:
-            cfg["alpha"] = 1.0 / rho
+        elif alpha is not None or rho is not None:
+            key, other = ("rho", "alpha") if alpha is not None else ("alpha", "rho")
+            try:
+                cfg[key] = FLAGS[key][0](1.0 / cfg[other])
+            except argparse.ArgumentTypeError as exc:
+                raise UsageError(f"{key} = 1 / {other}: {exc}") from exc
     for key, default in flags.items():
         if isinstance(default, Required) and cfg[key] is None:
             raise UsageError(f"missing required parameter --{key.replace('_', '-')}")
@@ -100,10 +103,7 @@ def _run_config(args: argparse.Namespace) -> dict:
 
 def _grid_for(cfg):
     """The sphere grid of --L and --n-mu; records the latitude count it used."""
-    try:
-        grid = sphere.build_grid(cfg["L"], n_mu=cfg["n_mu"])
-    except GridConfigError as exc:
-        raise UsageError(str(exc)) from exc
+    grid = sphere.build_grid(cfg["L"], n_mu=cfg["n_mu"])
     cfg["n_mu"] = grid.n_mu
     return grid
 
@@ -257,12 +257,9 @@ def cmd_axisym(cfg):
 def cmd_bol_audit(cfg):
     case = cfg["case"]
     g_fn = planar.audit_fields()[case]
-    try:                                # --radii and --h set the eigen meshes
-        audits = eigen.bol_audit(g_fn, eigen.Disk(3.0),
-                                 [eigen.Disk(r) for r in _parse_list(cfg["radii"])],
-                                 glap_fn=g_fn.lap_evaluator, h=cfg["h"])
-    except GridConfigError as exc:
-        raise UsageError(str(exc)) from exc
+    audits = eigen.bol_audit(g_fn, eigen.Disk(3.0),
+                             [eigen.Disk(r) for r in _parse_list(cfg["radii"])],
+                             glap_fn=g_fn.lap_evaluator, h=cfg["h"])
     rows = [{
         "claim": "nonpositive first eigenvalue forces mass over 4 pi",
         "case": case, "domain": a.domain, "lambda1": a.lambda1, "mass": a.mass,
@@ -291,10 +288,7 @@ def cmd_nodal(cfg):
 def cmd_second_variation(cfg):
     mode = cfg["mode"]
     grid = _grid_for(cfg)
-    try:                                # --L must hold the test mode
-        rep, target = functional.mode_threshold(grid, mode)
-    except GridConfigError as exc:
-        raise UsageError(str(exc)) from exc
+    rep, target = functional.mode_threshold(grid, mode)
     rows = [{
         "claim": "sign change of the quadratic coefficient",
         "mode": mode, "threshold_estimate": rep.threshold_estimate,
@@ -442,7 +436,7 @@ def main(argv=None) -> int:
             log.info("wrote %s", args.csv)
         print(f"{args.command}: verdict={verdict} rows={len(rows)} elapsed={rep['elapsed_s']:.2f}s")
         return EXIT_MATH if verdict == "fail" else EXIT_OK
-    except UsageError as exc:
+    except (UsageError, GridConfigError) as exc:     # grids are set by flags
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001

@@ -362,7 +362,7 @@ def domain_mass(g_fn, omega) -> float:
 
 FOUR_PI = 4.0 * math.pi
 EIGHT_PI = 8.0 * math.pi
-MARGIN_SAMPLES = 96     # radii x angles (disk) or nodes per axis (rectangle) of the margin
+MARGIN_SAMPLES = 96     # radii and angles of the margin's sample points
 MARGIN_TOL, EIG_TOL = 1e-8, 2e-3    # audit hypotheses: margin > MARGIN_TOL, lambda1 <= -EIG_TOL
 RADIUS_TOL = 1e-3       # bracket width where the neutral-radius bisection stops
 
@@ -378,16 +378,12 @@ class BolAudit:
 
 
 def supersolution_margin(g_fn, glap_fn, Omega) -> float:
-    """min over Omega of lap(g) + e^g, with glap_fn the exact Laplacian of g."""
-    if isinstance(Omega, Disk):
-        r = np.linspace(0.0, Omega.radius, MARGIN_SAMPLES)
-        theta = 2.0 * math.pi * np.arange(MARGIN_SAMPLES) / MARGIN_SAMPLES
-        pts = np.stack([r[:, None] * np.cos(theta), r[:, None] * np.sin(theta)], axis=-1).reshape(-1, 2)
-    else:
-        xs = np.linspace(Omega.x0, Omega.x1, MARGIN_SAMPLES)
-        ys = np.linspace(Omega.y0, Omega.y1, MARGIN_SAMPLES)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        pts = np.stack([X, Y], axis=-1).reshape(-1, 2)
+    """min over the disk Omega of lap(g) + e^g, with glap_fn the exact Laplacian of g."""
+    if not isinstance(Omega, Disk):
+        raise TypeError(f"unsupported domain {Omega!r}")
+    r = np.linspace(0.0, Omega.radius, MARGIN_SAMPLES)
+    theta = 2.0 * math.pi * np.arange(MARGIN_SAMPLES) / MARGIN_SAMPLES
+    pts = np.stack([r[:, None] * np.cos(theta), r[:, None] * np.sin(theta)], axis=-1).reshape(-1, 2)
     lap = np.asarray(glap_fn(pts), dtype=float)
     return float(np.min(lap + np.exp(np.asarray(g_fn(pts), dtype=float))))
 

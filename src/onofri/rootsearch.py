@@ -202,80 +202,26 @@ class _Hermite:
         return _BETA_REMAINDER * m4 * h**4, _SLOPE_REMAINDER * m4 * h**3
 
 
-def _converged_stretches(conv) -> list:
-    """Index lists of the maximal stretches of at least two converged nodes."""
-    out, cur = [], []
-    for j, ok in enumerate(conv):
-        if ok:
-            cur.append(j)
-            continue
-        if len(cur) > 1:
-            out.append(cur)
-        cur = []
-    if len(cur) > 1:
-        out.append(cur)
-    return out
+def _interpolant(rows: dict):
+    """P on the nodes rows, and their columns beta, beta' and gap."""
+    ss = np.array(sorted(rows))
+    beta, slope, gap = np.array([rows[s] for s in ss]).T
+    return _Hermite(ss, beta, slope), beta, slope, gap
 
 
-class _Nodes:
-    """The nodes of one curve, its turning points (nodes too) and its check shots."""
-
-    def __init__(self, rows: dict):
-        self.rows = rows                # s -> (beta, beta', gap); nan when not converged
-        self.turning = []               # (s, beta) where beta' = 0
-        self.checks = []                # (s, |beta - P|, |beta' - P'|)
-        self.calib = 1.0                # largest error over its estimate at the checks
-
-    def hermite(self):
-        """P on the current nodes, and the node columns beta, beta' and gap."""
-        ss = np.array(sorted(self.rows))
-        beta, slope, gap = np.array([self.rows[s] for s in ss]).T
-        return _Hermite(ss, beta, slope), beta, slope, gap
-
-    def add_turning(self, a: float, b: float, shot) -> None:
-        """Refine the sign change of beta' between the nodes a < b to a turning node."""
-        (_, d_a, _), (_, d_b, _) = self.rows[a], self.rows[b]
-        herm = self.hermite()[0]
-        # the first shot goes to the zero of P', and Brent starts from the
-        # part of the bracket it leaves
-        guess = [x for x in herm.slope_levels(herm.interval(0.5 * (a + b)), 0.0) if a < x < b]
-        if guess:
-            d = shot(guess[0])[1]
-            if d == 0.0:
-                a = b = guess[0]
-            elif (d < 0.0) == (d_a < 0.0):
-                a, d_a = guess[0], d
-            else:
-                b, d_b = guess[0], d
-        s_k = a if a == b else _brent(lambda s: shot(s)[1], a, b, d_a, d_b, ROOT_TOL)
-        self.rows[s_k] = shot(s_k)
-        self.turning = sorted(self.turning + [(s_k, self.rows[s_k][0])])
-
-    def split(self, herm: _Hermite, remainder, i: int, shot) -> None:
-        """Shoot the midpoint of interval i as a check shot and make it a node;
-        remainder is herm.remainder()."""
-        m = float(herm.ss[i] + 0.5 * herm.h[i])
-        self.rows[m] = shot(m)
-        b, d, _ = self.rows[m]
-        err_b, err_d = abs(b - herm.value(i, m)), abs(d - herm.slope(i, m))
-        self.checks.append((m, err_b, err_d))
-        for err, est in zip((err_b, err_d), (est[i] for est in remainder)):
-            if err > self.calib * est:
-                self.calib = err / est if est > 0.0 else math.inf
-
-
-def _certify(nodes: _Nodes, targets) -> tuple[Certificate, dict, _Hermite, tuple]:
-    """Certificate on the current nodes; how tight each usable interval is,
-    its largest ratio of a bound to its goal (above 1 when loose); and the
-    interpolant P with its remainder estimates."""
-    herm, beta, slope, gap = nodes.hermite()
+def _certify(rows: dict, turning: list, checks: list, calib: float,
+             targets) -> tuple[Certificate, dict, _Hermite, tuple]:
+    """Certificate on the nodes rows, turning points, check shots and calib;
+    how tight each usable interval is, its largest ratio of a bound to its
+    goal (above 1 when loose); and P with its remainder estimates."""
+    herm, beta, slope, gap = _interpolant(rows)
     ss, n = herm.ss, len(herm.ss)
     conv = ~np.isnan(slope)
     est_beta, est_slope = remainder = herm.remainder()
     est_gap = float(np.max(gap[conv])) if conv.any() else math.nan
-    bound_beta = _SAFETY * nodes.calib * est_beta
-    bound_slope = _SAFETY * nodes.calib * est_slope + est_gap
-    turn_at = {int(np.searchsorted(ss, s)): s for s, _ in nodes.turning}
+    bound_beta = _SAFETY * calib * est_beta
+    bound_slope = _SAFETY * calib * est_slope + est_gap
+    turn_at = {int(np.searchsorted(ss, s)): s for s, _ in turning}
     usable = [i for i in range(n - 1) if conv[i] and conv[i + 1]]
     tight = {i: float(bound_beta[i]) / BETA_GOAL for i in usable}
 
@@ -320,18 +266,21 @@ def _certify(nodes: _Nodes, targets) -> tuple[Certificate, dict, _Hermite, tuple
     if flat:
         reasons.append(f"|P'| within its error bound on {len(flat)} intervals, "
                        f"first [{ss[flat[0]]:.4g}, {ss[flat[0] + 1]:.4g}]")
-    runs = []
-    for stretch in _converged_stretches(conv):
-        s_lo, s_hi = ss[stretch[0]], ss[stretch[-1]]
-        cuts = ([(float(s_lo), float(beta[stretch[0]]))]
-                + [tp for tp in nodes.turning if s_lo < tp[0] < s_hi]
-                + [(float(s_hi), float(beta[stretch[-1]]))])
-        runs += [(a[0], b[0], a[1], b[1]) for a, b in zip(cuts[:-1], cuts[1:])]
+    # runs between the ends of each stretch of converged nodes and its turning nodes
+    runs, a = [], None
+    for j in range(n):
+        if not conv[j]:
+            a = None
+        elif a is None:
+            a = j
+        elif j in turn_at or j == n - 1 or not conv[j + 1]:
+            runs.append((float(ss[a]), float(ss[j]), float(beta[a]), float(beta[j])))
+            a = j
     cert = Certificate(ok=not reasons, reason="; ".join(reasons), runs=runs,
-                       turning_points=list(nodes.turning), bands=bands, margin=float(margin),
+                       turning_points=list(turning), bands=bands, margin=float(margin),
                        slope_error=float(np.max(bound_slope, initial=0.0)),
                        beta_error=float(np.max(bound_beta, initial=0.0)),
-                       estimator_gap=est_gap, checks=list(nodes.checks),
+                       estimator_gap=est_gap, checks=list(checks),
                        nodes=[float(s) for s in ss])
     return cert, tight, herm, remainder
 
@@ -390,9 +339,13 @@ def search_curve(curve, beta_targets, s_bracket: tuple[float, float]) -> RootSea
     coarse = np.linspace(s_bracket[0], s_bracket[1], N_COARSE)
     samples = [curve(float(s)) for s in coarse]
     unresolved = sum(1 for row in samples if row[0] == "unresolved")
-    nodes = _Nodes({float(s): tuple(row[1:]) if row[0] == "converged" else (math.nan,) * 3
-                    for s, row in zip(coarse, samples)})
-    seen = {s: row for s, row in nodes.rows.items() if not math.isnan(row[0])}
+    # the nodes of P: s -> (beta, beta', gap), nan where a sample did not converge
+    rows = {float(s): tuple(row[1:]) if row[0] == "converged" else (math.nan,) * 3
+            for s, row in zip(coarse, samples)}
+    seen = {s: row for s, row in rows.items() if not math.isnan(row[0])}
+    turning = []                # (s, beta) where beta' = 0, each a node
+    checks = []                 # (s, |beta - P|, |beta' - P'|) at each check shot
+    calib = 1.0                 # largest error over its estimate at the checks
 
     def shot(s: float):
         if s not in seen:
@@ -405,26 +358,50 @@ def search_curve(curve, beta_targets, s_bracket: tuple[float, float]) -> RootSea
 
     def find_turning():
         """A turning node for every sign change of beta' between two nodes."""
-        ss = sorted(nodes.rows)
-        turning = {s for s, _ in nodes.turning}
+        ss = sorted(rows)
+        done = {s for s, _ in turning}
         for a, b in zip(ss[:-1], ss[1:]):
-            if nodes.rows[a][1] * nodes.rows[b][1] < 0.0 and not {a, b} & turning:
-                nodes.add_turning(a, b, shot)
+            (_, d_a, _), (_, d_b, _) = rows[a], rows[b]
+            if not d_a * d_b < 0.0 or {a, b} & done:
+                continue
+            # the first shot goes to the zero of P', and Brent starts from the
+            # part of the bracket it leaves
+            herm = _interpolant(rows)[0]
+            guess = [x for x in herm.slope_levels(herm.interval(0.5 * (a + b)), 0.0) if a < x < b]
+            if guess:
+                d = shot(guess[0])[1]
+                if d == 0.0:
+                    a = b = guess[0]
+                elif (d < 0.0) == (d_a < 0.0):
+                    a, d_a = guess[0], d
+                else:
+                    b, d_b = guess[0], d
+            s_k = a if a == b else _brent(lambda s: shot(s)[1], a, b, d_a, d_b, ROOT_TOL)
+            rows[s_k] = shot(s_k)
+            turning[:] = sorted(turning + [(s_k, rows[s_k][0])])
 
     # split loose intervals, never below 2^-MAX_SPLITS of the coarse spacing
     finest = (s_bracket[1] - s_bracket[0]) / (N_COARSE - 1) / 2**MAX_SPLITS
     find_turning()
     while True:
-        cert, tight, herm, remainder = _certify(nodes, beta_targets)
+        cert, tight, herm, remainder = _certify(rows, turning, checks, calib, beta_targets)
         splittable = [i for i in tight if herm.h[i] > 1.5 * finest]
         loose = [i for i in splittable if tight[i] > 1.0]
         if loose:
             i = min(loose, key=lambda i: (-tight[i], i))
-        elif len(nodes.checks) < _CHECK_SHOTS and splittable:
+        elif len(checks) < _CHECK_SHOTS and splittable:
             i = min(splittable, key=lambda i: (-remainder[0][i], i))
         else:
             break
-        nodes.split(herm, remainder, i, shot)
+        # shoot the midpoint of interval i as a check shot and make it a node
+        m = float(herm.ss[i] + 0.5 * herm.h[i])
+        rows[m] = shot(m)
+        b, d, _ = rows[m]
+        err_b, err_d = abs(b - herm.value(i, m)), abs(d - herm.slope(i, m))
+        checks.append((m, err_b, err_d))
+        for err, est in zip((err_b, err_d), (est[i] for est in remainder)):
+            if err > calib * est:
+                calib = err / est if est > 0.0 else math.inf
         find_turning()
 
     roots, root_slopes = [], []
@@ -442,7 +419,7 @@ def search_curve(curve, beta_targets, s_bracket: tuple[float, float]) -> RootSea
                     found[x] = d
         roots.append(sorted(found))
         root_slopes.append([found[x] for x in sorted(found)])
-    values = [row[0] for row in nodes.rows.values() if not math.isnan(row[0])]
+    values = [row[0] for row in rows.values() if not math.isnan(row[0])]
     beta_range = (min(values), max(values)) if values else (math.nan, math.nan)
     return RootSearch(roots=roots, root_slopes=root_slopes, beta_range=beta_range,
                       unresolved_samples=unresolved, certificate=cert)

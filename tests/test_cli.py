@@ -89,6 +89,7 @@ VACUOUS_RUNS = {
     "second_variation_L0": ["second-variation", "--L", "0"],
     "second_variation_L1": ["second-variation", "--L", "1"],
     "second_variation_degree1_L0": ["second-variation", "--mode", "degree1", "--L", "0"],
+    "bol_audit_coarse_mesh": ["bol-audit", "--h", "1.0"],
     "axisym_negative_alpha": ["axisym", "--alpha", "-0.5"],
     "shoot_negative_tol": ["shoot", "--l", "1", "--s", "2", "--tol", "-1"],
     "minimize_zero_alpha": ["minimize", "--alpha", "0"],
@@ -104,6 +105,19 @@ def test_vacuous_runs_are_usage_errors(tmp_path, capsys, case):
     code, rep = run(tmp_path, *VACUOUS_RUNS[case])
     assert code == cli.EXIT_USAGE and rep is None
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key", [("minimize", "alpha"), ("axisym", "rho")])
+def test_completed_alpha_or_rho_takes_the_flag_check(tmp_path, capsys, command, key):
+    """1 / 1e-320 overflows to inf: the value the command completes is a usage
+    error, whether the given one comes from a flag or from a config file."""
+    other = "rho" if key == "alpha" else "alpha"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = 1e-320\n")
+    for argv in ([command, f"--{key}", "1e-320"], [command, "--config", str(cfg)]):
+        code, rep = run(tmp_path, *argv)
+        assert code == cli.EXIT_USAGE and rep is None
+        assert f"{other} = 1 / {key}: inf is not positive and finite" in capsys.readouterr().err
 
 
 def _strict_json(path):

@@ -342,6 +342,11 @@ def test_strict_margin_audits_confirm():
     assert all(a.total_mass <= 8.0 * math.pi for a in audits)
 
 
+def test_supersolution_margin_takes_only_a_disk():
+    with pytest.raises(TypeError, match="unsupported domain"):
+        eigen.supersolution_margin(perturbed, perturbed_lap, eigen.Rect(-1.0, 1.0, -1.0, 1.0))
+
+
 def test_continuation_radius_mass():
     """The neutral radius of the perturbed profile carries mass above 4 pi."""
     r_star = eigen.zero_eigenvalue_radius(perturbed, (0.7, 1.1))

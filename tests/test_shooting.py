@@ -527,6 +527,26 @@ def test_refinement_meets_its_goals():
                                   + [tp[0] for tp in cert.turning_points])
 
 
+def test_gap_inside_the_bracket_cuts_the_runs():
+    """beta = 6 - 0.2 atan(s) with the coarse sample at s = 2 unresolved: the
+    runs end at the converged samples 0 and 4 on either side of it, so 5.9,
+    whose root tan(0.5) lies in the gap, has none, and the certificate names
+    the gap."""
+    def curve(s):
+        if s == 2.0:
+            return "unresolved", math.nan, math.nan, math.nan
+        return "converged", 6.0 - 0.2 * math.atan(s), -0.2 / (1.0 + s * s), 0.0
+
+    search = rs.search_curve(curve, [6.2, 5.9, 5.72], (-6.0, 10.0))
+    cert = search.certificate
+    assert search.roots == [[pytest.approx(-math.tan(1.0), abs=1e-8)], [],
+                            [pytest.approx(math.tan(1.4), abs=1e-8)]]
+    assert [run[:2] for run in cert.runs] == [(-6.0, 0.0), (4.0, 10.0)]
+    assert [run[2:] for run in cert.runs] == [(curve(a)[1], curve(b)[1]) for a, b, _, _ in cert.runs]
+    assert search.unresolved_samples == 1
+    assert not cert.ok and cert.reason == "1 samples not converged"
+
+
 def test_stationary_mass_has_two_profiles_only_below_alpha_half():
     """The stationary mass 4 + 2l lies below 4l exactly when l > 2, i.e.
     alpha = 1/(1 + l/2) < 1/2: one radial profile at l = 1.5, two at l = 2.5."""
