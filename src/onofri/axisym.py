@@ -11,6 +11,7 @@ module scan the whole constrained range.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +28,9 @@ class LegendreFunction:
 
     The quadrature carries the Legendre Vandermonde of its nodes, so values
     at the nodes are one matrix-vector product; copies and candidates built
-    on the same nodes share it.
+    on the same nodes share it, and the default rule's is built once per
+    (rule size, degree).  coeffs may be a (lanes, degree + 1) stack of
+    polynomials on one quadrature; evaluation by __call__ takes one.
     """
 
     coeffs: np.ndarray
@@ -38,20 +41,21 @@ class LegendreFunction:
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         if self.nodes is None:
-            n = max(DEFAULT_QUAD, 2 * (self.coeffs.size - 1))
+            n = max(DEFAULT_QUAD, 2 * self.degree)
             self.nodes, self.weights = quadrature.gauss_rule(n)
+            self.vander = _gauss_vander(n, self.degree) if self.vander is None else self.vander
         if self.vander is None:
             self.vander = np.polynomial.legendre.legvander(self.nodes, self.degree)
 
     @property
     def degree(self) -> int:
-        return self.coeffs.size - 1
+        return self.coeffs.shape[-1] - 1
 
     def __call__(self, x) -> np.ndarray:
         return np.polynomial.legendre.legval(np.asarray(x, dtype=float), self.coeffs)
 
     def node_values(self) -> np.ndarray:
-        return self.vander @ self.coeffs
+        return np.matvec(self.vander, self.coeffs)
 
     def with_coeffs(self, coeffs: np.ndarray) -> "LegendreFunction":
         """The function with these coefficients on the same quadrature."""
@@ -61,10 +65,26 @@ class LegendreFunction:
         return self.with_coeffs(self.coeffs.copy())
 
 
-def weighted_energy(g: LegendreFunction) -> float:
-    """int (1-x^2) g'^2 dx, closed form sum 2 k(k+1)/(2k+1) c_k^2."""
-    k = np.arange(g.coeffs.size, dtype=float)
-    return float(np.sum(2.0 * k * (k + 1.0) / (2.0 * k + 1.0) * g.coeffs**2))
+@functools.lru_cache(maxsize=None)
+def _gauss_vander(n: int, degree: int) -> np.ndarray:
+    """Legendre Vandermonde of the n-point Gauss rule up to degree, read-only and shared."""
+    vander = np.polynomial.legendre.legvander(quadrature.gauss_rule(n)[0], degree)
+    vander.flags.writeable = False
+    return vander
+
+
+@functools.lru_cache(maxsize=None)
+def _energy_weights(degree: int) -> np.ndarray:
+    """2 k(k+1)/(2k+1) for k = 0 .. degree, read-only and shared."""
+    k = np.arange(degree + 1, dtype=float)
+    out = 2.0 * k * (k + 1.0) / (2.0 * k + 1.0)
+    out.flags.writeable = False
+    return out
+
+
+def weighted_energy(g: LegendreFunction):
+    """int (1-x^2) g'^2 dx, closed form sum 2 k(k+1)/(2k+1) c_k^2 (per lane)."""
+    return np.add.reduce(_energy_weights(g.degree) * g.coeffs**2, axis=-1)
 
 
 def _moments(g: LegendreFunction, two_g: np.ndarray) -> functional.ExpMoments:
@@ -73,21 +93,23 @@ def _moments(g: LegendreFunction, two_g: np.ndarray) -> functional.ExpMoments:
     return functional.exp_moments(two_g, 0.5 * g.weights, g.nodes[:, None])
 
 
-def _i_value(g: LegendreFunction, two_g: np.ndarray, log_half_mass: float, alpha: float) -> float:
-    """I_alpha from the coefficients of g, the node values of 2g and its log half-mass."""
-    return float(alpha * weighted_energy(g) + np.dot(g.weights, two_g) - 2.0 * log_half_mass)
+def _i_value(coeffs: np.ndarray, two_g: np.ndarray, weights: np.ndarray, log_half_mass, alpha):
+    """I_alpha (per lane) from the Legendre coefficients of g, the node values of 2g,
+    the quadrature weights and the log half-mass."""
+    energy = np.add.reduce(_energy_weights(coeffs.shape[-1] - 1) * coeffs**2, axis=-1)
+    return alpha * energy + np.vecdot(two_g, weights) - 2.0 * log_half_mass
 
 
 def i_functional(g: LegendreFunction, alpha: float) -> float:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     two_g = 2.0 * g.node_values()
-    return _i_value(g, two_g, _moments(g, two_g).log_mass, alpha)
+    return float(_i_value(g.coeffs, two_g, g.weights, _moments(g, two_g).log_mass, alpha))
 
 
-def constraint_moment(g: LegendreFunction) -> float:
-    """int e^{2g} x dx."""
-    return float(np.dot(g.weights * g.nodes, np.exp(2.0 * g.node_values())))
+def constraint_moment(g: LegendreFunction):
+    """int e^{2g} x dx (per lane)."""
+    return np.vecdot(np.exp(2.0 * g.node_values()), g.weights * g.nodes)
 
 
 def recenter_1d(g: LegendreFunction) -> LegendreFunction:
@@ -129,10 +151,10 @@ class AxisymResult:
     status: str = "converged"
 
 
-def _grad_l2(grad: np.ndarray) -> float:
-    """L2(dx) norm of the function with Legendre coefficients grad."""
-    k = np.arange(grad.size, dtype=float)
-    return float(np.sqrt(np.sum(grad**2 * (2.0 * k + 1.0) / 2.0)))
+def _grad_l2(grad: np.ndarray):
+    """L2(dx) norm of the function with Legendre coefficients grad (per lane)."""
+    k = np.arange(grad.shape[-1], dtype=float)
+    return np.sqrt(np.add.reduce(grad**2 * (2.0 * k + 1.0) / 2.0, axis=-1))
 
 
 def minimize_axisym(alpha: float, g0: LegendreFunction) -> AxisymResult:
@@ -144,46 +166,59 @@ def minimize_axisym(alpha: float, g0: LegendreFunction) -> AxisymResult:
     A line-search trial costs one product with the quadrature's Vandermonde
     and one exponential (for I); the tilt, the gauge, I and the gradient of
     the accepted step read the moments of that exponential, or of the tilt's
-    last Newton iterate.
+    last Newton iterate.  This is the one-lane case of minimize_axisym_stack.
     """
-    if alpha < 0.2:
+    return minimize_axisym_stack([alpha], g0.with_coeffs(g0.coeffs[None]))[0]
+
+
+def minimize_axisym_stack(alphas, g0: LegendreFunction) -> list[AxisymResult]:
+    """minimize_axisym for a stack of starts g0 (coeffs of shape (lanes, degree + 1)),
+    lane i at alphas[i]: one functional.descend over all lanes, each lane's
+    result as its own minimize_axisym run would give it."""
+    alphas = np.asarray(alphas, dtype=float)
+    if g0.coeffs.ndim != 2 or alphas.shape != g0.coeffs.shape[:1]:
+        raise ValueError("minimize_axisym_stack takes one alpha per row of a (lanes, degree + 1) stack")
+    if (alphas < 0.2).any():
         raise ValueError("alpha far below the probe range")
     k = np.arange(g0.degree + 1, dtype=float)
-    stiffness = 4.0 * alpha * k * (k + 1.0) / (2.0 * k + 1.0)
+    stiffness = 4.0 * alphas[:, None] * k * (k + 1.0) / (2.0 * k + 1.0)
     # the sphere's preconditioner on the lift: I = 2 J and a Legendre
     # coefficient c_k is the sphere coefficient 2 c_k / sqrt(2k+1)
-    precond = 8.0 * functional.zero_hessian(alpha, g0.degree) / (2.0 * k + 1.0)
-    half_w, x = 0.5 * g0.weights, g0.nodes[:, None]
+    precond = 8.0 * np.array([functional.zero_hessian(a, g0.degree) for a in alphas]) / (2.0 * k + 1.0)
+    weights, vander = g0.weights, g0.vander
+    half_w, x = 0.5 * weights, g0.nodes[:, None]
 
-    def trial(g, delta):
-        cand = g.with_coeffs(g.coeffs + delta)
-        two_g = 2.0 * cand.node_values()
-        mom = _moments(cand, two_g)
-        return (cand, two_g, mom), _i_value(cand, two_g, mom.log_mass, alpha)
+    def trial(lanes, coeffs, delta):
+        coeffs = coeffs + delta
+        two_g = 2.0 * np.matvec(vander, coeffs)
+        mom = functional.exp_moments(two_g, half_w, x)
+        return (coeffs, two_g, *mom), _i_value(coeffs, two_g, weights, mom.log_mass, alphas[lanes])
 
-    def retract(cand):
+    def retract(lanes, cand):
         """Tilt g + (c/2) x onto the constraint and gauge it to unit half-mass;
-        returns the state with its I and gradient, and the tilt's Newton steps."""
-        g, two_g, mom = cand
-        c, mom, steps = functional.tilt(two_g, half_w, x, mom)
-        g = g.copy()
-        if c[0] != 0.0:
-            two_g = two_g + x @ c
-            g.coeffs[1] += 0.5 * c[0]
-        value = _i_value(g, two_g, mom.log_mass, alpha)      # I is shift-invariant
-        g.coeffs[0] -= 0.5 * mom.log_mass
-        grad = stiffness * g.coeffs
-        grad[0] += 4.0
-        grad -= 4.0 * (g.vander.T @ (half_w * mom.density))
-        return g, value, grad, steps
+        returns the states with their I and gradients, and the tilts' Newton steps."""
+        coeffs, two_g, *mom = cand
+        c, mom, steps = functional.tilt(two_g, half_w, x, functional.ExpMoments(*mom))
+        if c.any():
+            two_g = two_g + np.matvec(x, c)
+            coeffs[:, 1] += 0.5 * c[:, 0]
+        value = _i_value(coeffs, two_g, weights, mom.log_mass, alphas[lanes])   # I is shift-invariant
+        coeffs[:, 0] -= 0.5 * mom.log_mass
+        grad = stiffness[lanes] * coeffs
+        grad[:, 0] += 4.0
+        grad -= 4.0 * np.matvec(vander.T, half_w * mom.density)
+        return coeffs, value, grad, steps
 
     two_g = 2.0 * g0.node_values()
-    run = functional.descend((g0, two_g, _moments(g0, two_g)), precond, trial, retract,
-                             _grad_l2)
-    return AxisymResult(g=run.state, value=run.value, grad_norm=run.grad_norm,
-                        moment=constraint_moment(run.state), iterations=run.iterations,
-                        backtracks=run.backtracks, newton_steps=run.newton_steps,
-                        status=run.status)
+    run = functional.descend((g0.coeffs.copy(), two_g, *_moments(g0, two_g)), precond, trial,
+                             retract, _grad_l2)
+    g = g0.with_coeffs(run.state)
+    moment = constraint_moment(g)
+    return [AxisymResult(g=g.with_coeffs(g.coeffs[i]), value=float(run.value[i]),
+                         grad_norm=float(run.grad_norm[i]), moment=float(moment[i]),
+                         iterations=int(run.iterations[i]), backtracks=int(run.backtracks[i]),
+                         newton_steps=int(run.newton_steps[i]), status=run.status[i])
+            for i in range(len(alphas))]
 
 
 def random_start_1d(stream_key, degree: int = DEFAULT_DEGREE, amplitude: float = 0.4) -> LegendreFunction:

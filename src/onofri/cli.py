@@ -76,7 +76,8 @@ def read_config_file(path: str, command: str) -> dict:
 def _run_config(args: argparse.Namespace) -> dict:
     """The run parameters of the command; --alpha and --rho complete each other
     under rho * alpha = 1 where the command takes both, and the completed value
-    takes its own flag's check."""
+    takes its own flag's check.  An alpha whose stiffness alpha/2 L(L+1) at the
+    run's band limit (the 1-D degree for axisym) is not finite is refused too."""
     flags = COMMAND_FLAGS[args.command]
     cfg = {key: getattr(args, key) for key in flags}
     if "alpha" in flags and "rho" in flags:
@@ -90,6 +91,10 @@ def _run_config(args: argparse.Namespace) -> dict:
                 cfg[key] = FLAGS[key][0](1.0 / cfg[other])
             except argparse.ArgumentTypeError as exc:
                 raise UsageError(f"{key} = 1 / {other}: {exc}") from exc
+    if cfg.get("alpha") is not None:
+        degree = cfg.get("L", axisym.DEFAULT_DEGREE)
+        if not math.isfinite(cfg["alpha"] / 2.0 * degree * (degree + 1.0)):
+            raise UsageError(f"alpha = {cfg['alpha']}: alpha/2 L(L+1) is not finite at L = {degree}")
     for key, default in flags.items():
         if isinstance(default, Required) and cfg[key] is None:
             raise UsageError(f"missing required parameter --{key.replace('_', '-')}")

@@ -21,21 +21,20 @@ from .errors import GridConfigError, InvalidFieldError, NonConvergenceError
 from .sphere import HarmonicSpectrum, SphereField, SphereGrid
 
 
-def _j_value(spec: HarmonicSpectrum, log_mass: float, alpha: float) -> float:
-    """J_alpha from the spectrum of u and log int e^u dw.
-
-    The energy is sum l(l+1) c^2 and the mean is c_00.
-    """
-    l = np.arange(spec.lmax + 1, dtype=float)
-    energy = float(np.sum(l * (l + 1.0) * np.sum(spec.coeffs**2, axis=1)))
-    return float(alpha / 4.0 * energy + spec[0, 0] - log_mass)
+def _j_value(coeffs: np.ndarray, log_mass, alpha):
+    """J_alpha (per lane) from the spectrum of u, energy sum l(l+1) c^2 and mean c_00,
+    and log int e^u dw."""
+    L = coeffs.shape[-2] - 1
+    l = np.arange(L + 1, dtype=float)
+    energy = np.add.reduce(l * (l + 1.0) * np.add.reduce(coeffs**2, axis=-1), axis=-1)
+    return alpha / 4.0 * energy + coeffs[..., 0, L] - log_mass
 
 
 def j_alpha(u: SphereField, alpha: float) -> float:
     """Value of the functional; stable under large field values via max shift."""
     if not np.all(np.isfinite(u.values)):
         raise InvalidFieldError("j_alpha: field has non-finite values")
-    return _j_value(sphere.analyze(u), sphere.log_exp_mass(u), alpha)
+    return float(_j_value(sphere.analyze(u).coeffs, sphere.log_exp_mass(u), alpha))
 
 
 def gradient_j(u: SphereField, alpha: float) -> SphereField:
@@ -48,14 +47,14 @@ def gradient_j(u: SphereField, alpha: float) -> SphereField:
 
 
 def center_of_mass(u: SphereField) -> np.ndarray:
-    """Center of mass of the measure e^u dw (a vector in the open unit ball)."""
-    pts, weights = _node_geometry(u.grid)
-    return exp_moments(u.values.ravel(), weights, pts).mean
+    """Center of mass of the measure e^u dw (a vector in the open unit ball), per lane."""
+    values = u.values.reshape(*u.values.shape[:-2], -1)
+    return exp_moments(values, u.grid.node_weights, u.grid.node_points).mean
 
 
 def shift_to_unit_mass(u: SphereField) -> SphereField:
-    """Additive shift making int e^u dw = 1 (the working gauge)."""
-    return u - sphere.log_exp_mass(u)
+    """Additive shift making int e^u dw = 1 (the working gauge), per lane."""
+    return u - sphere.log_exp_mass(u)[..., None, None]
 
 
 class ExpMoments(NamedTuple):
@@ -67,16 +66,39 @@ class ExpMoments(NamedTuple):
 
 
 def exp_moments(values: np.ndarray, weights: np.ndarray, points: np.ndarray) -> ExpMoments:
-    """Log-mass, normalised density and center of mass of e^values weights (max-shifted)."""
-    m = float(np.max(values))
+    """Log-mass, normalised density and center of mass of e^values weights (max-shifted),
+    per lane of values (..., nodes).  vecdot, vecmat and matvec sum each lane as the
+    single-field dot and @ do, bit for bit, which keeps a lane equal to its own run."""
+    m = np.maximum.reduce(values, axis=-1, keepdims=True)
     e = np.exp(values - m)
-    mass = float(weights @ e)
+    mass = np.vecdot(e, weights)[..., None]
     e /= mass
-    return ExpMoments(m + np.log(mass), e, (weights * e) @ points)
+    return ExpMoments((m + np.log(mass))[..., 0], e, np.vecmat(weights * e, points))
+
+
+def _lanes(ids: list, count: int):
+    """Index of the lanes ids (sorted) of count lanes; slice(None), no copy, for all of them."""
+    return slice(None) if len(ids) == count else np.array(ids, dtype=int)
+
+
+def _take(stack, lanes):
+    """The lanes of a stack, an array or a tuple of arrays (as a tuple)."""
+    if isinstance(lanes, slice):
+        return stack
+    return tuple(a[lanes] for a in stack) if isinstance(stack, tuple) else stack[lanes]
+
+
+def _put(stack, lanes, sub):
+    """Write sub into the lanes of a stack; sub itself when it is every lane."""
+    if isinstance(lanes, slice):
+        return sub
+    for a, s in zip(stack, sub) if isinstance(stack, tuple) else [(stack, sub)]:
+        a[lanes] = s
+    return stack
 
 
 def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray,
-         start: ExpMoments | None = None) -> tuple[np.ndarray, ExpMoments, int]:
+         start: ExpMoments | None = None) -> tuple[np.ndarray, ExpMoments, np.ndarray]:
     """Vector c with zero mean of `points` under e^{values + points @ c} weights.
 
     c minimises F(c) = log sum weights e^{values + points @ c}, which is
@@ -86,31 +108,55 @@ def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray,
     Returns c, the moments of the tilted measure and the number of Newton
     steps taken: `start`, the moments at c = 0 when the caller has them, and
     c = 0 after no step when their mean is already within COM_TOL.  Every other
-    moment evaluation costs one exponential.
+    moment evaluation costs one exponential.  values may be a (lanes, nodes) stack
+    (`start` its moments): each lane takes its own Newton steps and halvings.
     """
-    c = np.zeros(points.shape[1])
-    mom = start if start is not None else exp_moments(values, weights, points)
-    for steps in range(50):
-        if np.linalg.norm(mom.mean) <= COM_TOL:
-            return c, mom, steps
-        cov = (points.T * (weights * mom.density)) @ points - np.outer(mom.mean, mom.mean)
-        step = -np.linalg.solve(cov, mom.mean)
-        slope = float(mom.mean @ step)
-        t = 1.0
-        for _ in range(50):
-            trial = exp_moments(values + points @ (c + t * step), weights, points)
-            # the allowance admits full steps whose decrease is below rounding
-            if trial.log_mass <= mom.log_mass + 1e-4 * t * slope + 1e-14 * (1.0 + abs(mom.log_mass)):
+    one = values.ndim == 1
+    values = values[None] if one else values
+    c = np.zeros((len(values), points.shape[1]))
+    steps = [0] * len(values)
+    if start is None:
+        mom = exp_moments(values, weights, points)
+    elif len(values) == 1:      # a single lane is replaced whole, never written in place
+        mom = ExpMoments(*(np.asarray(a)[None] for a in start)) if one else start
+    else:                       # the lanes of a stack are written in place: not the caller's
+        mom = ExpMoments(*(a.copy() for a in start))
+    for _ in range(50):
+        norms = np.sqrt(np.vecdot(mom.mean, mom.mean)).tolist()
+        live = [i for i, norm in enumerate(norms) if norm > COM_TOL]
+        if not live:
+            break
+        for i in live:
+            steps[i] += 1
+        rows = _lanes(live, len(values))
+        now, base, c0 = ExpMoments(*_take(mom, rows)), _take(values, rows), _take(c, rows)
+        mean = now.mean[:, :, None]
+        cov = (points.T * (weights * now.density)[:, None, :]) @ points - mean * now.mean[:, None, :]
+        step = -np.linalg.solve(cov, mean)[:, :, 0]
+        slope, level = np.vecdot(now.mean, step).tolist(), now.log_mass.tolist()
+        t = [1.0] * len(live)
+        for halving in range(50):
+            ct = c0 + (step if halving == 0 else np.array(t)[:, None] * step)   # 1.0 step is step
+            trial = exp_moments(base + np.matvec(points, ct), weights, points)
+            # the allowance admits full steps whose decrease is below rounding; the
+            # 50th halving's trial stands
+            ok = [halving == 49 or v <= f + 1e-4 * tj * sj + 1e-14 * (1.0 + abs(f))
+                  for v, f, tj, sj in zip(trial.log_mass.tolist(), level, t, slope)]
+            if all(ok):
+                c, mom = _put(c, rows, ct), _put(mom, rows, trial)
                 break
-            t *= 0.5
-        c, mom = c + t * step, trial
-    raise NonConvergenceError("tilt: Newton did not reach tolerance",
-                              best=c, residual=float(np.linalg.norm(mom.mean)))
-
-
-def _node_geometry(grid: SphereGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Node points as an (n, 3) array and the quadrature weights of dw, flattened."""
-    return np.stack(grid.points(), axis=-1).reshape(-1, 3), grid.weights.ravel()
+            done, keep = ([j for j, a in enumerate(ok) if a == side] for side in (True, False))
+            lanes = np.array([live[j] for j in done], dtype=int)
+            c, mom = _put(c, lanes, ct[done]), _put(mom, lanes, _take(trial, done))
+            live, base, c0, step = [live[j] for j in keep], base[keep], c0[keep], step[keep]
+            rows = np.array(live)
+            t, slope, level = ([a[j] for j in keep] for a in ([0.5 * tj for tj in t], slope, level))
+    else:
+        raise NonConvergenceError("tilt: Newton did not reach tolerance", best=c.squeeze(),
+                                  residual=float(np.max(np.linalg.norm(mom.mean, axis=-1))))
+    if one:
+        return c[0], ExpMoments(*(a[0] for a in mom)), steps[0]
+    return c, mom, np.array(steps)
 
 
 def pullback(u: SphereField, a: np.ndarray) -> SphereField:
@@ -131,12 +177,13 @@ def pullback(u: SphereField, a: np.ndarray) -> SphereField:
     return SphereField(u.grid, vals)
 
 
-def el_residual(u: SphereField, rho: float) -> float:
-    """L2(dw) norm of lap(u) + 2 rho (e^u - 1) after the unit-mass shift."""
+def el_residual(u: SphereField, rho):
+    """L2(dw) norm of lap(u) + 2 rho (e^u - 1) after the unit-mass shift, per lane
+    (rho may be one per lane)."""
     u = shift_to_unit_mass(u)
     lap = sphere.laplacian(u)
-    res = lap.values + 2.0 * rho * (np.exp(u.values) - 1.0)
-    return float(np.sqrt(max(sphere.integrate_values(u.grid, res**2), 0.0)))
+    res = lap.values + 2.0 * np.asarray(rho)[..., None, None] * (np.exp(u.values) - 1.0)
+    return np.sqrt(np.maximum(sphere.integrate_values(u.grid, res**2), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -187,131 +234,166 @@ QUADRATIC_STEP = 1e-2   # amplitude t of the probes t v and t v / 2 of the secon
 
 
 class Descent(NamedTuple):
-    """Where a projected descent stopped, with its work counters."""
+    """Where the lanes of a projected descent stopped, with their work counters (per lane)."""
 
-    state: object
-    value: float
-    grad_norm: float
-    status: str             # converged, unbounded-descent, stalled or max-iter
-    iterations: int
-    backtracks: int         # line-search halvings over the whole run
-    newton_steps: int       # Newton steps of the retractions over the whole run
+    state: object           # the stack of final states
+    value: list
+    grad_norm: list
+    status: list            # converged, unbounded-descent, stalled or max-iter
+    iterations: list
+    backtracks: list        # line-search halvings over the whole run
+    newton_steps: list      # Newton steps of the retractions over the whole run
     trace: list             # (iteration, value) at the top of every iteration and at the end
 
 
 def descend(start, precond: np.ndarray, trial, retract, norm) -> Descent:
-    """Preconditioned projected descent with Armijo backtracking.
+    """Preconditioned projected descent with Armijo backtracking, lanes in lockstep.
 
-    The minimiser supplies its representation through three callbacks:
-    retract(candidate) -> (state, value, gradient, newton_steps) puts a
-    candidate on the constraint and the gauge; trial(state, delta) ->
-    (candidate, value) moves the state's coefficients by delta; norm(gradient)
-    is the norm the stationarity test reads.  `start` is the first candidate.
-    Each iteration steps along -gradient / precond from a unit step, halving
-    until the Armijo test holds within a rounding allowance of
-    1e-14 (1 + |value|); a run whose MAX_HALVINGS halvings all fail is stalled.
+    The minimiser supplies three callbacks on stacks (leading axis: lane; a
+    tuple of arrays or an array) and `lanes`, which lanes of the whole stack
+    they hold: retract(lanes, candidate) -> (state, value, gradient,
+    newton_steps) puts candidates on the constraint and the gauge;
+    trial(lanes, state, delta) -> (candidate, value) moves coefficients by
+    delta; norm(gradient) is the norm the stationarity test reads.  `start`
+    is the first candidates, precond one divisor per lane (ValueError unless
+    finite).  Each iteration steps a lane along -gradient / precond from a
+    unit step, halving until its Armijo test holds within a rounding allowance
+    of 1e-14 (1 + |value|); a lane whose MAX_HALVINGS halvings all fail is
+    stalled.  A lane that stops keeps its state and counters as they were.
     """
-    state, value, grad, newton_steps = retract(start)
-    gnorm = norm(grad)
-    trace = []
-    status = "max-iter"
-    it = backtracks = 0
+    if not np.isfinite(precond).all():
+        raise ValueError("descend: the preconditioner is not finite (alpha/2 L(L+1) overflows)")
+    count = len(precond)
+    state, value, grad, newton_steps = retract(slice(None), start)
+    value, gnorm, newton_steps = value.tolist(), norm(grad).tolist(), newton_steps.tolist()
+    status, iterations, backtracks = ["max-iter"] * count, [0] * count, [0] * count
+    trace = [[] for _ in range(count)]
+    live = list(range(count))                       # the lanes still stepping
     for it in range(1, MAX_ITER + 1):
-        trace.append((it - 1, value))
-        if gnorm <= STAT_TOL:
-            status = "converged"
+        for i in live:
+            trace[i].append((it - 1, value[i]))
+            iterations[i] = it
+            if gnorm[i] <= STAT_TOL or value[i] < BLOWUP_FLOOR:
+                status[i] = "converged" if gnorm[i] <= STAT_TOL else "unbounded-descent"
+        live = [i for i in live if status[i] == "max-iter"]
+        if not live:
             break
-        if value < BLOWUP_FLOOR:
-            status = "unbounded-descent"
-            break
-        direction = -grad / precond
-        slope = float(np.sum(grad * direction))
-        noise = 1e-14 * (1.0 + abs(value))
-        step = 1.0
-        for _ in range(MAX_HALVINGS):
-            cand, cand_value = trial(state, step * direction)
-            if cand_value <= value + ARMIJO * step * slope + noise:
+        direction = -grad / precond                 # of every lane; stopped ones are not read
+        slope = np.add.reduce((grad * direction).reshape(count, -1), axis=-1).tolist()
+        step, pending = [1.0] * count, live
+        for halving in range(MAX_HALVINGS):
+            lanes = _lanes(pending, count)
+            delta = _take(direction, lanes)
+            if halving:                             # a unit step is the direction itself
+                scale = np.array([step[i] for i in pending])
+                delta = scale.reshape((-1,) + (1,) * (delta.ndim - 1)) * delta
+            cand, cand_value = trial(lanes, _take(state, lanes), delta)
+            ok = [v <= value[i] + ARMIJO * step[i] * slope[i] + 1e-14 * (1.0 + abs(value[i]))
+                  for i, v in zip(pending, cand_value.tolist())]
+            if any(ok):
+                ids = [i for i, accepted in zip(pending, ok) if accepted]
+                lanes = _lanes(ids, count)
+                new, new_value, new_grad, steps = retract(
+                    lanes, _take(cand, slice(None) if all(ok) else np.flatnonzero(ok)))
+                state, grad = _put(state, lanes, new), _put(grad, lanes, new_grad)
+                for i, v, g, n in zip(ids, new_value.tolist(), norm(new_grad).tolist(), steps.tolist()):
+                    value[i], gnorm[i], newton_steps[i] = v, g, newton_steps[i] + n
+            pending = [i for i, accepted in zip(pending, ok) if not accepted]
+            for i in pending:
+                step[i] *= 0.5
+                backtracks[i] += 1
+            if not pending:
                 break
-            step *= 0.5
-            backtracks += 1
         else:
-            status = "stalled"
-            break
-        state, value, grad, steps = retract(cand)
-        newton_steps += steps
-        gnorm = norm(grad)
-    trace.append((it, value))
-    return Descent(state, float(value), gnorm, status, it, backtracks, newton_steps, trace)
+            for i in pending:
+                status[i] = "stalled"
+            live = [i for i in live if status[i] == "max-iter"]
+    for i in range(count):
+        trace[i].append((iterations[i], value[i]))
+    return Descent(state, value, gnorm, status, iterations, backtracks, newton_steps, trace)
 
 
 def minimize(alpha: float, u0: SphereField) -> MinimizeResult:
-    """Projected descent for J_alpha on the center-of-mass constraint.
+    """Projected descent for J_alpha on the center-of-mass constraint from u0: minimize_stack
+    with one lane."""
+    return minimize_stack([alpha], SphereField(u0.grid, u0.values[None]))[0]
+
+
+def minimize_stack(alphas, u0: SphereField) -> list[MinimizeResult]:
+    """minimize for a stack of starts u0 (values (lanes, n_mu, n_phi)), lane i at alphas[i]:
+    one descend over all lanes, each lane's result as its own run would give it.
 
     Each iteration of descend: a gradient step preconditioned by zero_hessian
     (the second variation at u = 0, the constrained minimiser for
     alpha >= 2/3, so a full step is close to Newton's there), the degree-1
-    tilt back onto the constraint, then the unit exp-mass shift.  The iterate is carried as its spectrum and its grid
-    values together, so a line-search trial costs one synthesize and one
-    exponential (for J), and an accepted step one analyze (of e^u, for the
-    gradient).  The tilt, the shift, J and the gradient of the accepted step
-    all read the moments of that one exponential, or of the tilt's last
-    Newton iterate.  Descent past BLOWUP_FLOOR returns an
-    unbounded-descent verdict instead of a minimiser (the expected outcome of
-    probes below alpha = 1/2).
+    tilt back onto the constraint, then the unit exp-mass shift.  The iterate
+    is carried as its spectrum and its grid values together, so a line-search
+    trial costs one synthesize and one exponential (for J), and an accepted
+    step one analyze (of e^u, for the gradient).  The tilt, the shift, J and
+    the gradient of the accepted step all read the moments of that one
+    exponential, or of the tilt's last Newton iterate.  Descent past
+    BLOWUP_FLOOR returns an unbounded-descent verdict instead of a minimiser
+    (the expected outcome of probes below alpha = 1/2).
     """
-    if alpha <= 0.0:
+    alphas = np.asarray(alphas, dtype=float)
+    if u0.values.ndim != 3 or alphas.shape != u0.values.shape[:1]:
+        raise ValueError("minimize_stack takes one alpha per lane of a (lanes, n_mu, n_phi) stack")
+    if not (alphas > 0.0).all():
         raise ValueError("alpha must be positive")
-    if not np.all(np.isfinite(u0.values)):
-        raise InvalidFieldError("minimize: start has non-finite values")
     grid = u0.grid
     L = grid.lmax
-    pts, weights = _node_geometry(grid)
+    hessian = np.array([zero_hessian(a, L) for a in alphas])
+    if not np.all(np.isfinite(u0.values)):
+        raise InvalidFieldError("minimize: start has non-finite values")
+    pts, weights = grid.node_points, grid.node_weights
     l = np.arange(L + 1, dtype=float)
-    stiffness = (alpha / 2.0 * l * (l + 1.0))[:, None]
+    stiffness = (alphas[:, None] / 2.0 * l * (l + 1.0))[:, :, None]
     # x1, x2, x3 are the degree-1 harmonics (1, 1), (1, -1), (1, 0) over sqrt(3)
-    tilt_slots = [L + 1, L - 1, L]
+    tilt_slots = np.array([L + 1, L - 1, L])
 
-    def moments(u):
-        return exp_moments(u.values.ravel(), weights, pts)
+    def moments(values):
+        return exp_moments(values.reshape(len(values), -1), weights, pts)
 
-    def trial(state, delta):
-        spec = HarmonicSpectrum(L, state[0].coeffs + delta)
-        u = sphere.synthesize(spec, grid)
-        mom = moments(u)
-        return (spec, u, mom), _j_value(spec, mom.log_mass, alpha)   # J is shift-invariant
+    def trial(lanes, state, delta):
+        coeffs = state[0] + delta
+        values = sphere.synthesize(HarmonicSpectrum(L, coeffs), grid).values
+        mom = moments(values)
+        # J is shift-invariant
+        return (coeffs, values, *mom), _j_value(coeffs, mom.log_mass, alphas[lanes])
 
-    def retract(cand):
-        """Tilt onto the constraint and shift to unit exp-mass: the state
-        (spectrum, field), J, the gradient's coefficients, the Newton steps.
+    def retract(lanes, cand):
+        """Tilt onto the constraint and shift to unit exp-mass: the states
+        (coefficients, values), J, the gradients' coefficients, the Newton steps.
 
         The tilt starts from u's moments and returns those of the tilted
         field: the shift is their log-mass, the shifted state has log-mass
         zero, and e^u / int e^u dw is their density (both shift-invariant).
         """
-        spec, u, mom = cand
-        c, mom, steps = tilt(u.values.ravel(), weights, pts, mom)
-        values = u.values
+        coeffs, values, *mom = cand
+        c, mom, steps = tilt(values.reshape(len(values), -1), weights, pts, ExpMoments(*mom))
         if c.any():
-            values = values + (pts @ c).reshape(grid.shape)
-            spec.coeffs[1, tilt_slots] += c / np.sqrt(3.0)
-        spec.coeffs[0, L] -= mom.log_mass
+            values = values + np.matvec(pts, c).reshape(values.shape)
+            coeffs[:, 1, tilt_slots] += c / np.sqrt(3.0)
+        coeffs[:, 0, L] -= mom.log_mass
         # spectrum of -(alpha/2) lap u + 1 - e^u / int e^u dw
-        grad = stiffness * spec.coeffs - sphere.analyze(
-            SphereField(grid, mom.density.reshape(grid.shape))).coeffs
-        grad[0, L] += 1.0
-        state = (spec, SphereField(grid, values - mom.log_mass))
-        return state, _j_value(spec, 0.0, alpha), grad, steps
+        grad = stiffness[lanes] * coeffs - sphere.analyze(
+            SphereField(grid, mom.density.reshape(values.shape))).coeffs
+        grad[:, 0, L] += 1.0
+        state = (coeffs, values - mom.log_mass[:, None, None])
+        return state, _j_value(coeffs, 0.0, alphas[lanes]), grad, steps
 
     spec = sphere.analyze(u0)
-    u = sphere.synthesize(spec, grid)                       # the state is band-limited
-    run = descend((spec, u, moments(u)), zero_hessian(alpha, L)[:, None], trial, retract,
-                  np.linalg.norm)
-    u = run.state[1]
-    return MinimizeResult(u=u, j_value=run.value, grad_norm=float(run.grad_norm),
-                          com_norm=float(np.linalg.norm(center_of_mass(u))),
-                          exp_mass=float(np.exp(sphere.log_exp_mass(u))),
-                          iterations=run.iterations, backtracks=run.backtracks,
-                          newton_steps=run.newton_steps, trace=run.trace, status=run.status)
+    values = sphere.synthesize(spec, grid).values           # the state is band-limited
+    run = descend((spec.coeffs, values, *moments(values)), hessian[:, :, None], trial, retract,
+                  lambda grad: np.sqrt(np.vecdot(*(grad.reshape(len(grad), -1),) * 2)))
+    u = SphereField(grid, run.state[1])
+    com, mass = center_of_mass(u), np.exp(sphere.log_exp_mass(u))
+    return [MinimizeResult(u=SphereField(grid, u.values[i]), j_value=float(run.value[i]),
+                           grad_norm=float(run.grad_norm[i]),
+                           com_norm=float(np.linalg.norm(com[i])), exp_mass=float(mass[i]),
+                           iterations=int(run.iterations[i]), backtracks=int(run.backtracks[i]),
+                           newton_steps=int(run.newton_steps[i]), trace=run.trace[i],
+                           status=run.status[i]) for i in range(len(alphas))]
 
 
 # ---------------------------------------------------------------------------

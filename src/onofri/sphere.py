@@ -8,7 +8,9 @@ Conventions used throughout the package:
   azimuthal grid, which integrates band-limited fields exactly;
 * real spherical harmonics are orthonormal with respect to ``dw``
   (not the area measure), e.g. the degree-one zonal basis function is
-  ``sqrt(3) * x3``.
+  ``sqrt(3) * x3``;
+* a field or spectrum may carry leading lane axes: a stack of fields that
+  the transforms and integrals treat lane by lane, as they treat one field.
 """
 
 from __future__ import annotations
@@ -102,6 +104,8 @@ class SphereGrid:
     w_mu: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
     basis_mu: np.ndarray = field(repr=False)   # (m, l, mu) latitude tables, zero for l < m
+    node_points: np.ndarray = field(repr=False)    # (n_mu n_phi, 3) node coordinates, read-only
+    node_weights: np.ndarray = field(repr=False)   # (n_mu n_phi,) weights of dw, read-only
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -110,15 +114,11 @@ class SphereGrid:
     @property
     def weights(self) -> np.ndarray:
         """Quadrature weights of the probability measure dw, shape (n_mu, n_phi)."""
-        return np.repeat(self.w_mu[:, None] / (2.0 * self.n_phi), self.n_phi, axis=1)
+        return self.node_weights.reshape(self.shape)
 
     def points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cartesian coordinates of all nodes, each of shape (n_mu, n_phi)."""
-        sin_t = np.sqrt(1.0 - self.mu**2)
-        x1 = sin_t[:, None] * np.cos(self.phi)[None, :]
-        x2 = sin_t[:, None] * np.sin(self.phi)[None, :]
-        x3 = np.repeat(self.mu[:, None], self.n_phi, axis=1)
-        return x1, x2, x3
+        return tuple(np.moveaxis(self.node_points.reshape(*self.shape, 3), -1, 0))
 
 
 def build_grid(lmax: int, n_mu: int | None = None, n_phi: int | None = None) -> SphereGrid:
@@ -136,19 +136,24 @@ def build_grid(lmax: int, n_mu: int | None = None, n_phi: int | None = None) -> 
         raise GridConfigError(f"grid {n_mu}x{n_phi} cannot hold degree {lmax}")
     mu, w = np.polynomial.legendre.leggauss(n_mu)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    return SphereGrid(lmax, n_mu, n_phi, mu, w, phi, _orthonormalized_table(lmax, mu, w))
+    sin_t = np.sqrt(1.0 - mu**2)[:, None]
+    xyz = np.broadcast_arrays(sin_t * np.cos(phi), sin_t * np.sin(phi), mu[:, None])
+    points, weights = np.stack(xyz, axis=-1).reshape(-1, 3), np.repeat(w / (2.0 * n_phi), n_phi)
+    points.flags.writeable = weights.flags.writeable = False
+    return SphereGrid(lmax, n_mu, n_phi, mu, w, phi, _orthonormalized_table(lmax, mu, w),
+                      points, weights)
 
 
 @dataclass
 class SphereField:
-    """Real scalar field sampled on a SphereGrid."""
+    """Real scalar field sampled on a SphereGrid, or a stack of them (leading lane axes)."""
 
     grid: SphereGrid
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.shape:
+        if self.values.shape[-2:] != self.grid.shape:
             raise InvalidFieldError(
                 f"values shape {self.values.shape} != grid shape {self.grid.shape}"
             )
@@ -177,8 +182,9 @@ class SphereField:
 class HarmonicSpectrum:
     """Real spherical-harmonic coefficients, dense (l, m) storage.
 
-    coeffs[l, lmax + m] is the coefficient of the dw-orthonormal basis
-    function of degree l and order m (cosine branch m > 0, sine branch m < 0).
+    coeffs[..., l, lmax + m] is the coefficient of the dw-orthonormal basis
+    function of degree l and order m (cosine branch m > 0, sine branch m < 0);
+    the leading axes, if any, are lanes.
     """
 
     lmax: int
@@ -207,14 +213,14 @@ def field_of(grid: SphereGrid, fn) -> SphereField:
 
 
 def integrate(f: SphereField) -> float:
-    """Integral of f against the probability measure dw."""
+    """Integral of f against the probability measure dw (per lane)."""
     if not np.all(np.isfinite(f.values)):
         raise InvalidFieldError("integrate: field has non-finite values")
-    return float(np.sum(f.grid.w_mu @ f.values) / (2.0 * f.grid.n_phi))
+    return integrate_values(f.grid, f.values)
 
 
-def integrate_values(grid: SphereGrid, values: np.ndarray) -> float:
-    return float(np.sum(grid.w_mu @ values) / (2.0 * grid.n_phi))
+def integrate_values(grid: SphereGrid, values: np.ndarray):
+    return np.add.reduce(grid.w_mu @ values, axis=-1) / (2.0 * grid.n_phi)
 
 
 def analyze(f: SphereField) -> HarmonicSpectrum:
@@ -226,13 +232,15 @@ def analyze(f: SphereField) -> HarmonicSpectrum:
     """
     grid = f.grid
     L = grid.lmax
-    fhat = np.fft.rfft(f.values, axis=1)[:, : L + 1].T          # (m, mu)
+    fhat = np.fft.rfft(f.values, axis=-1)[..., : L + 1].swapaxes(-1, -2)   # (m, mu)
     w = 0.5 * grid.w_mu
-    rhs = np.stack([w * (fhat.real / grid.n_phi), w * (-fhat.imag / grid.n_phi)])
-    out = np.matmul(grid.basis_mu, rhs[..., None])[..., 0]       # (branch, m, l)
-    coeffs = np.empty((L + 1, 2 * L + 1))
-    coeffs[:, L:] = out[0].T
-    coeffs[:, :L] = out[1, :0:-1].T
+    rhs = np.empty(fhat.shape[:-2] + (2,) + fhat.shape[-2:])       # (branch, m, mu)
+    np.multiply(w, fhat.real / grid.n_phi, out=rhs[..., 0, :, :])
+    np.multiply(w, -fhat.imag / grid.n_phi, out=rhs[..., 1, :, :])
+    out = np.matmul(grid.basis_mu, rhs[..., None])[..., 0].swapaxes(-1, -2)  # (branch, l, m)
+    coeffs = np.empty(out.shape[:-3] + (L + 1, 2 * L + 1))
+    coeffs[..., L:] = out[..., 0, :, :]
+    coeffs[..., :L] = out[..., 1, :, :0:-1]
     return HarmonicSpectrum(L, coeffs)
 
 
@@ -245,16 +253,18 @@ def synthesize(spec: HarmonicSpectrum, grid: SphereGrid) -> SphereField:
     L = spec.lmax
     if L > grid.lmax:
         raise GridConfigError(f"spectrum degree {L} exceeds grid band limit {grid.lmax}")
-    lhs = np.zeros((L + 1, 2, L + 1))                            # (m, branch, l)
-    lhs[:, 0] = spec.coeffs[:, L:].T
-    lhs[1:, 1] = spec.coeffs[:, :L][:, ::-1].T
+    lead = spec.coeffs.shape[:-2]
+    coeffs = spec.coeffs.swapaxes(-1, -2)                        # (m, l)
+    lhs = np.zeros(lead + (L + 1, 2, L + 1))                     # (m, branch, l)
+    lhs[..., 0, :] = coeffs[..., L:, :]
+    lhs[..., 1:, 1, :] = coeffs[..., :L, :][..., ::-1, :]
     out = np.matmul(lhs, grid.basis_mu[: L + 1, : L + 1])        # (m, branch, mu)
     scale = np.full((L + 1, 1), 0.5 * grid.n_phi)
     scale[0] = grid.n_phi
-    fhat = np.zeros((grid.n_mu, grid.n_phi // 2 + 1), dtype=complex)
-    fhat.real[:, : L + 1] = (scale * out[:, 0]).T
-    fhat.imag[:, : L + 1] = (-(scale * out[:, 1])).T
-    return SphereField(grid, np.fft.irfft(fhat, n=grid.n_phi, axis=1))
+    fhat = np.zeros(lead + (grid.n_mu, grid.n_phi // 2 + 1), dtype=complex)
+    fhat.real[..., : L + 1] = (scale * out[..., 0, :]).swapaxes(-1, -2)
+    fhat.imag[..., : L + 1] = (-(scale * out[..., 1, :])).swapaxes(-1, -2)
+    return SphereField(grid, np.fft.irfft(fhat, n=grid.n_phi, axis=-1))
 
 
 def _order_sums(spec: HarmonicSpectrum, mu: np.ndarray):
@@ -316,11 +326,11 @@ def evaluate_xyz(spec: HarmonicSpectrum, points: np.ndarray) -> np.ndarray:
     return evaluate(spec, mu, phi)
 
 
-def dirichlet_energy(f: SphereField) -> float:
-    """Integral of |grad f|^2 dw, computed spectrally as sum l(l+1) c^2."""
+def dirichlet_energy(f: SphereField):
+    """Integral of |grad f|^2 dw, computed spectrally as sum l(l+1) c^2 (per lane)."""
     spec = analyze(f)
     l = np.arange(spec.lmax + 1, dtype=float)
-    return float(np.sum(l * (l + 1.0) * np.sum(spec.coeffs**2, axis=1)))
+    return np.add.reduce(l * (l + 1.0) * np.add.reduce(spec.coeffs**2, axis=-1), axis=-1)
 
 
 def laplacian(f: SphereField) -> SphereField:
@@ -331,15 +341,15 @@ def laplacian(f: SphereField) -> SphereField:
     return synthesize(spec, f.grid)
 
 
-def l2_norm(f: SphereField) -> float:
-    return float(np.sqrt(max(integrate(f.with_values(f.values**2)), 0.0)))
+def l2_norm(f: SphereField):
+    return np.sqrt(np.maximum(integrate(f.with_values(f.values**2)), 0.0))
 
 
-def h1_norm(f: SphereField) -> float:
-    return float(np.sqrt(max(integrate(f.with_values(f.values**2)) + dirichlet_energy(f), 0.0)))
+def h1_norm(f: SphereField):
+    return np.sqrt(np.maximum(integrate(f.with_values(f.values**2)) + dirichlet_energy(f), 0.0))
 
 
-def log_exp_mass(f: SphereField) -> float:
+def log_exp_mass(f: SphereField):
     """log of integral of exp(f) dw, with max-shift stabilisation."""
-    m = float(np.max(f.values))
-    return m + np.log(integrate_values(f.grid, np.exp(f.values - m)))
+    m = np.maximum.reduce(f.values, axis=(-2, -1), keepdims=True)
+    return m[..., 0, 0] + np.log(integrate_values(f.grid, np.exp(f.values - m)))

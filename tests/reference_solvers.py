@@ -249,8 +249,8 @@ def recenter(u):
     band-limited.  u itself is returned when its center of mass is already
     within fn.COM_TOL.
     """
-    pts, weights = fn._node_geometry(u.grid)
-    c, _, _ = fn.tilt(u.values.ravel(), weights, pts)
+    pts = u.grid.node_points
+    c, _, _ = fn.tilt(u.values.ravel(), u.grid.node_weights, pts)
     if not c.any():
         return u
     return sphere.SphereField(u.grid, u.values + (pts @ c).reshape(u.grid.shape))

@@ -78,6 +78,38 @@ def test_criterion_12_axisymmetric_inequality(battery):
     _check(battery, 12)
 
 
+# Descent paths at DEFAULT_SEED: the number of stacks a criterion runs, and one
+# digit per lane, its iteration count; every lane converges with no halving.  A
+# change to the lanes' arithmetic that moves any descent fails here, not only in
+# a row hash.
+DESCENT_PATHS = {
+    2: (1, "44444444444444444444"),
+    3: (5, "55444544554444444444445444544444444444444444444444"),
+    12: (1, "444554444544444444444454444444444444444444544454444444444444"),
+}
+
+
+def test_descent_paths_are_pinned(battery, monkeypatch):
+    from onofri import axisym, functional
+
+    runs = []
+    for module, name in ((functional, "minimize_stack"), (axisym, "minimize_axisym_stack")):
+        def recorded(*args, _inner=getattr(module, name)):
+            runs.append(_inner(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(module, name, recorded)
+    grids = acceptance.battery_grids()
+    for cid, (stacks, path) in DESCENT_PATHS.items():
+        runs.clear()
+        rows = acceptance.CRITERIA[cid][1](SEED, grids)
+        lanes = [res for stack in runs for res in stack]
+        assert len(runs) == stacks and "".join(str(res.iterations) for res in lanes) == path
+        assert {(res.status, res.backtracks) for res in lanes} == {("converged", 0)}
+        assert rows == [row for row in battery if row["criterion"] == cid]
+    assert [row["iterations"] for row in battery if row["criterion"] == 2] == [4] * 20
+
+
 def test_criterion_13_determinism(battery):
     fresh = acceptance.run_battery(SEED, sorted(acceptance.CRITERIA, reverse=True))
     same = json.dumps(to_builtin(battery), sort_keys=True) == json.dumps(to_builtin(fresh), sort_keys=True)
@@ -140,7 +172,7 @@ def test_criterion_12_reports_the_lowest_start(monkeypatch):
     from onofri import axisym
 
     values = iter([0.01] * 7 + [-1e-3] + [0.01] * 52)
-    monkeypatch.setattr(axisym, "minimize_axisym",
-                        lambda alpha, g0: SimpleNamespace(value=next(values), status="converged"))
+    monkeypatch.setattr(axisym, "minimize_axisym_stack", lambda alphas, g0: [
+        SimpleNamespace(value=next(values), status="converged") for _ in alphas])
     rows = acceptance.criterion_12(SEED, acceptance.battery_grids())
     assert [(r["value"], r["passed"]) for r in rows[:3]] == [(-1e-3, False), (0.01, True), (0.01, True)]

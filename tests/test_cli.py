@@ -97,6 +97,8 @@ VACUOUS_RUNS = {
     "minimize_nan_alpha": ["minimize", "--alpha", "nan"],
     "el_check_zero_alpha": ["el-check", "--alpha", "0"],
     "nodal_zero_rho": ["nodal", "--rho", "0"],
+    "minimize_stiffness_overflow": ["minimize", "--alpha", "1e308", "--L", "8"],
+    "axisym_stiffness_overflow": ["axisym", "--alpha", "1e308", "--trials", "1"],
 }
 
 

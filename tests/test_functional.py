@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from onofri import conformal, functional as fn, sphere
+from onofri import axisym as ax, conformal, functional as fn, sphere
 from onofri.errors import GridConfigError, InvalidFieldError, NonConvergenceError
 
 import reference_solvers as ref
@@ -273,7 +273,7 @@ def test_tilt_counts_newton_steps(grid16, monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
-    pts, weights = fn._node_geometry(grid16)
+    pts, weights = grid16.node_points, grid16.node_weights
     c, _, steps = fn.tilt(np.zeros(pts.shape[0]), weights, pts)
     assert steps == len(solves) == 0 and not c.any()
     for seed in range(4):
@@ -287,6 +287,15 @@ def test_tilt_counts_newton_steps(grid16, monkeypatch):
 def test_minimize_rejects_nonpositive_alpha(grid8):
     with pytest.raises(ValueError):
         fn.minimize(-0.1, ref.constant_field(grid8, 0.0))
+
+
+@pytest.mark.parametrize("alpha", [1e308, 1e307])
+def test_minimizers_reject_an_overflowing_stiffness(grid8, alpha):
+    """alpha/2 L(L+1) overflows at L = 8 and at the 1-D degree 16."""
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        fn.minimize(alpha, ref.constant_field(grid8, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+        ax.minimize_axisym(alpha, ax.random_start_1d((1,)))
 
 
 def test_minimize_rejects_nonfinite_start(grid8):
@@ -329,15 +338,17 @@ def _quadratic(x):
 
 
 def _descend(value=_quadratic, x0=(1.0, -2.0, 0.5)):
-    """fn.descend on the quadratic, with one Newton step per retraction and
-    trials valued by `value`."""
-    def trial(x, delta):
-        return x + delta, value(x + delta)
+    """fn.descend on the quadratic as a stack of one lane, with one Newton step
+    per retraction and trials valued by `value`; returns that lane's fields."""
+    def trial(lanes, x, delta):
+        return x + delta, np.array([value(row) for row in x + delta])
 
-    def retract(x):
-        return x, _quadratic(x), _A * x, 1
+    def retract(lanes, x):
+        return x, np.array([_quadratic(row) for row in x]), _A * x, np.ones(len(x), dtype=int)
 
-    return fn.descend(np.array(x0), 2.0 * _A, trial, retract, np.linalg.norm)
+    run = fn.descend(np.array([x0]), np.array([2.0 * _A]), trial, retract,
+                     lambda grad: np.linalg.norm(grad, axis=-1))
+    return fn.Descent(*(lanes[0] for lanes in run))
 
 
 def test_descend_converges_on_a_quadratic(monkeypatch):
@@ -437,7 +448,7 @@ def test_minimize_matches_per_quantity_exponential_reference(grid16, alpha):
 
 
 def test_tilt_matches_log_weight_reference(grid16):
-    pts, weights = fn._node_geometry(grid16)
+    pts, weights = grid16.node_points, grid16.node_weights
     for seed in range(4):
         u = fn.random_start(grid16, (seed,), amplitude=1.5).values.ravel()
         c, mom, _ = fn.tilt(u, weights, pts)
