@@ -39,11 +39,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_list(text: str) -> list[float]:
+def _parse_list(text: str, kind) -> list[float]:
+    """The entries of a comma-separated list flag, each through the flag type kind."""
     try:
-        values = [float(tok) for tok in str(text).replace(";", ",").split(",") if tok.strip()]
-    except ValueError as exc:
-        raise UsageError(f"cannot parse list {text!r}") from exc
+        values = [kind(tok) for tok in str(text).replace(";", ",").split(",") if tok.strip()]
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise UsageError(f"cannot parse list {text!r}: {exc}") from exc
     if not values:
         raise UsageError(f"empty list {text!r}")
     return values
@@ -139,7 +140,8 @@ def cmd_minimize(cfg):
 
 def cmd_alpha_scan(cfg):
     grid = _grid_for(cfg)
-    rows = functional.alpha_scan(_parse_list(cfg["alphas"]), cfg["trials"], cfg["seed"], grid=grid)
+    rows = functional.alpha_scan(_parse_list(cfg["alphas"], _POSITIVE), cfg["trials"], cfg["seed"],
+                                 grid=grid)
     out = []
     ok = True
     for row in rows:
@@ -214,7 +216,7 @@ def cmd_beta_curve(cfg):
 
 def cmd_uniqueness(cfg):
     l = cfg["l"]
-    targets = _parse_list(cfg["targets"])
+    targets = _parse_list(cfg["targets"], _FINITE)
     if not cfg["s_min"] < cfg["s_max"]:
         raise UsageError(f"--s-min {cfg['s_min']} must be below --s-max {cfg['s_max']}")
     search = shooting.solutions_at_beta(l, targets, (cfg["s_min"], cfg["s_max"]))
@@ -263,7 +265,7 @@ def cmd_bol_audit(cfg):
     case = cfg["case"]
     g_fn = planar.audit_fields()[case]
     audits = eigen.bol_audit(g_fn, eigen.Disk(3.0),
-                             [eigen.Disk(r) for r in _parse_list(cfg["radii"])],
+                             [eigen.Disk(r) for r in _parse_list(cfg["radii"], _POSITIVE)],
                              glap_fn=g_fn.lap_evaluator, h=cfg["h"])
     rows = [{
         "claim": "nonpositive first eigenvalue forces mass over 4 pi",
@@ -323,6 +325,8 @@ def _checked(kind, test, text: str):
 
 _POSITIVE = _checked(float, lambda x: 0.0 < x < math.inf, "positive and finite")
 _NONNEGATIVE = _checked(float, lambda x: 0.0 <= x < math.inf, "nonnegative and finite")
+_FINITE = _checked(float, math.isfinite, "finite")
+_START = _checked(float, shooting.finite_start, "finite with a finite e^s")
 
 # Every run flag: its type (or its choices) and what it sets.
 FLAGS = {
@@ -334,14 +338,16 @@ FLAGS = {
     "alphas": (str, "comma-separated alpha values"),
     "trials": (_checked(int, lambda k: k >= 1, "at least 1"), "random starts per alpha"),
     "l": (_NONNEGATIVE, "exponent of the weight (1+r^2)^l"),
-    "s": (float, "start value v(0) of the radial profile"),
-    "s_min": (float, "lowest start value"),
-    "s_max": (float, "highest start value"),
+    "s": (_START, "start value v(0) of the radial profile"),
+    "s_min": (_START, "lowest start value"),
+    "s_max": (_START, "highest start value"),
     "n": (_checked(int, lambda k: k >= 2, "at least 2"), "number of equally spaced start values"),
-    "r_max": (float, "radius where the closed-form tail takes over"),
+    "r_max": (_checked(float, lambda x: shooting.R_MAX_FLOOR <= x < math.inf,
+                       f"finite and at least {shooting.R_MAX_FLOOR}"),
+              "radius where the closed-form tail takes over"),
     "tol": (_POSITIVE, "tolerance of the adaptive integrator"),
     "targets": (str, "comma-separated target masses beta"),
-    "floor": (float, "level the two-bubble probe must cross when alpha < 1/2"),
+    "floor": (_FINITE, "level the two-bubble probe must cross when alpha < 1/2"),
     "case": (tuple(planar.audit_fields()), "audited field"),
     "radii": (str, "comma-separated radii of the audited disks"),
     "h": (_checked(float, lambda x: x > 0.0, "positive"), "mesh width of the eigenvalue scheme"),

@@ -336,6 +336,8 @@ def search_curve(curve, beta_targets, s_bracket: tuple[float, float]) -> RootSea
     """
     if not s_bracket[0] < s_bracket[1]:
         raise ValueError(f"bracket {tuple(s_bracket)} is empty or reversed")
+    if not all(math.isfinite(t) for t in beta_targets):
+        raise ValueError(f"targets {list(beta_targets)} must be finite")
     coarse = np.linspace(s_bracket[0], s_bracket[1], N_COARSE)
     samples = [curve(float(s)) for s in coarse]
     unresolved = sum(1 for row in samples if row[0] == "unresolved")

@@ -2,9 +2,10 @@
 
 The profile starts from a fourth-order series at r0 = 1e-4 (the ODE is 0/0 at
 the origin), integrates in r up to r = 1, then switches to t = log r where the
-far field is asymptotically linear, v ~ -beta t + c.  The integrator measures
-the error of v against the tolerance itself, not relative to |v|, which grows
-like beta t there.  Two mass estimates are formed along independent paths:
+far field is asymptotically linear, v ~ -beta t + c.  One Cash-Karp kernel
+integrates both legs with their right-hand sides inline; it measures the error
+of v against the tolerance itself, not relative to |v|, which grows like
+beta t there.  Two mass estimates are formed along independent paths:
 
 * beta_slope: the ODE state -r v'(r) at the endpoint plus an analytic tail,
 * beta_mass: quadrature of (1+r^2)^l e^v over the stored profile plus the same
@@ -33,18 +34,20 @@ from .errors import NonConvergenceError
 from .rootsearch import RootSearch, search_curve
 
 
-def _rk_adaptive(f, x0, v, p, x1, tol, h0, store_x, store_v, store_p, hmax):
-    """Cash-Karp 5(4) embedded pair for the 2-state system (v, p)' = f(x, v, p).
+def _rk_adaptive(outer, l, x0, v, p, x1, tol, h0, store_x, store_v, store_p, hmax):
+    """Cash-Karp 5(4) embedded pair for one leg of the radial equation, v' = p.
 
-    One flat scalar step with the six stages unrolled; every stage sum keeps
-    the left-to-right order of the generic tableau loop, so the accepted steps
-    are bit-identical to it.  The error of v is measured against tol and the
-    error of p against tol (1 + |p|): on the log-radial leg V falls like
-    -beta t to about -100, and a v error relative to |V| would loosen the step
-    where the far field builds c_asym and the W the analytic tail starts
-    from.  Accepted nodes are appended to store_x/v/p.  Returns
-    (v, p, rejected_steps).  hmax caps the step size: infinite on the inner
-    leg, _HMAX_OUTER on the log-radial leg.
+    Inner leg (outer false): x = r and p' = -p/r - (1+r^2)^l e^v.  Log-radial
+    leg: x = t = log r, (v, p) = (V, W) and W' = -exp((2+2l) t + l log1p(e^{-2t}) + V).
+    One flat scalar step with the six stages unrolled and both right-hand sides
+    inline; every stage sum keeps the left-to-right order of the generic
+    tableau loop, so the accepted steps are bit-identical to it.  The error of v
+    is measured against tol and the error of p against tol (1 + |p|): on the
+    log-radial leg V falls like -beta t to about -100, and a v error relative to
+    |V| would loosen the step where the far field builds c_asym and the W the
+    analytic tail starts from.  Accepted nodes are appended to store_x/v/p.
+    Returns (v, p, rejected_steps).  hmax caps the step size: infinite on the
+    inner leg, _HMAX_OUTER on the log-radial leg.
     """
     # tableau (Cash & Karp 1990); the zero weights b2, b5 and e2 are omitted
     c2, c3, c4, c5, c6 = 1.0 / 5.0, 3.0 / 10.0, 3.0 / 5.0, 1.0, 7.0 / 8.0
@@ -57,6 +60,9 @@ def _rk_adaptive(f, x0, v, p, x1, tol, h0, store_x, store_v, store_p, hmax):
     b1, b3, b4, b6 = 37.0 / 378.0, 250.0 / 621.0, 125.0 / 594.0, 512.0 / 1771.0
     e1, e3, e4, e5, e6 = (-277.0 / 64512.0, 6925.0 / 370944.0, -6925.0 / 202752.0,
                           -277.0 / 14336.0, 277.0 / 7084.0)
+    exp, log1p = math.exp, math.log1p
+    two_l2 = 2.0 + 2.0 * l
+    add_x, add_v, add_p = store_x.append, store_v.append, store_p.append
     x, h = x0, h0
     steps = rejected = 0
     while x < x1:
@@ -64,28 +70,39 @@ def _rk_adaptive(f, x0, v, p, x1, tol, h0, store_x, store_v, store_p, hmax):
             h = hmax
         if x + h > x1:
             h = x1 - x
-        kv1, kp1 = f(x, v, p)
-        kv2, kp2 = f(x + c2 * h, v + h * (a21 * kv1), p + h * (a21 * kp1))
-        kv3, kp3 = f(x + c3 * h, v + h * (a31 * kv1 + a32 * kv2),
-                     p + h * (a31 * kp1 + a32 * kp2))
-        kv4, kp4 = f(x + c4 * h, v + h * (a41 * kv1 + a42 * kv2 + a43 * kv3),
-                     p + h * (a41 * kp1 + a42 * kp2 + a43 * kp3))
-        kv5, kp5 = f(x + c5 * h, v + h * (a51 * kv1 + a52 * kv2 + a53 * kv3 + a54 * kv4),
-                     p + h * (a51 * kp1 + a52 * kp2 + a53 * kp3 + a54 * kp4))
-        kv6, kp6 = f(x + c6 * h,
-                     v + h * (a61 * kv1 + a62 * kv2 + a63 * kv3 + a64 * kv4 + a65 * kv5),
-                     p + h * (a61 * kp1 + a62 * kp2 + a63 * kp3 + a64 * kp4 + a65 * kp5))
-        err_v = abs(h * (e1 * kv1 + e3 * kv3 + e4 * kv4 + e5 * kv5 + e6 * kv6)) / tol
-        err_p = (abs(h * (e1 * kp1 + e3 * kp3 + e4 * kp4 + e5 * kp5 + e6 * kp6))
+        # stage j evaluates at (xj, vj, pj); its v slope is pj, its p slope kj
+        k1 = (-exp(two_l2 * x + l * log1p(exp(-2.0 * x)) + v) if outer
+              else -p / x - (1.0 + x * x) ** l * exp(v))
+        x2, v2, p2 = x + c2 * h, v + h * (a21 * p), p + h * (a21 * k1)
+        k2 = (-exp(two_l2 * x2 + l * log1p(exp(-2.0 * x2)) + v2) if outer
+              else -p2 / x2 - (1.0 + x2 * x2) ** l * exp(v2))
+        x3, v3 = x + c3 * h, v + h * (a31 * p + a32 * p2)
+        p3 = p + h * (a31 * k1 + a32 * k2)
+        k3 = (-exp(two_l2 * x3 + l * log1p(exp(-2.0 * x3)) + v3) if outer
+              else -p3 / x3 - (1.0 + x3 * x3) ** l * exp(v3))
+        x4, v4 = x + c4 * h, v + h * (a41 * p + a42 * p2 + a43 * p3)
+        p4 = p + h * (a41 * k1 + a42 * k2 + a43 * k3)
+        k4 = (-exp(two_l2 * x4 + l * log1p(exp(-2.0 * x4)) + v4) if outer
+              else -p4 / x4 - (1.0 + x4 * x4) ** l * exp(v4))
+        x5, v5 = x + c5 * h, v + h * (a51 * p + a52 * p2 + a53 * p3 + a54 * p4)
+        p5 = p + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
+        k5 = (-exp(two_l2 * x5 + l * log1p(exp(-2.0 * x5)) + v5) if outer
+              else -p5 / x5 - (1.0 + x5 * x5) ** l * exp(v5))
+        x6, v6 = x + c6 * h, v + h * (a61 * p + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
+        p6 = p + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5)
+        k6 = (-exp(two_l2 * x6 + l * log1p(exp(-2.0 * x6)) + v6) if outer
+              else -p6 / x6 - (1.0 + x6 * x6) ** l * exp(v6))
+        err_v = abs(h * (e1 * p + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6)) / tol
+        err_p = (abs(h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6))
                  / (tol * (1.0 + abs(p))))
         err = err_p if err_p > err_v else err_v
         if err <= 1.0:
-            v = v + h * (b1 * kv1 + b3 * kv3 + b4 * kv4 + b6 * kv6)
-            p = p + h * (b1 * kp1 + b3 * kp3 + b4 * kp4 + b6 * kp6)
+            v = v + h * (b1 * p + b3 * p3 + b4 * p4 + b6 * p6)
+            p = p + h * (b1 * k1 + b3 * k3 + b4 * k4 + b6 * k6)
             x += h
-            store_x.append(x)
-            store_v.append(v)
-            store_p.append(p)
+            add_x(x)
+            add_v(v)
+            add_p(p)
         else:
             rejected += 1
         fac = 0.9 * (err ** -0.2) if err > 0 else 5.0
@@ -137,20 +154,20 @@ def _quintic_hermite_basis(q: np.ndarray) -> np.ndarray:
 _GAUSS3_QUINTIC = _quintic_hermite_basis(_GAUSS3_NODES)[:, :, None]    # (basis, node, 1)
 
 
-def _hermite_at(basis: np.ndarray, x: np.ndarray, v: np.ndarray, dv: np.ndarray,
+def _hermite_at(basis: np.ndarray, h: np.ndarray, v: np.ndarray, dv: np.ndarray,
                 d2v: np.ndarray) -> np.ndarray:
     """Quintic Hermite interpolant of v at fixed fractions of every interval.
 
-    basis is _quintic_hermite_basis(q)[:, :, None]; x, v, dv, d2v are node
-    arrays with dv and d2v the first and second derivatives of v in x.  The
-    result has shape (len(q), intervals).
+    basis is _quintic_hermite_basis(q)[:, :, None]; h holds the interval
+    widths, and v, dv, d2v are node arrays with dv and d2v the first and
+    second derivatives of v in x.  The result has shape (len(q), intervals).
     """
-    h = np.diff(x)
     h2 = h * h
+    b0, b1, b2, b3, b4, b5 = basis
     # broadcast sums, not matrix products: a first BLAS call maps its buffers,
     # about 0.25 MB of peak RSS in a process that only shoots
-    return sum(b * node for b, node in zip(basis, (
-        v[:-1], h * dv[:-1], h2 * d2v[:-1], v[1:], h * dv[1:], h2 * d2v[1:])))
+    return (b0 * v[:-1] + b1 * (h * dv[:-1]) + b2 * (h2 * d2v[:-1])
+            + b3 * v[1:] + b4 * (h * dv[1:]) + b5 * (h2 * d2v[1:]))
 
 
 def _weight(l, r, v):
@@ -174,12 +191,25 @@ _HMAX_OUTER = 1.0
 MAX_STEPS = 200000      # steps, accepted or rejected, of one leg before _rk_adaptive gives up
 
 
+R_MAX_FLOOR = 50.0      # an r_max below this cannot anchor the asymptote
+
+
+def finite_start(s: float) -> bool:
+    """Whether s and e^s, the scale of the start series, are both finite."""
+    try:
+        return math.isfinite(s) and math.exp(s) < math.inf
+    except OverflowError:
+        return False
+
+
 def shoot(l: float, s: float, r_max: float = 1e6, tol: float = 1e-10) -> RadialSolution:
     """Integrate the radial problem with v(0) = s, v'(0) = 0 out to r_max."""
     if l < 0:
         raise ValueError("l must be nonnegative (the l < 0 regime is out of scope)")
-    if r_max < 50:
-        raise ValueError("r_max below 50 cannot anchor the asymptote")
+    if not finite_start(s):
+        raise ValueError(f"s = {s}: s and e^s must be finite")
+    if not R_MAX_FLOOR <= r_max < math.inf:
+        raise ValueError(f"r_max = {r_max} must be finite and at least {R_MAX_FLOOR}")
     return _integrate(l, s, r_max, tol)
 
 
@@ -193,22 +223,11 @@ def _integrate(l: float, s: float, r_max: float, tol: float) -> RadialSolution:
     # keep the series truncation error under control for concentrated starts
     r0 = min(1e-4, 0.01 * math.exp(-max(s, 0.0) / 2.0))
 
-    exp = math.exp
-
-    def f_inner(r, v, p):
-        return p, -p / r - (1.0 + r * r) ** l * exp(v)
-
     rs = [r0]
     vs = [s + a2 * r0**2 + a4 * r0**4]
     ps = [2.0 * a2 * r0 + 4.0 * a4 * r0**3]
-    v, p, rejected = _rk_adaptive(f_inner, r0, vs[0], ps[0], 1.0, tol, min(1e-3, r0),
+    v, p, rejected = _rk_adaptive(False, l, r0, vs[0], ps[0], 1.0, tol, min(1e-3, r0),
                                   rs, vs, ps, math.inf)
-
-    log1p = math.log1p
-    two_l2 = 2.0 + 2.0 * l
-
-    def f_outer(t, v, w):
-        return w, -exp(two_l2 * t + l * log1p(exp(-2.0 * t)) + v)
 
     # the leg ends at r_max, or is extended in steps of 10 in t while the
     # decay rate has not cleanly emerged (slow saturation toward beta = 2l+2
@@ -218,7 +237,7 @@ def _integrate(l: float, s: float, r_max: float, tol: float) -> RadialSolution:
     t_next = math.log(r_max)
     t_cap = max(t_next, 60.0)
     while ts[-1] < t_next:
-        V_end, W_end, rej = _rk_adaptive(f_outer, ts[-1], V_end, W_end, t_next, tol, 1e-2,
+        V_end, W_end, rej = _rk_adaptive(True, l, ts[-1], V_end, W_end, t_next, tol, 1e-2,
                                          ts, Vs, Ws, _HMAX_OUTER)
         rejected += rej
         if -(2.0 + 2.0 * l + W_end) <= 0.1:
@@ -247,12 +266,12 @@ def _integrate(l: float, s: float, r_max: float, tol: float) -> RadialSolution:
     h_in, h_out = np.diff(r_in), np.diff(t_out)
     rq = r_in[:-1] + _GAUSS3_NODES[:, None] * h_in
     c, q = _weight(l, r_in, v_in), _q(l, t_out, v_out)
-    cq = _weight(l, rq, _hermite_at(_GAUSS3_QUINTIC, r_in, v_in, p_in, -p_in / r_in - c))
+    cq = _weight(l, rq, _hermite_at(_GAUSS3_QUINTIC, h_in, v_in, p_in, -p_in / r_in - c))
     qq = _q(l, t_out[:-1] + _GAUSS3_NODES[:, None] * h_out,
-            _hermite_at(_GAUSS3_QUINTIC, t_out, v_out, w_out, -q))
+            _hermite_at(_GAUSS3_QUINTIC, h_out, v_out, w_out, -q))
     mass = es * (r0**2 / 2.0 + (l + a2) * r0**4 / 4.0)
-    mass += float(np.sum(_GAUSS3_WEIGHTS[:, None] * h_in * (cq * rq)))
-    mass += float(np.sum(_GAUSS3_WEIGHTS[:, None] * h_out * qq))
+    mass += float(np.add.reduce(_GAUSS3_WEIGHTS[:, None] * h_in * (cq * rq), axis=None))
+    mass += float(np.add.reduce(_GAUSS3_WEIGHTS[:, None] * h_out * qq, axis=None))
     beta_mass = mass + tail
     c_asym = (V_end + beta_slope * t_max + 2.0 * math.log1p(tail / (settled + rate))
               if rate > 0.0 else math.nan)
@@ -343,11 +362,11 @@ def beta_prime(sol: RadialSolution) -> tuple[float, float]:
                             1.0 + a2 * r0**2 + da4 * r0**4, 2.0 * a2 * r0 + 4.0 * da4 * r0**3)
     n_in = len(r)
     w, z, Y, Z = w[:n_in], z[:n_in], w[n_in - 1:], z[n_in - 1:]
-    wq = _hermite_at(_GAUSS3_QUINTIC, r, w, z, -z / r - c * w)
-    Yq = _hermite_at(_GAUSS3_QUINTIC, t, Y, Z, -q * Y)
+    wq = _hermite_at(_GAUSS3_QUINTIC, h_in, w, z, -z / r - c * w)
+    Yq = _hermite_at(_GAUSS3_QUINTIC, h_out, Y, Z, -q * Y)
     mass = es * (r0**2 / 2.0 + (l + 2.0 * a2) * r0**4 / 4.0)
-    mass += float(np.sum(_GAUSS3_WEIGHTS[:, None] * h_in * cq * wq * rq))
-    mass += float(np.sum(_GAUSS3_WEIGHTS[:, None] * h_out * qq * Yq))
+    mass += float(np.add.reduce(_GAUSS3_WEIGHTS[:, None] * h_in * cq * wq * rq, axis=None))
+    mass += float(np.add.reduce(_GAUSS3_WEIGHTS[:, None] * h_out * qq * Yq, axis=None))
 
     # tail = R - rate with R = sqrt(rate^2 + 2 q_end): d tail = (dq_end - tail d rate) / R,
     # where d rate = -Y'(t_max) and dq_end = q_end Y(t_max)

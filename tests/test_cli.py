@@ -99,6 +99,19 @@ VACUOUS_RUNS = {
     "nodal_zero_rho": ["nodal", "--rho", "0"],
     "minimize_stiffness_overflow": ["minimize", "--alpha", "1e308", "--L", "8"],
     "axisym_stiffness_overflow": ["axisym", "--alpha", "1e308", "--trials", "1"],
+    "shoot_nan_s": ["shoot", "--l", "1", "--s", "nan"],
+    "shoot_inf_s": ["shoot", "--l", "1", "--s", "inf"],
+    "shoot_overflowing_s": ["shoot", "--l", "1", "--s", "750"],
+    "shoot_nan_r_max": ["shoot", "--l", "1", "--s", "2", "--r-max", "nan"],
+    "shoot_inf_r_max": ["shoot", "--l", "1", "--s", "2", "--r-max", "inf"],
+    "shoot_r_max_below_floor": ["shoot", "--l", "1", "--s", "2", "--r-max", "10"],
+    "beta_curve_nan_s_min": ["beta-curve", "--l", "1", "--s-min", "nan", "--n", "3"],
+    "uniqueness_inf_s_max": ["uniqueness", "--l", "1", "--s-max", "inf"],
+    "axisym_nan_floor": ["axisym", "--alpha", "0.45", "--floor", "nan"],
+    "uniqueness_nan_target": ["uniqueness", "--l", "1", "--targets", "nan"],
+    "uniqueness_inf_target": ["uniqueness", "--l", "1", "--targets", "inf"],
+    "alpha_scan_nan_alpha": ["alpha-scan", "--alphas", "nan", "--trials", "1"],
+    "bol_audit_nan_radius": ["bol-audit", "--radii", "nan"],
 }
 
 

@@ -93,6 +93,15 @@ def test_shoot_rejects_bad_domain():
         sh.shoot(1.0, 0.0, r_max=10.0)
 
 
+@pytest.mark.parametrize("s, r_max", [(math.nan, 1e6), (math.inf, 1e6), (-math.inf, 1e6),
+                                      (750.0, 1e6), (0.0, math.nan), (0.0, math.inf)])
+def test_shoot_rejects_non_finite_inputs(s, r_max):
+    """A NaN start or radius would run out the step budget or report a mass,
+    and an infinite or overflowing e^s would crash in the start series."""
+    with pytest.raises(ValueError, match="finite"):
+        sh.shoot(1.0, s, r_max=r_max)
+
+
 def test_beta_curve_flat_at_l0():
     rows = sh.beta_curve(0.0, -4.0, 4.0, 17)
     assert len(rows) == 17
@@ -232,7 +241,7 @@ def test_quintic_mass_rule_is_sixth_order():
     def error(n):
         r = np.linspace(0.0, 3.0, n + 1)
         h = np.diff(r)
-        vq = sh._hermite_at(sh._GAUSS3_QUINTIC, r, v(r), -4.0 * r / (1.0 + r * r),
+        vq = sh._hermite_at(sh._GAUSS3_QUINTIC, h, v(r), -4.0 * r / (1.0 + r * r),
                             -4.0 * (1.0 - r * r) / (1.0 + r * r) ** 2)
         rq = r[:-1] + sh._GAUSS3_NODES[:, None] * h
         mass = float(np.sum(sh._GAUSS3_WEIGHTS[:, None] * h * (np.exp(vq) * rq)))
@@ -275,18 +284,20 @@ def test_brent_matches_closed_form_root():
 
 
 def test_integrator_step_budget_raises_typed_error(monkeypatch):
-    xs, vs, ps = [0.0], [1.0], [0.0]
+    """The log-radial leg of the l = 1 bubble from r = 1 to r = e^10."""
+    xs, vs, ps = [0.0], [math.log(12.0 / 8.0)], [-3.0]
     monkeypatch.setattr(sh, "MAX_STEPS", 3)
     with pytest.raises(NonConvergenceError) as info:
-        sh._rk_adaptive(lambda x, v, p: (p, -v), 0.0, vs[0], ps[0], 10.0, 1e-10, 1e-3,
-                        xs, vs, ps, math.inf)
+        sh._rk_adaptive(True, 1.0, 0.0, vs[0], ps[0], 10.0, 1e-10, 1e-2,
+                        xs, vs, ps, sh._HMAX_OUTER)
     assert 0.0 < info.value.best < 10.0
     assert info.value.best == xs[-1]
 
 
 # The integrator as it was before the unrolled kernel: the generic Cash-Karp
-# tableau loop with generator stage sums, wrapped to the (x, v, p) signature.
-# The unrolled kernel must reproduce its shots bit for bit.
+# tableau loop with generator stage sums, driven by closures that hold the
+# right-hand sides of both legs as they were before the kernel inlined them.
+# The kernel must reproduce its shots bit for bit.
 _CK_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 3.0 / 5.0, 1.0, 7.0 / 8.0)
 _CK_A = (
     (),
@@ -301,7 +312,21 @@ _CK_ERR = (-277.0 / 64512.0, 0.0, 6925.0 / 370944.0, -6925.0 / 202752.0,
            -277.0 / 14336.0, 277.0 / 7084.0)
 
 
-def _rk_reference(f, x0, v0, p0, x1, tol, h0, store_x, store_v, store_p, hmax):
+def _rhs_reference(outer, l):
+    exp, log1p = math.exp, math.log1p
+    two_l2 = 2.0 + 2.0 * l
+
+    def f_inner(r, v, p):
+        return p, -p / r - (1.0 + r * r) ** l * exp(v)
+
+    def f_outer(t, v, w):
+        return w, -exp(two_l2 * t + l * log1p(exp(-2.0 * t)) + v)
+
+    return f_outer if outer else f_inner
+
+
+def _rk_reference(outer, l, x0, v0, p0, x1, tol, h0, store_x, store_v, store_p, hmax):
+    f = _rhs_reference(outer, l)
     x = x0
     y = [v0, p0]
     h = min(h0, hmax)
@@ -356,6 +381,16 @@ def test_unrolled_kernel_matches_reference_bit_for_bit(monkeypatch, l, s):
     new = sh.shoot(l, s)
     monkeypatch.setattr(sh, "_rk_adaptive", _rk_reference)
     _assert_same_shot(new, sh.shoot(l, s))
+
+
+def test_unrolled_kernel_matches_reference_over_the_curves_grid(monkeypatch):
+    """Every shot of the curves workload's range, and a shot with rejected steps."""
+    grid = CURVES_GRID + [(2.0, 7.0)]
+    shots = [sh.shoot(l, s) for l, s in grid]
+    assert shots[-1].rejected_steps >= 1
+    monkeypatch.setattr(sh, "_rk_adaptive", _rk_reference)
+    for new, (l, s) in zip(shots, grid):
+        _assert_same_shot(new, sh.shoot(l, s))
 
 
 def test_unrolled_kernel_matches_reference_through_far_field_extension(monkeypatch):
@@ -470,6 +505,17 @@ def test_search_refuses_a_reversed_or_empty_bracket(bracket):
 
     with pytest.raises(ValueError, match="empty or reversed"):
         rs.search_curve(curve, [6.0], bracket)
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+def test_search_refuses_a_non_finite_target(target):
+    """No sign change of beta - target exists for a NaN or infinite target, so
+    the certificate would predict 0 roots and a count of 0 would pass."""
+    def curve(s):
+        raise AssertionError("sampled for a refused target")
+
+    with pytest.raises(ValueError, match="finite"):
+        rs.search_curve(curve, [6.0, target], (-6.0, 10.0))
 
 
 def test_certificate_rejects_a_hidden_double_root():
