@@ -139,9 +139,8 @@ def criterion_5(seed, grids):
         rows.append(_row(5, f"beta_vstar_l_{l}", "axial profile mass equals 4 + 2l",
                          err, 1e-8, err <= 1e-8, l=float(l)))
     vs = planar.v_star_field(1.5)
-    radii = np.linspace(0.0, 20.0, 401)
-    pts = np.stack([radii, np.zeros_like(radii)], axis=-1)
-    res = float(np.max(np.abs(planar.planar_residual(vs, pts))))
+    x_axis = planar.grid_points(np.linspace(0.0, 20.0, 401), [0.0])
+    res = float(np.max(np.abs(planar.planar_residual(vs, x_axis))))
     rows.append(_row(5, "vstar_residual", "axial profile solves the planar equation pointwise",
                      res, 1e-10, res <= 1e-10))
 

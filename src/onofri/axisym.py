@@ -120,11 +120,11 @@ def recenter_1d(g: LegendreFunction) -> LegendreFunction:
     grow, and only coeffs[1] changes, so the degree is kept.  g itself is
     returned when its normalised moment is already within functional.COM_TOL.
     """
-    c, _, _ = functional.tilt(2.0 * g.node_values(), 0.5 * g.weights, g.nodes[:, None])
-    if c[0] == 0.0:
+    c, _, _ = functional.tilt(2.0 * g.node_values()[None], 0.5 * g.weights, g.nodes[:, None])
+    if c[0, 0] == 0.0:
         return g
     out = g.copy()
-    out.coeffs[1] += 0.5 * c[0]
+    out.coeffs[1] += 0.5 * c[0, 0]
     return out
 
 

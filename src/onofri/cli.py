@@ -326,7 +326,7 @@ def _checked(kind, test, text: str):
 _POSITIVE = _checked(float, lambda x: 0.0 < x < math.inf, "positive and finite")
 _NONNEGATIVE = _checked(float, lambda x: 0.0 <= x < math.inf, "nonnegative and finite")
 _FINITE = _checked(float, math.isfinite, "finite")
-_START = _checked(float, shooting.finite_start, "finite with a finite e^s")
+_START = _checked(float, shooting.finite_start, "finite with e^s e^s / 4 finite")
 
 # Every run flag: its type (or its choices) and what it sets.
 FLAGS = {

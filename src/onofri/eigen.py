@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature
+from . import planar, quadrature
 from .errors import GridConfigError, NonConvergenceError
 
 
@@ -88,8 +88,7 @@ def _polar_grid(R: float, n_r: int, n_theta: int):
     # the Dirichlet face at r = R (ghost mirror, face value zero)
     ring_diag[-1] += 2.0 * (n_r * dr * dth / dr)
     theta = (np.arange(n_theta) + 0.5) * dth
-    pts = np.stack(np.broadcast_arrays(r[:, None] * np.cos(theta),
-                                       r[:, None] * np.sin(theta)), axis=-1).reshape(-1, 2)
+    pts = planar.polar_points(r, theta).reshape(-1, 2)
     return r * dr * dth, w_rad, ring_diag, w_ang, pts
 
 
@@ -122,9 +121,7 @@ def _assemble_rect(rect: Rect, h: float):
         [(node[:-1].ravel(), node[1:].ravel(), np.full((nx - 2) * (ny - 1), wx)),
          (node[:, :-1].ravel(), node[:, 1:].ravel(), np.full((nx - 1) * (ny - 2), wy))],
         np.full(n, 2.0 * (wx + wy)))
-    m = np.full(n, area)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    return K, m, np.stack([X, Y], axis=-1).reshape(-1, 2)
+    return K, np.full(n, area), planar.grid_points(xs, ys).reshape(-1, 2)
 
 
 # eigenpairs must reach ||(A - lambda M) v||_{M^-1} <= RESIDUAL_TOL (1 + |lambda|);
@@ -348,14 +345,13 @@ def domain_mass(g_fn, omega) -> float:
     if isinstance(omega, Disk):
         r, wr = quadrature.panels([0.0, omega.radius], 64)
         theta = 2.0 * math.pi * np.arange(128) / 128
-        pts = np.stack([r[:, None] * np.cos(theta), r[:, None] * np.sin(theta)], axis=-1)
-        vals = np.exp(np.asarray(g_fn(pts.reshape(-1, 2)))).reshape(r.size, theta.size)
+        pts = planar.polar_points(r, theta).reshape(-1, 2)
+        vals = np.exp(np.asarray(g_fn(pts))).reshape(r.size, theta.size)
         return float(2.0 * math.pi / theta.size * np.dot(wr * r, np.sum(vals, axis=1)))
     if isinstance(omega, Rect):
         xs, wx = quadrature.panels([omega.x0, omega.x1], 64)
         ys, wy = quadrature.panels([omega.y0, omega.y1], 64)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        vals = np.exp(np.asarray(g_fn(np.stack([X, Y], axis=-1).reshape(-1, 2))))
+        vals = np.exp(np.asarray(g_fn(planar.grid_points(xs, ys).reshape(-1, 2))))
         return float(wx @ vals.reshape(xs.size, ys.size) @ wy)
     raise TypeError(f"unsupported domain {omega!r}")
 
@@ -383,7 +379,7 @@ def supersolution_margin(g_fn, glap_fn, Omega) -> float:
         raise TypeError(f"unsupported domain {Omega!r}")
     r = np.linspace(0.0, Omega.radius, MARGIN_SAMPLES)
     theta = 2.0 * math.pi * np.arange(MARGIN_SAMPLES) / MARGIN_SAMPLES
-    pts = np.stack([r[:, None] * np.cos(theta), r[:, None] * np.sin(theta)], axis=-1).reshape(-1, 2)
+    pts = planar.polar_points(r, theta).reshape(-1, 2)
     lap = np.asarray(glap_fn(pts), dtype=float)
     return float(np.min(lap + np.exp(np.asarray(g_fn(pts), dtype=float))))
 

@@ -11,7 +11,7 @@ keeps it band-limited.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -99,26 +99,25 @@ def _put(stack, lanes, sub):
 
 def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray,
          start: ExpMoments | None = None) -> tuple[np.ndarray, ExpMoments, np.ndarray]:
-    """Vector c with zero mean of `points` under e^{values + points @ c} weights.
+    """Per lane of a (lanes, nodes) stack of values, the vector c with zero mean of
+    `points` under e^{values + points @ c} weights.
 
     c minimises F(c) = log sum weights e^{values + points @ c}, which is
     strictly convex and coercive when the points span their space: the
     gradient of F is the weighted mean of the points and its Hessian is their
     weighted covariance, so damped Newton reaches the unique minimiser.
-    Returns c, the moments of the tilted measure and the number of Newton
-    steps taken: `start`, the moments at c = 0 when the caller has them, and
-    c = 0 after no step when their mean is already within COM_TOL.  Every other
-    moment evaluation costs one exponential.  values may be a (lanes, nodes) stack
-    (`start` its moments): each lane takes its own Newton steps and halvings.
+    Returns per lane c, the moments of the tilted measure and the number of
+    Newton steps taken: `start`, the moments at c = 0 when the caller has them,
+    and c = 0 after no step when their mean is already within COM_TOL.  Every
+    other moment evaluation costs one exponential.  Each lane takes its own
+    Newton steps and halvings.
     """
-    one = values.ndim == 1
-    values = values[None] if one else values
     c = np.zeros((len(values), points.shape[1]))
     steps = [0] * len(values)
     if start is None:
         mom = exp_moments(values, weights, points)
     elif len(values) == 1:      # a single lane is replaced whole, never written in place
-        mom = ExpMoments(*(np.asarray(a)[None] for a in start)) if one else start
+        mom = start
     else:                       # the lanes of a stack are written in place: not the caller's
         mom = ExpMoments(*(a.copy() for a in start))
     for _ in range(50):
@@ -154,8 +153,6 @@ def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray,
     else:
         raise NonConvergenceError("tilt: Newton did not reach tolerance", best=c.squeeze(),
                                   residual=float(np.max(np.linalg.norm(mom.mean, axis=-1))))
-    if one:
-        return c[0], ExpMoments(*(a[0] for a in mom)), steps[0]
     return c, mom, np.array(steps)
 
 
@@ -201,7 +198,6 @@ class MinimizeResult:
     iterations: int
     backtracks: int         # line-search halvings over the whole run
     newton_steps: int       # Newton steps of the tilts over the whole run
-    trace: list = field(repr=False, default_factory=list)
     status: str = "converged"
 
     @property
@@ -243,7 +239,6 @@ class Descent(NamedTuple):
     iterations: list
     backtracks: list        # line-search halvings over the whole run
     newton_steps: list      # Newton steps of the retractions over the whole run
-    trace: list             # (iteration, value) at the top of every iteration and at the end
 
 
 def descend(start, precond: np.ndarray, trial, retract, norm) -> Descent:
@@ -267,11 +262,9 @@ def descend(start, precond: np.ndarray, trial, retract, norm) -> Descent:
     state, value, grad, newton_steps = retract(slice(None), start)
     value, gnorm, newton_steps = value.tolist(), norm(grad).tolist(), newton_steps.tolist()
     status, iterations, backtracks = ["max-iter"] * count, [0] * count, [0] * count
-    trace = [[] for _ in range(count)]
     live = list(range(count))                       # the lanes still stepping
     for it in range(1, MAX_ITER + 1):
         for i in live:
-            trace[i].append((it - 1, value[i]))
             iterations[i] = it
             if gnorm[i] <= STAT_TOL or value[i] < BLOWUP_FLOOR:
                 status[i] = "converged" if gnorm[i] <= STAT_TOL else "unbounded-descent"
@@ -308,9 +301,7 @@ def descend(start, precond: np.ndarray, trial, retract, norm) -> Descent:
             for i in pending:
                 status[i] = "stalled"
             live = [i for i in live if status[i] == "max-iter"]
-    for i in range(count):
-        trace[i].append((iterations[i], value[i]))
-    return Descent(state, value, gnorm, status, iterations, backtracks, newton_steps, trace)
+    return Descent(state, value, gnorm, status, iterations, backtracks, newton_steps)
 
 
 def minimize(alpha: float, u0: SphereField) -> MinimizeResult:
@@ -392,8 +383,8 @@ def minimize_stack(alphas, u0: SphereField) -> list[MinimizeResult]:
                            grad_norm=float(run.grad_norm[i]),
                            com_norm=float(np.linalg.norm(com[i])), exp_mass=float(mass[i]),
                            iterations=int(run.iterations[i]), backtracks=int(run.backtracks[i]),
-                           newton_steps=int(run.newton_steps[i]), trace=run.trace[i],
-                           status=run.status[i]) for i in range(len(alphas))]
+                           newton_steps=int(run.newton_steps[i]), status=run.status[i])
+            for i in range(len(alphas))]
 
 
 # ---------------------------------------------------------------------------

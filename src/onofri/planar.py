@@ -29,6 +29,26 @@ ZERO_RTOL = 1e-8        # values within ZERO_RTOL max|f| of zero are in no sign 
 
 
 # ---------------------------------------------------------------------------
+# planar points: (..., 2) arrays of (y1, y2)
+# ---------------------------------------------------------------------------
+
+
+def radius2(y: np.ndarray) -> np.ndarray:
+    """|y|^2 of (..., 2) points, rounded as np.sum(y * y, axis=-1) rounds it."""
+    return y[..., 0] * y[..., 0] + y[..., 1] * y[..., 1]
+
+
+def polar_points(radii: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The points (r cos t, r sin t), shape (len(radii), len(theta), 2)."""
+    return np.stack([radii[:, None] * np.cos(theta), radii[:, None] * np.sin(theta)], axis=-1)
+
+
+def grid_points(xs, ys) -> np.ndarray:
+    """The points (x, y), shape (len(xs), len(ys), 2), indexed [i, j] ~ (xs[i], ys[j])."""
+    return np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1)
+
+
+# ---------------------------------------------------------------------------
 # stereographic projection from the north pole
 # ---------------------------------------------------------------------------
 
@@ -37,7 +57,7 @@ def stereo_lift(y: np.ndarray) -> np.ndarray:
     """Lift (..., 2) points to unit vectors (..., 3), the inverse of
     y = (x1, x2)/(1 - x3), the projection from the north pole."""
     y = np.asarray(y, dtype=float)
-    r2 = np.sum(y * y, axis=-1)
+    r2 = radius2(y)
     denom = 1.0 + r2
     return np.stack([2.0 * y[..., 0] / denom,
                      2.0 * y[..., 1] / denom,
@@ -46,9 +66,7 @@ def stereo_lift(y: np.ndarray) -> np.ndarray:
 
 def stereo_jacobian(y: np.ndarray) -> np.ndarray:
     """Areal Jacobian of the lift, (2/(1+|y|^2))^2; integrates to 4 pi."""
-    y = np.asarray(y, dtype=float)
-    r2 = np.sum(y * y, axis=-1)
-    return (2.0 / (1.0 + r2)) ** 2
+    return (2.0 / (1.0 + radius2(np.asarray(y, dtype=float)))) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -81,15 +99,12 @@ class PlanarField:
         theta = np.asarray(theta, dtype=float)
         if self.ring_evaluator is not None:
             return self.ring_evaluator(radii, theta)
-        return self(np.stack([radii[:, None] * np.cos(theta),
-                              radii[:, None] * np.sin(theta)], axis=-1))
+        return self(polar_points(radii, theta))
 
 
 def v_star(y: np.ndarray, rho: float) -> np.ndarray:
     """The explicit axial solution, -2 rho log(1+|y|^2) + log(8 rho)."""
-    y = np.asarray(y, dtype=float)
-    r2 = np.sum(y * y, axis=-1)
-    return -2.0 * rho * np.log1p(r2) + math.log(8.0 * rho)
+    return -2.0 * rho * np.log1p(radius2(np.asarray(y, dtype=float))) + math.log(8.0 * rho)
 
 
 def nodal_mass_density(rho: float):
@@ -97,16 +112,14 @@ def nodal_mass_density(rho: float):
     the weight of the nodal-domain masses."""
     def density(y):
         y = np.asarray(y, dtype=float)
-        r2 = np.sum(y * y, axis=-1)
-        return (1.0 + r2) ** (2.0 * (rho - 1.0)) * np.exp(v_star(y, rho))
+        return (1.0 + radius2(y)) ** (2.0 * (rho - 1.0)) * np.exp(v_star(y, rho))
 
     return density
 
 
 def v_star_field(rho: float) -> PlanarField:
     def lap(y):
-        r2 = np.sum(np.asarray(y, dtype=float) ** 2, axis=-1)
-        return -8.0 * rho / (1.0 + r2) ** 2
+        return -8.0 * rho / (1.0 + radius2(np.asarray(y, dtype=float))) ** 2
 
     return PlanarField(lambda y: v_star(y, rho), l=2.0 * (rho - 1.0),
                        tag=f"v_star(rho={rho})", lap_evaluator=lap)
@@ -117,12 +130,10 @@ def liouville_bubble_field(a: float = 1.0, center=(0.0, 0.0)) -> PlanarField:
     y0 = np.asarray(center, dtype=float)
 
     def ev(y):
-        d2 = np.sum((np.asarray(y, dtype=float) - y0) ** 2, axis=-1)
-        return np.log(8.0 * a * a) - 2.0 * np.log1p(a * a * d2)
+        return np.log(8.0 * a * a) - 2.0 * np.log1p(a * a * radius2(np.asarray(y, dtype=float) - y0))
 
     def lap(y):
-        d2 = np.sum((np.asarray(y, dtype=float) - y0) ** 2, axis=-1)
-        return -8.0 * a * a / (1.0 + a * a * d2) ** 2
+        return -8.0 * a * a / (1.0 + a * a * radius2(np.asarray(y, dtype=float) - y0)) ** 2
 
     return PlanarField(ev, l=0.0, tag=f"bubble(a={a})", lap_evaluator=lap)
 
@@ -136,7 +147,7 @@ def audit_fields() -> dict[str, PlanarField]:
 
     def ev(y):
         y = np.asarray(y, dtype=float)
-        return bubble(y) + eps * np.sum(y ** 2, axis=-1)
+        return bubble(y) + eps * radius2(y)
 
     def lap(y):
         return bubble.lap_evaluator(y) + 4.0 * eps
@@ -166,8 +177,7 @@ def to_planar(u: sphere.SphereField, rho: float) -> PlanarField:
 
     def ev(y):
         y = np.asarray(y, dtype=float)
-        r2 = np.sum(y * y, axis=-1)
-        return sphere.evaluate_xyz(spec, stereo_lift(y)) - 2.0 * rho * np.log1p(r2) + const
+        return sphere.evaluate_xyz(spec, stereo_lift(y)) - 2.0 * rho * np.log1p(radius2(y)) + const
 
     def lap(y):
         y = np.asarray(y, dtype=float)
@@ -185,9 +195,7 @@ def to_planar(u: sphere.SphereField, rho: float) -> PlanarField:
 def planar_residual(v: PlanarField, y: np.ndarray) -> np.ndarray:
     """Residual lap(v) + (1+|y|^2)^l e^v, from v's exact lap_evaluator."""
     y = np.asarray(y, dtype=float)
-    lap = v.lap_evaluator(y)
-    r2 = np.sum(y * y, axis=-1)
-    return lap + (1.0 + r2) ** v.l * np.exp(v(y))
+    return v.lap_evaluator(y) + (1.0 + radius2(y)) ** v.l * np.exp(v(y))
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +270,7 @@ def pohozaev_check(v: PlanarField) -> PohozaevReport:
 def field_to_rows(v: PlanarField) -> list[dict]:
     """Sample a planar field on a Cartesian grid as (y1, y2, value) rows."""
     xs = np.linspace(-ROWS_RADIUS, ROWS_RADIUS, ROWS_N)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    pts = np.stack([X, Y], axis=-1).reshape(-1, 2)
+    pts = grid_points(xs, xs).reshape(-1, 2)
     vals = v(pts)
     return [{"y1": float(p[0]), "y2": float(p[1]), "value": float(val)}
             for p, val in zip(pts, vals)]
@@ -361,9 +368,10 @@ def nodal_domains(f_values: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     if mass_density is not None and min(xs.size, ys.size) < 2:
         raise InvalidFieldError("nodal_domains: masses need at least 2 nodes on each axis")
     zero_tol = ZERO_RTOL * float(np.max(np.abs(f_values)))
+    pts = grid_points(xs, ys)
     inside = np.ones_like(f_values, dtype=bool)
     if disk_radius is not None:
-        inside = (xs**2)[:, None] + (ys**2)[None, :] <= disk_radius**2
+        inside = radius2(pts) <= disk_radius**2
     signs = np.zeros(f_values.shape, dtype=np.int8)
     signs[(f_values > zero_tol) & inside] = 1
     signs[(f_values < -zero_tol) & inside] = -1
@@ -373,8 +381,7 @@ def nodal_domains(f_values: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     total = 0.0
     if mass_density is not None:
         cell = dx * dy
-        pts = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-        dens = np.asarray(mass_density(pts)).reshape(f_values.shape)
+        dens = np.asarray(mass_density(pts.reshape(-1, 2))).reshape(f_values.shape)
         sums = np.bincount(labels.ravel(), weights=dens.ravel(), minlength=m + 1)
         masses = [float(mk * cell) for mk in sums[1:]]
         total = float(np.sum(dens[signs != 0]) * cell)
@@ -393,9 +400,10 @@ def analytic_nodal_count(which: str, rho: float) -> tuple[NodalReport, int]:
     battery and the CLI: 'quadrant', (x^2 - y^2) e^{-(x^2 + y^2)}, has four
     domains and 'linear', x, has two."""
     xs = np.linspace(-3.0, 3.0, 241)
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    pts = grid_points(xs, xs)
+    X, Y = pts[..., 0], pts[..., 1]
     if which == "quadrant":
-        f, expected = (X**2 - Y**2) * np.exp(-(X**2 + Y**2)), 4
+        f, expected = (X**2 - Y**2) * np.exp(-radius2(pts)), 4
     elif which == "linear":
         f, expected = X, 2
     else:

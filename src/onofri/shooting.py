@@ -195,11 +195,13 @@ R_MAX_FLOOR = 50.0      # an r_max below this cannot anchor the asymptote
 
 
 def finite_start(s: float) -> bool:
-    """Whether s and e^s, the scale of the start series, are both finite."""
+    """Whether s, e^s and e^s e^s / 4 are finite: the scale of the start series and
+    the size of its r^4 coefficient, whose overflow would start the shot from NaN."""
     try:
-        return math.isfinite(s) and math.exp(s) < math.inf
+        es = math.exp(s)
     except OverflowError:
         return False
+    return math.isfinite(s) and es * (es / 4.0) < math.inf
 
 
 def shoot(l: float, s: float, r_max: float = 1e6, tol: float = 1e-10) -> RadialSolution:
@@ -207,7 +209,7 @@ def shoot(l: float, s: float, r_max: float = 1e6, tol: float = 1e-10) -> RadialS
     if l < 0:
         raise ValueError("l must be nonnegative (the l < 0 regime is out of scope)")
     if not finite_start(s):
-        raise ValueError(f"s = {s}: s and e^s must be finite")
+        raise ValueError(f"s = {s}: s, e^s and e^s e^s / 4 must be finite (s below 355.58)")
     if not R_MAX_FLOOR <= r_max < math.inf:
         raise ValueError(f"r_max = {r_max} must be finite and at least {R_MAX_FLOOR}")
     return _integrate(l, s, r_max, tol)

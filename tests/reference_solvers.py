@@ -240,6 +240,12 @@ def constant_field(grid, c=0.0):
     return sphere.SphereField(grid, np.full(grid.shape, float(c)))
 
 
+def tilt_lane(values, weights, points):
+    """fn.tilt of one field: c, the moments and the Newton steps of its one-lane stack."""
+    c, mom, steps = fn.tilt(values[None], weights, points)
+    return c[0], fn.ExpMoments(*(a[0] for a in mom)), steps[0]
+
+
 def recenter(u):
     """The degree-1 tilt u + c.x whose measure e^{u + c.x} dw has zero center of mass.
 
@@ -250,7 +256,7 @@ def recenter(u):
     within fn.COM_TOL.
     """
     pts = u.grid.node_points
-    c, _, _ = fn.tilt(u.values.ravel(), u.grid.node_weights, pts)
+    c, _, _ = tilt_lane(u.values.ravel(), u.grid.node_weights, pts)
     if not c.any():
         return u
     return sphere.SphereField(u.grid, u.values + (pts @ c).reshape(u.grid.shape))

@@ -102,6 +102,7 @@ VACUOUS_RUNS = {
     "shoot_nan_s": ["shoot", "--l", "1", "--s", "nan"],
     "shoot_inf_s": ["shoot", "--l", "1", "--s", "inf"],
     "shoot_overflowing_s": ["shoot", "--l", "1", "--s", "750"],
+    "shoot_overflowing_series": ["shoot", "--l", "1", "--s", "700"],
     "shoot_nan_r_max": ["shoot", "--l", "1", "--s", "2", "--r-max", "nan"],
     "shoot_inf_r_max": ["shoot", "--l", "1", "--s", "2", "--r-max", "inf"],
     "shoot_r_max_below_floor": ["shoot", "--l", "1", "--s", "2", "--r-max", "10"],

@@ -33,7 +33,6 @@ KNOBS = {
     ("errors.NonConvergenceError.__init__", "best"),
     ("errors.NonConvergenceError.__init__", "residual"),
     ("functional.MinimizeResult", "status"),
-    ("functional.MinimizeResult", "trace"),
     ("functional.random_start", "amplitude"),
     ("functional.random_start", "degree"),
     ("functional.tilt", "start"),

@@ -85,7 +85,6 @@ def test_sphere_stack_lanes_match_their_own_runs(grid16, monkeypatch):
         assert np.max(np.abs(res.u.values - u.values)) <= 1e-10
         for key in ("grad_norm", "com_norm", "exp_mass"):
             assert abs(getattr(res, key) - getattr(one, key)) <= 1e-12
-        assert res.trace == one.trace
     assert {res.status for res in stack} == {"converged", "unbounded-descent"}
     assert len({res.iterations for res in stack}) >= 4
     assert any(res.backtracks for res in stack if res.status == "converged")
@@ -177,7 +176,7 @@ def test_tilt_stack_matches_single_tilts(grid16, lanes):
     c, mom, steps = fn.tilt(np.stack(fields), weights, pts, start)
     assert all(np.array_equal(a, b) for a, b in zip(start, kept))
     for i, values in enumerate(fields):
-        c1, mom1, steps1 = fn.tilt(values, weights, pts)
+        c1, mom1, steps1 = ref.tilt_lane(values, weights, pts)
         assert np.array_equal(c[i], c1) and steps[i] == steps1
         assert mom.log_mass[i] == mom1.log_mass
         assert np.array_equal(mom.density[i], mom1.density) and np.array_equal(mom.mean[i], mom1.mean)

@@ -15,6 +15,35 @@ import reference_solvers as ref
 
 
 # ---------------------------------------------------------------------------
+# planar points
+# ---------------------------------------------------------------------------
+
+
+def _points(shape):
+    """Coordinates over 30 decades with both signs, so the rounding of |y|^2 shows."""
+    rng = np.random.default_rng(24)
+    return rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-15.0, 15.0, size=shape)
+
+
+@pytest.mark.parametrize("y", [_points((257, 2)), _points((9, 13, 2)), _points(2),
+                               _points((2, 31)).T, np.zeros((0, 2))],
+                         ids=["N_by_2", "n_by_m_by_2", "one_point", "transposed", "empty"])
+def test_radius2_rounds_as_the_last_axis_sum(y):
+    r2, summed = pl.radius2(y), np.sum(y * y, axis=-1)
+    assert np.shape(r2) == np.shape(summed) and np.asarray(r2).tobytes() == summed.tobytes()
+
+
+def test_point_builders_index_their_axes():
+    radii, theta = np.array([0.0, 0.5, 2.0]), np.array([0.0, 1.0, 2.5, 4.0])
+    polar = pl.polar_points(radii, theta)
+    assert polar.shape == (3, 4, 2)
+    assert np.array_equal(polar[2, 1], [2.0 * np.cos(1.0), 2.0 * np.sin(1.0)])
+    xs, ys = np.array([-1.0, 0.0, 3.0]), np.array([5.0, 6.0])
+    grid = pl.grid_points(xs, ys)
+    assert grid.shape == (3, 2, 2) and np.array_equal(grid[2, 0], [3.0, 5.0])
+
+
+# ---------------------------------------------------------------------------
 # stereographic projection
 # ---------------------------------------------------------------------------
 

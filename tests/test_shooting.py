@@ -94,10 +94,12 @@ def test_shoot_rejects_bad_domain():
 
 
 @pytest.mark.parametrize("s, r_max", [(math.nan, 1e6), (math.inf, 1e6), (-math.inf, 1e6),
-                                      (750.0, 1e6), (0.0, math.nan), (0.0, math.inf)])
+                                      (750.0, 1e6), (355.7, 1e6), (0.0, math.nan),
+                                      (0.0, math.inf)])
 def test_shoot_rejects_non_finite_inputs(s, r_max):
     """A NaN start or radius would run out the step budget or report a mass,
-    and an infinite or overflowing e^s would crash in the start series."""
+    an infinite or overflowing e^s would crash in the start series, and an
+    overflowing r^4 coefficient -e^s (l - e^s / 4) / 16 would start from NaN."""
     with pytest.raises(ValueError, match="finite"):
         sh.shoot(1.0, s, r_max=r_max)
 
