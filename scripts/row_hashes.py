@@ -1,23 +1,57 @@
 #!/usr/bin/env python3
-"""Fingerprints of the acceptance rows, for checking that a change keeps them byte for byte.
+"""Fingerprints of the acceptance and CLI rows, for checking that a change keeps them byte for byte.
 
 Prints the first 16 hex digits of sha256(json.dumps(rows, sort_keys=True)) for
-each of criteria 1-12 run alone, and for acceptance.run_verify() (criteria
-1-12 plus criterion 13's reversed pass).  Run it on two trees and compare:
+each of criteria 1-12 run alone, for acceptance.run_verify() (criteria 1-12
+plus criterion 13's reversed pass), and for the report rows of fixed runs of
+every other subcommand (CLI_RUNS, with their exit codes).  Run it on two trees
+and compare:
 
     PYTHONPATH=src python3 scripts/row_hashes.py [--seed N]
+
+The seed is that of the battery; the CLI runs are fixed.
 """
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import sys
+import tempfile
+from pathlib import Path
 
-from onofri import acceptance
+from onofri import acceptance, cli
 from onofri.report import to_builtin
+
+# name: argv of `onofri`
+CLI_RUNS = {
+    "nodal_quadrant": ["nodal", "--field", "quadrant"],
+    "nodal_linear": ["nodal", "--field", "linear"],
+    "axisym_0.45": ["axisym", "--alpha", "0.45"],
+    "axisym_0.55": ["axisym", "--alpha", "0.55"],
+    "minimize": ["minimize", "--alpha", "0.7"],
+    "alpha_scan": ["alpha-scan", "--alphas", "0.6,0.8"],
+    "el_check": ["el-check", "--alpha", "0.8"],
+    "bridge": ["bridge", "--alpha", "0.8"],
+    "second_variation": ["second-variation"],
+    "shoot": ["shoot", "--l", "1", "--s", "2.4849"],
+    "beta_curve": ["beta-curve", "--l", "1"],
+    "uniqueness": ["uniqueness", "--l", "1"],
+    "bol_audit": ["bol-audit"],
+}
 
 
 def fingerprint(rows) -> str:
     return hashlib.sha256(json.dumps(to_builtin(rows), sort_keys=True).encode()).hexdigest()[:16]
+
+
+def cli_rows(argv) -> tuple[int, list]:
+    """The exit code and the report rows of one CLI run, its stdout discarded."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([*argv, "--out", str(out)])
+        return code, json.loads(out.read_text())["rows"] if out.exists() else []
 
 
 def main() -> int:
@@ -28,6 +62,9 @@ def main() -> int:
         print(f"criterion {cid:2d}  {fingerprint(acceptance.run_battery(seed, [cid]))}")
     rows = acceptance.run_verify(seed)
     print(f"run_verify    {fingerprint(rows)}  ({len(rows)} rows)")
+    for name, argv in CLI_RUNS.items():
+        code, rows = cli_rows(argv)
+        print(f"cli {name:<16} {fingerprint(rows)}  ({len(rows)} rows, exit {code})")
     return 0
 
 

@@ -318,7 +318,7 @@ def criterion_12(seed, grids):
     alphas = (0.5, 0.55, 0.6)
     starts = [axisym.random_start_1d((seed, 12, ia, k)) for ia in range(len(alphas)) for k in range(20)]
     runs = axisym.minimize_axisym_stack(np.repeat(alphas, 20),
-                                        starts[0].with_coeffs(np.stack([g.coeffs for g in starts])))
+                                        axisym.LegendreFunction(np.stack([g.coeffs for g in starts])))
     rows = []
     for ia, alpha in enumerate(alphas):
         mine = runs[20 * ia: 20 * (ia + 1)]

@@ -12,7 +12,7 @@ module scan the whole constrained range.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,32 +24,34 @@ DEFAULT_QUAD = 64
 
 @dataclass
 class LegendreFunction:
-    """Polynomial in the Legendre basis with an attached Gauss quadrature.
+    """Polynomial in the Legendre basis, on the Gauss rule of its degree.
 
-    The quadrature carries the Legendre Vandermonde of its nodes, so values
-    at the nodes are one matrix-vector product; copies and candidates built
-    on the same nodes share it, and the default rule's is built once per
-    (rule size, degree).  coeffs may be a (lanes, degree + 1) stack of
-    polynomials on one quadrature; evaluation by __call__ takes one.
+    The rule carries the Legendre Vandermonde of its nodes, so values at the
+    nodes are one matrix-vector product; functions of one degree share the
+    rule, built once.  coeffs may be a (lanes, degree + 1) stack of
+    polynomials; evaluation by __call__ takes one.
     """
 
     coeffs: np.ndarray
-    nodes: np.ndarray = field(repr=False, default=None)
-    weights: np.ndarray = field(repr=False, default=None)
-    vander: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.nodes is None:
-            n = max(DEFAULT_QUAD, 2 * self.degree)
-            self.nodes, self.weights = quadrature.gauss_rule(n)
-            self.vander = _gauss_vander(n, self.degree) if self.vander is None else self.vander
-        if self.vander is None:
-            self.vander = np.polynomial.legendre.legvander(self.nodes, self.degree)
 
     @property
     def degree(self) -> int:
         return self.coeffs.shape[-1] - 1
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return _gauss_rule(self.degree)[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        return _gauss_rule(self.degree)[1]
+
+    @property
+    def vander(self) -> np.ndarray:
+        return _gauss_rule(self.degree)[2]
 
     def __call__(self, x) -> np.ndarray:
         return np.polynomial.legendre.legval(np.asarray(x, dtype=float), self.coeffs)
@@ -57,20 +59,18 @@ class LegendreFunction:
     def node_values(self) -> np.ndarray:
         return np.matvec(self.vander, self.coeffs)
 
-    def with_coeffs(self, coeffs: np.ndarray) -> "LegendreFunction":
-        """The function with these coefficients on the same quadrature."""
-        return LegendreFunction(coeffs, self.nodes, self.weights, self.vander)
-
     def copy(self) -> "LegendreFunction":
-        return self.with_coeffs(self.coeffs.copy())
+        return LegendreFunction(self.coeffs.copy())
 
 
 @functools.lru_cache(maxsize=None)
-def _gauss_vander(n: int, degree: int) -> np.ndarray:
-    """Legendre Vandermonde of the n-point Gauss rule up to degree, read-only and shared."""
-    vander = np.polynomial.legendre.legvander(quadrature.gauss_rule(n)[0], degree)
+def _gauss_rule(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes, weights and Legendre Vandermonde up to degree of the
+    max(DEFAULT_QUAD, 2 degree)-point Gauss rule, read-only and shared."""
+    nodes, weights = quadrature.gauss_rule(max(DEFAULT_QUAD, 2 * degree))
+    vander = np.polynomial.legendre.legvander(nodes, degree)
     vander.flags.writeable = False
-    return vander
+    return nodes, weights, vander
 
 
 @functools.lru_cache(maxsize=None)
@@ -120,7 +120,8 @@ def recenter_1d(g: LegendreFunction) -> LegendreFunction:
     grow, and only coeffs[1] changes, so the degree is kept.  g itself is
     returned when its normalised moment is already within functional.COM_TOL.
     """
-    c, _, _ = functional.tilt(2.0 * g.node_values()[None], 0.5 * g.weights, g.nodes[:, None])
+    two_g = 2.0 * g.node_values()[None]
+    c, _, _ = functional.tilt(two_g, 0.5 * g.weights, g.nodes[:, None], _moments(g, two_g))
     if c[0, 0] == 0.0:
         return g
     out = g.copy()
@@ -148,7 +149,7 @@ class AxisymResult:
     iterations: int
     backtracks: int         # line-search halvings over the whole run
     newton_steps: int       # Newton steps of the tilts over the whole run
-    status: str = "converged"
+    status: str
 
 
 def _grad_l2(grad: np.ndarray):
@@ -168,7 +169,7 @@ def minimize_axisym(alpha: float, g0: LegendreFunction) -> AxisymResult:
     the accepted step read the moments of that exponential, or of the tilt's
     last Newton iterate.  This is the one-lane case of minimize_axisym_stack.
     """
-    return minimize_axisym_stack([alpha], g0.with_coeffs(g0.coeffs[None]))[0]
+    return minimize_axisym_stack([alpha], LegendreFunction(g0.coeffs[None]))[0]
 
 
 def minimize_axisym_stack(alphas, g0: LegendreFunction) -> list[AxisymResult]:
@@ -212,9 +213,8 @@ def minimize_axisym_stack(alphas, g0: LegendreFunction) -> list[AxisymResult]:
     two_g = 2.0 * g0.node_values()
     run = functional.descend((g0.coeffs.copy(), two_g, *_moments(g0, two_g)), precond, trial,
                              retract, _grad_l2)
-    g = g0.with_coeffs(run.state)
-    moment = constraint_moment(g)
-    return [AxisymResult(g=g.with_coeffs(g.coeffs[i]), value=float(run.value[i]),
+    moment = constraint_moment(LegendreFunction(run.state))
+    return [AxisymResult(g=LegendreFunction(run.state[i]), value=float(run.value[i]),
                          grad_norm=float(run.grad_norm[i]), moment=float(moment[i]),
                          iterations=int(run.iterations[i]), backtracks=int(run.backtracks[i]),
                          newton_steps=int(run.newton_steps[i]), status=run.status[i])

@@ -324,7 +324,6 @@ def _checked(kind, test, text: str):
 
 
 _POSITIVE = _checked(float, lambda x: 0.0 < x < math.inf, "positive and finite")
-_NONNEGATIVE = _checked(float, lambda x: 0.0 <= x < math.inf, "nonnegative and finite")
 _FINITE = _checked(float, math.isfinite, "finite")
 _START = _checked(float, shooting.finite_start, "finite with e^s e^s / 4 finite")
 
@@ -337,7 +336,8 @@ FLAGS = {
     "n_mu": (int, "latitude nodes of the sphere grid, 2 L when not given"),
     "alphas": (str, "comma-separated alpha values"),
     "trials": (_checked(int, lambda k: k >= 1, "at least 1"), "random starts per alpha"),
-    "l": (_NONNEGATIVE, "exponent of the weight (1+r^2)^l"),
+    "l": (_checked(float, shooting.finite_weight, "nonnegative with 2^l finite"),
+          "exponent of the weight (1+r^2)^l"),
     "s": (_START, "start value v(0) of the radial profile"),
     "s_min": (_START, "lowest start value"),
     "s_max": (_START, "highest start value"),

@@ -98,7 +98,7 @@ def _put(stack, lanes, sub):
 
 
 def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray,
-         start: ExpMoments | None = None) -> tuple[np.ndarray, ExpMoments, np.ndarray]:
+         start: ExpMoments) -> tuple[np.ndarray, ExpMoments, np.ndarray]:
     """Per lane of a (lanes, nodes) stack of values, the vector c with zero mean of
     `points` under e^{values + points @ c} weights.
 
@@ -106,17 +106,15 @@ def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray,
     strictly convex and coercive when the points span their space: the
     gradient of F is the weighted mean of the points and its Hessian is their
     weighted covariance, so damped Newton reaches the unique minimiser.
-    Returns per lane c, the moments of the tilted measure and the number of
-    Newton steps taken: `start`, the moments at c = 0 when the caller has them,
-    and c = 0 after no step when their mean is already within COM_TOL.  Every
-    other moment evaluation costs one exponential.  Each lane takes its own
-    Newton steps and halvings.
+    Starts from `start`, the moments at c = 0, and returns per lane c, the
+    moments of the tilted measure and the number of Newton steps taken: c = 0
+    after no step when the mean is already within COM_TOL.  Every other moment
+    evaluation costs one exponential.  Each lane takes its own Newton steps and
+    halvings.
     """
     c = np.zeros((len(values), points.shape[1]))
     steps = [0] * len(values)
-    if start is None:
-        mom = exp_moments(values, weights, points)
-    elif len(values) == 1:      # a single lane is replaced whole, never written in place
+    if len(values) == 1:        # a single lane is replaced whole, never written in place
         mom = start
     else:                       # the lanes of a stack are written in place: not the caller's
         mom = ExpMoments(*(a.copy() for a in start))
@@ -151,7 +149,7 @@ def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray,
             rows = np.array(live)
             t, slope, level = ([a[j] for j in keep] for a in ([0.5 * tj for tj in t], slope, level))
     else:
-        raise NonConvergenceError("tilt: Newton did not reach tolerance", best=c.squeeze(),
+        raise NonConvergenceError("tilt: Newton did not reach tolerance", best=c,
                                   residual=float(np.max(np.linalg.norm(mom.mean, axis=-1))))
     return c, mom, np.array(steps)
 
@@ -198,7 +196,7 @@ class MinimizeResult:
     iterations: int
     backtracks: int         # line-search halvings over the whole run
     newton_steps: int       # Newton steps of the tilts over the whole run
-    status: str = "converged"
+    status: str
 
     @property
     def converged(self) -> bool:

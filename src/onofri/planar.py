@@ -282,7 +282,7 @@ class NodalReport:
     masses: list
     total: float
     ledger_verdict: str
-    labels: np.ndarray = field(repr=False, default=None)
+    labels: np.ndarray = field(repr=False)
 
 
 def _component_labels(signs: np.ndarray) -> tuple[np.ndarray, int]:
@@ -336,25 +336,24 @@ def nodal_ledger(m: int, rho: float):
 
 
 def _uniform_axis(nodes: np.ndarray, name: str) -> float:
-    """The step of an increasing uniform grid axis (0.0 for a single node)."""
+    """The step of an increasing uniform grid axis of at least 2 nodes."""
     steps = np.diff(nodes)
-    if steps.size and not (steps[0] > 0.0 and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)):
+    if not (steps[0] > 0.0 and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)):
         raise InvalidFieldError(f"nodal_domains: {name} is not an increasing uniform grid")
-    return float(steps[0]) if steps.size else 0.0
+    return float(steps[0])
 
 
-def nodal_domains(f_values: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                  disk_radius: float | None = None,
-                  mass_density=None, rho: float | None = None) -> NodalReport:
+def nodal_domains(f_values: np.ndarray, xs: np.ndarray, ys: np.ndarray, *,
+                  disk_radius: float, mass_density, rho: float) -> NodalReport:
     """Count the 4-connected sign domains of a gridded field on a disk.
 
     f_values is indexed [i, j] ~ (xs[i], ys[j]) on increasing uniform axes.
-    When mass_density (a planar callable such as (1+|y|^2)^l e^v) is given,
-    per-domain masses are cell sums over each label, and `total` is the cell
+    Per-domain masses of mass_density (a planar callable such as
+    (1+|y|^2)^l e^v) are cell sums over each label, and `total` is the cell
     sum over the classified cells, read from the signs and not the labels, so
-    the partition identity sum(masses) = total checks the labelling.  With
-    rho given, the ledger states whether m domains of mass above 4 pi
-    contradict the budget 8 pi rho.
+    the partition identity sum(masses) = total checks the labelling.  The
+    ledger states whether m domains of mass above 4 pi contradict the budget
+    8 pi rho.
     """
     f_values = np.asarray(f_values, dtype=float)
     if f_values.size == 0:
@@ -364,33 +363,22 @@ def nodal_domains(f_values: np.ndarray, xs: np.ndarray, ys: np.ndarray,
     if f_values.shape != (xs.size, ys.size):
         raise InvalidFieldError(
             f"nodal_domains: values shape {f_values.shape} != axes ({xs.size}, {ys.size})")
-    dx, dy = _uniform_axis(xs, "xs"), _uniform_axis(ys, "ys")
-    if mass_density is not None and min(xs.size, ys.size) < 2:
+    if min(xs.size, ys.size) < 2:
         raise InvalidFieldError("nodal_domains: masses need at least 2 nodes on each axis")
+    cell = _uniform_axis(xs, "xs") * _uniform_axis(ys, "ys")
     zero_tol = ZERO_RTOL * float(np.max(np.abs(f_values)))
     pts = grid_points(xs, ys)
-    inside = np.ones_like(f_values, dtype=bool)
-    if disk_radius is not None:
-        inside = radius2(pts) <= disk_radius**2
+    inside = radius2(pts) <= disk_radius**2
     signs = np.zeros(f_values.shape, dtype=np.int8)
     signs[(f_values > zero_tol) & inside] = 1
     signs[(f_values < -zero_tol) & inside] = -1
     labels, m = _component_labels(signs)
 
-    masses = []
-    total = 0.0
-    if mass_density is not None:
-        cell = dx * dy
-        dens = np.asarray(mass_density(pts.reshape(-1, 2))).reshape(f_values.shape)
-        sums = np.bincount(labels.ravel(), weights=dens.ravel(), minlength=m + 1)
-        masses = [float(mk * cell) for mk in sums[1:]]
-        total = float(np.sum(dens[signs != 0]) * cell)
-
-    if rho is None:
-        verdict = "not-evaluated"
-    else:
-        verdict = "contradiction" if nodal_ledger(m, rho)["contradiction"] else "consistent"
-    return NodalReport(m=m, masses=masses, total=total, ledger_verdict=verdict,
+    dens = np.asarray(mass_density(pts.reshape(-1, 2))).reshape(f_values.shape)
+    sums = np.bincount(labels.ravel(), weights=dens.ravel(), minlength=m + 1)
+    verdict = "contradiction" if nodal_ledger(m, rho)["contradiction"] else "consistent"
+    return NodalReport(m=m, masses=[float(mk * cell) for mk in sums[1:]],
+                       total=float(np.sum(dens[signs != 0]) * cell), ledger_verdict=verdict,
                        labels=labels)
 
 

@@ -204,10 +204,20 @@ def finite_start(s: float) -> bool:
     return math.isfinite(s) and es * (es / 4.0) < math.inf
 
 
+def finite_weight(l: float) -> bool:
+    """Whether l is nonnegative and 2^l, the weight (1+r^2)^l at r = 1, is finite:
+    every shot passes r = 1, and past that power the weight overflows."""
+    try:
+        return 0.0 <= l and math.isfinite(2.0**l)
+    except OverflowError:
+        return False
+
+
 def shoot(l: float, s: float, r_max: float = 1e6, tol: float = 1e-10) -> RadialSolution:
     """Integrate the radial problem with v(0) = s, v'(0) = 0 out to r_max."""
-    if l < 0:
-        raise ValueError("l must be nonnegative (the l < 0 regime is out of scope)")
+    if not finite_weight(l):
+        raise ValueError(f"l = {l}: l must be nonnegative and 2^l finite (l below 1024; "
+                         "the l < 0 regime is out of scope)")
     if not finite_start(s):
         raise ValueError(f"s = {s}: s, e^s and e^s e^s / 4 must be finite (s below 355.58)")
     if not R_MAX_FLOOR <= r_max < math.inf:

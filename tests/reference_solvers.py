@@ -180,7 +180,7 @@ def minimize_axisym(alpha, g0):
         noise = 1e-14 * (1.0 + abs(val))
         step = 1.0
         for _ in range(40):
-            cand = ax.LegendreFunction(g.coeffs + step * direction, g.nodes, g.weights)
+            cand = ax.LegendreFunction(g.coeffs + step * direction)
             if _i_functional(cand, alpha) <= val + 1e-4 * step * slope + noise:
                 break
             step *= 0.5
@@ -242,7 +242,7 @@ def constant_field(grid, c=0.0):
 
 def tilt_lane(values, weights, points):
     """fn.tilt of one field: c, the moments and the Newton steps of its one-lane stack."""
-    c, mom, steps = fn.tilt(values[None], weights, points)
+    c, mom, steps = fn.tilt(values[None], weights, points, fn.exp_moments(values[None], weights, points))
     return c[0], fn.ExpMoments(*(a[0] for a in mom)), steps[0]
 
 

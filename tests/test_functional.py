@@ -308,7 +308,8 @@ def test_recenter_nonconvergence_carries_best(grid8, monkeypatch):
     monkeypatch.setattr(fn, "COM_TOL", -1.0)
     with pytest.raises(NonConvergenceError) as info:
         ref.recenter(u)
-    assert info.value.best == pytest.approx([0.0, 0.0, -0.3], abs=1e-12)
+    assert info.value.best.shape == (1, 3)
+    assert info.value.best[0] == pytest.approx([0.0, 0.0, -0.3], abs=1e-12)
 
 
 def test_minimize_keeps_iterate_band_limited(grid16, monkeypatch):

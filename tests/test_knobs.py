@@ -19,10 +19,6 @@ KNOBS = {
     ("acceptance.run_battery", "seed"),
     ("acceptance.run_verify", "determinism"),
     ("acceptance.run_verify", "seed"),
-    ("axisym.AxisymResult", "status"),
-    ("axisym.LegendreFunction", "nodes"),
-    ("axisym.LegendreFunction", "vander"),
-    ("axisym.LegendreFunction", "weights"),
     ("axisym.probe_two_bubble_1d", "floor"),
     ("axisym.random_start_1d", "amplitude"),
     ("axisym.random_start_1d", "degree"),
@@ -32,19 +28,13 @@ KNOBS = {
     ("eigen.zero_eigenvalue_radius", "h"),
     ("errors.NonConvergenceError.__init__", "best"),
     ("errors.NonConvergenceError.__init__", "residual"),
-    ("functional.MinimizeResult", "status"),
     ("functional.random_start", "amplitude"),
     ("functional.random_start", "degree"),
-    ("functional.tilt", "start"),
-    ("planar.NodalReport", "labels"),
     ("planar.PlanarField", "lap_evaluator"),
     ("planar.PlanarField", "ring_evaluator"),
     ("planar.PlanarField", "tag"),
     ("planar.liouville_bubble_field", "a"),
     ("planar.liouville_bubble_field", "center"),
-    ("planar.nodal_domains", "disk_radius"),
-    ("planar.nodal_domains", "mass_density"),
-    ("planar.nodal_domains", "rho"),
     ("shooting.beta_curve", "r_max"),
     ("shooting.shoot", "r_max"),
     ("shooting.shoot", "tol"),

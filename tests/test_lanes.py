@@ -108,7 +108,7 @@ def test_axisym_stack_lanes_match_their_own_runs(monkeypatch):
     lanes = _axisym_lanes()
     calls = _recorded_lanes(monkeypatch)
     stack = ax.minimize_axisym_stack([alpha for alpha, _ in lanes],
-                                     lanes[0][1].with_coeffs(np.stack([g.coeffs for _, g in lanes])))
+                                     ax.LegendreFunction(np.stack([g.coeffs for _, g in lanes])))
     _check_lane_work(calls, stack)
     for (alpha, g0), res in zip(lanes, stack):
         one = ax.minimize_axisym(alpha, g0)
@@ -156,7 +156,7 @@ def test_stacks_take_one_alpha_per_lane(grid8):
         with pytest.raises(ValueError):
             fn.minimize_stack(alphas, sphere.SphereField(grid8, np.stack([u.values] * 2)))
         with pytest.raises(ValueError):
-            ax.minimize_axisym_stack(alphas, g.with_coeffs(np.stack([g.coeffs] * 2)))
+            ax.minimize_axisym_stack(alphas, ax.LegendreFunction(np.stack([g.coeffs] * 2)))
     with pytest.raises(ValueError):
         fn.minimize_stack([0.8], u)                     # a single field is not a stack
     with pytest.raises(ValueError):

@@ -7,9 +7,29 @@ A criterion that no mutation can fail would be checking nothing.
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from onofri import acceptance, eigen, planar
+from onofri import acceptance, conformal, eigen, functional, planar, shooting, sphere
+
+
+def _laplacian_with_l_squared(monkeypatch):
+    """sphere.laplacian multiplies degree l by -l^2 in place of -l(l+1)."""
+    def mutated(f):
+        spec = sphere.analyze(f)
+        l = np.arange(spec.lmax + 1, dtype=float)
+        spec.coeffs *= -(l * l)[:, None]
+        return sphere.synthesize(spec, f.grid)
+
+    monkeypatch.setattr(sphere, "laplacian", mutated)
+
+
+def _two_bubble_at_double_alpha(monkeypatch):
+    """two_bubble_j_value weighs the Dirichlet energy by alpha / 4 in place of
+    alpha / 8: at 0.45 the family acts as at 0.9, above 1/2, and stays bounded."""
+    two_bubble_j_value = conformal.two_bubble_j_value
+    monkeypatch.setattr(conformal, "two_bubble_j_value",
+                        lambda alpha, s: two_bubble_j_value(2.0 * alpha, s))
 
 
 def _to_planar_with_log_4rho(monkeypatch):
@@ -25,6 +45,13 @@ def _to_planar_with_log_4rho(monkeypatch):
     monkeypatch.setattr(planar, "to_planar", mutated)
 
 
+def _shot_with_flipped_exponent(monkeypatch):
+    """shoot integrates the weight (1+r^2)^{-l}: the mass window (4, 4(1+l)) is missed."""
+    integrate = shooting._integrate
+    monkeypatch.setattr(shooting, "shoot",
+                        lambda l, s, r_max=1e6, tol=1e-10: integrate(-l, s, r_max, tol))
+
+
 def _half_dirichlet_face(monkeypatch):
     """_polar_grid gives the Dirichlet face at r = R half its weight 2 n_r dtheta."""
     polar_grid = eigen._polar_grid
@@ -38,11 +65,25 @@ def _half_dirichlet_face(monkeypatch):
     monkeypatch.setattr(eigen, "_polar_grid", mutated)
 
 
+def _double_dirichlet_weight(monkeypatch):
+    """_j_value weighs the Dirichlet term by alpha / 2 in place of alpha / 4: every
+    threshold halves."""
+    j_value = functional._j_value
+    monkeypatch.setattr(functional, "_j_value",
+                        lambda coeffs, log_mass, alpha: j_value(coeffs, log_mass, 2.0 * alpha))
+
+
 # criterion: (mutation, the checks it fails)
 MUTATIONS = {
+    1: (_laplacian_with_l_squared, {"laplacian_degree1", "laplacian_degree2"}),
+    4: (_two_bubble_at_double_alpha, {"two_bubble_sphere", "two_bubble_axisym"}),
     5: (_to_planar_with_log_4rho, {"mass_transfer_mixed_modes", "mass_transfer_conformal_factor",
                                    "mass_transfer_random_degree6"}),
+    7: (_shot_with_flipped_exponent, {f"l_{l}_s_{s:+.2f}" for l in (0.5, 1.0, 1.5, 2.0)
+                                      for s in (-3.0, -1.0, 0.0, 1.0, 3.0,
+                                                math.log(8.0 * (1.0 + l / 2.0)))}),
     9: (_half_dirichlet_face, {"dirichlet_disk", "liouville_lambda1"}),
+    11: (_double_dirichlet_weight, {"degree2_threshold", "degree1_threshold"}),
 }
 
 

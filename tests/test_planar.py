@@ -310,6 +310,10 @@ def test_minimizer_pullback_is_near_radial(grid16):
 # ---------------------------------------------------------------------------
 
 
+def _unit(y):
+    return np.ones(len(y))
+
+
 def _grid_xy(n=201, span=3.0):
     xs = np.linspace(-span, span, n)
     ys = np.linspace(-span, span, n)
@@ -320,19 +324,20 @@ def _grid_xy(n=201, span=3.0):
 def test_quadrant_pattern_has_four_domains():
     xs, ys, X, Y = _grid_xy()
     f = (X**2 - Y**2) * np.exp(-(X**2 + Y**2))
-    rep = pl.nodal_domains(f, xs, ys, disk_radius=3.0)
+    rep = pl.nodal_domains(f, xs, ys, disk_radius=3.0, mass_density=_unit, rho=1.5)
     assert rep.m == 4
 
 
 def test_linear_field_has_two_domains():
     xs, ys, X, Y = _grid_xy()
-    rep = pl.nodal_domains(X.copy(), xs, ys, disk_radius=3.0)
+    rep = pl.nodal_domains(X.copy(), xs, ys, disk_radius=3.0, mass_density=_unit, rho=1.5)
     assert rep.m == 2
 
 
 def test_empty_grid_rejected():
     with pytest.raises(InvalidFieldError):
-        pl.nodal_domains(np.zeros((0, 0)), np.zeros(0), np.zeros(0))
+        pl.nodal_domains(np.zeros((0, 0)), np.zeros(0), np.zeros(0), disk_radius=3.0,
+                         mass_density=_unit, rho=1.5)
 
 
 def test_partition_masses():
@@ -375,9 +380,9 @@ def test_ledger_arithmetic():
 def test_nodal_rejects_mismatched_shape():
     xs = np.linspace(-1.0, 1.0, 5)
     with pytest.raises(InvalidFieldError, match="shape"):
-        pl.nodal_domains(np.ones((5, 4)), xs, xs)
+        pl.nodal_domains(np.ones((5, 4)), xs, xs, disk_radius=1.0, mass_density=_unit, rho=1.5)
     with pytest.raises(InvalidFieldError, match="shape"):
-        pl.nodal_domains(np.ones(25), xs, xs)
+        pl.nodal_domains(np.ones(25), xs, xs, disk_radius=1.0, mass_density=_unit, rho=1.5)
 
 
 def test_nodal_rejects_non_uniform_axes():
@@ -385,19 +390,17 @@ def test_nodal_rejects_non_uniform_axes():
     density would read 0.09 instead of 1."""
     bent = np.array([0.0, 0.1, 1.0])
     even = np.array([0.0, 0.5, 1.0])
-    unit = lambda y: np.ones(len(y))
     for xs, ys in ((bent, bent), (bent, even), (even, bent), (even[::-1], even)):
         with pytest.raises(InvalidFieldError, match="uniform"):
-            pl.nodal_domains(np.ones((3, 3)), xs, ys, mass_density=unit)
-    rep = pl.nodal_domains(np.ones((3, 3)), even, even, mass_density=unit)
+            pl.nodal_domains(np.ones((3, 3)), xs, ys, disk_radius=2.0, mass_density=_unit, rho=1.5)
+    rep = pl.nodal_domains(np.ones((3, 3)), even, even, disk_radius=2.0, mass_density=_unit, rho=1.5)
     assert rep.m == 1 and rep.total == pytest.approx(9 * 0.25)
 
 
 def test_nodal_masses_need_two_nodes_per_axis():
     xs, one = np.linspace(0.0, 1.0, 4), np.zeros(1)
     with pytest.raises(InvalidFieldError, match="2 nodes"):
-        pl.nodal_domains(np.ones((4, 1)), xs, one, mass_density=lambda y: np.ones(len(y)))
-    assert pl.nodal_domains(np.ones((4, 1)), xs, one).m == 1
+        pl.nodal_domains(np.ones((4, 1)), xs, one, disk_radius=2.0, mass_density=_unit, rho=1.5)
 
 
 def test_partition_total_does_not_read_the_labels(monkeypatch):

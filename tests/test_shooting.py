@@ -104,6 +104,19 @@ def test_shoot_rejects_non_finite_inputs(s, r_max):
         sh.shoot(1.0, s, r_max=r_max)
 
 
+@pytest.mark.parametrize("l", [-1.0, math.nan, math.inf, 1024.0, 1e306])
+def test_shoot_rejects_l_outside_the_weights_range(l):
+    """A negative or NaN l is out of scope, and from l = 1024 the weight 2^l at
+    r = 1 overflows, which would crash the inner leg."""
+    with pytest.raises(ValueError, match="2\\^l finite"):
+        sh.shoot(l, 10.0)
+
+
+def test_shoot_takes_l_just_below_the_weights_overflow():
+    assert sh.finite_weight(1023.999999) and not sh.finite_weight(1024.0)
+    assert sh.shoot(1023.999999, 10.0).verdict == "converged"
+
+
 def test_beta_curve_flat_at_l0():
     rows = sh.beta_curve(0.0, -4.0, 4.0, 17)
     assert len(rows) == 17
