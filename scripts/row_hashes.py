@@ -3,9 +3,10 @@
 
 Prints the first 16 hex digits of sha256(json.dumps(rows, sort_keys=True)) for
 each of criteria 1-12 run alone, for acceptance.run_verify() (criteria 1-12
-plus criterion 13's reversed pass), and for the report rows of fixed runs of
-every other subcommand (CLI_RUNS, with their exit codes).  Run it on two trees
-and compare:
+plus criterion 13's reversed pass), for the report rows of fixed runs of
+every other subcommand (CLI_RUNS, with their exit codes), and for the radial
+shots of SHOT_GRID (profile, both masses, c_asym, verdict, rejected steps and
+both beta_prime forms).  Run it on two trees and compare:
 
     PYTHONPATH=src python3 scripts/row_hashes.py [--seed N]
 
@@ -20,7 +21,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from onofri import acceptance, cli
+import numpy as np
+
+from onofri import acceptance, cli, shooting
 from onofri.report import to_builtin
 
 # name: argv of `onofri`
@@ -40,6 +43,11 @@ CLI_RUNS = {
     "bol_audit": ["bol-audit"],
 }
 
+# (l, s) of the shot fingerprint: the search bracket at four exponents, plus a
+# shot with rejected steps
+SHOT_GRID = [(l, float(s)) for l in (0.0, 0.5, 1.0, 2.0) for s in np.linspace(-6.0, 10.0, 9)]
+SHOT_GRID.append((2.0, 7.0))
+
 
 def fingerprint(rows) -> str:
     return hashlib.sha256(json.dumps(to_builtin(rows), sort_keys=True).encode()).hexdigest()[:16]
@@ -54,6 +62,19 @@ def cli_rows(argv) -> tuple[int, list]:
         return code, json.loads(out.read_text())["rows"] if out.exists() else []
 
 
+def shot_rows() -> list:
+    """Every field of the shots of SHOT_GRID that a caller reads, and beta_prime."""
+    rows = []
+    for l, s in SHOT_GRID:
+        sol = shooting.shoot(l, s)
+        rows.append({"l": l, "s": s, "r_grid": sol.r_grid, "values": sol.values,
+                     "beta_mass": sol.beta_mass, "beta_slope": sol.beta_slope,
+                     "c_asym": sol.c_asym, "verdict": sol.verdict,
+                     "rejected_steps": sol.rejected_steps,
+                     "beta_prime": shooting.beta_prime(sol) if sol.verdict == "converged" else None})
+    return rows
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
@@ -65,6 +86,8 @@ def main() -> int:
     for name, argv in CLI_RUNS.items():
         code, rows = cli_rows(argv)
         print(f"cli {name:<16} {fingerprint(rows)}  ({len(rows)} rows, exit {code})")
+    rows = shot_rows()
+    print(f"shots         {fingerprint(rows)}  ({len(rows)} shots)")
     return 0
 
 

@@ -131,14 +131,14 @@ def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray,
         cov = (points.T * (weights * now.density)[:, None, :]) @ points - mean * now.mean[:, None, :]
         step = -np.linalg.solve(cov, mean)[:, :, 0]
         slope, level = np.vecdot(now.mean, step).tolist(), now.log_mass.tolist()
-        t = [1.0] * len(live)
         for halving in range(50):
-            ct = c0 + (step if halving == 0 else np.array(t)[:, None] * step)   # 1.0 step is step
+            t = 0.5**halving                # every live lane has halved as often
+            ct = c0 + (step if halving == 0 else t * step)   # 1.0 step is step
             trial = exp_moments(base + np.matvec(points, ct), weights, points)
             # the allowance admits full steps whose decrease is below rounding; the
             # 50th halving's trial stands
-            ok = [halving == 49 or v <= f + 1e-4 * tj * sj + 1e-14 * (1.0 + abs(f))
-                  for v, f, tj, sj in zip(trial.log_mass.tolist(), level, t, slope)]
+            ok = [halving == 49 or v <= f + 1e-4 * t * sj + 1e-14 * (1.0 + abs(f))
+                  for v, f, sj in zip(trial.log_mass.tolist(), level, slope)]
             if all(ok):
                 c, mom = _put(c, rows, ct), _put(mom, rows, trial)
                 break
@@ -147,7 +147,7 @@ def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray,
             c, mom = _put(c, lanes, ct[done]), _put(mom, lanes, _take(trial, done))
             live, base, c0, step = [live[j] for j in keep], base[keep], c0[keep], step[keep]
             rows = np.array(live)
-            t, slope, level = ([a[j] for j in keep] for a in ([0.5 * tj for tj in t], slope, level))
+            slope, level = ([a[j] for j in keep] for a in (slope, level))
     else:
         raise NonConvergenceError("tilt: Newton did not reach tolerance", best=c,
                                   residual=float(np.max(np.linalg.norm(mom.mean, axis=-1))))
@@ -271,15 +271,15 @@ def descend(start, precond: np.ndarray, trial, retract, norm) -> Descent:
             break
         direction = -grad / precond                 # of every lane; stopped ones are not read
         slope = np.add.reduce((grad * direction).reshape(count, -1), axis=-1).tolist()
-        step, pending = [1.0] * count, live
+        pending = live
         for halving in range(MAX_HALVINGS):
+            step = 0.5**halving                     # every pending lane has halved as often
             lanes = _lanes(pending, count)
             delta = _take(direction, lanes)
             if halving:                             # a unit step is the direction itself
-                scale = np.array([step[i] for i in pending])
-                delta = scale.reshape((-1,) + (1,) * (delta.ndim - 1)) * delta
+                delta = step * delta
             cand, cand_value = trial(lanes, _take(state, lanes), delta)
-            ok = [v <= value[i] + ARMIJO * step[i] * slope[i] + 1e-14 * (1.0 + abs(value[i]))
+            ok = [v <= value[i] + ARMIJO * step * slope[i] + 1e-14 * (1.0 + abs(value[i]))
                   for i, v in zip(pending, cand_value.tolist())]
             if any(ok):
                 ids = [i for i, accepted in zip(pending, ok) if accepted]
@@ -291,7 +291,6 @@ def descend(start, precond: np.ndarray, trial, retract, norm) -> Descent:
                     value[i], gnorm[i], newton_steps[i] = v, g, newton_steps[i] + n
             pending = [i for i, accepted in zip(pending, ok) if not accepted]
             for i in pending:
-                step[i] *= 0.5
                 backtracks[i] += 1
             if not pending:
                 break
@@ -371,10 +370,14 @@ def minimize_stack(alphas, u0: SphereField) -> list[MinimizeResult]:
         state = (coeffs, values - mom.log_mass[:, None, None])
         return state, _j_value(coeffs, 0.0, alphas[lanes]), grad, steps
 
+    def grad_norm(grad):
+        with np.errstate(over="ignore"):    # a square past the float range reads inf: not stationary
+            return np.sqrt(np.vecdot(*(grad.reshape(len(grad), -1),) * 2))
+
     spec = sphere.analyze(u0)
     values = sphere.synthesize(spec, grid).values           # the state is band-limited
     run = descend((spec.coeffs, values, *moments(values)), hessian[:, :, None], trial, retract,
-                  lambda grad: np.sqrt(np.vecdot(*(grad.reshape(len(grad), -1),) * 2)))
+                  grad_norm)
     u = SphereField(grid, run.state[1])
     com, mass = center_of_mass(u), np.exp(sphere.log_exp_mass(u))
     return [MinimizeResult(u=SphereField(grid, u.values[i]), j_value=float(run.value[i]),

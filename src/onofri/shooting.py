@@ -34,7 +34,7 @@ from .errors import NonConvergenceError
 from .rootsearch import RootSearch, search_curve
 
 
-def _rk_adaptive(outer, l, x0, v, p, x1, tol, h0, store_x, store_v, store_p, hmax):
+def _rk_adaptive(outer, l, x1, tol, store):
     """Cash-Karp 5(4) embedded pair for one leg of the radial equation, v' = p.
 
     Inner leg (outer false): x = r and p' = -p/r - (1+r^2)^l e^v.  Log-radial
@@ -45,9 +45,10 @@ def _rk_adaptive(outer, l, x0, v, p, x1, tol, h0, store_x, store_v, store_p, hma
     is measured against tol and the error of p against tol (1 + |p|): on the
     log-radial leg V falls like -beta t to about -100, and a v error relative to
     |V| would loosen the step where the far field builds c_asym and the W the
-    analytic tail starts from.  Accepted nodes are appended to store_x/v/p.
-    Returns (v, p, rejected_steps).  hmax caps the step size: infinite on the
-    inner leg, _HMAX_OUTER on the log-radial leg.
+    analytic tail starts from.  The leg starts from the last node of store, the
+    shot's node lists (x, v, p), and appends its accepted nodes there; its first
+    step and step cap are min(1e-3, x0) and none on the inner leg, 1e-2 and
+    _HMAX_OUTER on the log-radial leg.  Returns the number of rejected steps.
     """
     # tableau (Cash & Karp 1990); the zero weights b2, b5 and e2 are omitted
     c2, c3, c4, c5, c6 = 1.0 / 5.0, 3.0 / 10.0, 3.0 / 5.0, 1.0, 7.0 / 8.0
@@ -62,8 +63,9 @@ def _rk_adaptive(outer, l, x0, v, p, x1, tol, h0, store_x, store_v, store_p, hma
                           -277.0 / 14336.0, 277.0 / 7084.0)
     exp, log1p = math.exp, math.log1p
     two_l2 = 2.0 + 2.0 * l
-    add_x, add_v, add_p = store_x.append, store_v.append, store_p.append
-    x, h = x0, h0
+    add_x, add_v, add_p = (nodes.append for nodes in store)
+    x, v, p = (nodes[-1] for nodes in store)
+    h, hmax = (1e-2, _HMAX_OUTER) if outer else (min(1e-3, x), math.inf)
     steps = rejected = 0
     while x < x1:
         if hmax < h:
@@ -111,7 +113,7 @@ def _rk_adaptive(outer, l, x0, v, p, x1, tol, h0, store_x, store_v, store_p, hma
         steps += 1
         if steps > MAX_STEPS:
             raise NonConvergenceError("adaptive integrator exceeded the step budget", best=x)
-    return v, p, rejected
+    return rejected
 
 
 @dataclass
@@ -125,11 +127,12 @@ class RadialSolution:
     c_asym: float
     verdict: str            # "converged" or "unresolved"
     rejected_steps: int     # accepted steps are len(r_grid) - 1
-    inner: tuple            # accepted nodes (r, v, v') of the leg in r, from r0 to 1
-    outer: tuple            # accepted nodes (t, V, W = dV/dt) of the leg in t = log r
-    # (c, cq, q, qq): c = (1+r^2)^l e^v on the inner leg and q = r^2 c on the
-    # outer leg, at the nodes and at the three Gauss nodes of every interval
-    # (shape (3, intervals)); beta_mass sums them and beta_prime reads them
+    nodes: tuple            # accepted (r, v, v') from r0 to 1, then (t = log r, V, W = dV/dt)
+    junction: int           # index of the first node in t, t = 0
+    # (c, cq): c = (1+r^2)^l e^v on the inner leg and q = r^2 c on the outer leg,
+    # at the nodes and at the three Gauss nodes of every interval (shape
+    # (3, intervals), zero on the empty one from r = 1 to t = 0); beta_mass sums
+    # them and beta_prime reads them
     weights: tuple
 
 
@@ -154,16 +157,15 @@ def _quintic_hermite_basis(q: np.ndarray) -> np.ndarray:
 _GAUSS3_QUINTIC = _quintic_hermite_basis(_GAUSS3_NODES)[:, :, None]    # (basis, node, 1)
 
 
-def _hermite_at(basis: np.ndarray, h: np.ndarray, v: np.ndarray, dv: np.ndarray,
-                d2v: np.ndarray) -> np.ndarray:
-    """Quintic Hermite interpolant of v at fixed fractions of every interval.
+def _hermite_at(h: np.ndarray, v: np.ndarray, dv: np.ndarray, d2v: np.ndarray) -> np.ndarray:
+    """Quintic Hermite interpolant of v at the three Gauss nodes of every interval.
 
-    basis is _quintic_hermite_basis(q)[:, :, None]; h holds the interval
-    widths, and v, dv, d2v are node arrays with dv and d2v the first and
-    second derivatives of v in x.  The result has shape (len(q), intervals).
+    h holds the interval widths, and v, dv, d2v are node arrays with dv and d2v
+    the first and second derivatives of v in x.  The result has shape
+    (3, intervals).
     """
     h2 = h * h
-    b0, b1, b2, b3, b4, b5 = basis
+    b0, b1, b2, b3, b4, b5 = _GAUSS3_QUINTIC
     # broadcast sums, not matrix products: a first BLAS call maps its buffers,
     # about 0.25 MB of peak RSS in a process that only shoots
     return (b0 * v[:-1] + b1 * (h * dv[:-1]) + b2 * (h2 * d2v[:-1])
@@ -235,29 +237,24 @@ def _integrate(l: float, s: float, r_max: float, tol: float) -> RadialSolution:
     # keep the series truncation error under control for concentrated starts
     r0 = min(1e-4, 0.01 * math.exp(-max(s, 0.0) / 2.0))
 
-    rs = [r0]
-    vs = [s + a2 * r0**2 + a4 * r0**4]
-    ps = [2.0 * a2 * r0 + 4.0 * a4 * r0**3]
-    v, p, rejected = _rk_adaptive(False, l, r0, vs[0], ps[0], 1.0, tol, min(1e-3, r0),
-                                  rs, vs, ps, math.inf)
+    xs, vs, ps = store = [r0], [s + a2 * r0**2 + a4 * r0**4], [2.0 * a2 * r0 + 4.0 * a4 * r0**3]
+    rejected = _rk_adaptive(False, l, 1.0, tol, store)
 
     # the leg ends at r_max, or is extended in steps of 10 in t while the
     # decay rate has not cleanly emerged (slow saturation toward beta = 2l+2
     # happens for strongly negative or large s)
-    ts, Vs, Ws = [0.0], [v], [p]       # W = r v' = v' at r = 1
-    V_end, W_end = v, p
+    junction = len(xs)
+    xs.append(0.0)                      # t = 0 at r = 1, where W = r v' = v'
+    vs.append(vs[-1])
+    ps.append(ps[-1])
     t_next = math.log(r_max)
     t_cap = max(t_next, 60.0)
-    while ts[-1] < t_next:
-        V_end, W_end, rej = _rk_adaptive(True, l, ts[-1], V_end, W_end, t_next, tol, 1e-2,
-                                         ts, Vs, Ws, _HMAX_OUTER)
-        rejected += rej
-        if -(2.0 + 2.0 * l + W_end) <= 0.1:
-            t_next = min(ts[-1] + 10.0, t_cap)
-    t_max = ts[-1]
+    while xs[-1] < t_next:
+        rejected += _rk_adaptive(True, l, t_next, tol, store)
+        if -(2.0 + 2.0 * l + ps[-1]) <= 0.1:
+            t_next = min(xs[-1] + 10.0, t_cap)
+    t_max, V_end, W_end = xs[-1], vs[-1], ps[-1]
 
-    r_in, v_in, p_in = np.asarray(rs), np.asarray(vs), np.asarray(ps)
-    t_out, v_out, w_out = np.asarray(ts), np.asarray(Vs), np.asarray(Ws)
     rate = -(2.0 + 2.0 * l + W_end)
     q_end = math.exp((2.0 + 2.0 * l) * t_max + l * math.log1p(math.exp(-2.0 * t_max)) + V_end)
     # d log q/dt = -rate - 2l/(1 + e^{2t}) <= -rate and the rate only grows
@@ -274,16 +271,21 @@ def _integrate(l: float, s: float, r_max: float, tol: float) -> RadialSolution:
     beta_slope = -W_end + tail
 
     # the mass integrands at the Gauss nodes, with v from its quintic Hermite
-    # interpolant (v'' from the ODE at the nodes)
-    h_in, h_out = np.diff(r_in), np.diff(t_out)
-    rq = r_in[:-1] + _GAUSS3_NODES[:, None] * h_in
-    c, q = _weight(l, r_in, v_in), _q(l, t_out, v_out)
-    cq = _weight(l, rq, _hermite_at(_GAUSS3_QUINTIC, h_in, v_in, p_in, -p_in / r_in - c))
-    qq = _q(l, t_out[:-1] + _GAUSS3_NODES[:, None] * h_out,
-            _hermite_at(_GAUSS3_QUINTIC, h_out, v_out, w_out, -q))
+    # interpolant (v'' from the ODE at the nodes); interval k joins r = 1 to
+    # t = 0 and is empty
+    x, v, p = np.array(store)
+    j, k = junction, junction - 1
+    h = np.diff(x)
+    h[k] = 0.0
+    xq = x[:-1] + _GAUSS3_NODES[:, None] * h
+    c = np.concatenate([_weight(l, x[:j], v[:j]), _q(l, x[j:], v[j:])])
+    vq = _hermite_at(h, v, p, np.concatenate([-p[:j] / x[:j] - c[:j], -c[j:]]))
+    cq = np.concatenate([_weight(l, xq[:, :k], vq[:, :k]), np.zeros((3, 1)),
+                         _q(l, xq[:, j:], vq[:, j:])], axis=1)
+    wh = _GAUSS3_WEIGHTS[:, None] * h
     mass = es * (r0**2 / 2.0 + (l + a2) * r0**4 / 4.0)
-    mass += float(np.add.reduce(_GAUSS3_WEIGHTS[:, None] * h_in * (cq * rq), axis=None))
-    mass += float(np.add.reduce(_GAUSS3_WEIGHTS[:, None] * h_out * qq, axis=None))
+    mass += float(np.add.reduce(wh[:, :k] * (cq[:, :k] * xq[:, :k]), axis=None))
+    mass += float(np.add.reduce(wh[:, j:] * cq[:, j:], axis=None))
     beta_mass = mass + tail
     c_asym = (V_end + beta_slope * t_max + 2.0 * math.log1p(tail / (settled + rate))
               if rate > 0.0 else math.nan)
@@ -293,13 +295,11 @@ def _integrate(l: float, s: float, r_max: float, tol: float) -> RadialSolution:
     resolution = _RATE_RESOLUTION * tol
     verdict = "converged" if rate > resolution and inside else "unresolved"
 
-    r_grid = np.concatenate([r_in, np.exp(t_out[1:])])
-    values = np.concatenate([v_in, v_out[1:]])
-    return RadialSolution(l=l, s=s, r_grid=r_grid, values=values,
+    return RadialSolution(l=l, s=s, r_grid=np.concatenate([x[:j], np.exp(x[j + 1:])]),
+                          values=np.concatenate([v[:j], v[j + 1:]]),
                           beta_mass=float(beta_mass), beta_slope=float(beta_slope),
                           c_asym=float(c_asym), verdict=verdict, rejected_steps=rejected,
-                          inner=(r_in, v_in, p_in), outer=(t_out, v_out, w_out),
-                          weights=(c, cq, q, qq))
+                          nodes=(x, v, p), junction=junction, weights=(c, cq))
 
 
 # Butcher matrix of the three-stage Gauss collocation method (order 6) on the
@@ -358,36 +358,36 @@ def beta_prime(sol: RadialSolution) -> tuple[float, float]:
     if sol.verdict != "converged":
         raise ValueError(f"beta_prime needs a converged shot, not {sol.verdict!r}")
     l = sol.l
-    r, _, _ = sol.inner
-    t, _, W = sol.outer
+    x, _, W = sol.nodes
+    j, k = sol.junction, sol.junction - 1
     es = math.exp(sol.s)
     a2 = -es / 4.0
     da4 = -es * (l + 2.0 * a2) / 16.0        # d/ds of the series' r^4 coefficient
-    r0 = float(r[0])
+    r0 = float(x[0])
 
-    c, cq, q, qq = sol.weights
-    h_in, h_out = np.diff(r), np.diff(t)
-    rq = r[:-1] + _GAUSS3_NODES[:, None] * h_in
-    # one chain through both legs: at r = 1, Y = w and dY/dt = r w' = w'
-    w, z = _jacobi_at_nodes(np.concatenate([h_in, h_out]), np.concatenate([cq, qq], axis=1),
-                            np.concatenate([1.0 / rq, np.zeros_like(qq)], axis=1),
-                            1.0 + a2 * r0**2 + da4 * r0**4, 2.0 * a2 * r0 + 4.0 * da4 * r0**3)
-    n_in = len(r)
-    w, z, Y, Z = w[:n_in], z[:n_in], w[n_in - 1:], z[n_in - 1:]
-    wq = _hermite_at(_GAUSS3_QUINTIC, h_in, w, z, -z / r - c * w)
-    Yq = _hermite_at(_GAUSS3_QUINTIC, h_out, Y, Z, -q * Y)
+    c, cq = sol.weights
+    h = np.diff(x)
+    h[k] = 0.0
+    xq = x[:-1] + _GAUSS3_NODES[:, None] * h
+    # one chain through both legs: at r = 1, Y = w and dY/dt = r w' = w', and
+    # the empty interval's propagator is the identity
+    d = np.concatenate([1.0 / xq[:, :k], np.zeros((3, len(h) - k))], axis=1)
+    w, z = _jacobi_at_nodes(h, cq, d, 1.0 + a2 * r0**2 + da4 * r0**4,
+                            2.0 * a2 * r0 + 4.0 * da4 * r0**3)
+    wq = _hermite_at(h, w, z, np.concatenate([-z[:j] / x[:j] - c[:j] * w[:j], -c[j:] * w[j:]]))
+    wh = _GAUSS3_WEIGHTS[:, None] * h
     mass = es * (r0**2 / 2.0 + (l + 2.0 * a2) * r0**4 / 4.0)
-    mass += float(np.add.reduce(_GAUSS3_WEIGHTS[:, None] * h_in * cq * wq * rq, axis=None))
-    mass += float(np.add.reduce(_GAUSS3_WEIGHTS[:, None] * h_out * qq * Yq, axis=None))
+    mass += float(np.add.reduce(wh[:, :k] * cq[:, :k] * wq[:, :k] * xq[:, :k], axis=None))
+    mass += float(np.add.reduce(wh[:, j:] * cq[:, j:] * wq[:, j:], axis=None))
 
     # tail = R - rate with R = sqrt(rate^2 + 2 q_end): d tail = (dq_end - tail d rate) / R,
     # where d rate = -Y'(t_max) and dq_end = q_end Y(t_max)
     rate = -(2.0 + 2.0 * l + float(W[-1]))
-    q_end = float(q[-1])
+    q_end = float(c[-1])
     settled = math.sqrt(rate * rate + 2.0 * q_end)
     tail = 2.0 * q_end / (settled + rate)
-    d_tail = (q_end * float(Y[-1]) + tail * float(Z[-1])) / settled
-    return -float(Z[-1]) + d_tail, mass + d_tail
+    d_tail = (q_end * float(w[-1]) + tail * float(z[-1])) / settled
+    return -float(z[-1]) + d_tail, mass + d_tail
 
 
 def beta_curve(l: float, s_min: float, s_max: float, n: int, r_max: float = 1e6):

@@ -4,8 +4,9 @@ and the test-only maps the package itself does not call: the constant sphere
 field, the sphere tilt of a whole field, the two-bubble family on a grid, the
 stereographic projection (and the PoleError it raises at the pole), the planar
 angular derivative, the eigenpair of one resolution, the breadth-first
-flood fill the nodal labelling replaced, and the latitude recurrence with
-its coefficients computed row by row.
+flood fill the nodal labelling replaced, the latitude recurrence with
+its coefficients computed row by row, and the closed-form axisymmetric
+Dirichlet energy.
 
 Each accepted step here exponentiates the field separately for the tilt's
 first moments, the unit-mass shift, the value and the gradient, and the
@@ -133,9 +134,14 @@ def _log_half_mass(g):
     return m + math.log(0.5 * float(np.dot(g.weights, np.exp(tg - m))))
 
 
+def weighted_energy(g):
+    """int (1-x^2) g'^2 dx, closed form sum 2 k(k+1)/(2k+1) c_k^2 (per lane)."""
+    return np.add.reduce(ax._energy_weights(g.degree) * g.coeffs**2, axis=-1)
+
+
 def _i_functional(g, alpha):
     mean2 = 2.0 * float(np.dot(g.weights, _node_values(g)))
-    return float(alpha * ax.weighted_energy(g) + mean2 - 2.0 * _log_half_mass(g))
+    return float(alpha * weighted_energy(g) + mean2 - 2.0 * _log_half_mass(g))
 
 
 def _recenter_gauge(g, tol):

@@ -40,7 +40,7 @@ def test_energy_closed_form_matches_quadrature():
     dcoef = np.polynomial.legendre.legder(g.coeffs)
     dvals = np.polynomial.legendre.legval(g.nodes, dcoef)
     quad = float(np.dot(g.weights, (1.0 - g.nodes**2) * dvals**2))
-    assert ax.weighted_energy(g) == pytest.approx(quad, abs=1e-12)
+    assert ref.weighted_energy(g) == pytest.approx(quad, abs=1e-12)
 
 
 def test_moment_examples():

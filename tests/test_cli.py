@@ -2,6 +2,7 @@
 import json
 import math
 import shlex
+import warnings
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,34 @@ def test_completed_alpha_or_rho_takes_the_flag_check(tmp_path, capsys, command, 
         code, rep = run(tmp_path, *argv)
         assert code == cli.EXIT_USAGE and rep is None
         assert f"{other} = 1 / {key}: inf is not positive and finite" in capsys.readouterr().err
+
+
+# the rows these runs gave while their first stationarity test warned of an overflow
+HUGE_ALPHA_ROWS = {
+    "minimize": (["minimize", "--alpha", "1e200", "--L", "8"], {
+        "claim": "constrained minimisation of the sphere functional", "alpha": 1e200,
+        "j_value": -3.0814879110195774e-32, "grad_norm": 2.92204308455622e-17,
+        "com_norm": 4.0680583199965565e-17, "exp_mass": 1.0, "iterations": 3, "backtracks": 0,
+        "newton_steps": 3, "status": "converged", "el_residual": 1.5361744987034497e-31,
+        "h1_norm": 3.575059468694236e-32, "l2_norm": 2.982316628290714e-32}),
+    "axisym": (["axisym", "--alpha", "1e200", "--trials", "1"], {
+        "claim": "axisymmetric constrained minimum is zero", "alpha": 1e200, "trial": 0,
+        "value": 0.0, "iterations": 3, "backtracks": 0, "newton_steps": 3,
+        "status": "converged", "passed": True}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_ALPHA_ROWS))
+def test_huge_alpha_runs_converge_without_warnings(tmp_path, case):
+    """At alpha = 1e200 the first gradient's squared norm passes the float
+    range; it reads inf, which is correctly not stationary, and says nothing
+    else: the run converges with the same rows and no warning."""
+    argv, row = HUGE_ALPHA_ROWS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep = run(tmp_path, *argv)
+    assert code == cli.EXIT_OK
+    assert rep["rows"] == [pytest.approx(row, abs=1e-12)]
 
 
 def _strict_json(path):

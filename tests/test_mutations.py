@@ -45,11 +45,34 @@ def _to_planar_with_log_4rho(monkeypatch):
     monkeypatch.setattr(planar, "to_planar", mutated)
 
 
+def _middle_gauss_weight_off(monkeypatch):
+    """The shot's three-point mass rule weighs its middle node by 8/18 (1 + 1e-5):
+    every mass is off by about 1.8e-5, far above the estimators' agreement."""
+    monkeypatch.setattr(shooting, "_GAUSS3_WEIGHTS",
+                        np.array([5.0 / 18.0, 8.0 / 18.0 * (1.0 + 1e-5), 5.0 / 18.0]))
+
+
 def _shot_with_flipped_exponent(monkeypatch):
-    """shoot integrates the weight (1+r^2)^{-l}: the mass window (4, 4(1+l)) is missed."""
+    """shoot integrates the weight (1+r^2)^{-l}: the mass window (4, 4(1+l)) is
+    missed, and so is every mass the root search and the anchors look for."""
     integrate = shooting._integrate
     monkeypatch.setattr(shooting, "shoot",
                         lambda l, s, r_max=1e6, tol=1e-10: integrate(-l, s, r_max, tol))
+
+
+def _labels_dropping_a_cell(monkeypatch):
+    """_component_labels leaves one classified cell unlabelled: its mass leaves
+    the domains but not the total, and the four domains stay four."""
+    labelling = planar._component_labels
+
+    def mutated(signs):
+        labels, m = labelling(signs)
+        classified = np.argwhere(signs != 0)
+        i, j = classified[len(classified) // 2]
+        labels[i, j] = 0
+        return labels, m
+
+    monkeypatch.setattr(planar, "_component_labels", mutated)
 
 
 def _half_dirichlet_face(monkeypatch):
@@ -79,10 +102,17 @@ MUTATIONS = {
     4: (_two_bubble_at_double_alpha, {"two_bubble_sphere", "two_bubble_axisym"}),
     5: (_to_planar_with_log_4rho, {"mass_transfer_mixed_modes", "mass_transfer_conformal_factor",
                                    "mass_transfer_random_degree6"}),
+    6: (_middle_gauss_weight_off, {f"s_{s:+.2f}" for s in np.linspace(-4.0, 4.0, 17)}),
     7: (_shot_with_flipped_exponent, {f"l_{l}_s_{s:+.2f}" for l in (0.5, 1.0, 1.5, 2.0)
                                       for s in (-3.0, -1.0, 0.0, 1.0, 3.0,
                                                 math.log(8.0 * (1.0 + l / 2.0)))}),
+    8: (_shot_with_flipped_exponent,
+        {"anchor_l_0.5", "anchor_l_1.0", "anchor_l_2.0"}
+        | {f"l_0.5_beta_{b}" for b in (4.5, 5.0, 5.5, 5.75)}
+        | {f"l_1.0_beta_{b}" for b in (4.5, 5.0, 5.5, 6.0, 6.5)}
+        | {f"l_2.0_beta_{b}" for b in (7.2, 7.5, 7.9, 9.0, 11.0)}),
     9: (_half_dirichlet_face, {"dirichlet_disk", "liouville_lambda1"}),
+    10: (_labels_dropping_a_cell, {"partition_mass"}),
     11: (_double_dirichlet_weight, {"degree2_threshold", "degree1_threshold"}),
 }
 
