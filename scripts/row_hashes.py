@@ -41,6 +41,9 @@ CLI_RUNS = {
     "beta_curve": ["beta-curve", "--l", "1"],
     "uniqueness": ["uniqueness", "--l", "1"],
     "bol_audit": ["bol-audit"],
+    # stacks whose lanes stop at different iterations
+    "alpha_scan_stack": ["alpha-scan", "--alphas", "0.55,0.6667,1", "--trials", "10"],
+    "axisym_stack": ["axisym", "--alpha", "0.6", "--trials", "20"],
 }
 
 # (l, s) of the shot fingerprint: the search bracket at four exponents, plus a

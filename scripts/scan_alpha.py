@@ -7,9 +7,9 @@ and are recorded as evidence only.  Writes results/alpha_scan.csv.
 import pathlib
 import sys
 
-from onofri import functional, report, sphere
+from onofri import acceptance, functional, report, sphere
 
-ALPHAS = [0.55, 0.60, 2.0 / 3.0, 0.70, 0.75, 0.80, 0.90, 1.00]
+ALPHAS = [0.55, 0.60, acceptance.ALPHA_CERTIFIED, 0.70, 0.75, 0.80, 0.90, 1.00]
 TRIALS = 10
 SEED = 20260808
 
@@ -21,8 +21,7 @@ def main() -> int:
     grid = sphere.build_grid(16)
     rows = functional.alpha_scan(ALPHAS, TRIALS, SEED, grid=grid)
     for row in rows:
-        certified = row["alpha"] >= 2.0 / 3.0 - 1e-12
-        row["region"] = "certified-zero" if certified else "open"
+        row["region"] = "certified-zero" if acceptance.certified(row["alpha"]) else "open"
         print(f"alpha={row['alpha']:.4f}  min_j={row['min_j']:+.3e}  "
               f"iters={row['mean_iterations']:.0f}  [{row['region']}]")
     report.write_csv(str(OUT / "alpha_scan.csv"), rows)

@@ -225,6 +225,11 @@ def random_start_1d(stream_key, degree: int = DEFAULT_DEGREE, amplitude: float =
     return LegendreFunction(coeffs)
 
 
+def random_starts_1d(keys) -> LegendreFunction:
+    """The random starts of the stream keys as one stack of polynomials."""
+    return LegendreFunction(np.stack([random_start_1d(key).coeffs for key in keys]))
+
+
 # ---------------------------------------------------------------------------
 # the concentrating two-bubble probe
 # ---------------------------------------------------------------------------

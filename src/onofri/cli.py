@@ -77,8 +77,9 @@ def read_config_file(path: str, command: str) -> dict:
 def _run_config(args: argparse.Namespace) -> dict:
     """The run parameters of the command; --alpha and --rho complete each other
     under rho * alpha = 1 where the command takes both, and the completed value
-    takes its own flag's check.  An alpha whose stiffness alpha/2 L(L+1) at the
-    run's band limit (the 1-D degree for axisym) is not finite is refused too."""
+    takes its own flag's check.  An alpha, or an --alphas entry, whose stiffness
+    alpha/2 L(L+1) at the run's band limit (the 1-D degree for axisym) is not
+    finite is refused too."""
     flags = COMMAND_FLAGS[args.command]
     cfg = {key: getattr(args, key) for key in flags}
     if "alpha" in flags and "rho" in flags:
@@ -92,13 +93,13 @@ def _run_config(args: argparse.Namespace) -> dict:
                 cfg[key] = FLAGS[key][0](1.0 / cfg[other])
             except argparse.ArgumentTypeError as exc:
                 raise UsageError(f"{key} = 1 / {other}: {exc}") from exc
-    if cfg.get("alpha") is not None:
-        degree = cfg.get("L", axisym.DEFAULT_DEGREE)
-        if not math.isfinite(cfg["alpha"] / 2.0 * degree * (degree + 1.0)):
-            raise UsageError(f"alpha = {cfg['alpha']}: alpha/2 L(L+1) is not finite at L = {degree}")
     for key, default in flags.items():
         if isinstance(default, Required) and cfg[key] is None:
             raise UsageError(f"missing required parameter --{key.replace('_', '-')}")
+    degree = cfg.get("L", axisym.DEFAULT_DEGREE)
+    for alpha in _parse_list(cfg["alphas"], _POSITIVE) if "alphas" in cfg else [cfg.get("alpha")]:
+        if alpha is not None and not math.isfinite(alpha / 2.0 * degree * (degree + 1.0)):
+            raise UsageError(f"alpha = {alpha}: alpha/2 L(L+1) is not finite at L = {degree}")
     return cfg
 
 
@@ -145,9 +146,9 @@ def cmd_alpha_scan(cfg):
     out = []
     ok = True
     for row in rows:
-        asserted = row["alpha"] >= 2.0 / 3.0 - 1e-12
+        asserted = acceptance.certified(row["alpha"])
         # a run that failed certifies nothing
-        passed = (row["min_j"] >= -1e-6 and row["n_failed"] == 0) if asserted else None
+        passed = (row["min_j"] >= -acceptance.J_TOL and row["n_failed"] == 0) if asserted else None
         if asserted:
             ok = ok and passed
         out.append({
@@ -170,7 +171,7 @@ def cmd_el_check(cfg):
         "rho": cfg["rho"],
         "el_residual": resid,
         "grad_norm": res.grad_norm,
-        "passed": bool(resid <= 1e-5 and res.converged),
+        "passed": bool(resid <= acceptance.EL_TOL and res.converged),
     }
     return [row], ("pass" if row["passed"] else "fail"), None
 
@@ -188,7 +189,7 @@ def cmd_bridge(cfg):
         "alpha": alpha, "rho": rho, "l": v.l,
         "beta": rep.beta, "beta_lower": rep.lower, "beta_upper": rep.upper,
         "inside": rep.inside,
-        "mass_defect": defect, "passed": bool(rep.inside and abs(defect) <= 1e-6),
+        "mass_defect": defect, "passed": bool(rep.inside and abs(defect) <= acceptance.MASS_TOL),
     }]
     return rows, ("pass" if rows[0]["passed"] else "fail"), planar.field_to_rows(v)
 
@@ -249,14 +250,15 @@ def cmd_axisym(cfg):
             "passed": bool(s_hit is not None),
         })
         return rows, ("pass" if rows[0]["passed"] else "fail"), None
-    for k in range(cfg["trials"]):
-        res = axisym.minimize_axisym(alpha, axisym.random_start_1d((seed, k)))
+    keys = [(seed, k) for k in range(cfg["trials"])]
+    runs = axisym.minimize_axisym_stack([alpha] * len(keys), axisym.random_starts_1d(keys))
+    for k, res in enumerate(runs):
         rows.append({
             "claim": "axisymmetric constrained minimum is zero",
             "alpha": alpha, "trial": k, "value": res.value,
             "iterations": res.iterations, "backtracks": res.backtracks,
             "newton_steps": res.newton_steps, "status": res.status,
-            "passed": bool(res.value >= -1e-6 and res.status == "converged"),
+            "passed": bool(res.value >= -acceptance.J_TOL and res.status == "converged"),
         })
     return rows, ("pass" if all(r["passed"] for r in rows) else "fail"), rows
 
@@ -300,7 +302,7 @@ def cmd_second_variation(cfg):
         "claim": "sign change of the quadratic coefficient",
         "mode": mode, "threshold_estimate": rep.threshold_estimate,
         "expected": target, "quadratic_coefficient": rep.quadratic_coefficient,
-        "passed": bool(abs(rep.threshold_estimate - target) <= 1e-3),
+        "passed": bool(abs(rep.threshold_estimate - target) <= acceptance.THRESHOLD_TOL),
     }]
     return rows, ("pass" if rows[0]["passed"] else "fail"), None
 

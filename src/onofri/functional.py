@@ -414,35 +414,35 @@ def stream_rng(stream_key) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def random_starts(grid: SphereGrid, keys) -> SphereField:
+    """The random starts of the stream keys as one stack of fields."""
+    return SphereField(grid, np.stack([random_start(grid, key).values for key in keys]))
+
+
 def alpha_scan(alpha_list, trials: int, seed: int, grid: SphereGrid):
     """Multi-start minimisation summary per alpha.
 
     Returns rows (alpha, min_j, mean_iterations, n_failed); random streams are
     keyed by (seed, alpha index, trial index) so any execution order gives the
-    same table.  n_failed counts runs that raise and runs that end without a
-    verdict (max-iter or stalled); an unbounded-descent verdict is not a
+    same table.  Each alpha's trials run as one minimize_stack.  n_failed
+    counts runs that end without a verdict (max-iter or stalled), and every
+    trial of an alpha whose stack raises; an unbounded-descent verdict is not a
     failure.  min_j and mean_iterations cover every run that returns.
     """
     rows = []
     for ia, alpha in enumerate(alpha_list):
-        best = np.inf
-        iters = []
-        failed = 0
-        for trial in range(trials):
-            u0 = random_start(grid, (seed, ia, trial))
-            try:
-                res = minimize(float(alpha), u0)
-            except NonConvergenceError:
-                failed += 1
-                continue
-            failed += res.status in ("max-iter", "stalled")
-            best = min(best, res.j_value)
-            iters.append(res.iterations)
+        starts = random_starts(grid, [(seed, ia, trial) for trial in range(trials)])
+        try:
+            runs = minimize_stack([float(alpha)] * trials, starts)
+        except NonConvergenceError:
+            runs = []
+        iters = [res.iterations for res in runs]
+        stopped = sum(res.status in ("max-iter", "stalled") for res in runs)
         rows.append({
             "alpha": float(alpha),
-            "min_j": float(best),
+            "min_j": float(min((res.j_value for res in runs), default=np.inf)),
             "mean_iterations": float(np.mean(iters)) if iters else float("nan"),
-            "n_failed": failed,
+            "n_failed": trials - len(runs) + stopped,
         })
     return rows
 

@@ -86,7 +86,6 @@ class PlanarField:
 
     evaluator: callable
     l: float
-    tag: str = ""
     lap_evaluator: callable | None = None
     ring_evaluator: callable | None = None
 
@@ -121,8 +120,7 @@ def v_star_field(rho: float) -> PlanarField:
     def lap(y):
         return -8.0 * rho / (1.0 + radius2(np.asarray(y, dtype=float))) ** 2
 
-    return PlanarField(lambda y: v_star(y, rho), l=2.0 * (rho - 1.0),
-                       tag=f"v_star(rho={rho})", lap_evaluator=lap)
+    return PlanarField(lambda y: v_star(y, rho), l=2.0 * (rho - 1.0), lap_evaluator=lap)
 
 
 def liouville_bubble_field(a: float = 1.0, center=(0.0, 0.0)) -> PlanarField:
@@ -135,7 +133,7 @@ def liouville_bubble_field(a: float = 1.0, center=(0.0, 0.0)) -> PlanarField:
     def lap(y):
         return -8.0 * a * a / (1.0 + a * a * radius2(np.asarray(y, dtype=float) - y0)) ** 2
 
-    return PlanarField(ev, l=0.0, tag=f"bubble(a={a})", lap_evaluator=lap)
+    return PlanarField(ev, l=0.0, lap_evaluator=lap)
 
 
 def audit_fields() -> dict[str, PlanarField]:
@@ -153,8 +151,7 @@ def audit_fields() -> dict[str, PlanarField]:
         return bubble.lap_evaluator(y) + 4.0 * eps
 
     return {"liouville": bubble,
-            "perturbed": PlanarField(ev, l=0.0, tag=f"{bubble.tag}+{eps}|y|^2",
-                                     lap_evaluator=lap)}
+            "perturbed": PlanarField(ev, l=0.0, lap_evaluator=lap)}
 
 
 def to_planar(u: sphere.SphereField, rho: float) -> PlanarField:
@@ -188,8 +185,7 @@ def to_planar(u: sphere.SphereField, rho: float) -> PlanarField:
         values = sphere.evaluate_tensor(spec, (r2 - 1.0) / (1.0 + r2), theta)
         return values + (const - 2.0 * rho * np.log1p(r2))[:, None]
 
-    return PlanarField(ev, l=2.0 * (rho - 1.0), tag="pulled-back sphere field",
-                       lap_evaluator=lap, ring_evaluator=ring)
+    return PlanarField(ev, l=2.0 * (rho - 1.0), lap_evaluator=lap, ring_evaluator=ring)
 
 
 def planar_residual(v: PlanarField, y: np.ndarray) -> np.ndarray:
@@ -328,7 +324,6 @@ def nodal_ledger(m: int, rho: float):
     budget 8 pi rho <= 4 pi m (i.e. 2 rho <= m) is contradictory.
     """
     return {
-        "per_domain_lower": 4.0 * math.pi,
         "total_exceeds": 4.0 * math.pi * m,
         "total_budget": 8.0 * math.pi * rho,
         "contradiction": bool(2.0 * rho <= m),

@@ -111,11 +111,6 @@ class SphereGrid:
     def shape(self) -> tuple[int, int]:
         return (self.n_mu, self.n_phi)
 
-    @property
-    def weights(self) -> np.ndarray:
-        """Quadrature weights of the probability measure dw, shape (n_mu, n_phi)."""
-        return self.node_weights.reshape(self.shape)
-
     def points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Cartesian coordinates of all nodes, each of shape (n_mu, n_phi)."""
         return tuple(np.moveaxis(self.node_points.reshape(*self.shape, 3), -1, 0))
@@ -189,14 +184,6 @@ class HarmonicSpectrum:
 
     lmax: int
     coeffs: np.ndarray
-
-    def __getitem__(self, lm: tuple[int, int]) -> float:
-        l, m = lm
-        return float(self.coeffs[l, self.lmax + m])
-
-    def __setitem__(self, lm: tuple[int, int], value: float) -> None:
-        l, m = lm
-        self.coeffs[l, self.lmax + m] = value
 
     def copy(self) -> "HarmonicSpectrum":
         return HarmonicSpectrum(self.lmax, self.coeffs.copy())

@@ -60,7 +60,7 @@ def tilt_log_weights(log_weights, points, tol):
 def _j_value(spec, u, alpha):
     l = np.arange(spec.lmax + 1, dtype=float)
     energy = float(np.sum(l * (l + 1.0) * np.sum(spec.coeffs**2, axis=1)))
-    return float(alpha / 4.0 * energy + spec[0, 0] - sphere.log_exp_mass(u))
+    return float(alpha / 4.0 * energy + spec.coeffs[0, spec.lmax] - sphere.log_exp_mass(u))
 
 
 def minimize(alpha, u0):
@@ -68,7 +68,7 @@ def minimize(alpha, u0):
     grid = u0.grid
     L = grid.lmax
     pts = np.stack(grid.points(), axis=-1).reshape(-1, 3)
-    log_w = np.log(grid.weights).ravel()
+    log_w = np.log(grid.node_weights)
     l = np.arange(L + 1, dtype=float)
     stiffness = (alpha / 2.0 * l * (l + 1.0))[:, None]
     tilt_slots = [L + 1, L - 1, L]
@@ -305,7 +305,7 @@ def angular_derivative(v, h=1e-4):
                             -s * y[..., 0] + c * y[..., 1]], axis=-1)
         return (v(y_minus) - v(y_plus)) / (2.0 * h)
 
-    return planar.PlanarField(ev, l=v.l, tag=f"angular derivative of {v.tag}")
+    return planar.PlanarField(ev, l=v.l)
 
 
 def fd_laplacian(f, y, h):

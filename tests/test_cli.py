@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from onofri import acceptance, cli, functional, report
+from onofri import acceptance, cli, functional, planar, report
 from onofri.errors import NonConvergenceError
 
 
@@ -116,6 +116,7 @@ VACUOUS_RUNS = {
     "uniqueness_nan_target": ["uniqueness", "--l", "1", "--targets", "nan"],
     "uniqueness_inf_target": ["uniqueness", "--l", "1", "--targets", "inf"],
     "alpha_scan_nan_alpha": ["alpha-scan", "--alphas", "nan", "--trials", "1"],
+    "alpha_scan_stiffness_overflow": ["alpha-scan", "--alphas", "0.8,1e308", "--trials", "1"],
     "bol_audit_nan_radius": ["bol-audit", "--radii", "nan"],
 }
 
@@ -184,10 +185,10 @@ def test_reports_are_strict_json(tmp_path, monkeypatch):
     row = _strict_json(out)["rows"][0]
     assert row["verdict"] == "unresolved" and row["c_asym"] is None
 
-    def diverging(alpha, u0):
+    def diverging(alphas, u0):
         raise NonConvergenceError("forced")
 
-    monkeypatch.setattr(functional, "minimize", diverging)
+    monkeypatch.setattr(functional, "minimize_stack", diverging)
     out = tmp_path / "scan.json"
     code = cli.main(["alpha-scan", "--alphas", "0.8", "--trials", "1", "--L", "8",
                      "--out", str(out)])
@@ -389,16 +390,41 @@ def test_alpha_scan_open_region_info(tmp_path):
 
 def test_alpha_scan_fails_a_certified_row_with_failed_runs(tmp_path, monkeypatch):
     """A stalled run with J = 0 certifies nothing, so the row fails."""
-    def stalled(alpha, u0):
-        return functional.MinimizeResult(u=u0, j_value=0.0, grad_norm=1.0, com_norm=0.0,
-                                         exp_mass=1.0, iterations=800, backtracks=0,
-                                         newton_steps=0, status="stalled")
+    def stalled(alphas, u0):
+        return [functional.MinimizeResult(u=u0, j_value=0.0, grad_norm=1.0, com_norm=0.0,
+                                          exp_mass=1.0, iterations=800, backtracks=0,
+                                          newton_steps=0, status="stalled") for _ in alphas]
 
-    monkeypatch.setattr(functional, "minimize", stalled)
+    monkeypatch.setattr(functional, "minimize_stack", stalled)
     code, rep = run(tmp_path, "alpha-scan", "--alphas", "0.8", "--trials", "2", "--L", "8")
     assert code == cli.EXIT_MATH
     row = rep["rows"][0]
     assert row["min_j"] == 0.0 and row["n_failed"] == 2 and row["passed"] is False
+
+
+def test_alpha_scan_fails_every_trial_of_a_stack_that_raises(tmp_path, monkeypatch):
+    def diverging(alphas, u0):
+        raise NonConvergenceError("forced")
+
+    monkeypatch.setattr(functional, "minimize_stack", diverging)
+    code, rep = run(tmp_path, "alpha-scan", "--alphas", "0.8", "--trials", "2", "--L", "8")
+    assert code == cli.EXIT_MATH
+    row = rep["rows"][0]
+    assert row["n_failed"] == 2 and row["min_j"] is None and row["passed"] is False
+
+
+def test_bridge_fails_the_mass_defect_criterion_5_fails(tmp_path, monkeypatch):
+    """A plane mass 5e-7 off fails the bridge as it fails criterion 5's mass rows:
+    both read acceptance.MASS_TOL."""
+    beta_l = planar.beta_l
+    monkeypatch.setattr(planar, "beta_l", lambda v: beta_l(v) + 5e-7 / (2.0 * math.pi))
+    code, rep = run(tmp_path, "bridge", "--alpha", "0.8")
+    assert code == cli.EXIT_MATH and rep["rows"][0]["passed"] is False
+    assert abs(abs(rep["rows"][0]["mass_defect"]) - 5e-7) <= 1e-10
+    rows = acceptance.criterion_5(acceptance.DEFAULT_SEED, acceptance.battery_grids())
+    failed = {row["check"] for row in rows if not row["passed"]}
+    assert {"mass_transfer_mixed_modes", "mass_transfer_conformal_factor",
+            "mass_transfer_random_degree6"} <= failed
 
 
 def test_validate_report_flags_problems():

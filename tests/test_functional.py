@@ -594,21 +594,33 @@ def test_alpha_scan_deterministic_and_nonnegative(grid16):
 
 
 def _ending(status, u0):
-    """A minimize stand-in that returns J = 0 with the given status."""
-    def fake(alpha, start):
-        return fn.MinimizeResult(u=u0, j_value=0.0, grad_norm=1.0, com_norm=0.0,
-                                 exp_mass=1.0, iterations=800, backtracks=0,
-                                 newton_steps=0, status=status)
+    """A minimize_stack stand-in whose every lane returns J = 0 with the given status."""
+    def fake(alphas, starts):
+        return [fn.MinimizeResult(u=u0, j_value=0.0, grad_norm=1.0, com_norm=0.0,
+                                  exp_mass=1.0, iterations=800, backtracks=0,
+                                  newton_steps=0, status=status) for _ in alphas]
     return fake
 
 
 @pytest.mark.parametrize("status, failed", [("stalled", 2), ("max-iter", 2),
                                             ("unbounded-descent", 0), ("converged", 0)])
 def test_alpha_scan_counts_runs_without_a_verdict(grid8, monkeypatch, status, failed):
-    monkeypatch.setattr(fn, "minimize", _ending(status, ref.constant_field(grid8, 0.0)))
+    monkeypatch.setattr(fn, "minimize_stack", _ending(status, ref.constant_field(grid8, 0.0)))
     row, = fn.alpha_scan([0.8], trials=2, seed=5, grid=grid8)
     assert row["n_failed"] == failed
     assert row["min_j"] == 0.0 and row["mean_iterations"] == 800.0
+
+
+def test_alpha_scan_rows_equal_a_loop_of_single_runs(grid16):
+    """Each alpha's trials run as one stack and give the rows, bit for bit, of one
+    minimize per trial."""
+    alphas = [0.55, 2.0 / 3.0, 1.0]
+    rows = fn.alpha_scan(alphas, trials=4, seed=5, grid=grid16)
+    for ia, (alpha, row) in enumerate(zip(alphas, rows)):
+        runs = [fn.minimize(alpha, fn.random_start(grid16, (5, ia, k))) for k in range(4)]
+        assert row == {"alpha": alpha, "min_j": min(res.j_value for res in runs),
+                       "mean_iterations": float(np.mean([res.iterations for res in runs])),
+                       "n_failed": sum(res.status in ("max-iter", "stalled") for res in runs)}
 
 
 def test_alpha_scan_open_region_reports(grid16):

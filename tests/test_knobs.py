@@ -32,7 +32,6 @@ KNOBS = {
     ("functional.random_start", "degree"),
     ("planar.PlanarField", "lap_evaluator"),
     ("planar.PlanarField", "ring_evaluator"),
-    ("planar.PlanarField", "tag"),
     ("planar.liouville_bubble_field", "a"),
     ("planar.liouville_bubble_field", "center"),
     ("shooting.beta_curve", "r_max"),

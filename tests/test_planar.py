@@ -182,7 +182,7 @@ def test_pohozaev_reports():
 def test_pohozaev_flags_outside():
     """Slowly-decaying synthetic field: fitted slope 3.5 misses the window."""
     slow = pl.PlanarField(lambda y: -1.75 * np.log1p(np.sum(np.asarray(y) ** 2, axis=-1)),
-                          l=0.25, tag="synthetic slope 3.5")
+                          l=0.25)
     rep = pl.pohozaev_check(slow)
     assert not rep.inside
     assert rep.beta < 4.0
@@ -190,7 +190,7 @@ def test_pohozaev_flags_outside():
 
 def test_beta_divergent_mass_error():
     slow = pl.PlanarField(lambda y: -1.1 * np.log1p(np.sum(np.asarray(y) ** 2, axis=-1)),
-                          l=0.25, tag="non-integrable")
+                          l=0.25)
     with pytest.raises(DivergentMassError):
         pl.beta_l(slow)
 
@@ -247,7 +247,7 @@ def test_angular_derivative_radial_vanishes():
 
 
 def test_angular_derivative_linear_field():
-    v = pl.PlanarField(lambda y: np.asarray(y)[..., 0], l=0.0, tag="y1")
+    v = pl.PlanarField(lambda y: np.asarray(y)[..., 0], l=0.0)
     h = 1e-3
     phi = ref.angular_derivative(v, h=h)
     y = np.random.default_rng(4).normal(size=(60, 2)) * 3
