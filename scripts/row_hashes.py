@@ -44,6 +44,9 @@ CLI_RUNS = {
     # stacks whose lanes stop at different iterations
     "alpha_scan_stack": ["alpha-scan", "--alphas", "0.55,0.6667,1", "--trials", "10"],
     "axisym_stack": ["axisym", "--alpha", "0.6", "--trials", "20"],
+    "second_var_deg1": ["second-variation", "--mode", "degree1"],
+    # more trials than one alpha_scan stack holds: three stacks per alpha
+    "alpha_scan_25": ["alpha-scan", "--alphas", "0.55,0.8,1", "--trials", "25"],
 }
 
 # (l, s) of the shot fingerprint: the search bracket at four exponents, plus a

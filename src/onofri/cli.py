@@ -115,11 +115,15 @@ def _grid_for(cfg):
     return grid
 
 
+def _seeded_minimum(cfg):
+    """The minimiser at --alpha from the random start (seed, 0, 0) on the run's grid."""
+    grid = _grid_for(cfg)
+    return functional.minimize(cfg["alpha"], functional.random_start(grid, (cfg["seed"], 0, 0)))
+
+
 def cmd_minimize(cfg):
     alpha = cfg["alpha"]
-    grid = _grid_for(cfg)
-    u0 = functional.random_start(grid, (cfg["seed"], 0, 0))
-    res = functional.minimize(alpha, u0)
+    res = _seeded_minimum(cfg)
     row = {
         "claim": "constrained minimisation of the sphere functional",
         "alpha": alpha,
@@ -162,8 +166,7 @@ def cmd_alpha_scan(cfg):
 
 def cmd_el_check(cfg):
     alpha = cfg["alpha"]
-    grid = _grid_for(cfg)
-    res = functional.minimize(alpha, functional.random_start(grid, (cfg["seed"], 0, 0)))
+    res = _seeded_minimum(cfg)
     resid = functional.el_residual(res.u, cfg["rho"])
     row = {
         "claim": "stationary points solve the field equation at rho = 1/alpha",
@@ -178,9 +181,7 @@ def cmd_el_check(cfg):
 
 def cmd_bridge(cfg):
     alpha, rho = cfg["alpha"], cfg["rho"]
-    grid = _grid_for(cfg)
-    res = functional.minimize(alpha, functional.random_start(grid, (cfg["seed"], 0, 0)))
-    u = functional.shift_to_unit_mass(res.u)
+    u = functional.shift_to_unit_mass(_seeded_minimum(cfg).u)
     v = planar.to_planar(u, rho)
     rep = planar.pohozaev_check(v)
     defect = 2.0 * math.pi * rep.beta - 8.0 * math.pi * rho
@@ -297,12 +298,12 @@ def cmd_nodal(cfg):
 def cmd_second_variation(cfg):
     mode = cfg["mode"]
     grid = _grid_for(cfg)
-    rep, target = functional.mode_threshold(grid, mode)
+    threshold, coefficient, target = functional.mode_threshold(grid, mode)
     rows = [{
         "claim": "sign change of the quadratic coefficient",
-        "mode": mode, "threshold_estimate": rep.threshold_estimate,
-        "expected": target, "quadratic_coefficient": rep.quadratic_coefficient,
-        "passed": bool(abs(rep.threshold_estimate - target) <= acceptance.THRESHOLD_TOL),
+        "mode": mode, "threshold_estimate": threshold,
+        "expected": target, "quadratic_coefficient": coefficient,
+        "passed": bool(abs(threshold - target) <= acceptance.THRESHOLD_TOL),
     }]
     return rows, ("pass" if rows[0]["passed"] else "fail"), None
 

@@ -163,7 +163,7 @@ def pullback(u: SphereField, a: np.ndarray) -> SphereField:
     exact for band-limited u; resampling reprojects onto the grid's band.
     """
     if np.linalg.norm(a) < 1e-15:
-        return u.copy()
+        return SphereField(u.grid, u.values.copy())
     spec = sphere.analyze(u)
     x1, x2, x3 = u.grid.points()
     pts = np.stack([x1, x2, x3], axis=-1)
@@ -225,6 +225,7 @@ BLOWUP_FLOOR = -25.0    # values below it end a descent as unbounded
 ARMIJO = 1e-4           # sufficient-decrease constant of the line search
 MAX_HALVINGS = 40       # halvings of the unit step before a descent stalls
 QUADRATIC_STEP = 1e-2   # amplitude t of the probes t v and t v / 2 of the second variation
+SCAN_LANES = 10         # most trials of one alpha that alpha_scan steps as one stack
 
 
 class Descent(NamedTuple):
@@ -424,25 +425,29 @@ def alpha_scan(alpha_list, trials: int, seed: int, grid: SphereGrid):
 
     Returns rows (alpha, min_j, mean_iterations, n_failed); random streams are
     keyed by (seed, alpha index, trial index) so any execution order gives the
-    same table.  Each alpha's trials run as one minimize_stack.  n_failed
+    same table.  Each alpha's trials run as minimize_stacks of at most
+    SCAN_LANES lanes, so memory does not grow with the trial count.  n_failed
     counts runs that end without a verdict (max-iter or stalled), and every
-    trial of an alpha whose stack raises; an unbounded-descent verdict is not a
-    failure.  min_j and mean_iterations cover every run that returns.
+    trial of a stack that raises, but not the other stacks' trials; an
+    unbounded-descent verdict is not a failure.  min_j and mean_iterations
+    cover every run that returns.
     """
     rows = []
     for ia, alpha in enumerate(alpha_list):
-        starts = random_starts(grid, [(seed, ia, trial) for trial in range(trials)])
-        try:
-            runs = minimize_stack([float(alpha)] * trials, starts)
-        except NonConvergenceError:
-            runs = []
+        runs, raised = [], 0
+        for first in range(0, trials, SCAN_LANES):
+            keys = [(seed, ia, trial) for trial in range(first, min(first + SCAN_LANES, trials))]
+            try:
+                runs += minimize_stack([float(alpha)] * len(keys), random_starts(grid, keys))
+            except NonConvergenceError:
+                raised += len(keys)
         iters = [res.iterations for res in runs]
         stopped = sum(res.status in ("max-iter", "stalled") for res in runs)
         rows.append({
             "alpha": float(alpha),
             "min_j": float(min((res.j_value for res in runs), default=np.inf)),
             "mean_iterations": float(np.mean(iters)) if iters else float("nan"),
-            "n_failed": trials - len(runs) + stopped,
+            "n_failed": raised + stopped,
         })
     return rows
 
@@ -452,53 +457,33 @@ def alpha_scan(alpha_list, trials: int, seed: int, grid: SphereGrid):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SecondVariationReport:
-    alpha: float
-    mode: str
-    quadratic_coefficient: float
-    threshold_estimate: float
-
-
-def empirical_quadratic_coefficient(v: SphereField, alpha: float) -> float:
-    """j_alpha(t v)/t^2 at t = QUADRATIC_STEP and t/2, one Richardson sweep on the O(t^2) tail."""
-    q1, q2 = (j_alpha(t * v, alpha) / t**2 for t in (QUADRATIC_STEP, 0.5 * QUADRATIC_STEP))
-    return float((4.0 * q2 - q1) / 3.0)
-
-
-def second_variation_threshold(v: SphereField, mode: str,
-                               bracket: tuple[float, float]) -> SecondVariationReport:
-    """Zero crossing in alpha of the measured quadratic coefficient along v.
-
-    The coefficient is affine in alpha, so two evaluations determine the root.
-    """
-    a0, a1 = bracket
-    q0 = empirical_quadratic_coefficient(v, a0)
-    q1 = empirical_quadratic_coefficient(v, a1)
-    root = a0 - q0 * (a1 - a0) / (q1 - q0)
-    mid = 0.5 * (a0 + a1)
-    return SecondVariationReport(
-        alpha=mid,
-        mode=mode,
-        quadratic_coefficient=empirical_quadratic_coefficient(v, mid),
-        threshold_estimate=float(root),
-    )
-
-
 # test modes of the second variation: degree, shape in (x1, x2, x3), alpha
 # bracket of the threshold, exact threshold
 _MODES = {"degree2": (2, lambda a, b, c: a * b, (0.25, 0.45), 1.0 / 3.0),
           "degree1": (1, lambda a, b, c: c, (0.9, 1.1), 1.0)}
 
 
-def mode_threshold(grid: SphereGrid, mode: str) -> tuple[SecondVariationReport, float]:
-    """Threshold along x1 x2 ('degree2', exact 1/3) or x3 ('degree1', exact 1),
-    with the exact value; the battery and the CLI share these brackets.  A grid
-    whose band limit is below the mode's degree cannot hold the mode and raises
-    GridConfigError."""
+def mode_threshold(grid: SphereGrid, mode: str) -> tuple[float, float, float]:
+    """Zero crossing in alpha of the measured quadratic coefficient of J_alpha along
+    x1 x2 ('degree2', exact 1/3) or x3 ('degree1', exact 1): the threshold, the
+    coefficient at the bracket's midpoint and the exact value.  The battery and
+    the CLI share these brackets.
+
+    The coefficient along v is j_alpha(t v)/t^2 at t = QUADRATIC_STEP and t/2,
+    with one Richardson sweep on the O(t^2) tail.  It is affine in alpha, so its
+    values at the bracket's ends determine the root.  A grid whose band limit is
+    below the mode's degree cannot hold the mode and raises GridConfigError.
+    """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r} (degree1, degree2)")
-    degree, shape, bracket, exact = _MODES[mode]
+    degree, shape, (a0, a1), exact = _MODES[mode]
     if grid.lmax < degree:
         raise GridConfigError(f"band limit {grid.lmax} cannot hold the degree-{degree} mode")
-    return second_variation_threshold(sphere.field_of(grid, shape), mode, bracket), exact
+    v = sphere.field_of(grid, shape)
+
+    def coefficient(alpha):
+        q1, q2 = (j_alpha(t * v, alpha) / t**2 for t in (QUADRATIC_STEP, 0.5 * QUADRATIC_STEP))
+        return float((4.0 * q2 - q1) / 3.0)
+
+    q0, q1 = coefficient(a0), coefficient(a1)
+    return float(a0 - q0 * (a1 - a0) / (q1 - q0)), coefficient(0.5 * (a0 + a1)), exact

@@ -64,11 +64,6 @@ def stereo_lift(y: np.ndarray) -> np.ndarray:
                      (r2 - 1.0) / denom], axis=-1)
 
 
-def stereo_jacobian(y: np.ndarray) -> np.ndarray:
-    """Areal Jacobian of the lift, (2/(1+|y|^2))^2; integrates to 4 pi."""
-    return (2.0 / (1.0 + radius2(np.asarray(y, dtype=float)))) ** 2
-
-
 # ---------------------------------------------------------------------------
 # planar fields
 # ---------------------------------------------------------------------------
@@ -78,8 +73,8 @@ def stereo_jacobian(y: np.ndarray) -> np.ndarray:
 class PlanarField:
     """Scalar field on the plane given by a vectorised evaluator y -> value.
 
-    lap_evaluator, when present, is an exact Laplacian (closed form or via the
-    conformal identity); planar_residual needs it.
+    lap_evaluator, when present, is the closed-form Laplacian of an analytic
+    field; planar_residual needs it.
     ring_evaluator, when present, gives the values on the polar grid
     radii x theta directly (see `rings`).
     """
@@ -157,35 +152,27 @@ def audit_fields() -> dict[str, PlanarField]:
 def to_planar(u: sphere.SphereField, rho: float) -> PlanarField:
     """Transfer a unit-exp-mass sphere field to the plane.
 
-    The evaluator goes through u's harmonic expansion, so the planar Laplacian
-    is available exactly via the conformal identity
-    lap(v)(y) = J(y) (lap_sphere(u) - 2 rho)(lift y).  A ring of radius r
-    lifts to the latitude mu = (r^2 - 1)/(r^2 + 1) at longitudes theta, so
-    the ring evaluator reads u on the tensor grid of those latitudes.
+    The evaluator goes through u's harmonic expansion; the field carries no
+    Laplacian.  A ring of radius r lifts to the latitude
+    mu = (r^2 - 1)/(r^2 + 1) at longitudes theta, so the ring evaluator reads
+    u on the tensor grid of those latitudes.
     """
     mass_defect = abs(math.exp(sphere.log_exp_mass(u)) - 1.0)
     if mass_defect > GAUGE_TOL:
         raise GaugeError(f"to_planar needs int e^u dw = 1; defect {mass_defect:.2e}")
     spec = sphere.analyze(u)
-    lap_spec = spec.copy()
-    ldeg = np.arange(spec.lmax + 1, dtype=float)
-    lap_spec.coeffs *= -(ldeg * (ldeg + 1.0))[:, None]
     const = math.log(8.0 * rho)
 
     def ev(y):
         y = np.asarray(y, dtype=float)
         return sphere.evaluate_xyz(spec, stereo_lift(y)) - 2.0 * rho * np.log1p(radius2(y)) + const
 
-    def lap(y):
-        y = np.asarray(y, dtype=float)
-        return stereo_jacobian(y) * (sphere.evaluate_xyz(lap_spec, stereo_lift(y)) - 2.0 * rho)
-
     def ring(radii, theta):
         r2 = radii * radii
         values = sphere.evaluate_tensor(spec, (r2 - 1.0) / (1.0 + r2), theta)
         return values + (const - 2.0 * rho * np.log1p(r2))[:, None]
 
-    return PlanarField(ev, l=2.0 * (rho - 1.0), lap_evaluator=lap, ring_evaluator=ring)
+    return PlanarField(ev, l=2.0 * (rho - 1.0), ring_evaluator=ring)
 
 
 def planar_residual(v: PlanarField, y: np.ndarray) -> np.ndarray:

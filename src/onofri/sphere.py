@@ -156,21 +156,14 @@ class SphereField:
     def with_values(self, values: np.ndarray) -> "SphereField":
         return SphereField(self.grid, values)
 
-    def __add__(self, other):
-        if isinstance(other, SphereField):
-            return SphereField(self.grid, self.values + other.values)
-        return SphereField(self.grid, self.values + other)
+    def __add__(self, shift):          # a number or an array of values, not another field
+        return SphereField(self.grid, self.values + shift)
 
-    def __sub__(self, other):
-        if isinstance(other, SphereField):
-            return SphereField(self.grid, self.values - other.values)
-        return SphereField(self.grid, self.values - other)
+    def __sub__(self, shift):
+        return SphereField(self.grid, self.values - shift)
 
     def __rmul__(self, scalar):
         return SphereField(self.grid, scalar * self.values)
-
-    def copy(self) -> "SphereField":
-        return SphereField(self.grid, self.values.copy())
 
 
 @dataclass
@@ -184,9 +177,6 @@ class HarmonicSpectrum:
 
     lmax: int
     coeffs: np.ndarray
-
-    def copy(self) -> "HarmonicSpectrum":
-        return HarmonicSpectrum(self.lmax, self.coeffs.copy())
 
 
 def zero_spectrum(lmax: int) -> HarmonicSpectrum:

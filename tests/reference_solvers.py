@@ -2,8 +2,9 @@
 read one exponential per step, and a counter of the exponentials a descent makes;
 and the test-only maps the package itself does not call: the constant sphere
 field, the sphere tilt of a whole field, the two-bubble family on a grid, the
-stereographic projection (and the PoleError it raises at the pole), the planar
-angular derivative, the eigenpair of one resolution, the breadth-first
+stereographic projection (and the PoleError it raises at the pole), the areal
+Jacobian of the stereographic lift, the planar Laplacian of a transferred
+sphere field, the planar angular derivative, the eigenpair of one resolution, the breadth-first
 flood fill the nodal labelling replaced, the latitude recurrence with
 its coefficients computed row by row, and the closed-form axisymmetric
 Dirichlet energy.
@@ -284,6 +285,25 @@ def stereo_map(x):
     if np.any(denom <= 1e-15):
         raise PoleError("stereographic map is singular at the north pole")
     return np.stack([x[..., 0] / denom, x[..., 1] / denom], axis=-1)
+
+
+def stereo_jacobian(y):
+    """Areal Jacobian of the lift, (2/(1+|y|^2))^2; integrates to 4 pi."""
+    return (2.0 / (1.0 + planar.radius2(np.asarray(y, dtype=float)))) ** 2
+
+
+def transferred_laplacian(u, rho):
+    """The exact Laplacian of planar.to_planar(u, rho), by the conformal identity
+    lap(v)(y) = J(y) (lap_sphere(u) - 2 rho)(lift y)."""
+    lap_spec = sphere.analyze(u)
+    l = np.arange(lap_spec.lmax + 1, dtype=float)
+    lap_spec.coeffs *= -(l * (l + 1.0))[:, None]
+
+    def lap(y):
+        y = np.asarray(y, dtype=float)
+        return stereo_jacobian(y) * (sphere.evaluate_xyz(lap_spec, planar.stereo_lift(y)) - 2.0 * rho)
+
+    return lap
 
 
 def angular_derivative(v, h=1e-4):

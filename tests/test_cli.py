@@ -402,6 +402,21 @@ def test_alpha_scan_fails_a_certified_row_with_failed_runs(tmp_path, monkeypatch
     assert row["min_j"] == 0.0 and row["n_failed"] == 2 and row["passed"] is False
 
 
+def test_alpha_scan_steps_bounded_stacks(tmp_path, monkeypatch):
+    """25 trials never reach minimize_stack as one stack: peak memory does not
+    grow with --trials."""
+    minimize_stack, lanes = functional.minimize_stack, []
+
+    def spy(alphas, u0):
+        lanes.append(len(alphas))
+        return minimize_stack(alphas, u0)
+
+    monkeypatch.setattr(functional, "minimize_stack", spy)
+    code, rep = run(tmp_path, "alpha-scan", "--alphas", "0.8", "--trials", "25")
+    assert code == 0 and rep["rows"][0]["n_failed"] == 0
+    assert sum(lanes) == 25 and max(lanes) <= 10
+
+
 def test_alpha_scan_fails_every_trial_of_a_stack_that_raises(tmp_path, monkeypatch):
     def diverging(alphas, u0):
         raise NonConvergenceError("forced")

@@ -83,3 +83,19 @@ def test_logistic_matches_expit_without_warnings():
         got = conformal._logistic(z)
     assert np.max(np.abs(got - expit(z))) <= 2.5e-16
     assert got[-5] == 0.0 and got[-3] == 0.5 and got[-1] == 1.0
+
+
+@pytest.mark.parametrize("a", [np.zeros(3), np.array([1e-16, 0.0, -1e-16])])
+def test_identity_map_below_the_parameter_floor(grid16, a):
+    """A parameter of norm below 1e-15 is the identity: the points come back as
+    they went in, the log-Jacobian is zero, and the pullback is u itself, each
+    as a new array."""
+    pts = grid_points(grid16)
+    mapped = conformal.apply_mobius(pts, a)
+    assert np.array_equal(mapped, pts) and mapped is not pts
+    w = conformal.log_conformal_factor(pts, a)
+    assert w.shape == grid16.shape and not w.any()
+    u = functional.random_start(grid16, (4, 1, 0))
+    out = functional.pullback(u, a)
+    assert out.grid is grid16 and np.array_equal(out.values, u.values)
+    assert not np.shares_memory(out.values, u.values)

@@ -573,12 +573,10 @@ def test_taylor_limit_of_quadratic_form(grid16):
 
 
 def test_threshold_estimates(grid16):
-    v2 = sphere.field_of(grid16, lambda a, b, c: a * b)
-    rep = fn.second_variation_threshold(v2, "degree-2", (0.25, 0.45))
-    assert rep.threshold_estimate == pytest.approx(1.0 / 3.0, abs=1e-3)
-    v1 = coordinate(grid16)
-    rep1 = fn.second_variation_threshold(v1, "degree-1", (0.9, 1.1))
-    assert rep1.threshold_estimate == pytest.approx(1.0, abs=1e-3)
+    threshold, _, _ = fn.mode_threshold(grid16, "degree2")
+    assert threshold == pytest.approx(1.0 / 3.0, abs=1e-3)
+    threshold1, _, _ = fn.mode_threshold(grid16, "degree1")
+    assert threshold1 == pytest.approx(1.0, abs=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +607,23 @@ def test_alpha_scan_counts_runs_without_a_verdict(grid8, monkeypatch, status, fa
     row, = fn.alpha_scan([0.8], trials=2, seed=5, grid=grid8)
     assert row["n_failed"] == failed
     assert row["min_j"] == 0.0 and row["mean_iterations"] == 800.0
+
+
+def test_alpha_scan_fails_only_the_trials_of_the_stack_that_raises(grid8, monkeypatch):
+    """25 trials run as stacks of 10, 10 and 5 lanes; the second stack raising
+    fails its 10 trials and leaves the other 15 as they ran."""
+    ending, calls = _ending("converged", ref.constant_field(grid8, 0.0)), []
+
+    def second_raises(alphas, starts):
+        calls.append(len(alphas))
+        if len(calls) == 2:
+            raise NonConvergenceError("forced")
+        return ending(alphas, starts)
+
+    monkeypatch.setattr(fn, "minimize_stack", second_raises)
+    row, = fn.alpha_scan([0.8], trials=25, seed=5, grid=grid8)
+    assert calls == [fn.SCAN_LANES, fn.SCAN_LANES, 5]
+    assert row["n_failed"] == 10 and row["min_j"] == 0.0 and row["mean_iterations"] == 800.0
 
 
 def test_alpha_scan_rows_equal_a_loop_of_single_runs(grid16):

@@ -129,3 +129,23 @@ def test_criterion_fails_under_its_mutation(monkeypatch, cid):
     assert _failed(cid) == checks
     monkeypatch.undo()
     assert _failed(cid) == set()
+
+
+def test_criterion_9_audits_read_violated_under_half_the_mass(monkeypatch):
+    """eigen.domain_mass halved keeps every eigenvalue: the two audits whose
+    hypotheses hold read "violated", and the unit-disk mass and the neutral
+    radius's mass fall below 4 pi.  Two rows are named audit_disk(R=1.0), the
+    perturbed field's audit (row 4) and the bubble's (row 6), so the rows are
+    compared by position."""
+    domain_mass = eigen.domain_mass
+    monkeypatch.setattr(eigen, "domain_mass", lambda g_fn, omega: 0.5 * domain_mass(g_fn, omega))
+
+    def failed():
+        return [(i, row["check"], row.get("verdict"))
+                for i, row in enumerate(acceptance.run_battery(acceptance.DEFAULT_SEED, [9]))
+                if not row["passed"]]
+
+    assert failed() == [(2, "liouville_mass", None), (3, "audit_disk(R=2.0)", "violated"),
+                        (4, "audit_disk(R=1.0)", "violated"), (7, "continuation_radius", None)]
+    monkeypatch.undo()
+    assert failed() == []

@@ -597,6 +597,34 @@ def test_refinement_meets_its_goals():
                                   + [tp[0] for tp in cert.turning_points])
 
 
+def test_newton_leaving_the_bracket_falls_back_to_brent_on_shots(monkeypatch):
+    """beta = 5 + tanh(2000 (s - 0.9)) steps up over a width far below the finest
+    node spacing.  The Hermite root lands on the upper plateau, where beta - 5
+    reads 1 and beta' is below 1e-30, so the first Newton step leaves the
+    bracket and Brent on shots takes over.  Both ends of its bracket read
+    beta - 5 = -1 and +1 exactly, so no interpolation beats bisection there:
+    its first shot is the bracket's midpoint."""
+    k, s0 = 2000.0, 0.9
+    curve = _synthetic(lambda s: 5.0 + math.tanh(k * (s - s0)),
+                       lambda s: k / math.cosh(min(k * abs(s - s0), 300.0)) ** 2)
+    brent, calls = rs._brent, []
+
+    def spy(f, a, b, fa, fb, tol):
+        xs = []
+        root = brent(lambda x: xs.append(x) or f(x), a, b, fa, fb, tol)
+        calls.append((a, b, fa, fb, tol, xs))
+        return root
+
+    monkeypatch.setattr(rs, "_brent", spy)
+    search = rs.search_curve(curve, [5.0], (-6.0, 10.0))
+    assert search.roots == [[pytest.approx(s0, abs=rs.ROOT_TOL)]]
+    hermite, shots = calls                  # no turning point: Brent on P, then on shots
+    assert hermite[4] < rs.ROOT_TOL and shots[4] == rs.ROOT_TOL
+    a, b, fa, fb, _, xs = shots
+    assert (fa, fb) == (-1.0, 1.0) and max(curve(a)[2], curve(b)[2]) < 1e-30
+    assert xs[0] == pytest.approx(0.5 * (a + b), abs=1e-15)
+
+
 def test_gap_inside_the_bracket_cuts_the_runs():
     """beta = 6 - 0.2 atan(s) with the coarse sample at s = 2 unresolved: the
     runs end at the converged samples 0 and 4 on either side of it, so 5.9,
