@@ -4,9 +4,9 @@
 Prints the first 16 hex digits of sha256(json.dumps(rows, sort_keys=True)) for
 each of criteria 1-12 run alone, for acceptance.run_verify() (criteria 1-12
 plus criterion 13's reversed pass), for the report rows of fixed runs of
-every other subcommand (CLI_RUNS, with their exit codes), and for the radial
-shots of SHOT_GRID (profile, both masses, c_asym, verdict, rejected steps and
-both beta_prime forms).  Run it on two trees and compare:
+every other subcommand (CLI_RUNS, with their verdicts and exit codes), and
+for the radial shots of SHOT_GRID (profile, both masses, c_asym, verdict,
+rejected steps and both beta_prime forms).  Run it on two trees and compare:
 
     PYTHONPATH=src python3 scripts/row_hashes.py [--seed N]
 
@@ -47,6 +47,8 @@ CLI_RUNS = {
     "second_var_deg1": ["second-variation", "--mode", "degree1"],
     # more trials than one alpha_scan stack holds: three stacks per alpha
     "alpha_scan_25": ["alpha-scan", "--alphas", "0.55,0.8,1", "--trials", "25"],
+    # open region only: no row asserts anything
+    "alpha_scan_open": ["alpha-scan", "--alphas", "0.55,0.6", "--trials", "2"],
 }
 
 # (l, s) of the shot fingerprint: the search bracket at four exponents, plus a
@@ -59,13 +61,14 @@ def fingerprint(rows) -> str:
     return hashlib.sha256(json.dumps(to_builtin(rows), sort_keys=True).encode()).hexdigest()[:16]
 
 
-def cli_rows(argv) -> tuple[int, list]:
-    """The exit code and the report rows of one CLI run, its stdout discarded."""
+def cli_rows(argv) -> tuple[int, str | None, list]:
+    """The exit code, the verdict and the report rows of one CLI run, its stdout discarded."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "report.json"
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main([*argv, "--out", str(out)])
-        return code, json.loads(out.read_text())["rows"] if out.exists() else []
+        rep = json.loads(out.read_text()) if out.exists() else {"verdict": None, "rows": []}
+        return code, rep["verdict"], rep["rows"]
 
 
 def shot_rows() -> list:
@@ -90,8 +93,8 @@ def main() -> int:
     rows = acceptance.run_verify(seed)
     print(f"run_verify    {fingerprint(rows)}  ({len(rows)} rows)")
     for name, argv in CLI_RUNS.items():
-        code, rows = cli_rows(argv)
-        print(f"cli {name:<16} {fingerprint(rows)}  ({len(rows)} rows, exit {code})")
+        code, verdict, rows = cli_rows(argv)
+        print(f"cli {name:<16} {fingerprint(rows)}  ({len(rows)} rows, {verdict}, exit {code})")
     rows = shot_rows()
     print(f"shots         {fingerprint(rows)}  ({len(rows)} shots)")
     return 0

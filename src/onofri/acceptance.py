@@ -264,13 +264,13 @@ def criterion_9(seed, grids):
     rows.append(_row(9, "liouville_mass", "unit-disk bubble mass is 4 pi",
                      abs(mass - eigen.FOUR_PI), 1e-6, abs(mass - eigen.FOUR_PI) <= 1e-6))
 
-    audits = eigen.bol_audit(g_eps, eigen.Disk(3.0),
-                             [eigen.Disk(2.0), eigen.Disk(1.0), eigen.Disk(0.5)],
-                             glap_fn=g_eps.lap_evaluator)
-    audits += eigen.bol_audit(bubble, eigen.Disk(3.0), [eigen.Disk(1.0)],
-                              glap_fn=bubble.lap_evaluator)
-    for a in audits:
-        rows.append(_row(9, f"audit_{a.domain}", "eigenvalue hypothesis forces mass over 4 pi",
+    audits = [("audit", a) for a in eigen.bol_audit(
+        g_eps, eigen.Disk(3.0), [eigen.Disk(2.0), eigen.Disk(1.0), eigen.Disk(0.5)],
+        glap_fn=g_eps.lap_evaluator)]
+    audits += [("audit_liouville", a) for a in eigen.bol_audit(
+        bubble, eigen.Disk(3.0), [eigen.Disk(1.0)], glap_fn=bubble.lap_evaluator)]
+    for name, a in audits:
+        rows.append(_row(9, f"{name}_{a.domain}", "eigenvalue hypothesis forces mass over 4 pi",
                          a.mass, eigen.FOUR_PI, a.verdict != "violated",
                          lambda1=a.lambda1, verdict=a.verdict,
                          margin=a.supersolution_margin))
@@ -361,7 +361,7 @@ def battery_grids():
     return {"g16": sphere.build_grid(16), "g32": sphere.build_grid(32)}
 
 
-def run_battery(seed: int = DEFAULT_SEED, criteria=None) -> list[dict]:
+def run_battery(seed: int, criteria=None) -> list[dict]:
     """Rows for criteria 1..12 (or a subset), deterministic given the seed.
 
     The criteria run in the order given (ascending by default); the rows come
@@ -372,17 +372,15 @@ def run_battery(seed: int = DEFAULT_SEED, criteria=None) -> list[dict]:
     return [row for cid in sorted(by_criterion) for row in by_criterion[cid]]
 
 
-def determinism_row(seed: int = DEFAULT_SEED, criteria=None, forward_rows=None) -> dict:
+def determinism_row(seed: int, forward_rows: list[dict]) -> dict:
     """Criterion 13: a forward and a reversed battery with one seed serialise identically.
 
-    forward_rows, when given, are the rows of a forward pass already run with
-    this seed and criteria; only the reversed pass is run then.
+    forward_rows are the rows of a forward pass already run with this seed; the
+    criteria they hold are rerun in reversed order.
     """
     from .report import to_builtin
 
-    forward = sorted(criteria or CRITERIA)
-    if forward_rows is None:
-        forward_rows = run_battery(seed, forward)
+    forward = sorted({row["criterion"] for row in forward_rows})
     first = json.dumps(to_builtin(forward_rows), sort_keys=True)
     second = json.dumps(to_builtin(run_battery(seed, forward[::-1])), sort_keys=True)
     same = first == second
@@ -390,10 +388,10 @@ def determinism_row(seed: int = DEFAULT_SEED, criteria=None, forward_rows=None) 
                 0.0 if same else 1.0, 0.0, same)
 
 
-def run_verify(seed: int = DEFAULT_SEED, determinism: bool = True) -> list[dict]:
+def run_verify(seed: int, determinism: bool = True) -> list[dict]:
     rows = run_battery(seed)
     if determinism:
-        rows.append(determinism_row(seed, forward_rows=rows))
+        rows.append(determinism_row(seed, rows))
     return rows
 
 

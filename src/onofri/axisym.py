@@ -241,7 +241,7 @@ def two_bubble_i_value(alpha: float, s: float) -> float:
     return 2.0 * conformal.two_bubble_j_value(alpha, s)
 
 
-def probe_two_bubble_1d(alpha: float, floor: float = -10.0):
+def probe_two_bubble_1d(alpha: float, floor: float):
     """March the 1-D concentration until I_alpha drops below floor.
 
     The sphere march at half the floor, with every value doubled (I = 2 J).

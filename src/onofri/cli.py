@@ -1,10 +1,12 @@
 """Command-line frontend.
 
 Subcommands run one experiment each and emit a JSON report with stable keys
-(command, config, seed, version, rows, verdict, elapsed_s) plus optional CSV
-tables.  Exit codes: 0 all checks pass, 1 runtime error, 2 a mathematical
-check failed (Pohozaev breach, audit violation, multi-root window, failed
-acceptance row), 3 usage error.
+(command, config, seed, version, rows, verdict, elapsed_s); --csv writes the
+subcommand's own table, or its rows when it has none.  The verdict is fail when
+a row's "passed" is false, else pass when one is true, else info.  Exit codes:
+0 pass or info, 1 runtime error, 2 a mathematical check failed (Pohozaev
+breach, audit violation, multi-root window, failed acceptance row), 3 usage
+error.
 
 Each subcommand declares its run flags and their defaults in COMMANDS; a value
 comes from that default, then a flat `key = value` file given with --config,
@@ -104,7 +106,7 @@ def _run_config(args: argparse.Namespace) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (rows, verdict, csv_rows)
+# subcommand handlers: each returns (rows, table), table None if it has none
 # ---------------------------------------------------------------------------
 
 
@@ -138,9 +140,9 @@ def cmd_minimize(cfg):
         "el_residual": functional.el_residual(res.u, cfg["rho"]),
         "h1_norm": sphere.h1_norm(res.u),
         "l2_norm": sphere.l2_norm(res.u),
+        "passed": res.status in ("converged", "unbounded-descent"),
     }
-    verdict = "pass" if res.status in ("converged", "unbounded-descent") else "fail"
-    return [row], verdict, None
+    return [row], None
 
 
 def cmd_alpha_scan(cfg):
@@ -148,20 +150,17 @@ def cmd_alpha_scan(cfg):
     rows = functional.alpha_scan(_parse_list(cfg["alphas"], _POSITIVE), cfg["trials"], cfg["seed"],
                                  grid=grid)
     out = []
-    ok = True
     for row in rows:
         asserted = acceptance.certified(row["alpha"])
         # a run that failed certifies nothing
         passed = (row["min_j"] >= -acceptance.J_TOL and row["n_failed"] == 0) if asserted else None
-        if asserted:
-            ok = ok and passed
         out.append({
             "claim": ("zero constrained infimum" if asserted
                       else "recorded minimum (open region, no assertion)"),
             **row,
             "passed": passed,
         })
-    return out, ("pass" if ok else "fail"), out
+    return out, None
 
 
 def cmd_el_check(cfg):
@@ -176,7 +175,7 @@ def cmd_el_check(cfg):
         "grad_norm": res.grad_norm,
         "passed": bool(resid <= acceptance.EL_TOL and res.converged),
     }
-    return [row], ("pass" if row["passed"] else "fail"), None
+    return [row], None
 
 
 def cmd_bridge(cfg):
@@ -192,12 +191,12 @@ def cmd_bridge(cfg):
         "inside": rep.inside,
         "mass_defect": defect, "passed": bool(rep.inside and abs(defect) <= acceptance.MASS_TOL),
     }]
-    return rows, ("pass" if rows[0]["passed"] else "fail"), planar.field_to_rows(v)
+    return rows, planar.field_to_rows(v)
 
 
 def cmd_shoot(cfg):
     l, s = cfg["l"], cfg["s"]
-    sol = shooting.shoot(l, s, r_max=cfg["r_max"], tol=cfg["tol"])
+    sol = shooting.shoot(l, s, r_max=cfg["r_max"])
     rows = [{
         "claim": "radial profile mass and asymptote",
         "l": l, "s": s,
@@ -205,15 +204,14 @@ def cmd_shoot(cfg):
         "c_asym": sol.c_asym, "verdict": sol.verdict,
         "accepted_steps": len(sol.r_grid) - 1, "rejected_steps": sol.rejected_steps,
     }]
-    csv_rows = [{"r": float(r), "v": float(v)} for r, v in zip(sol.r_grid, sol.values)]
-    return rows, "info", csv_rows
+    return rows, [{"r": float(r), "v": float(v)} for r, v in zip(sol.r_grid, sol.values)]
 
 
 def cmd_beta_curve(cfg):
     l = cfg["l"]
     rows = shooting.beta_curve(l, cfg["s_min"], cfg["s_max"], cfg["n"], r_max=cfg["r_max"])
     out = [{"claim": "mass along the shooting family", "l": l, **row} for row in rows]
-    return out, "info", rows
+    return out, rows
 
 
 def cmd_uniqueness(cfg):
@@ -236,7 +234,7 @@ def cmd_uniqueness(cfg):
             "unresolved_samples": search.unresolved_samples,
             "certificate": cert.summary(),
         })
-    return rows, ("pass" if all(r["passed"] for r in rows) else "fail"), rows
+    return rows, None
 
 
 def cmd_axisym(cfg):
@@ -250,7 +248,7 @@ def cmd_axisym(cfg):
             "value_at_stop": trace[-1][1], "concentration_log": trace[-1][0],
             "passed": bool(s_hit is not None),
         })
-        return rows, ("pass" if rows[0]["passed"] else "fail"), None
+        return rows, None
     keys = [(seed, k) for k in range(cfg["trials"])]
     runs = axisym.minimize_axisym_stack([alpha] * len(keys), axisym.random_starts_1d(keys))
     for k, res in enumerate(runs):
@@ -261,7 +259,7 @@ def cmd_axisym(cfg):
             "newton_steps": res.newton_steps, "status": res.status,
             "passed": bool(res.value >= -acceptance.J_TOL and res.status == "converged"),
         })
-    return rows, ("pass" if all(r["passed"] for r in rows) else "fail"), rows
+    return rows, None
 
 
 def cmd_bol_audit(cfg):
@@ -276,7 +274,7 @@ def cmd_bol_audit(cfg):
         "supersolution_margin": a.supersolution_margin, "total_mass": a.total_mass,
         "verdict": a.verdict, "passed": a.verdict != "violated",
     } for a in audits]
-    return rows, ("pass" if all(r["passed"] for r in rows) else "fail"), rows
+    return rows, None
 
 
 def cmd_nodal(cfg):
@@ -292,7 +290,7 @@ def cmd_nodal(cfg):
         "budget": ledger["total_budget"], "bound": ledger["total_exceeds"],
         "passed": bool(rep.m == expected),
     }]
-    return rows, ("pass" if rows[0]["passed"] else "fail"), None
+    return rows, None
 
 
 def cmd_second_variation(cfg):
@@ -305,7 +303,7 @@ def cmd_second_variation(cfg):
         "expected": target, "quadratic_coefficient": coefficient,
         "passed": bool(abs(threshold - target) <= acceptance.THRESHOLD_TOL),
     }]
-    return rows, ("pass" if rows[0]["passed"] else "fail"), None
+    return rows, None
 
 
 def cmd_verify(cfg):
@@ -314,7 +312,7 @@ def cmd_verify(cfg):
     for cid in sorted(summary):
         name = acceptance.CRITERIA.get(cid, (f"criterion {cid}",))[0] if cid != 13 else "determinism"
         print(f"criterion {cid:2d} [{name}]: {'PASS' if summary[cid] else 'FAIL'}")
-    return rows, ("pass" if all(summary.values()) else "fail"), rows
+    return rows, None
 
 
 def _checked(kind, test, text: str):
@@ -348,7 +346,6 @@ FLAGS = {
     "r_max": (_checked(float, lambda x: shooting.R_MAX_FLOOR <= x < math.inf,
                        f"finite and at least {shooting.R_MAX_FLOOR}"),
               "radius where the closed-form tail takes over"),
-    "tol": (_POSITIVE, "tolerance of the adaptive integrator"),
     "targets": (str, "comma-separated target masses beta"),
     "floor": (_FINITE, "level the two-bubble probe must cross when alpha < 1/2"),
     "case": (tuple(planar.audit_fields()), "audited field"),
@@ -377,7 +374,7 @@ COMMANDS = {
                                     "n_mu": None}),
     "el-check": (cmd_el_check, _SPHERE_RUN),
     "bridge": (cmd_bridge, _SPHERE_RUN),
-    "shoot": (cmd_shoot, {"l": REQUIRED, "s": REQUIRED, "r_max": 1e6, "tol": 1e-10}),
+    "shoot": (cmd_shoot, {"l": REQUIRED, "s": REQUIRED, "r_max": 1e6}),
     "beta-curve": (cmd_beta_curve, {"l": REQUIRED, "s_min": -4.0, "s_max": 4.0, "n": 17,
                                     "r_max": 1e6}),
     "uniqueness": (cmd_uniqueness, {"l": REQUIRED, "targets": "4.5,5.0,5.5,6.0,6.5",
@@ -436,7 +433,9 @@ def main(argv=None) -> int:
                             format="%(levelname)s %(message)s")
         cfg = _run_config(args)
         t0 = time.time()
-        rows, verdict, csv_rows = HANDLERS[args.command](cfg)
+        rows, table = HANDLERS[args.command](cfg)
+        marks = [row["passed"] for row in rows if row.get("passed") is not None]
+        verdict = "fail" if not all(marks) else "pass" if marks else "info"
         rep = report.build_report(args.command, cfg, cfg.get("seed"), rows, verdict,
                                   time.time() - t0)
         problems = report.validate_report(rep)
@@ -445,8 +444,8 @@ def main(argv=None) -> int:
         if args.out:
             report.write_json(args.out, rep)
             log.info("wrote %s", args.out)
-        if args.csv and csv_rows:
-            report.write_csv(args.csv, csv_rows)
+        if args.csv:
+            report.write_csv(args.csv, rows if table is None else table)
             log.info("wrote %s", args.csv)
         print(f"{args.command}: verdict={verdict} rows={len(rows)} elapsed={rep['elapsed_s']:.2f}s")
         return EXIT_MATH if verdict == "fail" else EXIT_OK

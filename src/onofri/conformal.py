@@ -110,7 +110,7 @@ def two_bubble_j_value(alpha: float, s: float) -> float:
     return float(alpha / 8.0 * np.dot(w, du * du) + np.dot(w, 0.5 * u * sech2))
 
 
-def probe_two_bubble(alpha: float, floor: float = -10.0):
+def probe_two_bubble(alpha: float, floor: float):
     """March the two-bubble concentration until J_alpha drops below floor.
 
     Returns (s_hit, trace) with trace a list of (s, J(s)); s_hit is None if

@@ -191,6 +191,7 @@ _RATE_RESOLUTION = 100.0
 # r_max = 1e80 use 0.93 of their bound (0.25 at a cap of 0.12, 0.98 at 1.5).
 _HMAX_OUTER = 1.0
 MAX_STEPS = 200000      # steps, accepted or rejected, of one leg before _rk_adaptive gives up
+TOL = 1e-10             # error tolerance of the adaptive integrator
 
 
 R_MAX_FLOOR = 50.0      # an r_max below this cannot anchor the asymptote
@@ -215,7 +216,7 @@ def finite_weight(l: float) -> bool:
         return False
 
 
-def shoot(l: float, s: float, r_max: float = 1e6, tol: float = 1e-10) -> RadialSolution:
+def shoot(l: float, s: float, r_max: float = 1e6) -> RadialSolution:
     """Integrate the radial problem with v(0) = s, v'(0) = 0 out to r_max."""
     if not finite_weight(l):
         raise ValueError(f"l = {l}: l must be nonnegative and 2^l finite (l below 1024; "
@@ -224,10 +225,10 @@ def shoot(l: float, s: float, r_max: float = 1e6, tol: float = 1e-10) -> RadialS
         raise ValueError(f"s = {s}: s, e^s and e^s e^s / 4 must be finite (s below 355.58)")
     if not R_MAX_FLOOR <= r_max < math.inf:
         raise ValueError(f"r_max = {r_max} must be finite and at least {R_MAX_FLOOR}")
-    return _integrate(l, s, r_max, tol)
+    return _integrate(l, s, r_max)
 
 
-def _integrate(l: float, s: float, r_max: float, tol: float) -> RadialSolution:
+def _integrate(l: float, s: float, r_max: float) -> RadialSolution:
     """shoot without its domain checks: the equation is defined for every real
     l, and l < 0 is (1+r^2)^l with the sign of l flipped, which the tests use
     as a mutation of the weight."""
@@ -238,7 +239,7 @@ def _integrate(l: float, s: float, r_max: float, tol: float) -> RadialSolution:
     r0 = min(1e-4, 0.01 * math.exp(-max(s, 0.0) / 2.0))
 
     xs, vs, ps = store = [r0], [s + a2 * r0**2 + a4 * r0**4], [2.0 * a2 * r0 + 4.0 * a4 * r0**3]
-    rejected = _rk_adaptive(False, l, 1.0, tol, store)
+    rejected = _rk_adaptive(False, l, 1.0, TOL, store)
 
     # the leg ends at r_max, or is extended in steps of 10 in t while the
     # decay rate has not cleanly emerged (slow saturation toward beta = 2l+2
@@ -250,7 +251,7 @@ def _integrate(l: float, s: float, r_max: float, tol: float) -> RadialSolution:
     t_next = math.log(r_max)
     t_cap = max(t_next, 60.0)
     while xs[-1] < t_next:
-        rejected += _rk_adaptive(True, l, t_next, tol, store)
+        rejected += _rk_adaptive(True, l, t_next, TOL, store)
         if -(2.0 + 2.0 * l + ps[-1]) <= 0.1:
             t_next = min(xs[-1] + 10.0, t_cap)
     t_max, V_end, W_end = xs[-1], vs[-1], ps[-1]
@@ -259,8 +260,8 @@ def _integrate(l: float, s: float, r_max: float, tol: float) -> RadialSolution:
     q_end = math.exp((2.0 + 2.0 * l) * t_max + l * math.log1p(math.exp(-2.0 * t_max)) + V_end)
     # d log q/dt = -rate - 2l/(1 + e^{2t}) <= -rate and the rate only grows
     # (W' = -q < 0), so every radial mass is finite; a rate not above
-    # _RATE_RESOLUTION * tol at t_cap says only that the far field was not
-    # reached above the integration error (about 1.5 tol in W by t = 60).
+    # _RATE_RESOLUTION * TOL at t_cap says only that the far field was not
+    # reached above the integration error (about 1.5 TOL in W by t = 60).
     # Beyond t_max the far field solves W' = -q, q' = -rate q (dropping the
     # l log1p(e^{-2t}) factor), so rate^2 + 2q is conserved: the rate settles
     # at R = sqrt(rate^2 + 2 q_end) even when W has not settled by r_max, the
@@ -292,7 +293,7 @@ def _integrate(l: float, s: float, r_max: float, tol: float) -> RadialSolution:
     # for l > 0 every finite mass lies strictly inside (4, 4(1+l)); a mass
     # on or past an edge differs from it by less than the integration error
     inside = l == 0.0 or 4.0 < beta_mass < 4.0 * (1.0 + l)
-    resolution = _RATE_RESOLUTION * tol
+    resolution = _RATE_RESOLUTION * TOL
     verdict = "converged" if rate > resolution and inside else "unresolved"
 
     return RadialSolution(l=l, s=s, r_grid=np.concatenate([x[:j], np.exp(x[j + 1:])]),

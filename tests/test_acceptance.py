@@ -141,7 +141,7 @@ def test_criterion_13_catches_order_dependence(monkeypatch):
     assert acceptance.run_battery(SEED, ids) == acceptance.run_battery(SEED, ids)
     reversed_rows = acceptance.run_battery(SEED, ids[::-1])
     assert [r["criterion"] for r in reversed_rows] == [1, 2, 3]
-    assert not acceptance.determinism_row(SEED, ids)["passed"]
+    assert not acceptance.determinism_row(SEED, acceptance.run_battery(SEED, ids))["passed"]
 
 
 def test_run_verify_reuses_its_pass_as_the_forward_pass(monkeypatch):
@@ -162,6 +162,12 @@ def test_run_verify_reuses_its_pass_as_the_forward_pass(monkeypatch):
     assert rows[-1]["criterion"] == 13 and not rows[-1]["passed"]
     assert [r["criterion"] for r in rows[:-1]] == [1, 2, 3]
 
+
+
+def test_run_verify_names_each_check_once():
+    """A (criterion, check) pair names one row, so rows can be compared by name."""
+    pairs = [(row["criterion"], row["check"]) for row in acceptance.run_verify(SEED)]
+    assert len(set(pairs)) == len(pairs)
 
 
 def test_criterion_12_reports_the_lowest_start(monkeypatch):

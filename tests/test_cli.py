@@ -53,6 +53,35 @@ def test_shoot_csv_profile(tmp_path):
     assert isinstance(row["rejected_steps"], int) and row["rejected_steps"] >= 0
 
 
+# a cheap run of every subcommand
+CHEAP_RUNS = {
+    "minimize": ["--alpha", "0.7", "--L", "8"],
+    "alpha-scan": ["--alphas", "0.8", "--trials", "1", "--L", "8"],
+    "el-check": ["--alpha", "0.8", "--L", "8"],
+    "bridge": ["--alpha", "0.8", "--L", "8"],
+    "shoot": ["--l", "1", "--s", "2.4849", "--r-max", "100"],
+    "beta-curve": ["--l", "1", "--n", "3"],
+    "uniqueness": ["--l", "1", "--targets", "6.0", "--s-min", "-2", "--s-max", "6"],
+    "axisym": ["--alpha", "0.45"],
+    "bol-audit": ["--radii", "2.0,0.5"],
+    "nodal": ["--field", "linear"],
+    "second-variation": ["--L", "8"],
+    "verify": ["--determinism", "off"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli.HANDLERS))
+def test_every_subcommand_writes_its_csv(tmp_path, command):
+    """--csv writes the subcommand's own table, or its rows when it has none."""
+    csv_path = tmp_path / "table.csv"
+    code, rep = run(tmp_path, command, *CHEAP_RUNS[command], "--csv", str(csv_path))
+    assert code == cli.EXIT_OK
+    lines = csv_path.read_text().splitlines()
+    assert len(lines) >= 2
+    if command not in ("shoot", "beta-curve", "bridge"):
+        assert lines[0] == ",".join(rep["rows"][0]) and len(lines) == 1 + len(rep["rows"])
+
+
 def test_unknown_command_usage_error():
     assert cli.main(["frobnicate"]) == cli.EXIT_USAGE
     assert cli.main([]) == cli.EXIT_USAGE
@@ -148,7 +177,7 @@ HUGE_ALPHA_ROWS = {
         "j_value": -3.0814879110195774e-32, "grad_norm": 2.92204308455622e-17,
         "com_norm": 4.0680583199965565e-17, "exp_mass": 1.0, "iterations": 3, "backtracks": 0,
         "newton_steps": 3, "status": "converged", "el_residual": 1.5361744987034497e-31,
-        "h1_norm": 3.575059468694236e-32, "l2_norm": 2.982316628290714e-32}),
+        "h1_norm": 3.575059468694236e-32, "l2_norm": 2.982316628290714e-32, "passed": True}),
     "axisym": (["axisym", "--alpha", "1e200", "--trials", "1"], {
         "claim": "axisymmetric constrained minimum is zero", "alpha": 1e200, "trial": 0,
         "value": 0.0, "iterations": 3, "backtracks": 0, "newton_steps": 3,
@@ -199,7 +228,7 @@ def test_reports_are_strict_json(tmp_path, monkeypatch):
 
 def test_math_violation_exit_code(monkeypatch, tmp_path):
     def failing(cfg):
-        return [{"claim": "forced failure", "passed": False}], "fail", None
+        return [{"claim": "forced failure", "passed": False}], None
 
     monkeypatch.setitem(cli.HANDLERS, "minimize", failing)
     assert cli.main(["minimize", "--alpha", "0.7"]) == cli.EXIT_MATH
@@ -276,7 +305,7 @@ def test_flags_of_another_subcommand_are_usage_errors(tmp_path):
 
 
 def test_settable_values_are_the_declared_flags():
-    assert sum(len(flags) for flags in cli.COMMAND_FLAGS.values()) == 48
+    assert sum(len(flags) for flags in cli.COMMAND_FLAGS.values()) == 47
     parser = cli.build_parser()
     for name, sub in parser.commands.items():
         dests = {a.dest for a in sub._actions} - {"help", "config", "out", "csv", "verbose"}
@@ -317,7 +346,7 @@ def test_seedless_runs_report_a_null_seed(tmp_path):
 def test_report_config_holds_every_parameter_used(tmp_path):
     code, rep = run(tmp_path, "shoot", "--l", "1", "--s", "2.4849", "--r-max", "100")
     assert code == 0
-    assert rep["config"] == {"l": 1.0, "s": 2.4849, "r_max": 100.0, "tol": 1e-10}
+    assert rep["config"] == {"l": 1.0, "s": 2.4849, "r_max": 100.0}
     code, rep = run(tmp_path, "second-variation", "--L", "8")
     assert rep["config"] == {"mode": "degree2", "L": 8, "n_mu": 16}
     code, rep = run(tmp_path, "el-check", "--rho", "1.9", "--L", "8")
@@ -330,7 +359,6 @@ def test_subcommand_help_shows_its_defaults(capsys):
     assert exc.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
     assert "--r-max R_MAX" in text and "(default: 1000000.0)" in text
-    assert "--tol TOL" in text and "(default: 1e-10)" in text
     assert "--l L" in text and "(required)" in text
     assert "--alpha" not in text
 
@@ -383,9 +411,11 @@ def test_second_variation_row(tmp_path):
 
 
 def test_alpha_scan_open_region_info(tmp_path):
-    code, rep = run(tmp_path, "alpha-scan", "--alphas", "0.60", "--trials", "1", "--seed", "2")
+    """A scan whose alphas all lie below 2/3 asserts nothing: its verdict is info."""
+    code, rep = run(tmp_path, "alpha-scan", "--alphas", "0.55,0.60", "--trials", "1", "--seed", "2")
     assert code == 0
-    assert rep["rows"][0]["passed"] is None
+    assert [row["passed"] for row in rep["rows"]] == [None, None]
+    assert rep["verdict"] == "info"
 
 
 def test_alpha_scan_fails_a_certified_row_with_failed_runs(tmp_path, monkeypatch):

@@ -12,18 +12,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "onofri"
 
 # (qualified name, parameter or field)
 KNOBS = {
-    ("acceptance.determinism_row", "criteria"),
-    ("acceptance.determinism_row", "forward_rows"),
-    ("acceptance.determinism_row", "seed"),
     ("acceptance.run_battery", "criteria"),
-    ("acceptance.run_battery", "seed"),
     ("acceptance.run_verify", "determinism"),
-    ("acceptance.run_verify", "seed"),
-    ("axisym.probe_two_bubble_1d", "floor"),
     ("axisym.random_start_1d", "amplitude"),
     ("axisym.random_start_1d", "degree"),
     ("cli.main", "argv"),
-    ("conformal.probe_two_bubble", "floor"),
     ("eigen.bol_audit", "h"),
     ("eigen.zero_eigenvalue_radius", "h"),
     ("errors.NonConvergenceError.__init__", "best"),
@@ -36,7 +29,6 @@ KNOBS = {
     ("planar.liouville_bubble_field", "center"),
     ("shooting.beta_curve", "r_max"),
     ("shooting.shoot", "r_max"),
-    ("shooting.shoot", "tol"),
     ("sphere.build_grid", "n_mu"),
     ("sphere.build_grid", "n_phi"),
 }

@@ -67,9 +67,11 @@ def test_dual_estimators_agree():
         assert abs(sol.beta_mass - sol.beta_slope) <= 1e-6
 
 
-def test_tolerance_refinement_on_anchor():
-    b1 = sh.shoot(1.0, math.log(12.0), tol=1e-10).beta_mass
-    b2 = sh.shoot(1.0, math.log(12.0), tol=5e-11).beta_mass
+def test_tolerance_refinement_on_anchor(monkeypatch):
+    monkeypatch.setattr(sh, "TOL", 1e-10)
+    b1 = sh.shoot(1.0, math.log(12.0)).beta_mass
+    monkeypatch.setattr(sh, "TOL", 5e-11)
+    b2 = sh.shoot(1.0, math.log(12.0)).beta_mass
     assert abs(b1 - b2) <= 1e-8
 
 
@@ -287,7 +289,8 @@ def test_outer_step_cap_bounds_the_far_field_error(monkeypatch):
     the relative norm) and c_asym within 2e-9 over the grid."""
     shots = [sh.shoot(l, s) for l, s in CURVES_GRID]
     monkeypatch.setattr(sh, "_HMAX_OUTER", 0.01)
-    refs = [sh.shoot(l, s, tol=1e-13) for l, s in CURVES_GRID]
+    monkeypatch.setattr(sh, "TOL", 1e-13)
+    refs = [sh.shoot(l, s) for l, s in CURVES_GRID]
     assert max(abs(a.beta_mass - b.beta_mass) for a, b in zip(shots, refs)) <= 7e-10
     assert max(abs(a.c_asym - b.c_asym) for a, b in zip(shots, refs)) <= 2e-9
 
