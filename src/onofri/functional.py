@@ -225,7 +225,7 @@ BLOWUP_FLOOR = -25.0    # values below it end a descent as unbounded
 ARMIJO = 1e-4           # sufficient-decrease constant of the line search
 MAX_HALVINGS = 40       # halvings of the unit step before a descent stalls
 QUADRATIC_STEP = 1e-2   # amplitude t of the probes t v and t v / 2 of the second variation
-SCAN_LANES = 10         # most trials of one alpha that alpha_scan steps as one stack
+SCAN_LANES = 10         # most lanes per stack in alpha_scan and criteria 2, 3: their memory bound
 
 
 class Descent(NamedTuple):

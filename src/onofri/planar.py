@@ -26,6 +26,7 @@ N_GAUSS, N_THETA = 24, 64   # disk rule: Gauss nodes per radial panel, uniform a
 R_CUT = 100.0           # beta_l integrates to 2 R_CUT, fitting the tail on [R_CUT, 2 R_CUT]
 ROWS_RADIUS, ROWS_N = 5.0, 41   # field_to_rows: [-ROWS_RADIUS, ROWS_RADIUS]^2, ROWS_N per axis
 ZERO_RTOL = 1e-8        # values within ZERO_RTOL max|f| of zero are in no sign domain
+DENSITY_ROWS = 32       # grid rows per call of nodal_domains' mass density
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +301,11 @@ def _component_labels(signs: np.ndarray) -> tuple[np.ndarray, int]:
                 break
             parent = jumped
     first = (parent == index.ravel()) & (flat != 0)
-    rank = np.cumsum(first)
-    return np.where(flat != 0, rank[parent], 0).reshape(signs.shape), int(rank[-1])
+    del index, run_start, upper     # the hooking's scratch goes before the relabel allocates
+    rank = np.cumsum(first, dtype=np.int32)
+    labels = rank[parent]
+    labels[flat == 0] = 0
+    return labels.reshape(signs.shape), int(rank[-1])
 
 
 def nodal_ledger(m: int, rho: float):
@@ -330,8 +334,9 @@ def nodal_domains(f_values: np.ndarray, xs: np.ndarray, ys: np.ndarray, *,
     """Count the 4-connected sign domains of a gridded field on a disk.
 
     f_values is indexed [i, j] ~ (xs[i], ys[j]) on increasing uniform axes.
-    Per-domain masses of mass_density (a planar callable such as
-    (1+|y|^2)^l e^v) are cell sums over each label, and `total` is the cell
+    Per-domain masses of mass_density (a pointwise planar callable such as
+    (1+|y|^2)^l e^v, called on DENSITY_ROWS grid rows at a time, which bounds
+    its temporaries) are cell sums over each label, and `total` is the cell
     sum over the classified cells, read from the signs and not the labels, so
     the partition identity sum(masses) = total checks the labelling.  The
     ledger states whether m domains of mass above 4 pi contradict the budget
@@ -349,14 +354,17 @@ def nodal_domains(f_values: np.ndarray, xs: np.ndarray, ys: np.ndarray, *,
         raise InvalidFieldError("nodal_domains: masses need at least 2 nodes on each axis")
     cell = _uniform_axis(xs, "xs") * _uniform_axis(ys, "ys")
     zero_tol = ZERO_RTOL * float(np.max(np.abs(f_values)))
-    pts = grid_points(xs, ys)
-    inside = radius2(pts) <= disk_radius**2
+    x, y = xs[:, None], ys[None, :]
+    inside = x * x + y * y <= disk_radius**2        # as radius2 of the grid points rounds it
     signs = np.zeros(f_values.shape, dtype=np.int8)
     signs[(f_values > zero_tol) & inside] = 1
     signs[(f_values < -zero_tol) & inside] = -1
     labels, m = _component_labels(signs)
 
-    dens = np.asarray(mass_density(pts.reshape(-1, 2))).reshape(f_values.shape)
+    dens = np.empty(f_values.shape)
+    for i in range(0, xs.size, DENSITY_ROWS):
+        block = grid_points(xs[i:i + DENSITY_ROWS], ys).reshape(-1, 2)
+        dens[i:i + DENSITY_ROWS] = np.asarray(mass_density(block)).reshape(-1, ys.size)
     sums = np.bincount(labels.ravel(), weights=dens.ravel(), minlength=m + 1)
     verdict = "contradiction" if nodal_ledger(m, rho)["contradiction"] else "consistent"
     return NodalReport(m=m, masses=[float(mk * cell) for mk in sums[1:]],
@@ -370,12 +378,11 @@ def analytic_nodal_count(which: str, rho: float) -> tuple[NodalReport, int]:
     battery and the CLI: 'quadrant', (x^2 - y^2) e^{-(x^2 + y^2)}, has four
     domains and 'linear', x, has two."""
     xs = np.linspace(-3.0, 3.0, 241)
-    pts = grid_points(xs, xs)
-    X, Y = pts[..., 0], pts[..., 1]
+    X, Y = xs[:, None], xs[None, :]     # broadcast axes: no point grid
     if which == "quadrant":
-        f, expected = (X**2 - Y**2) * np.exp(-radius2(pts)), 4
+        f, expected = (X**2 - Y**2) * np.exp(-(X * X + Y * Y)), 4
     elif which == "linear":
-        f, expected = X, 2
+        f, expected = np.broadcast_to(X, (xs.size, xs.size)), 2
     else:
         raise ValueError(f"unknown field {which!r} (quadrant, linear)")
     rep = nodal_domains(f, xs, xs, disk_radius=3.0, mass_density=nodal_mass_density(rho), rho=rho)

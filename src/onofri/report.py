@@ -92,9 +92,9 @@ def rows_to_csv_text(rows: list[dict]) -> str:
         return ""
     import io
 
-    fields = list(rows[0].keys())
+    fields = list(dict.fromkeys(key for row in rows for key in row))   # every row's, first seen first
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, extrasaction="ignore", lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
     for row in rows:
         writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})

@@ -6,6 +6,7 @@ the whole battery, criteria in reversed order, to check bit-for-bit
 reproducibility.
 """
 import json
+import tracemalloc
 
 import pytest
 
@@ -83,7 +84,7 @@ def test_criterion_12_axisymmetric_inequality(battery):
 # change to the lanes' arithmetic that moves any descent fails here, not only in
 # a row hash.
 DESCENT_PATHS = {
-    2: (1, "44444444444444444444"),
+    2: (2, "44444444444444444444"),
     3: (5, "55444544554444444444445444544444444444444444444444"),
     12: (1, "444554444544444444444454444444444444444444544454444444444444"),
 }
@@ -108,6 +109,28 @@ def test_descent_paths_are_pinned(battery, monkeypatch):
         assert {(res.status, res.backtracks) for res in lanes} == {("converged", 0)}
         assert rows == [row for row in battery if row["criterion"] == cid]
     assert [row["iterations"] for row in battery if row["criterion"] == 2] == [4] * 20
+
+
+# The battery's largest allocators, and the most bytes (tracemalloc) each may hold
+# live at once when warm: a stack beyond SCAN_LANES lanes, or a full point grid
+# beside the nodal labelling, goes over it.
+PEAK_CRITERIA = (2, 3, 5, 9, 10)
+PEAK_MB = 3.5
+
+
+def test_criterion_peaks_stay_bounded():
+    grids = acceptance.battery_grids()
+    for cid in PEAK_CRITERIA:
+        acceptance.CRITERIA[cid][1](SEED, grids)
+    peaks = {}
+    for cid in PEAK_CRITERIA:
+        tracemalloc.start()
+        try:
+            acceptance.CRITERIA[cid][1](SEED, grids)
+            peaks[cid] = tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) <= PEAK_MB, peaks
 
 
 def test_criterion_13_determinism(battery):

@@ -72,14 +72,18 @@ CHEAP_RUNS = {
 
 @pytest.mark.parametrize("command", sorted(cli.HANDLERS))
 def test_every_subcommand_writes_its_csv(tmp_path, command):
-    """--csv writes the subcommand's own table, or its rows when it has none."""
+    """--csv writes the subcommand's own table, or its rows when it has none, with
+    every row's columns in the order they first appear."""
     csv_path = tmp_path / "table.csv"
     code, rep = run(tmp_path, command, *CHEAP_RUNS[command], "--csv", str(csv_path))
     assert code == cli.EXIT_OK
     lines = csv_path.read_text().splitlines()
     assert len(lines) >= 2
     if command not in ("shoot", "beta-curve", "bridge"):
-        assert lines[0] == ",".join(rep["rows"][0]) and len(lines) == 1 + len(rep["rows"])
+        header = dict.fromkeys(key for row in rep["rows"] for key in row)
+        assert lines[0] == ",".join(header) and len(lines) == 1 + len(rep["rows"])
+    if command == "verify":     # criterion 1's rows carry neither column
+        assert {"h1_norm", "roots"} <= set(lines[0].split(","))
 
 
 def test_unknown_command_usage_error():

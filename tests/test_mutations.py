@@ -76,6 +76,14 @@ def _shot_with_flipped_exponent(monkeypatch):
                         lambda l, s, r_max=1e6: integrate(-l, s, r_max))
 
 
+def _shot_with_scaled_exponent(monkeypatch):
+    """shoot integrates the weight (1+r^2)^{1.001 l}: each mass moves by 1e-3 to
+    4e-3, inside every window but off the axial profile's closed form 4 + 2l."""
+    integrate = shooting._integrate
+    monkeypatch.setattr(shooting, "shoot",
+                        lambda l, s, r_max=1e6: integrate(1.001 * l, s, r_max))
+
+
 def _labels_dropping_a_cell(monkeypatch):
     """_component_labels leaves one classified cell unlabelled: its mass leaves
     the domains but not the total, and the four domains stay four."""
@@ -112,6 +120,8 @@ def _double_dirichlet_weight(monkeypatch):
                         lambda coeffs, log_mass, alpha: j_value(coeffs, log_mass, 2.0 * alpha))
 
 
+CLOSED_FORM_7 = {f"l_{l}_closed_form" for l in (0.5, 1.0, 1.5, 2.0)}
+
 # criterion: (mutation, the checks it fails)
 MUTATIONS = {
     1: (_laplacian_with_l_squared, {"laplacian_degree1", "laplacian_degree2"}),
@@ -123,7 +133,8 @@ MUTATIONS = {
     6: (_middle_gauss_weight_off, {f"s_{s:+.2f}" for s in np.linspace(-4.0, 4.0, 17)}),
     7: (_shot_with_flipped_exponent, {f"l_{l}_s_{s:+.2f}" for l in (0.5, 1.0, 1.5, 2.0)
                                       for s in (-3.0, -1.0, 0.0, 1.0, 3.0,
-                                                math.log(8.0 * (1.0 + l / 2.0)))}),
+                                                math.log(8.0 * (1.0 + l / 2.0)))}
+        | CLOSED_FORM_7),
     8: (_shot_with_flipped_exponent,
         {"anchor_l_0.5", "anchor_l_1.0", "anchor_l_2.0"}
         | {f"l_0.5_beta_{b}" for b in (4.5, 5.0, 5.5, 5.75)}
@@ -141,9 +152,14 @@ def _failed(cid):
             if not row["passed"]}
 
 
-@pytest.mark.parametrize("cid", sorted(MUTATIONS))
-def test_criterion_fails_under_its_mutation(monkeypatch, cid):
-    mutate, checks = MUTATIONS[cid]
+# further mutations a criterion catches, named "criterion-mutation"
+MORE_MUTATIONS = {"7-scaled_exponent": (7, _shot_with_scaled_exponent, CLOSED_FORM_7)}
+
+
+@pytest.mark.parametrize("cid, mutate, checks",
+                         [pytest.param(cid, *MUTATIONS[cid], id=str(cid)) for cid in sorted(MUTATIONS)]
+                         + [pytest.param(*case, id=name) for name, case in MORE_MUTATIONS.items()])
+def test_criterion_fails_under_its_mutation(monkeypatch, cid, mutate, checks):
     mutate(monkeypatch)
     assert _failed(cid) == checks
     monkeypatch.undo()
