@@ -20,11 +20,11 @@ from . import axisym, conformal, eigen, functional, planar, shooting, sphere
 
 DEFAULT_SEED = 20260808
 
-# Pass rules that the battery, the CLI and scripts/scan_alpha.py all apply.
+# Pass rules that the battery and the CLI both apply.
 J_TOL = 1e-6                # a constrained minimum at or above -J_TOL is zero
 EL_TOL = 1e-5               # field-equation residual of a stationary point
 MASS_TOL = 1e-7             # plane mass 2 pi beta against 8 pi rho
-THRESHOLD_TOL = 1e-3        # second-variation threshold against its exact value
+THRESHOLD_TOL = 1e-8        # second-variation threshold against its exact value
 ALPHA_CERTIFIED = 2.0 / 3.0     # the paper's claim: J_alpha >= 0 on the constraint from here up
 
 

@@ -88,18 +88,18 @@ def _moments(g: LegendreFunction, two_g: np.ndarray) -> functional.ExpMoments:
     return functional.exp_moments(two_g, 0.5 * g.weights, g.nodes[:, None])
 
 
-def _i_value(coeffs: np.ndarray, two_g: np.ndarray, weights: np.ndarray, log_half_mass, alpha):
-    """I_alpha (per lane) from the Legendre coefficients of g, the node values of 2g,
-    the quadrature weights and the log half-mass."""
+def _i_value(coeffs: np.ndarray, log_half_mass, alpha):
+    """I_alpha (per lane) from the Legendre coefficients of g and the log half-mass:
+    int 2g dx is 4 coeffs[0]."""
     energy = np.add.reduce(_energy_weights(coeffs.shape[-1] - 1) * coeffs**2, axis=-1)
-    return alpha * energy + np.vecdot(two_g, weights) - 2.0 * log_half_mass
+    return alpha * energy + 4.0 * coeffs[..., 0] - 2.0 * log_half_mass
 
 
 def i_functional(g: LegendreFunction, alpha: float) -> float:
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     two_g = 2.0 * g.node_values()
-    return float(_i_value(g.coeffs, two_g, g.weights, _moments(g, two_g).log_mass, alpha))
+    return float(_i_value(g.coeffs, _moments(g, two_g).log_mass, alpha))
 
 
 def constraint_moment(g: LegendreFunction):
@@ -182,24 +182,21 @@ def minimize_axisym_stack(alphas, g0: LegendreFunction) -> list[AxisymResult]:
     # the sphere's preconditioner on the lift: I = 2 J and a Legendre
     # coefficient c_k is the sphere coefficient 2 c_k / sqrt(2k+1)
     precond = 8.0 * np.array([functional.zero_hessian(a, g0.degree) for a in alphas]) / (2.0 * k + 1.0)
-    weights, vander = g0.weights, g0.vander
-    half_w, x = 0.5 * weights, g0.nodes[:, None]
+    vander, half_w, x = g0.vander, 0.5 * g0.weights, g0.nodes[:, None]
 
     def trial(lanes, coeffs, delta):
         coeffs = coeffs + delta
         two_g = 2.0 * np.matvec(vander, coeffs)
         mom = functional.exp_moments(two_g, half_w, x)
-        return (coeffs, two_g, *mom), _i_value(coeffs, two_g, weights, mom.log_mass, alphas[lanes])
+        return (coeffs, two_g, *mom), _i_value(coeffs, mom.log_mass, alphas[lanes])
 
     def retract(lanes, cand):
         """Tilt g + (c/2) x onto the constraint and gauge it to unit half-mass;
         returns the states with their I and gradients, and the tilts' Newton steps."""
         coeffs, two_g, *mom = cand
         c, mom, steps = functional.tilt(two_g, half_w, x, functional.ExpMoments(*mom))
-        if c.any():
-            two_g = two_g + np.matvec(x, c)
-            coeffs[:, 1] += 0.5 * c[:, 0]
-        value = _i_value(coeffs, two_g, weights, mom.log_mass, alphas[lanes])   # I is shift-invariant
+        coeffs[:, 1] += 0.5 * c[:, 0]
+        value = _i_value(coeffs, mom.log_mass, alphas[lanes])   # I is shift-invariant
         coeffs[:, 0] -= 0.5 * mom.log_mass
         grad = stiffness[lanes] * coeffs
         grad[:, 0] += 4.0

@@ -133,7 +133,7 @@ def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray,
         slope, level = np.vecdot(now.mean, step).tolist(), now.log_mass.tolist()
         for halving in range(50):
             t = 0.5**halving                # every live lane has halved as often
-            ct = c0 + (step if halving == 0 else t * step)   # 1.0 step is step
+            ct = c0 + t * step
             trial = exp_moments(base + np.matvec(points, ct), weights, points)
             # the allowance admits full steps whose decrease is below rounding; the
             # 50th halving's trial stands
@@ -469,8 +469,7 @@ def mode_threshold(grid: SphereGrid, mode: str) -> tuple[float, float, float]:
     coefficient at the bracket's midpoint and the exact value.  The battery and
     the CLI share these brackets.
 
-    The coefficient along v is j_alpha(t v)/t^2 at t = QUADRATIC_STEP and t/2,
-    with one Richardson sweep on the O(t^2) tail.  It is affine in alpha, so its
+    The coefficient along v (_quadratic_coefficient) is affine in alpha, so its
     values at the bracket's ends determine the root.  A grid whose band limit is
     below the mode's degree cannot hold the mode and raises GridConfigError.
     """
@@ -480,10 +479,12 @@ def mode_threshold(grid: SphereGrid, mode: str) -> tuple[float, float, float]:
     if grid.lmax < degree:
         raise GridConfigError(f"band limit {grid.lmax} cannot hold the degree-{degree} mode")
     v = sphere.field_of(grid, shape)
+    q0, q1 = _quadratic_coefficient(v, a0), _quadratic_coefficient(v, a1)
+    return float(a0 - q0 * (a1 - a0) / (q1 - q0)), _quadratic_coefficient(v, 0.5 * (a0 + a1)), exact
 
-    def coefficient(alpha):
-        q1, q2 = (j_alpha(t * v, alpha) / t**2 for t in (QUADRATIC_STEP, 0.5 * QUADRATIC_STEP))
-        return float((4.0 * q2 - q1) / 3.0)
 
-    q0, q1 = coefficient(a0), coefficient(a1)
-    return float(a0 - q0 * (a1 - a0) / (q1 - q0)), coefficient(0.5 * (a0 + a1)), exact
+def _quadratic_coefficient(v: SphereField, alpha: float) -> float:
+    """j_alpha(t v)/t^2 at t = QUADRATIC_STEP and t/2, with one Richardson sweep on
+    the O(t^2) tail."""
+    q1, q2 = (j_alpha(t * v, alpha) / t**2 for t in (QUADRATIC_STEP, 0.5 * QUADRATIC_STEP))
+    return float((4.0 * q2 - q1) / 3.0)

@@ -365,7 +365,7 @@ def nodal_domains(f_values: np.ndarray, xs: np.ndarray, ys: np.ndarray, *,
     for i in range(0, xs.size, DENSITY_ROWS):
         block = grid_points(xs[i:i + DENSITY_ROWS], ys).reshape(-1, 2)
         dens[i:i + DENSITY_ROWS] = np.asarray(mass_density(block)).reshape(-1, ys.size)
-    sums = np.bincount(labels.ravel(), weights=dens.ravel(), minlength=m + 1)
+    sums = np.bincount(labels.ravel(), weights=dens.ravel())
     verdict = "contradiction" if nodal_ledger(m, rho)["contradiction"] else "consistent"
     return NodalReport(m=m, masses=[float(mk * cell) for mk in sums[1:]],
                        total=float(np.sum(dens[signs != 0]) * cell), ledger_verdict=verdict,

@@ -249,9 +249,25 @@ def test_minimize_exponential_and_legval_counts(monkeypatch):
 
 
 def test_probe_below_half():
-    s_hit, trace = ax.probe_two_bubble_1d(0.45, floor=-10.0)
-    assert s_hit is not None
-    assert trace[-1][1] < -10.0
+    """The march stops at its first value below the floor (here between the
+    values -9.5 and -16.0 of its last two points)."""
+    s_hit, trace = ax.probe_two_bubble_1d(0.45, floor=-12.0)
+    assert s_hit == trace[-1][0]
+    assert trace[-1][1] < -12.0 <= min(i for _, i in trace[:-1])
+
+
+def test_probe_trace_is_i_of_the_projected_family():
+    """The 1-D probe's first two values (s = 1 and 1.6) are I_alpha of the
+    degree-64 Legendre projection of g = u_s / 2, with u_s the two-bubble
+    profile at t = arctanh(x): a value the sphere trace does not give."""
+    _, trace = ax.probe_two_bubble_1d(0.45, floor=-10.0)
+    rule = ax.LegendreFunction(np.zeros(65))
+    k = np.arange(65)
+    for s, i_value in trace[:2]:
+        g = 0.5 * conformal.two_bubble_profile(np.arctanh(rule.nodes), s)[0]
+        coeffs = (2.0 * k + 1.0) / 2.0 * (rule.vander.T @ (rule.weights * g))
+        assert i_value == pytest.approx(ax.i_functional(ax.LegendreFunction(coeffs), 0.45), abs=1e-10)
+    assert [s for s, _ in trace[:2]] == [1.0, 1.6]
 
 
 def test_two_bubble_value_matches_sphere_functional(grid32):

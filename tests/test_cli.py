@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from onofri import acceptance, cli, functional, planar, report
+from onofri import acceptance, axisym, cli, functional, planar, report, sphere
 from onofri.errors import NonConvergenceError
 
 
@@ -89,6 +89,11 @@ def test_every_subcommand_writes_its_csv(tmp_path, command):
 def test_unknown_command_usage_error():
     assert cli.main(["frobnicate"]) == cli.EXIT_USAGE
     assert cli.main([]) == cli.EXIT_USAGE
+
+
+def test_exit_codes_are_the_documented_ones():
+    """README: 0 pass or info, 1 runtime error, 2 fail, 3 usage error."""
+    assert (cli.EXIT_OK, cli.EXIT_RUNTIME, cli.EXIT_MATH, cli.EXIT_USAGE) == (0, 1, 2, 3)
 
 
 def test_inconsistent_alpha_rho():
@@ -331,6 +336,21 @@ def test_verify_reports_the_seed_it_ran(tmp_path, monkeypatch):
     assert rep["config"] == {"seed": 20260808, "determinism": "off"}
 
 
+def test_verify_prints_each_criterion_by_name(tmp_path, monkeypatch, capsys):
+    rows = [{"criterion": 1, "passed": True}, {"criterion": 13, "passed": False}]
+    monkeypatch.setattr(acceptance, "run_verify", lambda seed, determinism: rows)
+    assert run(tmp_path, "verify")[0] == cli.EXIT_MATH
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["criterion  1 [spectral core]: PASS", "criterion 13 [determinism]: FAIL"]
+
+
+def test_default_sphere_run_starts_from_stream_key_seed_0_0(tmp_path):
+    """The sphere runs' default seed is 0, and minimize starts from the stream (seed, 0, 0)."""
+    code, rep = run(tmp_path, "minimize", "--alpha", "0.7", "--L", "8")
+    res = functional.minimize(0.7, functional.random_start(sphere.build_grid(8), (0, 0, 0)))
+    assert rep["seed"] == 0 and rep["rows"][0]["j_value"] == res.j_value
+
+
 def test_seedless_runs_report_a_null_seed(tmp_path):
     seedless = {name for name, flags in cli.COMMAND_FLAGS.items() if "seed" not in flags}
     assert seedless == {"shoot", "beta-curve", "uniqueness", "bol-audit", "nodal",
@@ -355,6 +375,8 @@ def test_report_config_holds_every_parameter_used(tmp_path):
     assert rep["config"] == {"mode": "degree2", "L": 8, "n_mu": 16}
     code, rep = run(tmp_path, "el-check", "--rho", "1.9", "--L", "8")
     assert rep["config"]["rho"] == rep["rows"][0]["rho"] == 1.9     # 1 / (1 / 1.9) is not
+    code, rep = run(tmp_path, "el-check", "--alpha", "0.8", "--L", "8")
+    assert rep["config"]["rho"] == 1.25
 
 
 def test_subcommand_help_shows_its_defaults(capsys):
@@ -489,3 +511,11 @@ def test_nodal_command(tmp_path):
     row = rep["rows"][0]
     assert row["m"] == 4
     assert row["ledger_verdict"] == "contradiction"
+    assert row["partition_defect"] <= 1e-8
+
+
+def test_axisym_below_half_reports_where_the_probe_stopped(tmp_path):
+    code, rep = run(tmp_path, "axisym", "--alpha", "0.45")
+    s_hit, trace = axisym.probe_two_bubble_1d(0.45, floor=rep["config"]["floor"])
+    row = rep["rows"][0]
+    assert (row["concentration_log"], row["value_at_stop"]) == trace[-1] and trace[-1][0] == s_hit

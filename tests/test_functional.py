@@ -282,6 +282,19 @@ def test_tilt_counts_newton_steps(grid16, monkeypatch):
         assert np.linalg.norm(mom.mean) <= 1e-10
 
 
+def test_tilt_takes_the_50th_halving(grid8):
+    """Two spikes of height 50 and 49.95 make a Newton step fail the Armijo
+    test at all 50 halvings; its 50th trial stands, and the tilt reaches the
+    constraint in 10 steps, where keeping the old point would stall until
+    NonConvergenceError."""
+    pts, weights = grid8.node_points, grid8.node_weights
+    values = np.zeros(pts.shape[0])
+    values[5], values[40] = 50.0, 49.95
+    c, mom, steps = ref.tilt_lane(values, weights, pts)
+    assert steps == 10
+    assert np.linalg.norm(mom.mean) <= fn.COM_TOL
+
+
 def test_minimize_rejects_nonpositive_alpha(grid8):
     with pytest.raises(ValueError):
         fn.minimize(-0.1, ref.constant_field(grid8, 0.0))
@@ -573,10 +586,15 @@ def test_taylor_limit_of_quadratic_form(grid16):
 
 
 def test_threshold_estimates(grid16):
-    threshold, _, _ = fn.mode_threshold(grid16, "degree2")
-    assert threshold == pytest.approx(1.0 / 3.0, abs=1e-3)
-    threshold1, _, _ = fn.mode_threshold(grid16, "degree1")
-    assert threshold1 == pytest.approx(1.0, abs=1e-3)
+    """The thresholds, and the coefficients at the brackets' midpoints 0.35 and 1:
+    along v the quadratic part of J_alpha is (3 alpha - 1) int v^2 / 2 for
+    v = x1 x2 (int v^2 = 1/15) and (alpha - 1) int v^2 / 2 for v = x3."""
+    threshold, coefficient, _ = fn.mode_threshold(grid16, "degree2")
+    assert threshold == pytest.approx(1.0 / 3.0, abs=1e-8)
+    assert coefficient == pytest.approx((3.0 * 0.35 - 1.0) / 30.0, abs=1e-10)
+    threshold1, coefficient1, _ = fn.mode_threshold(grid16, "degree1")
+    assert threshold1 == pytest.approx(1.0, abs=1e-8)
+    assert coefficient1 == pytest.approx(0.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

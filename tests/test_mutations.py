@@ -120,6 +120,15 @@ def _double_dirichlet_weight(monkeypatch):
                         lambda coeffs, log_mass, alpha: j_value(coeffs, log_mass, 2.0 * alpha))
 
 
+def _no_richardson(monkeypatch):
+    """The second variation's quadratic coefficient is j_alpha(t v)/t^2 at
+    t = QUADRATIC_STEP alone, without the Richardson sweep on its O(t^2) tail:
+    the thresholds move by 1.6e-7 (degree 2) and 3.3e-6 (degree 1)."""
+    j_alpha, t = functional.j_alpha, functional.QUADRATIC_STEP
+    monkeypatch.setattr(functional, "_quadratic_coefficient",
+                        lambda v, alpha: float(j_alpha(t * v, alpha) / t**2))
+
+
 CLOSED_FORM_7 = {f"l_{l}_closed_form" for l in (0.5, 1.0, 1.5, 2.0)}
 
 # criterion: (mutation, the checks it fails)
@@ -153,7 +162,8 @@ def _failed(cid):
 
 
 # further mutations a criterion catches, named "criterion-mutation"
-MORE_MUTATIONS = {"7-scaled_exponent": (7, _shot_with_scaled_exponent, CLOSED_FORM_7)}
+MORE_MUTATIONS = {"7-scaled_exponent": (7, _shot_with_scaled_exponent, CLOSED_FORM_7),
+                  "11-no_richardson": (11, _no_richardson, {"degree2_threshold", "degree1_threshold"})}
 
 
 @pytest.mark.parametrize("cid, mutate, checks",
