@@ -4,7 +4,9 @@
 A mutant changes one AST site of a module: `+` and `-` swap, `*` and `/` swap
 (augmented assignments included), `<` and `<=` swap, `>` and `>=` swap, and a
 numeric literal is scaled by 1.5 (an integer gains 1; a float zero, which the
-scaling keeps, gives no mutant).  Each mutant runs in a fresh interpreter on a
+scaling keeps, gives no mutant).  The mutant is the module's parsed tree with
+that one node changed, written out by ast.unparse; its ledger row names the
+node's first line and column.  Each mutant runs in a fresh interpreter on a
 copy of the tree, never in the checkout, and is judged by the oracle of
 scripts/row_hashes.py: each criterion run alone, run_verify, the CLI runs and
 the shots, with their fingerprints and verdicts.
@@ -19,7 +21,7 @@ module, and if it survives those, against the rest of the Tier-1 suite (hypothes
 seeded, the ledger's own test left out: it reads the ledger, not the program).
 The survivors of both passes make the ledger, results/mutants.csv, one row per
 mutant.  A row keeps the class and reason of the previous ledger's row with
-the same module, source line and mutation; a new survivor's class is left
+the same module, source line, column and mutation; a new survivor's class is left
 empty, for a reader to give (tests/test_mutation_ledger.py fails until then):
 
     dead       the line changes no reachable result: it goes
@@ -29,7 +31,7 @@ empty, for a reader to give (tests/test_mutation_ledger.py fails until then):
     guard      an input or overflow check whose boundary no test pins
     gap        a value no check constrains: the reason names what adds one
 
-    PYTHONPATH=src python3 scripts/mutation_sweep.py [--modules axisym,conformal] [--jobs 2]
+    PYTHONPATH=src python3 scripts/mutation_sweep.py [--modules axisym,conformal]
 
 With --modules, only those modules' rows are replaced.  acceptance.py is not
 swept: its literals are the checks' own tolerances and test points, and
@@ -56,11 +58,12 @@ ROOT = Path(__file__).resolve().parent.parent
 LEDGER = ROOT / "results" / "mutants.csv"
 SKIPPED = {"acceptance", "__init__", "errors"}
 COLUMNS = ["module", "line", "col", "source", "mutation", "oracle", "class", "reason"]
+JOBS = 2                    # mutants run at once
 ORACLE_TIMEOUT = 30.0       # s; a clean oracle run takes about 1.3 s
 SUITE_TIMEOUT = 120.0       # s; the whole Tier-1 suite takes about 15 s
 LEDGER_TEST = "tests/test_mutation_ledger.py"
-SWAPS = {ast.Add: "-", ast.Sub: "+", ast.Mult: "/", ast.Div: "*",
-         ast.Lt: "<=", ast.LtE: "<", ast.Gt: ">=", ast.GtE: ">"}
+SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult,
+         ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 SYMBOLS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
            ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">="}
 
@@ -70,61 +73,39 @@ SYMBOLS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
 # ---------------------------------------------------------------------------
 
 
-def _find_operator(text: str, symbol: str) -> int:
-    """Offset of the operator `symbol` in the text between two operands, which
-    holds only that operator, brackets, whitespace and comments."""
-    return re.sub(r"#[^\n]*", lambda m: " " * len(m.group()), text).index(symbol)
-
-
-def mutants(source: str) -> list[tuple[int, int, str, str]]:
-    """(line, column, old, new) of every mutant of the source, in source order;
-    line is 1-based, column counts characters from 0, and old is the token the
-    mutant replaces at that column."""
-    lines = source.splitlines(keepends=True)
-    starts = [0]
-    for line in lines:
-        starts.append(starts[-1] + len(line.encode()))
-    raw = source.encode()
-
-    def offset(lineno, col):                        # AST columns count UTF-8 bytes
-        return starts[lineno - 1] + col
-
-    def position(off):
-        lineno = max(i for i, s in enumerate(starts) if s <= off) + 1
-        return lineno, len(raw[starts[lineno - 1]:off].decode())
-
-    def between(left, right, op):
-        a, b = offset(left.end_lineno, left.end_col_offset), offset(right.lineno, right.col_offset)
-        text = raw[a:b].decode()
-        off = a + len(text[:_find_operator(text, SYMBOLS[type(op)])].encode())
-        return (*position(off), SYMBOLS[type(op)], SWAPS[type(op)])
-
-    out = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.BinOp) and type(node.op) in SWAPS:
-            out.append(between(node.left, node.right, node.op))
-        elif isinstance(node, ast.AugAssign) and type(node.op) in SWAPS:
-            out.append(between(node.target, node.value, node.op))
+def _sites(source: str) -> tuple[ast.Module, list]:
+    """The parsed source and, in ast.walk order, (node, old, new, attr, value) of
+    each mutation site: the mutant swaps the token old for new, and setting the
+    node's attr to value makes it in the tree."""
+    tree, sites = ast.parse(source), []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in SWAPS:
+            op = type(node.op)
+            sites.append((node, SYMBOLS[op], SYMBOLS[SWAPS[op]], "op", SWAPS[op]()))
         elif isinstance(node, ast.Compare):
-            for left, op, right in zip([node.left, *node.comparators], node.ops, node.comparators):
-                if type(op) in SWAPS:
-                    out.append(between(left, right, op))
+            for i, op in enumerate(map(type, node.ops)):
+                if op in SWAPS:
+                    ops = [*node.ops[:i], SWAPS[op](), *node.ops[i + 1:]]
+                    sites.append((node, SYMBOLS[op], SYMBOLS[SWAPS[op]], "ops", ops))
         elif isinstance(node, ast.Constant) and type(node.value) in (int, float):
             new = node.value + 1 if isinstance(node.value, int) else node.value * 1.5
             if new != node.value:
-                a = offset(node.lineno, node.col_offset)
-                old = raw[a:offset(node.end_lineno, node.end_col_offset)].decode()
-                out.append((*position(a), old, repr(new)))
-    return sorted(out)
+                sites.append((node, ast.get_source_segment(source, node), repr(new), "value", new))
+    return tree, sites
 
 
-def apply(source: str, line: int, col: int, old: str, new: str) -> str:
-    lines = source.splitlines(keepends=True)
-    text = lines[line - 1]
-    if text[col:col + len(old)] != old:
-        raise ValueError(f"line {line} holds no {old!r} at column {col}")
-    lines[line - 1] = text[:col] + new + text[col + len(old):]
-    return "".join(lines)
+def mutants(source: str) -> list[tuple[int, int, str, str]]:
+    """(line, column, old, new) of every mutant of the source, in ast.walk order:
+    the mutated node starts at that line (from 1) and column (UTF-8 bytes, from 0)."""
+    return [(node.lineno, node.col_offset, old, new) for node, old, new, _, _ in _sites(source)[1]]
+
+
+def mutant(source: str, index: int) -> str:
+    """The source of the index-th mutant of mutants(source), as ast.unparse writes it."""
+    tree, sites = _sites(source)
+    node, _, _, attr, value = sites[index]
+    setattr(node, attr, value)
+    return ast.unparse(tree)
 
 
 # ---------------------------------------------------------------------------
@@ -134,20 +115,11 @@ def apply(source: str, line: int, col: int, old: str, new: str) -> str:
 
 def oracle() -> dict:
     """name: [fingerprint, verdicts] of every output scripts/row_hashes.py fingerprints."""
-    from row_hashes import CLI_RUNS, cli_rows, fingerprint, shot_rows
+    from row_hashes import fingerprint, outputs
     from onofri import acceptance
 
-    seed, out = acceptance.DEFAULT_SEED, {}
-    for cid in sorted(acceptance.CRITERIA):
-        rows = acceptance.run_battery(seed, [cid])
-        out[f"criterion {cid}"] = [fingerprint(rows), [row["passed"] for row in rows]]
-    rows = acceptance.run_verify(seed)
-    out["run_verify"] = [fingerprint(rows), [row["passed"] for row in rows]]
-    for name, argv in CLI_RUNS.items():
-        code, verdict, rows = cli_rows(argv)
-        out[f"cli {name}"] = [fingerprint(rows), [code, verdict]]
-    out["shots"] = [fingerprint(shot_rows()), []]
-    return out
+    return {name: [fingerprint(rows), verdicts]
+            for name, rows, verdicts, _ in outputs(acceptance.DEFAULT_SEED)}
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +187,12 @@ def _key(row: dict, seen: dict) -> tuple:
     return (*base, seen[base])
 
 
-def sweep(modules: list[str], jobs: int, workdir: Path | None, log) -> tuple[list[dict], dict]:
+def sweep(modules: list[str], workdir: Path | None, log) -> tuple[list[dict], dict]:
     """The surviving rows of the modules' mutants, and per module a count of each outcome."""
     tmp = Path(tempfile.mkdtemp(prefix="mutation_sweep_", dir=workdir))
     try:
         copies = queue.Queue()
-        for i in range(jobs):
+        for i in range(JOBS):
             copies.put(_copy_tree(tmp / f"tree{i}"))
         probe = copies.get()
         _, clean = _judge(probe, None)
@@ -229,12 +201,12 @@ def sweep(modules: list[str], jobs: int, workdir: Path | None, log) -> tuple[lis
         copies.put(probe)
         lock, rows, counts = threading.Lock(), [], {}
 
-        def one(module, source, files, mutant):
-            line, col, old, new = mutant
+        def one(module, source, files, index, site):
+            line, col, old, new = site
             copy = copies.get()
             target = copy / "src" / "onofri" / f"{module}.py"
             try:
-                target.write_text(apply(source, *mutant))
+                target.write_text(mutant(source, index))
                 fate, _ = _judge(copy, clean)
                 if fate != "caught":
                     if files and not _tests_pass(copy, files):
@@ -249,19 +221,20 @@ def sweep(modules: list[str], jobs: int, workdir: Path | None, log) -> tuple[lis
                 counts[module][fate] += 1
                 log(f"{module}:{line}:{col} {old} -> {new}: {fate}")
                 if fate in ("same", "changed"):
-                    rows.append({"module": module, "line": line, "col": col,
+                    rows.append({"module": module, "index": index, "line": line, "col": col,
                                  "source": source.splitlines()[line - 1].strip(),
                                  "mutation": f"{old} -> {new}", "oracle": fate})
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+        with ThreadPoolExecutor(max_workers=JOBS) as pool:
             futures = []
             for module in modules:
                 source = (ROOT / "src" / "onofri" / f"{module}.py").read_text()
                 files = test_files(module)
-                futures += [pool.submit(one, module, source, files, m) for m in mutants(source)]
+                futures += [pool.submit(one, module, source, files, i, site)
+                            for i, site in enumerate(mutants(source))]
             for future in futures:
                 future.result()
-        return rows, counts
+        return sorted(rows, key=lambda r: (r["module"], r["index"])), counts
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
@@ -278,7 +251,6 @@ def write_ledger(path: Path, rows: list[dict]) -> None:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--modules", help="comma-separated modules of src/onofri (default: all swept)")
-    parser.add_argument("--jobs", type=int, default=2, choices=(1, 2), help="mutants run at once")
     parser.add_argument("--workdir", type=Path, help="where the tree copies go (default: the temp dir)")
     parser.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -291,11 +263,11 @@ def main() -> int:
         parser.error(f"not swept: {', '.join(sorted(unknown))}")
 
     start = time.perf_counter()
-    rows, counts = sweep(modules, args.jobs, args.workdir, lambda msg: print(msg, file=sys.stderr, flush=True))
+    rows, counts = sweep(modules, args.workdir, lambda msg: print(msg, file=sys.stderr, flush=True))
     old, seen = read_ledger(LEDGER), {}
     given = {_key(row, seen): (row["class"], row["reason"]) for row in old}
     seen = {}
-    for row in sorted(rows, key=lambda r: (r["line"], r["col"], r["mutation"])):
+    for row in rows:
         row["class"], row["reason"] = given.get(_key(row, seen), ("", ""))
     kept = [row for row in old if row["module"] not in modules]
     write_ledger(LEDGER, kept + rows)

@@ -84,21 +84,30 @@ def shot_rows() -> list:
     return rows
 
 
+def outputs(seed):
+    """(name, rows, verdicts, note) of every output the script fingerprints, in
+    print order: each criterion run alone, run_verify, CLI_RUNS (their verdicts
+    are the exit code and the report's verdict) and the shots (no verdicts)."""
+    for cid in sorted(acceptance.CRITERIA):
+        rows = acceptance.run_battery(seed, [cid])
+        yield f"criterion {cid:2d}", rows, [row["passed"] for row in rows], ""
+    rows = acceptance.run_verify(seed)
+    yield "run_verify", rows, [row["passed"] for row in rows], f"({len(rows)} rows)"
+    for name, argv in CLI_RUNS.items():
+        code, verdict, rows = cli_rows(argv)
+        yield f"cli {name}", rows, [code, verdict], f"({len(rows)} rows, {verdict}, exit {code})"
+    rows = shot_rows()
+    yield "shots", rows, [], f"({len(rows)} shots)"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
     seed = parser.parse_args().seed
-    for cid in sorted(acceptance.CRITERIA):
-        print(f"criterion {cid:2d}  {fingerprint(acceptance.run_battery(seed, [cid]))}")
-    rows = acceptance.run_verify(seed)
-    print(f"run_verify    {fingerprint(rows)}  ({len(rows)} rows)")
-    for name, argv in CLI_RUNS.items():
-        code, verdict, rows = cli_rows(argv)
-        print(f"cli {name:<16} {fingerprint(rows)}  ({len(rows)} rows, {verdict}, exit {code})")
-    rows = shot_rows()
-    print(f"shots         {fingerprint(rows)}  ({len(rows)} shots)")
+    for name, rows, _, note in outputs(seed):
+        width = 20 if name.startswith("cli ") else 13
+        print(f"{name:<{width}} {fingerprint(rows)}  {note}".rstrip())
     return 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

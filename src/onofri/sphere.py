@@ -69,8 +69,7 @@ def _latitude_blocks(lmax: int, mu: np.ndarray):
             row *= a_m[l]
         block *= np.sqrt(2.0) if m == 0 else 2.0
         yield m, block
-        if m < lmax:
-            pmm = sin_t * np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * pmm
+        pmm = sin_t * np.sqrt((2.0 * m + 3.0) / (2.0 * m + 2.0)) * pmm
 
 
 def _orthonormalized_table(lmax: int, mu: np.ndarray, w_mu: np.ndarray) -> np.ndarray:

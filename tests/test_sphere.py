@@ -52,6 +52,11 @@ def test_grid_rejects_aliasing():
     assert g.n_mu == 9 and g.n_phi == 17
 
 
+def test_default_grid_sizes():
+    """n_mu = 2 lmax and n_phi = 4 lmax, raised to the floor only at lmax = 0."""
+    assert [sphere.build_grid(lmax).shape for lmax in (0, 1, 2)] == [(1, 1), (2, 4), (4, 8)]
+
+
 # ---------------------------------------------------------------------------
 # integrate
 # ---------------------------------------------------------------------------
@@ -348,6 +353,13 @@ def test_energy_coordinate(grid16):
     f = sphere.field_of(grid16, lambda a, b, c: c)
     assert sphere.dirichlet_energy(f) == pytest.approx(oracle, abs=1e-12)
     assert oracle == pytest.approx(2.0 / 3.0, abs=1e-12)
+
+
+def test_norms_of_the_degree_one_zonal_function(grid16):
+    """sqrt(3) x3 has unit L2 norm and Dirichlet energy l(l+1) = 2, so H1 norm sqrt(3)."""
+    f = sphere.field_of(grid16, lambda a, b, c: np.sqrt(3.0) * c)
+    assert sphere.l2_norm(f) == pytest.approx(1.0, abs=1e-12)
+    assert sphere.h1_norm(f) == pytest.approx(np.sqrt(3.0), abs=1e-12)
 
 
 def test_energy_degree_two(grid16):
