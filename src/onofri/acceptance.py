@@ -24,6 +24,7 @@ DEFAULT_SEED = 20260808
 J_TOL = 1e-6                # a constrained minimum at or above -J_TOL is zero
 EL_TOL = 1e-5               # field-equation residual of a stationary point
 MASS_TOL = 1e-7             # plane mass 2 pi beta against 8 pi rho
+SHOT_TOL = 1e-6             # a radial shot's mass against its exact value or window edge
 THRESHOLD_TOL = 1e-8        # second-variation threshold against its exact value
 ALPHA_CERTIFIED = 2.0 / 3.0     # the paper's claim: J_alpha >= 0 on the constraint from here up
 
@@ -44,16 +45,6 @@ def _row(criterion, check, claim, value, tolerance, passed, **extra):
     }
     row.update(extra)
     return row
-
-
-def _minimize_starts(alpha, g, keys) -> list:
-    """minimize at alpha from the random starts of keys, stepped as minimize_stacks of
-    at most functional.SCAN_LANES lanes (each lane rounds as its own run would)."""
-    runs = []
-    for first in range(0, len(keys), functional.SCAN_LANES):
-        part = keys[first:first + functional.SCAN_LANES]
-        runs += functional.minimize_stack([alpha] * len(part), functional.random_starts(g, part))
-    return runs
 
 
 # -- 1: spectral core -------------------------------------------------------
@@ -79,7 +70,7 @@ def criterion_1(seed, grids):
 
 def criterion_2(seed, grids):
     g = grids["g16"]
-    runs = _minimize_starts(1.0, g, [(seed, 2, k) for k in range(20)])
+    runs = functional.minimize_starts([1.0] * 20, [(seed, 2, k) for k in range(20)], g)
     h1 = sphere.h1_norm(sphere.SphereField(g, np.stack([res.u.values for res in runs])))
     rows = []
     for k, res in enumerate(runs):
@@ -96,7 +87,7 @@ def criterion_3(seed, grids):
     g = grids["g16"]
     rows = []
     for ia, alpha in enumerate((ALPHA_CERTIFIED, 0.70, 0.75, 0.80, 0.90)):
-        runs = _minimize_starts(alpha, g, [(seed, 3, ia, k) for k in range(10)])
+        runs = functional.minimize_starts([alpha] * 10, [(seed, 3, ia, k) for k in range(10)], g)
         el = functional.el_residual(sphere.SphereField(g, np.stack([res.u.values for res in runs])),
                                     1.0 / alpha)
         min_j = min(res.j_value for res in runs)
@@ -176,9 +167,9 @@ def criterion_6(seed, grids):
         sol = shooting.shoot(0.0, float(s))
         dev = abs(sol.beta_mass - 4.0)
         agree = abs(sol.beta_mass - sol.beta_slope)
-        ok = dev <= 1e-6 and agree <= 1e-6 and sol.verdict == "converged"
+        ok = dev <= SHOT_TOL and agree <= SHOT_TOL and sol.verdict == "converged"
         rows.append(_row(6, f"s_{s:+.2f}", "l=0 mass is 4 for every start; dual estimators agree",
-                         dev, 1e-6, ok, estimator_gap=float(agree)))
+                         dev, SHOT_TOL, ok, estimator_gap=float(agree)))
     return rows
 
 
@@ -195,10 +186,11 @@ def criterion_7(seed, grids):
                 rows.append(_row(7, f"l_{l}_s_{s:+.2f}", "finite-mass window", 0.0, 0.0, False,
                                  verdict=sol.verdict))
                 continue
-            lo, hi = 4.0 + 1e-6, 4.0 * (1.0 + l) - 1e-6
+            lower, upper = shooting.mass_window(l)
+            lo, hi = lower + SHOT_TOL, upper - SHOT_TOL
             ok = lo < sol.beta_mass < hi
             rows.append(_row(7, f"l_{l}_s_{s:+.2f}", "mass strictly inside (4, 4(1+l))",
-                             sol.beta_mass, 1e-6, ok, l=float(l), window_low=lo, window_high=hi))
+                             sol.beta_mass, SHOT_TOL, ok, l=float(l), window_low=lo, window_high=hi))
         # the last shot starts the axial profile v* at rho = 1 + l/2, of mass 4 rho
         err = abs(sol.beta_mass - (4.0 + 2.0 * l))
         rows.append(_row(7, f"l_{l}_closed_form", "axial profile mass equals 4 + 2l",
@@ -254,7 +246,7 @@ def criterion_8(seed, grids):
                          err, 1e-6, len(roots) == 1 and err <= 1e-6, l=float(l)))
     sol = shooting.shoot(2.0, math.log(16.0))
     err = abs(sol.beta_mass - 8.0)
-    rows.append(_row(8, "anchor_l_2.0", "axial profile mass at l=2", err, 1e-6, err <= 1e-6))
+    rows.append(_row(8, "anchor_l_2.0", "axial profile mass at l=2", err, SHOT_TOL, err <= SHOT_TOL))
     return rows
 
 
@@ -337,7 +329,7 @@ def criterion_11(seed, grids):
 def criterion_12(seed, grids):
     alphas = (0.5, 0.55, 0.6)
     keys = [(seed, 12, ia, k) for ia in range(len(alphas)) for k in range(20)]
-    runs = axisym.minimize_axisym_stack(np.repeat(alphas, 20), axisym.random_starts_1d(keys))
+    runs = axisym.minimize_starts(np.repeat(alphas, 20), keys)
     rows = []
     for ia, alpha in enumerate(alphas):
         mine = runs[20 * ia: 20 * (ia + 1)]

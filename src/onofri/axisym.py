@@ -20,6 +20,7 @@ from . import conformal, functional, quadrature, sphere
 
 DEFAULT_DEGREE = 16
 DEFAULT_QUAD = 64
+SCAN_LANES = 60         # most lanes per minimize_axisym_stack of a multi-start run
 
 
 @dataclass
@@ -225,6 +226,12 @@ def random_start_1d(stream_key, degree: int = DEFAULT_DEGREE, amplitude: float =
 def random_starts_1d(keys) -> LegendreFunction:
     """The random starts of the stream keys as one stack of polynomials."""
     return LegendreFunction(np.stack([random_start_1d(key).coeffs for key in keys]))
+
+
+def minimize_starts(alphas, keys) -> list[AxisymResult]:
+    """minimize_axisym at alphas[i] from the start of key keys[i], in_stacks of SCAN_LANES."""
+    return functional.in_stacks(lambda part: minimize_axisym_stack(alphas[part], random_starts_1d(keys[part])),
+                                len(keys), SCAN_LANES)
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,7 @@ def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray,
     moments of the tilted measure and the number of Newton steps taken: c = 0
     after no step when the mean is already within COM_TOL.  Every other moment
     evaluation costs one exponential.  Each lane takes its own Newton steps and
-    halvings.
+    halvings.  A singular covariance or 50 steps short of COM_TOL raise NonConvergenceError.
     """
     c = np.zeros((len(values), points.shape[1]))
     steps = [0] * len(values)
@@ -122,14 +122,17 @@ def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray,
         norms = np.sqrt(np.vecdot(mom.mean, mom.mean)).tolist()
         live = [i for i, norm in enumerate(norms) if norm > COM_TOL]
         if not live:
-            break
+            return c, mom, np.array(steps)
         for i in live:
             steps[i] += 1
         rows = _lanes(live, len(values))
         now, base, c0 = ExpMoments(*_take(mom, rows)), _take(values, rows), _take(c, rows)
         mean = now.mean[:, :, None]
         cov = (points.T * (weights * now.density)[:, None, :]) @ points - mean * now.mean[:, None, :]
-        step = -np.linalg.solve(cov, mean)[:, :, 0]
+        try:
+            step = -np.linalg.solve(cov, mean)[:, :, 0]
+        except np.linalg.LinAlgError:       # the points do not span their space under e^v
+            break
         slope, level = np.vecdot(now.mean, step).tolist(), now.log_mass.tolist()
         for halving in range(50):
             t = 0.5**halving                # every live lane has halved as often
@@ -137,7 +140,7 @@ def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray,
             trial = exp_moments(base + np.matvec(points, ct), weights, points)
             # the allowance admits full steps whose decrease is below rounding; the
             # 50th halving's trial stands
-            ok = [halving == 49 or v <= f + 1e-4 * t * sj + 1e-14 * (1.0 + abs(f))
+            ok = [halving == 49 or v <= f + ARMIJO * t * sj + 1e-14 * (1.0 + abs(f))
                   for v, f, sj in zip(trial.log_mass.tolist(), level, slope)]
             if all(ok):
                 c, mom = _put(c, rows, ct), _put(mom, rows, trial)
@@ -148,10 +151,8 @@ def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray,
             live, base, c0, step = [live[j] for j in keep], base[keep], c0[keep], step[keep]
             rows = np.array(live)
             slope, level = ([a[j] for j in keep] for a in (slope, level))
-    else:
-        raise NonConvergenceError("tilt: Newton did not reach tolerance", best=c,
-                                  residual=float(np.max(np.linalg.norm(mom.mean, axis=-1))))
-    return c, mom, np.array(steps)
+    raise NonConvergenceError("tilt: Newton did not reach tolerance", best=c,
+                              residual=float(np.max(np.linalg.norm(mom.mean, axis=-1))))
 
 
 def pullback(u: SphereField, a: np.ndarray) -> SphereField:
@@ -222,10 +223,10 @@ STAT_TOL = 1e-8         # gradient norm at which both descents are stationary
 COM_TOL = 1e-10         # center of mass (1-D: normalised moment) their tilts leave
 MAX_ITER = 800          # iterations of a descent
 BLOWUP_FLOOR = -25.0    # values below it end a descent as unbounded
-ARMIJO = 1e-4           # sufficient-decrease constant of the line search
+ARMIJO = 1e-4           # sufficient-decrease constant of the line searches and the tilt
 MAX_HALVINGS = 40       # halvings of the unit step before a descent stalls
 QUADRATIC_STEP = 1e-2   # amplitude t of the probes t v and t v / 2 of the second variation
-SCAN_LANES = 10         # most lanes per stack in alpha_scan and criteria 2, 3: their memory bound
+SCAN_LANES = 10         # most lanes per minimize_stack of a multi-start run: its memory bound
 
 
 class Descent(NamedTuple):
@@ -276,10 +277,7 @@ def descend(start, precond: np.ndarray, trial, retract, norm) -> Descent:
         for halving in range(MAX_HALVINGS):
             step = 0.5**halving                     # every pending lane has halved as often
             lanes = _lanes(pending, count)
-            delta = _take(direction, lanes)
-            if halving:                             # a unit step is the direction itself
-                delta = step * delta
-            cand, cand_value = trial(lanes, _take(state, lanes), delta)
+            cand, cand_value = trial(lanes, _take(state, lanes), step * _take(direction, lanes))
             ok = [v <= value[i] + ARMIJO * step * slope[i] + 1e-14 * (1.0 + abs(value[i]))
                   for i, v in zip(pending, cand_value.tolist())]
             if any(ok):
@@ -331,6 +329,8 @@ def minimize_stack(alphas, u0: SphereField) -> list[MinimizeResult]:
         raise ValueError("alpha must be positive")
     grid = u0.grid
     L = grid.lmax
+    if L < 1:
+        raise GridConfigError(f"band limit {L} has no degree-1 tilt onto the constraint")
     hessian = np.array([zero_hessian(a, L) for a in alphas])
     if not np.all(np.isfinite(u0.values)):
         raise InvalidFieldError("minimize: start has non-finite values")
@@ -360,9 +360,8 @@ def minimize_stack(alphas, u0: SphereField) -> list[MinimizeResult]:
         """
         coeffs, values, *mom = cand
         c, mom, steps = tilt(values.reshape(len(values), -1), weights, pts, ExpMoments(*mom))
-        if c.any():
-            values = values + np.matvec(pts, c).reshape(values.shape)
-            coeffs[:, 1, tilt_slots] += c / np.sqrt(3.0)
+        values = values + np.matvec(pts, c).reshape(values.shape)
+        coeffs[:, 1, tilt_slots] += c / np.sqrt(3.0)
         coeffs[:, 0, L] -= mom.log_mass
         # spectrum of -(alpha/2) lap u + 1 - e^u / int e^u dw
         grad = stiffness[lanes] * coeffs - sphere.analyze(
@@ -420,34 +419,48 @@ def random_starts(grid: SphereGrid, keys) -> SphereField:
     return SphereField(grid, np.stack([random_start(grid, key).values for key in keys]))
 
 
+def in_stacks(run, count: int, lanes: int) -> list:
+    """run(part) joined over the slices part of range(count), each of at most `lanes`
+    lanes: every multi-start run steps so, and its memory does not grow with count."""
+    runs = []
+    for first in range(0, count, lanes):
+        runs += run(slice(first, first + lanes))
+    return runs
+
+
+def minimize_starts(alphas, keys, grid: SphereGrid) -> list[MinimizeResult]:
+    """minimize at alphas[i] from the random start of key keys[i], in_stacks of SCAN_LANES."""
+    return in_stacks(lambda part: minimize_stack(alphas[part], random_starts(grid, keys[part])),
+                     len(keys), SCAN_LANES)
+
+
 def alpha_scan(alpha_list, trials: int, seed: int, grid: SphereGrid):
     """Multi-start minimisation summary per alpha.
 
     Returns rows (alpha, min_j, mean_iterations, n_failed); random streams are
     keyed by (seed, alpha index, trial index) so any execution order gives the
-    same table.  Each alpha's trials run as minimize_stacks of at most
-    SCAN_LANES lanes, so memory does not grow with the trial count.  n_failed
-    counts runs that end without a verdict (max-iter or stalled), and every
-    trial of a stack that raises, but not the other stacks' trials; an
-    unbounded-descent verdict is not a failure.  min_j and mean_iterations
-    cover every run that returns.
+    same table.  Each alpha's trials run in_stacks of SCAN_LANES.  n_failed counts
+    runs without a verdict (max-iter or stalled) and each trial of a stack that
+    raises, not the other stacks' trials; unbounded descent is no failure.  min_j
+    and mean_iterations cover every run that returns.
     """
+    def stack(alphas, keys):
+        try:
+            return minimize_stack(alphas, random_starts(grid, keys))
+        except NonConvergenceError:
+            return [None] * len(keys)
+
     rows = []
     for ia, alpha in enumerate(alpha_list):
-        runs, raised = [], 0
-        for first in range(0, trials, SCAN_LANES):
-            keys = [(seed, ia, trial) for trial in range(first, min(first + SCAN_LANES, trials))]
-            try:
-                runs += minimize_stack([float(alpha)] * len(keys), random_starts(grid, keys))
-            except NonConvergenceError:
-                raised += len(keys)
+        alphas, keys = [float(alpha)] * trials, [(seed, ia, t) for t in range(trials)]
+        ended = in_stacks(lambda part: stack(alphas[part], keys[part]), trials, SCAN_LANES)
+        runs = [res for res in ended if res is not None]
         iters = [res.iterations for res in runs]
-        stopped = sum(res.status in ("max-iter", "stalled") for res in runs)
         rows.append({
             "alpha": float(alpha),
             "min_j": float(min((res.j_value for res in runs), default=np.inf)),
             "mean_iterations": float(np.mean(iters)) if iters else float("nan"),
-            "n_failed": raised + stopped,
+            "n_failed": sum(res is None or res.status in ("max-iter", "stalled") for res in ended),
         })
     return rows
 

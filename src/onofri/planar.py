@@ -183,7 +183,7 @@ def planar_residual(v: PlanarField, y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# normalised mass and the Pohozaev window
+# normalised mass
 # ---------------------------------------------------------------------------
 
 
@@ -227,23 +227,6 @@ def beta_l(v: PlanarField) -> float:
                             + a1 * cut ** (gamma - 2.0) / (2.0 - gamma)
                             + a2 * cut ** (gamma - 4.0) / (4.0 - gamma))
     return float(inner + tail)
-
-
-@dataclass
-class PohozaevReport:
-    l: float
-    beta: float
-    lower: float
-    upper: float
-    inside: bool
-
-
-def pohozaev_check(v: PlanarField) -> PohozaevReport:
-    """Necessary mass window 4 < beta < 4(1+l) for finite-mass solutions."""
-    b = beta_l(v)
-    lower, upper = 4.0, 4.0 * (1.0 + v.l)
-    return PohozaevReport(l=v.l, beta=b, lower=lower, upper=upper,
-                          inside=bool(lower < b < upper))
 
 
 # ---------------------------------------------------------------------------

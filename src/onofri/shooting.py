@@ -216,6 +216,13 @@ def finite_weight(l: float) -> bool:
         return False
 
 
+def mass_window(l: float) -> tuple[float, float]:
+    """Edges, in increasing order, of the Pohozaev window of K = (1+|y|^2)^l: int (y.grad K) e^v
+    = pi beta (beta - 4) puts a finite mass beta strictly between them, and at 4 when l = 0."""
+    edge = 4.0 * (1.0 + l)
+    return min(4.0, edge), max(4.0, edge)
+
+
 def shoot(l: float, s: float, r_max: float = 1e6) -> RadialSolution:
     """Integrate the radial problem with v(0) = s, v'(0) = 0 out to r_max."""
     if not finite_weight(l):
@@ -290,9 +297,10 @@ def _integrate(l: float, s: float, r_max: float) -> RadialSolution:
     beta_mass = mass + tail
     c_asym = (V_end + beta_slope * t_max + 2.0 * math.log1p(tail / (settled + rate))
               if rate > 0.0 else math.nan)
-    # for l > 0 every finite mass lies strictly inside (4, 4(1+l)); a mass
-    # on or past an edge differs from it by less than the integration error
-    inside = l == 0.0 or 4.0 < beta_mass < 4.0 * (1.0 + l)
+    # for l > 0 every finite mass lies strictly inside (4, upper); one on or past an
+    # edge differs from it by less than the integration error.  No l < 0 mass passes.
+    _, upper = mass_window(l)
+    inside = l == 0.0 or 4.0 < beta_mass < upper
     resolution = _RATE_RESOLUTION * TOL
     verdict = "converged" if rate > resolution and inside else "unresolved"
 

@@ -1,13 +1,17 @@
 """Command-line interface: reports, determinism, exit codes, config files."""
+import csv
 import json
 import math
 import shlex
+import sys
+import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from onofri import acceptance, axisym, cli, functional, planar, report, sphere
+from onofri import acceptance, axisym, cli, functional, planar, report, shooting, sphere
 from onofri.errors import NonConvergenceError
 
 
@@ -156,6 +160,11 @@ VACUOUS_RUNS = {
     "alpha_scan_nan_alpha": ["alpha-scan", "--alphas", "nan", "--trials", "1"],
     "alpha_scan_stiffness_overflow": ["alpha-scan", "--alphas", "0.8,1e308", "--trials", "1"],
     "bol_audit_nan_radius": ["bol-audit", "--radii", "nan"],
+    # a band limit of 0 has no degree-1 tilt onto the constraint
+    "minimize_L0": ["minimize", "--alpha", "0.8", "--L", "0"],
+    "el_check_L0": ["el-check", "--alpha", "0.8", "--L", "0"],
+    "bridge_L0": ["bridge", "--alpha", "0.8", "--L", "0"],
+    "alpha_scan_L0": ["alpha-scan", "--alphas", "0.8", "--trials", "1", "--L", "0"],
 }
 
 
@@ -519,3 +528,66 @@ def test_axisym_below_half_reports_where_the_probe_stopped(tmp_path):
     s_hit, trace = axisym.probe_two_bubble_1d(0.45, floor=rep["config"]["floor"])
     row = rep["rows"][0]
     assert (row["concentration_log"], row["value_at_stop"]) == trace[-1] and trace[-1][0] == s_hit
+
+
+@pytest.mark.parametrize("alpha, beta", [("1", 4.0), ("1.25", 3.2)])
+def test_bridge_passes_at_and_above_alpha_one(tmp_path, alpha, beta):
+    """At alpha = 1 (l = 0) the minimiser is u = 0 with mass exactly 4, the empty
+    window's edge; above 1, l < 0 and the mass 4 rho lies in (4(1 + l), 4)."""
+    code, rep = run(tmp_path, "bridge", "--alpha", alpha)
+    row = rep["rows"][0]
+    assert code == cli.EXIT_OK and row["passed"] and row["inside"]
+    assert row["beta"] == pytest.approx(beta, abs=1e-9)
+    assert (row["beta_lower"], row["beta_upper"]) == shooting.mass_window(row["l"])
+
+
+def test_axisym_steps_stacks_of_scan_lanes(tmp_path, monkeypatch):
+    """130 trials run as stacks of 60, 60 and 10 lanes: peak memory does not grow
+    with --trials."""
+    minimize_axisym_stack, lanes = axisym.minimize_axisym_stack, []
+
+    def spy(alphas, g0):
+        lanes.append(len(alphas))
+        return minimize_axisym_stack(alphas, g0)
+
+    monkeypatch.setattr(axisym, "minimize_axisym_stack", spy)
+    code, rep = run(tmp_path, "axisym", "--alpha", "0.6", "--trials", "130")
+    assert code == cli.EXIT_OK and len(rep["rows"]) == 130
+    assert lanes == [60, 60, 10]
+
+
+def test_bridge_csv_samples_the_plane_grid(tmp_path):
+    """bridge --csv holds the transferred field on the 41 x 41 grid of [-5, 5]^2,
+    y1 the slow index."""
+    csv_path = tmp_path / "plane.csv"
+    code, _ = run(tmp_path, "bridge", "--alpha", "0.8", "--L", "8", "--csv", str(csv_path))
+    with csv_path.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    axis = np.linspace(-5.0, 5.0, 41)
+    assert code == cli.EXIT_OK and len(rows) == 41 * 41
+    assert [float(r["y1"]) for r in rows] == pytest.approx(np.repeat(axis, 41).tolist(), abs=1e-12)
+    assert [float(r["y2"]) for r in rows] == pytest.approx(np.tile(axis, 41).tolist(), abs=1e-12)
+
+
+def test_help_describes_the_frontend(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--help"])
+    assert info.value.code == 0
+    assert cli.__doc__.splitlines()[0] in capsys.readouterr().out
+
+
+def test_main_reads_sys_argv(tmp_path, monkeypatch):
+    """main() without argv parses sys.argv past the program name, as the installed
+    console script calls it."""
+    out = tmp_path / "report.json"
+    monkeypatch.setattr(sys, "argv", ["onofri", "shoot", "--l", "1", "--s", "2.4849",
+                                      "--out", str(out)])
+    assert cli.main() == cli.EXIT_OK
+    assert json.loads(out.read_text())["command"] == "shoot"
+
+
+def test_elapsed_is_the_wall_time_of_the_run(tmp_path):
+    start = time.time()
+    code, rep = run(tmp_path, "shoot", "--l", "1", "--s", "2.4849")
+    wall = time.time() - start
+    assert code == cli.EXIT_OK and 0.0 <= rep["elapsed_s"] <= wall

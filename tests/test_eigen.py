@@ -342,6 +342,22 @@ def test_strict_margin_audits_confirm():
     assert all(a.total_mass <= 8.0 * math.pi for a in audits)
 
 
+def test_audit_total_mass_hypothesis_is_8_pi():
+    """The perturbed audit field has total mass 24.56 on the disk of radius 3,
+    below 8 pi = 25.13, and its audits classify.  Shifted by log 1.2 (the same
+    Laplacian, a larger margin) its mass is 29.48, between 8 pi and 12 pi: the
+    total-mass hypothesis fails and every verdict is vacuous."""
+    field = planar.audit_fields()["perturbed"]
+    disks = [eigen.Disk(r) for r in (2.0, 1.0, 0.5)]
+    cases = ((field, ["confirmed", "confirmed", "vacuous"]),
+             (lambda y: field(y) + math.log(1.2), ["vacuous"] * 3))
+    for g_fn, verdicts in cases:
+        audits = eigen.bol_audit(g_fn, eigen.Disk(3.0), disks, glap_fn=field.lap_evaluator)
+        assert [a.verdict for a in audits] == verdicts
+    assert 8.0 * math.pi < audits[0].total_mass < 12.0 * math.pi
+    assert audits[0].supersolution_margin > 0.0
+
+
 def test_supersolution_margin_takes_only_a_disk():
     with pytest.raises(TypeError, match="unsupported domain"):
         eigen.supersolution_margin(perturbed, perturbed_lap, eigen.Rect(-1.0, 1.0, -1.0, 1.0))

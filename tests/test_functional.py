@@ -295,6 +295,41 @@ def test_tilt_takes_the_50th_halving(grid8):
     assert np.linalg.norm(mom.mean) <= fn.COM_TOL
 
 
+def test_tilt_of_a_spike_raises_nonconvergence(grid16):
+    """e^v of a field of zeros with one node at 50 sits on that node: the
+    covariance of the points is singular, and the tilt raises the toolkit's
+    NonConvergenceError, not numpy's LinAlgError."""
+    pts, weights = grid16.node_points, grid16.node_weights
+    values = np.zeros(pts.shape[0])
+    values[7] = 50.0
+    with pytest.raises(NonConvergenceError) as info:
+        ref.tilt_lane(values, weights, pts)
+    assert info.value.best.shape == (1, 3)
+    assert info.value.residual == pytest.approx(np.linalg.norm(pts[7]), rel=1e-9)
+
+
+def test_tilt_error_residual_is_the_center_of_mass_it_leaves(grid16, monkeypatch):
+    """With COM_TOL = 0 the tilt runs out of Newton steps; the error's residual is
+    the largest |center of mass| of the measure tilted by its best c."""
+    pts, weights = grid16.node_points, grid16.node_weights
+    values = fn.random_start(grid16, (3,), amplitude=1.5).values.reshape(1, -1)
+    monkeypatch.setattr(fn, "COM_TOL", 0.0)
+    with pytest.raises(NonConvergenceError) as info:
+        fn.tilt(values, weights, pts, fn.exp_moments(values, weights, pts))
+    best = info.value.best
+    mean = fn.exp_moments(values + np.matvec(pts, best), weights, pts).mean
+    assert info.value.residual == float(np.max(np.linalg.norm(mean, axis=-1)))
+
+
+def test_minimize_needs_a_band_limit_of_one():
+    """A one-node grid (L = 0) has no degree-1 tilt onto the constraint; L = 1 has
+    one, and its minimiser is u = 0."""
+    with pytest.raises(GridConfigError):
+        fn.minimize(0.8, fn.random_start(sphere.build_grid(0), (1, 2)))
+    res = fn.minimize(0.8, fn.random_start(sphere.build_grid(1), (1, 2)))
+    assert res.converged and abs(res.j_value) <= 1e-12
+
+
 def test_minimize_rejects_nonpositive_alpha(grid8):
     with pytest.raises(ValueError):
         fn.minimize(-0.1, ref.constant_field(grid8, 0.0))

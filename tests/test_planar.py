@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis.extra import numpy as hnp
 import hypothesis.strategies as st
 
-from onofri import acceptance, functional as fn, planar as pl, sphere
+from onofri import acceptance, functional as fn, planar as pl, shooting as sh, sphere
 from onofri.errors import DivergentMassError, GaugeError, InvalidFieldError
 
 import reference_solvers as ref
@@ -154,6 +154,17 @@ def test_planar_residual_bounded_by_spherical(grid16):
     assert np.max(np.abs(pl.planar_residual(v, y))) <= 10.0 * np.max(sphere_res)
 
 
+@pytest.mark.parametrize("name", sorted(pl.audit_fields()))
+def test_audit_laplacians_match_difference_quotients(name):
+    """Each audit field's closed-form Laplacian agrees with the five-point
+    centered difference quotient of the field itself."""
+    field, h = pl.audit_fields()[name], 1e-3
+    y = np.random.default_rng(4).uniform(-3.0, 3.0, size=(50, 2))
+    steps = h * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    quotient = (sum(field(y + d) for d in steps) - 4.0 * field(y)) / h**2
+    assert np.max(np.abs(quotient - field.lap_evaluator(y))) <= 1e-4
+
+
 # ---------------------------------------------------------------------------
 # beta and the Pohozaev window
 # ---------------------------------------------------------------------------
@@ -171,21 +182,23 @@ def test_beta_of_liouville_bubble(a):
 
 
 def test_pohozaev_reports():
-    rep = pl.pohozaev_check(pl.v_star_field(1.5))
-    assert rep.inside and rep.lower == 4.0 and rep.upper == 8.0
-    assert rep.beta == pytest.approx(6.0, abs=1e-8)
-    rep2 = pl.pohozaev_check(pl.v_star_field(1.25))
-    assert rep2.inside and rep2.upper == pytest.approx(6.0)
-    assert rep2.beta == pytest.approx(5.0, abs=1e-8)
+    v = pl.v_star_field(1.5)
+    beta, (lower, upper) = pl.beta_l(v), sh.mass_window(v.l)
+    assert lower < beta < upper and lower == 4.0 and upper == 8.0
+    assert beta == pytest.approx(6.0, abs=1e-8)
+    v2 = pl.v_star_field(1.25)
+    beta2, (lower2, upper2) = pl.beta_l(v2), sh.mass_window(v2.l)
+    assert lower2 < beta2 < upper2 and upper2 == pytest.approx(6.0)
+    assert beta2 == pytest.approx(5.0, abs=1e-8)
 
 
 def test_pohozaev_flags_outside():
     """Slowly-decaying synthetic field: fitted slope 3.5 misses the window."""
     slow = pl.PlanarField(lambda y: -1.75 * np.log1p(np.sum(np.asarray(y) ** 2, axis=-1)),
                           l=0.25)
-    rep = pl.pohozaev_check(slow)
-    assert not rep.inside
-    assert rep.beta < 4.0
+    beta, (lower, upper) = pl.beta_l(slow), sh.mass_window(slow.l)
+    assert not lower < beta < upper
+    assert beta < 4.0
 
 
 def test_beta_divergent_mass_error():

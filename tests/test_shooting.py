@@ -25,6 +25,12 @@ def test_vstar_anchor_l1():
     assert sol.c_asym == pytest.approx(math.log(12.0), abs=1e-6)
 
 
+@pytest.mark.parametrize("l, window", [(1.0, (4.0, 8.0)), (0.0, (4.0, 4.0)), (-0.5, (2.0, 4.0))])
+def test_mass_window_orders_its_edges(l, window):
+    """The window lies between 4 and 4(1 + l) on either side of l = 0."""
+    assert sh.mass_window(l) == window
+
+
 @pytest.mark.parametrize("s", [-2.0, 0.0, 2.0])
 def test_l0_scaling_family(s):
     sol = sh.shoot(0.0, s)
