@@ -11,8 +11,9 @@ copy of the tree, never in the checkout, and is judged by the oracle of
 scripts/row_hashes.py: each criterion run alone, run_verify, the CLI runs and
 the shots, with their fingerprints and verdicts.
 
-    caught   a battery row's verdict, a CLI verdict or an exit code changes,
-             the run raises, or it times out
+    caught   a battery row's verdict, a CLI verdict or an exit code changes
+             (the oracle stops at the first output where one does), the run
+             raises, or it times out
     changed  a fingerprint moves while every verdict holds
     same     every fingerprint is byte-identical
 
@@ -113,13 +114,19 @@ def mutant(source: str, index: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def oracle() -> dict:
-    """name: [fingerprint, verdicts] of every output scripts/row_hashes.py fingerprints."""
+def oracle(clean: dict | None) -> dict:
+    """name: [fingerprint, verdicts] of the outputs scripts/row_hashes.py
+    fingerprints, in print order; given the clean run's verdicts by name, it
+    stops after the first output whose verdicts differ from them."""
     from row_hashes import fingerprint, outputs
     from onofri import acceptance
 
-    return {name: [fingerprint(rows), verdicts]
-            for name, rows, verdicts, _ in outputs(acceptance.DEFAULT_SEED)}
+    got = {}
+    for name, rows, verdicts, _ in outputs(acceptance.DEFAULT_SEED):
+        got[name] = [fingerprint(rows), verdicts]
+        if clean is not None and verdicts != clean[name]:
+            break
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -127,23 +134,27 @@ def oracle() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _run(cmd, cwd: Path, timeout: float) -> subprocess.CompletedProcess | None:
+def _run(cmd, cwd: Path, timeout: float, stdin: str = "") -> subprocess.CompletedProcess | None:
     env = {**os.environ, "PYTHONPATH": str(cwd / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
-        return subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True, timeout=timeout)
+        return subprocess.run(cmd, cwd=cwd, env=env, input=stdin, capture_output=True, text=True,
+                              timeout=timeout)
     except subprocess.TimeoutExpired:
         return None
 
 
 def _judge(copy: Path, clean: dict | None) -> tuple[str, dict | None]:
-    """The oracle's outcome in the copy, and its output."""
-    done = _run([sys.executable, "scripts/mutation_sweep.py", "--oracle"], copy, ORACLE_TIMEOUT)
+    """The oracle's outcome in the copy, and its output (cut at the first
+    output whose verdicts differ from the clean run's)."""
+    verdicts = None if clean is None else {name: v for name, (_, v) in clean.items()}
+    done = _run([sys.executable, "scripts/mutation_sweep.py", "--oracle"], copy, ORACLE_TIMEOUT,
+                json.dumps(verdicts))
     if done is None or done.returncode != 0:
         return "caught", None
     got = json.loads(done.stdout.splitlines()[-1])
     if clean is None:
         return "same", got
-    if any(got[name][1] != verdicts for name, (_, verdicts) in clean.items()):
+    if any(got[name][1] != verdicts[name] for name in got):
         return "caught", got
     if any(got[name][0] != fp for name, (fp, _) in clean.items()):
         return "changed", got
@@ -255,7 +266,7 @@ def main() -> int:
     parser.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.oracle:
-        print(json.dumps(oracle()))
+        print(json.dumps(oracle(json.loads(sys.stdin.read()))))
         return 0
     every = sorted(p.stem for p in (ROOT / "src" / "onofri").glob("*.py") if p.stem not in SKIPPED)
     modules = args.modules.split(",") if args.modules else every

@@ -10,7 +10,10 @@ rejected steps and both beta_prime forms).  Run it on two trees and compare:
 
     PYTHONPATH=src python3 scripts/row_hashes.py [--seed N]
 
-The seed is that of the battery; the CLI runs are fixed.
+The seed is that of the battery; the CLI runs are fixed.  It then rebuilds
+the files of results/ that the README's runs (RESULT_RUNS) and
+scripts/unboundedness_probe.py write, in a temp dir, and prints whether each
+file in results/ is byte for byte what its run writes now (fresh) or not (STALE).
 """
 import argparse
 import contextlib
@@ -23,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from onofri import acceptance, cli, shooting
-from onofri.report import to_builtin
+import unboundedness_probe
+from onofri import acceptance, cli, report, shooting
 
 # name: argv of `onofri`
 CLI_RUNS = {
@@ -51,6 +54,15 @@ CLI_RUNS = {
     "alpha_scan_open": ["alpha-scan", "--alphas", "0.55,0.6", "--trials", "2"],
 }
 
+# file of results/: argv of the `onofri` run that writes it with --csv
+RESULT_RUNS = {
+    "alpha_scan.csv": ["alpha-scan", "--alphas", "0.55,0.6,0.6666666666666666,0.7,0.75,0.8,0.9,1",
+                       "--trials", "10", "--seed", "20260808"],
+    "beta_curve_l0.csv": ["beta-curve", "--l", "0", "--s-min", "-4", "--s-max", "4", "--n", "33"],
+    **{f"beta_curve_l{l}.csv": ["beta-curve", "--l", l, "--s-min", "-6", "--s-max", "10", "--n", "65"]
+       for l in ("0.5", "1", "2")},
+}
+
 # (l, s) of the shot fingerprint: the search bracket at four exponents, plus a
 # shot with rejected steps
 SHOT_GRID = [(l, float(s)) for l in (0.0, 0.5, 1.0, 2.0) for s in np.linspace(-6.0, 10.0, 9)]
@@ -58,7 +70,8 @@ SHOT_GRID.append((2.0, 7.0))
 
 
 def fingerprint(rows) -> str:
-    return hashlib.sha256(json.dumps(to_builtin(rows), sort_keys=True).encode()).hexdigest()[:16]
+    text = json.dumps(report.to_builtin(rows), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def cli_rows(argv) -> tuple[int, str | None, list]:
@@ -84,6 +97,19 @@ def shot_rows() -> list:
     return rows
 
 
+def fresh_results() -> list[tuple[str, bool]]:
+    """(file, whether results/ holds the bytes its run writes now) for each
+    file of RESULT_RUNS and the unboundedness probe's trace."""
+    trace = unboundedness_probe.TRACE
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in RESULT_RUNS.items():
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main([*argv, "--csv", str(Path(tmp) / name)])
+        report.write_csv(str(Path(tmp) / trace.name), unboundedness_probe.trace_rows())
+        return [(name, (trace.parent / name).read_bytes() == (Path(tmp) / name).read_bytes())
+                for name in [*RESULT_RUNS, trace.name]]
+
+
 def outputs(seed):
     """(name, rows, verdicts, note) of every output the script fingerprints, in
     print order: each criterion run alone, run_verify, CLI_RUNS (their verdicts
@@ -107,6 +133,8 @@ def main() -> int:
     for name, rows, _, note in outputs(seed):
         width = 20 if name.startswith("cli ") else 13
         print(f"{name:<{width}} {fingerprint(rows)}  {note}".rstrip())
+    for name, fresh in fresh_results():
+        print(f"results {name} {'fresh' if fresh else 'STALE'}")
     return 0
 
 if __name__ == "__main__":

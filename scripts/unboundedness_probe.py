@@ -15,23 +15,22 @@ from onofri import conformal, report
 ALPHAS = [0.45, 0.48, 0.50, 0.52]
 LOGS = list(np.linspace(1.0, 80.0, 40))
 
-OUT = pathlib.Path(__file__).resolve().parent.parent / "results"
+TRACE = pathlib.Path(__file__).resolve().parent.parent / "results" / "two_bubble_trace.csv"
+
+
+def trace_rows() -> list[dict]:
+    """The sphere functional at every concentration log of LOGS, for each of ALPHAS in turn."""
+    return [{"alpha": alpha, "concentration_log": s, "j_sphere": conformal.two_bubble_j_value(alpha, s)}
+            for alpha in ALPHAS for s in LOGS]
 
 
 def main() -> int:
-    OUT.mkdir(exist_ok=True)
-    rows = []
-    for alpha in ALPHAS:
-        for s in LOGS:
-            rows.append({
-                "alpha": alpha,
-                "concentration_log": s,
-                "j_sphere": conformal.two_bubble_j_value(alpha, s),
-            })
-        tail = rows[-1]
-        print(f"alpha={alpha:.2f}: J({LOGS[-1]:.0f}) = {tail['j_sphere']:+.3f}")
-    report.write_csv(str(OUT / "two_bubble_trace.csv"), rows)
-    print(f"wrote {OUT / 'two_bubble_trace.csv'}")
+    TRACE.parent.mkdir(exist_ok=True)
+    rows = trace_rows()
+    for tail in rows[len(LOGS) - 1::len(LOGS)]:
+        print(f"alpha={tail['alpha']:.2f}: J({LOGS[-1]:.0f}) = {tail['j_sphere']:+.3f}")
+    report.write_csv(str(TRACE), rows)
+    print(f"wrote {TRACE}")
     return 0
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import planar, quadrature
+from . import planar, quadrature, rootsearch
 from .errors import GridConfigError, NonConvergenceError
 
 
@@ -340,11 +340,10 @@ def first_eigenvalue_extrapolated(g_fn, omega, h: float) -> float:
 
 
 def domain_mass(g_fn, omega) -> float:
-    """int_omega e^g dy by 64-point Gauss rules: in the radius times 128 uniform
-    angles on a disk, in each coordinate on a rectangle."""
+    """int_omega e^g dy by quadrature.disk_rule on a disk, and by 64-point Gauss
+    rules in each coordinate on a rectangle."""
     if isinstance(omega, Disk):
-        r, wr = quadrature.panels([0.0, omega.radius], 64)
-        theta = 2.0 * math.pi * np.arange(128) / 128
+        r, wr, theta = quadrature.disk_rule(omega.radius)
         pts = planar.polar_points(r, theta).reshape(-1, 2)
         vals = np.exp(np.asarray(g_fn(pts))).reshape(r.size, theta.size)
         return float(2.0 * math.pi / theta.size * np.dot(wr * r, np.sum(vals, axis=1)))
@@ -360,7 +359,7 @@ FOUR_PI = 4.0 * math.pi
 EIGHT_PI = 8.0 * math.pi
 MARGIN_SAMPLES = 96     # radii and angles of the margin's sample points
 MARGIN_TOL, EIG_TOL = 1e-8, 2e-3    # audit hypotheses: margin > MARGIN_TOL, lambda1 <= -EIG_TOL
-RADIUS_TOL = 1e-3       # bracket width where the neutral-radius bisection stops
+RADIUS_TOL = 1e-3       # bracket width where the neutral-radius Brent search stops
 
 
 @dataclass
@@ -413,16 +412,10 @@ def bol_audit(g_fn, Omega, omega_family, glap_fn, h: float = 0.02) -> list[BolAu
 
 
 def zero_eigenvalue_radius(g_fn, bracket: tuple[float, float], h: float = 0.02) -> float:
-    """Disk radius R* with lambda_1(disk(R*)) = 0, by bisection (monotone in R)."""
-    lo, hi = bracket
-    f_lo = first_eigenvalue_extrapolated(g_fn, Disk(lo), h)
-    f_hi = first_eigenvalue_extrapolated(g_fn, Disk(hi), h)
+    """Disk radius R* with lambda_1(disk(R*)) = 0, by rootsearch.brent on the
+    extrapolated eigenvalue, given a bracket where it falls through zero."""
+    f_lo, f_hi = (first_eigenvalue_extrapolated(g_fn, Disk(R), h) for R in bracket)
     if not (f_lo > 0.0 > f_hi):
         raise ValueError(f"bracket does not straddle the zero: {f_lo}, {f_hi}")
-    while hi - lo > RADIUS_TOL:
-        mid = 0.5 * (lo + hi)
-        if first_eigenvalue_extrapolated(g_fn, Disk(mid), h) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return rootsearch.brent(lambda R: first_eigenvalue_extrapolated(g_fn, Disk(R), h),
+                            *bracket, f_lo, f_hi, RADIUS_TOL)

@@ -22,7 +22,6 @@ from . import quadrature, sphere
 from .errors import DivergentMassError, GaugeError, InvalidFieldError
 
 GAUGE_TOL = 1e-8        # largest |int e^u dw - 1| that to_planar accepts
-N_GAUSS, N_THETA = 24, 64   # disk rule: Gauss nodes per radial panel, uniform angles
 R_CUT = 100.0           # beta_l integrates to 2 R_CUT, fitting the tail on [R_CUT, 2 R_CUT]
 ROWS_RADIUS, ROWS_N = 5.0, 41   # field_to_rows: [-ROWS_RADIUS, ROWS_RADIUS]^2, ROWS_N per axis
 ZERO_RTOL = 1e-8        # values within ZERO_RTOL max|f| of zero are in no sign domain
@@ -187,16 +186,6 @@ def planar_residual(v: PlanarField, y: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _disk_quadrature(r_hi: float):
-    """Polar nodes/weights on the disk of radius r_hi: GL panels x uniform angles."""
-    edges = [0.0, min(1.0, r_hi)]
-    while edges[-1] < r_hi:
-        edges.append(min(2.0 * edges[-1], r_hi))
-    r, wr = quadrature.panels(edges, N_GAUSS)
-    theta = 2.0 * np.pi * np.arange(N_THETA) / N_THETA
-    return r, wr, theta
-
-
 def beta_l(v: PlanarField) -> float:
     """Normalised mass (1/2pi) int (1+|y|^2)^l e^v dy.
 
@@ -204,7 +193,7 @@ def beta_l(v: PlanarField) -> float:
     v ~ c - beta log r + d / r^2, fitted on [R_CUT, 2 R_CUT].
     """
     cut = 2.0 * R_CUT
-    r, wr, theta = _disk_quadrature(cut)
+    r, wr, theta = quadrature.disk_rule(cut)
     rf = np.geomspace(cut / 2.0, cut, 17)
     # angular means of e^v on the quadrature rings and the fit rings, one call
     means = np.mean(np.exp(v.rings(np.concatenate([r, rf]), theta)), axis=1)

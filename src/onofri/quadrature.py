@@ -1,10 +1,12 @@
-"""Gauss-Legendre quadrature: the n-point rule and composite panels."""
+"""Gauss-Legendre quadrature: the n-point rule, composite panels and the disk rule."""
 
 from __future__ import annotations
 
 import functools
 
 import numpy as np
+
+N_GAUSS, N_THETA = 24, 64   # disk rule: Gauss nodes per radial panel, uniform angles
 
 
 @functools.lru_cache(maxsize=None)
@@ -34,3 +36,14 @@ def graded(length: float, width: float) -> np.ndarray:
     while edges[-1] < length:
         edges.append(min(2.0 * edges[-1] + width, length))
     return np.array(edges)
+
+
+def disk_rule(radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Radial nodes and weights and the angles of the polar rule on the disk of
+    the radius: N_GAUSS-point panels on the edges 0, 1, 2, 4, ... cut at the
+    radius, times N_THETA uniform angles (node weight wr 2 pi r / N_THETA)."""
+    edges = [0.0, min(1.0, radius)]
+    while edges[-1] < radius:
+        edges.append(min(2.0 * edges[-1], radius))
+    r, wr = panels(edges, N_GAUSS)
+    return r, wr, 2.0 * np.pi * np.arange(N_THETA) / N_THETA

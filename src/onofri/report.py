@@ -4,13 +4,16 @@ Top-level keys are stable: command, config, seed, version, rows, verdict,
 elapsed_s; seed is null for a run that draws no random numbers.  Rows are
 flat dicts of plain scalars; each carries a "claim" string naming the
 mathematical statement the row checks; NaN and infinities are written as
-null.  Files are written atomically (temp file + rename).
+null in JSON and as nan and inf in CSV.  Files are written atomically (temp
+file + rename).
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import math
 import os
 import tempfile
 
@@ -24,37 +27,40 @@ REPORT_TYPES = {
 REPORT_KEYS = tuple(REPORT_TYPES)
 
 
-def to_builtin(obj):
-    """Recursively coerce numpy scalars/arrays into JSON-serialisable builtins."""
+def _convert(obj, real):
+    """obj with numpy scalars and arrays as builtins and every float passed through real."""
     import numpy as np
 
     if isinstance(obj, dict):
-        return {str(k): to_builtin(v) for k, v in obj.items()}
+        return {str(k): _convert(v, real) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [to_builtin(v) for v in obj]
+        return [_convert(v, real) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [to_builtin(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+        return _convert(obj.tolist(), real)
+    if isinstance(obj, (float, np.floating)):
+        return real(obj)
+    if isinstance(obj, np.generic):     # numpy integers and booleans
+        return obj.item()
     return obj
+
+
+def to_builtin(obj):
+    """Recursively coerce numpy scalars/arrays into JSON-serialisable builtins."""
+    return _convert(obj, float)
 
 
 def build_report(command: str, config: dict, seed: int | None, rows: list, verdict: str,
                  elapsed_s: float) -> dict:
     report = {
         "command": command,
-        "config": to_builtin(config),
+        "config": config,
         "seed": None if seed is None else int(seed),
         "version": __version__,
-        "rows": to_builtin(rows),
+        "rows": rows,
         "verdict": verdict,
         "elapsed_s": float(elapsed_s),
     }
-    return json.loads(json.dumps(report), parse_constant=lambda _: None)    # NaN -> null
+    return _convert(report, lambda x: float(x) if math.isfinite(x) else None)   # NaN -> null
 
 
 def validate_report(report: dict) -> list[str]:
@@ -71,12 +77,12 @@ def validate_report(report: dict) -> list[str]:
     return problems
 
 
-def _atomic_write(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-report-")
+@contextlib.contextmanager
+def _atomic_write(path: str):
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-report-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -84,22 +90,16 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def write_json(path: str, report: dict) -> None:
-    _atomic_write(path, json.dumps(report, indent=2, allow_nan=False) + "\n")
-
-
-def rows_to_csv_text(rows: list[dict]) -> str:
-    if not rows:
-        return ""
-    import io
-
-    fields = list(dict.fromkeys(key for row in rows for key in row))   # every row's, first seen first
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in row.items()})
-    return buf.getvalue()
+    with _atomic_write(path) as fh:
+        json.dump(report, fh, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 def write_csv(path: str, rows: list[dict]) -> None:
-    _atomic_write(path, rows_to_csv_text(to_builtin(rows)))
+    rows = to_builtin(rows)     # floats stay floats, which csv spells by repr: NaN is nan
+    fields = list(dict.fromkeys(key for row in rows for key in row))   # every row's, first seen first
+    with _atomic_write(path) as fh:
+        if rows:
+            writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)

@@ -81,7 +81,7 @@ class RootSearch:
     certificate: Certificate
 
 
-def _brent(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
+def brent(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
     """Root of f in [a, b] given f(a) f(b) < 0 (Brent 1973, ch. 4, as in brentq.c).
 
     Inverse quadratic interpolation or secant steps, falling back to bisection
@@ -296,7 +296,7 @@ def _newton(shot, herm: _Hermite, target: float, a: float, b: float, fa: float, 
     leaves the bracket.  Returns the root and beta' at the last shot.
     """
     i = herm.interval(0.5 * (a + b))
-    x = _brent(lambda s: herm.value(i, s) - target, a, b, fa, fb, 1e-3 * tol)
+    x = brent(lambda s: herm.value(i, s) - target, a, b, fa, fb, 1e-3 * tol)
     curvature = herm.curvature(i)
     for _ in range(8):
         beta, d, _ = shot(x)
@@ -313,7 +313,7 @@ def _newton(shot, herm: _Hermite, target: float, a: float, b: float, fa: float, 
         if curvature * step * step <= 2.0 * abs(d) * tol:
             return x + step, d
         x += step
-    root = _brent(lambda s: shot(s)[0] - target, a, b, fa, fb, tol)
+    root = brent(lambda s: shot(s)[0] - target, a, b, fa, fb, tol)
     return root, shot(root)[1]
 
 
@@ -378,7 +378,7 @@ def search_curve(curve, beta_targets, s_bracket: tuple[float, float]) -> RootSea
                     a, d_a = guess[0], d
                 else:
                     b, d_b = guess[0], d
-            s_k = a if a == b else _brent(lambda s: shot(s)[1], a, b, d_a, d_b, ROOT_TOL)
+            s_k = a if a == b else brent(lambda s: shot(s)[1], a, b, d_a, d_b, ROOT_TOL)
             rows[s_k] = shot(s_k)
             turning[:] = sorted(turning + [(s_k, rows[s_k][0])])
 

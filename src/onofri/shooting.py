@@ -129,10 +129,10 @@ class RadialSolution:
     rejected_steps: int     # accepted steps are len(r_grid) - 1
     nodes: tuple            # accepted (r, v, v') from r0 to 1, then (t = log r, V, W = dV/dt)
     junction: int           # index of the first node in t, t = 0
-    # (c, cq): c = (1+r^2)^l e^v on the inner leg and q = r^2 c on the outer leg,
-    # at the nodes and at the three Gauss nodes of every interval (shape
-    # (3, intervals), zero on the empty one from r = 1 to t = 0); beta_mass sums
-    # them and beta_prime reads them
+    # (c, cq, h, xq): c = (1+r^2)^l e^v on the inner leg and q = r^2 c on the outer
+    # leg, at the nodes and at the three Gauss nodes xq of every interval (shape
+    # (3, intervals)), and the interval widths h; h and cq are zero on the empty
+    # interval from r = 1 to t = 0.  beta_mass sums them and beta_prime reads them
     weights: tuple
 
 
@@ -308,7 +308,7 @@ def _integrate(l: float, s: float, r_max: float) -> RadialSolution:
                           values=np.concatenate([v[:j], v[j + 1:]]),
                           beta_mass=float(beta_mass), beta_slope=float(beta_slope),
                           c_asym=float(c_asym), verdict=verdict, rejected_steps=rejected,
-                          nodes=(x, v, p), junction=junction, weights=(c, cq))
+                          nodes=(x, v, p), junction=junction, weights=(c, cq, h, xq))
 
 
 # Butcher matrix of the three-stage Gauss collocation method (order 6) on the
@@ -357,12 +357,12 @@ def beta_prime(sol: RadialSolution) -> tuple[float, float]:
     The Jacobi field w = dv/ds solves w'' + w'/r + (1+r^2)^l e^v w = 0 with
     w(0) = 1, w'(0) = 0 on the inner leg and Y'' = -q Y (Y = w in t = log r)
     on the outer leg.  It is integrated after the shot, on the shot's own
-    accepted nodes, by Gauss collocation with the weights the shot's mass rule
-    formed at the Gauss nodes (sol.weights; both sixth order).  The two
-    forms differentiate the two mass estimators: -Y'(t_max) plus the
-    derivative of the closed-form tail, and the series term plus the quintic
-    Hermite quadrature of (1+r^2)^l e^v w r and q Y plus the same tail
-    derivative.  Their agreement certifies the slope.
+    accepted nodes, by Gauss collocation on the interval widths, Gauss nodes
+    and weights that the shot's mass rule formed (sol.weights; both sixth
+    order).  The two forms differentiate the two mass estimators: -Y'(t_max)
+    plus the derivative of the closed-form tail, and the series term plus the
+    quintic Hermite quadrature of (1+r^2)^l e^v w r and q Y plus the same
+    tail derivative.  Their agreement certifies the slope.
     """
     if sol.verdict != "converged":
         raise ValueError(f"beta_prime needs a converged shot, not {sol.verdict!r}")
@@ -374,10 +374,7 @@ def beta_prime(sol: RadialSolution) -> tuple[float, float]:
     da4 = -es * (l + 2.0 * a2) / 16.0        # d/ds of the series' r^4 coefficient
     r0 = float(x[0])
 
-    c, cq = sol.weights
-    h = np.diff(x)
-    h[k] = 0.0
-    xq = x[:-1] + _GAUSS3_NODES[:, None] * h
+    c, cq, h, xq = sol.weights
     # one chain through both legs: at r = 1, Y = w and dY/dt = r w' = w', and
     # the empty interval's propagator is the identity
     d = np.concatenate([1.0 / xq[:, :k], np.zeros((3, len(h) - k))], axis=1)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import quadrature
 from .errors import GridConfigError, InvalidFieldError
 
 
@@ -128,7 +129,7 @@ def build_grid(lmax: int, n_mu: int | None = None, n_phi: int | None = None) -> 
     n_phi = max(4 * lmax, 2 * lmax + 1) if n_phi is None else n_phi
     if n_mu < lmax + 1 or n_phi < 2 * lmax + 1:
         raise GridConfigError(f"grid {n_mu}x{n_phi} cannot hold degree {lmax}")
-    mu, w = np.polynomial.legendre.leggauss(n_mu)
+    mu, w = quadrature.gauss_rule(n_mu)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     sin_t = np.sqrt(1.0 - mu**2)[:, None]
     xyz = np.broadcast_arrays(sin_t * np.cos(phi), sin_t * np.sin(phi), mu[:, None])

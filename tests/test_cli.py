@@ -226,7 +226,7 @@ def _strict_json(path):
 def test_reports_are_strict_json(tmp_path, monkeypatch):
     """A far-field shot has no asymptote (c_asym NaN) and an alpha scan whose
     runs all fail has no minimum (infinity) nor mean iteration count (NaN):
-    both reports hold null there."""
+    both reports hold null there, and the scan's CSV spells them inf and nan."""
     out = tmp_path / "shoot.json"
     assert cli.main(["shoot", "--l", "1", "--s", "36", "--out", str(out)]) == cli.EXIT_OK
     row = _strict_json(out)["rows"][0]
@@ -236,12 +236,14 @@ def test_reports_are_strict_json(tmp_path, monkeypatch):
         raise NonConvergenceError("forced")
 
     monkeypatch.setattr(functional, "minimize_stack", diverging)
-    out = tmp_path / "scan.json"
+    out, table = tmp_path / "scan.json", tmp_path / "scan.csv"
     code = cli.main(["alpha-scan", "--alphas", "0.8", "--trials", "1", "--L", "8",
-                     "--out", str(out)])
+                     "--out", str(out), "--csv", str(table)])
     assert code == cli.EXIT_MATH
     row = _strict_json(out)["rows"][0]
     assert row["min_j"] is None and row["mean_iterations"] is None and row["n_failed"] == 1
+    (line,) = csv.DictReader(table.read_text().splitlines())
+    assert line["min_j"] == "inf" and line["mean_iterations"] == "nan" and line["n_failed"] == "1"
 
 
 def test_math_violation_exit_code(monkeypatch, tmp_path):

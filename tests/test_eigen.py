@@ -376,6 +376,24 @@ def test_bad_bracket_rejected():
         eigen.zero_eigenvalue_radius(perturbed, (0.2, 0.3))
 
 
+def test_neutral_radius_search_takes_seven_eigenvalues(monkeypatch):
+    """Criterion 9's search finds the neutral radius of the perturbed audit field
+    in at most 7 extrapolated eigenvalues, the bracket's two ends included, and
+    lambda_1 there is within 2e-4 of zero (bisection to RADIUS_TOL took 11 and
+    stopped at the last bracket's midpoint, where lambda_1 = -1.6e-3)."""
+    field = planar.audit_fields()["perturbed"]
+    extrapolated, radii = eigen.first_eigenvalue_extrapolated, []
+
+    def spy(g_fn, omega, h):
+        radii.append(omega.radius)
+        return extrapolated(g_fn, omega, h)
+
+    monkeypatch.setattr(eigen, "first_eigenvalue_extrapolated", spy)
+    r_star = eigen.zero_eigenvalue_radius(field, (0.7, 1.1))
+    assert len(radii) <= 7
+    assert abs(extrapolated(field, eigen.Disk(r_star), 0.02)) <= 2e-4
+
+
 # ---------------------------------------------------------------------------
 # the neutral radius against a continuous oracle
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis.extra import numpy as hnp
 import hypothesis.strategies as st
 
-from onofri import acceptance, functional as fn, planar as pl, shooting as sh, sphere
+from onofri import acceptance, functional as fn, planar as pl, quadrature, shooting as sh, sphere
 from onofri.errors import DivergentMassError, GaugeError, InvalidFieldError
 
 import reference_solvers as ref
@@ -210,7 +210,7 @@ def test_beta_divergent_mass_error():
 
 def _beta_rings():
     """The rings beta_l reads: its quadrature radii to 200 and its 17 fit radii."""
-    r, _, theta = pl._disk_quadrature(200.0)
+    r, _, theta = quadrature.disk_rule(200.0)
     return np.concatenate([r, np.geomspace(100.0, 200.0, 17)]), theta
 
 

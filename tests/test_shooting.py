@@ -303,7 +303,7 @@ def test_outer_step_cap_bounds_the_far_field_error(monkeypatch):
 
 def test_brent_matches_closed_form_root():
     f = lambda x: math.cos(x) - x
-    root = rs._brent(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
+    root = rs.brent(f, 0.0, 1.0, f(0.0), f(1.0), 1e-12)
     assert root == pytest.approx(0.7390851332151607, abs=1e-12)
 
 
@@ -616,7 +616,7 @@ def test_newton_leaving_the_bracket_falls_back_to_brent_on_shots(monkeypatch):
     k, s0 = 2000.0, 0.9
     curve = _synthetic(lambda s: 5.0 + math.tanh(k * (s - s0)),
                        lambda s: k / math.cosh(min(k * abs(s - s0), 300.0)) ** 2)
-    brent, calls = rs._brent, []
+    brent, calls = rs.brent, []
 
     def spy(f, a, b, fa, fb, tol):
         xs = []
@@ -624,7 +624,7 @@ def test_newton_leaving_the_bracket_falls_back_to_brent_on_shots(monkeypatch):
         calls.append((a, b, fa, fb, tol, xs))
         return root
 
-    monkeypatch.setattr(rs, "_brent", spy)
+    monkeypatch.setattr(rs, "brent", spy)
     search = rs.search_curve(curve, [5.0], (-6.0, 10.0))
     assert search.roots == [[pytest.approx(s0, abs=rs.ROOT_TOL)]]
     hermite, shots = calls                  # no turning point: Brent on P, then on shots

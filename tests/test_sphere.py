@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from onofri import planar, sphere
+from onofri import planar, quadrature, sphere
 from onofri.errors import GridConfigError, InvalidFieldError
 
 import reference_solvers as ref
@@ -252,7 +252,7 @@ def _random_spectrum(lmax, seed):
 def _stereographic_polar_set():
     """The 13 824 lifted polar quadrature nodes at which planar.beta_l evaluates
     a transferred field (cut at 2 * 100)."""
-    r, _, theta = planar._disk_quadrature(200.0)
+    r, _, theta = quadrature.disk_rule(200.0)
     y = np.stack([r[:, None] * np.cos(theta), r[:, None] * np.sin(theta)], axis=-1)
     return planar.stereo_lift(y.reshape(-1, 2))
 
@@ -297,7 +297,7 @@ def test_evaluate_matches_loop_reference(lmax):
 def test_evaluate_tensor_matches_evaluate_xyz(lmax):
     """On the lifted rings of planar.beta_l the tensor-grid entry agrees with
     evaluate_xyz at every lifted point."""
-    r, _, theta = planar._disk_quadrature(200.0)
+    r, _, theta = quadrature.disk_rule(200.0)
     r = np.concatenate([[0.0, 1.0], r])
     mu = (r * r - 1.0) / (r * r + 1.0)
     y = np.stack([np.outer(r, np.cos(theta)), np.outer(r, np.sin(theta))], axis=-1)
