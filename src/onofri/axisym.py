@@ -75,6 +75,17 @@ def _gauss_rule(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
+def _half_rule(degree: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The measure dx/2 on the nodes of _gauss_rule(degree) as functional.tilt
+    takes it: half weights, the nodes as (nodes, 1) points and their
+    second-moment row, read-only and shared."""
+    nodes, weights, _ = _gauss_rule(degree)
+    half_w = 0.5 * weights
+    half_w.flags.writeable = False
+    return half_w, nodes[:, None], quadrature.second_moments(half_w, nodes[:, None])
+
+
+@functools.lru_cache(maxsize=None)
 def _energy_weights(degree: int) -> np.ndarray:
     """2 k(k+1)/(2k+1) for k = 0 .. degree, read-only and shared."""
     k = np.arange(degree + 1, dtype=float)
@@ -86,7 +97,8 @@ def _energy_weights(degree: int) -> np.ndarray:
 def _moments(g: LegendreFunction, two_g: np.ndarray) -> functional.ExpMoments:
     """Moments of e^{2g} dx/2 from the node values of 2g: log((1/2) int e^{2g} dx),
     the density e^{2g} / ((1/2) int e^{2g} dx) and the normalised moment in x."""
-    return functional.exp_moments(two_g, 0.5 * g.weights, g.nodes[:, None])
+    half_w, x, _ = _half_rule(g.degree)
+    return functional.exp_moments(two_g, half_w, x)
 
 
 def _i_value(coeffs: np.ndarray, log_half_mass, alpha):
@@ -117,7 +129,7 @@ def recenter_1d(g: LegendreFunction) -> LegendreFunction:
     returned when its normalised moment is already within functional.COM_TOL.
     """
     two_g = 2.0 * g.node_values()[None]
-    c, _, _ = functional.tilt(two_g, 0.5 * g.weights, g.nodes[:, None], _moments(g, two_g))
+    c, _, _ = functional.tilt(two_g, *_half_rule(g.degree), _moments(g, two_g))
     if c[0, 0] == 0.0:
         return g
     out = g.copy()
@@ -183,7 +195,7 @@ def minimize_axisym_stack(alphas, g0: LegendreFunction) -> list[AxisymResult]:
     # the sphere's preconditioner on the lift: I = 2 J and a Legendre
     # coefficient c_k is the sphere coefficient 2 c_k / sqrt(2k+1)
     precond = 8.0 * np.array([functional.zero_hessian(a, g0.degree) for a in alphas]) / (2.0 * k + 1.0)
-    vander, half_w, x = g0.vander, 0.5 * g0.weights, g0.nodes[:, None]
+    vander, (half_w, x, second) = g0.vander, _half_rule(g0.degree)
 
     def trial(lanes, coeffs, delta):
         coeffs = coeffs + delta
@@ -195,7 +207,7 @@ def minimize_axisym_stack(alphas, g0: LegendreFunction) -> list[AxisymResult]:
         """Tilt g + (c/2) x onto the constraint and gauge it to unit half-mass;
         returns the states with their I and gradients, and the tilts' Newton steps."""
         coeffs, two_g, *mom = cand
-        c, mom, steps = functional.tilt(two_g, half_w, x, functional.ExpMoments(*mom))
+        c, mom, steps = functional.tilt(two_g, half_w, x, second, functional.ExpMoments(*mom))
         coeffs[:, 1] += 0.5 * c[:, 0]
         value = _i_value(coeffs, mom.log_mass, alphas[lanes])   # I is shift-invariant
         coeffs[:, 0] -= 0.5 * mom.log_mass

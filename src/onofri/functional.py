@@ -11,22 +11,31 @@ keeps it band-limited.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import conformal, sphere
+from . import conformal, quadrature, sphere
 from .errors import GridConfigError, InvalidFieldError, NonConvergenceError
 from .sphere import HarmonicSpectrum, SphereField, SphereGrid
+
+
+@functools.lru_cache(maxsize=None)
+def _laplace_weights(lmax: int) -> np.ndarray:
+    """l(l+1) for l = 0 .. lmax, read-only and shared."""
+    l = np.arange(lmax + 1, dtype=float)
+    out = l * (l + 1.0)
+    out.flags.writeable = False
+    return out
 
 
 def _j_value(coeffs: np.ndarray, log_mass, alpha):
     """J_alpha (per lane) from the spectrum of u, energy sum l(l+1) c^2 and mean c_00,
     and log int e^u dw."""
     L = coeffs.shape[-2] - 1
-    l = np.arange(L + 1, dtype=float)
-    energy = np.add.reduce(l * (l + 1.0) * np.add.reduce(coeffs**2, axis=-1), axis=-1)
+    energy = np.add.reduce(_laplace_weights(L) * np.add.reduce(coeffs**2, axis=-1), axis=-1)
     return alpha / 4.0 * energy + coeffs[..., 0, L] - log_mass
 
 
@@ -97,7 +106,7 @@ def _put(stack, lanes, sub):
     return stack
 
 
-def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray,
+def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray, second: np.ndarray,
          start: ExpMoments) -> tuple[np.ndarray, ExpMoments, np.ndarray]:
     """Per lane of a (lanes, nodes) stack of values, the vector c with zero mean of
     `points` under e^{values + points @ c} weights.
@@ -105,13 +114,19 @@ def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray,
     c minimises F(c) = log sum weights e^{values + points @ c}, which is
     strictly convex and coercive when the points span their space: the
     gradient of F is the weighted mean of the points and its Hessian is their
-    weighted covariance, so damped Newton reaches the unique minimiser.
-    Starts from `start`, the moments at c = 0, and returns per lane c, the
-    moments of the tilted measure and the number of Newton steps taken: c = 0
-    after no step when the mean is already within COM_TOL.  Every other moment
-    evaluation costs one exponential.  Each lane takes its own Newton steps and
-    halvings.  A singular covariance or 50 steps short of COM_TOL raise NonConvergenceError.
+    weighted covariance, so damped Newton reaches the unique minimiser.  The
+    covariance is the second moments, one product of the density with
+    `second` (quadrature.second_moments of weights and points), less the
+    mean's square.  Starts from `start`, the moments at c = 0, and returns per
+    lane c, the moments of the tilted measure and the number of Newton steps
+    taken: c = 0 after no step when the mean is already within COM_TOL.  Every
+    other moment evaluation costs one exponential.  Each lane takes its own
+    Newton steps and halvings.  A covariance singular to working precision
+    (its curvature along the Newton step at most COV_TOL times the trace of
+    the second moments it cancels) or 50 steps short of COM_TOL raise
+    NonConvergenceError.
     """
+    pairs = quadrature.pair_rows(points.shape[1])
     c = np.zeros((len(values), points.shape[1]))
     steps = [0] * len(values)
     if len(values) == 1:        # a single lane is replaced whole, never written in place
@@ -128,12 +143,18 @@ def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray,
         rows = _lanes(live, len(values))
         now, base, c0 = ExpMoments(*_take(mom, rows)), _take(values, rows), _take(c, rows)
         mean = now.mean[:, :, None]
-        cov = (points.T * (weights * now.density)[:, None, :]) @ points - mean * now.mean[:, None, :]
+        moments = np.matvec(second, now.density)[:, pairs]
         try:
-            step = -np.linalg.solve(cov, mean)[:, :, 0]
-        except np.linalg.LinAlgError:       # the points do not span their space under e^v
+            step = -np.linalg.solve(moments - mean * now.mean[:, None, :], mean)[:, :, 0]
+        except np.linalg.LinAlgError:       # a covariance singular to the last bit
             break
-        slope, level = np.vecdot(now.mean, step).tolist(), now.log_mass.tolist()
+        slope = np.vecdot(now.mean, step)
+        # -slope / |step|^2 is the covariance's curvature along the step: within COV_TOL
+        # of the second moments it cancels it is rounding (or not finite), and the
+        # points do not span their space under e^v
+        if not (-slope > COV_TOL * np.trace(moments, axis1=1, axis2=2) * np.vecdot(step, step)).all():
+            break
+        slope, level = slope.tolist(), now.log_mass.tolist()
         for halving in range(50):
             t = 0.5**halving                # every live lane has halved as often
             ct = c0 + t * step
@@ -221,6 +242,7 @@ def zero_hessian(alpha: float, lmax: int) -> np.ndarray:
 
 STAT_TOL = 1e-8         # gradient norm at which both descents are stationary
 COM_TOL = 1e-10         # center of mass (1-D: normalised moment) their tilts leave
+COV_TOL = 1e-14         # a tilt covariance's curvature, over its second moments' trace, that is rounding
 MAX_ITER = 800          # iterations of a descent
 BLOWUP_FLOOR = -25.0    # values below it end a descent as unbounded
 ARMIJO = 1e-4           # sufficient-decrease constant of the line searches and the tilt
@@ -334,9 +356,8 @@ def minimize_stack(alphas, u0: SphereField) -> list[MinimizeResult]:
     hessian = np.array([zero_hessian(a, L) for a in alphas])
     if not np.all(np.isfinite(u0.values)):
         raise InvalidFieldError("minimize: start has non-finite values")
-    pts, weights = grid.node_points, grid.node_weights
-    l = np.arange(L + 1, dtype=float)
-    stiffness = (alphas[:, None] / 2.0 * l * (l + 1.0))[:, :, None]
+    pts, weights, second = grid.node_points, grid.node_weights, grid.node_second
+    stiffness = (alphas[:, None] / 2.0 * _laplace_weights(L))[:, :, None]
     # x1, x2, x3 are the degree-1 harmonics (1, 1), (1, -1), (1, 0) over sqrt(3)
     tilt_slots = np.array([L + 1, L - 1, L])
 
@@ -359,7 +380,7 @@ def minimize_stack(alphas, u0: SphereField) -> list[MinimizeResult]:
         zero, and e^u / int e^u dw is their density (both shift-invariant).
         """
         coeffs, values, *mom = cand
-        c, mom, steps = tilt(values.reshape(len(values), -1), weights, pts, ExpMoments(*mom))
+        c, mom, steps = tilt(values.reshape(len(values), -1), weights, pts, second, ExpMoments(*mom))
         values = values + np.matvec(pts, c).reshape(values.shape)
         coeffs[:, 1, tilt_slots] += c / np.sqrt(3.0)
         coeffs[:, 0, L] -= mom.log_mass

@@ -1,4 +1,5 @@
-"""Gauss-Legendre quadrature: the n-point rule, composite panels and the disk rule."""
+"""Gauss-Legendre quadrature: the n-point rule, composite panels and the disk rule,
+and the second-moment table of a rule's nodes."""
 
 from __future__ import annotations
 
@@ -17,6 +18,27 @@ def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
+
+
+def second_moments(weights: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The rows weights x_i x_j, i <= j in np.triu_indices order, of nodes `points`
+    (nodes, k), read-only: one product with a density gives its k(k+1)/2 distinct
+    second moments, and pair_rows(k) puts them in a k x k matrix."""
+    i, j = np.triu_indices(points.shape[1])
+    table = (weights * points.T)[i]
+    table *= points.T[j]
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def pair_rows(k: int) -> np.ndarray:
+    """The (k, k) index of the second_moments row holding x_i x_j, read-only."""
+    rows = np.empty((k, k), dtype=int)
+    i, j = np.triu_indices(k)
+    rows[i, j] = rows[j, i] = np.arange(i.size)
+    rows.flags.writeable = False
+    return rows
 
 
 def panels(edges, n: int) -> tuple[np.ndarray, np.ndarray]:

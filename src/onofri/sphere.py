@@ -10,7 +10,11 @@ Conventions used throughout the package:
   (not the area measure), e.g. the degree-one zonal basis function is
   ``sqrt(3) * x3``;
 * a field or spectrum may carry leading lane axes: a stack of fields that
-  the transforms and integrals treat lane by lane, as they treat one field.
+  the transforms and integrals treat lane by lane, as they treat one field;
+* the transforms are matrix products with two tables the grid builds once:
+  the latitude factors of the basis and the azimuth's cosines and sines (a
+  grid above TABLE_LMAX has no azimuth table and sums over the azimuth by a
+  real FFT).
 """
 
 from __future__ import annotations
@@ -21,6 +25,11 @@ import numpy as np
 
 from . import quadrature
 from .errors import GridConfigError, InvalidFieldError
+
+# Largest band limit whose grid sums over the azimuth by a product with its
+# cos/sin table; above it, where the product's O(lmax) work per node outgrows a
+# real FFT's O(log n_phi), analyze and synthesize use the FFT.
+TABLE_LMAX = 64
 
 
 def _recurrence_coefficients(lmax: int) -> tuple[list, list]:
@@ -104,8 +113,10 @@ class SphereGrid:
     w_mu: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
     basis_mu: np.ndarray = field(repr=False)   # (m, l, mu) latitude tables, zero for l < m
+    azimuth: np.ndarray | None = field(repr=False)  # (2 (lmax + 1), n_phi) cos/sin rows, or None
     node_points: np.ndarray = field(repr=False)    # (n_mu n_phi, 3) node coordinates, read-only
     node_weights: np.ndarray = field(repr=False)   # (n_mu n_phi,) weights of dw, read-only
+    node_second: np.ndarray = field(repr=False)    # (6, n_mu n_phi) weights x_i x_j, i <= j, read-only
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -135,8 +146,18 @@ def build_grid(lmax: int, n_mu: int | None = None, n_phi: int | None = None) -> 
     xyz = np.broadcast_arrays(sin_t * np.cos(phi), sin_t * np.sin(phi), mu[:, None])
     points, weights = np.stack(xyz, axis=-1).reshape(-1, 3), np.repeat(w / (2.0 * n_phi), n_phi)
     points.flags.writeable = weights.flags.writeable = False
+    azimuth = _azimuth_table(lmax, n_phi) if lmax <= TABLE_LMAX else None
     return SphereGrid(lmax, n_mu, n_phi, mu, w, phi, _orthonormalized_table(lmax, mu, w),
-                      points, weights)
+                      azimuth, points, weights, quadrature.second_moments(weights, points))
+
+
+def _azimuth_table(lmax: int, n_phi: int) -> np.ndarray:
+    """Rows cos(m phi_k) and sin(m phi_k), m = 0 .. lmax in turn, at the nodes
+    phi_k = 2 pi k / n_phi.  Each angle is reduced exactly, 2 pi ((k m) mod n_phi)
+    / n_phi, so the table is the discrete Fourier matrix to rounding of one cos
+    or sin: a product with it sums over the azimuth as a real FFT does."""
+    angle = 2.0 * np.pi * (np.outer(np.arange(lmax + 1), np.arange(n_phi)) % n_phi) / n_phi
+    return np.stack([np.cos(angle), np.sin(angle)], axis=1).reshape(2 * lmax + 2, n_phi)
 
 
 @dataclass
@@ -204,20 +225,19 @@ def analyze(f: SphereField) -> HarmonicSpectrum:
     """Forward transform onto the dw-orthonormal real basis.
 
     c_{l,m} = 1/2 sum_i w_i p_{l,m}(mu_i) A_m(i), with A_m the azimuthal
-    cosine (m >= 0) and sine (m < 0) averages: one rfft, then one matmul
-    of matrix-vector products batched over the branch and m.
+    cosine (m >= 0) and sine (m < 0) averages: one matrix product with the
+    grid's azimuth table (or one rfft above TABLE_LMAX) gives every A_m,
+    then one matmul batched over m sums over the latitudes.
     """
     grid = f.grid
     L = grid.lmax
-    fhat = np.fft.rfft(f.values, axis=-1)[..., : L + 1].swapaxes(-1, -2)   # (m, mu)
-    w = 0.5 * grid.w_mu
-    rhs = np.empty(fhat.shape[:-2] + (2,) + fhat.shape[-2:])       # (branch, m, mu)
-    np.multiply(w, fhat.real / grid.n_phi, out=rhs[..., 0, :, :])
-    np.multiply(w, -fhat.imag / grid.n_phi, out=rhs[..., 1, :, :])
-    out = np.matmul(grid.basis_mu, rhs[..., None])[..., 0].swapaxes(-1, -2)  # (branch, l, m)
+    sums = _azimuth_sums(grid, f.values)                                 # (m branch, mu)
+    sums *= grid.w_mu / (2.0 * grid.n_phi)
+    sums = sums.reshape(sums.shape[:-2] + (L + 1, 2, grid.n_mu))
+    out = np.matmul(sums, grid.basis_mu.swapaxes(-1, -2))               # (m, branch, l)
     coeffs = np.empty(out.shape[:-3] + (L + 1, 2 * L + 1))
-    coeffs[..., L:] = out[..., 0, :, :]
-    coeffs[..., :L] = out[..., 1, :, :0:-1]
+    coeffs[..., L:] = out[..., 0, :].swapaxes(-1, -2)
+    coeffs[..., :L] = out[..., :0:-1, 1, :].swapaxes(-1, -2)
     return HarmonicSpectrum(L, coeffs)
 
 
@@ -225,7 +245,8 @@ def synthesize(spec: HarmonicSpectrum, grid: SphereGrid) -> SphereField:
     """Inverse transform of a spectrum onto a grid (of equal or higher degree).
 
     One matmul batched over m gives the cosine and sine latitude sums, then
-    one irfft sums over the azimuth.
+    one matrix product with the grid's azimuth table (or one irfft above
+    TABLE_LMAX) sums over the orders.
     """
     L = spec.lmax
     if L > grid.lmax:
@@ -235,13 +256,34 @@ def synthesize(spec: HarmonicSpectrum, grid: SphereGrid) -> SphereField:
     lhs = np.zeros(lead + (L + 1, 2, L + 1))                     # (m, branch, l)
     lhs[..., 0, :] = coeffs[..., L:, :]
     lhs[..., 1:, 1, :] = coeffs[..., :L, :][..., ::-1, :]
-    out = np.matmul(lhs, grid.basis_mu[: L + 1, : L + 1])        # (m, branch, mu)
-    scale = np.full((L + 1, 1), 0.5 * grid.n_phi)
-    scale[0] = grid.n_phi
-    fhat = np.zeros(lead + (grid.n_mu, grid.n_phi // 2 + 1), dtype=complex)
-    fhat.real[..., : L + 1] = (scale * out[..., 0, :]).swapaxes(-1, -2)
-    fhat.imag[..., : L + 1] = (-(scale * out[..., 1, :])).swapaxes(-1, -2)
-    return SphereField(grid, np.fft.irfft(fhat, n=grid.n_phi, axis=-1))
+    sums = np.matmul(lhs, grid.basis_mu[: L + 1, : L + 1])       # (m, branch, mu)
+    sums = sums.reshape(lead + (2 * L + 2, grid.n_mu)).swapaxes(-1, -2)
+    return SphereField(grid, _azimuth_values(grid, sums))
+
+
+def _azimuth_sums(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
+    """Rows sum_k f(mu, phi_k) cos(m phi_k) and sin(m phi_k), m = 0 .. lmax in
+    turn, shape (..., 2 (lmax + 1), n_mu): the azimuth table's product, or a
+    real FFT on a grid above TABLE_LMAX."""
+    if grid.azimuth is not None:
+        return np.matmul(grid.azimuth, values.swapaxes(-1, -2))
+    fhat = np.fft.rfft(values, axis=-1)[..., : grid.lmax + 1]          # (mu, m)
+    sums = np.stack([fhat.real, -fhat.imag], axis=-1)                   # (mu, m, branch)
+    return sums.reshape(fhat.shape[:-1] + (-1,)).swapaxes(-1, -2)
+
+
+def _azimuth_values(grid: SphereGrid, sums: np.ndarray) -> np.ndarray:
+    """Values at the nodes phi_k of cos and sin rows laid out as _azimuth_sums
+    returns them, last axis 2 (degree + 1): the azimuth table's product, or
+    an inverse real FFT on a grid above TABLE_LMAX."""
+    if grid.azimuth is not None:
+        return np.matmul(sums, grid.azimuth[: sums.shape[-1]])
+    pairs = sums.reshape(sums.shape[:-1] + (-1, 2)) * (0.5 * grid.n_phi)
+    pairs[..., 0, 0] *= 2.0
+    fhat = np.zeros(sums.shape[:-1] + (grid.n_phi // 2 + 1,), dtype=complex)
+    fhat.real[..., : pairs.shape[-2]] = pairs[..., 0]
+    fhat.imag[..., : pairs.shape[-2]] = -pairs[..., 1]
+    return np.fft.irfft(fhat, n=grid.n_phi, axis=-1)
 
 
 def _order_sums(spec: HarmonicSpectrum, mu: np.ndarray):

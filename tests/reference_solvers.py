@@ -19,7 +19,7 @@ from collections import deque
 
 import numpy as np
 
-from onofri import axisym as ax, conformal, eigen, functional as fn, planar, sphere
+from onofri import axisym as ax, conformal, eigen, functional as fn, planar, quadrature, sphere
 from onofri.errors import NonConvergenceError, ToolkitError
 
 
@@ -249,7 +249,8 @@ def constant_field(grid, c=0.0):
 
 def tilt_lane(values, weights, points):
     """fn.tilt of one field: c, the moments and the Newton steps of its one-lane stack."""
-    c, mom, steps = fn.tilt(values[None], weights, points, fn.exp_moments(values[None], weights, points))
+    c, mom, steps = fn.tilt(values[None], weights, points, quadrature.second_moments(weights, points),
+                            fn.exp_moments(values[None], weights, points))
     return c[0], fn.ExpMoments(*(a[0] for a in mom)), steps[0]
 
 

@@ -1,10 +1,12 @@
 """The sphere functional: value, gradient, recentering, minimisation."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from onofri import axisym as ax, conformal, functional as fn, sphere
+from onofri import axisym as ax, conformal, functional as fn, quadrature, sphere
 from onofri.errors import GridConfigError, InvalidFieldError, NonConvergenceError
 
 import reference_solvers as ref
@@ -282,29 +284,62 @@ def test_tilt_counts_newton_steps(grid16, monkeypatch):
         assert np.linalg.norm(mom.mean) <= 1e-10
 
 
-def test_tilt_takes_the_50th_halving(grid8):
-    """Two spikes of height 50 and 49.95 make a Newton step fail the Armijo
-    test at all 50 halvings; its 50th trial stands, and the tilt reaches the
-    constraint in 10 steps, where keeping the old point would stall until
+@pytest.mark.parametrize("lmax", [8, 16, 32])
+@pytest.mark.parametrize("lanes", [1, 10])
+def test_second_moment_table_matches_the_direct_form(lmax, lanes):
+    """The tilt's second moments, one product of each lane's density with the
+    grid's table, are the weighted sum of x x^T over the nodes to 1e-15 of
+    their trace.  The reference sums each entry's terms exactly (math.fsum);
+    each term carries three roundings, and their errors, of either sign, add
+    up to far below the bound."""
+    grid = sphere.build_grid(lmax)
+    pts, weights = grid.node_points, grid.node_weights
+    values = fn.random_starts(grid, [(lmax, k) for k in range(lanes)]).values.reshape(lanes, -1)
+    density = fn.exp_moments(values, weights, pts).density
+    table = np.matvec(grid.node_second, density)[:, quadrature.pair_rows(3)]
+    direct = np.array([[[math.fsum(row * pts[:, i] * pts[:, j]) for j in range(3)] for i in range(3)]
+                       for row in weights * density])
+    trace = np.trace(direct, axis1=1, axis2=2)[:, None, None]
+    assert np.max(np.abs(table - direct) / trace) <= 1e-15
+
+
+def test_tilt_takes_the_50th_halving(monkeypatch):
+    """On the points x = -1e8 and 1 under weights e^-56.3 and 1 the covariance,
+    3.5e-9 of the second moments, is far from singular, but the first Newton
+    step is 1.3 times 2^49 the way to the minimiser: it fails the Armijo test at
+    all 50 halvings, and its 50th trial stands.  The tilt reaches the
+    constraint from there, where keeping the old point would stall until
     NonConvergenceError."""
-    pts, weights = grid8.node_points, grid8.node_weights
-    values = np.zeros(pts.shape[0])
-    values[5], values[40] = 50.0, 49.95
-    c, mom, steps = ref.tilt_lane(values, weights, pts)
-    assert steps == 10
+    trials = []                     # the trial moments of each Newton step
+    solve, moments = np.linalg.solve, fn.exp_moments
+
+    def counted_solve(*args):
+        trials.append(0)
+        return solve(*args)
+
+    def counted_moments(*args):
+        if trials:
+            trials[-1] += 1
+        return moments(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    monkeypatch.setattr(fn, "exp_moments", counted_moments)
+    c, mom, steps = ref.tilt_lane(np.array([-56.3, 0.0]), np.ones(2), np.array([[-1e8], [1.0]]))
+    assert trials[0] == 50 and len(trials) == steps
     assert np.linalg.norm(mom.mean) <= fn.COM_TOL
 
 
 def test_tilt_of_a_spike_raises_nonconvergence(grid16):
-    """e^v of a field of zeros with one node at 50 sits on that node: the
-    covariance of the points is singular, and the tilt raises the toolkit's
-    NonConvergenceError, not numpy's LinAlgError."""
+    """e^v of a field of zeros with one node at 50 puts all but about e^-50 of its
+    mass on that node: its covariance is below the rounding of the second
+    moments it cancels, singular to working precision, and the tilt raises the
+    toolkit's NonConvergenceError before any step, not numpy's LinAlgError."""
     pts, weights = grid16.node_points, grid16.node_weights
     values = np.zeros(pts.shape[0])
     values[7] = 50.0
     with pytest.raises(NonConvergenceError) as info:
         ref.tilt_lane(values, weights, pts)
-    assert info.value.best.shape == (1, 3)
+    assert not info.value.best.any() and info.value.best.shape == (1, 3)
     assert info.value.residual == pytest.approx(np.linalg.norm(pts[7]), rel=1e-9)
 
 
@@ -315,7 +350,7 @@ def test_tilt_error_residual_is_the_center_of_mass_it_leaves(grid16, monkeypatch
     values = fn.random_start(grid16, (3,), amplitude=1.5).values.reshape(1, -1)
     monkeypatch.setattr(fn, "COM_TOL", 0.0)
     with pytest.raises(NonConvergenceError) as info:
-        fn.tilt(values, weights, pts, fn.exp_moments(values, weights, pts))
+        fn.tilt(values, weights, pts, grid16.node_second, fn.exp_moments(values, weights, pts))
     best = info.value.best
     mean = fn.exp_moments(values + np.matvec(pts, best), weights, pts).mean
     assert info.value.residual == float(np.max(np.linalg.norm(mean, axis=-1)))

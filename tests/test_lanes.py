@@ -173,7 +173,7 @@ def test_tilt_stack_matches_single_tilts(grid16, lanes):
     fields.append(np.zeros(pts.shape[0]))
     start = fn.exp_moments(np.stack(fields), weights, pts)
     kept = [a.copy() for a in start]
-    c, mom, steps = fn.tilt(np.stack(fields), weights, pts, start)
+    c, mom, steps = fn.tilt(np.stack(fields), weights, pts, grid16.node_second, start)
     assert all(np.array_equal(a, b) for a, b in zip(start, kept))
     for i, values in enumerate(fields):
         c1, mom1, steps1 = ref.tilt_lane(values, weights, pts)

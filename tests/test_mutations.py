@@ -60,8 +60,8 @@ def _tilt_overshooting(monkeypatch):
     0.17, 0.51 and 0.08 s, and unmutated lanes stop after 4 or 5."""
     tilt = functional.tilt
 
-    def mutated(values, weights, points, start):
-        c, mom, steps = tilt(values, weights, points, start)
+    def mutated(values, weights, points, second, start):
+        c, mom, steps = tilt(values, weights, points, second, start)
         return 2.0 * c, mom, steps
 
     monkeypatch.setattr(functional, "tilt", mutated)

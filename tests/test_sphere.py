@@ -1,4 +1,5 @@
 """Quadrature, transforms, and spectral operators on the sphere."""
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -179,6 +180,48 @@ def test_batched_synthesis_of_lower_degree_spectrum(grid32):
         assert np.max(np.abs(vals - _synthesize_loop(spec, grid32))) <= 1e-14
         back = sphere.analyze(sphere.SphereField(grid32, vals)).coeffs
         assert np.max(np.abs(back[: degree + 1, 32 - degree : 33 + degree] - spec.coeffs)) <= 1e-14
+
+
+@pytest.mark.parametrize("lmax", [8, 16, 32])
+@pytest.mark.parametrize("floor", [False, True])
+def test_fft_transforms_match_per_order_loop(lmax, floor):
+    """A grid without the azimuth table, as build_grid makes above TABLE_LMAX,
+    sums over the azimuth by FFT, to the per-order loop's rounding, also for a
+    spectrum of lower degree than the grid."""
+    g = sphere.build_grid(lmax, n_mu=lmax + 1, n_phi=2 * lmax + 1) if floor else sphere.build_grid(lmax)
+    g = dataclasses.replace(g, azimuth=None)
+    for seed in range(3):
+        f, spec = random_band_limited(g, seed)
+        assert np.max(np.abs(sphere.synthesize(spec, g).values - _synthesize_loop(spec, g))) <= 1e-14
+        assert np.max(np.abs(sphere.analyze(f).coeffs - _analyze_loop(f).coeffs)) <= 1e-14
+    spec = random_band_limited(sphere.build_grid(lmax // 2), lmax // 2)[1]
+    assert np.max(np.abs(sphere.synthesize(spec, g).values - _synthesize_loop(spec, g))) <= 1e-14
+
+
+def test_grid_above_table_lmax_transforms_by_fft():
+    assert sphere.build_grid(sphere.TABLE_LMAX).azimuth is not None
+    g = sphere.build_grid(sphere.TABLE_LMAX + 1)
+    assert g.azimuth is None
+    f, spec = random_band_limited(g, 0)
+    assert np.max(np.abs(sphere.analyze(f).coeffs - spec.coeffs)) <= 1e-12
+
+
+@pytest.mark.parametrize("lmax, n_phi", [(8, None), (16, None), (32, None), (8, 17)])
+def test_azimuth_table_is_cos_sin_of_the_reduced_angle(lmax, n_phi):
+    """Rows 2m and 2m + 1 of the azimuth table are cos and sin of m phi_k with the
+    angle reduced exactly, 2 pi ((k m) mod n_phi) / n_phi: every entry is,
+    bit for bit, the order-one entry at node (k m) mod n_phi, as in the
+    discrete Fourier matrix, and within rounding of cos and sin of m phi_k."""
+    g = sphere.build_grid(lmax, n_phi=n_phi)
+    km = np.outer(np.arange(lmax + 1), np.arange(g.n_phi))
+    angle = 2.0 * np.pi * (km % g.n_phi) / g.n_phi
+    assert np.array_equal(g.azimuth[0::2], np.cos(angle))
+    assert np.array_equal(g.azimuth[1::2], np.sin(angle))
+    assert np.array_equal(g.azimuth[0::2], g.azimuth[2, km % g.n_phi])
+    assert np.array_equal(g.azimuth[1::2], g.azimuth[3, km % g.n_phi])
+    m_phi = np.outer(np.arange(lmax + 1), g.phi)
+    assert np.max(np.abs(g.azimuth[0::2] - np.cos(m_phi))) <= 1e-13
+    assert np.max(np.abs(g.azimuth[1::2] - np.sin(m_phi))) <= 1e-13
 
 
 def test_basis_table_is_zero_padded(grid16):
