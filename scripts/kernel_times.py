@@ -5,6 +5,9 @@ Times sphere.analyze, sphere.synthesize, functional.exp_moments,
 functional.tilt and one functional.minimize_stack run at L = 16, 32, 64 and
 128 (the first band limit above sphere.TABLE_LMAX, whose transforms use the
 FFT), each on a stack of 1 and of 10 lanes, with BLAS capped at one thread.
+It also times the two disk-rule kernels the battery calls: planar.beta_l of
+a unit-mass random start that planar.to_planar transferred, at L = 16 and 32,
+and eigen.domain_mass of the perturbed audit field on Disk(3).
 A kernel's time is the fastest of up to REPEATS calls (at least 5, and no more
 once its calls have taken BUDGET seconds): the fastest call is the one the
 host's speed changes and other processes slowed least.  Every call of a kernel
@@ -15,7 +18,8 @@ takes several Newton steps.
     PYTHONPATH=src python3 scripts/kernel_times.py
 
 Prints one JSON object: the environment, and per kernel
-"<module>.<kernel>.L<L>.lanes<n>" its fastest time in seconds.
+"<module>.<kernel>.L<L>.lanes<n>" (the disk-rule kernels "planar.beta_l.L<L>"
+and "eigen.domain_mass.disk3") its fastest time in seconds.
 """
 import os
 
@@ -29,13 +33,16 @@ import time
 
 import numpy as np
 
-from onofri import functional, sphere
+from onofri import eigen, functional, planar, sphere
 
 BAND_LIMITS = (16, 32, 64, 128)
 LANES = (1, 10)
 REPEATS = 200           # most calls per kernel
 BUDGET = 2.0            # seconds of calls per kernel
 ALPHA = 0.75            # constrained minimiser u = 0: a handful of iterations from any start
+DISK_BAND_LIMITS = (16, 32)     # band limits of the fields planar.beta_l integrates
+RHO = 1.5               # the transfer's rho, as criterion 5's random_degree6 field
+AUDIT_RADIUS = 3.0      # the disk of criterion 9's Bol audits
 
 
 def fastest(call) -> float:
@@ -66,6 +73,21 @@ def kernels(grid: sphere.SphereGrid, lanes: int):
     ]
 
 
+def disk_kernels():
+    """(name, call) of the disk-rule kernels: planar.beta_l of a transferred
+    unit-mass random start at each of DISK_BAND_LIMITS, and eigen.domain_mass
+    of the perturbed audit field on Disk(AUDIT_RADIUS)."""
+    calls = []
+    for L in DISK_BAND_LIMITS:
+        u = functional.random_start(sphere.build_grid(L), (L, 0), degree=6)
+        v = planar.to_planar(functional.shift_to_unit_mass(u), RHO)
+        calls.append((f"planar.beta_l.L{L}", lambda v=v: planar.beta_l(v)))
+    g = planar.audit_fields()["perturbed"]
+    calls.append((f"eigen.domain_mass.disk{AUDIT_RADIUS:g}",
+                  lambda: eigen.domain_mass(g, eigen.Disk(AUDIT_RADIUS))))
+    return calls
+
+
 def main() -> int:
     times = {}
     for L in BAND_LIMITS:
@@ -73,6 +95,8 @@ def main() -> int:
         for lanes in LANES:
             for name, call in kernels(grid, lanes):
                 times[f"{name}.L{L}.lanes{lanes}"] = fastest(call)
+    for name, call in disk_kernels():
+        times[name] = fastest(call)
     env = {"python": platform.python_version(), "numpy": np.__version__, "blas_threads": 1,
            "machine": platform.machine(), "nproc": os.cpu_count()}
     print(json.dumps({"env": env, "repeats": REPEATS, "budget_s": BUDGET, "kernels": times}, indent=1))

@@ -11,7 +11,6 @@ keeps it band-limited.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,20 +21,11 @@ from .errors import GridConfigError, InvalidFieldError, NonConvergenceError
 from .sphere import HarmonicSpectrum, SphereField, SphereGrid
 
 
-@functools.lru_cache(maxsize=None)
-def _laplace_weights(lmax: int) -> np.ndarray:
-    """l(l+1) for l = 0 .. lmax, read-only and shared."""
-    l = np.arange(lmax + 1, dtype=float)
-    out = l * (l + 1.0)
-    out.flags.writeable = False
-    return out
-
-
 def _j_value(coeffs: np.ndarray, log_mass, alpha):
     """J_alpha (per lane) from the spectrum of u, energy sum l(l+1) c^2 and mean c_00,
     and log int e^u dw."""
     L = coeffs.shape[-2] - 1
-    energy = np.add.reduce(_laplace_weights(L) * np.add.reduce(coeffs**2, axis=-1), axis=-1)
+    energy = np.add.reduce(sphere.laplace_weights(L) * np.add.reduce(coeffs**2, axis=-1), axis=-1)
     return alpha / 4.0 * energy + coeffs[..., 0, L] - log_mass
 
 
@@ -123,8 +113,8 @@ def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray, second: np
     other moment evaluation costs one exponential.  Each lane takes its own
     Newton steps and halvings.  A covariance singular to working precision
     (its curvature along the Newton step at most COV_TOL times the trace of
-    the second moments it cancels) or 50 steps short of COM_TOL raise
-    NonConvergenceError.
+    the second moments it cancels), a step that fails its Armijo test at all
+    MAX_HALVINGS halvings or 50 steps short of COM_TOL raise NonConvergenceError.
     """
     pairs = quadrature.pair_rows(points.shape[1])
     c = np.zeros((len(values), points.shape[1]))
@@ -155,13 +145,12 @@ def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray, second: np
         if not (-slope > COV_TOL * np.trace(moments, axis1=1, axis2=2) * np.vecdot(step, step)).all():
             break
         slope, level = slope.tolist(), now.log_mass.tolist()
-        for halving in range(50):
+        for halving in range(MAX_HALVINGS):
             t = 0.5**halving                # every live lane has halved as often
             ct = c0 + t * step
             trial = exp_moments(base + np.matvec(points, ct), weights, points)
-            # the allowance admits full steps whose decrease is below rounding; the
-            # 50th halving's trial stands
-            ok = [halving == 49 or v <= f + ARMIJO * t * sj + 1e-14 * (1.0 + abs(f))
+            # the allowance admits full steps whose decrease is below rounding
+            ok = [v <= f + ARMIJO * t * sj + 1e-14 * (1.0 + abs(f))
                   for v, f, sj in zip(trial.log_mass.tolist(), level, slope)]
             if all(ok):
                 c, mom = _put(c, rows, ct), _put(mom, rows, trial)
@@ -172,6 +161,8 @@ def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray, second: np
             live, base, c0, step = [live[j] for j in keep], base[keep], c0[keep], step[keep]
             rows = np.array(live)
             slope, level = ([a[j] for j in keep] for a in (slope, level))
+        else:                               # a lane failed every halving
+            break
     raise NonConvergenceError("tilt: Newton did not reach tolerance", best=c,
                               residual=float(np.max(np.linalg.norm(mom.mean, axis=-1))))
 
@@ -357,7 +348,7 @@ def minimize_stack(alphas, u0: SphereField) -> list[MinimizeResult]:
     if not np.all(np.isfinite(u0.values)):
         raise InvalidFieldError("minimize: start has non-finite values")
     pts, weights, second = grid.node_points, grid.node_weights, grid.node_second
-    stiffness = (alphas[:, None] / 2.0 * _laplace_weights(L))[:, :, None]
+    stiffness = (alphas[:, None] / 2.0 * sphere.laplace_weights(L))[:, :, None]
     # x1, x2, x3 are the degree-1 harmonics (1, 1), (1, -1), (1, 0) over sqrt(3)
     tilt_slots = np.array([L + 1, L - 1, L])
 

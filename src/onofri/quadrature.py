@@ -1,5 +1,5 @@
-"""Gauss-Legendre quadrature: the n-point rule, composite panels and the disk rule,
-and the second-moment table of a rule's nodes."""
+"""Gauss-Legendre quadrature: the n-point rule, composite and graded panels, the disk
+rule on graded panels, and the second-moment table of a rule's nodes."""
 
 from __future__ import annotations
 
@@ -62,10 +62,7 @@ def graded(length: float, width: float) -> np.ndarray:
 
 def disk_rule(radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Radial nodes and weights and the angles of the polar rule on the disk of
-    the radius: N_GAUSS-point panels on the edges 0, 1, 2, 4, ... cut at the
-    radius, times N_THETA uniform angles (node weight wr 2 pi r / N_THETA)."""
-    edges = [0.0, min(1.0, radius)]
-    while edges[-1] < radius:
-        edges.append(min(2.0 * edges[-1], radius))
-    r, wr = panels(edges, N_GAUSS)
+    the radius: N_GAUSS-point panels on graded(radius, 1.0), times N_THETA
+    uniform angles (node weight wr 2 pi r / N_THETA)."""
+    r, wr = panels(graded(radius, 1.0), N_GAUSS)
     return r, wr, 2.0 * np.pi * np.arange(N_THETA) / N_THETA

@@ -19,6 +19,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -299,29 +300,6 @@ def _order_sums(spec: HarmonicSpectrum, mu: np.ndarray):
         yield spec.coeffs[m:, [L + m, L - m]].T @ block
 
 
-def evaluate(spec: HarmonicSpectrum, mu: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Evaluate a spectrum at arbitrary points (mu, phi) of one shape.
-
-    The latitude sums are streamed one order m at a time, and the azimuthal
-    factors cos(m phi) + i sin(m phi), advanced by one complex rotation per
-    order, are added before the next order overwrites the rows.  Memory
-    stays at one (lmax + 1, points) buffer.
-    """
-    mu = np.asarray(mu, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if mu.shape != phi.shape:
-        raise InvalidFieldError(f"evaluate: mu shape {mu.shape} != phi shape {phi.shape}")
-    shape = mu.shape
-    phi = phi.ravel()
-    turn = np.cos(phi) + 1j * np.sin(phi)
-    azimuth = np.ones(phi.size, dtype=complex)
-    out = np.zeros(phi.size)
-    for cm, sm in _order_sums(spec, mu.ravel()):
-        out += cm * azimuth.real + sm * azimuth.imag
-        azimuth *= turn
-    return out.reshape(shape)
-
-
 def evaluate_tensor(spec: HarmonicSpectrum, mu: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Evaluate a spectrum on the tensor grid mu x phi, shape (len(mu), len(phi)).
 
@@ -336,27 +314,46 @@ def evaluate_tensor(spec: HarmonicSpectrum, mu: np.ndarray, phi: np.ndarray) -> 
 
 
 def evaluate_xyz(spec: HarmonicSpectrum, points: np.ndarray) -> np.ndarray:
-    """Evaluate a spectrum at unit vectors given as an (..., 3) array."""
+    """Evaluate a spectrum at unit vectors given as an (..., 3) array.
+
+    The latitude sums are streamed one order m at a time, and the azimuthal
+    factors cos(m phi) + i sin(m phi), advanced by one complex rotation per
+    order, are added before the next order overwrites the rows.  Memory
+    stays at one (lmax + 1, points) buffer.
+    """
     points = np.asarray(points, dtype=float)
     if points.shape[-1:] != (3,):
         raise InvalidFieldError(f"evaluate_xyz: points shape {points.shape} is not (..., 3)")
-    mu = np.clip(points[..., 2], -1.0, 1.0)
-    phi = np.arctan2(points[..., 1], points[..., 0])
-    return evaluate(spec, mu, phi)
+    mu = np.clip(points[..., 2], -1.0, 1.0).ravel()
+    phi = np.arctan2(points[..., 1], points[..., 0]).ravel()
+    turn = np.cos(phi) + 1j * np.sin(phi)
+    azimuth = np.ones(phi.size, dtype=complex)
+    out = np.zeros(phi.size)
+    for cm, sm in _order_sums(spec, mu):
+        out += cm * azimuth.real + sm * azimuth.imag
+        azimuth *= turn
+    return out.reshape(points.shape[:-1])
+
+
+@functools.lru_cache(maxsize=None)
+def laplace_weights(lmax: int) -> np.ndarray:
+    """l(l+1) for l = 0 .. lmax, read-only and shared."""
+    l = np.arange(lmax + 1, dtype=float)
+    out = l * (l + 1.0)
+    out.flags.writeable = False
+    return out
 
 
 def dirichlet_energy(f: SphereField):
     """Integral of |grad f|^2 dw, computed spectrally as sum l(l+1) c^2 (per lane)."""
     spec = analyze(f)
-    l = np.arange(spec.lmax + 1, dtype=float)
-    return np.add.reduce(l * (l + 1.0) * np.add.reduce(spec.coeffs**2, axis=-1), axis=-1)
+    return np.add.reduce(laplace_weights(spec.lmax) * np.add.reduce(spec.coeffs**2, axis=-1), axis=-1)
 
 
 def laplacian(f: SphereField) -> SphereField:
     """Laplace-Beltrami operator: multiplication by -l(l+1) per degree."""
     spec = analyze(f)
-    l = np.arange(spec.lmax + 1, dtype=float)
-    spec.coeffs *= -(l * (l + 1.0))[:, None]
+    spec.coeffs *= -laplace_weights(spec.lmax)[:, None]
     return synthesize(spec, f.grid)
 
 

@@ -303,13 +303,12 @@ def test_second_moment_table_matches_the_direct_form(lmax, lanes):
     assert np.max(np.abs(table - direct) / trace) <= 1e-15
 
 
-def test_tilt_takes_the_50th_halving(monkeypatch):
+def test_tilt_that_fails_every_halving_raises(monkeypatch):
     """On the points x = -1e8 and 1 under weights e^-56.3 and 1 the covariance,
     3.5e-9 of the second moments, is far from singular, but the first Newton
     step is 1.3 times 2^49 the way to the minimiser: it fails the Armijo test at
-    all 50 halvings, and its 50th trial stands.  The tilt reaches the
-    constraint from there, where keeping the old point would stall until
-    NonConvergenceError."""
+    all MAX_HALVINGS halvings, and the tilt raises NonConvergenceError carrying
+    its best point, the start c = 0, and the start's residual."""
     trials = []                     # the trial moments of each Newton step
     solve, moments = np.linalg.solve, fn.exp_moments
 
@@ -322,11 +321,15 @@ def test_tilt_takes_the_50th_halving(monkeypatch):
             trials[-1] += 1
         return moments(*args)
 
+    values, points = np.array([-56.3, 0.0]), np.array([[-1e8], [1.0]])
+    start = fn.exp_moments(values[None], np.ones(2), points)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     monkeypatch.setattr(fn, "exp_moments", counted_moments)
-    c, mom, steps = ref.tilt_lane(np.array([-56.3, 0.0]), np.ones(2), np.array([[-1e8], [1.0]]))
-    assert trials[0] == 50 and len(trials) == steps
-    assert np.linalg.norm(mom.mean) <= fn.COM_TOL
+    with pytest.raises(NonConvergenceError) as info:
+        ref.tilt_lane(values, np.ones(2), points)
+    assert trials == [fn.MAX_HALVINGS]
+    assert not info.value.best.any()
+    assert info.value.residual == float(np.linalg.norm(start.mean))
 
 
 def test_tilt_of_a_spike_raises_nonconvergence(grid16):
