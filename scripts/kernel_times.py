@@ -7,7 +7,8 @@ functional.tilt and one functional.minimize_stack run at L = 16, 32, 64 and
 FFT), each on a stack of 1 and of 10 lanes, with BLAS capped at one thread.
 It also times the two disk-rule kernels the battery calls: planar.beta_l of
 a unit-mass random start that planar.to_planar transferred, at L = 16 and 32,
-and eigen.domain_mass of the perturbed audit field on Disk(3).
+and eigen.domain_mass of the perturbed audit field on Disk(3), and one
+shooting.shoot and one shooting.beta_prime of that shot at each (l, s) of SHOTS.
 A kernel's time is the fastest of up to REPEATS calls (at least 5, and no more
 once its calls have taken BUDGET seconds): the fastest call is the one the
 host's speed changes and other processes slowed least.  Every call of a kernel
@@ -19,7 +20,8 @@ takes several Newton steps.
 
 Prints one JSON object: the environment, and per kernel
 "<module>.<kernel>.L<L>.lanes<n>" (the disk-rule kernels "planar.beta_l.L<L>"
-and "eigen.domain_mass.disk3") its fastest time in seconds.
+"eigen.domain_mass.disk3", the shot kernels "shooting.<kernel>.l<l>.s<s>") its
+fastest time in seconds.
 """
 import os
 
@@ -33,7 +35,7 @@ import time
 
 import numpy as np
 
-from onofri import eigen, functional, planar, sphere
+from onofri import eigen, functional, planar, shooting, sphere
 
 BAND_LIMITS = (16, 32, 64, 128)
 LANES = (1, 10)
@@ -43,6 +45,7 @@ ALPHA = 0.75            # constrained minimiser u = 0: a handful of iterations f
 DISK_BAND_LIMITS = (16, 32)     # band limits of the fields planar.beta_l integrates
 RHO = 1.5               # the transfer's rho, as criterion 5's random_degree6 field
 AUDIT_RADIUS = 3.0      # the disk of criterion 9's Bol audits
+SHOTS = ((0.0, 0.0), (1.0, 2.0), (2.0, -5.0), (2.0, 7.0))  # (l, s); (2, 7) rejects steps
 
 
 def fastest(call) -> float:
@@ -88,6 +91,18 @@ def disk_kernels():
     return calls
 
 
+def shot_kernels():
+    """(name, call) of shooting.shoot and of shooting.beta_prime of that shot at
+    each (l, s) of SHOTS, with the default r_max."""
+    calls = []
+    for l, s in SHOTS:
+        sol = shooting.shoot(l, s)
+        calls.append((f"shooting.shoot.l{l:g}.s{s:g}", lambda l=l, s=s: shooting.shoot(l, s)))
+        calls.append((f"shooting.beta_prime.l{l:g}.s{s:g}",
+                      lambda sol=sol: shooting.beta_prime(sol)))
+    return calls
+
+
 def main() -> int:
     times = {}
     for L in BAND_LIMITS:
@@ -95,7 +110,7 @@ def main() -> int:
         for lanes in LANES:
             for name, call in kernels(grid, lanes):
                 times[f"{name}.L{L}.lanes{lanes}"] = fastest(call)
-    for name, call in disk_kernels():
+    for name, call in disk_kernels() + shot_kernels():
         times[name] = fastest(call)
     env = {"python": platform.python_version(), "numpy": np.__version__, "blas_threads": 1,
            "machine": platform.machine(), "nproc": os.cpu_count()}

@@ -114,7 +114,8 @@ def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray, second: np
     Newton steps and halvings.  A covariance singular to working precision
     (its curvature along the Newton step at most COV_TOL times the trace of
     the second moments it cancels), a step that fails its Armijo test at all
-    MAX_HALVINGS halvings or 50 steps short of COM_TOL raise NonConvergenceError.
+    MAX_HALVINGS halvings or TILT_STEPS Newton steps short of COM_TOL raise
+    NonConvergenceError.
     """
     pairs = quadrature.pair_rows(points.shape[1])
     c = np.zeros((len(values), points.shape[1]))
@@ -123,7 +124,7 @@ def tilt(values: np.ndarray, weights: np.ndarray, points: np.ndarray, second: np
         mom = start
     else:                       # the lanes of a stack are written in place: not the caller's
         mom = ExpMoments(*(a.copy() for a in start))
-    for _ in range(50):
+    for _ in range(TILT_STEPS):
         norms = np.sqrt(np.vecdot(mom.mean, mom.mean)).tolist()
         live = [i for i, norm in enumerate(norms) if norm > COM_TOL]
         if not live:
@@ -238,6 +239,7 @@ MAX_ITER = 800          # iterations of a descent
 BLOWUP_FLOOR = -25.0    # values below it end a descent as unbounded
 ARMIJO = 1e-4           # sufficient-decrease constant of the line searches and the tilt
 MAX_HALVINGS = 40       # halvings of the unit step before a descent stalls
+TILT_STEPS = 50         # Newton steps of a tilt before it stalls
 QUADRATIC_STEP = 1e-2   # amplitude t of the probes t v and t v / 2 of the second variation
 SCAN_LANES = 10         # most lanes per minimize_stack of a multi-start run: its memory bound
 

@@ -3,9 +3,12 @@
 The profile starts from a fourth-order series at r0 = 1e-4 (the ODE is 0/0 at
 the origin), integrates in r up to r = 1, then switches to t = log r where the
 far field is asymptotically linear, v ~ -beta t + c.  One Cash-Karp kernel
-integrates both legs with their right-hand sides inline; it measures the error
-of v against the tolerance itself, not relative to |v|, which grows like
-beta t there.  Two mass estimates are formed along independent paths:
+integrates both legs with their right-hand sides inline, the inner leg in
+first-order form and the log-radial leg, V'' = -q(t, V) with no W on the
+right, in the Nystrom form of the same pair, which forms no W stage sums.  It
+measures the error of v against the tolerance itself, not relative to |v|,
+which grows like beta t there.  Two mass estimates are formed along
+independent paths:
 
 * beta_slope: the ODE state -r v'(r) at the endpoint plus an analytic tail,
 * beta_mass: quadrature of (1+r^2)^l e^v over the stored profile plus the same
@@ -37,63 +40,120 @@ from .rootsearch import RootSearch, search_curve
 def _rk_adaptive(outer, l, x1, tol, store):
     """Cash-Karp 5(4) embedded pair for one leg of the radial equation, v' = p.
 
-    Inner leg (outer false): x = r and p' = -p/r - (1+r^2)^l e^v.  Log-radial
-    leg: x = t = log r, (v, p) = (V, W) and W' = -exp((2+2l) t + l log1p(e^{-2t}) + V).
-    One flat scalar step with the six stages unrolled and both right-hand sides
-    inline; every stage sum keeps the left-to-right order of the generic
-    tableau loop, so the accepted steps are bit-identical to it.  The error of v
-    is measured against tol and the error of p against tol (1 + |p|): on the
-    log-radial leg V falls like -beta t to about -100, and a v error relative to
-    |V| would loosen the step where the far field builds c_asym and the W the
-    analytic tail starts from.  The leg starts from the last node of store, the
-    shot's node lists (x, v, p), and appends its accepted nodes there; its first
-    step and step cap are min(1e-3, x0) and none on the inner leg, 1e-2 and
-    _HMAX_OUTER on the log-radial leg.  Returns the number of rejected steps.
+    Inner leg (outer false): x = r and p' = -p/r - (1+r^2)^l e^v, in first-order
+    form.  Log-radial leg: x = t = log r, (v, p) = (V, W) and
+    W' = -exp((2+2l) t + l log1p(e^{-2t}) + V), which does not read W, in the
+    Nystrom form of the same pair: stage i reads V + h (c_i W + h (A^2 k)_i),
+    the step adds h (W + h (bA) k) to V and h (b k) to W, and the v error is
+    h^2 |(eA) k|, so the leg forms no W stage sums and takes the steps of the
+    first-order form.  Each leg is one flat scalar loop with the six stages
+    unrolled and its right-hand side inline, and every stage sum keeps the
+    left-to-right order of a generic tableau loop, so the inner leg is
+    bit-identical to the first-order loop and the log-radial leg to the
+    Nystrom loop (both kept as test references).  Stage 5 sits at x + h, the
+    next node, so its weight factor, (1+r^2)^l or (2+2l) t + l log1p(e^{-2t}),
+    is carried into the next step's stage 1.  The error of v is measured
+    against tol and the error of p against tol (1 + |p|): on the log-radial
+    leg V falls like -beta t to about -100, and a v error relative to |V|
+    would loosen the step where the far field builds c_asym and the W the
+    analytic tail starts from.  The leg starts from the last node of store,
+    the shot's node lists (x, v, p), and appends its accepted nodes there; its
+    first step and step cap are min(1e-3, x0) and none on the inner leg, 1e-2
+    and _HMAX_OUTER on the log-radial leg.  Returns the number of rejected
+    steps.
     """
     # tableau (Cash & Karp 1990); the zero weights b2, b5 and e2 are omitted
-    c2, c3, c4, c5, c6 = 1.0 / 5.0, 3.0 / 10.0, 3.0 / 5.0, 1.0, 7.0 / 8.0
+    c2, c3, c4, c6 = 1.0 / 5.0, 3.0 / 10.0, 3.0 / 5.0, 7.0 / 8.0     # c5 = 1
+    b1, b3, b4, b6 = 37.0 / 378.0, 250.0 / 621.0, 125.0 / 594.0, 512.0 / 1771.0
+    e1, e3, e4, e5, e6 = (-277.0 / 64512.0, 6925.0 / 370944.0, -6925.0 / 202752.0,
+                          -277.0 / 14336.0, 277.0 / 7084.0)
+    exp = math.exp
+    add_x, add_v, add_p = (nodes.append for nodes in store)
+    x, v, p = (nodes[-1] for nodes in store)
+    steps = rejected = 0
+    if outer:
+        # Nystrom coefficients A^2, bA and eA (zero entries omitted)
+        q31 = 9.0 / 200.0
+        q41, q42 = -9.0 / 100.0, 27.0 / 100.0
+        q51, q52, q53 = 25.0 / 36.0, -7.0 / 4.0, 14.0 / 9.0
+        q61, q62, q63, q64 = (4949.0 / 27648.0, -805.0 / 4096.0, 8855.0 / 27648.0,
+                              8855.0 / 110592.0)
+        ba1, ba3, ba4, ba5 = 11.0 / 108.0, 50.0 / 189.0, 25.0 / 216.0, 1.0 / 56.0
+        ea1, ea3, ea4, ea5 = (-277.0 / 73728.0, 1385.0 / 129024.0, -1385.0 / 147456.0,
+                              277.0 / 114688.0)
+        log1p = math.log1p
+        two_l2 = 2.0 + 2.0 * l
+        h, hmax = 1e-2, _HMAX_OUTER
+        g1 = two_l2 * x + l * log1p(exp(-2.0 * x))
+        while x < x1:
+            if hmax < h:
+                h = hmax
+            if x + h > x1:
+                h = x1 - x
+            # stage j is at xj; its W slope kj is -exp(the log weight at xj + its V)
+            k1 = -exp(g1 + v)
+            x2 = x + c2 * h
+            k2 = -exp(two_l2 * x2 + l * log1p(exp(-2.0 * x2)) + (v + h * (c2 * p)))
+            x3 = x + c3 * h
+            k3 = -exp(two_l2 * x3 + l * log1p(exp(-2.0 * x3))
+                      + (v + h * (c3 * p + h * (q31 * k1))))
+            x4 = x + c4 * h
+            k4 = -exp(two_l2 * x4 + l * log1p(exp(-2.0 * x4))
+                      + (v + h * (c4 * p + h * (q41 * k1 + q42 * k2))))
+            x5 = x + h
+            g5 = two_l2 * x5 + l * log1p(exp(-2.0 * x5))
+            k5 = -exp(g5 + (v + h * (p + h * (q51 * k1 + q52 * k2 + q53 * k3))))
+            x6 = x + c6 * h
+            k6 = -exp(two_l2 * x6 + l * log1p(exp(-2.0 * x6))
+                      + (v + h * (c6 * p + h * (q61 * k1 + q62 * k2 + q63 * k3 + q64 * k4))))
+            err_v = abs(h * (h * (ea1 * k1 + ea3 * k3 + ea4 * k4 + ea5 * k5))) / tol
+            err_p = (abs(h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6))
+                     / (tol * (1.0 + abs(p))))
+            err = err_p if err_p > err_v else err_v
+            if err <= 1.0:
+                v = v + h * (p + h * (ba1 * k1 + ba3 * k3 + ba4 * k4 + ba5 * k5))
+                p = p + h * (b1 * k1 + b3 * k3 + b4 * k4 + b6 * k6)
+                x, g1 = x5, g5
+                add_x(x)
+                add_v(v)
+                add_p(p)
+            else:
+                rejected += 1
+            fac = 0.9 * (err ** -0.2) if err > 0 else 5.0
+            fac = fac if fac > 0.2 else 0.2
+            h *= fac if fac < 5.0 else 5.0
+            steps += 1
+            if steps > MAX_STEPS:
+                raise NonConvergenceError("adaptive integrator exceeded the step budget", best=x)
+        return rejected
     a21 = 1.0 / 5.0
     a31, a32 = 3.0 / 40.0, 9.0 / 40.0
     a41, a42, a43 = 3.0 / 10.0, -9.0 / 10.0, 6.0 / 5.0
     a51, a52, a53, a54 = -11.0 / 54.0, 5.0 / 2.0, -70.0 / 27.0, 35.0 / 27.0
     a61, a62, a63, a64, a65 = (1631.0 / 55296.0, 175.0 / 512.0, 575.0 / 13824.0,
                                44275.0 / 110592.0, 253.0 / 4096.0)
-    b1, b3, b4, b6 = 37.0 / 378.0, 250.0 / 621.0, 125.0 / 594.0, 512.0 / 1771.0
-    e1, e3, e4, e5, e6 = (-277.0 / 64512.0, 6925.0 / 370944.0, -6925.0 / 202752.0,
-                          -277.0 / 14336.0, 277.0 / 7084.0)
-    exp, log1p = math.exp, math.log1p
-    two_l2 = 2.0 + 2.0 * l
-    add_x, add_v, add_p = (nodes.append for nodes in store)
-    x, v, p = (nodes[-1] for nodes in store)
-    h, hmax = (1e-2, _HMAX_OUTER) if outer else (min(1e-3, x), math.inf)
-    steps = rejected = 0
+    h = min(1e-3, x)
+    w1 = (1.0 + x * x) ** l
     while x < x1:
-        if hmax < h:
-            h = hmax
         if x + h > x1:
             h = x1 - x
-        # stage j evaluates at (xj, vj, pj); its v slope is pj, its p slope kj
-        k1 = (-exp(two_l2 * x + l * log1p(exp(-2.0 * x)) + v) if outer
-              else -p / x - (1.0 + x * x) ** l * exp(v))
+        # stage j is at (xj, vj, pj), slopes pj and kj; w1, w5: (1+r^2)^l at x and x + h
+        k1 = -p / x - w1 * exp(v)
         x2, v2, p2 = x + c2 * h, v + h * (a21 * p), p + h * (a21 * k1)
-        k2 = (-exp(two_l2 * x2 + l * log1p(exp(-2.0 * x2)) + v2) if outer
-              else -p2 / x2 - (1.0 + x2 * x2) ** l * exp(v2))
+        k2 = -p2 / x2 - (1.0 + x2 * x2) ** l * exp(v2)
         x3, v3 = x + c3 * h, v + h * (a31 * p + a32 * p2)
         p3 = p + h * (a31 * k1 + a32 * k2)
-        k3 = (-exp(two_l2 * x3 + l * log1p(exp(-2.0 * x3)) + v3) if outer
-              else -p3 / x3 - (1.0 + x3 * x3) ** l * exp(v3))
+        k3 = -p3 / x3 - (1.0 + x3 * x3) ** l * exp(v3)
         x4, v4 = x + c4 * h, v + h * (a41 * p + a42 * p2 + a43 * p3)
         p4 = p + h * (a41 * k1 + a42 * k2 + a43 * k3)
-        k4 = (-exp(two_l2 * x4 + l * log1p(exp(-2.0 * x4)) + v4) if outer
-              else -p4 / x4 - (1.0 + x4 * x4) ** l * exp(v4))
-        x5, v5 = x + c5 * h, v + h * (a51 * p + a52 * p2 + a53 * p3 + a54 * p4)
+        k4 = -p4 / x4 - (1.0 + x4 * x4) ** l * exp(v4)
+        x5, v5 = x + h, v + h * (a51 * p + a52 * p2 + a53 * p3 + a54 * p4)
         p5 = p + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
-        k5 = (-exp(two_l2 * x5 + l * log1p(exp(-2.0 * x5)) + v5) if outer
-              else -p5 / x5 - (1.0 + x5 * x5) ** l * exp(v5))
+        w5 = (1.0 + x5 * x5) ** l
+        k5 = -p5 / x5 - w5 * exp(v5)
         x6, v6 = x + c6 * h, v + h * (a61 * p + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
         p6 = p + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5)
-        k6 = (-exp(two_l2 * x6 + l * log1p(exp(-2.0 * x6)) + v6) if outer
-              else -p6 / x6 - (1.0 + x6 * x6) ** l * exp(v6))
+        k6 = -p6 / x6 - (1.0 + x6 * x6) ** l * exp(v6)
         err_v = abs(h * (e1 * p + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6)) / tol
         err_p = (abs(h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6))
                  / (tol * (1.0 + abs(p))))
@@ -101,7 +161,7 @@ def _rk_adaptive(outer, l, x1, tol, store):
         if err <= 1.0:
             v = v + h * (b1 * p + b3 * p3 + b4 * p4 + b6 * p6)
             p = p + h * (b1 * k1 + b3 * k3 + b4 * k4 + b6 * k6)
-            x += h
+            x, w1 = x5, w5
             add_x(x)
             add_v(v)
             add_p(p)
@@ -283,7 +343,7 @@ def _integrate(l: float, s: float, r_max: float) -> RadialSolution:
     # t = 0 and is empty
     x, v, p = np.array(store)
     j, k = junction, junction - 1
-    h = np.diff(x)
+    h = x[1:] - x[:-1]
     h[k] = 0.0
     xq = x[:-1] + _GAUSS3_NODES[:, None] * h
     c = np.concatenate([_weight(l, x[:j], v[:j]), _q(l, x[j:], v[j:])])

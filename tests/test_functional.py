@@ -359,6 +359,23 @@ def test_tilt_error_residual_is_the_center_of_mass_it_leaves(grid16, monkeypatch
     assert info.value.residual == float(np.max(np.linalg.norm(mean, axis=-1)))
 
 
+def test_tilt_newton_budget_raises_with_its_best_c(grid16, monkeypatch):
+    """A tilt whose start needs two Newton steps, allowed TILT_STEPS = 1, raises
+    NonConvergenceError carrying c after its one step and the |center of
+    mass| that c leaves, still above COM_TOL."""
+    pts, weights, second = grid16.node_points, grid16.node_weights, grid16.node_second
+    values = fn.random_start(grid16, (0,), amplitude=0.1).values.reshape(1, -1)
+    start = fn.exp_moments(values, weights, pts)
+    assert fn.tilt(values, weights, pts, second, start)[2].tolist() == [2]
+    monkeypatch.setattr(fn, "TILT_STEPS", 1)
+    with pytest.raises(NonConvergenceError) as info:
+        fn.tilt(values, weights, pts, second, start)
+    best = info.value.best
+    assert best.any()
+    mean = fn.exp_moments(values + np.matvec(pts, best), weights, pts).mean
+    assert info.value.residual == float(np.max(np.linalg.norm(mean, axis=-1))) > fn.COM_TOL
+
+
 def test_minimize_needs_a_band_limit_of_one():
     """A one-node grid (L = 0) has no degree-1 tilt onto the constraint; L = 1 has
     one, and its minimiser is u = 0."""

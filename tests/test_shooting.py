@@ -1,5 +1,6 @@
 """Radial shooting: closed-form anchors, mass estimators, uniqueness windows."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -317,38 +318,99 @@ def test_integrator_step_budget_raises_typed_error(monkeypatch):
     assert info.value.best == xs[-1]
 
 
-# The integrator as it was before the unrolled kernel: the generic Cash-Karp
-# tableau loop with generator stage sums, driven by closures that hold the
-# right-hand sides of both legs as they were before the kernel inlined them.
-# The kernel must reproduce its shots bit for bit.
-_CK_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 3.0 / 5.0, 1.0, 7.0 / 8.0)
+
+def test_inner_leg_step_budget_raises_typed_error(monkeypatch):
+    """The inner leg of the l = 1, s = 0 shot from r0 = 1e-4 to r = 1."""
+    r0 = 1e-4
+    xs, vs, ps = [r0], [-r0 * r0 / 4.0], [-r0 / 2.0]
+    monkeypatch.setattr(sh, "MAX_STEPS", 3)
+    with pytest.raises(NonConvergenceError) as info:
+        sh._rk_adaptive(False, 1.0, 1.0, 1e-10, (xs, vs, ps))
+    assert r0 < info.value.best < 1.0
+    assert info.value.best == xs[-1]
+
+# Generic references for the unrolled kernel.  The first-order loop is the
+# integrator as it was before the kernel: the Cash-Karp tableau loop with
+# generator stage sums, driven by closures that hold the right-hand sides of
+# both legs as they were before the kernel inlined them.  The Nystrom loop
+# steps the log-radial leg V'' = -q(t, V) in the Nystrom form of the same
+# tableau, with A^2, bA and eA formed exactly and rounded once.  The kernel
+# must reproduce, bit for bit, the first-order loop on the inner leg and the
+# Nystrom loop on the log-radial leg.
+_CK_C = (Fraction(0), Fraction(1, 5), Fraction(3, 10), Fraction(3, 5), Fraction(1),
+         Fraction(7, 8))
 _CK_A = (
     (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (3.0 / 10.0, -9.0 / 10.0, 6.0 / 5.0),
-    (-11.0 / 54.0, 5.0 / 2.0, -70.0 / 27.0, 35.0 / 27.0),
-    (1631.0 / 55296.0, 175.0 / 512.0, 575.0 / 13824.0, 44275.0 / 110592.0, 253.0 / 4096.0),
+    (Fraction(1, 5),),
+    (Fraction(3, 40), Fraction(9, 40)),
+    (Fraction(3, 10), Fraction(-9, 10), Fraction(6, 5)),
+    (Fraction(-11, 54), Fraction(5, 2), Fraction(-70, 27), Fraction(35, 27)),
+    (Fraction(1631, 55296), Fraction(175, 512), Fraction(575, 13824), Fraction(44275, 110592),
+     Fraction(253, 4096)),
 )
-_CK_B5 = (37.0 / 378.0, 0.0, 250.0 / 621.0, 125.0 / 594.0, 0.0, 512.0 / 1771.0)
-_CK_ERR = (-277.0 / 64512.0, 0.0, 6925.0 / 370944.0, -6925.0 / 202752.0,
-           -277.0 / 14336.0, 277.0 / 7084.0)
+_CK_B5 = (Fraction(37, 378), Fraction(0), Fraction(250, 621), Fraction(125, 594), Fraction(0),
+          Fraction(512, 1771))
+_CK_ERR = (Fraction(-277, 64512), Fraction(0), Fraction(6925, 370944), Fraction(-6925, 202752),
+           Fraction(-277, 14336), Fraction(277, 7084))
+
+
+def _a(i, j):
+    return _CK_A[i][j] if j < i else Fraction(0)
+
+
+def _floats(row):
+    return tuple(float(a) for a in row)
+
+
+_C, _B5, _ERR = _floats(_CK_C), _floats(_CK_B5), _floats(_CK_ERR)
+_A = tuple(_floats(row) for row in _CK_A)
+# the Nystrom coefficients: row i of A^2 over the stages before it, bA and eA
+_A2 = tuple(_floats(sum(_a(i, m) * _a(m, j) for m in range(6)) for j in range(i))
+            for i in range(6))
+_BA = _floats(sum(_CK_B5[i] * _a(i, j) for i in range(6)) for j in range(6))
+_EA = _floats(sum(_CK_ERR[i] * _a(i, j) for i in range(6)) for j in range(6))
+
+
+def test_nystrom_coefficients_are_the_tableaus_products():
+    """The exact rationals the kernel writes for A^2, bA and eA."""
+    assert _A2 == ((), (0.0,), (9 / 200, 0.0), (-9 / 100, 27 / 100, 0.0),
+                   (25 / 36, -7 / 4, 14 / 9, 0.0),
+                   (4949 / 27648, -805 / 4096, 8855 / 27648, 8855 / 110592, 0.0))
+    assert _BA == (11 / 108, 0.0, 50 / 189, 25 / 216, 1 / 56, 0.0)
+    assert _EA == (-277 / 73728, 0.0, 1385 / 129024, -1385 / 147456, 277 / 114688, 0.0)
+    # the identities the Nystrom form rests on: rows of A sum to c, b to 1, e to 0
+    assert all(sum(_CK_A[i]) == _CK_C[i] for i in range(6))
+    assert sum(_CK_B5) == 1 and sum(_CK_ERR) == 0
+
+
+def _force_reference(l):
+    """W' = -q(t, V) on the log-radial leg."""
+    exp, log1p = math.exp, math.log1p
+    two_l2 = 2.0 + 2.0 * l
+    return lambda t, v: -exp(two_l2 * t + l * log1p(exp(-2.0 * t)) + v)
 
 
 def _rhs_reference(outer, l):
-    exp, log1p = math.exp, math.log1p
-    two_l2 = 2.0 + 2.0 * l
+    exp = math.exp
+    force = _force_reference(l)
 
     def f_inner(r, v, p):
         return p, -p / r - (1.0 + r * r) ** l * exp(v)
 
     def f_outer(t, v, w):
-        return w, -exp(two_l2 * t + l * log1p(exp(-2.0 * t)) + v)
+        return w, force(t, v)
 
     return f_outer if outer else f_inner
 
 
+def _next_step(h, err):
+    """The kernel's step update after a step with this error."""
+    fac = 0.9 * (err ** -0.2) if err > 0 else 5.0
+    return h * min(5.0, max(0.2, fac))
+
+
 def _rk_reference(outer, l, x0, v0, p0, x1, tol, h0, store_x, store_v, store_p, hmax):
+    """First-order Cash-Karp loop: y = (v, p), y' = f(x, y)."""
     f = _rhs_reference(outer, l)
     x = x0
     y = [v0, p0]
@@ -360,38 +422,82 @@ def _rk_reference(outer, l, x0, v0, p0, x1, tol, h0, store_x, store_v, store_p, 
             h = x1 - x
         k = [f(x, *y)]
         for i in range(1, 6):
-            a = _CK_A[i]
+            a = _A[i]
             yi = [y[0] + h * sum(a[j] * k[j][0] for j in range(i)),
                   y[1] + h * sum(a[j] * k[j][1] for j in range(i))]
-            k.append(f(x + _CK_C[i] * h, *yi))
-        e0 = h * sum(_CK_ERR[i] * k[i][0] for i in range(6))
-        e1 = h * sum(_CK_ERR[i] * k[i][1] for i in range(6))
-        sc0 = tol
-        sc1 = tol * (1.0 + abs(y[1]))
-        err = max(abs(e0) / sc0, abs(e1) / sc1)
+            k.append(f(x + _C[i] * h, *yi))
+        e0 = h * sum(_ERR[i] * k[i][0] for i in range(6))
+        e1 = h * sum(_ERR[i] * k[i][1] for i in range(6))
+        err = max(abs(e0) / tol, abs(e1) / (tol * (1.0 + abs(y[1]))))
         if err <= 1.0:
-            y = [y[0] + h * sum(_CK_B5[i] * k[i][0] for i in range(6)),
-                 y[1] + h * sum(_CK_B5[i] * k[i][1] for i in range(6))]
+            y = [y[0] + h * sum(_B5[i] * k[i][0] for i in range(6)),
+                 y[1] + h * sum(_B5[i] * k[i][1] for i in range(6))]
             x += h
             store_x.append(x)
             store_v.append(y[0])
             store_p.append(y[1])
         else:
             rejected += 1
-        fac = 0.9 * (err ** -0.2) if err > 0 else 5.0
-        h *= min(5.0, max(0.2, fac))
+        h = _next_step(h, err)
         steps += 1
         if steps > sh.MAX_STEPS:
             raise NonConvergenceError("adaptive integrator exceeded the step budget", best=x)
-    return y[0], y[1], rejected
+    return rejected
+
+
+def _rk_nystrom_reference(l, x0, v0, p0, x1, tol, h0, store_x, store_v, store_p, hmax):
+    """Nystrom Cash-Karp loop for V'' = -q(t, V): the stages carry V only."""
+    force = _force_reference(l)
+    x, v, w = x0, v0, p0
+    h = min(h0, hmax)
+    steps = rejected = 0
+    while x < x1:
+        h = min(h, hmax)
+        if x + h > x1:
+            h = x1 - x
+        k = []
+        for i in range(6):
+            vi = v + h * (_C[i] * w + h * sum(_A2[i][j] * k[j] for j in range(i)))
+            k.append(force(x + _C[i] * h, vi))
+        e0 = h * (h * sum(_EA[i] * k[i] for i in range(6)))
+        e1 = h * sum(_ERR[i] * k[i] for i in range(6))
+        err = max(abs(e0) / tol, abs(e1) / (tol * (1.0 + abs(w))))
+        if err <= 1.0:
+            v = v + h * (w + h * sum(_BA[i] * k[i] for i in range(6)))
+            w = w + h * sum(_B5[i] * k[i] for i in range(6))
+            x += h
+            store_x.append(x)
+            store_v.append(v)
+            store_p.append(w)
+        else:
+            rejected += 1
+        h = _next_step(h, err)
+        steps += 1
+        if steps > sh.MAX_STEPS:
+            raise NonConvergenceError("adaptive integrator exceeded the step budget", best=x)
+    return rejected
+
+
+def _leg_start(outer, store):
+    """The leg's start (x0, v0, p0), first step and step cap, as the kernel derives them."""
+    xs, vs, ps = store
+    h0, hmax = (1e-2, sh._HMAX_OUTER) if outer else (min(1e-3, xs[-1]), math.inf)
+    return xs[-1], vs[-1], ps[-1], h0, hmax
 
 
 def _rk_reference_on_store(outer, l, x1, tol, store):
-    """_rk_reference behind the kernel's signature: the leg starts from the
-    store's last node, with the first step and step cap the kernel derives."""
-    xs, vs, ps = store
-    h0, hmax = (1e-2, sh._HMAX_OUTER) if outer else (min(1e-3, xs[-1]), math.inf)
-    return _rk_reference(outer, l, xs[-1], vs[-1], ps[-1], x1, tol, h0, xs, vs, ps, hmax)[2]
+    """The references behind the kernel's signature: the first-order loop on
+    the inner leg, the Nystrom loop on the log-radial leg."""
+    x0, v0, p0, h0, hmax = _leg_start(outer, store)
+    if outer:
+        return _rk_nystrom_reference(l, x0, v0, p0, x1, tol, h0, *store, hmax)
+    return _rk_reference(False, l, x0, v0, p0, x1, tol, h0, *store, hmax)
+
+
+def _rk_first_order_on_store(outer, l, x1, tol, store):
+    """The first-order loop on both legs, behind the kernel's signature."""
+    x0, v0, p0, h0, hmax = _leg_start(outer, store)
+    return _rk_reference(outer, l, x0, v0, p0, x1, tol, h0, *store, hmax)
 
 
 def _assert_same_shot(new, ref):
@@ -407,8 +513,12 @@ def _assert_same_shot(new, ref):
     assert new.rejected_steps == ref.rejected_steps
 
 
-@pytest.mark.parametrize("l", [0.0, 0.5, 1.0, 2.0])
-@pytest.mark.parametrize("s", [-6.0, -5.0, 0.0, math.log(12.0), 8.0, 10.0])
+KERNEL_LS = [0.0, 0.5, 1.0, 2.0]
+KERNEL_SS = [-6.0, -5.0, 0.0, math.log(12.0), 8.0, 10.0]
+
+
+@pytest.mark.parametrize("l", KERNEL_LS)
+@pytest.mark.parametrize("s", KERNEL_SS)
 def test_unrolled_kernel_matches_reference_bit_for_bit(monkeypatch, l, s):
     new = sh.shoot(l, s)
     monkeypatch.setattr(sh, "_rk_adaptive", _rk_reference_on_store)
@@ -431,6 +541,25 @@ def test_unrolled_kernel_matches_reference_through_far_field_extension(monkeypat
     assert new.r_grid[-1] > 2.0 * r_max          # the extension loop ran
     monkeypatch.setattr(sh, "_rk_adaptive", _rk_reference_on_store)
     _assert_same_shot(new, sh.shoot(2.0, 12.0, r_max=r_max))
+
+
+def test_nystrom_leg_takes_the_first_order_steps(monkeypatch):
+    """The Nystrom form is the same method as the first-order loop: on every
+    shot the bit-for-bit tests cover, the same accepted and rejected steps,
+    the inner leg identical and the masses and c_asym within rounding."""
+    shots = ([(l, s, 1e6) for l in KERNEL_LS for s in KERNEL_SS]
+             + [(l, s, 1e6) for l, s in CURVES_GRID + [(2.0, 7.0)]] + [(2.0, 12.0, 50.0)])
+    new = [sh.shoot(l, s, r_max=r_max) for l, s, r_max in shots]
+    monkeypatch.setattr(sh, "_rk_adaptive", _rk_first_order_on_store)
+    for a, (l, s, r_max) in zip(new, shots):
+        b = sh.shoot(l, s, r_max=r_max)
+        j = a.junction
+        assert (len(a.r_grid), a.rejected_steps, j) == (len(b.r_grid), b.rejected_steps, b.junction)
+        assert all(np.array_equal(x[:j], y[:j]) for x, y in zip(a.nodes, b.nodes))
+        assert abs(a.beta_mass - b.beta_mass) <= 1e-12
+        assert abs(a.beta_slope - b.beta_slope) <= 1e-12
+        assert abs(a.c_asym - b.c_asym) <= 1e-11
+        assert a.verdict == b.verdict
 
 
 def test_rejected_steps_count_repeats():
