@@ -22,8 +22,10 @@ module, and if it survives those, against the rest of the Tier-1 suite (hypothes
 seeded, the ledger's own test left out: it reads the ledger, not the program).
 The survivors of both passes make the ledger, results/mutants.csv, one row per
 mutant.  A row keeps the class and reason of the previous ledger's row with
-the same module, source line, column and mutation; a new survivor's class is left
-empty, for a reader to give (tests/test_mutation_ledger.py fails until then):
+the same module, source line, column less the line's indentation (the row's
+indent) and mutation, so a statement moved into or out of a block keeps them; a
+new survivor's class is left empty, for a reader to give
+(tests/test_mutation_ledger.py fails until then):
 
     dead       the line changes no reachable result: it goes
     test-only  only tests and perfbench's tracer reach it
@@ -58,7 +60,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LEDGER = ROOT / "results" / "mutants.csv"
 SKIPPED = {"acceptance", "__init__", "errors"}
-COLUMNS = ["module", "line", "col", "source", "mutation", "oracle", "class", "reason"]
+COLUMNS = ["module", "line", "col", "indent", "source", "mutation", "oracle", "class", "reason"]
 JOBS = 2                    # mutants run at once
 ORACLE_TIMEOUT = 30.0       # s; a clean oracle run takes about 1.3 s
 SUITE_TIMEOUT = 120.0       # s; the whole Tier-1 suite takes about 15 s
@@ -192,8 +194,10 @@ def read_ledger(path: Path) -> list[dict]:
 
 
 def _key(row: dict, seen: dict) -> tuple:
-    """module, source, column and mutation, with the count of earlier rows that share them."""
-    base = (row["module"], row["source"], str(row["col"]), row["mutation"])
+    """module, source, column less the line's indentation and mutation, with the
+    count of earlier rows that share them: a statement moved into or out of a
+    block keeps its key."""
+    base = (row["module"], row["source"], int(row["col"]) - int(row["indent"]), row["mutation"])
     seen[base] = seen.get(base, -1) + 1
     return (*base, seen[base])
 
@@ -232,8 +236,9 @@ def sweep(modules: list[str], workdir: Path | None, log) -> tuple[list[dict], di
                 counts[module][fate] += 1
                 log(f"{module}:{line}:{col} {old} -> {new}: {fate}")
                 if fate in ("same", "changed"):
+                    text = source.splitlines()[line - 1]
                     rows.append({"module": module, "index": index, "line": line, "col": col,
-                                 "source": source.splitlines()[line - 1].strip(),
+                                 "indent": len(text) - len(text.lstrip()), "source": text.strip(),
                                  "mutation": f"{old} -> {new}", "oracle": fate})
 
         with ThreadPoolExecutor(max_workers=JOBS) as pool:

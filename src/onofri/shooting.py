@@ -1,19 +1,18 @@
 """Radial shooting for the planar equation  v'' + v'/r + (1+r^2)^l e^v = 0.
 
-The profile starts from a fourth-order series at r0 = 1e-4 (the ODE is 0/0 at
-the origin), integrates in r up to r = 1, then switches to t = log r where the
-far field is asymptotically linear, v ~ -beta t + c.  One Cash-Karp kernel
-integrates both legs with their right-hand sides inline, the inner leg in
-first-order form and the log-radial leg, V'' = -q(t, V) with no W on the
-right, in the Nystrom form of the same pair, which forms no W stage sums.  It
-measures the error of v against the tolerance itself, not relative to |v|,
-which grows like beta t there.  Two mass estimates are formed along
-independent paths:
+The profile starts from a fourth-order series at a radius r0 that shrinks with
+the scales e^{-s/2} and l^{-1/2} (the ODE is 0/0 at the origin) and is
+integrated as one leg in t = log r, where the far field is asymptotically
+linear, v ~ -beta t + c: V'' = -q(t, V) with q = r^2 (1+r^2)^l e^v, which has
+no V' on the right.  One Cash-Karp kernel steps it in Nystrom form with q
+inline, and measures the error of V against the tolerance itself, not
+relative to |V|, which grows like beta t.  Two mass estimates are formed
+along independent paths:
 
-* beta_slope: the ODE state -r v'(r) at the endpoint plus an analytic tail,
-* beta_mass: quadrature of (1+r^2)^l e^v over the stored profile plus the same
-  tail.  Between stored nodes v is the quintic Hermite interpolant of v, v'
-  and v'' (v'' is the ODE right-hand side at the node), integrated by
+* beta_slope: the ODE state -V'(t) at the endpoint plus an analytic tail,
+* beta_mass: the series' disk mass plus quadrature of q over the stored
+  profile plus the same tail.  Between stored nodes V is the quintic Hermite
+  interpolant of V, V' and V'' (V'' = -q at the node), integrated by
   three-point Gauss per interval; both are sixth order in the node spacing,
   above the integrator's fifth, so the adaptive steps chosen for the ODE
   tolerance also resolve the mass and no step cap serves the quadrature.
@@ -37,131 +36,77 @@ from .errors import NonConvergenceError
 from .rootsearch import RootSearch, search_curve
 
 
-def _rk_adaptive(outer, l, x1, tol, store):
-    """Cash-Karp 5(4) embedded pair for one leg of the radial equation, v' = p.
+def _rk_adaptive(l, x1, tol, store):
+    """Cash-Karp 5(4) embedded pair for the radial equation in t = log r.
 
-    Inner leg (outer false): x = r and p' = -p/r - (1+r^2)^l e^v, in first-order
-    form.  Log-radial leg: x = t = log r, (v, p) = (V, W) and
-    W' = -exp((2+2l) t + l log1p(e^{-2t}) + V), which does not read W, in the
-    Nystrom form of the same pair: stage i reads V + h (c_i W + h (A^2 k)_i),
-    the step adds h (W + h (bA) k) to V and h (b k) to W, and the v error is
-    h^2 |(eA) k|, so the leg forms no W stage sums and takes the steps of the
-    first-order form.  Each leg is one flat scalar loop with the six stages
-    unrolled and its right-hand side inline, and every stage sum keeps the
-    left-to-right order of a generic tableau loop, so the inner leg is
-    bit-identical to the first-order loop and the log-radial leg to the
-    Nystrom loop (both kept as test references).  Stage 5 sits at x + h, the
-    next node, so its weight factor, (1+r^2)^l or (2+2l) t + l log1p(e^{-2t}),
-    is carried into the next step's stage 1.  The error of v is measured
-    against tol and the error of p against tol (1 + |p|): on the log-radial
-    leg V falls like -beta t to about -100, and a v error relative to |V|
-    would loosen the step where the far field builds c_asym and the W the
-    analytic tail starts from.  The leg starts from the last node of store,
-    the shot's node lists (x, v, p), and appends its accepted nodes there; its
-    first step and step cap are min(1e-3, x0) and none on the inner leg, 1e-2
-    and _HMAX_OUTER on the log-radial leg.  Returns the number of rejected
-    steps.
+    With V(t) = v(e^t) and W = V', the equation times r^2 reads
+    V'' = -q(t, V), q = exp((2+2l) t + l log1p(e^{-2t}) + V), whose right-hand
+    side does not read W.  It is stepped in the Nystrom form of the pair:
+    stage i reads V + h (c_i W + h (A^2 k)_i), the step adds h (W + h (bA) k)
+    to V and h (b k) to W, and the V error is h^2 |(eA) k|, so the loop forms
+    no W stage sums and takes the steps of the first-order form.  It is one
+    flat scalar loop with the six stages unrolled and q inline, and every
+    stage sum keeps the left-to-right order of a generic tableau loop, to
+    which it is bit-identical (kept as a test reference).  Stage 5 sits at
+    t + h, the next node, so its log weight is carried into the next step's
+    stage 1.  The error of V is measured against tol and the error of W
+    against tol (1 + |W|): V falls like -beta t to about -100, and an error
+    relative to |V| would loosen the step where the far field builds c_asym
+    and the W the analytic tail starts from.  The leg starts from the last
+    node of store, the shot's node lists (t, V, W), and appends its accepted
+    nodes there; its first step is 1e-2 and its step cap _HMAX.  Returns the
+    number of rejected steps.
     """
     # tableau (Cash & Karp 1990); the zero weights b2, b5 and e2 are omitted
     c2, c3, c4, c6 = 1.0 / 5.0, 3.0 / 10.0, 3.0 / 5.0, 7.0 / 8.0     # c5 = 1
     b1, b3, b4, b6 = 37.0 / 378.0, 250.0 / 621.0, 125.0 / 594.0, 512.0 / 1771.0
     e1, e3, e4, e5, e6 = (-277.0 / 64512.0, 6925.0 / 370944.0, -6925.0 / 202752.0,
                           -277.0 / 14336.0, 277.0 / 7084.0)
-    exp = math.exp
+    # Nystrom coefficients A^2, bA and eA (zero entries omitted)
+    q31 = 9.0 / 200.0
+    q41, q42 = -9.0 / 100.0, 27.0 / 100.0
+    q51, q52, q53 = 25.0 / 36.0, -7.0 / 4.0, 14.0 / 9.0
+    q61, q62, q63, q64 = (4949.0 / 27648.0, -805.0 / 4096.0, 8855.0 / 27648.0,
+                          8855.0 / 110592.0)
+    ba1, ba3, ba4, ba5 = 11.0 / 108.0, 50.0 / 189.0, 25.0 / 216.0, 1.0 / 56.0
+    ea1, ea3, ea4, ea5 = (-277.0 / 73728.0, 1385.0 / 129024.0, -1385.0 / 147456.0,
+                          277.0 / 114688.0)
+    exp, log1p = math.exp, math.log1p
+    two_l2 = 2.0 + 2.0 * l
     add_x, add_v, add_p = (nodes.append for nodes in store)
     x, v, p = (nodes[-1] for nodes in store)
     steps = rejected = 0
-    if outer:
-        # Nystrom coefficients A^2, bA and eA (zero entries omitted)
-        q31 = 9.0 / 200.0
-        q41, q42 = -9.0 / 100.0, 27.0 / 100.0
-        q51, q52, q53 = 25.0 / 36.0, -7.0 / 4.0, 14.0 / 9.0
-        q61, q62, q63, q64 = (4949.0 / 27648.0, -805.0 / 4096.0, 8855.0 / 27648.0,
-                              8855.0 / 110592.0)
-        ba1, ba3, ba4, ba5 = 11.0 / 108.0, 50.0 / 189.0, 25.0 / 216.0, 1.0 / 56.0
-        ea1, ea3, ea4, ea5 = (-277.0 / 73728.0, 1385.0 / 129024.0, -1385.0 / 147456.0,
-                              277.0 / 114688.0)
-        log1p = math.log1p
-        two_l2 = 2.0 + 2.0 * l
-        h, hmax = 1e-2, _HMAX_OUTER
-        g1 = two_l2 * x + l * log1p(exp(-2.0 * x))
-        while x < x1:
-            if hmax < h:
-                h = hmax
-            if x + h > x1:
-                h = x1 - x
-            # stage j is at xj; its W slope kj is -exp(the log weight at xj + its V)
-            k1 = -exp(g1 + v)
-            x2 = x + c2 * h
-            k2 = -exp(two_l2 * x2 + l * log1p(exp(-2.0 * x2)) + (v + h * (c2 * p)))
-            x3 = x + c3 * h
-            k3 = -exp(two_l2 * x3 + l * log1p(exp(-2.0 * x3))
-                      + (v + h * (c3 * p + h * (q31 * k1))))
-            x4 = x + c4 * h
-            k4 = -exp(two_l2 * x4 + l * log1p(exp(-2.0 * x4))
-                      + (v + h * (c4 * p + h * (q41 * k1 + q42 * k2))))
-            x5 = x + h
-            g5 = two_l2 * x5 + l * log1p(exp(-2.0 * x5))
-            k5 = -exp(g5 + (v + h * (p + h * (q51 * k1 + q52 * k2 + q53 * k3))))
-            x6 = x + c6 * h
-            k6 = -exp(two_l2 * x6 + l * log1p(exp(-2.0 * x6))
-                      + (v + h * (c6 * p + h * (q61 * k1 + q62 * k2 + q63 * k3 + q64 * k4))))
-            err_v = abs(h * (h * (ea1 * k1 + ea3 * k3 + ea4 * k4 + ea5 * k5))) / tol
-            err_p = (abs(h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6))
-                     / (tol * (1.0 + abs(p))))
-            err = err_p if err_p > err_v else err_v
-            if err <= 1.0:
-                v = v + h * (p + h * (ba1 * k1 + ba3 * k3 + ba4 * k4 + ba5 * k5))
-                p = p + h * (b1 * k1 + b3 * k3 + b4 * k4 + b6 * k6)
-                x, g1 = x5, g5
-                add_x(x)
-                add_v(v)
-                add_p(p)
-            else:
-                rejected += 1
-            fac = 0.9 * (err ** -0.2) if err > 0 else 5.0
-            fac = fac if fac > 0.2 else 0.2
-            h *= fac if fac < 5.0 else 5.0
-            steps += 1
-            if steps > MAX_STEPS:
-                raise NonConvergenceError("adaptive integrator exceeded the step budget", best=x)
-        return rejected
-    a21 = 1.0 / 5.0
-    a31, a32 = 3.0 / 40.0, 9.0 / 40.0
-    a41, a42, a43 = 3.0 / 10.0, -9.0 / 10.0, 6.0 / 5.0
-    a51, a52, a53, a54 = -11.0 / 54.0, 5.0 / 2.0, -70.0 / 27.0, 35.0 / 27.0
-    a61, a62, a63, a64, a65 = (1631.0 / 55296.0, 175.0 / 512.0, 575.0 / 13824.0,
-                               44275.0 / 110592.0, 253.0 / 4096.0)
-    h = min(1e-3, x)
-    w1 = (1.0 + x * x) ** l
+    h, hmax = 1e-2, _HMAX
+    g1 = two_l2 * x + l * log1p(exp(-2.0 * x))
     while x < x1:
+        if hmax < h:
+            h = hmax
         if x + h > x1:
             h = x1 - x
-        # stage j is at (xj, vj, pj), slopes pj and kj; w1, w5: (1+r^2)^l at x and x + h
-        k1 = -p / x - w1 * exp(v)
-        x2, v2, p2 = x + c2 * h, v + h * (a21 * p), p + h * (a21 * k1)
-        k2 = -p2 / x2 - (1.0 + x2 * x2) ** l * exp(v2)
-        x3, v3 = x + c3 * h, v + h * (a31 * p + a32 * p2)
-        p3 = p + h * (a31 * k1 + a32 * k2)
-        k3 = -p3 / x3 - (1.0 + x3 * x3) ** l * exp(v3)
-        x4, v4 = x + c4 * h, v + h * (a41 * p + a42 * p2 + a43 * p3)
-        p4 = p + h * (a41 * k1 + a42 * k2 + a43 * k3)
-        k4 = -p4 / x4 - (1.0 + x4 * x4) ** l * exp(v4)
-        x5, v5 = x + h, v + h * (a51 * p + a52 * p2 + a53 * p3 + a54 * p4)
-        p5 = p + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
-        w5 = (1.0 + x5 * x5) ** l
-        k5 = -p5 / x5 - w5 * exp(v5)
-        x6, v6 = x + c6 * h, v + h * (a61 * p + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
-        p6 = p + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5)
-        k6 = -p6 / x6 - (1.0 + x6 * x6) ** l * exp(v6)
-        err_v = abs(h * (e1 * p + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6)) / tol
+        # stage j is at xj; its W slope kj is -exp(the log weight at xj + its V)
+        k1 = -exp(g1 + v)
+        x2 = x + c2 * h
+        k2 = -exp(two_l2 * x2 + l * log1p(exp(-2.0 * x2)) + (v + h * (c2 * p)))
+        x3 = x + c3 * h
+        k3 = -exp(two_l2 * x3 + l * log1p(exp(-2.0 * x3))
+                  + (v + h * (c3 * p + h * (q31 * k1))))
+        x4 = x + c4 * h
+        k4 = -exp(two_l2 * x4 + l * log1p(exp(-2.0 * x4))
+                  + (v + h * (c4 * p + h * (q41 * k1 + q42 * k2))))
+        x5 = x + h
+        g5 = two_l2 * x5 + l * log1p(exp(-2.0 * x5))
+        k5 = -exp(g5 + (v + h * (p + h * (q51 * k1 + q52 * k2 + q53 * k3))))
+        x6 = x + c6 * h
+        k6 = -exp(two_l2 * x6 + l * log1p(exp(-2.0 * x6))
+                  + (v + h * (c6 * p + h * (q61 * k1 + q62 * k2 + q63 * k3 + q64 * k4))))
+        err_v = abs(h * (h * (ea1 * k1 + ea3 * k3 + ea4 * k4 + ea5 * k5))) / tol
         err_p = (abs(h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6))
                  / (tol * (1.0 + abs(p))))
         err = err_p if err_p > err_v else err_v
         if err <= 1.0:
-            v = v + h * (b1 * p + b3 * p3 + b4 * p4 + b6 * p6)
+            v = v + h * (p + h * (ba1 * k1 + ba3 * k3 + ba4 * k4 + ba5 * k5))
             p = p + h * (b1 * k1 + b3 * k3 + b4 * k4 + b6 * k6)
-            x, w1 = x5, w5
+            x, g1 = x5, g5
             add_x(x)
             add_v(v)
             add_p(p)
@@ -187,12 +132,10 @@ class RadialSolution:
     c_asym: float
     verdict: str            # "converged" or "unresolved"
     rejected_steps: int     # accepted steps are len(r_grid) - 1
-    nodes: tuple            # accepted (r, v, v') from r0 to 1, then (t = log r, V, W = dV/dt)
-    junction: int           # index of the first node in t, t = 0
-    # (c, cq, h, xq): c = (1+r^2)^l e^v on the inner leg and q = r^2 c on the outer
-    # leg, at the nodes and at the three Gauss nodes xq of every interval (shape
-    # (3, intervals)), and the interval widths h; h and cq are zero on the empty
-    # interval from r = 1 to t = 0.  beta_mass sums them and beta_prime reads them
+    nodes: tuple            # accepted (t = log r, V, W = dV/dt) from t0 = log r0
+    # (c, cq, h): q = r^2 (1+r^2)^l e^v at the nodes and at the three Gauss
+    # nodes of every interval (shape (3, intervals)), and the interval widths.
+    # beta_mass sums them and beta_prime reads them
     weights: tuple
 
 
@@ -232,26 +175,25 @@ def _hermite_at(h: np.ndarray, v: np.ndarray, dv: np.ndarray, d2v: np.ndarray) -
             + b3 * v[1:] + b4 * (h * dv[1:]) + b5 * (h2 * d2v[1:]))
 
 
-def _weight(l, r, v):
-    """(1+r^2)^l e^v = -(v'' + v'/r) on the inner leg."""
-    return (1.0 + r * r) ** l * np.exp(v)
-
-
 def _q(l, t, v):
-    """r^2 (1+r^2)^l e^v = -V'' on the outer leg, t = log r."""
+    """r^2 (1+r^2)^l e^v = -V'' in t = log r."""
     return np.exp((2.0 + 2.0 * l) * t + l * np.log1p(np.exp(-2.0 * t)) + v)
 
 
 # A decay rate at t_cap below this many ODE tolerances is unresolved.
 _RATE_RESOLUTION = 100.0
 
-# Step cap on the log-radial leg.  The quintic mass rule needs no cap of its
-# own, and the absolute v error keeps the far field accurate.  This cap only
-# keeps the step at the leg's unit scale: at 1.0 the far-field tests against
-# r_max = 1e80 use 0.93 of their bound (0.25 at a cap of 0.12, 0.98 at 1.5).
-_HMAX_OUTER = 1.0
-MAX_STEPS = 200000      # steps, accepted or rejected, of one leg before _rk_adaptive gives up
+# Step cap of the integrator.  The quintic mass rule needs no cap of its own,
+# and the absolute v error keeps the far field accurate.  This cap only keeps
+# the step at the leg's unit scale: at 1.0 the far-field tests against
+# r_max = 1e80 use 0.94 of their bound (0.26 at a cap of 0.12, 0.98 at 1.5).
+_HMAX = 1.0
+MAX_STEPS = 200000      # steps, accepted or rejected, of one call before _rk_adaptive gives up
 TOL = 1e-10             # error tolerance of the adaptive integrator
+# r0^6 = _START_ERROR TOL / M^3 with M = max(1, e^s, |l|), so r0 = 0.01 / sqrt(M)
+# at TOL = 1e-10: the series' first omitted term a6 r0^6 stays below TOL / 2600,
+# since |a6| <= M^3 / 26
+_START_ERROR = 1e-2
 
 
 R_MAX_FLOOR = 50.0      # an r_max below this cannot anchor the asymptote
@@ -268,8 +210,7 @@ def finite_start(s: float) -> bool:
 
 
 def finite_weight(l: float) -> bool:
-    """Whether l is nonnegative and 2^l, the weight (1+r^2)^l at r = 1, is finite:
-    every shot passes r = 1, and past that power the weight overflows."""
+    """Whether l is nonnegative and 2^l, the weight (1+r^2)^l at r = 1, is finite."""
     try:
         return 0.0 <= l and math.isfinite(2.0**l)
     except OverflowError:
@@ -302,29 +243,28 @@ def _integrate(l: float, s: float, r_max: float) -> RadialSolution:
     es = math.exp(s)
     a2 = -es / 4.0
     a4 = -es * (l + a2) / 16.0
-    # keep the series truncation error under control for concentrated starts
-    r0 = min(1e-4, 0.01 * math.exp(-max(s, 0.0) / 2.0))
+    r0 = (_START_ERROR * TOL) ** (1.0 / 6.0) / math.sqrt(max(1.0, es, abs(l)))
 
-    xs, vs, ps = store = [r0], [s + a2 * r0**2 + a4 * r0**4], [2.0 * a2 * r0 + 4.0 * a4 * r0**3]
-    rejected = _rk_adaptive(False, l, 1.0, TOL, store)
-
-    # the leg ends at r_max, or is extended in steps of 10 in t while the
-    # decay rate has not cleanly emerged (slow saturation toward beta = 2l+2
-    # happens for strongly negative or large s)
-    junction = len(xs)
-    xs.append(0.0)                      # t = 0 at r = 1, where W = r v' = v'
-    vs.append(vs[-1])
-    ps.append(ps[-1])
-    t_next = math.log(r_max)
-    t_cap = max(t_next, 60.0)
-    while xs[-1] < t_next:
-        rejected += _rk_adaptive(True, l, t_next, TOL, store)
-        if -(2.0 + 2.0 * l + ps[-1]) <= 0.1:
-            t_next = min(xs[-1] + 10.0, t_cap)
+    # V = v(r0) and W = r0 v'(r0) from the series; the leg ends at r_max, or is
+    # extended in steps of 10 in t while the decay rate has not cleanly emerged
+    # (slow saturation toward beta = 2l+2 happens for strongly negative or large s)
+    xs, vs, ps = store = ([math.log(r0)], [s + a2 * r0**2 + a4 * r0**4],
+                          [2.0 * a2 * r0**2 + 4.0 * a4 * r0**4])
+    t_cap = max(math.log(r_max), 60.0)
+    rejected = _rk_adaptive(l, math.log(r_max), TOL, store)
+    while -(2.0 + 2.0 * l + ps[-1]) <= 0.1 and xs[-1] < t_cap:
+        rejected += _rk_adaptive(l, min(xs[-1] + 10.0, t_cap), TOL, store)
     t_max, V_end, W_end = xs[-1], vs[-1], ps[-1]
 
+    # the mass integrand q at the nodes and at the Gauss nodes, with V from its
+    # quintic Hermite interpolant (V'' = -q at the nodes)
+    x, v, p = np.array(store)
+    h = x[1:] - x[:-1]
+    c = _q(l, x, v)
+    cq = _q(l, x[:-1] + _GAUSS3_NODES[:, None] * h, _hermite_at(h, v, p, -c))
+
     rate = -(2.0 + 2.0 * l + W_end)
-    q_end = math.exp((2.0 + 2.0 * l) * t_max + l * math.log1p(math.exp(-2.0 * t_max)) + V_end)
+    q_end = float(c[-1])
     # d log q/dt = -rate - 2l/(1 + e^{2t}) <= -rate and the rate only grows
     # (W' = -q < 0), so every radial mass is finite; a rate not above
     # _RATE_RESOLUTION * TOL at t_cap says only that the far field was not
@@ -337,38 +277,22 @@ def _integrate(l: float, s: float, r_max: float) -> RadialSolution:
     settled = math.sqrt(rate * rate + 2.0 * q_end)
     tail = 2.0 * q_end / (settled + rate) if rate > 0.0 else settled - rate
     beta_slope = -W_end + tail
-
-    # the mass integrands at the Gauss nodes, with v from its quintic Hermite
-    # interpolant (v'' from the ODE at the nodes); interval k joins r = 1 to
-    # t = 0 and is empty
-    x, v, p = np.array(store)
-    j, k = junction, junction - 1
-    h = x[1:] - x[:-1]
-    h[k] = 0.0
-    xq = x[:-1] + _GAUSS3_NODES[:, None] * h
-    c = np.concatenate([_weight(l, x[:j], v[:j]), _q(l, x[j:], v[j:])])
-    vq = _hermite_at(h, v, p, np.concatenate([-p[:j] / x[:j] - c[:j], -c[j:]]))
-    cq = np.concatenate([_weight(l, xq[:, :k], vq[:, :k]), np.zeros((3, 1)),
-                         _q(l, xq[:, j:], vq[:, j:])], axis=1)
-    wh = _GAUSS3_WEIGHTS[:, None] * h
     mass = es * (r0**2 / 2.0 + (l + a2) * r0**4 / 4.0)
-    mass += float(np.add.reduce(wh[:, :k] * (cq[:, :k] * xq[:, :k]), axis=None))
-    mass += float(np.add.reduce(wh[:, j:] * cq[:, j:], axis=None))
-    beta_mass = mass + tail
+    beta_mass = mass + float(np.add.reduce((_GAUSS3_WEIGHTS[:, None] * h) * cq, axis=None)) + tail
     c_asym = (V_end + beta_slope * t_max + 2.0 * math.log1p(tail / (settled + rate))
               if rate > 0.0 else math.nan)
-    # for l > 0 every finite mass lies strictly inside (4, upper); one on or past an
-    # edge differs from it by less than the integration error.  No l < 0 mass passes.
+    # for l > 0 every finite mass lies strictly inside (4, upper), and one within
+    # the rate's resolution of an edge is not told from it: at l = 1 the rate at
+    # t_cap and beta - 4 are one quantity.  No l < 0 mass passes.
     _, upper = mass_window(l)
-    inside = l == 0.0 or 4.0 < beta_mass < upper
     resolution = _RATE_RESOLUTION * TOL
+    inside = l == 0.0 or 4.0 + resolution < beta_mass < upper - resolution
     verdict = "converged" if rate > resolution and inside else "unresolved"
 
-    return RadialSolution(l=l, s=s, r_grid=np.concatenate([x[:j], np.exp(x[j + 1:])]),
-                          values=np.concatenate([v[:j], v[j + 1:]]),
+    return RadialSolution(l=l, s=s, r_grid=np.exp(x), values=v,
                           beta_mass=float(beta_mass), beta_slope=float(beta_slope),
                           c_asym=float(c_asym), verdict=verdict, rejected_steps=rejected,
-                          nodes=(x, v, p), junction=junction, weights=(c, cq, h, xq))
+                          nodes=(x, v, p), weights=(c, cq, h))
 
 
 # Butcher matrix of the three-stage Gauss collocation method (order 6) on the
@@ -382,20 +306,20 @@ _GAUSS3_A2 = (_GAUSS3_A[:, :, None] * _GAUSS3_A[None, :, :]).sum(axis=1)
 _GAUSS3_BA = (_GAUSS3_WEIGHTS[:, None] * _GAUSS3_A).sum(axis=0)
 
 
-def _jacobi_at_nodes(h, c, d, w0, z0):
-    """Solution (w, w') of w'' + d w' + c w = 0 at the nodes from (w0, z0).
+def _jacobi_at_nodes(h, c, w0, z0):
+    """Solution (Y, Y') of Y'' + c Y = 0 at the nodes from (w0, z0).
 
-    h holds the interval widths, c and d the coefficients at the three Gauss
+    h holds the interval widths and c the coefficient at the three Gauss
     nodes of every interval, shape (3, intervals).  Gauss collocation gives
     each interval's 2x2 propagator (one batched 3x3 solve for the stage
-    derivatives m_j = w''(x_j) of both columns), and the propagators are
+    derivatives m_j = Y''(x_j) of both columns), and the propagators are
     chained from the first node.
     """
     hh = h[:, None, None]
-    c, d = c.T[:, :, None], d.T[:, :, None]                       # (interval, stage, 1)
-    # m = -c (w + h G z + h^2 A^2 m) - d (z + h A m)
-    lhs = np.eye(3) + c * hh * hh * _GAUSS3_A2 + d * hh * _GAUSS3_A
-    rhs = np.concatenate([-c, -(c * hh * _GAUSS3_NODES[:, None] + d)], axis=2)
+    c = c.T[:, :, None]                                            # (interval, stage, 1)
+    # m = -c (Y + h G Y' + h^2 A^2 m)
+    lhs = np.eye(3) + c * hh * hh * _GAUSS3_A2
+    rhs = np.concatenate([-c, -c * hh * _GAUSS3_NODES[:, None]], axis=2)
     m = np.linalg.solve(lhs, rhs)                                  # columns: w0 = 1, z0 = 1
     bam = (_GAUSS3_BA[:, None] * m).sum(axis=1)
     bm = (_GAUSS3_WEIGHTS[:, None] * m).sum(axis=1)
@@ -415,36 +339,31 @@ def beta_prime(sol: RadialSolution) -> tuple[float, float]:
     """d(beta)/ds of a converged shot as (slope form, mass form).
 
     The Jacobi field w = dv/ds solves w'' + w'/r + (1+r^2)^l e^v w = 0 with
-    w(0) = 1, w'(0) = 0 on the inner leg and Y'' = -q Y (Y = w in t = log r)
-    on the outer leg.  It is integrated after the shot, on the shot's own
-    accepted nodes, by Gauss collocation on the interval widths, Gauss nodes
-    and weights that the shot's mass rule formed (sol.weights; both sixth
-    order).  The two forms differentiate the two mass estimators: -Y'(t_max)
-    plus the derivative of the closed-form tail, and the series term plus the
-    quintic Hermite quadrature of (1+r^2)^l e^v w r and q Y plus the same
-    tail derivative.  Their agreement certifies the slope.
+    w(0) = 1, w'(0) = 0; in t = log r, Y(t) = w(e^t) solves Y'' = -q Y from
+    Y(t0) = w(r0) and Y'(t0) = r0 w'(r0), taken from the series.  It is
+    integrated after the shot, on the shot's own accepted nodes, by Gauss
+    collocation on the interval widths, Gauss nodes and weights that the
+    shot's mass rule formed (sol.weights; both sixth order).  The two forms
+    differentiate the two mass estimators: -Y'(t_max) plus the derivative of
+    the closed-form tail, and the series term plus the quintic Hermite
+    quadrature of q Y plus the same tail derivative.  Their agreement
+    certifies the slope.
     """
     if sol.verdict != "converged":
         raise ValueError(f"beta_prime needs a converged shot, not {sol.verdict!r}")
     l = sol.l
-    x, _, W = sol.nodes
-    j, k = sol.junction, sol.junction - 1
+    _, _, W = sol.nodes
     es = math.exp(sol.s)
     a2 = -es / 4.0
     da4 = -es * (l + 2.0 * a2) / 16.0        # d/ds of the series' r^4 coefficient
-    r0 = float(x[0])
+    r0 = float(sol.r_grid[0])
 
-    c, cq, h, xq = sol.weights
-    # one chain through both legs: at r = 1, Y = w and dY/dt = r w' = w', and
-    # the empty interval's propagator is the identity
-    d = np.concatenate([1.0 / xq[:, :k], np.zeros((3, len(h) - k))], axis=1)
-    w, z = _jacobi_at_nodes(h, cq, d, 1.0 + a2 * r0**2 + da4 * r0**4,
-                            2.0 * a2 * r0 + 4.0 * da4 * r0**3)
-    wq = _hermite_at(h, w, z, np.concatenate([-z[:j] / x[:j] - c[:j] * w[:j], -c[j:] * w[j:]]))
-    wh = _GAUSS3_WEIGHTS[:, None] * h
+    c, cq, h = sol.weights
+    w, z = _jacobi_at_nodes(h, cq, 1.0 + a2 * r0**2 + da4 * r0**4,
+                            2.0 * a2 * r0**2 + 4.0 * da4 * r0**4)
+    wq = _hermite_at(h, w, z, -c * w)
     mass = es * (r0**2 / 2.0 + (l + 2.0 * a2) * r0**4 / 4.0)
-    mass += float(np.add.reduce(wh[:, :k] * cq[:, :k] * wq[:, :k] * xq[:, :k], axis=None))
-    mass += float(np.add.reduce(wh[:, j:] * cq[:, j:] * wq[:, j:], axis=None))
+    mass += float(np.add.reduce((_GAUSS3_WEIGHTS[:, None] * h) * cq * wq, axis=None))
 
     # tail = R - rate with R = sqrt(rate^2 + 2 q_end): d tail = (dq_end - tail d rate) / R,
     # where d rate = -Y'(t_max) and dq_end = q_end Y(t_max)

@@ -228,7 +228,7 @@ def test_reports_are_strict_json(tmp_path, monkeypatch):
     runs all fail has no minimum (infinity) nor mean iteration count (NaN):
     both reports hold null there, and the scan's CSV spells them inf and nan."""
     out = tmp_path / "shoot.json"
-    assert cli.main(["shoot", "--l", "1", "--s", "36", "--out", str(out)]) == cli.EXIT_OK
+    assert cli.main(["shoot", "--l", "0", "--s", "-130", "--out", str(out)]) == cli.EXIT_OK
     row = _strict_json(out)["rows"][0]
     assert row["verdict"] == "unresolved" and row["c_asym"] is None
 

@@ -6,11 +6,15 @@ a line that should have gone.  A row whose source line no longer occurs in its
 module is stale: re-sweep that module (--modules).
 """
 import csv
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location("mutation_sweep", ROOT / "scripts" / "mutation_sweep.py")
+sweep = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(sweep)
 CLASSES = {"dead", "test-only", "perf", "margin", "guard", "gap"}
 
 with (ROOT / "results" / "mutants.csv").open(newline="") as fh:
@@ -34,3 +38,20 @@ def test_no_row_is_dead():
 def test_every_source_line_still_occurs(module):
     lines = {line.strip() for line in (ROOT / "src" / "onofri" / f"{module}.py").read_text().splitlines()}
     assert [_name(r) for r in ROWS if r["module"] == module and r["source"] not in lines] == []
+
+
+def test_key_follows_a_statement_into_another_block():
+    """A ledger row's key is its column less its line's indentation: the same
+    statement one block shallower keeps its key, and the count of earlier
+    rows with that key tells repeated mutants on one line apart."""
+    def row(col, indent, mutation="<= -> <"):
+        return {"module": "shooting", "source": "if err <= 1.0:", "col": str(col),
+                "indent": str(indent), "mutation": mutation}
+
+    old, new = {}, {}
+    first = sweep._key(row(15, 12), old)
+    assert first == sweep._key(row(11, 8), new)
+    second = sweep._key(row(15, 12), old)
+    assert second == (*first[:-1], 1) == sweep._key(row(11, 8), new)
+    assert sweep._key(row(15, 12), {}) != sweep._key(row(15, 8), {})
+    assert sweep._key(row(15, 12), {}) != sweep._key(row(15, 12, "1.0 -> 1.5"), {})
