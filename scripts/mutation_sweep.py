@@ -6,10 +6,10 @@ A mutant changes one AST site of a module: `+` and `-` swap, `*` and `/` swap
 numeric literal is scaled by 1.5 (an integer gains 1; a float zero, which the
 scaling keeps, gives no mutant).  The mutant is the module's parsed tree with
 that one node changed, written out by ast.unparse; its ledger row names the
-node's first line and column.  Each mutant runs in a fresh interpreter on a
-copy of the tree, never in the checkout, and is judged by the oracle of
-scripts/row_hashes.py: each criterion run alone, run_verify, the CLI runs and
-the shots, with their fingerprints and verdicts.
+node's first line and column, less the line's indentation.  Each mutant runs
+in a fresh interpreter on a copy of the tree, never in the checkout, and is
+judged by the oracle of scripts/row_hashes.py: each criterion run alone,
+run_verify, the CLI runs and the shots, with their fingerprints and verdicts.
 
     caught   a battery row's verdict, a CLI verdict or an exit code changes
              (the oracle stops at the first output where one does), the run
@@ -22,10 +22,9 @@ module, and if it survives those, against the rest of the Tier-1 suite (hypothes
 seeded, the ledger's own test left out: it reads the ledger, not the program).
 The survivors of both passes make the ledger, results/mutants.csv, one row per
 mutant.  A row keeps the class and reason of the previous ledger's row with
-the same module, source line, column less the line's indentation (the row's
-indent) and mutation, so a statement moved into or out of a block keeps them; a
-new survivor's class is left empty, for a reader to give
-(tests/test_mutation_ledger.py fails until then):
+the same module, source line, column and mutation, so a statement moved into or
+out of a block keeps them; a new survivor's class is left empty, for a reader to
+give (tests/test_mutation_ledger.py fails until then):
 
     dead       the line changes no reachable result: it goes
     test-only  only tests and perfbench's tracer reach it
@@ -60,7 +59,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LEDGER = ROOT / "results" / "mutants.csv"
 SKIPPED = {"acceptance", "__init__", "errors"}
-COLUMNS = ["module", "line", "col", "indent", "source", "mutation", "oracle", "class", "reason"]
+COLUMNS = ["module", "line", "col", "source", "mutation", "oracle", "class", "reason"]
 JOBS = 2                    # mutants run at once
 ORACLE_TIMEOUT = 30.0       # s; a clean oracle run takes about 1.3 s
 SUITE_TIMEOUT = 120.0       # s; the whole Tier-1 suite takes about 15 s
@@ -99,8 +98,11 @@ def _sites(source: str) -> tuple[ast.Module, list]:
 
 def mutants(source: str) -> list[tuple[int, int, str, str]]:
     """(line, column, old, new) of every mutant of the source, in ast.walk order:
-    the mutated node starts at that line (from 1) and column (UTF-8 bytes, from 0)."""
-    return [(node.lineno, node.col_offset, old, new) for node, old, new, _, _ in _sites(source)[1]]
+    the mutated node starts at that line (from 1) and column (UTF-8 bytes, from 0,
+    less the line's indentation, so a statement keeps its column in any block)."""
+    indent = [len(line) - len(line.lstrip()) for line in source.splitlines()]
+    return [(node.lineno, node.col_offset - indent[node.lineno - 1], old, new)
+            for node, old, new, _, _ in _sites(source)[1]]
 
 
 def mutant(source: str, index: int) -> str:
@@ -194,10 +196,8 @@ def read_ledger(path: Path) -> list[dict]:
 
 
 def _key(row: dict, seen: dict) -> tuple:
-    """module, source, column less the line's indentation and mutation, with the
-    count of earlier rows that share them: a statement moved into or out of a
-    block keeps its key."""
-    base = (row["module"], row["source"], int(row["col"]) - int(row["indent"]), row["mutation"])
+    """module, source, column and mutation, with the count of earlier rows that share them."""
+    base = (row["module"], row["source"], str(row["col"]), row["mutation"])
     seen[base] = seen.get(base, -1) + 1
     return (*base, seen[base])
 
@@ -236,9 +236,8 @@ def sweep(modules: list[str], workdir: Path | None, log) -> tuple[list[dict], di
                 counts[module][fate] += 1
                 log(f"{module}:{line}:{col} {old} -> {new}: {fate}")
                 if fate in ("same", "changed"):
-                    text = source.splitlines()[line - 1]
                     rows.append({"module": module, "index": index, "line": line, "col": col,
-                                 "indent": len(text) - len(text.lstrip()), "source": text.strip(),
+                                 "source": source.splitlines()[line - 1].strip(),
                                  "mutation": f"{old} -> {new}", "oracle": fate})
 
         with ThreadPoolExecutor(max_workers=JOBS) as pool:

@@ -219,7 +219,12 @@ def finite_weight(l: float) -> bool:
 
 def mass_window(l: float) -> tuple[float, float]:
     """Edges, in increasing order, of the Pohozaev window of K = (1+|y|^2)^l: int (y.grad K) e^v
-    = pi beta (beta - 4) puts a finite mass beta strictly between them, and at 4 when l = 0."""
+    = pi beta (beta - 4) puts a finite mass beta strictly between them, and at 4 when l = 0.
+
+    A shot tells its mass from an edge only beyond _RATE_RESOLUTION * TOL, an absolute
+    margin: for 0 < l below about 5e-9 the window is narrower than twice it and every
+    shot reads unresolved, and at large l, where the mass error grows with 4(1 + l)
+    (2.7e-8 at l near 1024), a mass within that error of an edge can still read converged."""
     edge = 4.0 * (1.0 + l)
     return min(4.0, edge), max(4.0, edge)
 
@@ -283,7 +288,9 @@ def _integrate(l: float, s: float, r_max: float) -> RadialSolution:
               if rate > 0.0 else math.nan)
     # for l > 0 every finite mass lies strictly inside (4, upper), and one within
     # the rate's resolution of an edge is not told from it: at l = 1 the rate at
-    # t_cap and beta - 4 are one quantity.  No l < 0 mass passes.
+    # t_cap and beta - 4 are one quantity.  No l < 0 mass passes.  The margin is
+    # absolute, so it is too wide for 0 < l < 5e-9 and too narrow at large l
+    # (see mass_window).
     _, upper = mass_window(l)
     resolution = _RATE_RESOLUTION * TOL
     inside = l == 0.0 or 4.0 + resolution < beta_mass < upper - resolution

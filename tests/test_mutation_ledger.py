@@ -41,17 +41,18 @@ def test_every_source_line_still_occurs(module):
 
 
 def test_key_follows_a_statement_into_another_block():
-    """A ledger row's key is its column less its line's indentation: the same
-    statement one block shallower keeps its key, and the count of earlier
-    rows with that key tells repeated mutants on one line apart."""
-    def row(col, indent, mutation="<= -> <"):
-        return {"module": "shooting", "source": "if err <= 1.0:", "col": str(col),
-                "indent": str(indent), "mutation": mutation}
+    """A mutant's column is measured from its line's stripped source, so the
+    same statement at another depth keeps its ledger key, and the count of
+    earlier rows with that key tells repeated mutants on one line apart."""
+    shallow = "if 0.5 <= err <= 1.0:\n    h = 1.0\n"
+    deep = "def step(err):\n    while True:\n        if 0.5 <= err <= 1.0:\n            h = 1.0\n"
 
-    old, new = {}, {}
-    first = sweep._key(row(15, 12), old)
-    assert first == sweep._key(row(11, 8), new)
-    second = sweep._key(row(15, 12), old)
-    assert second == (*first[:-1], 1) == sweep._key(row(11, 8), new)
-    assert sweep._key(row(15, 12), {}) != sweep._key(row(15, 8), {})
-    assert sweep._key(row(15, 12), {}) != sweep._key(row(15, 12, "1.0 -> 1.5"), {})
+    def keys(source):
+        seen = {}
+        return [sweep._key({"module": "shooting", "source": source.splitlines()[line - 1].strip(),
+                            "col": col, "mutation": f"{old} -> {new}"}, seen)
+                for line, col, old, new in sweep.mutants(source)]
+
+    assert sorted(keys(shallow)) == sorted(keys(deep))
+    assert ("shooting", "if 0.5 <= err <= 1.0:", "3", "<= -> <", 0) in keys(shallow)
+    assert ("shooting", "if 0.5 <= err <= 1.0:", "3", "<= -> <", 1) in keys(shallow)
