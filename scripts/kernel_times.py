@@ -22,7 +22,8 @@ takes several Newton steps.
 Prints one JSON object: the environment, and per kernel
 "<module>.<kernel>.L<L>.lanes<n>" (the disk-rule kernels "planar.beta_l.L<L>"
 "eigen.domain_mass.disk3", the shot kernels "shooting.<kernel>.l<l>.s<s>") its
-fastest time in seconds.
+fastest time in seconds, and under "shot_steps" each shot's accepted and
+rejected steps, keyed by its shooting.shoot name.
 """
 import os
 
@@ -95,15 +96,18 @@ def disk_kernels():
 
 def shot_kernels():
     """(name, call) of shooting.shoot at each (l, s) of SHOTS, with the default
-    r_max, and of shooting.beta_prime of that shot where it converged."""
-    calls = []
+    r_max, and of shooting.beta_prime of that shot where it converged; and
+    {shoot name: {"accepted": n, "rejected": n}} of the shots' steps."""
+    calls, steps = [], {}
     for l, s in SHOTS:
         sol = shooting.shoot(l, s)
-        calls.append((f"shooting.shoot.l{l:g}.s{s:g}", lambda l=l, s=s: shooting.shoot(l, s)))
+        name = f"shooting.shoot.l{l:g}.s{s:g}"
+        calls.append((name, lambda l=l, s=s: shooting.shoot(l, s)))
+        steps[name] = {"accepted": len(sol.r_grid) - 1, "rejected": sol.rejected_steps}
         if sol.verdict == "converged":
             calls.append((f"shooting.beta_prime.l{l:g}.s{s:g}",
                           lambda sol=sol: shooting.beta_prime(sol)))
-    return calls
+    return calls, steps
 
 
 def main() -> int:
@@ -113,11 +117,13 @@ def main() -> int:
         for lanes in LANES:
             for name, call in kernels(grid, lanes):
                 times[f"{name}.L{L}.lanes{lanes}"] = fastest(call)
-    for name, call in disk_kernels() + shot_kernels():
+    shots, steps = shot_kernels()
+    for name, call in disk_kernels() + shots:
         times[name] = fastest(call)
     env = {"python": platform.python_version(), "numpy": np.__version__, "blas_threads": 1,
            "machine": platform.machine(), "nproc": os.cpu_count()}
-    print(json.dumps({"env": env, "repeats": REPEATS, "budget_s": BUDGET, "kernels": times}, indent=1))
+    print(json.dumps({"env": env, "repeats": REPEATS, "budget_s": BUDGET, "kernels": times,
+                      "shot_steps": steps}, indent=1))
     return 0
 
 

@@ -1,8 +1,9 @@
 """Radial shooting for the planar equation  v'' + v'/r + (1+r^2)^l e^v = 0.
 
-The profile starts from a fourth-order series at a radius r0 that shrinks with
-the scales e^{-s/2} and l^{-1/2} (the ODE is 0/0 at the origin) and is
-integrated as one leg in t = log r, where the far field is asymptotically
+The profile starts at r0 = 0.5 / sqrt(M), M = max(1, e^s, l), a radius that
+shrinks with the scales e^{-s/2} and l^{-1/2}, from its Taylor series in
+x = M r^2 with coefficients by recurrence (the ODE is 0/0 at the origin), and
+is integrated as one leg in t = log r, where the far field is asymptotically
 linear, v ~ -beta t + c: V'' = -q(t, V) with q = r^2 (1+r^2)^l e^v, which has
 no V' on the right.  One Cash-Karp kernel steps it in Nystrom form with q
 inline, and measures the error of V against the tolerance itself, not
@@ -10,7 +11,7 @@ relative to |V|, which grows like beta t.  Two mass estimates are formed
 along independent paths:
 
 * beta_slope: the ODE state -V'(t) at the endpoint plus an analytic tail,
-* beta_mass: the series' disk mass plus quadrature of q over the stored
+* beta_mass: the series' disk mass -W(t0) plus quadrature of q over the stored
   profile plus the same tail.  Between stored nodes V is the quintic Hermite
   interpolant of V, V' and V'' (V'' = -q at the node), integrated by
   three-point Gauss per interval; both are sixth order in the node spacing,
@@ -18,9 +19,10 @@ along independent paths:
   tolerance also resolve the mass and no step cap serves the quadrature.
 
 Their agreement is the accuracy certificate for a shot.  The shot keeps the
-weights it sums for beta_mass; beta_prime differentiates both estimators in s
-along the Jacobi field w = dv/ds, which it integrates after the shot on the
-shot's own nodes and those weights.  solutions_at_beta hands shots with
+weights it sums for beta_mass and its series; beta_prime differentiates both
+estimators in s along the Jacobi field w = dv/ds, which it starts from the
+linearised series and integrates after the shot on the shot's own nodes and
+those weights.  solutions_at_beta hands shots with
 (beta, beta') to rootsearch.search_curve, which samples the mass curve
 adaptively.
 """
@@ -28,6 +30,7 @@ adaptively.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +39,7 @@ from .errors import NonConvergenceError
 from .rootsearch import RootSearch, search_curve
 
 
-def _rk_adaptive(l, x1, tol, store):
+def _rk_adaptive(l, x1, tol, store, h):
     """Cash-Karp 5(4) embedded pair for the radial equation in t = log r.
 
     With V(t) = v(e^t) and W = V', the equation times r^2 reads
@@ -54,8 +57,10 @@ def _rk_adaptive(l, x1, tol, store):
     relative to |V| would loosen the step where the far field builds c_asym
     and the W the analytic tail starts from.  The leg starts from the last
     node of store, the shot's node lists (t, V, W), and appends its accepted
-    nodes there; its first step is 1e-2 and its step cap _HMAX.  Returns the
-    number of rejected steps.
+    nodes there; its first step is h and its step cap _HMAX.  Returns the
+    number of rejected steps and the step to go on with: the last step the
+    error control proposed before x1 clipped it, so that a far-field extension
+    goes on at the step it had, not at a first step or a clipped one.
     """
     # tableau (Cash & Karp 1990); the zero weights b2, b5 and e2 are omitted
     c2, c3, c4, c6 = 1.0 / 5.0, 3.0 / 10.0, 3.0 / 5.0, 7.0 / 8.0     # c5 = 1
@@ -76,13 +81,14 @@ def _rk_adaptive(l, x1, tol, store):
     add_x, add_v, add_p = (nodes.append for nodes in store)
     x, v, p = (nodes[-1] for nodes in store)
     steps = rejected = 0
-    h, hmax = 1e-2, _HMAX
+    hmax = _HMAX
+    h_open = 0.0
     g1 = two_l2 * x + l * log1p(exp(-2.0 * x))
     while x < x1:
         if hmax < h:
             h = hmax
         if x + h > x1:
-            h = x1 - x
+            h_open, h = h, x1 - x
         # stage j is at xj; its W slope kj is -exp(the log weight at xj + its V)
         k1 = -exp(g1 + v)
         x2 = x + c2 * h
@@ -118,7 +124,7 @@ def _rk_adaptive(l, x1, tol, store):
         steps += 1
         if steps > MAX_STEPS:
             raise NonConvergenceError("adaptive integrator exceeded the step budget", best=x)
-    return rejected
+    return rejected, (h_open if h_open > h else h)
 
 
 @dataclass
@@ -137,6 +143,7 @@ class RadialSolution:
     # nodes of every interval (shape (3, intervals)), and the interval widths.
     # beta_mass sums them and beta_prime reads them
     weights: tuple
+    series: tuple           # p_0 .. p_{N-1} of the start series (see _series)
 
 
 # three-point Gauss-Legendre rule on [0, 1]
@@ -190,18 +197,26 @@ _RATE_RESOLUTION = 100.0
 _HMAX = 1.0
 MAX_STEPS = 200000      # steps, accepted or rejected, of one call before _rk_adaptive gives up
 TOL = 1e-10             # error tolerance of the adaptive integrator
-# r0^6 = _START_ERROR TOL / M^3 with M = max(1, e^s, |l|), so r0 = 0.01 / sqrt(M)
-# at TOL = 1e-10: the series' first omitted term a6 r0^6 stays below TOL / 2600,
-# since |a6| <= M^3 / 26
-_START_ERROR = 1e-2
+# The shot starts at r0 = START_RADIUS / sqrt(M), M = max(1, e^s, |l|), from
+# SERIES_TERMS terms of the Taylor series in x = M r^2 (x0 = 1/4).  Against 60
+# terms, 12 differ by at most 2.3e-13 in V0, 5.8e-12 in W0, 2.9e-13 in Y0 and
+# 7.4e-12 in Y'(t0) for l up to 1023.99 and s from -40 to 355 (the worst case
+# is l near 0.3, s = 0); a start at 0.7 / sqrt(M) needs 22 terms for as much.
+SERIES_TERMS = 12
+START_RADIUS = 0.5
 
 
 R_MAX_FLOOR = 50.0      # an r_max below this cannot anchor the asymptote
 
 
 def finite_start(s: float) -> bool:
-    """Whether s, e^s and e^s e^s / 4 are finite: the scale of the start series and
-    the size of its r^4 coefficient, whose overflow would start the shot from NaN."""
+    """Whether s, e^s and e^s e^s / 4 are finite: the start domain of a shot, s below 355.58.
+
+    The start series is scaled by M, so none of its coefficients overflows; the
+    first value of a shot that does is e^{-2t} = 4 e^s at t0, which the kernel
+    and the mass pass read, past s = 708.4 (a shot at s = 700 runs, one at 709
+    raises OverflowError).  The bound keeps the domain that the tests and the
+    CLI's usage errors pin, at half that s."""
     try:
         es = math.exp(s)
     except OverflowError:
@@ -224,9 +239,52 @@ def mass_window(l: float) -> tuple[float, float]:
     A shot tells its mass from an edge only beyond _RATE_RESOLUTION * TOL, an absolute
     margin: for 0 < l below about 5e-9 the window is narrower than twice it and every
     shot reads unresolved, and at large l, where the mass error grows with 4(1 + l)
-    (2.7e-8 at l near 1024), a mass within that error of an edge can still read converged."""
+    (against a TOL = 1e-13 shot, 1.0e-8 at l = 100 and 2.65e-8 at l = 1023.99), a mass
+    within that error of an edge can still read converged."""
     edge = 4.0 * (1.0 + l)
     return min(4.0, edge), max(4.0, edge)
+
+
+def _series(l: float, s: float) -> tuple[float, tuple]:
+    """The scale M = max(1, e^s, |l|) of a shot's start and the coefficients
+    p_0 .. p_{N-1}, N = SERIES_TERMS, of (e^s / M) (1 + x/M)^l e^{v - s} in x = M r^2.
+
+    In x the equation (1/r)(r v')' = -(1+r^2)^l e^v reads 4 M (x v_x)_x =
+    -(1+r^2)^l e^v, so v = s + sum b_k x^k with b_k = -p_{k-1} / (4 k^2).  The
+    p_k follow from the exp-series recurrence for F = exp(G), k F_k = sum j G_j
+    F_{k-j}, on G = l log(1 + x/M) + v - s, whose j G_j = j b_j - l (-1/M)^j.
+    Scaled by M, e^s / M <= 1 and |l| / M <= 1, so no coefficient overflows.
+    """
+    es = math.exp(s)
+    m = max(1.0, es, abs(l))
+    p, jg = [es / m], []
+    power = 1.0
+    for k in range(1, SERIES_TERMS):
+        power *= -1.0 / m
+        jg.append(-p[k - 1] / (4.0 * k) - l * power)
+        p.append(sum(map(operator.mul, jg, reversed(p))) / k)
+    return m, tuple(p)
+
+
+def _at_start(c0: float, coeffs) -> tuple[float, float]:
+    """c0 + sum c_k x0^k and its r d/dr, sum 2k c_k x0^k, over k = 1, 2, ...
+    by Horner's rule at the start x0 = START_RADIUS^2."""
+    x0 = START_RADIUS * START_RADIUS
+    value = slope = 0.0
+    for k in range(len(coeffs), 0, -1):
+        value = (value + coeffs[k - 1]) * x0
+        slope = (slope + 2.0 * k * coeffs[k - 1]) * x0
+    return c0 + value, slope
+
+
+def _jacobi_series(p) -> list:
+    """d_1 .. d_N of the Jacobi field w = dv/ds = 1 + sum d_k x^k at the start:
+    w solves the equation linearised about v, 4 (x w_x)_x = -w sum p_k x^k, so
+    d_{k+1} = -sum_j p_j d_{k-j} / (4 (k+1)^2) from d_0 = 1."""
+    d = [1.0]
+    for k in range(len(p)):
+        d.append(-sum(map(operator.mul, p[:k + 1], reversed(d))) / (4.0 * (k + 1) ** 2))
+    return d[1:]
 
 
 def shoot(l: float, s: float, r_max: float = 1e6) -> RadialSolution:
@@ -245,20 +303,20 @@ def _integrate(l: float, s: float, r_max: float) -> RadialSolution:
     """shoot without its domain checks: the equation is defined for every real
     l, and l < 0 is (1+r^2)^l with the sign of l flipped, which the tests use
     as a mutation of the weight."""
-    es = math.exp(s)
-    a2 = -es / 4.0
-    a4 = -es * (l + a2) / 16.0
-    r0 = (_START_ERROR * TOL) ** (1.0 / 6.0) / math.sqrt(max(1.0, es, abs(l)))
+    m, series = _series(l, s)
+    r0 = START_RADIUS / math.sqrt(m)
+    V0, W0 = _at_start(s, [-p_k / (4.0 * (k + 1) ** 2) for k, p_k in enumerate(series)])
 
-    # V = v(r0) and W = r0 v'(r0) from the series; the leg ends at r_max, or is
-    # extended in steps of 10 in t while the decay rate has not cleanly emerged
-    # (slow saturation toward beta = 2l+2 happens for strongly negative or large s)
-    xs, vs, ps = store = ([math.log(r0)], [s + a2 * r0**2 + a4 * r0**4],
-                          [2.0 * a2 * r0**2 + 4.0 * a4 * r0**4])
+    # the leg ends at r_max, or is extended in steps of 10 in t, each going on
+    # at the step the last one proposed, while the decay rate has not cleanly
+    # emerged (slow saturation toward beta = 2l+2 happens for strongly
+    # negative or large s)
+    xs, vs, ps = store = ([math.log(r0)], [V0], [W0])
     t_cap = max(math.log(r_max), 60.0)
-    rejected = _rk_adaptive(l, math.log(r_max), TOL, store)
+    rejected, h = _rk_adaptive(l, math.log(r_max), TOL, store, 1e-2)
     while -(2.0 + 2.0 * l + ps[-1]) <= 0.1 and xs[-1] < t_cap:
-        rejected += _rk_adaptive(l, min(xs[-1] + 10.0, t_cap), TOL, store)
+        more, h = _rk_adaptive(l, min(xs[-1] + 10.0, t_cap), TOL, store, h)
+        rejected += more
     t_max, V_end, W_end = xs[-1], vs[-1], ps[-1]
 
     # the mass integrand q at the nodes and at the Gauss nodes, with V from its
@@ -282,8 +340,8 @@ def _integrate(l: float, s: float, r_max: float) -> RadialSolution:
     settled = math.sqrt(rate * rate + 2.0 * q_end)
     tail = 2.0 * q_end / (settled + rate) if rate > 0.0 else settled - rate
     beta_slope = -W_end + tail
-    mass = es * (r0**2 / 2.0 + (l + a2) * r0**4 / 4.0)
-    beta_mass = mass + float(np.add.reduce((_GAUSS3_WEIGHTS[:, None] * h) * cq, axis=None)) + tail
+    # the disk r < r0 holds -W0: (r v')' = -r (1+r^2)^l e^v
+    beta_mass = -W0 + float(np.add.reduce((_GAUSS3_WEIGHTS[:, None] * h) * cq, axis=None)) + tail
     c_asym = (V_end + beta_slope * t_max + 2.0 * math.log1p(tail / (settled + rate))
               if rate > 0.0 else math.nan)
     # for l > 0 every finite mass lies strictly inside (4, upper), and one within
@@ -299,7 +357,7 @@ def _integrate(l: float, s: float, r_max: float) -> RadialSolution:
     return RadialSolution(l=l, s=s, r_grid=np.exp(x), values=v,
                           beta_mass=float(beta_mass), beta_slope=float(beta_slope),
                           c_asym=float(c_asym), verdict=verdict, rejected_steps=rejected,
-                          nodes=(x, v, p), weights=(c, cq, h))
+                          nodes=(x, v, p), weights=(c, cq, h), series=series)
 
 
 # Butcher matrix of the three-stage Gauss collocation method (order 6) on the
@@ -347,12 +405,13 @@ def beta_prime(sol: RadialSolution) -> tuple[float, float]:
 
     The Jacobi field w = dv/ds solves w'' + w'/r + (1+r^2)^l e^v w = 0 with
     w(0) = 1, w'(0) = 0; in t = log r, Y(t) = w(e^t) solves Y'' = -q Y from
-    Y(t0) = w(r0) and Y'(t0) = r0 w'(r0), taken from the series.  It is
+    Y(t0) = w(r0) and Y'(t0) = r0 w'(r0), taken from the shot's series
+    linearised.  It is
     integrated after the shot, on the shot's own accepted nodes, by Gauss
     collocation on the interval widths, Gauss nodes and weights that the
     shot's mass rule formed (sol.weights; both sixth order).  The two forms
     differentiate the two mass estimators: -Y'(t_max) plus the derivative of
-    the closed-form tail, and the series term plus the quintic Hermite
+    the closed-form tail, and the disk term -Y'(t0) plus the quintic Hermite
     quadrature of q Y plus the same tail derivative.  Their agreement
     certifies the slope.
     """
@@ -360,17 +419,12 @@ def beta_prime(sol: RadialSolution) -> tuple[float, float]:
         raise ValueError(f"beta_prime needs a converged shot, not {sol.verdict!r}")
     l = sol.l
     _, _, W = sol.nodes
-    es = math.exp(sol.s)
-    a2 = -es / 4.0
-    da4 = -es * (l + 2.0 * a2) / 16.0        # d/ds of the series' r^4 coefficient
-    r0 = float(sol.r_grid[0])
+    Y0, Z0 = _at_start(1.0, _jacobi_series(sol.series))
 
     c, cq, h = sol.weights
-    w, z = _jacobi_at_nodes(h, cq, 1.0 + a2 * r0**2 + da4 * r0**4,
-                            2.0 * a2 * r0**2 + 4.0 * da4 * r0**4)
+    w, z = _jacobi_at_nodes(h, cq, Y0, Z0)
     wq = _hermite_at(h, w, z, -c * w)
-    mass = es * (r0**2 / 2.0 + (l + 2.0 * a2) * r0**4 / 4.0)
-    mass += float(np.add.reduce((_GAUSS3_WEIGHTS[:, None] * h) * cq * wq, axis=None))
+    mass = -Z0 + float(np.add.reduce((_GAUSS3_WEIGHTS[:, None] * h) * cq * wq, axis=None))
 
     # tail = R - rate with R = sqrt(rate^2 + 2 q_end): d tail = (dq_end - tail d rate) / R,
     # where d rate = -Y'(t_max) and dq_end = q_end Y(t_max)

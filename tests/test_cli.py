@@ -51,7 +51,7 @@ def test_shoot_csv_profile(tmp_path):
     assert lines[0] == "r,v"
     assert len(lines) > 100
     r0, v0 = (float(tok) for tok in lines[1].split(","))
-    assert v0 == pytest.approx(math.log(8.0), abs=1e-4)
+    assert v0 == pytest.approx(math.log(8.0 / (1.0 + r0 * r0) ** 2), abs=1e-12)   # l = 0 closed form
     row = json.loads(out.read_text())["rows"][0]
     assert row["accepted_steps"] == len(lines) - 2          # header and the series start
     assert isinstance(row["rejected_steps"], int) and row["rejected_steps"] >= 0
@@ -145,7 +145,7 @@ VACUOUS_RUNS = {
     "shoot_nan_s": ["shoot", "--l", "1", "--s", "nan"],
     "shoot_inf_s": ["shoot", "--l", "1", "--s", "inf"],
     "shoot_overflowing_s": ["shoot", "--l", "1", "--s", "750"],
-    "shoot_overflowing_series": ["shoot", "--l", "1", "--s", "700"],
+    "shoot_overflowing_series": ["shoot", "--l", "1", "--s", "700"],    # past s = 355.58
     "shoot_overflowing_weight": ["shoot", "--l", "1e306", "--s", "10"],
     "beta_curve_overflowing_weight": ["beta-curve", "--l", "1024", "--n", "3"],
     "uniqueness_overflowing_weight": ["uniqueness", "--l", "1024"],

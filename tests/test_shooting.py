@@ -82,17 +82,42 @@ def test_tolerance_refinement_on_anchor(monkeypatch):
     assert abs(b1 - b2) <= 1e-8
 
 
+def _start_values(l, s):
+    """(V0, W0, Y0, Y'(t0)) of the start series at x0 = START_RADIUS^2: v, r v',
+    w = dv/ds and r w' at r0, with w's coefficients from beta_prime's recurrence."""
+    _, p = sh._series(l, s)
+    V0, W0 = sh._at_start(s, [-p_k / (4.0 * (k + 1) ** 2) for k, p_k in enumerate(p)])
+    return (V0, W0) + sh._at_start(1.0, sh._jacobi_series(p))
+
+
 def test_vprime_zero_at_origin():
-    """The shot starts from the even series v = s + a2 r^2 + a4 r^4, so
-    v'(0) = 0, with a2 = -e^s / 4 and a4 = -e^s (l + a2) / 16: V = v(r0) and
-    W = r0 v'(r0).  The r^4 term, about 2e-10 here, is far above the tolerance."""
-    l, s = 1.0, 0.5
-    sol = sh.shoot(l, s)
-    r0 = sol.r_grid[0]
-    a2 = -math.exp(s) / 4.0
-    a4 = -math.exp(s) * (l + a2) / 16.0
-    assert sol.values[0] == pytest.approx(s + a2 * r0**2 + a4 * r0**4, abs=1e-15)
-    assert sol.nodes[2][0] == pytest.approx(2.0 * a2 * r0**2 + 4.0 * a4 * r0**4, abs=1e-15)
+    """At l = 0 the start series is that of v = s - 2 log(1 + e^s r^2 / 8), an
+    even function (v'(0) = 0): in x = M r^2 its coefficients are b_k =
+    -2 (-1)^{k+1} (e^s / 8M)^k / k, and V0 = v(r0), W0 = r0 v'(r0), Y0 = w(r0)
+    and Y'(t0) = r0 w'(r0), with w = dv/ds, match the closed form to rounding."""
+    for s in (-3.0, 0.0, 2.0, 10.0, 300.0):
+        m, p = sh._series(0.0, s)
+        y = math.exp(s) / (8.0 * m)
+        for k, p_k in enumerate(p, start=1):
+            assert -p_k / (4.0 * k * k) == pytest.approx(-2.0 * (-1.0) ** (k + 1) * y**k / k,
+                                                         rel=1e-14, abs=1e-300)
+        r0 = sh.START_RADIUS / math.sqrt(m)
+        z = math.exp(s) * r0**2 / 8.0            # e^s r^2 / 8 at r0, and d/ds of it
+        closed = (s - 2.0 * math.log1p(z), -4.0 * z / (1.0 + z),
+                  1.0 - 2.0 * z / (1.0 + z), -4.0 * z / (1.0 + z) ** 2)
+        assert _start_values(0.0, s) == pytest.approx(closed, rel=1e-15, abs=1e-15)
+        sol = sh.shoot(0.0, s)
+        assert (sol.values[0], sol.nodes[2][0]) == _start_values(0.0, s)[:2]
+
+
+@pytest.mark.parametrize("l", [0.0, 0.5, 2.0, 100.0, 1023.99])
+@pytest.mark.parametrize("s", [-40.0, 0.0, 10.0, 355.0])
+def test_series_terms_suffice(monkeypatch, l, s):
+    """SERIES_TERMS terms of the start series match 40 terms within 1e-11 in
+    V0, W0, Y0 and Y'(t0) at the corners of the shot's domain."""
+    short = _start_values(l, s)
+    monkeypatch.setattr(sh, "SERIES_TERMS", 40)
+    assert short == pytest.approx(_start_values(l, s), rel=0.0, abs=1e-11)
 
 
 def test_profile_decreasing_at_large_r():
@@ -113,8 +138,9 @@ def test_shoot_rejects_bad_domain():
                                       (0.0, math.inf)])
 def test_shoot_rejects_non_finite_inputs(s, r_max):
     """A NaN start or radius would run out the step budget or report a mass,
-    an infinite or overflowing e^s would crash in the start series, and an
-    overflowing r^4 coefficient -e^s (l - e^s / 4) / 16 would start from NaN."""
+    and an infinite or overflowing e^s would crash in the start series.  From
+    s = 355.58, where e^s e^s / 4 overflows, s is outside the start domain,
+    though the scaled series itself stays finite there."""
     with pytest.raises(ValueError, match="finite"):
         sh.shoot(1.0, s, r_max=r_max)
 
@@ -122,7 +148,7 @@ def test_shoot_rejects_non_finite_inputs(s, r_max):
 @pytest.mark.parametrize("l", [-1.0, math.nan, math.inf, 1024.0, 1e306])
 def test_shoot_rejects_l_outside_the_weights_range(l):
     """A negative or NaN l is out of scope, and from l = 1024 the weight 2^l at
-    r = 1 overflows, which would crash the inner leg."""
+    r = 1 overflows, which would crash the shot's kernel."""
     with pytest.raises(ValueError, match="2\\^l finite"):
         sh.shoot(l, 10.0)
 
@@ -286,14 +312,14 @@ CURVES_GRID = [(l, float(s)) for l in (0.0, 0.5, 1.0, 2.0) for s in np.linspace(
 
 
 def test_steps_per_shot_over_the_curves_grid():
-    """Accepted plus rejected steps per shot.  The median is 198: one leg in
-    t = log r from t0 = log r0 takes more steps than an r-leg to r = 1 and a
-    log-radial leg from there (180), but each step is cheaper."""
+    """Accepted plus rejected steps per shot.  The median is 161.5: the series
+    start at r0 = 0.5 / sqrt(M) skips the stretch of t just after a start at
+    0.01 / sqrt(M), where that start took a sixth of its 198."""
     steps = []
     for l, s in CURVES_GRID:
         sol = sh.shoot(l, s)
         steps.append(len(sol.r_grid) - 1 + sol.rejected_steps)
-    assert np.median(steps) <= 200
+    assert np.median(steps) <= 165
 
 
 @pytest.mark.parametrize("s", [40.0, 100.0])
@@ -329,7 +355,7 @@ def test_integrator_step_budget_raises_typed_error(monkeypatch):
     xs, vs, ps = [0.0], [math.log(12.0 / 8.0)], [-3.0]
     monkeypatch.setattr(sh, "MAX_STEPS", 3)
     with pytest.raises(NonConvergenceError) as info:
-        sh._rk_adaptive(1.0, 10.0, 1e-10, (xs, vs, ps))
+        sh._rk_adaptive(1.0, 10.0, 1e-10, (xs, vs, ps), 1e-2)
     assert 0.0 < info.value.best < 10.0
     assert info.value.best == xs[-1]
 
@@ -340,7 +366,7 @@ def test_series_start_step_budget_raises_typed_error(monkeypatch):
     monkeypatch.setattr(sh, "MAX_STEPS", 3)
     with pytest.raises(NonConvergenceError) as info:
         sh.shoot(1.0, 0.0)
-    assert math.log(0.01) < info.value.best < 0.0
+    assert math.log(sh.START_RADIUS) < info.value.best < 0.0
 
 
 # Generic references for the unrolled kernel, both on V'' = -q(t, V) in
@@ -418,12 +444,12 @@ def _rk_first_order_reference(l, x0, v0, p0, x1, tol, h0, store_x, store_v, stor
 
     x = x0
     y = [v0, p0]
-    h = min(h0, hmax)
+    h, h_open = h0, 0.0
     steps = rejected = 0
     while x < x1:
         h = min(h, hmax)
         if x + h > x1:
-            h = x1 - x
+            h_open, h = h, x1 - x
         k = [f(x, *y)]
         for i in range(1, 6):
             a = _A[i]
@@ -446,19 +472,19 @@ def _rk_first_order_reference(l, x0, v0, p0, x1, tol, h0, store_x, store_v, stor
         steps += 1
         if steps > sh.MAX_STEPS:
             raise NonConvergenceError("adaptive integrator exceeded the step budget", best=x)
-    return rejected
+    return rejected, max(h_open, h)
 
 
 def _rk_nystrom_reference(l, x0, v0, p0, x1, tol, h0, store_x, store_v, store_p, hmax):
     """Nystrom Cash-Karp loop for V'' = -q(t, V): the stages carry V only."""
     force = _force_reference(l)
     x, v, w = x0, v0, p0
-    h = min(h0, hmax)
+    h, h_open = h0, 0.0
     steps = rejected = 0
     while x < x1:
         h = min(h, hmax)
         if x + h > x1:
-            h = x1 - x
+            h_open, h = h, x1 - x
         k = []
         for i in range(6):
             vi = v + h * (_C[i] * w + h * sum(_A2[i][j] * k[j] for j in range(i)))
@@ -479,15 +505,16 @@ def _rk_nystrom_reference(l, x0, v0, p0, x1, tol, h0, store_x, store_v, store_p,
         steps += 1
         if steps > sh.MAX_STEPS:
             raise NonConvergenceError("adaptive integrator exceeded the step budget", best=x)
-    return rejected
+    return rejected, max(h_open, h)
 
 
 def _on_store(loop):
-    """loop behind the kernel's signature: from the last node of store, with
-    the kernel's first step and step cap."""
-    def run(l, x1, tol, store):
+    """loop behind the kernel's signature: from the last node of store and the
+    given first step, with the kernel's step cap; it returns the rejected steps
+    and the last step proposed before x1 clipped one."""
+    def run(l, x1, tol, store, h):
         xs, vs, ps = store
-        return loop(l, xs[-1], vs[-1], ps[-1], x1, tol, 1e-2, *store, sh._HMAX)
+        return loop(l, xs[-1], vs[-1], ps[-1], x1, tol, h, *store, sh._HMAX)
     return run
 
 
@@ -569,22 +596,41 @@ def test_rejected_steps_sum_every_kernel_call(monkeypatch):
     kernel = sh._rk_adaptive
 
     def counted(*args):
-        counts.append(kernel(*args) + 1)
-        return counts[-1]
+        rejected, h = kernel(*args)
+        counts.append(rejected + 1)
+        return counts[-1], h
 
     monkeypatch.setattr(sh, "_rk_adaptive", counted)
     sol = sh.shoot(1.0, 22.0)
     assert len(counts) > 1 and sol.rejected_steps == sum(counts)
 
 
+def test_far_field_extensions_keep_their_step(monkeypatch):
+    """Each extension of 10 in t goes on at the step the stretch before it
+    proposed, the cap _HMAX = 1 in the far field, so it takes 10 steps (at
+    most 11), not the 13 of a restart at the first step 1e-2."""
+    steps = []
+    kernel = sh._rk_adaptive
+
+    def counted(l, x1, tol, store, h):
+        before = len(store[0])
+        rejected, h_next = kernel(l, x1, tol, store, h)
+        steps.append(len(store[0]) - before + rejected)
+        return rejected, h_next
+
+    monkeypatch.setattr(sh, "_rk_adaptive", counted)
+    sh.shoot(1.0, 32.0)
+    assert len(steps) == 6 and max(steps[1:]) <= 11
+
+
 
 def test_nodes_rebuild_the_profile():
-    """The nodes are (t, V, W) from t0 = log r0, r0 = 0.01 / sqrt(max(1, e^s, l)),
+    """The nodes are (t, V, W) from t0 = log r0, r0 = 0.5 / sqrt(max(1, e^s, l)),
     out to r_max: the profile is r = e^t against V."""
-    for l, s in ((1.0, 2.0), (2.0, -1.0), (0.5, -3.0)):
+    for l, s in ((1.0, 2.0), (2.0, -1.0), (0.5, -3.0), (3.0, 0.5)):
         sol = sh.shoot(l, s)
         t, V, _ = sol.nodes
-        assert math.exp(t[0]) == pytest.approx(0.01 / math.sqrt(max(1.0, math.exp(s), l)), rel=1e-12)
+        assert math.exp(t[0]) == pytest.approx(0.5 / math.sqrt(max(1.0, math.exp(s), l)), rel=1e-12)
         assert np.all(np.diff(t) > 0.0) and t[-1] == pytest.approx(math.log(1e6), abs=1e-12)
         assert np.array_equal(sol.r_grid, np.exp(t)) and np.array_equal(sol.values, V)
 
@@ -641,7 +687,9 @@ def test_root_search_counts_unresolved_samples(monkeypatch):
 
 # -- beta' from the Jacobi field ----------------------------------------------
 
-SLOPE_GRID = [(l, s) for l in (0.0, 0.5, 1.0, 2.0) for s in (-6.0, -2.0, 2.0, 4.7, 10.0)]
+# s = 8 at l = 1 leaves the most mass past r_max on this grid, so the tail's
+# derivative moves beta' there by 1e-4 if it reads the last node's neighbour
+SLOPE_GRID = [(l, s) for l in (0.0, 0.5, 1.0, 2.0) for s in (-6.0, -2.0, 2.0, 4.7, 8.0, 10.0)]
 
 
 @pytest.mark.parametrize("l, s", SLOPE_GRID)
